@@ -32,6 +32,7 @@ use crate::error::AmcError;
 use crate::slots::{Acquire, ClvKey, SlotId, SlotManager};
 use phylo_tree::traversal::{extend_plan_for, OrderPolicy};
 use phylo_tree::{DirEdgeId, NodeId, Tree};
+use std::collections::BTreeMap;
 
 /// Where a compute step reads one of its two inputs from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,6 +116,24 @@ impl ResidentSet {
     }
 }
 
+/// How one schedule references a CLV (see [`ensure_resident`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct PlanRefs {
+    /// Plan entries that read it as a dependency.
+    reads: u32,
+    /// Request occurrences that return it as a target.
+    returns: u32,
+    /// Whether the plan (re)computes it.
+    planned: bool,
+}
+
+impl PlanRefs {
+    /// Pins it must carry from residency until its last reference.
+    fn pins(&self) -> u32 {
+        self.reads + self.returns
+    }
+}
+
 /// Makes every CLV in `targets` resident, evicting/recomputing as needed.
 ///
 /// * `register_need` — the table from
@@ -137,66 +156,58 @@ pub fn ensure_resident(
     // plan). The guard drops before this function returns, so execution
     // of the returned schedule runs lock-free.
     let _plan = mgr.plan_guard();
-    // Net pins this call has added per slot, for precise rollback on
-    // error: under concurrency a blanket `unpin_all` would destroy other
-    // threads' pins.
-    let mut pin_delta = vec![0i64; mgr.n_slots()];
+    // Pins this call has added (+) or consumed (−), for precise rollback
+    // on error: under concurrency a blanket `unpin_all` would destroy
+    // other threads' pins.
+    let mut pin_log: Vec<(SlotId, i64)> = Vec::new();
+    // Per CLV the schedule touches — plan entries, their dependencies,
+    // the targets — how often it is read or returned. Ordered, so the
+    // pin/touch sequence below is deterministic; sized by the plan, not
+    // by the tree.
+    let mut refs: BTreeMap<DirEdgeId, PlanRefs> = BTreeMap::new();
     // ---- Phase 1: static plan against the current residency. ----
-    let mut planned = vec![false; tree.n_dir_edges()];
     let mut plan: Vec<DirEdgeId> = Vec::new();
     for &t in targets {
         if tree.is_leaf(tree.src(t)) {
             continue;
         }
-        let planned_ref = &planned;
+        // One pin per request occurrence.
+        refs.entry(t).or_default().returns += 1;
         let before = plan.len();
         extend_plan_for(
             tree,
             t,
             OrderPolicy::MinRegisters,
             Some(register_need),
-            &|d| planned_ref[d.idx()] || mgr.lookup(ClvKey(d.0)).is_some(),
+            &|d| refs.get(&d).is_some_and(|r| r.planned) || mgr.lookup(ClvKey(d.0)).is_some(),
             &mut plan,
         );
         for &p in &plan[before..] {
-            planned[p.idx()] = true;
+            refs.entry(p).or_default().planned = true;
         }
     }
 
     // ---- Phase 2: pin accounting. ----
-    // needed[d] = how many plan entries read d as a dependency.
-    let mut needed = vec![0u32; tree.n_dir_edges()];
     for &d in &plan {
         for dep in tree.deps(d).expect("plan entries are inner-origin") {
             if !tree.is_leaf(tree.src(dep)) {
-                needed[dep.idx()] += 1;
+                refs.entry(dep).or_default().reads += 1;
             }
-        }
-    }
-    // target_pins[d] = one pin per request occurrence.
-    let mut target_pins = vec![0u32; tree.n_dir_edges()];
-    for &t in targets {
-        if !tree.is_leaf(tree.src(t)) {
-            target_pins[t.idx()] += 1;
         }
     }
     // Pin CLVs that are already resident and will be read (as deps) or
     // returned (as targets), so evictions during planning cannot corrupt
     // the schedule. The dep share of these pins is consumed one read at a
     // time during phase 3.
-    for d in tree.all_dir_edges() {
-        if planned[d.idx()] {
+    for (&d, r) in &refs {
+        if r.planned {
             continue; // will be (re)computed; pinned at its compute step
         }
-        let pins = needed[d.idx()] + target_pins[d.idx()];
-        if pins > 0 {
-            let slot = mgr
-                .lookup(ClvKey(d.0))
-                .expect("un-planned CLV required by the plan must be resident");
-            mgr.pin_n(slot, pins);
-            pin_delta[slot.idx()] += pins as i64;
-            mgr.touch(ClvKey(d.0));
-        }
+        let slot =
+            mgr.lookup(ClvKey(d.0)).expect("un-planned CLV required by the plan must be resident");
+        mgr.pin_n(slot, r.pins());
+        pin_log.push((slot, r.pins() as i64));
+        mgr.touch(ClvKey(d.0));
     }
 
     // ---- Phase 3: schedule, assigning slots in execution order. ----
@@ -240,14 +251,15 @@ pub fn ensure_resident(
                 slot_version,
             });
             // Pin the fresh CLV for its future reads and target pins.
-            mgr.pin_n(slot, needed[d.idx()] + target_pins[d.idx()]);
-            pin_delta[slot.idx()] += (needed[d.idx()] + target_pins[d.idx()]) as i64;
+            let pins = refs[&d].pins();
+            mgr.pin_n(slot, pins);
+            pin_log.push((slot, pins as i64));
             // Consume one read-pin from each inner dependency.
             for &dep in &deps {
                 if !tree.is_leaf(tree.src(dep)) {
                     let dep_slot = mgr.lookup(ClvKey(dep.0)).expect("still resident");
                     mgr.unpin(dep_slot)?;
-                    pin_delta[dep_slot.idx()] -= 1;
+                    pin_log.push((dep_slot, -1));
                 }
             }
         }
@@ -262,10 +274,14 @@ pub fn ensure_resident(
         // slots: planners are serialized by the plan lock and read
         // leases refuse still-unpublished slots, so the invalidate's
         // pin-free precondition holds.
-        for (s, &d) in pin_delta.iter().enumerate() {
-            debug_assert!(d >= 0, "rollback found pins this call never took");
-            for _ in 0..d.max(0) {
-                let _ = mgr.unpin(SlotId(s as u32));
+        let mut net: BTreeMap<SlotId, i64> = BTreeMap::new();
+        for (slot, delta) in pin_log {
+            *net.entry(slot).or_default() += delta;
+        }
+        for (slot, delta) in net {
+            debug_assert!(delta >= 0, "rollback found pins this call never took");
+            for _ in 0..delta.max(0) {
+                let _ = mgr.unpin(slot);
             }
         }
         for k in installed {
@@ -302,43 +318,13 @@ pub fn ensure_resident(
     Ok(ResidentSet { ops, targets: out_targets, exec_pins, evicted })
 }
 
-/// Pins the resident CLVs with the highest recomputation cost, keeping at
-/// least `min_unpinned` slots unpinned (the paper's cross-block retention,
-/// §IV). Returns the pinned slots; the caller unpins them when the block
-/// advances.
-pub fn pin_high_cost_resident(
-    mgr: &SlotManager,
-    costs: &[f64],
-    min_unpinned: usize,
-) -> Vec<SlotId> {
-    // Planning operation: pins it takes must not race a planner's
-    // eviction decisions, and it must not grab a slot a planner has
-    // installed but not yet published.
-    let _plan = mgr.plan_guard();
-    let budget = mgr.n_unpinned().saturating_sub(min_unpinned);
-    if budget == 0 {
-        return Vec::new();
-    }
-    let mut resident: Vec<(SlotId, f64)> = mgr
-        .resident()
-        .into_iter()
-        .filter(|&(_, slot)| mgr.pin_count(slot) == 0 && mgr.is_ready(slot))
-        .map(|(clv, slot)| (slot, costs.get(clv.idx()).copied().unwrap_or(0.0)))
-        .collect();
-    resident.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    let picked: Vec<SlotId> = resident.into_iter().take(budget).map(|(s, _)| s).collect();
-    for &s in &picked {
-        mgr.pin(s);
-    }
-    picked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::strategy::{CostBased, StrategyKind};
+    use phylo_tree::generate;
     use phylo_tree::stats::{min_slots_bound, register_need, subtree_leaf_counts};
-    use phylo_tree::{generate, EdgeId};
+    use phylo_tree::traversal::{SweepSchedule, SweepStep};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -535,31 +521,154 @@ mod tests {
         assert!(rs.targets.is_empty());
     }
 
-    #[test]
-    fn pin_high_cost_keeps_floor() {
-        let mut rng = StdRng::seed_from_u64(27);
-        let tree = generate::yule(32, 0.1, &mut rng).unwrap();
-        let need = register_need(&tree);
-        let costs: Vec<f64> = subtree_leaf_counts(&tree).iter().map(|&c| c as f64).collect();
-        let n_slots = 16;
-        let mut mgr = mgr_for(&tree, n_slots);
-        // Warm the cache.
-        let e = EdgeId(0);
-        let mut rs =
-            ensure_resident(&tree, &[DirEdgeId::new(e, 0), DirEdgeId::new(e, 1)], &mut mgr, &need)
-                .unwrap();
-        rs.release(&mut mgr);
-        let floor = min_slots_bound(32);
-        let pinned = pin_high_cost_resident(&mut mgr, &costs, floor);
-        assert!(mgr.n_unpinned() >= floor);
-        // Pinned slots hold the highest-cost residents.
-        for &s in &pinned {
-            assert!(mgr.pin_count(s) > 0);
+    /// What one walk of a sweep schedule cost the planner.
+    #[derive(Debug, Default)]
+    struct Walk {
+        ops: usize,
+        visited: Vec<phylo_tree::EdgeId>,
+        max_holds: usize,
+        pin_failures: usize,
+    }
+
+    /// Walks `steps` the way the placement executor does — one branch
+    /// per batch, both orientations resident and checked against the
+    /// reference values, `up(c)` held by an ordinary single-target
+    /// request — over the planner and a hash arena only. With `overlap`
+    /// the previous batch stays pinned while the next one is planned, as
+    /// under async prefetch.
+    fn walk_sweep(
+        tree: &Tree,
+        steps: &[SweepStep],
+        n_slots: usize,
+        holds: bool,
+        overlap: bool,
+    ) -> Walk {
+        let need = register_need(tree);
+        let reference = reference_values_ordered(tree);
+        let mgr = mgr_for(tree, n_slots);
+        let mut slots = vec![0u64; n_slots];
+        let mut walk = Walk::default();
+        let mut held: Vec<(DirEdgeId, ResidentSet)> = Vec::new();
+        let mut previous: Option<ResidentSet> = None;
+        for step in steps {
+            if step.visit {
+                let targets = [DirEdgeId::new(step.edge, 0), DirEdgeId::new(step.edge, 1)];
+                let mut rs = match ensure_resident(tree, &targets, &mgr, &need) {
+                    Ok(rs) => rs,
+                    Err(AmcError::AllSlotsPinned { .. }) => {
+                        // The executor's last rung: holds are optional.
+                        walk.pin_failures += 1;
+                        for (_, mut h) in held.drain(..) {
+                            h.release(&mgr);
+                        }
+                        ensure_resident(tree, &targets, &mgr, &need).unwrap()
+                    }
+                    Err(e) => panic!("{e}"),
+                };
+                execute(&rs.ops, tree, &mut slots);
+                walk.ops += rs.ops.len();
+                for &(d, slot) in &rs.targets {
+                    assert_eq!(slots[slot.idx()], reference[d.idx()], "{d:?}");
+                }
+                rs.release_exec(&mgr);
+                walk.visited.push(step.edge);
+                if let Some(mut p) = previous.replace(rs) {
+                    p.release(&mgr);
+                }
+                if !overlap {
+                    previous.take().unwrap().release(&mgr);
+                }
+            }
+            if !holds {
+                continue;
+            }
+            if let Some(h) = step.hold {
+                match ensure_resident(tree, &[h], &mgr, &need) {
+                    Ok(mut rs) => {
+                        execute(&rs.ops, tree, &mut slots);
+                        walk.ops += rs.ops.len();
+                        assert_eq!(slots[rs.targets[0].1.idx()], reference[h.idx()]);
+                        rs.release_exec(&mgr);
+                        held.push((h, rs));
+                        walk.max_holds = walk.max_holds.max(held.len());
+                    }
+                    Err(AmcError::AllSlotsPinned { .. }) => walk.pin_failures += 1,
+                    Err(e) => panic!("{e}"),
+                }
+            }
+            if let Some(r) = step.release {
+                if let Some(i) = held.iter().position(|&(d, _)| d == r) {
+                    held.swap_remove(i).1.release(&mgr);
+                }
+            }
         }
-        for &s in &pinned {
-            mgr.unpin(s).unwrap();
+        if let Some(mut p) = previous {
+            p.release(&mgr);
         }
+        assert!(held.is_empty(), "every hold has its release");
+        assert_eq!(mgr.n_pinned(), 0);
         mgr.check_invariants().unwrap();
+        walk
+    }
+
+    type TreeGen = fn(usize, f64, &mut StdRng) -> Result<Tree, phylo_tree::TreeError>;
+
+    /// The sweep schedule against the planner, at the slot count the
+    /// memory plan grants at the floor (`⌈log₂ n⌉ + 2` plus the pin
+    /// headroom `epa_place::memplan::pin_headroom` reserves).
+    #[test]
+    fn sweep_schedule_holds_the_spine_within_the_floor() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let shapes: [(&str, TreeGen); 4] = [
+            ("yule", generate::yule),
+            ("balanced", generate::balanced),
+            ("uniform", generate::uniform_topology),
+            ("caterpillar", generate::caterpillar),
+        ];
+        for (shape, gen) in shapes {
+            for n in [16usize, 64, 256, 1024] {
+                let tree = gen(n, 0.1, &mut rng).unwrap();
+                let steps = SweepSchedule::new(&tree).steps(|_| true);
+                let floor = min_slots_bound(n) + if n > 1000 { 8 } else { 4 };
+                let mut every_edge: Vec<_> = tree.all_edges().collect();
+                for overlap in [false, true] {
+                    let mut w = walk_sweep(&tree, &steps, floor, true, overlap);
+                    let what = format!("{shape} n={n} overlap={overlap}: {} ops", w.ops);
+                    w.visited.sort_unstable();
+                    every_edge.sort_unstable();
+                    assert_eq!(w.visited, every_edge, "{what}: every edge exactly once");
+                    assert_eq!(w.pin_failures, 0, "{what}: holds must fit the headroom");
+                    let log2n = (usize::BITS - (n - 1).leading_zeros()) as usize;
+                    assert!(w.max_holds <= log2n + 1, "{what}: {} holds", w.max_holds);
+                    if (shape, n) == ("yule", 256) {
+                        assert!(w.ops <= 8 * tree.n_inner_dir_edges(), "{what}");
+                    }
+                }
+                // A store that holds every CLV computes each exactly once
+                // (the executor takes no holds there).
+                let full = walk_sweep(&tree, &steps, tree.n_inner_dir_edges(), false, true);
+                assert_eq!(full.ops, tree.n_inner_dir_edges(), "{shape} n={n} at full slots");
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_sweep_visits_exactly_the_requested_branches() {
+        let mut rng = StdRng::seed_from_u64(32);
+        let tree = generate::yule(256, 0.1, &mut rng).unwrap();
+        let schedule = SweepSchedule::new(&tree);
+        let floor = min_slots_bound(256) + 4;
+        let full = walk_sweep(&tree, &schedule.steps(|_| true), floor, true, true);
+        for stride in [1u32, 7, 60, 1000] {
+            let wanted = |e: phylo_tree::EdgeId| e.0 % stride == 3 % stride;
+            let mut w = walk_sweep(&tree, &schedule.steps(wanted), floor, true, true);
+            w.visited.sort_unstable();
+            let expect: Vec<_> = tree.all_edges().filter(|&e| wanted(e)).collect();
+            assert_eq!(w.visited, expect, "stride {stride}");
+            assert_eq!(w.pin_failures, 0, "stride {stride}");
+            assert!(w.ops <= full.ops, "stride {stride}: {} > {}", w.ops, full.ops);
+        }
+        assert!(schedule.steps(|_| false).is_empty());
     }
 
     #[test]

@@ -136,7 +136,8 @@ impl Acquire {
 /// these to report recomputation overhead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SlotStats {
-    /// `acquire` calls that found the CLV resident.
+    /// Reuses of a resident CLV: `acquire` hits, read leases
+    /// (`pin_if_ready`) and the planner's `touch` of cached CLVs.
     pub hits: u64,
     /// `acquire` calls that had to (re)assign a slot.
     pub misses: u64,
@@ -148,8 +149,9 @@ pub struct SlotStats {
     /// Slot (re)assignments, i.e. recomputations scheduled. Invariant:
     /// `installs == misses` — a failed acquire installs nothing.
     pub installs: u64,
-    /// Successful CLV acquisitions of any kind (`acquire` hits + misses
-    /// + `pin_if_ready` leases). Invariant: `acquires == hits + misses`.
+    /// Successful CLV acquisitions of any kind: `acquire` hits and
+    /// misses, `pin_if_ready` leases, `touch` reuses. Invariant:
+    /// `acquires == hits + misses`.
     pub acquires: u64,
     /// [`SlotManager::poison`] calls (computing thread died before
     /// publishing).
@@ -414,13 +416,17 @@ impl SlotManager {
         self.table().pin_counts[slot.idx()]
     }
 
-    /// Notifies the strategy of a read access (LRU bookkeeping et al.)
-    /// without going through `acquire`.
+    /// Records a reuse of a resident CLV that did not go through
+    /// `acquire` — the FPA planner reads cached CLVs this way. Counted as
+    /// one hit (and one acquisition), and the strategy sees the access
+    /// (LRU bookkeeping et al.). No-op if `clv` is not resident.
     pub fn touch(&self, clv: ClvKey) {
         let mut t = self.table();
         let s = self.clv_to_slot[clv.idx()].load(Ordering::Acquire);
         if s != UNSLOTTED {
             self.record(SlotEvent::Touch { clv: clv.0 });
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.acquires.fetch_add(1, Ordering::Relaxed);
             t.strategy.on_access(clv, SlotId(s));
         }
     }
@@ -1231,12 +1237,14 @@ mod tests {
         m.mark_ready(s);
         assert_eq!(m.pin_if_ready(ClvKey(0)), Some(s)); // lease hit
         m.unpin(s).unwrap();
+        m.touch(ClvKey(0)); // planner reuse: hit
+        m.touch(ClvKey(7)); // not resident: counts nothing
         m.acquire(ClvKey(1)).unwrap(); // miss
         m.acquire(ClvKey(2)).unwrap(); // miss + eviction
         let st = m.stats();
-        assert_eq!(st.hits, 2);
+        assert_eq!(st.hits, 3);
         assert_eq!(st.misses, 3);
-        assert_eq!(st.acquires, 5);
+        assert_eq!(st.acquires, 6);
         assert_eq!(st.installs, 3);
         m.check_invariants().unwrap();
         m.reset_stats();

@@ -25,4 +25,4 @@ pub mod store;
 
 pub use ctx::ReferenceContext;
 pub use error::EngineError;
-pub use store::{ClvStore, EdgeSide, FullStore, ManagedStore, PendingBlock, PreparedBlock};
+pub use store::{ClvStore, EdgeSide, FullStore, ManagedStore, PreparedBlock};

@@ -112,30 +112,6 @@ impl PreparedBlock {
     }
 }
 
-/// A planned-but-not-yet-computed block from
-/// [`ManagedStore::plan_prepare`]: pins are taken, compute steps are
-/// pending.
-#[derive(Debug)]
-pub struct PendingBlock {
-    rs: ResidentSet,
-    next_op: usize,
-}
-
-impl PendingBlock {
-    /// Remaining compute steps.
-    pub fn remaining(&self) -> usize {
-        self.rs.ops.len() - self.next_op
-    }
-
-    /// Converts into a readable block once every step has executed (the
-    /// final [`ManagedStore::execute_one`] call has already released the
-    /// execution pins and synchronized the targets).
-    pub fn into_prepared(self) -> PreparedBlock {
-        assert_eq!(self.next_op, self.rs.ops.len(), "pending block has unexecuted steps");
-        PreparedBlock { rs: self.rs }
-    }
-}
-
 /// Alias kept for API clarity where "any storage policy" is meant.
 pub type ClvStore = ManagedStore;
 
@@ -349,24 +325,6 @@ impl ManagedStore {
         block.rs.release(self.arena.manager());
     }
 
-    /// First half of an incremental prepare: plans the schedule and takes
-    /// all pins, but executes nothing. Drive the returned block through
-    /// [`Self::execute_one`] until it reports completion, then convert it
-    /// with [`PendingBlock::into_prepared`].
-    ///
-    /// This split exists for the asynchronous branch-block prefetch: the
-    /// prefetch thread computes one step at a time with no lock held, so
-    /// placement workers reading the *current* block interleave freely.
-    pub fn plan_prepare(
-        &self,
-        ctx: &ReferenceContext,
-        dirs: &[DirEdgeId],
-    ) -> Result<PendingBlock, EngineError> {
-        let mut rs = ensure_resident(ctx.tree(), dirs, self.arena.manager(), ctx.register_need())?;
-        self.demote_evicted(&mut rs);
-        Ok(PendingBlock { rs, next_op: 0 })
-    }
-
     /// Offers the published CLVs a freshly planned schedule evicted to
     /// the demotion tiers. Must run before any of the plan's ops execute:
     /// the victims' bytes sit untouched in their (execution-pinned,
@@ -382,51 +340,6 @@ impl ManagedStore {
         for (victim, slot) in rs.evicted.drain(..) {
             tiers.offer(victim, self.arena.clv(slot), self.arena.scale(slot));
         }
-    }
-
-    /// Executes the next compute step of a pending block. Returns `false`
-    /// when every step has run; the completing call also drops the plan's
-    /// execution pins and synchronizes the block's targets, making it
-    /// ready for [`PendingBlock::into_prepared`].
-    pub fn execute_one(
-        &self,
-        ctx: &ReferenceContext,
-        pending: &mut PendingBlock,
-    ) -> Result<bool, EngineError> {
-        let Some(op) = pending.rs.ops.get(pending.next_op).copied() else {
-            pending.rs.release_exec(self.arena.manager());
-            self.sync_targets(&pending.rs)?;
-            return Ok(false);
-        };
-        let mut scratch = self.scratch.checkout();
-        let run = match &self.sitepar {
-            None => exec::execute_op(ctx, &self.arena, &op, &mut scratch),
-            Some(pool) => exec::execute_op_par(
-                ctx,
-                &self.arena,
-                &op,
-                pool,
-                self.compute_threads,
-                &mut scratch,
-            ),
-        };
-        self.scratch.checkin(scratch);
-        run?;
-        pending.next_op += 1;
-        if pending.next_op < pending.rs.ops.len() {
-            Ok(true)
-        } else {
-            pending.rs.release_exec(self.arena.manager());
-            self.sync_targets(&pending.rs)?;
-            Ok(false)
-        }
-    }
-
-    /// Abandons a pending block whose execution failed or will not
-    /// continue: releases its pins and drops its unpublished targets so
-    /// the store stays usable for subsequent prepares.
-    pub fn abandon(&self, pending: PendingBlock) {
-        self.abort_schedule(pending.rs);
     }
 
     /// The stored side for a directed edge. The CLV variant requires the
@@ -470,22 +383,6 @@ impl ManagedStore {
         match self.side(ctx, d) {
             EdgeSide::Tip(_) => None,
             EdgeSide::Resident(slot) => Some((self.arena.clv(slot), self.arena.scale(slot))),
-        }
-    }
-
-    /// Pins the highest-recomputation-cost resident CLVs, keeping
-    /// `min_unpinned` slots free for traversals — the paper's cross-block
-    /// retention. Returns the pinned slots; pass them to
-    /// [`Self::unpin_slots`] when the block advances.
-    pub fn pin_high_cost(&self, ctx: &ReferenceContext, min_unpinned: usize) -> Vec<SlotId> {
-        let costs = ctx.cost_table();
-        phylo_amc::fpa::pin_high_cost_resident(self.arena.manager(), &costs, min_unpinned)
-    }
-
-    /// Releases pins taken by [`Self::pin_high_cost`].
-    pub fn unpin_slots(&self, slots: &[SlotId]) {
-        for &s in slots {
-            let _ = self.arena.manager().unpin(s);
         }
     }
 
@@ -638,19 +535,6 @@ mod tests {
             serial.release(bs);
             par.release(bp);
         }
-    }
-
-    #[test]
-    fn pin_high_cost_protects_and_releases() {
-        let ctx = random_ctx(20, 15, 6);
-        let store = ManagedStore::with_slots(&ctx, 12, StrategyKind::CostBased).unwrap();
-        let e = phylo_tree::EdgeId(0);
-        let block = store.prepare(&ctx, &[DirEdgeId::new(e, 0), DirEdgeId::new(e, 1)]).unwrap();
-        store.release(block);
-        let pins = store.pin_high_cost(&ctx, ctx.min_slots());
-        assert!(store.arena().manager().n_unpinned() >= ctx.min_slots());
-        store.unpin_slots(&pins);
-        assert_eq!(store.arena().manager().n_pinned(), 0);
     }
 
     #[test]

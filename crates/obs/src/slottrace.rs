@@ -25,7 +25,7 @@
 //! #meta n_clvs=96 n_slots=9 strategy=cost bytes_per_slot=4640
 //! #costs 1.0 1.0 2.0 5.0 ...
 //! a 17        # Acquire: demand access (hit or miss decided on replay)
-//! t 17        # Touch: recency notification of a resident CLV
+//! t 17        # Touch: planner reuse of a resident CLV (a hit)
 //! p 17 2      # Pin: 2 pins on the slot holding CLV 17 ("-" = empty slot)
 //! u 17        # Unpin one pin ("-" = a failed slot with no occupant)
 //! U           # UnpinAll (single-owner teardown)
@@ -53,7 +53,8 @@ pub enum SlotEvent {
     /// the CLV was needed; whether it was a hit is a property of the
     /// policy and slot count, so the replayer decides.
     Acquire { clv: u32 },
-    /// A recency notification (`touch`) of a resident CLV.
+    /// A reuse (`touch`) of a resident CLV by the traversal planner:
+    /// a hit in the live run, which never installs.
     Touch { clv: u32 },
     /// `n` pins added to the slot holding `clv`.
     Pin { clv: u32, n: u32 },

@@ -30,29 +30,17 @@ pub fn select_candidates(prescores: &[f64], fraction: f64, min_candidates: usize
     order.into_iter().map(EdgeId).collect()
 }
 
-/// Groups (query, branch) candidate pairs by branch, so thorough scoring
-/// touches each branch's CLVs once per chunk. Returns `(branch, query
-/// indices)` sorted by branch id — the "branch block" iteration order.
-pub fn group_by_branch(per_query: &[Vec<EdgeId>]) -> Vec<(EdgeId, Vec<usize>)> {
-    let mut map: std::collections::BTreeMap<u32, Vec<usize>> = std::collections::BTreeMap::new();
+/// Inverts the per-query candidate lists: for every branch (indexed by
+/// edge id), the queries to score thoroughly on it — so thorough scoring
+/// touches each branch's CLVs once per chunk.
+pub fn group_by_branch(per_query: &[Vec<EdgeId>], n_branches: usize) -> Vec<Vec<usize>> {
+    let mut by_branch = vec![Vec::new(); n_branches];
     for (q, edges) in per_query.iter().enumerate() {
         for &e in edges {
-            map.entry(e.0).or_default().push(q);
+            by_branch[e.idx()].push(q);
         }
     }
-    map.into_iter().map(|(e, qs)| (EdgeId(e), qs)).collect()
-}
-
-/// As [`group_by_branch`], but ordered by the given branch ranking
-/// (typically a DFS edge order) so slot-managed thorough scoring walks
-/// topologically adjacent branches.
-pub fn group_by_branch_ranked(
-    per_query: &[Vec<EdgeId>],
-    rank: &[u32],
-) -> Vec<(EdgeId, Vec<usize>)> {
-    let mut grouped = group_by_branch(per_query);
-    grouped.sort_by_key(|&(e, _)| rank[e.idx()]);
-    grouped
+    by_branch
 }
 
 #[cfg(test)]
@@ -111,10 +99,7 @@ mod tests {
     fn grouping_inverts_candidates() {
         let per_query =
             vec![vec![EdgeId(3), EdgeId(1)], vec![EdgeId(1)], vec![EdgeId(2), EdgeId(3)]];
-        let grouped = group_by_branch(&per_query);
-        assert_eq!(
-            grouped,
-            vec![(EdgeId(1), vec![0, 1]), (EdgeId(2), vec![2]), (EdgeId(3), vec![0, 2]),]
-        );
+        let grouped = group_by_branch(&per_query, 5);
+        assert_eq!(grouped, vec![vec![], vec![0, 1], vec![2], vec![0, 2], vec![]]);
     }
 }

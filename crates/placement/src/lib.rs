@@ -17,11 +17,11 @@
 //! 3. **Thorough placement** ([`score`]) — each query's best candidate
 //!    branches are re-scored with full three-way likelihoods and
 //!    branch-length optimization of the pendant and insertion position.
-//! 4. **Chunked, blocked, parallel execution** ([`run`]) — queries stream
-//!    through in chunks; branches are processed in blocks whose CLVs are
-//!    prepared under the slot budget (optionally prefetched
-//!    asynchronously, optionally with across-site parallel kernels); a
-//!    worker pool scores (QS × branch) pairs.
+//! 4. **Chunked, swept, parallel execution** ([`run`]) — queries stream
+//!    through in chunks; branches are walked in one traversal-ordered
+//!    sweep whose CLVs are prepared batch by batch under the slot budget
+//!    (optionally prefetched asynchronously, optionally with across-site
+//!    parallel kernels); a worker pool scores (QS × branch) pairs.
 //!
 //! Results are exported in the `jplace`-compatible format ([`result`]).
 
@@ -34,6 +34,7 @@ pub mod queries;
 pub mod result;
 pub mod run;
 pub mod score;
+mod sweep;
 
 pub use config::{EpaConfig, PreplacementMode};
 pub use error::PlaceError;

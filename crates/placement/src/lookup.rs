@@ -14,9 +14,12 @@
 
 use crate::config::EpaConfig;
 use crate::error::PlaceError;
+use crate::memplan::{self, BlockPlan};
 use crate::score::{attachment_partials_into, AttachmentPartials, BranchScoreTable, ScoreScratch};
+use crate::sweep::{run_sweep, DegradationCounters};
 use phylo_engine::{ManagedStore, ReferenceContext};
-use phylo_tree::{DirEdgeId, EdgeId};
+use phylo_tree::traversal::SweepSchedule;
+use phylo_tree::EdgeId;
 
 /// Per-branch prescore tables for the whole reference tree.
 pub struct LookupTable {
@@ -25,8 +28,9 @@ pub struct LookupTable {
 }
 
 impl LookupTable {
-    /// Builds the table with one sweep over all branches, processing them
-    /// in blocks under whatever slot budget the store enforces.
+    /// Builds the table with one sweep over all branches
+    /// ([`SweepSchedule`] order) under whatever slot budget the store
+    /// enforces.
     ///
     /// The pendant length used for prescoring is the tree's mean branch
     /// length (EPA-NG's default heuristic).
@@ -36,28 +40,30 @@ impl LookupTable {
         cfg: &EpaConfig,
     ) -> Result<LookupTable, PlaceError> {
         let pendant = (ctx.tree().total_length() / ctx.tree().n_edges() as f64).max(1e-6);
-        let mut tables = Vec::with_capacity(ctx.tree().n_edges());
         let mut scratch = ScoreScratch::new(ctx);
-        // DFS order: consecutive branches share subtree CLVs, so the slot
-        // manager's working set stays hot during the sweep.
-        let edges = phylo_tree::traversal::edge_dfs_order(ctx.tree());
-        let mut slots: Vec<Option<BranchScoreTable>> = Vec::new();
-        slots.resize_with(ctx.tree().n_edges(), || None);
+        let mut tables: Vec<Option<BranchScoreTable>> = Vec::new();
+        tables.resize_with(ctx.tree().n_edges(), || None);
         // One partials buffer serves the whole sweep; only the stored
         // tables themselves are allocated per branch.
         let mut partials = AttachmentPartials::empty();
-        for block in edges.chunks(cfg.block_size.max(1)) {
-            for &e in block {
-                let prepared = store.prepare(ctx, &[DirEdgeId::new(e, 0), DirEdgeId::new(e, 1)])?;
+        // A hand-built store without block headroom still builds, one
+        // branch at a time.
+        let plan = memplan::effective_block_size(ctx, cfg, store.n_slots()).unwrap_or(BlockPlan {
+            block_size: 1,
+            async_prefetch: false,
+            prefetch_disabled: false,
+            block_clamped: false,
+        });
+        let steps = SweepSchedule::new(ctx.tree()).steps(|_| true);
+        run_sweep(ctx, store, &steps, plan, &DegradationCounters::default(), |batch| {
+            for &e in batch {
                 attachment_partials_into(ctx, store, e, 0.5, &mut scratch, &mut partials);
-                slots[e.idx()] =
+                tables[e.idx()] =
                     Some(BranchScoreTable::build(ctx, &partials, pendant, &mut scratch));
-                store.release(prepared);
             }
-        }
-        for slot in slots {
-            tables.push(slot.expect("DFS order covers every edge"));
-        }
+            Ok(())
+        })?;
+        let tables = tables.into_iter().map(|t| t.expect("the sweep covers every edge")).collect();
         Ok(LookupTable { tables, pendant })
     }
 
@@ -102,7 +108,6 @@ impl std::fmt::Debug for LookupTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memplan;
     use phylo_amc::StrategyKind;
     use phylo_models::{dna, DiscreteGamma, SubstModel};
     use phylo_seq::alphabet::AlphabetKind;

@@ -1,6 +1,6 @@
-//! The placement orchestrator: chunks × branch blocks × worker threads.
+//! The placement orchestrator: chunks × branch sweeps × worker threads.
 
-use crate::candidates::{group_by_branch_ranked, select_candidates};
+use crate::candidates::{group_by_branch, select_candidates};
 use crate::config::EpaConfig;
 use crate::error::PlaceError;
 use crate::lookup::LookupTable;
@@ -8,32 +8,14 @@ use crate::memplan::{self, BlockPlan, MemoryPlan};
 use crate::queries::{EncodedQuery, QueryBatch};
 use crate::result::{DegradationStats, PlacementEntry, PlacementResult, RunReport};
 use crate::score::{attachment_partials, score_thorough, BranchScoreTable, ScoreScratch};
+use crate::sweep::{panic_message, run_sweep, DegradationCounters};
 use phylo_amc::CancelToken;
-use phylo_engine::{ManagedStore, PreparedBlock, ReferenceContext};
+use phylo_engine::{ManagedStore, ReferenceContext};
 use phylo_journal::{ChunkFrame, ChunkStats, PlacementRecord, QueryRecord, RunJournal};
-use phylo_tree::{DirEdgeId, EdgeId};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
-
-/// Atomic tallies for the degradation ladder; workers and the prefetch
-/// thread bump them concurrently, [`Placer::place`] snapshots them into
-/// the run report.
-#[derive(Default)]
-struct DegradationCounters {
-    prefetch_disabled: AtomicU64,
-    block_clamped: AtomicU64,
-    flush_retries: AtomicU64,
-}
-
-impl DegradationCounters {
-    fn snapshot(&self) -> DegradationStats {
-        DegradationStats {
-            prefetch_disabled: self.prefetch_disabled.load(Ordering::Relaxed),
-            block_clamped: self.block_clamped.load(Ordering::Relaxed),
-            flush_retries: self.flush_retries.load(Ordering::Relaxed),
-        }
-    }
-}
+use phylo_tree::traversal::SweepSchedule;
+use phylo_tree::EdgeId;
+use std::sync::atomic::Ordering;
+use std::time::Instant;
 
 /// One progress beat of a run, handed to [`RunControl::heartbeat`] at
 /// run start (once the chunk geometry is known) and after every chunk
@@ -114,7 +96,7 @@ pub struct PlaceOutcome {
 pub struct WarmStore {
     store: ManagedStore,
     lookup: Option<LookupTable>,
-    dfs_rank: Vec<u32>,
+    sweep: SweepSchedule,
     chunk_size: usize,
     slots: usize,
     use_lookup: bool,
@@ -340,11 +322,7 @@ impl Placer {
         };
 
         let branches = ctx.tree().n_edges();
-        // Rank branches by DFS order once; thorough blocks follow it.
-        let mut dfs_rank = vec![0u32; branches];
-        for (i, e) in phylo_tree::traversal::edge_dfs_order(ctx.tree()).into_iter().enumerate() {
-            dfs_rank[e.idx()] = i as u32;
-        }
+        let sweep = SweepSchedule::new(ctx.tree());
         let mut results: Vec<PlacementResult> = batch
             .queries()
             .iter()
@@ -373,7 +351,7 @@ impl Placer {
             match self.compute_chunk(
                 &store,
                 &lookup,
-                &dfs_rank,
+                &sweep,
                 chunk,
                 chunk_idx,
                 qoff,
@@ -477,15 +455,10 @@ impl Placer {
         }
         let lookup =
             if plan.use_lookup { Some(LookupTable::build(ctx, &store, cfg)?) } else { None };
-        let branches = ctx.tree().n_edges();
-        let mut dfs_rank = vec![0u32; branches];
-        for (i, e) in phylo_tree::traversal::edge_dfs_order(ctx.tree()).into_iter().enumerate() {
-            dfs_rank[e.idx()] = i as u32;
-        }
         Ok(WarmStore {
             store,
             lookup,
-            dfs_rank,
+            sweep: SweepSchedule::new(ctx.tree()),
             chunk_size: plan.chunk_size,
             slots: plan.slots,
             use_lookup: plan.use_lookup,
@@ -544,7 +517,7 @@ impl Placer {
             match self.compute_chunk(
                 &warm.store,
                 &warm.lookup,
-                &warm.dfs_rank,
+                &warm.sweep,
                 chunk,
                 chunk_idx,
                 qoff,
@@ -586,13 +559,13 @@ impl Placer {
         &self,
         store: &ManagedStore,
         lookup: &Option<LookupTable>,
-        dfs_rank: &[u32],
+        sweep: &SweepSchedule,
         chunk: &[EncodedQuery],
         chunk_idx: usize,
         qoff: usize,
         mat: &mut [f64],
         branches: usize,
-        results: &mut Vec<PlacementResult>,
+        results: &mut [PlacementResult],
         report: &mut RunReport,
     ) -> Result<ChunkStats, PlaceError> {
         let ctx = &self.ctx;
@@ -624,7 +597,7 @@ impl Placer {
                 );
             }
             None => {
-                self.prescore_blocked(ctx, store, chunk, mat, branches, &deg)?;
+                self.prescore_swept(ctx, store, sweep, chunk, mat, branches, &deg)?;
             }
         }
         drop(phase_span);
@@ -650,10 +623,10 @@ impl Placer {
         // ---- Phase 2: thorough scoring, grouped by branch. ----
         let t = Instant::now();
         let phase_span = phylo_obs::trace::span("thorough", "phase");
-        let grouped = group_by_branch_ranked(&cand, dfs_rank);
-        let n_thorough = grouped.iter().map(|(_, qs)| qs.len() as u64).sum::<u64>();
+        let grouped = group_by_branch(&cand, branches);
+        let n_thorough = grouped.iter().map(|qs| qs.len() as u64).sum::<u64>();
         report.n_thorough += n_thorough;
-        self.thorough_blocked(ctx, store, chunk, &grouped, qoff, results, &deg)?;
+        self.thorough_swept(ctx, store, sweep, chunk, &grouped, qoff, results, &deg)?;
         drop(phase_span);
         report.thorough_time += t.elapsed();
         let snap = deg.snapshot();
@@ -668,14 +641,16 @@ impl Placer {
         })
     }
 
-    /// Prescoring without the lookup table: branch blocks are prepared
-    /// under the slot budget (optionally prefetched asynchronously) and a
-    /// transient score table is built per branch — the paper's expensive
+    /// Prescoring without the lookup table: one sweep over every branch
+    /// under the slot budget (optionally prefetched asynchronously), a
+    /// transient score table built per branch — the paper's expensive
     /// path.
-    fn prescore_blocked(
+    #[allow(clippy::too_many_arguments)]
+    fn prescore_swept(
         &self,
         ctx: &ReferenceContext,
         store: &ManagedStore,
+        sweep: &SweepSchedule,
         chunk: &[EncodedQuery],
         mat: &mut [f64],
         branches: usize,
@@ -683,15 +658,10 @@ impl Placer {
     ) -> Result<(), PlaceError> {
         let cfg = &self.cfg;
         let plan = self.plan_block(store.n_slots(), deg)?;
-        // DFS order keeps consecutive blocks topologically adjacent, so
-        // AMC reuses most subtree CLVs between blocks.
-        let all_edges: Vec<EdgeId> = phylo_tree::traversal::edge_dfs_order(ctx.tree());
-        let blocks: Vec<Vec<EdgeId>> =
-            all_edges.chunks(plan.block_size).map(|b| b.to_vec()).collect();
         let s2p = &self.site_to_pattern;
         let pendant = (ctx.tree().total_length() / branches as f64).max(1e-6);
         let mut mat_cell = RowMatrix { data: mat, width: branches };
-        run_blocks(ctx, store, &blocks, plan.async_prefetch, deg, |block| {
+        run_sweep(ctx, store, &sweep.steps(|_| true), plan, deg, |block| {
             // Build the block's transient tables; the block's CLVs are
             // pinned and published, so reads need no lock.
             let tables: Vec<BranchScoreTable> = {
@@ -717,107 +687,102 @@ impl Placer {
         })
     }
 
-    /// Thorough scoring of the candidate (query, branch) pairs, processed
-    /// in branch blocks.
-    fn thorough_blocked(
+    /// Thorough scoring of the candidate (query, branch) pairs: the sweep
+    /// pruned to the branches some query picked; `grouped[e]` lists the
+    /// queries of branch `e`.
+    #[allow(clippy::too_many_arguments)]
+    fn thorough_swept(
         &self,
         ctx: &ReferenceContext,
         store: &ManagedStore,
+        sweep: &SweepSchedule,
         chunk: &[EncodedQuery],
-        grouped: &[(EdgeId, Vec<usize>)],
+        grouped: &[Vec<usize>],
         qoff: usize,
-        results: &mut Vec<PlacementResult>,
+        results: &mut [PlacementResult],
         deg: &DegradationCounters,
     ) -> Result<(), PlaceError> {
         let cfg = &self.cfg;
         let s2p = &self.site_to_pattern;
         let plan = self.plan_block(store.n_slots(), deg)?;
-        let blocks: Vec<Vec<EdgeId>> =
-            grouped.chunks(plan.block_size).map(|g| g.iter().map(|&(e, _)| e).collect()).collect();
-        // Blocks may be re-split under slot pressure, so group membership
-        // is looked up per edge rather than tracked by a cursor.
-        let group_of: std::collections::HashMap<u32, &Vec<usize>> =
-            grouped.iter().map(|(e, qs)| (e.0, qs)).collect();
-        run_blocks(ctx, store, &blocks, plan.async_prefetch, deg, |block| {
+        let steps = sweep.steps(|e| !grouped[e.idx()].is_empty());
+        run_sweep(ctx, store, &steps, plan, deg, |block| {
             // Flatten to (edge, query) work items and strip across threads.
             let items: Vec<(EdgeId, usize)> =
-                block.iter().flat_map(|e| group_of[&e.0].iter().map(move |&q| (*e, q))).collect();
+                block.iter().flat_map(|&e| grouped[e.idx()].iter().map(move |&q| (e, q))).collect();
             let n_threads = cfg.threads.min(items.len().max(1));
-            let mut outputs: Vec<Vec<(usize, PlacementEntry)>> = Vec::new();
-            let mut failed: Option<PlaceError> = None;
-            std::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for t in 0..n_threads {
-                    let items = &items;
-                    handles.push(s.spawn(
-                        move || -> Result<Vec<(usize, PlacementEntry)>, PlaceError> {
-                            if phylo_faults::fire("place::worker_panic") {
-                                panic!("injected thorough-worker panic");
-                            }
-                            let mut out = Vec::new();
-                            let mut scratch = ScoreScratch::new(ctx);
-                            let mut k = t;
-                            while k < items.len() {
-                                let (e, q) = items[k];
-                                let sp = score_thorough(
-                                    ctx,
-                                    store,
-                                    e,
-                                    s2p,
-                                    &chunk[q].codes,
-                                    cfg.blo_iterations,
-                                    &mut scratch,
-                                )?;
-                                if !sp.log_likelihood.is_finite() {
-                                    return Err(PlaceError::NonFiniteLikelihood {
-                                        query: chunk[q].name.clone(),
-                                        edge: e.0,
-                                    });
-                                }
-                                let t_len = ctx.tree().edge_length(e);
-                                out.push((
-                                    q,
-                                    PlacementEntry {
-                                        edge: e,
-                                        log_likelihood: sp.log_likelihood,
-                                        like_weight_ratio: 0.0,
-                                        pendant_length: sp.pendant,
-                                        distal_length: sp.proximal_fraction * t_len,
-                                    },
-                                ));
-                                k += n_threads;
-                            }
-                            Ok(out)
+            let work = |t: usize| -> Result<Vec<(usize, PlacementEntry)>, PlaceError> {
+                if phylo_faults::fire("place::worker_panic") {
+                    panic!("injected thorough-worker panic");
+                }
+                let mut out = Vec::new();
+                let mut scratch = ScoreScratch::new(ctx);
+                for &(e, q) in items.iter().skip(t).step_by(n_threads) {
+                    let sp = score_thorough(
+                        ctx,
+                        store,
+                        e,
+                        s2p,
+                        &chunk[q].codes,
+                        cfg.blo_iterations,
+                        &mut scratch,
+                    )?;
+                    if !sp.log_likelihood.is_finite() {
+                        return Err(PlaceError::NonFiniteLikelihood {
+                            query: chunk[q].name.clone(),
+                            edge: e.0,
+                        });
+                    }
+                    out.push((
+                        q,
+                        PlacementEntry {
+                            edge: e,
+                            log_likelihood: sp.log_likelihood,
+                            like_weight_ratio: 0.0,
+                            pendant_length: sp.pendant,
+                            distal_length: sp.proximal_fraction * ctx.tree().edge_length(e),
                         },
                     ));
                 }
-                // Join every worker even after a panic or error: the scope
-                // must not re-raise, and the surviving workers' leases must
-                // drain before the error surfaces.
-                for h in handles {
-                    match h.join() {
-                        Ok(Ok(out)) => outputs.push(out),
-                        Ok(Err(e)) => {
-                            failed.get_or_insert(e);
-                        }
-                        Err(payload) => {
-                            failed = Some(PlaceError::WorkerPanicked {
-                                context: format!(
-                                    "thorough scoring worker: {}",
-                                    panic_message(payload.as_ref())
-                                ),
-                            });
-                        }
+                Ok(out)
+            };
+            // A single worker runs on the caller. Either way every worker
+            // is joined even after a panic or error: nothing re-raises,
+            // and the surviving workers' reads drain before the error
+            // surfaces.
+            let joined: Vec<std::thread::Result<_>> = if n_threads == 1 {
+                vec![std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(0)))]
+            } else {
+                std::thread::scope(|s| {
+                    let work = &work;
+                    let handles: Vec<_> =
+                        (0..n_threads).map(|t| s.spawn(move || work(t))).collect();
+                    handles.into_iter().map(|h| h.join()).collect()
+                })
+            };
+            let mut failed: Option<PlaceError> = None;
+            let mut outputs = Vec::with_capacity(joined.len());
+            for j in joined {
+                match j {
+                    Ok(Ok(out)) => outputs.push(out),
+                    Ok(Err(e)) => {
+                        failed.get_or_insert(e);
+                    }
+                    Err(payload) => {
+                        failed = Some(PlaceError::WorkerPanicked {
+                            context: format!(
+                                "thorough scoring worker: {}",
+                                panic_message(payload.as_ref())
+                            ),
+                        });
                     }
                 }
-            });
+            }
             if let Some(e) = failed {
                 return Err(e);
             }
-            for out in outputs {
-                for (q, entry) in out {
-                    results[qoff + q].placements.push(entry);
-                }
+            for (q, entry) in outputs.into_iter().flatten() {
+                results[qoff + q].placements.push(entry);
             }
             Ok(())
         })
@@ -979,6 +944,9 @@ impl<'a> RowMatrix<'a> {
     ) {
         let width = self.width;
         let n_threads = n_threads.max(1).min(n_rows.max(1));
+        if n_threads == 1 {
+            return work(0..n_rows, &mut self.data[..n_rows * width]);
+        }
         let rows_per = n_rows.div_ceil(n_threads);
         std::thread::scope(|s| {
             let mut rest: &mut [f64] = self.data;
@@ -1015,210 +983,6 @@ fn prescore_with_lookup(
             }
         }
     });
-}
-
-/// Runs `scorer` over branch blocks whose CLVs are prepared under the slot
-/// budget. With `async_prefetch`, the next block's CLVs are computed on a
-/// dedicated thread while the current block is scored — the paper's
-/// adapted parallelization. There is no store-wide lock: the prefetch
-/// thread plans under the store's internal plan lock (held only during
-/// planning) and then executes lock-free under its execution pins, so
-/// scoring readers of the current block's pinned, published slots never
-/// block on it (see DESIGN.md §6).
-///
-/// Degrades gracefully under slot pressure: if a block's targets cannot
-/// all be pinned at once ([`phylo_amc::AmcError::AllSlotsPinned`]), the
-/// block is recursively split and prepared synchronously, and prefetching
-/// resumes at the next block.
-fn run_blocks(
-    ctx: &ReferenceContext,
-    store: &ManagedStore,
-    blocks: &[Vec<EdgeId>],
-    async_prefetch: bool,
-    deg: &DegradationCounters,
-    mut scorer: impl FnMut(&[EdgeId]) -> Result<(), PlaceError>,
-) -> Result<(), PlaceError> {
-    if blocks.is_empty() {
-        return Ok(());
-    }
-    if !async_prefetch {
-        for block in blocks {
-            prepare_split(ctx, store, block, deg, &mut scorer)?;
-        }
-        return Ok(());
-    }
-    let mut next: Option<PreparedBlock> = try_prepare(ctx, store, &blocks[0])?;
-    for k in 0..blocks.len() {
-        match next.take() {
-            Some(prepared) => {
-                let mut prefetched: Option<PreparedBlock> = None;
-                let mut prefetch_result: Result<(), PlaceError> = Ok(());
-                let mut scorer_result: Result<(), PlaceError> = Ok(());
-                if k + 1 < blocks.len() {
-                    let next_dirs = dirs_of(&blocks[k + 1]);
-                    // The traversal schedule names next block's CLVs in
-                    // advance — stage any demoted copies (disk reads off
-                    // the critical path) before the slot planner asks.
-                    if let Some(tiers) = store.arena().tiers() {
-                        let keys: Vec<phylo_amc::ClvKey> =
-                            next_dirs.iter().map(|d| phylo_amc::ClvKey(d.0)).collect();
-                        tiers.prefetch(&keys);
-                    }
-                    let pref_slot = &mut prefetched;
-                    let pref_err = &mut prefetch_result;
-                    std::thread::scope(|s| {
-                        let handle = s.spawn(|| -> Result<Option<PreparedBlock>, PlaceError> {
-                            let _span = phylo_obs::trace::span("prefetch", "prefetch");
-                            if phylo_faults::fire("place::prefetch_panic") {
-                                // Fires before any pins are taken, so the
-                                // contained panic leaves nothing to drain.
-                                panic!("injected prefetch panic");
-                            }
-                            let mut pending = match store.plan_prepare(ctx, &next_dirs) {
-                                Ok(p) => p,
-                                Err(e) if is_pin_exhaustion(&e) => return Ok(None),
-                                Err(e) => return Err(e.into()),
-                            };
-                            loop {
-                                match store.execute_one(ctx, &mut pending) {
-                                    Ok(true) => {}
-                                    Ok(false) => break,
-                                    Err(e) => {
-                                        // The failed step left unpublished
-                                        // targets; drop them so the store
-                                        // stays usable for whoever handles
-                                        // the error.
-                                        store.abandon(pending);
-                                        return Err(e.into());
-                                    }
-                                }
-                            }
-                            Ok(Some(pending.into_prepared()))
-                        });
-                        scorer_result = scorer(&blocks[k]);
-                        match handle.join() {
-                            Ok(Ok(opt)) => *pref_slot = opt,
-                            Ok(Err(e)) => *pref_err = Err(e),
-                            Err(payload) => {
-                                *pref_err = Err(PlaceError::WorkerPanicked {
-                                    context: format!(
-                                        "prefetch thread: {}",
-                                        panic_message(payload.as_ref())
-                                    ),
-                                });
-                            }
-                        }
-                    });
-                } else {
-                    scorer_result = scorer(&blocks[k]);
-                }
-                store.release(prepared);
-                scorer_result?;
-                prefetch_result?;
-                next = prefetched;
-            }
-            None => {
-                // This block could not be prefetched whole: prepare it
-                // synchronously, splitting as needed, then resume
-                // prefetching from the next block.
-                prepare_split(ctx, store, &blocks[k], deg, &mut scorer)?;
-                if k + 1 < blocks.len() {
-                    next = try_prepare(ctx, store, &blocks[k + 1])?;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Renders a caught panic payload for [`PlaceError::WorkerPanicked`].
-/// `panic!` payloads are `&str` or `String` in practice; anything else is
-/// reported opaquely rather than re-thrown.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-fn dirs_of(block: &[EdgeId]) -> Vec<DirEdgeId> {
-    block.iter().flat_map(|&e| [DirEdgeId::new(e, 0), DirEdgeId::new(e, 1)]).collect()
-}
-
-fn is_pin_exhaustion(e: &phylo_engine::EngineError) -> bool {
-    matches!(e, phylo_engine::EngineError::Amc(phylo_amc::AmcError::AllSlotsPinned { .. }))
-}
-
-/// Prepares a block, scoring and releasing it; on pin exhaustion the block
-/// is split in half recursively (a single branch always fits: two target
-/// pins plus the `⌈log₂ n⌉ + 2` traversal floor).
-fn prepare_split(
-    ctx: &ReferenceContext,
-    store: &ManagedStore,
-    block: &[EdgeId],
-    deg: &DegradationCounters,
-    scorer: &mut impl FnMut(&[EdgeId]) -> Result<(), PlaceError>,
-) -> Result<(), PlaceError> {
-    match store.prepare(ctx, &dirs_of(block)) {
-        Ok(prepared) => {
-            let r = scorer(block);
-            store.release(prepared);
-            r
-        }
-        Err(e) if is_pin_exhaustion(&e) && block.len() > 1 => {
-            let mid = block.len() / 2;
-            prepare_split(ctx, store, &block[..mid], deg, scorer)?;
-            prepare_split(ctx, store, &block[mid..], deg, scorer)
-        }
-        Err(e) if is_pin_exhaustion(&e) => {
-            // Even a single branch can exhaust the pins when the plan
-            // references many *cached* dependencies (each gets pinned for
-            // the pass). Flush the cache and retry over a clean slate,
-            // where the pin demand is bounded by the traversal floor.
-            // Concurrent planners can race us to the freed slots, so back
-            // off exponentially (capped, jittered so racing threads
-            // desynchronize) between a few attempts before giving up —
-            // the ladder's last rung.
-            let mut backoff =
-                phylo_amc::Backoff::new(Duration::from_millis(1), Duration::from_millis(8));
-            let mut last = e;
-            for attempt in 0..4 {
-                if attempt > 0 {
-                    std::thread::sleep(backoff.next_delay());
-                }
-                deg.flush_retries.fetch_add(1, Ordering::Relaxed);
-                store.flush_cache();
-                match store.prepare(ctx, &dirs_of(block)) {
-                    Ok(prepared) => {
-                        let r = scorer(block);
-                        store.release(prepared);
-                        return r;
-                    }
-                    Err(e) if is_pin_exhaustion(&e) => last = e,
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            Err(last.into())
-        }
-        Err(e) => Err(e.into()),
-    }
-}
-
-/// Prefetch-style preparation that treats pin exhaustion as "not now"
-/// rather than an error.
-fn try_prepare(
-    ctx: &ReferenceContext,
-    store: &ManagedStore,
-    block: &[EdgeId],
-) -> Result<Option<PreparedBlock>, PlaceError> {
-    match store.prepare(ctx, &dirs_of(block)) {
-        Ok(p) => Ok(Some(p)),
-        Err(e) if is_pin_exhaustion(&e) => Ok(None),
-        Err(e) => Err(e.into()),
-    }
 }
 
 #[cfg(test)]
@@ -1366,6 +1130,68 @@ mod tests {
         let asy = Placer::new(ctx2, s2p, cfg_async).unwrap();
         let (r2, _) = asy.place(&batch).unwrap();
         assert_eq!(best_edges(&r1), best_edges(&r2));
+    }
+
+    #[test]
+    fn prefetched_sweeps_repeat_their_slot_traffic_exactly() {
+        // The prefetch thread plans while the scorer runs; the handoff
+        // protocol must keep every plan's view of the pins independent of
+        // their timing, or recompute counts would drift from run to run.
+        let mut seen: Option<phylo_amc::SlotStats> = None;
+        for _ in 0..6 {
+            let (ctx, s2p, batch) = setup(40, 30, 4, 15);
+            let probe = EpaConfig {
+                preplacement: PreplacementMode::Off,
+                async_prefetch: true,
+                chunk_size: 2,
+                ..Default::default()
+            };
+            let floor = memplan::floor_budget(&ctx, &probe, batch.len(), batch.n_sites());
+            let cfg = EpaConfig { max_memory: Some(floor), ..probe };
+            let (_, report) = Placer::new(ctx, s2p, cfg).unwrap().place(&batch).unwrap();
+            assert!(report.slot_stats.evictions > 0 && report.slot_stats.hits > 0);
+            assert_eq!(*seen.get_or_insert(report.slot_stats), report.slot_stats);
+        }
+    }
+
+    #[test]
+    fn pruned_walks_build_the_spine_only_while_slots_are_scarce() {
+        use phylo_tree::traversal::SweepStep;
+        let (ctx, _, _) = setup(64, 30, 1, 16);
+        let schedule = SweepSchedule::new(ctx.tree());
+        let pruned = schedule.steps(|e| e.0 % 11 == 5);
+        // The same branches in the same order, without a single hold.
+        let bare: Vec<SweepStep> = pruned
+            .iter()
+            .filter(|s| s.visit)
+            .map(|s| SweepStep { hold: None, release: None, ..*s })
+            .collect();
+        let plan = BlockPlan {
+            block_size: 1,
+            async_prefetch: false,
+            prefetch_disabled: false,
+            block_clamped: false,
+        };
+        // Recomputes of one pruned walk over a store a full sweep warmed.
+        let misses = |slots: usize, steps: &[SweepStep]| {
+            let store =
+                ManagedStore::with_slots(&ctx, slots, phylo_amc::StrategyKind::CostBased).unwrap();
+            let deg = DegradationCounters::default();
+            run_sweep(&ctx, &store, &schedule.steps(|_| true), plan, &deg, |_| Ok(())).unwrap();
+            let warm = store.stats();
+            run_sweep(&ctx, &store, steps, plan, &deg, |_| Ok(())).unwrap();
+            assert_eq!(deg.snapshot().flush_retries, 0);
+            assert_eq!(store.arena().manager().n_pinned(), 0, "every hold is released");
+            store.stats().delta(&warm).misses
+        };
+        let floor = ctx.min_slots() + memplan::pin_headroom(&ctx);
+        let (held, unheld) = (misses(floor, &pruned), misses(floor, &bare));
+        assert!(held < unheld, "at the floor the held spine must pay: {held} vs {unheld}");
+        // A roomier cache keeps the spine by itself: holds pin what is
+        // resident but never compute for their own sake.
+        let roomy = 3 * ctx.min_slots();
+        let (held, unheld) = (misses(roomy, &pruned), misses(roomy, &bare));
+        assert!(held <= unheld, "a roomy store must not pay for holds: {held} vs {unheld}");
     }
 
     #[test]

@@ -96,8 +96,8 @@ impl PplacerLike {
         // Compute with a modest slot budget and stream records out.
         let work_slots = (ctx.min_slots() + 32).min(ctx.max_slots().max(ctx.min_slots()));
         let engine = ManagedStore::with_slots(&ctx, work_slots, StrategyKind::CostBased)?;
-        for e in phylo_tree::traversal::edge_dfs_order(ctx.tree()) {
-            let dirs = [DirEdgeId::new(e, 0), DirEdgeId::new(e, 1)];
+        for step in phylo_tree::traversal::SweepSchedule::new(ctx.tree()).steps(|_| true) {
+            let dirs = [DirEdgeId::new(step.edge, 0), DirEdgeId::new(step.edge, 1)];
             let block = engine.prepare(&ctx, &dirs)?;
             for d in dirs {
                 if let Some((clv, scale)) = engine.clv_of(&ctx, d) {

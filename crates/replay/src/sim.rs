@@ -360,7 +360,13 @@ pub fn simulate_observed(
                 sim.on_insert(clv, slot);
             }
             SlotEvent::Touch { clv } => {
+                // A planner reuse: a hit where the CLV is resident, as in
+                // the live accounting. Where this configuration evicted
+                // it, the live planner would have recomputed it instead;
+                // the trace cannot say at what cost, so it counts nothing.
                 if let Some(slot) = sim.resident(clv) {
+                    sim.stats.hits += 1;
+                    sim.stats.acquires += 1;
                     sim.on_access(clv, slot);
                 }
             }

@@ -6,7 +6,7 @@
 //! tips). Plans are consumed by the likelihood engine and by the
 //! slot-constrained FPA of the AMC crate.
 
-use crate::ids::{DirEdgeId, EdgeId};
+use crate::ids::{DirEdgeId, EdgeId, NodeId};
 use crate::tree::Tree;
 
 /// Controls the order in which the two dependencies of a CLV are scheduled.
@@ -125,31 +125,130 @@ pub fn plan_all(tree: &Tree, policy: OrderPolicy, register_need: Option<&[u32]>)
     plan
 }
 
-/// Orders the branches by a depth-first walk of the tree (an Euler-tour
-/// edge order): consecutive edges share most of their subtree CLVs, which
-/// is what makes slot-managed branch sweeps cheap. EPA-NG's branch-block
-/// iteration visits branches in traversal order for exactly this reason.
-pub fn edge_dfs_order(tree: &Tree) -> Vec<EdgeId> {
-    let start = tree.neighbors(crate::NodeId(0))[0].0; // inner anchor
-    let mut order = Vec::with_capacity(tree.n_edges());
-    let mut seen_edge = vec![false; tree.n_edges()];
-    let mut seen_node = vec![false; tree.n_nodes()];
-    let mut stack = vec![start];
-    seen_node[start.idx()] = true;
-    while let Some(u) = stack.pop() {
-        for &(v, e) in tree.neighbors(u) {
-            if !seen_edge[e.idx()] {
-                seen_edge[e.idx()] = true;
-                order.push(e);
+/// One step of a [`SweepSchedule`] walk: the child edge `{u, c}`, met at
+/// the stop of its parent node `u`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SweepStep {
+    /// The branch `{u, c}`.
+    pub edge: EdgeId,
+    /// Whether the branch itself was asked for (always, in a full sweep);
+    /// a step that is not visited only carries its `hold`.
+    pub visit: bool,
+    /// `up(c) = u → c`, to keep resident from this step until `c`'s own
+    /// stop has read it — set exactly when the walk descends into `c`.
+    pub hold: Option<DirEdgeId>,
+    /// The hold to drop once this step's own hold is taken: `up(u)`, on
+    /// the last step of `u`'s stop.
+    pub release: Option<DirEdgeId>,
+}
+
+/// `SweepSchedule` child entry: the edge `{u, c}` below a stop `u`.
+#[derive(Debug, Clone, Copy)]
+struct SweepKid {
+    edge: EdgeId,
+    /// `up(c) = u → c`.
+    up: DirEdgeId,
+    /// Index of `c`'s own stop; `u32::MAX` when `c` is a leaf.
+    stop: u32,
+}
+
+/// The order in which slot-managed sweeps walk the branches: the tree is
+/// rooted at its centroid inner node and walked top-down, one *stop* per
+/// inner node `u`. A stop meets `u`'s child edges `{u, c}` — whose two
+/// orientations are `down(c) = c → u` and `up(c) = u → c`, the latter one
+/// Felsenstein step away from `up(u)` — then descends into the children,
+/// **lightest subtree first, heaviest last**.
+///
+/// A walker that keeps `up(c)` resident ([`SweepStep::hold`]) until `c`'s
+/// stop is over never recomputes an `up(·)`, and recomputes `down(·)` of
+/// a subtree only at its ancestors' stops. A hold outlives its own stop's
+/// subtree walk only while a *lighter* sibling is being walked, and every
+/// such level at least halves the subtree, so at most `⌈log₂ n⌉ + 1`
+/// holds are ever outstanding — and the deeper the stack of holds, the
+/// smaller the subtree whose `down(·)` CLVs are being computed.
+#[derive(Debug, Clone)]
+pub struct SweepSchedule {
+    /// Per stop, in walk order: the hold it consumes (`up(u)`, `None` at
+    /// the root) and its range of `kids`, lightest first.
+    stops: Vec<(Option<DirEdgeId>, std::ops::Range<u32>)>,
+    kids: Vec<SweepKid>,
+}
+
+impl SweepSchedule {
+    /// Roots `tree` at its centroid and lays out the walk. O(n).
+    pub fn new(tree: &Tree) -> Self {
+        let below = crate::stats::subtree_leaf_counts(tree);
+        // Centroid: the inner node whose heaviest neighbouring subtree
+        // is lightest (ties to the lower id).
+        let heaviest =
+            |u: NodeId| tree.dirs_from(u).map(|d| below[d.reversed().idx()]).max().unwrap_or(0);
+        let root = (tree.n_leaves()..tree.n_nodes())
+            .map(|i| NodeId(i as u32))
+            .min_by_key(|&u| heaviest(u))
+            .expect("a tree has at least one inner node");
+        let mut stops = Vec::with_capacity(tree.n_inner());
+        let mut kids: Vec<SweepKid> = Vec::with_capacity(tree.n_edges());
+        // (node, hold it arrives with, index of its entry in `kids`).
+        let mut stack: Vec<(NodeId, Option<DirEdgeId>, usize)> = vec![(root, None, usize::MAX)];
+        while let Some((u, up_u, kid_slot)) = stack.pop() {
+            if let Some(kid) = kids.get_mut(kid_slot) {
+                kid.stop = stops.len() as u32;
             }
-            if !seen_node[v.idx()] {
-                seen_node[v.idx()] = true;
-                stack.push(v);
+            let first = kids.len();
+            let mut children: Vec<(NodeId, EdgeId)> = tree
+                .neighbors(u)
+                .iter()
+                .copied()
+                .filter(|&(_, e)| up_u.is_none_or(|p| p.edge() != e))
+                .collect();
+            children.sort_by_key(|&(c, e)| (below[tree.dir_from(e, c).idx()], e));
+            for &(_, e) in &children {
+                kids.push(SweepKid { edge: e, up: tree.dir_from(e, u), stop: u32::MAX });
+            }
+            stops.push((up_u, first as u32..kids.len() as u32));
+            // Lightest child on top of the stack: it is walked first.
+            for (k, &(c, _)) in children.iter().enumerate().rev() {
+                if !tree.is_leaf(c) {
+                    stack.push((c, Some(kids[first + k].up), first + k));
+                }
             }
         }
+        SweepSchedule { stops, kids }
     }
-    debug_assert_eq!(order.len(), tree.n_edges());
-    order
+
+    /// The walk restricted to the branches `wanted` accepts: subtrees
+    /// without a wanted branch are neither entered nor held for. With
+    /// `|_| true` this is the full sweep — every branch exactly once.
+    pub fn steps(&self, wanted: impl Fn(EdgeId) -> bool) -> Vec<SweepStep> {
+        // live[s]: some wanted branch hangs at or below stop `s`. Stops
+        // are in pre-order, so a reverse pass sees children first.
+        let mut live = vec![false; self.stops.len()];
+        let enters =
+            |kid: &SweepKid, live: &[bool]| kid.stop != u32::MAX && live[kid.stop as usize];
+        for (s, (_, range)) in self.stops.iter().enumerate().rev() {
+            let kids = &self.kids[range.start as usize..range.end as usize];
+            live[s] = kids.iter().any(|k| wanted(k.edge) || enters(k, &live));
+        }
+        let mut steps = Vec::new();
+        for (s, (up_u, range)) in self.stops.iter().enumerate() {
+            if !live[s] {
+                continue;
+            }
+            for kid in &self.kids[range.start as usize..range.end as usize] {
+                let (visit, enter) = (wanted(kid.edge), enters(kid, &live));
+                if visit || enter {
+                    steps.push(SweepStep {
+                        edge: kid.edge,
+                        visit,
+                        hold: enter.then_some(kid.up),
+                        release: None,
+                    });
+                }
+            }
+            steps.last_mut().expect("a live stop emits a step").release = *up_u;
+        }
+        steps
+    }
 }
 
 /// Checks that `plan` is dependency-valid: each entry's dependencies are
@@ -244,6 +343,65 @@ mod tests {
             let plan = plan_for(&t, d, OrderPolicy::MinRegisters, Some(&need), never);
             assert!(first_violation(&t, &plan, never).is_none());
         }
+    }
+
+    #[test]
+    fn sweep_meets_every_edge_once_under_a_logarithmic_spine() {
+        let mut rng = StdRng::seed_from_u64(16);
+        for gen in
+            [generate::yule, generate::balanced, generate::caterpillar, generate::uniform_topology]
+        {
+            for n in [4usize, 8, 32, 256] {
+                let t = gen(n, 0.1, &mut rng).unwrap();
+                let steps = SweepSchedule::new(&t).steps(|_| true);
+                let mut met: Vec<EdgeId> = steps.iter().map(|s| s.edge).collect();
+                met.sort_unstable();
+                assert_eq!(met, t.all_edges().collect::<Vec<_>>(), "n={n}");
+                let mut held: Vec<DirEdgeId> = Vec::new();
+                let mut deepest = 0;
+                for (i, step) in steps.iter().enumerate() {
+                    assert!(step.visit);
+                    if let Some(up) = step.hold {
+                        assert_eq!(up.edge(), step.edge);
+                        // Below the root's stop, up(c) is one step away
+                        // from a CLV that is held right now: up(u).
+                        let deps = t.deps(up).unwrap();
+                        assert!(i < 3 || deps.iter().any(|d| held.contains(d)), "n={n} step {i}");
+                        held.push(up);
+                        deepest = deepest.max(held.len());
+                    }
+                    if let Some(done) = step.release {
+                        let at = held.iter().position(|&h| h == done).expect("released while held");
+                        held.swap_remove(at);
+                    }
+                }
+                assert!(held.is_empty(), "n={n}: every hold is released");
+                let log2n = (usize::BITS - (n - 1).leading_zeros()) as usize;
+                assert!(deepest <= log2n + 1, "n={n}: {deepest} holds");
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_sweep_keeps_only_wanted_branches_and_the_paths_to_them() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let t = generate::yule(60, 0.1, &mut rng).unwrap();
+        let schedule = SweepSchedule::new(&t);
+        let wanted = |e: EdgeId| e.0 % 9 == 4;
+        let steps = schedule.steps(wanted);
+        let visited: Vec<EdgeId> = steps.iter().filter(|s| s.visit).map(|s| s.edge).collect();
+        assert_eq!(visited.len(), t.all_edges().filter(|&e| wanted(e)).count());
+        assert!(visited.iter().all(|&e| wanted(e)));
+        // A step survives pruning only if it is wanted or leads somewhere.
+        assert!(steps.iter().all(|s| s.visit || s.hold.is_some()));
+        assert!(steps.len() < schedule.steps(|_| true).len());
+        // The order is the full walk's, filtered.
+        let full: Vec<EdgeId> = schedule.steps(|_| true).iter().map(|s| s.edge).collect();
+        let mut cursor = full.iter();
+        assert!(steps.iter().all(|s| cursor.any(|&e| e == s.edge)));
+        let holds = steps.iter().filter(|s| s.hold.is_some()).count();
+        assert_eq!(holds, steps.iter().filter(|s| s.release.is_some()).count());
+        assert!(schedule.steps(|_| false).is_empty());
     }
 
     #[test]

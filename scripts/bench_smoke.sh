@@ -77,6 +77,9 @@ assert misses > 0, f"expected non-zero slot.misses, got {misses}"
 hits = metrics["counters"]["slot.hits"]
 acquires = metrics["counters"]["slot.acquires"]
 assert hits + misses == acquires, f"{hits} + {misses} != {acquires}"
+# The traversal planner's reuses of cached CLVs are hits: a slot-managed
+# run that reads 0 would mean they went uncounted again.
+assert hits > 0, "expected non-zero slot.hits under a tight --maxmem"
 trace = json.load(open(sys.argv[2]))
 names = {e["name"] for e in trace["traceEvents"]}
 assert "prescore" in names and "thorough" in names, f"missing phase spans: {sorted(names)}"

@@ -15,6 +15,22 @@ RUSTFLAGS="-D warnings" cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The benchmark gate (BENCHMARK.json) builds `bench/` against this
+# workspace's public API (`RunReport`, `DegradationStats`, `memplan`,
+# `tree_log_likelihood`, `ManagedStore::with_slots`) and rejects a change
+# whose outputs stop checking out. Build it, unit-test it and run it
+# briefly here, so an API break or a wrong answer fails CI, not the gate.
+echo "==> benchmark harness (unit tests against the workspace + quick run)"
+cargo test --release --offline -q --manifest-path bench/Cargo.toml
+quick_out=$(mktemp -t bench_quick.XXXXXX)
+bash bench/run.sh --quick > "$quick_out" 2>&1 \
+    || { tail -20 "$quick_out"; echo "bench/run.sh --quick failed"; exit 1; }
+if grep -q '"correct": false' "$quick_out" || ! grep -q '"correct": true' "$quick_out"; then
+    grep 'INCORRECT' "$quick_out" || true
+    echo "bench/run.sh --quick reported an incorrect output"; exit 1
+fi
+rm -f "$quick_out"
+
 # The kernel crate's differential + proptest suite, once per tier: the
 # dispatch must be correct no matter what PHYLO_KERNEL_TIER pins, and
 # the forced-fallback run (simd tier + portable backend) is what a

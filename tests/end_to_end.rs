@@ -82,6 +82,45 @@ fn results_invariant_across_memory_configs() {
 }
 
 #[test]
+fn swept_budgets_are_byte_identical_to_unlimited_memory() {
+    // The sweep schedule decides how often kernels run, never what they
+    // compute: at the floor (no lookup: prescore and thorough sweeps) and
+    // at the lookup floor (lookup-build and thorough sweeps) the jplace
+    // must equal the unlimited run's, with the batches prepared inline
+    // or on the prefetch thread, scored by one worker or four, over
+    // several chunks.
+    let spec = phyloplace::datasets::neotrop(Scale::Ci);
+    let (ds, s2p, batch) = setup(&spec);
+    let base = EpaConfig { chunk_size: 7, ..Default::default() };
+    assert!(batch.len() > 2 * base.chunk_size, "need a multi-chunk batch");
+    let unlimited = {
+        let placer = Placer::new(ctx_of(&ds), s2p.clone(), base.clone()).unwrap();
+        to_jplace(&ds.tree, &placer.place(&batch).unwrap().0)
+    };
+    let probe = ctx_of(&ds);
+    let floor = memplan::floor_budget(&probe, &base, batch.len(), batch.n_sites());
+    let lookup_floor = memplan::lookup_floor_budget(&probe, &base, batch.len(), batch.n_sites());
+    drop(probe);
+    for (label, budget) in [("floor", floor), ("lookup-floor", lookup_floor)] {
+        for threads in [1usize, 4] {
+            for async_prefetch in [true, false] {
+                let cfg =
+                    EpaConfig { max_memory: Some(budget), threads, async_prefetch, ..base.clone() };
+                let placer = Placer::new(ctx_of(&ds), s2p.clone(), cfg).unwrap();
+                let (results, report) = placer.place(&batch).unwrap();
+                let what = format!("{label}, {threads} threads, async_prefetch={async_prefetch}");
+                assert_eq!(unlimited, to_jplace(&ds.tree, &results), "{what}");
+                assert_eq!(report.used_lookup, label == "lookup-floor", "{what}");
+                // The plan's pin headroom carries the holds: no rung of
+                // the ladder below the block clamp fires on its own.
+                assert_eq!(report.degradation.flush_retries, 0, "{what}");
+                assert!(report.slot_stats.hits > 0, "{what}: held and cached CLVs are reused");
+            }
+        }
+    }
+}
+
+#[test]
 fn jplace_byte_identical_across_thread_counts() {
     // Determinism is part of the concurrency contract (DESIGN.md §6):
     // worker count must never change the output, bit for bit — neither

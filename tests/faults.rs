@@ -194,6 +194,36 @@ fn degradation_stats_accumulate_across_chunks() {
 }
 
 #[test]
+fn pin_exhaustion_mid_sweep_drops_the_holds_not_the_output() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    phylo_faults::reset();
+    let (ds, s2p, batch) = setup();
+    let cfg = amc_config(&ds, &batch);
+    let placer = Placer::new(ctx_of(&ds), s2p.clone(), cfg.clone()).unwrap();
+    let (clean, clean_report) = placer.place(&batch).unwrap();
+    assert_eq!(clean_report.degradation.flush_retries, 0, "the floor plan carries the holds");
+
+    // Every 25th slot assignment reports pin exhaustion, i.e. again and
+    // again deep inside the sweeps, where the spine is held. Holds are an
+    // optimisation only: the sweep must drop them, flush, retry, and pay
+    // in recomputation — never in output.
+    phylo_faults::arm("amc::spurious_all_slots_pinned", Trigger::Every { period: 25 });
+    let placer = Placer::new(ctx_of(&ds), s2p, cfg).unwrap();
+    let (faulted, report) = placer.place(&batch).unwrap();
+    assert!(phylo_faults::hits("amc::spurious_all_slots_pinned") > 4, "fault barely fired");
+    phylo_faults::disarm("amc::spurious_all_slots_pinned");
+    assert_eq!(to_jplace(&ds.tree, &clean), to_jplace(&ds.tree, &faulted));
+    assert!(report.degradation.flush_retries > 0, "{:?}", report.degradation);
+    assert!(
+        report.slot_stats.misses > clean_report.slot_stats.misses,
+        "dropped holds and a flushed cache are recomputed: {} vs {}",
+        report.slot_stats.misses,
+        clean_report.slot_stats.misses
+    );
+    phylo_faults::reset();
+}
+
+#[test]
 fn worker_panic_is_contained_and_store_recovers() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     phylo_faults::reset();
