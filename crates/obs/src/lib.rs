@@ -44,7 +44,10 @@ pub(crate) fn bucket_of(ns: u64) -> usize {
     }
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
+/// JSON-escapes a string body (no surrounding quotes): the workspace's
+/// one escaper, shared by the metrics/trace writers here, the daemon's
+/// wire protocol and the jplace writer.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -23,7 +23,9 @@
 //!    (optionally prefetched asynchronously, optionally with across-site
 //!    parallel kernels); a worker pool scores (QS × branch) pairs.
 //!
-//! Results are exported in the `jplace`-compatible format ([`result`]).
+//! Every front end gets its reference (tree + alignment text → model →
+//! [`Placer`]) from [`reference`]; results are exported in the
+//! `jplace`-compatible format ([`result`]).
 
 pub mod candidates;
 pub mod config;
@@ -31,6 +33,7 @@ pub mod error;
 pub mod lookup;
 pub mod memplan;
 pub mod queries;
+pub mod reference;
 pub mod result;
 pub mod run;
 pub mod score;
@@ -40,5 +43,6 @@ pub use config::{EpaConfig, PreplacementMode};
 pub use error::PlaceError;
 pub use memplan::{AmcMode, MemoryPlan};
 pub use queries::QueryBatch;
+pub use reference::{build_reference, Reference, ReferenceError, DEFAULT_GAMMA_ALPHA};
 pub use result::{PlacementEntry, PlacementResult, RunReport};
 pub use run::{HeartbeatEvent, PlaceOutcome, Placer, RunControl, WarmStore};

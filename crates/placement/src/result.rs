@@ -1,6 +1,7 @@
 //! Placement results and `jplace` export.
 
 use phylo_amc::SlotStats;
+use phylo_obs::json_escape;
 use phylo_tree::{EdgeId, Tree};
 use std::time::Duration;
 
@@ -141,7 +142,7 @@ pub fn to_jplace(tree: &Tree, results: &[PlacementResult]) -> String {
 pub fn to_jplace_with(tree: &Tree, results: &[PlacementResult], completed: bool) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\n  \"version\": 3,\n  \"tree\": \"");
-    out.push_str(&newick_with_edge_numbers(tree));
+    out.push_str(&json_escape(&newick_with_edge_numbers(tree)));
     out.push_str("\",\n  \"fields\": [\"edge_num\", \"likelihood\", \"like_weight_ratio\", \"distal_length\", \"pendant_length\"],\n  \"placements\": [\n");
     for (qi, r) in results.iter().enumerate() {
         out.push_str("    {\"p\": [");
@@ -154,7 +155,7 @@ pub fn to_jplace_with(tree: &Tree, results: &[PlacementResult], completed: bool)
                 p.edge.0, p.log_likelihood, p.like_weight_ratio, p.distal_length, p.pendant_length
             ));
         }
-        out.push_str(&format!("], \"n\": [{:?}]}}", r.name));
+        out.push_str(&format!("], \"n\": [\"{}\"]}}", json_escape(&r.name)));
         out.push_str(if qi + 1 < results.len() { ",\n" } else { "\n" });
     }
     out.push_str(&format!(

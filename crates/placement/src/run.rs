@@ -15,7 +15,8 @@ use phylo_journal::{ChunkFrame, ChunkStats, PlacementRecord, QueryRecord, RunJou
 use phylo_tree::traversal::SweepSchedule;
 use phylo_tree::EdgeId;
 use std::sync::atomic::Ordering;
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// One progress beat of a run, handed to [`RunControl::heartbeat`] at
 /// run start (once the chunk geometry is known) and after every chunk
@@ -86,32 +87,34 @@ pub struct PlaceOutcome {
     pub queries_done: usize,
 }
 
-/// Reference-side engine state that outlives a single run: the CLV slot
-/// arena (internally synchronized — `&self` end to end) and the
-/// preplacement lookup table, built once by [`Placer::warm_up`] and
-/// shared across every subsequent [`Placer::place_warm`] call. This is
-/// the paper's "expensive to build, cheap to reuse" state made explicit:
-/// a long-lived service pays the arena allocation and the lookup build
-/// exactly once instead of per request.
+/// Reference-side engine state, opened once and then walked chunk by
+/// chunk: the CLV slot arena (internally synchronized — `&self` end to
+/// end), the preplacement lookup table and the sweep schedule. A cold
+/// [`Placer::place_run`] opens one for its batch and drops it with the
+/// run; [`Placer::warm_up`] opens one for a long-lived service, which
+/// then pays the arena allocation and the lookup build exactly once
+/// instead of per request — the paper's "expensive to build, cheap to
+/// reuse" state made explicit.
 pub struct WarmStore {
     store: ManagedStore,
     lookup: Option<LookupTable>,
     sweep: SweepSchedule,
-    chunk_size: usize,
-    slots: usize,
-    use_lookup: bool,
-    peak_memory: usize,
+    plan: MemoryPlan,
+    lookup_time: Duration,
+    /// Demotion tiers and the tracker their bytes are accounted in
+    /// (cold runs only; [`Placer::warm_up`] refuses them).
+    tiers: Option<(Arc<phylo_amc::TieredStore>, Arc<Mutex<phylo_amc::MemoryTracker>>)>,
 }
 
 impl WarmStore {
     /// Slots the warm arena holds.
     pub fn slots(&self) -> usize {
-        self.slots
+        self.plan.slots
     }
 
     /// Whether the preplacement lookup table was built.
     pub fn use_lookup(&self) -> bool {
-        self.use_lookup
+        self.plan.use_lookup
     }
 
     /// Cumulative slot traffic over every run served so far.
@@ -203,41 +206,89 @@ impl Placer {
         batch: &QueryBatch,
         mut control: RunControl,
     ) -> Result<PlaceOutcome, PlaceError> {
-        let t_total = Instant::now();
+        let clock = RunClock::start();
+        // Frames recovered by `RunJournal::resume`: a contiguous,
+        // CRC-validated prefix of the run's chunks.
+        let replayed = control.journal.as_mut().map(|j| j.take_replayed()).unwrap_or_default();
+        let warm = self.open_store(batch.len(), &control, replayed.len())?;
+        let mut outcome = self.run_chunks(&warm, batch, &mut control, &replayed)?;
+        // The store lived for this run only, so the report covers the
+        // open as well: its slot traffic, its lookup build, its tiers.
+        let report = &mut outcome.report;
+        report.slot_stats = warm.slot_stats();
+        report.lookup_time = warm.lookup_time;
+        if let Some((tiers, tracker)) = &warm.tiers {
+            // Settle in-flight writebacks so the stats and the tracker
+            // rows describe the run's final tier state, not a snapshot
+            // racing the writeback worker.
+            tiers.drain();
+            report.tier_stats = Some(tiers.stats());
+            let peak = tracker.lock().unwrap_or_else(|e| e.into_inner()).peak();
+            report.peak_memory = report.peak_memory.max(peak);
+        }
+        clock.seal(report, self.ctx.layout().tier(), &warm);
+        Ok(outcome)
+    }
+
+    /// Builds the reusable warm state for service mode: the slot arena
+    /// sized by the memory plan for a full chunk of queries (the
+    /// per-request batches a service runs are at most one chunk's worth
+    /// each) and the preplacement lookup table. One call amortizes over
+    /// arbitrarily many [`Placer::place_warm`] runs.
+    ///
+    /// Tiered CLV storage is a batch-mode feature (its writeback worker
+    /// and disk arena are scoped to one run); a config that asks for
+    /// both is refused rather than silently ignored.
+    pub fn warm_up(&self) -> Result<WarmStore, PlaceError> {
+        if self.cfg.tiers.is_some() {
+            return Err(PlaceError::BadConfig(
+                "tiered CLV storage is not supported for warm (service-mode) stores".into(),
+            ));
+        }
+        self.open_store(self.cfg.chunk_size, &RunControl::default(), 0)
+    }
+
+    /// Places one request's batch against a shared [`WarmStore`]: the
+    /// chunk loop of [`Placer::place_run`] without the open and without
+    /// a journal. Per-query results are bit-identical to a cold
+    /// [`Placer::place_run`] of the same queries (results are
+    /// independent of chunking and of what other requests the arena
+    /// served before; the chunking/threading equivalence tests pin that
+    /// contract). The report covers this request only.
+    ///
+    /// `cancel` is request-scoped: a deadline or client cancellation
+    /// unwinds at the next cancellation point and yields a clean
+    /// partial outcome (`completed == false`), exactly like batch mode.
+    /// Runs against one store must be issued sequentially — the store
+    /// is internally synchronized, but the cancel token is store-wide.
+    pub fn place_warm(
+        &self,
+        warm: &WarmStore,
+        batch: &QueryBatch,
+        cancel: &CancelToken,
+    ) -> Result<PlaceOutcome, PlaceError> {
+        let clock = RunClock::start();
+        warm.store.set_cancel_token(cancel);
+        let mut control = RunControl { cancel: cancel.clone(), ..Default::default() };
+        let mut outcome = self.run_chunks(warm, batch, &mut control, &[])?;
+        clock.seal(&mut outcome.report, self.ctx.layout().tier(), warm);
+        Ok(outcome)
+    }
+
+    /// Opens the reference-side state for runs of up to `n_queries`
+    /// queries: memory plan → slot arena → threads / wait timeout /
+    /// cancel token → storage tiers → slot trace → lookup build.
+    /// `replayed_chunks` is how many leading chunks a resumed journal
+    /// already holds.
+    fn open_store(
+        &self,
+        n_queries: usize,
+        control: &RunControl,
+        replayed_chunks: usize,
+    ) -> Result<WarmStore, PlaceError> {
         let ctx = &self.ctx;
         let cfg = &self.cfg;
-        let plan = self.memory_plan(batch)?;
-        let n_chunks = batch.len().div_ceil(plan.chunk_size.max(1));
-        // Frames recovered by `RunJournal::resume`: a contiguous,
-        // CRC-validated prefix `0..replayed_chunks`.
-        let replayed = control.journal.as_mut().map(|j| j.take_replayed()).unwrap_or_default();
-        let replayed_chunks = replayed.len().min(n_chunks);
-        let cancel = control.cancel.clone();
-        let heartbeat = control.heartbeat.take();
-        let beat = |chunks_done: usize| {
-            if let Some(hb) = &heartbeat {
-                hb(HeartbeatEvent {
-                    chunks_done,
-                    n_chunks,
-                    queries_done: (chunks_done * plan.chunk_size).min(batch.len()),
-                    n_queries: batch.len(),
-                });
-            }
-        };
-        let mut report = RunReport {
-            n_queries: batch.len(),
-            used_lookup: plan.use_lookup,
-            slots: plan.slots,
-            peak_memory: plan.tracker.peak(),
-            resumed_chunks: replayed_chunks,
-            ..Default::default()
-        };
-        // Live probes are process-global and monotonic; the per-run view
-        // in `report.metrics` is the delta against this baseline. The
-        // slot and degradation counters are re-injected from their
-        // authoritative per-run sources below, so those stay exact even
-        // when concurrent runs share the registry.
-        let obs_base = phylo_obs::snapshot();
+        let plan = memplan::plan(ctx, cfg, n_queries, self.site_to_pattern.len())?;
         let mut store = ManagedStore::with_slots(ctx, plan.slots, cfg.strategy)?;
         store.set_compute_threads(cfg.sitepar_threads.max(1));
         if let Some(timeout) = cfg.slot_wait_timeout {
@@ -245,32 +296,29 @@ impl Placer {
         }
         // Cancellation reaches every layer from here on: the engine
         // polls per Felsenstein op, slot waits poll while blocked, and
-        // the chunk loop below polls at chunk boundaries.
-        store.set_cancel_token(&cancel);
+        // the chunk loop polls at chunk boundaries.
+        store.set_cancel_token(&control.cancel);
         // Tiered CLV storage: evicted slot payloads demote to the
         // configured colder tiers instead of being dropped, and slot
         // misses probe the tiers before falling back to recomputation.
         // The shared tracker starts from the plan's accounting so the
         // compressed-tier / disk-tier rows sit next to the static rows
         // and `peak_memory` stays truthful under tier growth.
-        let tier_tracker = cfg
-            .tiers
-            .as_ref()
-            .map(|_| std::sync::Arc::new(std::sync::Mutex::new(plan.tracker.clone())));
-        let tier_store = match &cfg.tiers {
+        let tiers = match &cfg.tiers {
             None => None,
             Some(tcfg) => {
+                let tracker = Arc::new(Mutex::new(plan.tracker.clone()));
                 let tiers = phylo_amc::TieredStore::new(
                     tcfg,
                     ctx.tree().n_dir_edges(),
                     ctx.layout().clv_len(),
                     ctx.layout().patterns,
                     ctx.cost_table(),
-                    tier_tracker.clone(),
+                    Some(Arc::clone(&tracker)),
                 )
                 .map_err(phylo_engine::EngineError::Amc)?;
-                store.arena().set_tiers(std::sync::Arc::clone(&tiers));
-                Some(tiers)
+                store.arena().set_tiers(Arc::clone(&tiers));
+                Some((tiers, tracker))
             }
         };
         // Arm the slot-access trace before the lookup build below — the
@@ -291,67 +339,106 @@ impl Placer {
                 // cost-aware ones too.
                 costs: ctx.cost_table(),
             });
-            store.set_slot_trace(std::sync::Arc::clone(trace));
+            store.set_slot_trace(Arc::clone(trace));
         }
 
-        let store = store; // sharing starts here; the store is internally synchronized
-                           // A fully-replayed run has nothing left to compute — skip the
-                           // expensive lookup build so resuming after a crash between the
-                           // final chunk and the output write is near-instant.
-                           // Cancellation during the build (a pre-armed token, a signal
-                           // landing this early) is a graceful empty run, not a failure:
-                           // fall through with no table — the chunk loop below sees the
-                           // cancelled token immediately and emits the partial outcome.
-        let lookup = if plan.use_lookup && replayed_chunks < n_chunks && !cancel.is_cancelled() {
-            let t = Instant::now();
-            let span = phylo_obs::trace::span("preplacement.build", "phase");
-            match LookupTable::build(ctx, &store, cfg) {
-                Ok(table) => {
-                    drop(span);
-                    report.lookup_time = t.elapsed();
-                    Some(table)
+        // A fully replayed run has nothing left to compute — skip the
+        // expensive lookup build so resuming after a crash between the
+        // final chunk and the output write is near-instant. Cancellation
+        // before or during the build (a pre-armed token, a signal landing
+        // this early) is a graceful empty run, not a failure: open with
+        // no table — the chunk loop sees the cancelled token immediately
+        // and emits the partial outcome.
+        let n_chunks = n_queries.div_ceil(plan.chunk_size.max(1));
+        let mut lookup_time = Duration::ZERO;
+        let lookup =
+            if plan.use_lookup && replayed_chunks < n_chunks && !control.cancel.is_cancelled() {
+                let t = Instant::now();
+                let _span = phylo_obs::trace::span("preplacement.build", "phase");
+                match LookupTable::build(ctx, &store, cfg) {
+                    Ok(table) => {
+                        lookup_time = t.elapsed();
+                        Some(table)
+                    }
+                    Err(e) if e.is_cancellation() => None,
+                    Err(e) => return Err(e),
                 }
-                Err(e) if e.is_cancellation() => {
-                    drop(span);
-                    None
-                }
-                Err(e) => return Err(e),
-            }
-        } else {
-            None
-        };
+            } else {
+                None
+            };
+        Ok(WarmStore {
+            store,
+            lookup,
+            sweep: SweepSchedule::new(ctx.tree()),
+            plan,
+            lookup_time,
+            tiers,
+        })
+    }
 
-        let branches = ctx.tree().n_edges();
-        let sweep = SweepSchedule::new(ctx.tree());
+    /// The chunk loop every run goes through: restore what the journal
+    /// replayed, compute the rest chunk by chunk (journal frame first,
+    /// heartbeat second), stop cleanly at a cancelled token, then
+    /// finalize the results. The report's slot traffic is this call's
+    /// share of the store's.
+    fn run_chunks(
+        &self,
+        warm: &WarmStore,
+        batch: &QueryBatch,
+        control: &mut RunControl,
+        replayed: &[ChunkFrame],
+    ) -> Result<PlaceOutcome, PlaceError> {
+        let slot_base = warm.store.stats();
+        let branches = self.ctx.tree().n_edges();
+        let chunk_size = warm.plan.chunk_size.min(batch.len().max(1));
+        let n_chunks = batch.len().div_ceil(chunk_size);
+        let replayed_chunks = replayed.len().min(n_chunks);
+        let heartbeat = control.heartbeat.as_ref();
+        let beat = |chunks_done: usize| {
+            if let Some(hb) = heartbeat {
+                hb(HeartbeatEvent {
+                    chunks_done,
+                    n_chunks,
+                    queries_done: (chunks_done * chunk_size).min(batch.len()),
+                    n_queries: batch.len(),
+                });
+            }
+        };
+        let mut report = RunReport {
+            n_queries: batch.len(),
+            used_lookup: warm.plan.use_lookup,
+            slots: warm.plan.slots,
+            peak_memory: warm.plan.tracker.peak(),
+            resumed_chunks: replayed_chunks,
+            ..Default::default()
+        };
         let mut results: Vec<PlacementResult> = batch
             .queries()
             .iter()
             .map(|q| PlacementResult { name: q.name.clone(), placements: Vec::new() })
             .collect();
-        let mut prescores = vec![0.0f64; plan.chunk_size * branches];
+        let mut prescores = vec![0.0f64; chunk_size * branches];
         let mut completed = true;
         let mut chunks_done = 0usize;
 
         // The run-start beat: tells a supervisor the chunk geometry and
         // that the (possibly expensive) setup phase is behind us.
         beat(0);
-        for (chunk_idx, chunk) in batch.chunks(plan.chunk_size).enumerate() {
-            let qoff = chunk_idx * plan.chunk_size;
+        for (chunk_idx, chunk) in batch.chunks(chunk_size).enumerate() {
+            let qoff = chunk_idx * chunk_size;
             if chunk_idx < replayed_chunks {
                 restore_chunk(&replayed[chunk_idx], chunk, qoff, &mut results, &mut report)?;
                 chunks_done = chunk_idx + 1;
                 beat(chunks_done);
                 continue;
             }
-            if cancel.is_cancelled() {
+            if control.cancel.is_cancelled() {
                 completed = false;
                 break;
             }
             let mat = &mut prescores[..chunk.len() * branches];
             match self.compute_chunk(
-                &store,
-                &lookup,
-                &sweep,
+                warm,
                 chunk,
                 chunk_idx,
                 qoff,
@@ -364,10 +451,9 @@ impl Placer {
                     if let Some(journal) = control.journal.as_mut() {
                         // Durable before advancing: once append returns,
                         // this chunk survives process death.
-                        let span = phylo_obs::trace::span("checkpoint", "phase");
+                        let _span = phylo_obs::trace::span("checkpoint", "phase");
                         let frame = frame_of(chunk_idx, stats, &results[qoff..qoff + chunk.len()]);
                         journal.append(&frame)?;
-                        drop(span);
                     }
                     chunks_done = chunk_idx + 1;
                     // Beat only after the chunk is durable: a supervisor
@@ -389,12 +475,12 @@ impl Placer {
             // matrix: cancels the token after chunk `chunk_idx` is
             // durable, exactly like a deadline firing at this boundary.
             if phylo_faults::fire("place::cancel_after_chunk") {
-                cancel.cancel();
+                control.cancel.cancel();
             }
         }
 
         let queries_done =
-            if completed { batch.len() } else { (chunks_done * plan.chunk_size).min(batch.len()) };
+            if completed { batch.len() } else { (chunks_done * chunk_size).min(batch.len()) };
         if !completed {
             // Queries past the last completed chunk may hold partial
             // placements from the abandoned chunk; drop them so the
@@ -405,150 +491,7 @@ impl Placer {
         for r in &mut results {
             r.finalize();
         }
-        report.slot_stats = store.stats();
-        if let Some(tiers) = &tier_store {
-            // Settle in-flight writebacks so the stats and the tracker
-            // rows describe the run's final tier state, not a snapshot
-            // racing the writeback worker.
-            tiers.drain();
-            report.tier_stats = Some(tiers.stats());
-        }
-        if let Some(tracker) = &tier_tracker {
-            let peak = tracker.lock().unwrap_or_else(|e| e.into_inner()).peak();
-            report.peak_memory = report.peak_memory.max(peak);
-        }
-        report.total_time = t_total.elapsed();
-        report.metrics = run_metrics(
-            &report,
-            &obs_base,
-            ctx.layout().tier(),
-            store.sitepar_stats(),
-            tier_store.as_deref(),
-        );
-        Ok(PlaceOutcome { results, report, completed, queries_done })
-    }
-
-    /// Builds the reusable warm state for service mode: the slot arena
-    /// sized by the memory plan (at the configured chunk size) and the
-    /// preplacement lookup table. One call amortizes over arbitrarily
-    /// many [`Placer::place_warm`] runs.
-    ///
-    /// Tiered CLV storage is a batch-mode feature (its writeback worker
-    /// and disk arena are scoped to one run); a config that asks for
-    /// both is refused rather than silently ignored.
-    pub fn warm_up(&self) -> Result<WarmStore, PlaceError> {
-        if self.cfg.tiers.is_some() {
-            return Err(PlaceError::BadConfig(
-                "tiered CLV storage is not supported for warm (service-mode) stores".into(),
-            ));
-        }
-        let ctx = &self.ctx;
-        let cfg = &self.cfg;
-        let n_sites = self.site_to_pattern.len();
-        // Plan for a full chunk of queries: the per-request batches the
-        // service runs are at most one chunk's worth each anyway.
-        let plan = memplan::plan(ctx, cfg, cfg.chunk_size, n_sites)?;
-        let mut store = ManagedStore::with_slots(ctx, plan.slots, cfg.strategy)?;
-        store.set_compute_threads(cfg.sitepar_threads.max(1));
-        if let Some(timeout) = cfg.slot_wait_timeout {
-            store.set_wait_timeout(timeout);
-        }
-        let lookup =
-            if plan.use_lookup { Some(LookupTable::build(ctx, &store, cfg)?) } else { None };
-        Ok(WarmStore {
-            store,
-            lookup,
-            sweep: SweepSchedule::new(ctx.tree()),
-            chunk_size: plan.chunk_size,
-            slots: plan.slots,
-            use_lookup: plan.use_lookup,
-            peak_memory: plan.tracker.peak(),
-        })
-    }
-
-    /// Places one request's batch against a shared [`WarmStore`]: the
-    /// chunk loop of [`Placer::place_run`] minus the per-run setup —
-    /// no arena allocation, no lookup build, no journal. Per-query
-    /// results are bit-identical to a cold [`Placer::place_run`] of the
-    /// same queries (results are independent of chunking and of what
-    /// other requests the arena served before; the existing
-    /// chunking/threading equivalence tests pin that contract).
-    ///
-    /// `cancel` is request-scoped: a deadline or client cancellation
-    /// unwinds at the next cancellation point and yields a clean
-    /// partial outcome (`completed == false`), exactly like batch mode.
-    /// Runs against one store must be issued sequentially — the store
-    /// is internally synchronized, but the cancel token is store-wide.
-    pub fn place_warm(
-        &self,
-        warm: &WarmStore,
-        batch: &QueryBatch,
-        cancel: &CancelToken,
-    ) -> Result<PlaceOutcome, PlaceError> {
-        let t_total = Instant::now();
-        let ctx = &self.ctx;
-        warm.store.set_cancel_token(cancel);
-        let slot_base = warm.store.stats();
-        let obs_base = phylo_obs::snapshot();
-        let branches = ctx.tree().n_edges();
-        let chunk_size = warm.chunk_size.min(batch.len().max(1));
-        let mut report = RunReport {
-            n_queries: batch.len(),
-            used_lookup: warm.use_lookup,
-            slots: warm.slots,
-            peak_memory: warm.peak_memory,
-            ..Default::default()
-        };
-        let mut results: Vec<PlacementResult> = batch
-            .queries()
-            .iter()
-            .map(|q| PlacementResult { name: q.name.clone(), placements: Vec::new() })
-            .collect();
-        let mut prescores = vec![0.0f64; chunk_size * branches];
-        let mut completed = true;
-        let mut chunks_done = 0usize;
-        for (chunk_idx, chunk) in batch.chunks(chunk_size).enumerate() {
-            if cancel.is_cancelled() {
-                completed = false;
-                break;
-            }
-            let qoff = chunk_idx * chunk_size;
-            let mat = &mut prescores[..chunk.len() * branches];
-            match self.compute_chunk(
-                &warm.store,
-                &warm.lookup,
-                &warm.sweep,
-                chunk,
-                chunk_idx,
-                qoff,
-                mat,
-                branches,
-                &mut results,
-                &mut report,
-            ) {
-                Ok(_) => chunks_done = chunk_idx + 1,
-                Err(e) if e.is_cancellation() => {
-                    completed = false;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let queries_done =
-            if completed { batch.len() } else { (chunks_done * chunk_size).min(batch.len()) };
-        if !completed {
-            results.truncate(queries_done);
-            phylo_obs::counter("place.cancelled_runs").inc();
-        }
-        for r in &mut results {
-            r.finalize();
-        }
-        // Slot traffic attributed to *this* run, not the store's whole
-        // life — the arena is shared, the report is per-request.
         report.slot_stats = warm.store.stats().delta(&slot_base);
-        report.total_time = t_total.elapsed();
-        report.metrics =
-            run_metrics(&report, &obs_base, ctx.layout().tier(), warm.store.sitepar_stats(), None);
         Ok(PlaceOutcome { results, report, completed, queries_done })
     }
 
@@ -557,9 +500,7 @@ impl Placer {
     #[allow(clippy::too_many_arguments)]
     fn compute_chunk(
         &self,
-        store: &ManagedStore,
-        lookup: &Option<LookupTable>,
-        sweep: &SweepSchedule,
+        warm: &WarmStore,
         chunk: &[EncodedQuery],
         chunk_idx: usize,
         qoff: usize,
@@ -570,6 +511,7 @@ impl Placer {
     ) -> Result<ChunkStats, PlaceError> {
         let ctx = &self.ctx;
         let cfg = &self.cfg;
+        let WarmStore { store, lookup, sweep, .. } = warm;
         // Ladder counters are per chunk and merged into the report at
         // the end of each chunk, so a run that degrades on every chunk
         // reports every step — not just the final chunk's. They also
@@ -873,6 +815,26 @@ fn frame_of(chunk_idx: usize, stats: ChunkStats, slice: &[PlacementResult]) -> C
     }
 }
 
+/// Wall clock and live-probe baseline of one run, taken before any of
+/// its work. Live probes are process-global and monotonic; the per-run
+/// view in [`RunReport::metrics`] is the delta against this baseline.
+struct RunClock {
+    started: Instant,
+    obs_base: phylo_obs::Snapshot,
+}
+
+impl RunClock {
+    fn start() -> Self {
+        RunClock { started: Instant::now(), obs_base: phylo_obs::snapshot() }
+    }
+
+    /// Stamps the finished report with the run's wall time and metrics.
+    fn seal(self, report: &mut RunReport, tier: phylo_kernel::KernelTier, warm: &WarmStore) {
+        report.total_time = self.started.elapsed();
+        report.metrics = run_metrics(report, &self.obs_base, tier, warm);
+    }
+}
+
 /// Builds the per-run metrics snapshot: the delta of the live registry
 /// against the run's baseline, with the slot-traffic and degradation
 /// counters injected from their authoritative per-run sources
@@ -886,9 +848,9 @@ fn run_metrics(
     report: &RunReport,
     base: &phylo_obs::Snapshot,
     tier: phylo_kernel::KernelTier,
-    pool: phylo_kernel::sitepar::PoolStats,
-    tiers: Option<&phylo_amc::TieredStore>,
+    warm: &WarmStore,
 ) -> phylo_obs::Snapshot {
+    let pool = warm.store.sitepar_stats();
     let mut m = phylo_obs::snapshot().delta(base);
     m.set_gauge(&format!("kernel.tier.{}", tier.name()), 1);
     m.set_gauge("sitepar.pool.workers", pool.workers as i64);
@@ -919,7 +881,7 @@ fn run_metrics(
         m.set_counter("tier.corrupt", t.corrupt);
         m.set_counter("tier.prefetches", t.prefetches);
     }
-    if let Some(tiers) = tiers {
+    if let Some((tiers, _)) = &warm.tiers {
         for (name, bytes, entries) in tiers.occupancy() {
             m.set_gauge(&format!("tier.{name}.bytes"), bytes as i64);
             m.set_gauge(&format!("tier.{name}.entries"), entries as i64);

@@ -2,14 +2,10 @@
 //! CLV slot arena, and preplacement lookup built once at startup, then
 //! shared by every request.
 //!
-//! The model pipeline here must mirror `phyloplace place`
-//! (`src/cli.rs::run_placement_with`) exactly — +F empirical
-//! frequencies over the reference for DNA (unit GTR rates), the
-//! synthetic AA matrix for protein, Γ4 when requested — because the
-//! service's contract is that a daemon response is byte-identical to a
-//! cold CLI run of the same queries. The CI daemon pass compares the
-//! two outputs with `cmp`, so any drift between the pipelines fails the
-//! gate.
+//! The reference comes from [`epa_place::build_reference`] — the same
+//! builder a cold `phyloplace place` run calls — and every request runs
+//! the same chunk loop, which is why a daemon response is byte-identical
+//! to a cold CLI run of the same queries.
 
 use crate::proto::Code;
 use epa_place::result::to_jplace_with;
@@ -17,17 +13,16 @@ use epa_place::{EpaConfig, Placer, PreplacementMode, QueryBatch, WarmStore};
 use phylo_amc::CancelToken;
 use phylo_journal::fnv1a64;
 use phylo_seq::alphabet::AlphabetKind;
-use phylo_seq::{compress, fasta, Msa, Sequence};
+use phylo_seq::{fasta, Sequence};
 use phylo_tree::Tree;
 
-/// Engine build settings (the serve CLI surface that affects scoring;
-/// everything here must match the `place` flags the responses are
-/// compared against).
+/// The scoring settings of an engine: what the flags `place`, `serve`
+/// and `shard` share resolve to. `Default` is the one definition of
+/// their defaults.
 #[derive(Debug, Clone)]
 pub struct EngineSettings {
     pub alphabet: AlphabetKind,
-    /// Γ shape (4 categories); `None` = rate-homogeneous. The CLI
-    /// default is `Some(1.0)` — keep them in sync.
+    /// Γ shape (4 categories); `None` = rate-homogeneous.
     pub gamma_alpha: Option<f64>,
     pub max_memory: Option<usize>,
     pub chunk_size: usize,
@@ -38,14 +33,33 @@ pub struct EngineSettings {
 
 impl Default for EngineSettings {
     fn default() -> Self {
+        let cfg = EpaConfig::default();
         EngineSettings {
             alphabet: AlphabetKind::Dna,
-            gamma_alpha: Some(1.0),
-            max_memory: None,
-            chunk_size: 5000,
-            threads: 1,
-            strategy: phylo_amc::StrategyKind::CostBased,
+            gamma_alpha: epa_place::DEFAULT_GAMMA_ALPHA,
+            max_memory: cfg.max_memory,
+            chunk_size: cfg.chunk_size,
+            threads: cfg.threads,
+            strategy: cfg.strategy,
             no_lookup: false,
+        }
+    }
+}
+
+impl EngineSettings {
+    /// The placement configuration these settings stand for.
+    pub fn epa_config(&self) -> EpaConfig {
+        EpaConfig {
+            max_memory: self.max_memory,
+            chunk_size: self.chunk_size,
+            threads: self.threads,
+            strategy: self.strategy,
+            preplacement: if self.no_lookup {
+                PreplacementMode::Off
+            } else {
+                PreplacementMode::Auto
+            },
+            ..Default::default()
         }
     }
 }
@@ -91,49 +105,14 @@ impl WarmEngine {
         ref_fasta: &str,
         st: &EngineSettings,
     ) -> Result<WarmEngine, String> {
-        use phylo_models::gamma::GammaMode;
-        use phylo_models::{aa, dna, DiscreteGamma, SubstModel};
-
-        let tree =
-            phylo_tree::newick::parse(tree_text).map_err(|e| format!("reference tree: {e}"))?;
-        let ref_rows = fasta::parse(ref_fasta, st.alphabet)
-            .map_err(|e| format!("reference alignment: {e}"))?;
-        let msa = Msa::new(ref_rows).map_err(|e| format!("reference alignment: {e}"))?;
-        let patterns = compress(&msa).map_err(|e| format!("compression: {e}"))?;
-        let gamma = match st.gamma_alpha {
-            Some(alpha) => {
-                DiscreteGamma::new(alpha, 4, GammaMode::Mean).map_err(|e| format!("gamma: {e}"))?
-            }
-            None => DiscreteGamma::none(),
-        };
-        let alphabet = st.alphabet.alphabet();
-        let model = match st.alphabet {
-            AlphabetKind::Dna => {
-                let f = dna::empirical_freqs(alphabet, msa.rows().iter().map(|r| r.codes()));
-                let freqs: [f64; 4] = [f[0], f[1], f[2], f[3]];
-                SubstModel::new(
-                    &dna::gtr(&[1.0; 6], &freqs).map_err(|e| format!("model: {e}"))?,
-                    gamma,
-                )
-                .map_err(|e| format!("model: {e}"))?
-            }
-            AlphabetKind::Protein => {
-                SubstModel::new(&aa::synthetic_aa(0).map_err(|e| format!("model: {e}"))?, gamma)
-                    .map_err(|e| format!("model: {e}"))?
-            }
-        };
-        let ctx = phylo_engine::ReferenceContext::new(tree.clone(), model, alphabet, &patterns)
-            .map_err(|e| format!("engine: {e}"))?;
-        let cfg = EpaConfig {
-            max_memory: st.max_memory,
-            chunk_size: st.chunk_size,
-            threads: st.threads,
-            strategy: st.strategy,
-            preplacement: if st.no_lookup { PreplacementMode::Off } else { PreplacementMode::Auto },
-            ..Default::default()
-        };
-        let placer = Placer::new(ctx, patterns.site_to_pattern().to_vec(), cfg)
-            .map_err(|e| format!("config: {e}"))?;
+        let epa_place::Reference { placer, tree, n_sites } = epa_place::build_reference(
+            tree_text,
+            ref_fasta,
+            st.alphabet,
+            st.gamma_alpha,
+            st.epa_config(),
+        )
+        .map_err(|e| e.to_string())?;
         let warm = placer.warm_up().map_err(|e| format!("warm-up: {e}"))?;
         // The warm-state fingerprint: a client (or the status probe's
         // reader) can verify which reference/settings this daemon is
@@ -141,14 +120,7 @@ impl WarmEngine {
         let mut fp = fnv1a64(tree_text.as_bytes());
         fp ^= fnv1a64(ref_fasta.as_bytes()).rotate_left(1);
         fp ^= fnv1a64(format!("{st:?}").as_bytes()).rotate_left(2);
-        Ok(WarmEngine {
-            placer,
-            warm,
-            tree,
-            n_sites: msa.n_sites(),
-            alphabet: st.alphabet,
-            fingerprint: fp,
-        })
+        Ok(WarmEngine { placer, warm, tree, n_sites, alphabet: st.alphabet, fingerprint: fp })
     }
 
     /// Hex fingerprint of (tree, reference, settings).

@@ -27,6 +27,7 @@
 //! | `Draining`   | daemon is shutting down; no new work admitted        |
 //! | `Internal`   | request died inside the engine; daemon keeps serving |
 
+use phylo_obs::json_escape;
 use std::collections::BTreeMap;
 
 /// A flat JSON value.
@@ -97,23 +98,6 @@ impl Request {
             Request::Place { id, .. } | Request::Status { id } | Request::Cancel { id, .. } => id,
         }
     }
-}
-
-/// JSON-escapes a string body (no surrounding quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Parses one line as a flat JSON object. Order-preserving duplicate
@@ -212,11 +196,11 @@ pub fn render(fields: &[Field]) -> String {
         }
         match f {
             Field::Str(k, v) => {
-                out.push_str(&format!("\"{}\":\"{}\"", escape(k), escape(v)));
+                out.push_str(&format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)));
             }
-            Field::Num(k, v) => out.push_str(&format!("\"{}\":{}", escape(k), fmt_num(*v))),
-            Field::Int(k, v) => out.push_str(&format!("\"{}\":{v}", escape(k))),
-            Field::Bool(k, v) => out.push_str(&format!("\"{}\":{v}", escape(k))),
+            Field::Num(k, v) => out.push_str(&format!("\"{}\":{}", json_escape(k), fmt_num(*v))),
+            Field::Int(k, v) => out.push_str(&format!("\"{}\":{v}", json_escape(k))),
+            Field::Bool(k, v) => out.push_str(&format!("\"{}\":{v}", json_escape(k))),
         }
     }
     out.push('}');

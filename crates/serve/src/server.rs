@@ -645,7 +645,10 @@ mod tests {
 
     fn place_line(id: &str, fasta: &str, deadline_ms: Option<f64>) -> String {
         let dl = deadline_ms.map(|d| format!(",\"deadline_ms\":{d}")).unwrap_or_default();
-        format!("{{\"id\":\"{id}\",\"op\":\"place\",\"queries\":\"{}\"{dl}}}", proto::escape(fasta))
+        format!(
+            "{{\"id\":\"{id}\",\"op\":\"place\",\"queries\":\"{}\"{dl}}}",
+            phylo_obs::json_escape(fasta)
+        )
     }
 
     /// In-process server over a socketpair: the unit-level harness for

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# The full CI gate: release build, the test suite, formatting, and a
-# single-iteration bench smoke pass (compiles every benchmark and runs
-# the kernel suite in quick mode, writing the baseline to a throwaway
-# file so the committed BENCH_kernels.json is not churned).
+# The full CI gate: release build, the benchmark harness, the whole
+# workspace's test suite, formatting, and a single-iteration bench smoke
+# pass (compiles every benchmark and runs the kernel suite in quick
+# mode, writing the baseline to a throwaway file so the committed
+# BENCH_kernels.json is not churned).
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -11,9 +12,6 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="-D warnings" cargo build --release
-
-echo "==> cargo test -q"
-cargo test -q
 
 # The benchmark gate (BENCHMARK.json) builds `bench/` against this
 # workspace's public API (`RunReport`, `DegradationStats`, `memplan`,
@@ -30,6 +28,14 @@ if grep -q '"correct": false' "$quick_out" || ! grep -q '"correct": true' "$quic
     echo "bench/run.sh --quick reported an incorrect output"; exit 1
 fi
 rm -f "$quick_out"
+
+# `--workspace`: at a workspace root with a root package, a bare
+# `cargo test` runs the root package's tests only — the member crates'
+# unit and property tests (warm == cold in `epa-place`, the slot-model
+# proptest in `phylo-amc`, the shard supervisor matrix, the daemon's
+# merge tests) run here or nowhere.
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 # The kernel crate's differential + proptest suite, once per tier: the
 # dispatch must be correct no matter what PHYLO_KERNEL_TIER pins, and

@@ -20,51 +20,8 @@
 //! `130` aborted by a second SIGINT during a graceful drain.
 
 use phylo_amc::CancelToken;
-use phylo_shard::{Phase, Shutdown, EXIT_ABORTED, EXIT_INTERRUPTED};
-use phyloplace::cli;
-use std::sync::atomic::{AtomicU32, Ordering};
-
-/// Incremented (only) by the signal handler; a watchdog thread mirrors
-/// it into the [`Shutdown`] state machine. One signal drains
-/// gracefully; a second abandons the drain (exit 130). Counting is the
-/// entire handler body — the async-signal-safe subset.
-static SIGNALS: AtomicU32 = AtomicU32::new(0);
-
-extern "C" fn on_signal(_signum: i32) {
-    SIGNALS.fetch_add(1, Ordering::SeqCst);
-}
-
-/// Installs SIGINT/SIGTERM handlers via the libc `signal(2)` that std
-/// already links — no new dependency. Failure to install (exotic
-/// platforms) degrades to default signal behavior, not an error.
-fn install_signal_handlers() {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    let handler = on_signal as extern "C" fn(i32) as usize;
-    unsafe {
-        signal(SIGINT, handler);
-        signal(SIGTERM, handler);
-    }
-}
-
-/// Spawns the detached watchdog that forwards handler-counted signals
-/// into `shutdown`. At the second signal the process exits 130 on the
-/// spot: the user asked twice, so no more graceful anything. Because
-/// this exit bypasses the supervision loop's own kill paths, any live
-/// worker subprocesses are SIGKILLed from the pid registry first —
-/// a hung fleet must not outlive an aborted coordinator.
-fn spawn_signal_watchdog(shutdown: Shutdown) {
-    std::thread::spawn(move || loop {
-        if shutdown.record_signals(SIGNALS.load(Ordering::SeqCst)) == Phase::Aborting {
-            phylo_shard::kill_registered_workers();
-            std::process::exit(EXIT_ABORTED);
-        }
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    });
-}
+use phylo_shard::{Shutdown, EXIT_INTERRUPTED};
+use phyloplace::{cli, signals};
 
 fn main() {
     // A malformed fault spec means the requested chaos experiment is
@@ -97,21 +54,7 @@ fn main() {
     if args.first().map(String::as_str) == Some("serve") {
         // Alias for the `phyloplaced` daemon binary: same flags, same
         // exit-code contract (a completed drain is success, exit 0).
-        let opts = match phyloplace::serve_cli::parse_serve(&args[1..]) {
-            Ok(o) => o,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        };
-        install_signal_handlers();
-        let shutdown = Shutdown::new();
-        spawn_signal_watchdog(shutdown.clone());
-        if let Err(e) = phyloplace::serve_cli::run_serve(&opts, &shutdown) {
-            eprintln!("error: {e}");
-            std::process::exit(e.exit_code());
-        }
-        return;
+        std::process::exit(phyloplace::serve_cli::serve_main(&args[1..]));
     }
     if args.first().map(String::as_str) == Some("shard") {
         let opts = match phyloplace::shard_cli::parse_shard(&args) {
@@ -121,9 +64,8 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        install_signal_handlers();
         let shutdown = Shutdown::new();
-        spawn_signal_watchdog(shutdown.clone());
+        signals::install(shutdown.clone());
         match phyloplace::shard_cli::run_shard(&opts, &shutdown) {
             Ok(summary) => {
                 eprintln!("{summary}");
@@ -143,12 +85,11 @@ fn main() {
             std::process::exit(2);
         }
     };
-    install_signal_handlers();
     let cancel = CancelToken::new();
     // The shutdown machine shares the run's cancel token: the first
     // signal arms cooperative cancellation (the run drains to a durable
     // chunk boundary and exits 3), the second aborts at exit 130.
-    spawn_signal_watchdog(Shutdown::with_cancel(cancel.clone()));
+    signals::install(Shutdown::with_cancel(cancel.clone()));
     match cli::run_placement_with(&opts, cancel) {
         Ok(out) => {
             eprintln!("{}", out.summary);

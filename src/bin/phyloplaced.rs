@@ -18,60 +18,11 @@
 //! runtime error, `2` usage or input error, `130` aborted by a second
 //! SIGINT during the drain.
 
-use phylo_shard::{Phase, Shutdown, EXIT_ABORTED};
-use std::sync::atomic::{AtomicU32, Ordering};
-
-/// Incremented (only) by the signal handler; the watchdog mirrors it
-/// into the [`Shutdown`] machine. First signal drains; second aborts.
-static SIGNALS: AtomicU32 = AtomicU32::new(0);
-
-extern "C" fn on_signal(_signum: i32) {
-    SIGNALS.fetch_add(1, Ordering::SeqCst);
-}
-
-fn install_signal_handlers() {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    let handler = on_signal as extern "C" fn(i32) as usize;
-    unsafe {
-        signal(SIGINT, handler);
-        signal(SIGTERM, handler);
-    }
-}
-
-fn spawn_signal_watchdog(shutdown: Shutdown) {
-    std::thread::spawn(move || loop {
-        if shutdown.record_signals(SIGNALS.load(Ordering::SeqCst)) == Phase::Aborting {
-            std::process::exit(EXIT_ABORTED);
-        }
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    });
-}
-
 fn main() {
     if let Err(msg) = phylo_faults::arm_from_env() {
         eprintln!("{msg}");
         std::process::exit(2);
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match phyloplace::serve_cli::parse_serve(&args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    install_signal_handlers();
-    let shutdown = Shutdown::new();
-    spawn_signal_watchdog(shutdown.clone());
-    if let Err(e) = phyloplace::serve_cli::run_serve(&opts, &shutdown) {
-        eprintln!("error: {e}");
-        std::process::exit(e.exit_code());
-    }
-    // run_serve returning Ok means the drain completed: every admitted
-    // request got its response. That is success, exit 0 — unlike
-    // `place`, where an interrupt leaves work undone (exit 3).
+    std::process::exit(phyloplace::serve_cli::serve_main(&args));
 }

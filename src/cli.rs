@@ -7,14 +7,13 @@
 
 use crate::place::result::to_jplace_with;
 use crate::place::run::{HeartbeatEvent, HeartbeatFn, RunControl};
-use crate::place::{memplan, EpaConfig, Placer, PreplacementMode, QueryBatch};
+use crate::place::{build_reference, memplan, EpaConfig, QueryBatch, Reference, ReferenceError};
 use phylo_amc::CancelToken;
-use phylo_engine::ReferenceContext;
 use phylo_journal::{fnv1a64, JournalError, Manifest, RunJournal, MANIFEST_FORMAT};
-use phylo_models::gamma::GammaMode;
-use phylo_models::{aa, dna, DiscreteGamma, SubstModel};
 use phylo_seq::alphabet::AlphabetKind;
-use phylo_seq::{compress, fasta, Msa};
+use phylo_seq::fasta;
+use phylo_serve::EngineSettings;
+use std::time::Duration;
 
 /// A pipeline failure, typed by who is at fault so the binary can keep
 /// its exit-code contract: bad input (malformed files, a checkpoint
@@ -48,6 +47,15 @@ impl std::fmt::Display for CliError {
 }
 
 impl std::error::Error for CliError {}
+
+impl From<ReferenceError> for CliError {
+    fn from(e: ReferenceError) -> Self {
+        match e {
+            ReferenceError::Input(msg) => CliError::BadInput(msg),
+            ReferenceError::Runtime(msg) => CliError::Runtime(msg),
+        }
+    }
+}
 
 /// Classifies a journal-session error: I/O is the environment's fault,
 /// everything else (missing/mismatched/unparseable manifest, bad frame)
@@ -115,18 +123,21 @@ pub struct CliOptions {
 
 impl Default for CliOptions {
     fn default() -> Self {
+        // The scoring defaults are the engine's: one definition for
+        // `place`, `serve` and `shard`.
+        let scoring = EngineSettings::default();
         CliOptions {
             tree_text: String::new(),
             ref_fasta: String::new(),
             query_fasta: String::new(),
-            alphabet: AlphabetKind::Dna,
+            alphabet: scoring.alphabet,
             maxmem_mib: None,
-            gamma_alpha: Some(1.0),
-            chunk_size: 5000,
-            threads: 1,
+            gamma_alpha: scoring.gamma_alpha,
+            chunk_size: scoring.chunk_size,
+            threads: scoring.threads,
             kernel_tier: phylo_kernel::TierChoice::Auto,
-            strategy: phylo_amc::StrategyKind::CostBased,
-            no_lookup: false,
+            strategy: scoring.strategy,
+            no_lookup: scoring.no_lookup,
             slot_trace: None,
             metrics_json: None,
             trace_path: None,
@@ -199,6 +210,100 @@ fn parse_size(flag: &str, s: &str) -> Result<f64, String> {
     Ok(mib)
 }
 
+/// Parses the value of `flag`, naming both in the error.
+pub(crate) fn parse_value<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("bad {flag} {v:?}"))
+}
+
+/// Parses a `--deadline` value: finite, non-negative seconds.
+pub(crate) fn parse_deadline(v: &str) -> Result<f64, String> {
+    let secs: f64 = parse_value("--deadline", v)?;
+    if !secs.is_finite() || secs < 0.0 {
+        return Err(format!("bad --deadline {v:?}: must be >= 0"));
+    }
+    Ok(secs)
+}
+
+/// The scoring-flag table `place`, `serve` and `shard` share: if `flag`
+/// is one of `--aa --maxmem --gamma --no-gamma --chunk --threads
+/// --strategy --no-lookup`, takes its value from `rest`, stores it in
+/// `opts` and returns `true`; any other flag is left to the caller.
+/// Errors carry no usage text — each parser appends its own.
+pub fn parse_scoring_flag(
+    opts: &mut CliOptions,
+    flag: &str,
+    rest: &mut std::slice::Iter<'_, String>,
+) -> Result<bool, String> {
+    let mut value = || rest.next().ok_or_else(|| format!("{flag} needs a value"));
+    match flag {
+        "--aa" => opts.alphabet = AlphabetKind::Protein,
+        "--maxmem" => opts.maxmem_mib = Some(parse_maxmem(value()?)?),
+        "--gamma" => opts.gamma_alpha = Some(parse_value(flag, value()?)?),
+        "--no-gamma" => opts.gamma_alpha = None,
+        "--chunk" => opts.chunk_size = parse_value(flag, value()?)?,
+        "--threads" => opts.threads = parse_value(flag, value()?)?,
+        "--strategy" => {
+            let v = value()?;
+            opts.strategy = phylo_amc::StrategyKind::parse(v).ok_or_else(|| {
+                format!(
+                    "bad --strategy {v:?} (expected one of cost, lru, mru, fifo, random, cost-lru)"
+                )
+            })?;
+        }
+        "--no-lookup" => opts.no_lookup = true,
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// The scoring side of `opts` as the engine takes it. This is where
+/// `--maxmem` becomes bytes: `Some(0)` autodetects, and the conversion
+/// is checked — an unrepresentable budget (NaN leaking in
+/// programmatically, or a size past the address space) is the user's
+/// input problem, not a runtime failure.
+pub fn engine_settings(opts: &CliOptions) -> Result<EngineSettings, String> {
+    let max_memory = match opts.maxmem_mib {
+        None => None,
+        Some(mib) if mib <= 0.0 => memplan::detect_available_memory(),
+        Some(mib) => {
+            Some(phylo_amc::budget::mib_to_bytes(mib).map_err(|e| format!("--maxmem: {e}"))?)
+        }
+    };
+    Ok(EngineSettings {
+        alphabet: opts.alphabet,
+        gamma_alpha: opts.gamma_alpha,
+        max_memory,
+        chunk_size: opts.chunk_size,
+        threads: opts.threads,
+        strategy: opts.strategy,
+        no_lookup: opts.no_lookup,
+    })
+}
+
+/// Runs `run` with `cancel` armed once `secs` of wall clock have passed
+/// (`--deadline`); the run then unwinds at its next cancellation point.
+/// The watchdog thread ends with the run, not with the deadline.
+pub(crate) fn with_deadline<T>(
+    secs: Option<f64>,
+    cancel: &CancelToken,
+    run: impl FnOnce() -> T,
+) -> T {
+    let Some(secs) = secs else { return run() };
+    let budget = Duration::try_from_secs_f64(secs).unwrap_or(Duration::MAX);
+    let (done, wait) = std::sync::mpsc::channel::<()>();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            // Woken early when `done` is dropped, run finished or not.
+            if wait.recv_timeout(budget) == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+                cancel.cancel();
+            }
+        });
+        let out = run();
+        drop(done);
+        out
+    })
+}
+
 /// Runs the full pipeline with an inert cancel token (never interrupted
 /// unless `--deadline` fires).
 pub fn run_placement(opts: &CliOptions) -> Result<RunOutput, CliError> {
@@ -211,65 +316,17 @@ pub fn run_placement(opts: &CliOptions) -> Result<RunOutput, CliError> {
 /// error: the durable prefix comes back with `completed == false`.
 pub fn run_placement_with(opts: &CliOptions, cancel: CancelToken) -> Result<RunOutput, CliError> {
     let bad = |msg: String| CliError::BadInput(msg);
-    let tree = phylo_tree::newick::parse(&opts.tree_text)
-        .map_err(|e| bad(format!("reference tree: {e}")))?;
-    let ref_rows = fasta::parse(&opts.ref_fasta, opts.alphabet)
-        .map_err(|e| bad(format!("reference alignment: {e}")))?;
-    let msa = Msa::new(ref_rows).map_err(|e| bad(format!("reference alignment: {e}")))?;
+    let settings = engine_settings(opts).map_err(bad)?;
+    let cfg = EpaConfig {
+        kernel_tier: opts.kernel_tier,
+        tiers: opts.tiers.clone(),
+        ..settings.epa_config()
+    };
+    let Reference { placer, tree, n_sites } =
+        build_reference(&opts.tree_text, &opts.ref_fasta, opts.alphabet, opts.gamma_alpha, cfg)?;
     let queries =
         fasta::parse(&opts.query_fasta, opts.alphabet).map_err(|e| bad(format!("queries: {e}")))?;
-    let patterns = compress(&msa).map_err(|e| bad(format!("compression: {e}")))?;
-
-    // Model: +F empirical frequencies over the reference, Γ4 if requested.
-    let gamma = match opts.gamma_alpha {
-        Some(alpha) => {
-            DiscreteGamma::new(alpha, 4, GammaMode::Mean).map_err(|e| bad(format!("gamma: {e}")))?
-        }
-        None => DiscreteGamma::none(),
-    };
-    let alphabet = opts.alphabet.alphabet();
-    let model = match opts.alphabet {
-        AlphabetKind::Dna => {
-            let f = dna::empirical_freqs(alphabet, msa.rows().iter().map(|r| r.codes()));
-            let freqs: [f64; 4] = [f[0], f[1], f[2], f[3]];
-            SubstModel::new(
-                &dna::gtr(&[1.0; 6], &freqs).map_err(|e| bad(format!("model: {e}")))?,
-                gamma,
-            )
-            .map_err(|e| bad(format!("model: {e}")))?
-        }
-        AlphabetKind::Protein => {
-            SubstModel::new(&aa::synthetic_aa(0).map_err(|e| bad(format!("model: {e}")))?, gamma)
-                .map_err(|e| bad(format!("model: {e}")))?
-        }
-    };
-
-    let ctx = ReferenceContext::new(tree.clone(), model, alphabet, &patterns)
-        .map_err(|e| CliError::Runtime(format!("engine: {e}")))?;
-    let max_memory = match opts.maxmem_mib {
-        None => None,
-        Some(mib) if mib <= 0.0 => memplan::detect_available_memory(),
-        // Checked conversion: an unrepresentable budget (NaN leaking in
-        // programmatically, or a size past the address space) is the
-        // user's input problem, not a runtime failure.
-        Some(mib) => {
-            Some(phylo_amc::budget::mib_to_bytes(mib).map_err(|e| bad(format!("--maxmem: {e}")))?)
-        }
-    };
-    let cfg = EpaConfig {
-        max_memory,
-        chunk_size: opts.chunk_size,
-        threads: opts.threads,
-        kernel_tier: opts.kernel_tier,
-        strategy: opts.strategy,
-        preplacement: if opts.no_lookup { PreplacementMode::Off } else { PreplacementMode::Auto },
-        tiers: opts.tiers.clone(),
-        ..Default::default()
-    };
-    let placer = Placer::new(ctx, patterns.site_to_pattern().to_vec(), cfg)
-        .map_err(|e| bad(format!("config: {e}")))?;
-    let batch =
-        QueryBatch::new(&queries, msa.n_sites()).map_err(|e| bad(format!("queries: {e}")))?;
+    let batch = QueryBatch::new(&queries, n_sites).map_err(|e| bad(format!("queries: {e}")))?;
 
     // Checkpoint journal: the manifest fingerprints the input texts and
     // the *effective* chunk geometry (post-memory-plan), so `--resume`
@@ -312,22 +369,6 @@ pub fn run_placement_with(opts: &CliOptions, cancel: CancelToken) -> Result<RunO
         }
     };
 
-    // Deadline watchdog: a detached poller arms the shared token once
-    // the wall-clock budget is spent; the run then unwinds at its next
-    // cancellation point. The thread dies with the process.
-    if let Some(secs) = opts.deadline_secs {
-        let cancel = cancel.clone();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs_f64(secs);
-        std::thread::spawn(move || {
-            while std::time::Instant::now() < deadline {
-                if cancel.is_cancelled() {
-                    return;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-            cancel.cancel();
-        });
-    }
     if (opts.metrics_json.is_some() || opts.trace_path.is_some()) && !phylo_obs::enabled() {
         // Slot-traffic and degradation counters are always collected, so
         // the metrics file is still useful — but kernel timings, wait
@@ -376,11 +417,9 @@ pub fn run_placement_with(opts: &CliOptions, cancel: CancelToken) -> Result<RunO
             }
         }) as HeartbeatFn
     });
-    let outcome = placer
-        .place_run(
-            &batch,
-            RunControl { cancel, journal, slot_trace: slot_trace.clone(), heartbeat },
-        )
+    let control =
+        RunControl { cancel: cancel.clone(), journal, slot_trace: slot_trace.clone(), heartbeat };
+    let outcome = with_deadline(opts.deadline_secs, &cancel, || placer.place_run(&batch, control))
         .map_err(|e| CliError::Runtime(format!("placement: {e}")))?;
     if let (Some(path), Some(trace)) = (&opts.slot_trace, &slot_trace) {
         // Crash-atomic like every other run artifact: a trace consumer
@@ -459,6 +498,7 @@ pub fn parse_cli(args: &[String]) -> Result<(CliOptions, Option<String>), String
         Some("place") => {}
         _ => return Err(USAGE.to_string()),
     }
+    let usage = |e: String| format!("{e}\n{USAGE}");
     while let Some(flag) = it.next() {
         let mut value =
             || it.next().cloned().ok_or_else(|| format!("{flag} needs a value\n{USAGE}"));
@@ -467,40 +507,11 @@ pub fn parse_cli(args: &[String]) -> Result<(CliOptions, Option<String>), String
             "--ref-msa" => ref_path = Some(value()?),
             "--queries" => query_path = Some(value()?),
             "--out" => out = Some(value()?),
-            "--aa" => opts.alphabet = AlphabetKind::Protein,
-            "--maxmem" => {
-                let v = value()?;
-                opts.maxmem_mib = Some(parse_maxmem(&v).map_err(|e| format!("{e}\n{USAGE}"))?);
-            }
-            "--gamma" => {
-                let v = value()?;
-                opts.gamma_alpha =
-                    Some(v.parse::<f64>().map_err(|_| format!("bad --gamma {v:?}\n{USAGE}"))?);
-            }
-            "--no-gamma" => opts.gamma_alpha = None,
-            "--chunk" => {
-                let v = value()?;
-                opts.chunk_size = v.parse().map_err(|_| format!("bad --chunk {v:?}\n{USAGE}"))?;
-            }
-            "--threads" => {
-                let v = value()?;
-                opts.threads = v.parse().map_err(|_| format!("bad --threads {v:?}\n{USAGE}"))?;
-            }
             "--kernel-tier" => {
                 let v = value()?;
                 opts.kernel_tier = phylo_kernel::TierChoice::parse(&v)
                     .ok_or_else(|| format!("bad --kernel-tier {v:?}\n{USAGE}"))?;
             }
-            "--strategy" => {
-                let v = value()?;
-                opts.strategy = phylo_amc::StrategyKind::parse(&v).ok_or_else(|| {
-                    format!(
-                        "bad --strategy {v:?} (expected one of cost, lru, mru, fifo, \
-                         random, cost-lru)\n{USAGE}"
-                    )
-                })?;
-            }
-            "--no-lookup" => opts.no_lookup = true,
             "--storage-tiers" => tier_spec = Some(value()?),
             "--tier-dir" => tier_dir = Some(value()?),
             "--tier-budget" => tier_budget = Some(value()?),
@@ -511,14 +522,13 @@ pub fn parse_cli(args: &[String]) -> Result<(CliOptions, Option<String>), String
             "--resume" => opts.resume_dir = Some(value()?),
             "--heartbeat" => opts.heartbeat = true,
             "--deadline" => {
-                let v = value()?;
-                let secs: f64 = v.parse().map_err(|_| format!("bad --deadline {v:?}\n{USAGE}"))?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err(format!("bad --deadline {v:?}: must be >= 0\n{USAGE}"));
-                }
-                opts.deadline_secs = Some(secs);
+                opts.deadline_secs = Some(parse_deadline(&value()?).map_err(usage)?);
             }
-            other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
+            other => {
+                if !parse_scoring_flag(&mut opts, other, &mut it).map_err(usage)? {
+                    return Err(format!("unknown flag {other:?}\n{USAGE}"));
+                }
+            }
         }
     }
     if opts.heartbeat && out.is_none() {
@@ -748,6 +758,103 @@ mod tests {
         assert!(parse_cli(&base(&["--storage-tiers", "ram", "--tier-dir", "tdir"])).is_err());
         assert!(parse_cli(&base(&["--storage-tiers", "disk", "--tier-budget", "auto"])).is_err());
         assert!(parse_cli(&base(&["--storage-tiers", "disk", "--tier-budget", "0"])).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn scoring_flags_mean_the_same_in_place_serve_and_shard() {
+        use crate::serve_cli::parse_serve;
+        use crate::shard_cli::parse_shard;
+        let dir = std::env::temp_dir().join(format!("phyloplace-flags-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = |name: &str, text: &str| -> String {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            path.to_str().unwrap().to_string()
+        };
+        let tree = file("t.nwk", "(A:0.1,B:0.2,C:0.3);");
+        let msa = file("r.fasta", ">A\nACGT\n>B\nACGA\n>C\nACTA\n");
+        let q = file("q.fasta", ">x\nACGT\n");
+        let argv = |head: &[&str], flags: &[&str]| -> Vec<String> {
+            head.iter().chain(flags).map(|s| s.to_string()).collect()
+        };
+        let place = |flags: &[&str]| {
+            parse_cli(&argv(&["place", "--tree", &tree, "--ref-msa", &msa, "--queries", &q], flags))
+        };
+        let serve =
+            |flags: &[&str]| parse_serve(&argv(&["--tree", &tree, "--ref-msa", &msa], flags));
+        let shard = |flags: &[&str]| {
+            let head = ["shard", "--tree", &tree, "--ref-msa", &msa, "--queries", &q];
+            parse_shard(&argv(
+                &head,
+                &[&["--out", "o", "--workdir", "w", "--shards", "2"], flags].concat(),
+            ))
+        };
+        // The daemon fingerprints its settings by their Debug text, so
+        // that is the equality that matters.
+        let settings = |opts: &CliOptions| format!("{:?}", engine_settings(opts).unwrap());
+
+        let strategies: Vec<String> =
+            phylo_amc::StrategyKind::all().into_iter().map(|k| k.to_string()).collect();
+        let mut cases: Vec<Vec<&str>> = vec![
+            vec![],
+            vec!["--aa"],
+            vec!["--maxmem", "2G"],
+            vec!["--maxmem", "1.5"],
+            vec!["--gamma", "0.3"],
+            vec!["--no-gamma"],
+            vec!["--chunk", "7"],
+            vec!["--threads", "2"],
+            vec!["--no-lookup"],
+            vec![
+                "--aa",
+                "--maxmem",
+                "64M",
+                "--gamma",
+                "2",
+                "--chunk",
+                "1",
+                "--threads",
+                "3",
+                "--strategy",
+                "cost-lru",
+                "--no-lookup",
+                "--no-gamma",
+            ],
+        ];
+        cases.extend(strategies.iter().map(|name| vec!["--strategy", name]));
+        for flags in &cases {
+            let want = settings(&place(flags).unwrap().0);
+            assert_eq!(format!("{:?}", serve(flags).unwrap().settings), want, "serve {flags:?}");
+            // A shard worker is a `place` run of the forwarded flags.
+            let forwarded = shard(flags).unwrap().passthrough;
+            assert_eq!(&forwarded, flags, "shard must forward verbatim");
+            let worker: Vec<&str> = forwarded.iter().map(String::as_str).collect();
+            assert_eq!(settings(&place(&worker).unwrap().0), want, "shard {flags:?}");
+        }
+        assert_eq!(
+            settings(&place(&[]).unwrap().0),
+            format!("{:?}", EngineSettings::default()),
+            "no flags = the engine's own defaults"
+        );
+
+        let mut rejected: Vec<Vec<&str>> = vec![
+            vec!["--gamma", "x"],
+            vec!["--chunk", "-1"],
+            vec!["--threads", "two"],
+            vec!["--strategy", "belady"],
+            vec!["--maxmem"],
+            vec!["--strategy"],
+        ];
+        let bad_sizes =
+            ["0", "-1", "-0.5G", "0K", "nan", "NaN", "inf", "-inf", "infG", "", "G", "B", "12Q"];
+        rejected.extend(bad_sizes.iter().map(|v| vec!["--maxmem", v]));
+        for flags in &rejected {
+            let msg = place(flags).unwrap_err();
+            assert!(msg.contains("usage: phyloplace place"), "{flags:?}: {msg}");
+            assert!(serve(flags).is_err(), "serve accepted {flags:?}");
+            assert!(shard(flags).is_err(), "shard accepted {flags:?}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -55,6 +55,7 @@ pub mod cli;
 pub mod replay_cli;
 pub mod serve_cli;
 pub mod shard_cli;
+pub mod signals;
 
 pub use epa_place as place;
 pub use phylo_amc as amc;

@@ -2,13 +2,11 @@
 //! as `phyloplace serve`): parse the daemon flags, build the warm
 //! engine once, and hand off to the `phylo-serve` server loop.
 //!
-//! The scoring-relevant flags (`--aa`, `--gamma`, `--maxmem`, `--chunk`,
-//! `--threads`, `--strategy`, `--no-lookup`) are the same names with the
-//! same semantics as `phyloplace place`, because the daemon's contract
-//! is byte-identical responses to a cold `place` run over the same
-//! inputs.
+//! The scoring flags are `phyloplace place`'s, parsed by the same table
+//! ([`crate::cli::parse_scoring_flag`]), because a daemon response is a
+//! cold `place` run's bytes.
 
-use phylo_seq::alphabet::AlphabetKind;
+use crate::cli::{engine_settings, parse_scoring_flag, parse_value, CliOptions};
 use phylo_serve::{EngineSettings, ServeConfig, Transport, WarmEngine};
 use phylo_shard::Shutdown;
 
@@ -33,12 +31,12 @@ Exit codes: 0 clean drain (SIGTERM/SIGINT or stdin EOF), 1 runtime error, \
 /// Parses daemon flags. `args` excludes the leading `serve` token when
 /// invoked through `phyloplace serve`.
 pub fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
-    let mut settings = EngineSettings::default();
+    let mut scoring = CliOptions::default();
     let mut config = ServeConfig::default();
     let mut transport = Transport::Stdio;
     let mut tree_path = None;
     let mut ref_path = None;
-    let mut maxmem: Option<f64> = None;
+    let usage = |e: String| format!("{e}\n{USAGE}");
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value =
@@ -46,65 +44,26 @@ pub fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
         match flag.as_str() {
             "--tree" => tree_path = Some(value()?),
             "--ref-msa" => ref_path = Some(value()?),
-            "--aa" => settings.alphabet = AlphabetKind::Protein,
-            "--maxmem" => {
-                let v = value()?;
-                maxmem = Some(crate::cli::parse_maxmem(&v).map_err(|e| format!("{e}\n{USAGE}"))?);
-            }
-            "--gamma" => {
-                let v = value()?;
-                settings.gamma_alpha =
-                    Some(v.parse::<f64>().map_err(|_| format!("bad --gamma {v:?}\n{USAGE}"))?);
-            }
-            "--no-gamma" => settings.gamma_alpha = None,
-            "--chunk" => {
-                let v = value()?;
-                settings.chunk_size =
-                    v.parse().map_err(|_| format!("bad --chunk {v:?}\n{USAGE}"))?;
-            }
-            "--threads" => {
-                let v = value()?;
-                settings.threads =
-                    v.parse().map_err(|_| format!("bad --threads {v:?}\n{USAGE}"))?;
-            }
-            "--strategy" => {
-                let v = value()?;
-                settings.strategy = phylo_amc::StrategyKind::parse(&v).ok_or_else(|| {
-                    format!(
-                        "bad --strategy {v:?} (expected cost, lru, mru, fifo, \
-                         random, cost-lru)\n{USAGE}"
-                    )
-                })?;
-            }
-            "--no-lookup" => settings.no_lookup = true,
             "--stdio" => transport = Transport::Stdio,
             "--unix" => transport = Transport::Unix(std::path::PathBuf::from(value()?)),
             "--tcp" => transport = Transport::Tcp(value()?),
-            "--queue-cap" => {
-                let v = value()?;
-                config.queue_cap =
-                    v.parse().map_err(|_| format!("bad --queue-cap {v:?}\n{USAGE}"))?;
-            }
+            "--queue-cap" => config.queue_cap = parse_value(flag, &value()?).map_err(usage)?,
             "--batch-max" => {
-                let v = value()?;
-                let n: usize = v.parse().map_err(|_| format!("bad --batch-max {v:?}\n{USAGE}"))?;
-                if n == 0 {
+                config.batch_max = parse_value(flag, &value()?).map_err(usage)?;
+                if config.batch_max == 0 {
                     return Err(format!("bad --batch-max 0: must be >= 1\n{USAGE}"));
                 }
-                config.batch_max = n;
             }
-            other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
+            other => {
+                if !parse_scoring_flag(&mut scoring, other, &mut it).map_err(usage)? {
+                    return Err(format!("unknown flag {other:?}\n{USAGE}"));
+                }
+            }
         }
     }
     let tree_path = tree_path.ok_or_else(|| format!("--tree is required\n{USAGE}"))?;
     let ref_path = ref_path.ok_or_else(|| format!("--ref-msa is required\n{USAGE}"))?;
-    settings.max_memory = match maxmem {
-        None => None,
-        Some(mib) if mib <= 0.0 => epa_place::memplan::detect_available_memory(),
-        Some(mib) => Some(
-            phylo_amc::budget::mib_to_bytes(mib).map_err(|e| format!("--maxmem: {e}\n{USAGE}"))?,
-        ),
-    };
+    let settings = engine_settings(&scoring).map_err(usage)?;
     Ok(ServeOptions { tree_path, ref_path, settings, config, transport })
 }
 
@@ -149,9 +108,33 @@ pub fn run_serve(opts: &ServeOptions, shutdown: &Shutdown) -> Result<(), ServeEr
         .map_err(ServeError::Runtime)
 }
 
+/// Everything `phyloplaced ARGS` and `phyloplace serve ARGS` do after
+/// arming faults; returns the process exit status. A completed drain is
+/// success (0): every admitted request got its response — unlike
+/// `place`, where an interrupt leaves work undone (exit 3).
+pub fn serve_main(args: &[String]) -> i32 {
+    let opts = match parse_serve(args) {
+        Ok(o) => o,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return 2;
+        }
+    };
+    let shutdown = Shutdown::new();
+    crate::signals::install(shutdown.clone());
+    match run_serve(&opts, &shutdown) {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("error: {e}");
+            e.exit_code()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phylo_seq::alphabet::AlphabetKind;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -174,17 +157,9 @@ mod tests {
         assert!(matches!(o.transport, Transport::Unix(_)));
         assert_eq!(o.config.queue_cap, 9);
         assert_eq!(o.config.batch_max, 3);
-    }
-
-    #[test]
-    fn defaults_mirror_the_place_cli() {
+        // The daemon's own defaults (the scoring ones are the flag
+        // table's, checked in `cli::tests`).
         let o = parse_serve(&argv("--tree t.nwk --ref-msa r.fa")).unwrap();
-        assert_eq!(o.settings.alphabet, AlphabetKind::Dna);
-        assert_eq!(o.settings.gamma_alpha, Some(1.0));
-        assert_eq!(o.settings.chunk_size, 5000);
-        assert_eq!(o.settings.threads, 1);
-        assert_eq!(o.settings.strategy, phylo_amc::StrategyKind::CostBased);
-        assert!(!o.settings.no_lookup);
         assert!(matches!(o.transport, Transport::Stdio));
         assert_eq!(o.config.queue_cap, 64);
         assert_eq!(o.config.batch_max, 8);

@@ -16,6 +16,7 @@
 //! coordinator crash; a workdir whose inputs no longer match is
 //! refused (exit 2).
 
+use crate::cli::{parse_deadline, parse_scoring_flag, parse_value, with_deadline, CliOptions};
 use phylo_shard::{run_coordinator, CoordinatorConfig, ShardConfig, ShardError, Shutdown};
 use std::time::Duration;
 
@@ -71,13 +72,15 @@ pub fn parse_shard(args: &[String]) -> Result<ShardCliOptions, String> {
     let mut workdir = None;
     let mut n_shards = None;
     let mut passthrough: Vec<String> = Vec::new();
+    let mut scoring = CliOptions::default();
     let mut max_workers = 0usize;
     let mut heartbeat_timeout_secs = 30.0f64;
     let mut straggler_factor = 8.0f64;
     let mut max_retries = 3u32;
     let mut deadline_secs = None;
     let mut metrics_json = None;
-    let mut it = args.iter().skip(1);
+    let usage = |e: String| format!("{e}\n{USAGE}");
+    let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
         let mut value =
             || it.next().cloned().ok_or_else(|| format!("{flag} needs a value\n{USAGE}"));
@@ -89,29 +92,11 @@ pub fn parse_shard(args: &[String]) -> Result<ShardCliOptions, String> {
             "--workdir" => workdir = Some(value()?),
             "--shards" => {
                 let v = value()?;
-                let n: usize = v.parse().map_err(|_| format!("bad --shards {v:?}\n{USAGE}"))?;
+                let n: usize = parse_value(flag, &v).map_err(usage)?;
                 if n == 0 {
                     return Err(format!("bad --shards {v:?}: need at least one\n{USAGE}"));
                 }
                 n_shards = Some(n);
-            }
-            // Worker passthrough: validated here so a typo fails the
-            // coordinator (exit 2), not every worker (N failures).
-            "--aa" | "--no-gamma" | "--no-lookup" => passthrough.push(flag.clone()),
-            "--maxmem" => {
-                let v = value()?;
-                crate::cli::parse_maxmem(&v).map_err(|e| format!("{e}\n{USAGE}"))?;
-                passthrough.extend(["--maxmem".to_string(), v]);
-            }
-            "--gamma" => {
-                let v = value()?;
-                v.parse::<f64>().map_err(|_| format!("bad --gamma {v:?}\n{USAGE}"))?;
-                passthrough.extend(["--gamma".to_string(), v]);
-            }
-            "--chunk" | "--threads" => {
-                let v = value()?;
-                v.parse::<usize>().map_err(|_| format!("bad {flag} {v:?}\n{USAGE}"))?;
-                passthrough.extend([flag.clone(), v]);
             }
             "--kernel-tier" => {
                 let v = value()?;
@@ -119,20 +104,10 @@ pub fn parse_shard(args: &[String]) -> Result<ShardCliOptions, String> {
                     .ok_or_else(|| format!("bad --kernel-tier {v:?}\n{USAGE}"))?;
                 passthrough.extend(["--kernel-tier".to_string(), v]);
             }
-            "--strategy" => {
-                let v = value()?;
-                phylo_amc::StrategyKind::parse(&v)
-                    .ok_or_else(|| format!("bad --strategy {v:?}\n{USAGE}"))?;
-                passthrough.extend(["--strategy".to_string(), v]);
-            }
-            "--workers" => {
-                let v = value()?;
-                max_workers = v.parse().map_err(|_| format!("bad --workers {v:?}\n{USAGE}"))?;
-            }
+            "--workers" => max_workers = parse_value(flag, &value()?).map_err(usage)?,
             "--heartbeat-timeout" => {
                 let v = value()?;
-                let secs: f64 =
-                    v.parse().map_err(|_| format!("bad --heartbeat-timeout {v:?}\n{USAGE}"))?;
+                let secs: f64 = parse_value(flag, &v).map_err(usage)?;
                 if !secs.is_finite() || secs <= 0.0 {
                     return Err(format!("bad --heartbeat-timeout {v:?}: must be > 0\n{USAGE}"));
                 }
@@ -140,8 +115,7 @@ pub fn parse_shard(args: &[String]) -> Result<ShardCliOptions, String> {
             }
             "--straggler-factor" => {
                 let v = value()?;
-                let f: f64 =
-                    v.parse().map_err(|_| format!("bad --straggler-factor {v:?}\n{USAGE}"))?;
+                let f: f64 = parse_value(flag, &v).map_err(usage)?;
                 if !f.is_finite() || f <= 1.0 {
                     return Err(format!(
                         "bad --straggler-factor {v:?}: must be > 1 (smaller is more \
@@ -150,21 +124,21 @@ pub fn parse_shard(args: &[String]) -> Result<ShardCliOptions, String> {
                 }
                 straggler_factor = f;
             }
-            "--max-shard-retries" => {
-                let v = value()?;
-                max_retries =
-                    v.parse().map_err(|_| format!("bad --max-shard-retries {v:?}\n{USAGE}"))?;
-            }
-            "--deadline" => {
-                let v = value()?;
-                let secs: f64 = v.parse().map_err(|_| format!("bad --deadline {v:?}\n{USAGE}"))?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err(format!("bad --deadline {v:?}: must be >= 0\n{USAGE}"));
-                }
-                deadline_secs = Some(secs);
-            }
+            "--max-shard-retries" => max_retries = parse_value(flag, &value()?).map_err(usage)?,
+            "--deadline" => deadline_secs = Some(parse_deadline(&value()?).map_err(usage)?),
             "--metrics-json" => metrics_json = Some(value()?),
-            other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
+            // Worker passthrough: the scoring flags are checked here by
+            // the table the workers parse them with, so a typo fails the
+            // coordinator (exit 2), not every worker (N failures), and
+            // forwarded verbatim.
+            other => {
+                let rest = it.as_slice();
+                if !parse_scoring_flag(&mut scoring, other, &mut it).map_err(usage)? {
+                    return Err(format!("unknown flag {other:?}\n{USAGE}"));
+                }
+                passthrough.push(flag.clone());
+                passthrough.extend_from_slice(&rest[..rest.len() - it.as_slice().len()]);
+            }
         }
     }
     let require = |v: Option<String>, what: &str| -> Result<String, String> {
@@ -190,22 +164,6 @@ pub fn parse_shard(args: &[String]) -> Result<ShardCliOptions, String> {
 /// Runs a sharded placement and writes the merged jplace (and metrics).
 /// Returns a one-line human-readable summary.
 pub fn run_shard(opts: &ShardCliOptions, shutdown: &Shutdown) -> Result<String, ShardError> {
-    // Deadline watchdog: arming the shutdown token moves the supervisor
-    // to the Draining phase, which SIGTERMs workers so each writes its
-    // durable prefix. Detached; dies with the process.
-    if let Some(secs) = opts.deadline_secs {
-        let cancel = shutdown.cancel_token();
-        let deadline = std::time::Instant::now() + Duration::from_secs_f64(secs);
-        std::thread::spawn(move || {
-            while std::time::Instant::now() < deadline {
-                if cancel.is_cancelled() {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            cancel.cancel();
-        });
-    }
     let cfg = CoordinatorConfig {
         workdir: std::path::PathBuf::from(&opts.workdir),
         tree_path: opts.tree_path.clone(),
@@ -223,7 +181,12 @@ pub fn run_shard(opts: &ShardCliOptions, shutdown: &Shutdown) -> Result<String, 
             ..ShardConfig::default()
         },
     };
-    let outcome = run_coordinator(&cfg, shutdown)?;
+    // An expired `--deadline` arms the shutdown token, which moves the
+    // supervisor to the Draining phase: workers are SIGTERMed and each
+    // writes its durable prefix.
+    let outcome = with_deadline(opts.deadline_secs, &shutdown.cancel_token(), || {
+        run_coordinator(&cfg, shutdown)
+    })?;
     crate::place::result::write_jplace_atomic(
         std::path::Path::new(&opts.out_path),
         &outcome.jplace,

@@ -91,7 +91,10 @@ impl Daemon {
 
 fn place_req(id: &str, fasta: &str, deadline_ms: Option<f64>) -> String {
     let dl = deadline_ms.map(|d| format!(",\"deadline_ms\":{d}")).unwrap_or_default();
-    format!("{{\"id\":\"{id}\",\"op\":\"place\",\"queries\":\"{}\"{dl}}}", proto::escape(fasta))
+    format!(
+        "{{\"id\":\"{id}\",\"op\":\"place\",\"queries\":\"{}\"{dl}}}",
+        phylo_obs::json_escape(fasta)
+    )
 }
 
 fn field<'a>(obj: &'a BTreeMap<String, proto::Value>, key: &str) -> &'a str {
