@@ -11,8 +11,9 @@
 //!   statistics;
 //! * [`strategy`] — the replacement-strategy interface (the paper's
 //!   callback customization point) with the default
-//!   recomputation-cost-based policy plus LRU/MRU/FIFO/random for
-//!   ablation;
+//!   recomputation-cost-based policy — weighted by the wait until the
+//!   next use while a sweep has announced its order — plus
+//!   LRU/MRU/FIFO/random for ablation;
 //! * [`arena::SlotArena`] — slot-backed CLV + scaler storage with safe
 //!   disjoint target/children access for the kernels, plus the
 //!   concurrent lease API ([`arena::ReadLease`]/[`arena::ComputeLease`]):
@@ -48,3 +49,6 @@ pub use strategy::{
     CostBased, Fifo, Lru, Mru, RandomEvict, ReplacementStrategy, StrategyKind, VictimView,
 };
 pub use tier::{StorageTier, TierConfig, TierKind, TierStats, TieredStore};
+
+/// The table a sweep announces through [`SlotManager::announce_schedule`].
+pub use phylo_tree::traversal::NextUse;

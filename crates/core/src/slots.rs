@@ -47,6 +47,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use phylo_obs::slottrace::{SlotEvent, SlotTrace, NO_CLV};
+use phylo_tree::traversal::NextUse;
 
 use crate::cancel::CancelToken;
 use crate::error::AmcError;
@@ -429,6 +430,35 @@ impl SlotManager {
             self.acquires.fetch_add(1, Ordering::Relaxed);
             t.strategy.on_access(clv, SlotId(s));
         }
+    }
+
+    /// Tells the replacement strategy which sweep is about to run on this
+    /// store — when its walk will want which CLV — or, with `None`, that
+    /// the sweep is over ([`ReplacementStrategy::on_schedule`]).
+    ///
+    /// There is one announcement per store, not one per caller: it
+    /// describes *the* sweep in progress, and one sweep per store at a
+    /// time is the rule everywhere (one walker per `run_sweep`, inline
+    /// or on its one prefetch thread; one executor thread in the daemon).
+    /// Whoever announces must withdraw, or later plans are judged by a
+    /// walk that is no longer happening.
+    pub fn announce_schedule(&self, next_use: Option<Arc<NextUse>>) {
+        let mut t = self.table();
+        if self.trace_on.load(Ordering::Relaxed) {
+            if let Some(trace) = self.trace.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
+                trace.push_schedule(next_use.as_ref().map(|table| table.uses().collect()));
+            }
+        }
+        t.strategy.on_schedule(next_use);
+    }
+
+    /// Moves the announced sweep's cursor: it is about to ask for the
+    /// steps before `pos` ([`ReplacementStrategy::on_cursor`]). Same
+    /// single-sweep rule as [`SlotManager::announce_schedule`].
+    pub fn advance_cursor(&self, pos: u32) {
+        let mut t = self.table();
+        self.record(SlotEvent::Cursor { pos });
+        t.strategy.on_cursor(pos);
     }
 
     /// Assigns a slot to `clv`: a hit if resident, otherwise a free slot,

@@ -7,6 +7,17 @@
 //! here as a trait; LRU, MRU, FIFO, and random policies are provided for
 //! the ablation benchmarks (the paper's future-work "different replacement
 //! strategies").
+//!
+//! The paper's slot manager cannot see the order in which EPA-NG visits
+//! branches, so its default has to guess what is needed next. Here a sweep
+//! knows its whole walk before it starts and says so through two extra
+//! callbacks ([`ReplacementStrategy::on_schedule`] and
+//! [`ReplacementStrategy::on_cursor`]); the default, [`CostBased`], then
+//! weighs the paper's cost by the wait until the next use.
+
+use std::sync::Arc;
+
+use phylo_tree::traversal::NextUse;
 
 use crate::slots::{ClvKey, SlotId};
 
@@ -58,12 +69,20 @@ pub trait ReplacementStrategy: Send + Sync {
     fn on_evict(&mut self, clv: ClvKey, slot: SlotId);
     /// Picks the victim among the view's candidates.
     fn choose_victim(&mut self, view: &VictimView<'_>) -> Option<SlotId>;
+    /// A sweep announced the table of its future accesses (`Some`), or
+    /// withdrew it (`None`). A policy that does not plan ahead ignores it.
+    fn on_schedule(&mut self, _next_use: Option<Arc<NextUse>>) {}
+    /// The announced sweep is about to ask for the steps before `_pos`:
+    /// uses at earlier positions are past, the rest are still to come.
+    fn on_cursor(&mut self, _pos: u32) {}
 }
 
 /// Convenient tag for constructing strategies by name (CLI/bench plumbing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StrategyKind {
-    /// Evict the CLV cheapest to recompute (paper default).
+    /// Evict the CLV with the longest wait until its next use per unit
+    /// of recomputation cost; outside an announced sweep, the one
+    /// cheapest to recompute (the paper's default).
     #[default]
     CostBased,
     /// Least recently used.
@@ -144,17 +163,27 @@ impl std::fmt::Display for StrategyKind {
     }
 }
 
-/// Paper-default policy: evict the unpinned CLV with the lowest
-/// recomputation cost (ties broken by lower CLV key, for determinism).
+/// The default policy. The paper evicts the unpinned CLV cheapest to
+/// recompute because it cannot see EPA-NG's branch order; a sweep here can
+/// announce its order ([`ReplacementStrategy::on_schedule`]), and then the
+/// victim is the CLV with the longest wait until its next use per unit of
+/// recomputation cost — Belady's MIN weighted by the paper's cost proxy.
+/// A CLV the sweep never asks for again waits forever. Ties go to the
+/// lower cost, then the lower CLV key.
+///
+/// With no sweep announced every wait is the same, which leaves the
+/// paper's rule: lowest cost first, ties to the lower key.
 pub struct CostBased {
     costs: Vec<f64>,
+    next_use: Option<Arc<NextUse>>,
+    cursor: u32,
 }
 
 impl CostBased {
     /// `costs[k]` = approximate cost of recomputing CLV `k` (the engine
     /// passes subtree leaf counts).
     pub fn new(costs: Vec<f64>) -> Self {
-        CostBased { costs }
+        CostBased { costs, next_use: None, cursor: 0 }
     }
 
     /// Access to the cost table (e.g. for pin-priority decisions).
@@ -171,13 +200,40 @@ impl ReplacementStrategy for CostBased {
     fn on_access(&mut self, _clv: ClvKey, _slot: SlotId) {}
     fn on_evict(&mut self, _clv: ClvKey, _slot: SlotId) {}
     fn choose_victim(&mut self, view: &VictimView<'_>) -> Option<SlotId> {
+        let cost = |clv: ClvKey| self.costs.get(clv.idx()).copied().unwrap_or(f64::INFINITY);
+        let Some(table) = &self.next_use else {
+            // Every wait is the same: the paper's rule, at the paper's price
+            // (one compare per candidate; `bench/` times this path).
+            return view
+                .candidates()
+                .min_by(|&(_, a), &(_, b)| {
+                    cost(a).partial_cmp(&cost(b)).unwrap().then(a.0.cmp(&b.0))
+                })
+                .map(|(s, _)| s);
+        };
+        let cursor = self.cursor;
+        let wait = |clv: ClvKey| match table.next_from(clv.idx(), cursor) {
+            Some(pos) => f64::from(pos - cursor) + 1.0,
+            None => f64::INFINITY,
+        };
+        // wait_a / cost_a against wait_b / cost_b, cross-multiplied: exact
+        // for step counts and leaf counts.
         view.candidates()
-            .min_by(|&(_, a), &(_, b)| {
-                let ca = self.costs.get(a.idx()).copied().unwrap_or(f64::INFINITY);
-                let cb = self.costs.get(b.idx()).copied().unwrap_or(f64::INFINITY);
-                ca.partial_cmp(&cb).unwrap().then(a.0.cmp(&b.0))
+            .map(|(slot, clv)| (wait(clv), cost(clv), clv.0, slot))
+            .max_by(|a, b| {
+                (a.0 * b.1)
+                    .total_cmp(&(b.0 * a.1))
+                    .then_with(|| b.1.total_cmp(&a.1))
+                    .then_with(|| b.2.cmp(&a.2))
             })
-            .map(|(s, _)| s)
+            .map(|best| best.3)
+    }
+    fn on_schedule(&mut self, next_use: Option<Arc<NextUse>>) {
+        self.next_use = next_use;
+        self.cursor = 0;
+    }
+    fn on_cursor(&mut self, pos: u32) {
+        self.cursor = pos;
     }
 }
 
@@ -452,6 +508,90 @@ mod tests {
         // 0 is cheapest but pinned; must evict 1.
         let a = m.acquire(ClvKey(2)).unwrap();
         assert!(matches!(a, Acquire::Evicted { victim: ClvKey(1), .. }));
+    }
+
+    /// The paper's rule, as the default read before sweeps announced
+    /// themselves: cheapest first, ties to the lower key.
+    fn cheapest(view: &VictimView<'_>, costs: &[f64]) -> Option<SlotId> {
+        view.candidates()
+            .min_by(|&(_, a), &(_, b)| {
+                costs[a.idx()].partial_cmp(&costs[b.idx()]).unwrap().then(a.0.cmp(&b.0))
+            })
+            .map(|(s, _)| s)
+    }
+
+    /// Drains a table through `policy`, returning the CLVs in the order
+    /// they were chosen.
+    fn victim_order(policy: &mut CostBased, slot_to_clv: &[u32], pin_counts: &[u32]) -> Vec<u32> {
+        let mut slot_to_clv = slot_to_clv.to_vec();
+        let mut order = Vec::new();
+        while let Some(slot) = policy.choose_victim(&VictimView::new(&slot_to_clv, pin_counts)) {
+            assert_eq!(pin_counts[slot.idx()], 0, "a pinned slot is no candidate");
+            order.push(std::mem::replace(&mut slot_to_clv[slot.idx()], u32::MAX));
+        }
+        order
+    }
+
+    #[test]
+    fn cost_based_without_a_sweep_is_the_papers_cost_order() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(41);
+        for _ in 0..50 {
+            // Few distinct costs, so ties are common; some slots free,
+            // some pinned.
+            let costs: Vec<f64> = (0..40).map(|_| rng.gen_range(1..6u32) as f64 / 3.0).collect();
+            let mut keys: Vec<u32> = (0..40).collect();
+            let slot_to_clv: Vec<u32> = (0..24)
+                .map(|_| {
+                    let k = keys.swap_remove(rng.gen_range(0..keys.len()));
+                    if rng.gen_bool(0.15) {
+                        u32::MAX
+                    } else {
+                        k
+                    }
+                })
+                .collect();
+            let pin_counts: Vec<u32> = (0..24).map(|_| rng.gen_range(0..4u32) / 3).collect();
+            let mut expect = Vec::new();
+            let mut left = slot_to_clv.clone();
+            while let Some(s) = cheapest(&VictimView::new(&left, &pin_counts), &costs) {
+                expect.push(std::mem::replace(&mut left[s.idx()], u32::MAX));
+            }
+            let mut policy = CostBased::new(costs.clone());
+            assert_eq!(victim_order(&mut policy, &slot_to_clv, &pin_counts), expect);
+            // An announced and withdrawn sweep leaves nothing behind.
+            let uses = [(3u32, 2u32), (7, 9), (11, 4)];
+            policy.on_schedule(Some(Arc::new(NextUse::from_uses(40, &uses))));
+            policy.on_cursor(3);
+            policy.on_schedule(None);
+            assert_eq!(victim_order(&mut policy, &slot_to_clv, &pin_counts), expect);
+        }
+    }
+
+    #[test]
+    fn cost_based_evicts_the_longest_wait_per_unit_cost() {
+        // CLV k costs k + 1. The sweep wants 0 at step 4, 1 at steps 2
+        // and 40, 2 at step 6, 3 and 4 never, 5 at step 5.
+        let uses = [(0u32, 4u32), (1, 2), (1, 40), (2, 6), (5, 5)];
+        let mut policy = CostBased::new((1..=6).map(f64::from).collect());
+        policy.on_schedule(Some(Arc::new(NextUse::from_uses(6, &uses))));
+        let slots = [0, 1, 2, 3, 4, 5];
+        // Never again goes before any finite wait, cheapest first; then
+        // (wait + 1) / cost: 5/1, 3/2, 7/3, 6/6 from the start.
+        assert_eq!(victim_order(&mut policy, &slots, &[0; 6]), [3, 4, 0, 2, 1, 5]);
+        // Past step 2, CLV 1 waits for step 40: (40 − 3 + 1) / 2 = 19.
+        policy.on_cursor(3);
+        assert_eq!(victim_order(&mut policy, &slots, &[0; 6]), [3, 4, 1, 0, 2, 5]);
+        // A pinned CLV is skipped however long it waits.
+        assert_eq!(victim_order(&mut policy, &slots, &[0, 1, 0, 1, 0, 0]), [4, 0, 2, 5]);
+        // Past the last use of everything, and with the sweep withdrawn,
+        // cost order is all that is left.
+        policy.on_cursor(41);
+        assert_eq!(victim_order(&mut policy, &slots, &[0; 6]), [0, 1, 2, 3, 4, 5]);
+        policy.on_cursor(3);
+        policy.on_schedule(None);
+        assert_eq!(victim_order(&mut policy, &slots, &[0; 6]), [0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

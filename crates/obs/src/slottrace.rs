@@ -31,10 +31,16 @@
 //! U           # UnpinAll (single-owner teardown)
 //! i 17        # Invalidate: resident CLV dropped, slot freed
 //! x 17        # Poison: slot teardown after a dead computing thread
+//! s 17:3,4 20:1  # Schedule: a sweep told the policy when it will want
+//!                # which CLV (clv:step,step …); "s -" withdraws it
+//! c 5         # Cursor: the sweep is about to ask for the steps before 5
 //! ```
 //!
 //! The `(clv, access-kind)` pair is explicit per line; the *pinned set*
 //! at any position is implicit — fold `p`/`u`/`U` up to that position.
+//! `s`/`c` lines are not table operations: they record what the
+//! replacement policy was told, at the point in table-lock order where it
+//! was told, because a policy that plans ahead decides differently for it.
 //! `#costs` embeds the per-CLV recomputation-cost table (printed with
 //! Rust's shortest round-trip float formatting), so cost-aware policies
 //! replay with bit-identical tie-breaking.
@@ -44,6 +50,10 @@ use std::sync::Mutex;
 /// Sentinel CLV value for events on slots with no occupant (pins on a
 /// freed slot, poison of an already-torn-down slot).
 pub const NO_CLV: u32 = u32::MAX;
+
+/// Sentinel table index of a [`SlotEvent::Schedule`] that withdraws the
+/// announcement.
+pub const NO_TABLE: u32 = u32::MAX;
 
 /// One recorded slot-manager operation. `clv` fields hold raw CLV keys
 /// ([`NO_CLV`] when the affected slot had no occupant).
@@ -70,7 +80,17 @@ pub enum SlotEvent {
     /// the slot held no mapping). Only fault-injection runs produce
     /// these; see `phylo-replay` for the replay caveat.
     Poison { clv: u32 },
+    /// A sweep announced its future accesses to the replacement policy:
+    /// [`Trace::schedules`]`[table]`, or [`NO_TABLE`] when it withdrew
+    /// them.
+    Schedule { table: u32 },
+    /// The announced sweep moved on: steps before `pos` are past.
+    Cursor { pos: u32 },
 }
+
+/// What one sweep announced: `(clv, step)` pairs — the sweep wants `clv`
+/// at position `step` of its walk — sorted by CLV, then by step.
+pub type ScheduleTable = Vec<(u32, u32)>;
 
 /// Run-level context captured alongside the event stream — everything
 /// the offline simulator needs to reconstruct the live configuration.
@@ -97,6 +117,9 @@ pub struct Trace {
     pub meta: TraceMeta,
     /// The serialized operation stream, in table-lock order.
     pub events: Vec<SlotEvent>,
+    /// The tables [`SlotEvent::Schedule`] events refer to, in the order
+    /// they were announced.
+    pub schedules: Vec<ScheduleTable>,
 }
 
 /// The shared recorder a run arms on its slot manager. Internally
@@ -106,6 +129,7 @@ pub struct Trace {
 pub struct SlotTrace {
     meta: Mutex<TraceMeta>,
     events: Mutex<Vec<SlotEvent>>,
+    schedules: Mutex<Vec<ScheduleTable>>,
 }
 
 impl SlotTrace {
@@ -126,6 +150,20 @@ impl SlotTrace {
         self.events.lock().unwrap_or_else(|e| e.into_inner()).push(ev);
     }
 
+    /// Appends a [`SlotEvent::Schedule`] announcing `table` (`None`
+    /// withdraws). Same calling rule as [`SlotTrace::push`].
+    pub fn push_schedule(&self, table: Option<ScheduleTable>) {
+        let index = match table {
+            None => NO_TABLE,
+            Some(table) => {
+                let mut all = self.schedules.lock().unwrap_or_else(|e| e.into_inner());
+                all.push(table);
+                (all.len() - 1) as u32
+            }
+        };
+        self.push(SlotEvent::Schedule { table: index });
+    }
+
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
         self.events.lock().unwrap_or_else(|e| e.into_inner()).len()
@@ -141,6 +179,7 @@ impl SlotTrace {
         Trace {
             meta: self.meta.lock().unwrap_or_else(|e| e.into_inner()).clone(),
             events: self.events.lock().unwrap_or_else(|e| e.into_inner()).clone(),
+            schedules: self.schedules.lock().unwrap_or_else(|e| e.into_inner()).clone(),
         }
     }
 }
@@ -187,6 +226,24 @@ impl Trace {
                 SlotEvent::UnpinAll => out.push_str("U\n"),
                 SlotEvent::Invalidate { clv } => out.push_str(&format!("i {}\n", fmt_clv(clv))),
                 SlotEvent::Poison { clv } => out.push_str(&format!("x {}\n", fmt_clv(clv))),
+                SlotEvent::Schedule { table: NO_TABLE } => out.push_str("s -\n"),
+                SlotEvent::Schedule { table } => {
+                    // An index the trace has no table for prints as an
+                    // empty announcement.
+                    let uses = self.schedules.get(table as usize).map_or(&[][..], |t| t);
+                    out.push('s');
+                    let mut last = None;
+                    for &(clv, pos) in uses {
+                        if last == Some(clv) {
+                            out.push_str(&format!(",{pos}"));
+                        } else {
+                            out.push_str(&format!(" {clv}:{pos}"));
+                        }
+                        last = Some(clv);
+                    }
+                    out.push('\n');
+                }
+                SlotEvent::Cursor { pos } => out.push_str(&format!("c {pos}\n")),
             }
         }
         out
@@ -264,6 +321,31 @@ impl Trace {
                 "U" => SlotEvent::UnpinAll,
                 "i" => SlotEvent::Invalidate { clv: clv()? },
                 "x" => SlotEvent::Poison { clv: clv()? },
+                "s" => {
+                    let rest: Vec<&str> = tok.collect();
+                    if rest == ["-"] {
+                        SlotEvent::Schedule { table: NO_TABLE }
+                    } else {
+                        let mut table = ScheduleTable::new();
+                        for group in rest {
+                            let bad = || err(format!("bad schedule entry {group:?}"));
+                            let (clv, steps) = group.split_once(':').ok_or_else(bad)?;
+                            let clv: u32 = clv.parse().map_err(|_| bad())?;
+                            for step in steps.split(',') {
+                                table.push((clv, step.parse().map_err(|_| bad())?));
+                            }
+                        }
+                        trace.schedules.push(table);
+                        SlotEvent::Schedule { table: (trace.schedules.len() - 1) as u32 }
+                    }
+                }
+                "c" => SlotEvent::Cursor {
+                    pos: tok
+                        .next()
+                        .ok_or_else(|| err("c needs a position".into()))?
+                        .parse()
+                        .map_err(|_| err("bad cursor position".into()))?,
+                },
                 other => return Err(err(format!("unknown event kind {other:?}"))),
             };
             trace.events.push(ev);
@@ -309,7 +391,12 @@ mod tests {
                 SlotEvent::UnpinAll,
                 SlotEvent::Invalidate { clv: 3 },
                 SlotEvent::Poison { clv: NO_CLV },
+                SlotEvent::Schedule { table: 0 },
+                SlotEvent::Cursor { pos: 2 },
+                SlotEvent::Schedule { table: NO_TABLE },
+                SlotEvent::Schedule { table: 1 },
             ],
+            schedules: vec![vec![(3, 0), (3, 4), (3, 9), (7, 1), (11, 0)], vec![]],
         }
     }
 
@@ -326,7 +413,12 @@ mod tests {
         let t = sample();
         rec.set_meta(t.meta.clone());
         for &ev in &t.events {
-            rec.push(ev);
+            match ev {
+                SlotEvent::Schedule { table } => {
+                    rec.push_schedule(t.schedules.get(table as usize).cloned())
+                }
+                _ => rec.push(ev),
+            }
         }
         assert_eq!(rec.len(), t.events.len());
         assert_eq!(rec.snapshot(), t);
@@ -338,6 +430,9 @@ mod tests {
         assert!(Trace::parse("#phylo-slot-trace v1\nz 3\n").is_err());
         assert!(Trace::parse("#phylo-slot-trace v1\na\n").is_err());
         assert!(Trace::parse("#phylo-slot-trace v1\np 3\n").is_err());
+        assert!(Trace::parse("#phylo-slot-trace v1\ns 3\n").is_err());
+        assert!(Trace::parse("#phylo-slot-trace v1\ns 3:1,x\n").is_err());
+        assert!(Trace::parse("#phylo-slot-trace v1\nc\n").is_err());
         // Unknown comments and meta keys pass through.
         let t =
             Trace::parse("#phylo-slot-trace v1\n# a comment\n#meta n_clvs=3 future=9\n").unwrap();
@@ -354,6 +449,7 @@ mod tests {
                 SlotEvent::Acquire { clv: 4 },
                 SlotEvent::Touch { clv: 9 },
             ],
+            schedules: Vec::new(),
         };
         assert_eq!(t.distinct_acquired(), 2);
     }
@@ -363,7 +459,7 @@ mod tests {
         let costs = vec![0.1, 1.0 / 3.0, f64::MIN_POSITIVE, 12345.6789];
         let t = Trace {
             meta: TraceMeta { costs: costs.clone(), ..Default::default() },
-            events: vec![],
+            ..Default::default()
         };
         let parsed = Trace::parse(&t.to_text()).unwrap();
         for (a, b) in parsed.meta.costs.iter().zip(&costs) {

@@ -1116,18 +1116,13 @@ mod tests {
         }
     }
 
+    /// The rule that decides whether a pruned walk builds the root path
+    /// to its branches (`Walker::spine_wanted`) has no slot-count
+    /// constant in it, so there is no slot count at which it flips.
     #[test]
-    fn pruned_walks_build_the_spine_only_while_slots_are_scarce() {
-        use phylo_tree::traversal::SweepStep;
-        let (ctx, _, _) = setup(64, 30, 1, 16);
+    fn pruned_walks_never_pay_for_more_slots() {
+        let (ctx, _, _) = setup(256, 8, 1, 16);
         let schedule = SweepSchedule::new(ctx.tree());
-        let pruned = schedule.steps(|e| e.0 % 11 == 5);
-        // The same branches in the same order, without a single hold.
-        let bare: Vec<SweepStep> = pruned
-            .iter()
-            .filter(|s| s.visit)
-            .map(|s| SweepStep { hold: None, release: None, ..*s })
-            .collect();
         let plan = BlockPlan {
             block_size: 1,
             async_prefetch: false,
@@ -1135,25 +1130,102 @@ mod tests {
             block_clamped: false,
         };
         // Recomputes of one pruned walk over a store a full sweep warmed.
-        let misses = |slots: usize, steps: &[SweepStep]| {
+        let misses = |slots: usize, stride: u32| {
             let store =
                 ManagedStore::with_slots(&ctx, slots, phylo_amc::StrategyKind::CostBased).unwrap();
             let deg = DegradationCounters::default();
             run_sweep(&ctx, &store, &schedule.steps(|_| true), plan, &deg, |_| Ok(())).unwrap();
             let warm = store.stats();
-            run_sweep(&ctx, &store, steps, plan, &deg, |_| Ok(())).unwrap();
+            let pruned = schedule.steps(|e| e.0 % stride == 3);
+            run_sweep(&ctx, &store, &pruned, plan, &deg, |_| Ok(())).unwrap();
             assert_eq!(deg.snapshot().flush_retries, 0);
             assert_eq!(store.arena().manager().n_pinned(), 0, "every hold is released");
             store.stats().delta(&warm).misses
         };
         let floor = ctx.min_slots() + memplan::pin_headroom(&ctx);
-        let (held, unheld) = (misses(floor, &pruned), misses(floor, &bare));
-        assert!(held < unheld, "at the floor the held spine must pay: {held} vs {unheld}");
-        // A roomier cache keeps the spine by itself: holds pin what is
-        // resident but never compute for their own sake.
-        let roomy = 3 * ctx.min_slots();
-        let (held, unheld) = (misses(roomy, &pruned), misses(roomy, &bare));
-        assert!(held <= unheld, "a roomy store must not pay for holds: {held} vs {unheld}");
+        let full = ctx.max_slots();
+        assert_eq!((floor, full), (14, 762));
+        // What the same walks cost when the spine was built up to a fixed
+        // `2 · min_slots` (= 20 here) and never beyond, under pure cost
+        // eviction: one slot more meant 3.7× the work.
+        let before = [
+            (5u32, [1700, 1699, 6249, 6244, 4718, 2537]),
+            (23, [1155, 1155, 2435, 2435, 2158, 1388]),
+        ];
+        for (stride, before) in before {
+            let ladder: Vec<u64> = [floor, 20, 21, 30, full / 4, full / 2]
+                .into_iter()
+                .map(|slots| misses(slots, stride))
+                .collect();
+            for (rung, (&now, &then)) in ladder.iter().zip(&before).enumerate() {
+                assert!(now <= then, "stride {stride} rung {rung}: {ladder:?} vs {before:?}");
+            }
+            for pair in ladder.windows(2) {
+                assert!(pair[1] * 100 <= pair[0] * 105, "stride {stride}: {ladder:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_sweep_leaves_no_announcement_and_no_pins_behind() {
+        let (ctx, _, _) = setup(40, 8, 1, 17);
+        let steps = SweepSchedule::new(ctx.tree()).steps(|_| true);
+        let floor = ctx.min_slots() + memplan::pin_headroom(&ctx);
+        let costs = ctx.cost_table();
+        for async_prefetch in [false, true] {
+            let store =
+                ManagedStore::with_slots(&ctx, floor, phylo_amc::StrategyKind::CostBased).unwrap();
+            let recorder = Arc::new(phylo_obs::slottrace::SlotTrace::new());
+            store.set_slot_trace(Arc::clone(&recorder));
+            let plan = BlockPlan {
+                block_size: 1,
+                async_prefetch,
+                prefetch_disabled: false,
+                block_clamped: false,
+            };
+            let mut batches = 0;
+            let failed =
+                run_sweep(&ctx, &store, &steps, plan, &DegradationCounters::default(), |_| {
+                    batches += 1;
+                    if batches == 3 {
+                        return Err(PlaceError::BadConfig("scorer gave up".into()));
+                    }
+                    Ok(())
+                });
+            assert!(matches!(failed, Err(PlaceError::BadConfig(_))), "{failed:?}");
+            let mgr = store.arena().manager();
+            assert_eq!(mgr.n_pinned(), 0, "prefetch {async_prefetch}");
+            // The policy heard about the walk, and then that it was over.
+            use phylo_obs::slottrace::{SlotEvent, NO_TABLE};
+            let told: Vec<SlotEvent> = recorder
+                .snapshot()
+                .events
+                .into_iter()
+                .filter(|e| matches!(e, SlotEvent::Schedule { .. }))
+                .collect();
+            assert_eq!(
+                told,
+                [SlotEvent::Schedule { table: 0 }, SlotEvent::Schedule { table: NO_TABLE }],
+                "prefetch {async_prefetch}"
+            );
+            // So a hand-driven request evicts in cost order again, not by
+            // what the dead walk would have wanted next.
+            let resident = mgr.resident();
+            assert_eq!(resident.len(), floor);
+            let cheapest = resident
+                .iter()
+                .map(|&(clv, _)| clv)
+                .min_by(|a, b| costs[a.idx()].total_cmp(&costs[b.idx()]).then(a.cmp(b)))
+                .unwrap();
+            let absent = (0..ctx.tree().n_dir_edges() as u32)
+                .map(phylo_amc::ClvKey)
+                .find(|&k| mgr.lookup(k).is_none())
+                .unwrap();
+            match mgr.acquire(absent).unwrap() {
+                phylo_amc::Acquire::Evicted { victim, .. } => assert_eq!(victim, cheapest),
+                other => panic!("expected an eviction, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,12 @@
 //! releases it, and with `async_prefetch` the next batch is prepared on
 //! one dedicated thread while the current one is scored.
 //!
+//! Because the step list exists before the first CLV is touched, the
+//! executor also tells the store's replacement policy when the walk will
+//! want which CLV ([`NextUse`], announced once per walk that can evict at
+//! all) and where the walk currently is; the announcement is withdrawn
+//! when the walker is dropped.
+//!
 //! Holds are an optimisation, never a correctness requirement: whatever
 //! is not resident the planner recomputes. So the degradation ladder's
 //! last rung is unchanged — on pin exhaustion halve the batch, and on a
@@ -23,10 +29,11 @@ use crate::error::PlaceError;
 use crate::memplan::BlockPlan;
 use crate::result::DegradationStats;
 use phylo_engine::{EngineError, ManagedStore, PreparedBlock, ReferenceContext};
-use phylo_tree::traversal::SweepStep;
+use phylo_tree::traversal::{NextUse, SweepStep};
 use phylo_tree::{DirEdgeId, EdgeId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, SendError};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Atomic tallies for the degradation ladder; the sweep (on whichever
@@ -75,7 +82,8 @@ type Batch = (Vec<EdgeId>, PreparedBlock);
 
 /// The preparing half of a sweep: walks the steps, prepares batches and
 /// keeps the holds. Dropping it (normally, on error, or on unwind)
-/// releases whatever is still held.
+/// releases whatever is still held and withdraws the announcement, so no
+/// later plan is judged by this walk.
 struct Walker<'a> {
     ctx: &'a ReferenceContext,
     store: &'a ManagedStore,
@@ -84,9 +92,8 @@ struct Walker<'a> {
     block_size: usize,
     /// Whether holds are taken at all.
     holds: bool,
-    /// Whether a pruned walk computes the `up(·)` of a step it does not
-    /// visit in order to hold it (otherwise it holds what is resident).
-    build_spine: bool,
+    /// Whether the store's replacement policy was told about this walk.
+    announced: bool,
     held: Vec<(DirEdgeId, PreparedBlock)>,
     deg: &'a DegradationCounters,
 }
@@ -94,14 +101,75 @@ struct Walker<'a> {
 impl Drop for Walker<'_> {
     fn drop(&mut self) {
         self.release_holds();
+        if self.announced {
+            self.store.arena().manager().announce_schedule(None);
+        }
     }
 }
 
-impl Walker<'_> {
+impl<'a> Walker<'a> {
+    fn new(
+        ctx: &'a ReferenceContext,
+        store: &'a ManagedStore,
+        steps: &'a [SweepStep],
+        block_size: usize,
+        deg: &'a DegradationCounters,
+    ) -> Self {
+        // A full store never evicts: nothing to hold, nobody to tell.
+        // Below two spare slots (hand-built stores only: `memplan::plan`
+        // reserves `pin_headroom`) a hold would eat into the traversal
+        // floor itself.
+        let evicts = store.n_slots() < ctx.max_slots();
+        let spare = store.n_slots().saturating_sub(ctx.min_slots());
+        if evicts {
+            let table = Arc::new(NextUse::new(ctx.tree(), steps));
+            store.arena().manager().announce_schedule(Some(table));
+        }
+        Walker {
+            ctx,
+            store,
+            steps,
+            next: 0,
+            block_size,
+            holds: evicts && spare >= 2,
+            announced: evicts,
+            held: Vec::new(),
+            deg,
+        }
+    }
+
     fn release_holds(&mut self) {
         for (_, block) in self.held.drain(..) {
             self.store.release(block);
         }
+    }
+
+    fn resident(&self, d: DirEdgeId) -> bool {
+        self.store.arena().manager().lookup(phylo_amc::ClvKey(d.0)).is_some()
+    }
+
+    /// Whether the walk below a step that is not visited needs its hold
+    /// `up(c)` built: some step of `c`'s own stop wants an `up(kid)` that
+    /// is not resident — a visited one will compute it one Felsenstein
+    /// step from `up(c)`, a hold-only one if the same holds below it. A
+    /// subtree whose `up(·)` CLVs are all cached already has no use for
+    /// the path down to it.
+    fn spine_wanted(&self, step: &SweepStep, up: DirEdgeId) -> bool {
+        let tree = self.ctx.tree();
+        let mut stops = vec![(tree.dst(up), step.below)];
+        while let Some((c, (from, to))) = stops.pop() {
+            for kid in &self.steps[from as usize..to as usize] {
+                let up_kid = tree.dir_from(kid.edge, c);
+                if self.resident(up_kid) {
+                    continue;
+                }
+                if kid.visit {
+                    return true;
+                }
+                stops.push((tree.dst(up_kid), kid.below));
+            }
+        }
+        false
     }
 
     /// The steps from `from` that make up one batch of at most `limit`
@@ -135,6 +203,9 @@ impl Walker<'_> {
             if end == self.next {
                 return Ok(None);
             }
+            if self.announced {
+                store.arena().manager().advance_cursor(end as u32);
+            }
             match store.prepare(ctx, &dirs_of(&edges)) {
                 Ok(prepared) => break (end, edges, prepared),
                 Err(e) if is_pin_exhaustion(&e) && edges.len() > 1 => limit = edges.len() / 2,
@@ -167,10 +238,9 @@ impl Walker<'_> {
         }
         let first = std::mem::replace(&mut self.next, end);
         if self.holds {
-            let resident =
-                |d: DirEdgeId| store.arena().manager().lookup(phylo_amc::ClvKey(d.0)).is_some();
             for step in &self.steps[first..end] {
-                if let Some(up) = step.hold.filter(|&up| self.build_spine || resident(up)) {
+                let wanted = |&up: &DirEdgeId| self.resident(up) || self.spine_wanted(step, up);
+                if let Some(up) = step.hold.filter(wanted) {
                     match store.prepare(ctx, &[up]) {
                         Ok(block) => self.held.push((up, block)),
                         // Not held, then: it is recomputed when needed.
@@ -210,28 +280,7 @@ pub(crate) fn run_sweep(
     deg: &DegradationCounters,
     mut scorer: impl FnMut(&[EdgeId]) -> Result<(), PlaceError>,
 ) -> Result<(), PlaceError> {
-    // A full store never evicts, so there is nothing to hold. Below two
-    // spare slots (hand-built stores only: `memplan::plan` reserves
-    // `pin_headroom`) a hold would eat into the traversal floor itself.
-    let spare = store.n_slots().saturating_sub(ctx.min_slots());
-    let mut walker = Walker {
-        ctx,
-        store,
-        steps,
-        next: 0,
-        block_size: plan.block_size.max(1),
-        holds: store.n_slots() < ctx.max_slots() && spare >= 2,
-        // While the whole store is no larger than two traversal floors,
-        // no replacement policy keeps a root path resident by itself, so
-        // a pruned walk builds the path to its branches top-down (one
-        // step per level, from the held `up(u)`). A larger cache retains
-        // those high-cost CLVs on its own, and forcing the ones the
-        // planner would not have needed costs more than it saves
-        // (EXPERIMENTS.md, sweep table).
-        build_spine: store.n_slots() <= 2 * ctx.min_slots(),
-        held: Vec::new(),
-        deg,
-    };
+    let mut walker = Walker::new(ctx, store, steps, plan.block_size.max(1), deg);
     if !plan.async_prefetch {
         while let Some((edges, prepared)) = walker.next_batch()? {
             let scored = scorer(&edges);

@@ -13,13 +13,15 @@
 //!    bit-exactly: events are recorded inside the table-lock critical
 //!    sections (so the trace is the true serialization order), the
 //!    simulator reuses the very same [`ReplacementStrategy`]
-//!    implementations, and both sides start from the same free-list
-//!    order. Every future eviction change is testable against this
+//!    implementations and tells them what the trace says the live ones
+//!    were told about the sweep in progress ([`SlotEvent::Schedule`],
+//!    [`SlotEvent::Cursor`]), and both sides start from the same
+//!    free-list order. Every future eviction change is testable against this
 //!    contract (`phyloplace replay --verify`).
 //! 2. **The oracle floor.** [`Policy::Belady`] is the clairvoyant MIN
-//!    policy — evict the resident CLV whose next demand access lies
-//!    furthest in the future — which is optimal among demand-fill
-//!    policies. Its miss count is the lower bound every implementable
+//!    policy — evict the resident CLV whose next use (a demand access or
+//!    a reuse by the planner) lies furthest in the future — which is
+//!    optimal among demand-fill policies. Its miss count is the lower bound every implementable
 //!    policy is judged against, exactly like pplacer's mmap baseline
 //!    bounds memory from the other side.
 //!

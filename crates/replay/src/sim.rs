@@ -13,8 +13,10 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use phylo_amc::{ClvKey, ReplacementStrategy, SlotId, StrategyKind, VictimView};
-use phylo_obs::slottrace::{SlotEvent, Trace, NO_CLV};
+use std::sync::Arc;
+
+use phylo_amc::{ClvKey, NextUse, ReplacementStrategy, SlotId, StrategyKind, VictimView};
+use phylo_obs::slottrace::{SlotEvent, Trace, NO_CLV, NO_TABLE};
 
 /// Sentinel in the simulator's `slot_to_clv` column (mirrors the live
 /// manager's `FREE`).
@@ -56,10 +58,11 @@ pub enum Policy {
     /// One of the live replacement strategies, replayed through the
     /// exact same implementation the manager runs.
     Kind(StrategyKind),
-    /// Belady's MIN: evict the resident CLV whose next demand access is
-    /// furthest in the future (never again > latest; ties broken toward
-    /// the lower CLV key). Optimal among demand-fill policies, hence
-    /// the oracle miss floor.
+    /// Belady's MIN: evict the resident CLV whose next use — a demand
+    /// access, or a reuse by the planner (`Touch`) — is furthest in the
+    /// future (never again > latest; ties broken toward the lower CLV
+    /// key). Optimal among demand-fill policies, hence the oracle miss
+    /// floor.
     Belady,
 }
 
@@ -132,9 +135,11 @@ impl std::error::Error for SimError {}
 enum PolicyState {
     Live(Box<dyn ReplacementStrategy>),
     Belady {
-        /// Per-CLV queue of *future* demand-access positions (indices
-        /// into the event stream). The front is the next use; a CLV's
-        /// own position is popped when its Acquire is replayed.
+        /// Per-CLV queue of *future* use positions (indices into the
+        /// event stream): demand accesses and planner reuses alike — a
+        /// CLV the live planner is about to reuse is not dead. The front
+        /// is the next use; a CLV's own position is popped when its
+        /// event is replayed.
         next_use: Vec<VecDeque<usize>>,
     },
 }
@@ -160,6 +165,17 @@ impl Sim {
     fn resident(&self, clv: u32) -> Option<usize> {
         let s = self.clv_to_slot[clv as usize];
         (s != FREE).then_some(s as usize)
+    }
+
+    /// The oracle consumes the position being replayed, leaving the
+    /// queue front pointing at the *next* future use.
+    fn consume_use(&mut self, clv: u32, index: usize) {
+        if let PolicyState::Belady { next_use } = &mut self.policy {
+            let q = &mut next_use[clv as usize];
+            while q.front().is_some_and(|&p| p <= index) {
+                q.pop_front();
+            }
+        }
     }
 
     fn on_access(&mut self, clv: u32, slot: usize) {
@@ -275,11 +291,14 @@ pub fn simulate_observed(
             | SlotEvent::Unpin { clv }
             | SlotEvent::Invalidate { clv }
             | SlotEvent::Poison { clv } => clv,
-            SlotEvent::UnpinAll => NO_CLV,
+            SlotEvent::UnpinAll | SlotEvent::Schedule { .. } | SlotEvent::Cursor { .. } => NO_CLV,
         };
         if clv != NO_CLV {
             n_clvs = n_clvs.max(clv as usize + 1);
         }
+    }
+    for &(clv, _) in trace.schedules.iter().flatten() {
+        n_clvs = n_clvs.max(clv as usize + 1);
     }
 
     let policy_state = match policy {
@@ -297,7 +316,7 @@ pub fn simulate_observed(
         Policy::Belady => {
             let mut next_use = vec![VecDeque::new(); n_clvs];
             for (i, ev) in trace.events.iter().enumerate() {
-                if let SlotEvent::Acquire { clv } = *ev {
+                if let SlotEvent::Acquire { clv } | SlotEvent::Touch { clv } = *ev {
                     if clv != NO_CLV {
                         next_use[clv as usize].push_back(i);
                     }
@@ -326,14 +345,7 @@ pub fn simulate_observed(
                         "event {index}: demand access on the NO_CLV sentinel"
                     )));
                 }
-                // The oracle consumes its own position first, leaving
-                // the queue front pointing at the *next* future use.
-                if let PolicyState::Belady { next_use } = &mut sim.policy {
-                    let q = &mut next_use[clv as usize];
-                    while q.front().is_some_and(|&p| p <= index) {
-                        q.pop_front();
-                    }
-                }
+                sim.consume_use(clv, index);
                 sim.stats.acquires += 1;
                 if let Some(slot) = sim.resident(clv) {
                     sim.stats.hits += 1;
@@ -364,6 +376,10 @@ pub fn simulate_observed(
                 // the live accounting. Where this configuration evicted
                 // it, the live planner would have recomputed it instead;
                 // the trace cannot say at what cost, so it counts nothing.
+                if clv == NO_CLV {
+                    continue;
+                }
+                sim.consume_use(clv, index);
                 if let Some(slot) = sim.resident(clv) {
                     sim.stats.hits += 1;
                     sim.stats.acquires += 1;
@@ -452,6 +468,25 @@ pub fn simulate_observed(
                     sim.failed[slot] = true;
                 }
             }
+            // What the live policy was told, the replayed one is told at
+            // the same point of the stream. The oracle reads the trace's
+            // own future and has no use for the sweep's.
+            SlotEvent::Schedule { table } => {
+                let uses = match table {
+                    NO_TABLE => None,
+                    _ => Some(trace.schedules.get(table as usize).ok_or_else(|| {
+                        SimError::BadTrace(format!("event {index}: no schedule table {table}"))
+                    })?),
+                };
+                if let PolicyState::Live(s) = &mut sim.policy {
+                    s.on_schedule(uses.map(|u| Arc::new(NextUse::from_uses(n_clvs, u))));
+                }
+            }
+            SlotEvent::Cursor { pos } => {
+                if let PolicyState::Live(s) = &mut sim.policy {
+                    s.on_cursor(pos);
+                }
+            }
         }
     }
     debug_assert_eq!(sim.stats.installs, sim.stats.misses);
@@ -469,7 +504,7 @@ mod tests {
     }
 
     fn trace(events: Vec<SlotEvent>) -> Trace {
-        Trace { meta: TraceMeta::default(), events }
+        Trace { meta: TraceMeta::default(), events, schedules: Vec::new() }
     }
 
     #[test]
@@ -606,12 +641,73 @@ mod tests {
     }
 
     #[test]
+    fn live_policies_are_told_what_the_trace_says_they_were_told() {
+        // Equal costs; the sweep wants 0 again at step 3 and 1 never.
+        let mut t = trace(vec![
+            SlotEvent::Schedule { table: 0 },
+            SlotEvent::Cursor { pos: 1 },
+            acq(0),
+            acq(1),
+            acq(2), // cost order would evict 0 (lower key); the walk says 1
+            acq(0),
+            SlotEvent::Schedule { table: NO_TABLE },
+            acq(3), // back to cost order: 0 goes
+            acq(2),
+        ]);
+        t.meta.costs = vec![1.0; 4];
+        t.schedules = vec![vec![(0, 0), (0, 3), (1, 0), (2, 2)]];
+        let s = simulate(&t, 2, Policy::Kind(StrategyKind::CostBased)).unwrap();
+        assert_eq!((s.hits, s.misses), (2, 4), "{s:?}");
+        // The same stream without the announcement: 0 is evicted early.
+        let blind = Trace {
+            events: t
+                .events
+                .iter()
+                .copied()
+                .filter(|e| matches!(e, SlotEvent::Acquire { .. }))
+                .collect(),
+            ..t.clone()
+        };
+        let b = simulate(&blind, 2, Policy::Kind(StrategyKind::CostBased)).unwrap();
+        assert_eq!((b.hits, b.misses), (1, 5), "{b:?}");
+        // Every other policy, and the oracle, replays the stream unmoved.
+        for p in Policy::all() {
+            let with = simulate(&t, 2, p).unwrap();
+            if p != Policy::Kind(StrategyKind::CostBased) {
+                assert_eq!(with, simulate(&blind, 2, p).unwrap(), "{p}");
+            }
+        }
+        // An announcement the trace has no table for is a broken trace.
+        t.schedules.clear();
+        let err = simulate(&t, 2, Policy::Kind(StrategyKind::Lru)).unwrap_err();
+        assert!(matches!(err, SimError::BadTrace(_)), "{err:?}");
+    }
+
+    #[test]
+    fn the_oracle_keeps_what_the_planner_is_about_to_reuse() {
+        // 2 slots. After 0, 1 the access to 2 must evict: 0 is touched
+        // next and then demanded, 1 is demanded only later.
+        let t = trace(vec![acq(0), acq(1), acq(2), SlotEvent::Touch { clv: 0 }, acq(0), acq(1)]);
+        let s = simulate(&t, 2, Policy::Belady).unwrap();
+        assert_eq!((s.hits, s.misses), (2, 4), "{s:?}");
+        // A reuse of something this configuration evicted counts nothing.
+        let t = trace(vec![
+            acq(0),
+            acq(1),
+            SlotEvent::Touch { clv: 5 },
+            SlotEvent::Touch { clv: NO_CLV },
+        ]);
+        let s = simulate(&t, 1, Policy::Belady).unwrap();
+        assert_eq!((s.hits, s.misses, s.acquires), (0, 2, 2));
+    }
+
+    #[test]
     fn cost_based_uses_trace_costs() {
         let mut t = trace(vec![acq(0), acq(1), acq(2)]);
         t.meta.costs = vec![5.0, 1.0, 3.0];
         let s = simulate(&t, 2, Policy::Kind(StrategyKind::CostBased)).unwrap();
         assert_eq!(s.evictions, 1); // clv 1 (cheapest) was the victim…
-        let t2 = Trace { meta: t.meta.clone(), events: vec![acq(0), acq(1), acq(2), acq(0)] };
+        let t2 = Trace { events: vec![acq(0), acq(1), acq(2), acq(0)], ..t.clone() };
         let s2 = simulate(&t2, 2, Policy::Kind(StrategyKind::CostBased)).unwrap();
         assert_eq!(s2.hits, 1, "…so the expensive clv 0 must still be resident");
     }

@@ -201,13 +201,14 @@ mod tests {
                 SlotEvent::Pin { clv: 2, n: 1 },
                 SlotEvent::UnpinAll,
             ],
+            schedules: Vec::new(),
         };
         assert_eq!(min_feasible_slots(&t), 3);
         // And the floor really is feasible while one less jams.
         assert!(simulate(&t, 3, Policy::Kind(StrategyKind::Lru)).is_ok());
         let t_jam = Trace {
-            meta: t.meta.clone(),
             events: t.events[..4].to_vec().into_iter().chain([acq(2)]).collect(),
+            ..t.clone()
         };
         assert!(simulate(&t_jam, 2, Policy::Kind(StrategyKind::Lru)).is_err());
     }
@@ -218,7 +219,11 @@ mod tests {
         for clv in 0..40u32 {
             events.push(acq(clv));
         }
-        let t = Trace { meta: TraceMeta { n_slots: 7, ..Default::default() }, events };
+        let t = Trace {
+            meta: TraceMeta { n_slots: 7, ..Default::default() },
+            events,
+            schedules: Vec::new(),
+        };
         let ladder = slot_count_ladder(&t);
         assert_eq!(*ladder.first().unwrap(), 1);
         assert_eq!(*ladder.last().unwrap(), 40);
@@ -236,7 +241,7 @@ mod tests {
                 events.push(acq(clv));
             }
         }
-        let t = Trace { meta: TraceMeta::default(), events };
+        let t = Trace { meta: TraceMeta::default(), events, schedules: Vec::new() };
         let policies = [Policy::Kind(StrategyKind::Lru), Policy::Belady];
         let rows = sweep(&t, &slot_count_ladder(&t), &policies);
         let rec = recommend(&rows, Policy::Kind(StrategyKind::Lru), 10.0, 100).unwrap();

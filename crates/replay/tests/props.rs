@@ -23,6 +23,7 @@ fn acquire_trace(clvs: &[u32]) -> Trace {
             ..Default::default()
         },
         events: clvs.iter().map(|&clv| SlotEvent::Acquire { clv }).collect(),
+        schedules: Vec::new(),
     }
 }
 

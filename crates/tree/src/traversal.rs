@@ -140,6 +140,10 @@ pub struct SweepStep {
     /// The hold to drop once this step's own hold is taken: `up(u)`, on
     /// the last step of `u`'s stop.
     pub release: Option<DirEdgeId>,
+    /// The steps of `c`'s own stop, as an index range `[from, to)` into
+    /// the step list this step is part of — where a held `up(c)` gets
+    /// spent. Empty unless the step has a `hold`.
+    pub below: (u32, u32),
 }
 
 /// `SweepSchedule` child entry: the edge `{u, c}` below a stop `u`.
@@ -229,7 +233,16 @@ impl SweepSchedule {
             let kids = &self.kids[range.start as usize..range.end as usize];
             live[s] = kids.iter().any(|k| wanted(k.edge) || enters(k, &live));
         }
-        let mut steps = Vec::new();
+        let emits = |kid: &SweepKid, live: &[bool]| wanted(kid.edge) || enters(kid, live);
+        // first[s]: the position of stop `s`'s first step in the list.
+        let mut first = Vec::with_capacity(self.stops.len() + 1);
+        first.push(0u32);
+        for (s, (_, range)) in self.stops.iter().enumerate() {
+            let kids = &self.kids[range.start as usize..range.end as usize];
+            let emitted = if live[s] { kids.iter().filter(|k| emits(k, &live)).count() } else { 0 };
+            first.push(first[s] + emitted as u32);
+        }
+        let mut steps = Vec::with_capacity(first[self.stops.len()] as usize);
         for (s, (up_u, range)) in self.stops.iter().enumerate() {
             if !live[s] {
                 continue;
@@ -237,17 +250,103 @@ impl SweepSchedule {
             for kid in &self.kids[range.start as usize..range.end as usize] {
                 let (visit, enter) = (wanted(kid.edge), enters(kid, &live));
                 if visit || enter {
+                    let stop = kid.stop as usize;
                     steps.push(SweepStep {
                         edge: kid.edge,
                         visit,
                         hold: enter.then_some(kid.up),
                         release: None,
+                        below: if enter { (first[stop], first[stop + 1]) } else { (0, 0) },
                     });
                 }
             }
             steps.last_mut().expect("a live stop emits a step").release = *up_u;
         }
         steps
+    }
+}
+
+/// When a walk of a step list will next ask for each directed CLV: per CLV
+/// the ascending positions of the steps that want it **directly or one
+/// Felsenstein step away** — both orientations of a visited branch, a
+/// step's `hold`, and the inner-origin `deps(·)` of each. One step further
+/// out the planner's own choices (what is still cached when the step is
+/// reached) decide whether a CLV is read at all, and counting those
+/// maybe-uses as demand measured worse than ignoring them (DESIGN.md §4).
+///
+/// Flat: one offset per directed edge plus at most six positions per step.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct NextUse {
+    /// `positions[offsets[d]..offsets[d + 1]]` are the uses of CLV `d`.
+    offsets: Vec<u32>,
+    positions: Vec<u32>,
+}
+
+impl NextUse {
+    /// The table for one walk of `steps` over `tree`. O(steps).
+    pub fn new(tree: &Tree, steps: &[SweepStep]) -> Self {
+        let mut uses = Vec::with_capacity(6 * steps.len());
+        for (pos, step) in steps.iter().enumerate() {
+            let asked = if step.visit {
+                [Some(DirEdgeId::new(step.edge, 0)), Some(DirEdgeId::new(step.edge, 1))]
+            } else {
+                [step.hold, None]
+            };
+            // Tip-origin orientations are never slotted; the deps of two
+            // opposite orientations point into different nodes, so no CLV
+            // is named twice by one step.
+            let named = asked
+                .into_iter()
+                .flatten()
+                .filter_map(|d| tree.deps(d).map(|deps| [d, deps[0], deps[1]]))
+                .flatten()
+                .filter(|&d| !tree.is_leaf(tree.src(d)));
+            uses.extend(named.map(|d| (d.0, pos as u32)));
+        }
+        Self::from_uses(tree.n_dir_edges(), &uses)
+    }
+
+    /// The table over CLV keys `0..n_clvs` holding exactly the `(clv,
+    /// position)` pairs of `uses`, which must list each CLV's positions in
+    /// ascending order (CLVs may interleave) and name no key beyond
+    /// `n_clvs`.
+    pub fn from_uses(n_clvs: usize, uses: &[(u32, u32)]) -> Self {
+        let mut offsets = vec![0u32; n_clvs + 1];
+        for &(clv, _) in uses {
+            offsets[clv as usize + 1] += 1;
+        }
+        for d in 0..n_clvs {
+            offsets[d + 1] += offsets[d];
+        }
+        let mut fill = offsets.clone();
+        let mut positions = vec![0u32; uses.len()];
+        for &(clv, pos) in uses {
+            positions[fill[clv as usize] as usize] = pos;
+            fill[clv as usize] += 1;
+        }
+        NextUse { offsets, positions }
+    }
+
+    /// Every `(clv, position)` pair, by CLV and then by position.
+    pub fn uses(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (0..self.offsets.len().saturating_sub(1))
+            .flat_map(move |clv| self.of(clv).iter().map(move |&pos| (clv as u32, pos)))
+    }
+
+    /// The positions at which CLV `clv` is wanted, ascending (empty for a
+    /// key the table does not cover).
+    pub fn of(&self, clv: usize) -> &[u32] {
+        match (self.offsets.get(clv), self.offsets.get(clv + 1)) {
+            (Some(&from), Some(&to)) => &self.positions[from as usize..to as usize],
+            _ => &[],
+        }
+    }
+
+    /// The first position at or after `cursor` that wants `clv`; `None`
+    /// when the rest of the walk never does.
+    pub fn next_from(&self, clv: usize, cursor: u32) -> Option<u32> {
+        let uses = self.of(clv);
+        uses.get(uses.partition_point(|&pos| pos < cursor)).copied()
     }
 }
 
@@ -402,6 +501,83 @@ mod tests {
         let holds = steps.iter().filter(|s| s.hold.is_some()).count();
         assert_eq!(holds, steps.iter().filter(|s| s.release.is_some()).count());
         assert!(schedule.steps(|_| false).is_empty());
+    }
+
+    /// The CLVs step `step` asks for directly or one Felsenstein step
+    /// away, spelled out the slow way.
+    fn asked_at(t: &Tree, step: &SweepStep) -> Vec<DirEdgeId> {
+        let mut asked: Vec<DirEdgeId> = step.hold.into_iter().collect();
+        if step.visit {
+            asked.extend([DirEdgeId::new(step.edge, 0), DirEdgeId::new(step.edge, 1)]);
+        }
+        for d in asked.clone() {
+            asked.extend(t.deps(d).into_iter().flatten());
+        }
+        asked.retain(|&d| !t.is_leaf(t.src(d)));
+        asked.sort_unstable();
+        asked.dedup();
+        asked
+    }
+
+    #[test]
+    fn next_use_lists_each_steps_clvs_and_their_deps_and_nothing_else() {
+        let mut rng = StdRng::seed_from_u64(18);
+        for gen in [generate::yule, generate::caterpillar, generate::uniform_topology] {
+            let t = gen(60, 0.1, &mut rng).unwrap();
+            let schedule = SweepSchedule::new(&t);
+            // The pruned list's positions are its own, not the full walk's.
+            for steps in [schedule.steps(|_| true), schedule.steps(|e| e.0 % 7 == 2)] {
+                let table = NextUse::new(&t, &steps);
+                let mut expect: Vec<Vec<u32>> = vec![Vec::new(); t.n_dir_edges()];
+                for (pos, step) in steps.iter().enumerate() {
+                    let asked = asked_at(&t, step);
+                    assert!(asked.len() <= 6);
+                    for d in asked {
+                        expect[d.idx()].push(pos as u32);
+                    }
+                }
+                for d in t.all_dir_edges() {
+                    assert_eq!(table.of(d.idx()), expect[d.idx()], "{d:?}");
+                    assert!(table.of(d.idx()).windows(2).all(|w| w[0] < w[1]), "{d:?}");
+                    for cursor in 0..=steps.len() as u32 {
+                        let next = expect[d.idx()].iter().copied().find(|&p| p >= cursor);
+                        assert_eq!(table.next_from(d.idx(), cursor), next, "{d:?} from {cursor}");
+                    }
+                }
+                // The flat pairs rebuild the same table (the trace's way).
+                let pairs: Vec<(u32, u32)> = table.uses().collect();
+                assert_eq!(NextUse::from_uses(t.n_dir_edges(), &pairs), table);
+                assert!(table.of(t.n_dir_edges() + 5).is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn steps_know_where_their_childs_stop_is() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let t = generate::yule(60, 0.1, &mut rng).unwrap();
+        let schedule = SweepSchedule::new(&t);
+        for steps in [schedule.steps(|_| true), schedule.steps(|e| e.0 % 9 == 4)] {
+            for step in &steps {
+                let below = &steps[step.below.0 as usize..step.below.1 as usize];
+                match step.hold {
+                    None => assert!(below.is_empty()),
+                    Some(up) => {
+                        // `c`'s stop: its child edges, ending in the step
+                        // that releases `up(c)`.
+                        let c = t.dst(up);
+                        assert!(!below.is_empty());
+                        for kid in below {
+                            let e = t.edge(kid.edge);
+                            assert!(e.a == c || e.b == c, "{kid:?} is not at {c:?}");
+                            assert_ne!(kid.edge, step.edge);
+                        }
+                        assert_eq!(below.last().unwrap().release, Some(up));
+                        assert!(below[..below.len() - 1].iter().all(|k| k.release.is_none()));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Bench smoke: compile every benchmark, then run the kernel suite in
-# quick mode and record the JSON baseline next to this script's repo
-# root. Intended for CI and for refreshing BENCH_kernels.json after
-# kernel changes.
+# quick mode and record the JSON baseline. Without an argument this
+# refreshes the committed BENCH_kernels.json, BENCH_tiers.json and
+# BENCH_serve.json in the repo root; with one, the kernel baseline goes
+# to that file and the tiers/serve JSON beside it, so a CI run leaves the
+# working tree as it found it.
 #
 # Usage: scripts/bench_smoke.sh [output.json]
 set -euo pipefail
@@ -10,7 +12,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 # Absolute path: cargo runs the bench binary with the package dir as
 # cwd, so a relative path would land in crates/bench/.
-out="$(pwd)/${1:-BENCH_kernels.json}"
+case "${1:-}" in
+    "") out="$(pwd)/BENCH_kernels.json" ;;
+    /*) out="$1" ;;
+    *) out="$(pwd)/$1" ;;
+esac
+out_dir="$(dirname "$out")"
 
 # All benchmarks must at least compile.
 cargo bench --no-run
@@ -133,7 +140,7 @@ EOF
 # demote-vs-drop cost model steers by. One summary line per
 # dataset × tier lands in the CI log.
 echo "==> storage-tier reload latency vs recompute crossover"
-tiers_out="$(pwd)/BENCH_tiers.json"
+tiers_out="$out_dir/BENCH_tiers.json"
 cargo run --release -q --example bench_tiers -- "$tiers_out"
 python3 - "$tiers_out" <<'EOF'
 import json, sys
@@ -152,7 +159,7 @@ EOF
 # mean must beat the cold rebuild-per-request mean, or serving is
 # pointless and the bench fails.
 echo "==> daemon warm-request latency vs cold start"
-serve_out="$(pwd)/BENCH_serve.json"
+serve_out="$out_dir/BENCH_serve.json"
 cargo run --release -q --example bench_serve -- "$serve_out"
 python3 - "$serve_out" <<'EOF'
 import json, sys
@@ -184,3 +191,12 @@ for policy in cost lru mru fifo random cost-lru; do
         | grep -E "^  ($policy|belady) " \
         || { echo "$policy: replay differential failed"; exit 1; }
 done
+# The default knows the sweep's order; a policy that only guesses must
+# not beat it.
+python3 - "$jdir" <<'EOF'
+import json, sys
+misses = {p: json.load(open(f"{sys.argv[1]}/{p}.metrics.json"))["counters"]["slot.misses"]
+          for p in ("cost", "lru", "cost-lru")}
+assert misses["cost"] < min(misses["lru"], misses["cost-lru"]), f"default policy lost: {misses}"
+print(f"default policy ahead: slot.misses {misses}")
+EOF

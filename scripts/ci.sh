@@ -2,8 +2,8 @@
 # The full CI gate: release build, the benchmark harness, the whole
 # workspace's test suite, formatting, and a single-iteration bench smoke
 # pass (compiles every benchmark and runs the kernel suite in quick
-# mode, writing the baseline to a throwaway file so the committed
-# BENCH_kernels.json is not churned).
+# mode, writing its baselines to a throwaway directory so the committed
+# BENCH_*.json files are not churned).
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -243,6 +243,8 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 echo "==> bench smoke (single quick pass)"
-scripts/bench_smoke.sh "$(mktemp -t bench_smoke.XXXXXX.json)"
+bench_out=$(mktemp -d -t bench_smoke.XXXXXX)
+trap 'rm -rf "$smoke_dir" "$bench_out"' EXIT
+scripts/bench_smoke.sh "$bench_out/BENCH_kernels.json"
 
 echo "==> CI OK"

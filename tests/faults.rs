@@ -305,7 +305,12 @@ fn lost_publish_times_out_instead_of_hanging() {
     cfg.slot_wait_timeout = Some(Duration::from_millis(200));
     let placer = Placer::new(ctx_of(&ds), s2p, cfg).unwrap();
 
-    phylo_faults::arm("amc::lost_publish", Trigger::Once { after: 0 });
+    // Every publish is lost, not just the first: a publish nobody waits
+    // for is harmless (a CLV read once and overwritten later in the same
+    // plan is read by version, not by latch — which CLV that is depends
+    // on the eviction order), but the batch's own targets are always
+    // waited for.
+    phylo_faults::arm("amc::lost_publish", Trigger::Always);
     let t = Instant::now();
     match placer.place(&batch) {
         Err(PlaceError::Engine(phyloplace::engine::EngineError::Amc(

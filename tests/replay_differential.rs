@@ -11,6 +11,7 @@
 //! the live slot manager at the captured configuration, its miss
 //! curves at *other* slot counts are the real machine's, not a model's.
 
+use phylo_obs::slottrace::{SlotEvent, NO_TABLE};
 use phyloplace::place::{memplan, EpaConfig, Placer, PreplacementMode, QueryBatch, RunControl};
 use phyloplace::prelude::*;
 use phyloplace::replay::{simulate, Policy, SimStats, Trace};
@@ -84,11 +85,8 @@ fn traced_run(strategy: StrategyKind) -> (Trace, SimStats, usize) {
 /// replayed configuration still holds the CLV — where it does not, the
 /// live planner would have recomputed instead, at a cost no trace records.
 fn assert_demand_replayed(trace: &Trace, sim: &SimStats, live: &SimStats, what: &str) {
-    let demand = trace
-        .events
-        .iter()
-        .filter(|e| matches!(e, phylo_obs::slottrace::SlotEvent::Acquire { .. }))
-        .count() as u64;
+    let demand =
+        trace.events.iter().filter(|e| matches!(e, SlotEvent::Acquire { .. })).count() as u64;
     assert!(demand < live.acquires, "{what}: the live planner reused cached CLVs");
     assert!(
         (demand..=live.acquires).contains(&sim.acquires),
@@ -112,6 +110,19 @@ fn simulator_matches_every_live_policy_bit_exactly() {
         // path goes through a file.
         let round = Trace::parse(&trace.to_text()).unwrap();
         assert_eq!(round.events, trace.events, "{strategy}: trace text round trip");
+        assert_eq!(round.schedules, trace.schedules, "{strategy}: trace text round trip");
+        // Every policy is told about the sweeps (only the default
+        // listens), so every trace carries them: the no-lookup prescore
+        // and thorough walks of each chunk, announced and withdrawn.
+        let told = |table_is: fn(u32) -> bool| {
+            let is =
+                |e: &&SlotEvent| matches!(e, SlotEvent::Schedule { table } if table_is(*table));
+            trace.events.iter().filter(is).count()
+        };
+        assert!(!trace.schedules.is_empty(), "{strategy}: no sweep was announced");
+        assert_eq!(told(|t| t != NO_TABLE), trace.schedules.len(), "{strategy}");
+        assert_eq!(told(|t| t == NO_TABLE), trace.schedules.len(), "{strategy}");
+        assert!(trace.events.iter().any(|e| matches!(e, SlotEvent::Cursor { .. })));
 
         let sim = simulate(&round, slots, Policy::Kind(strategy))
             .unwrap_or_else(|e| panic!("{strategy}: replay failed: {e}"));
@@ -136,8 +147,10 @@ fn simulator_matches_every_live_policy_bit_exactly() {
 fn cross_policy_replay_stays_feasible_on_a_real_trace() {
     // A trace captured under one policy replays under every other (and
     // the oracle) without jamming: the skipped-pin bookkeeping absorbs
-    // residency divergence.
+    // residency divergence, and the sweep announcements the default
+    // policy acted on mean nothing to the rest.
     let (trace, live, slots) = traced_run(StrategyKind::CostBased);
+    assert!(trace.events.iter().any(|e| matches!(e, SlotEvent::Schedule { .. })));
     let mut best_live = u64::MAX;
     for policy in Policy::all() {
         let s = simulate(&trace, slots, policy)
