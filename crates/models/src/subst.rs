@@ -172,38 +172,66 @@ impl SubstModel {
 
     /// Writes the transition probability matrix `P(t)` into `out`
     /// (row-major `n × n`). Negative rounding residue is clamped to zero.
+    ///
+    /// Every entry is `Σ_k (V_ik·e^{λ_k t})·W_kj`, summed over ascending
+    /// `k` — the two loop orders below produce the same bits and differ
+    /// only in speed.
     pub fn transition_matrix(&self, t: f64, out: &mut [f64]) {
         let n = self.n;
         debug_assert_eq!(out.len(), n * n);
         debug_assert!(t >= 0.0 && t.is_finite(), "bad branch length {t}");
-        // exp(λ_k t)
-        let mut expl = [0.0f64; 32];
-        let expl = &mut expl[..n.min(32)];
-        if n <= 32 {
-            for (k, e) in expl.iter_mut().enumerate() {
-                *e = (self.eigenvalues[k] * t).exp();
+        // exp(λ_k t), on the stack for every real alphabet.
+        let mut stack = [0.0f64; 32];
+        let heap: Vec<f64>;
+        let expl: &[f64] = if n <= 32 {
+            for (e, &l) in stack.iter_mut().zip(&self.eigenvalues) {
+                *e = (l * t).exp();
             }
-            for i in 0..n {
-                let vrow = self.v.row(i);
-                for j in 0..n {
-                    let mut p = 0.0;
-                    for k in 0..n {
-                        p += vrow[k] * expl[k] * self.w[(k, j)];
-                    }
-                    out[i * n + j] = p.max(0.0);
-                }
-            }
+            &stack[..n]
         } else {
-            let expl: Vec<f64> = self.eigenvalues.iter().map(|&l| (l * t).exp()).collect();
-            for i in 0..n {
-                let vrow = self.v.row(i);
-                for j in 0..n {
-                    let mut p = 0.0;
-                    for k in 0..n {
-                        p += vrow[k] * expl[k] * self.w[(k, j)];
-                    }
-                    out[i * n + j] = p.max(0.0);
+            heap = self.eigenvalues.iter().map(|&l| (l * t).exp()).collect();
+            &heap
+        };
+        // Measured: streaming W's rows halves the S = 20 build
+        // (26.8 → 13.3 µs) but costs the S = 4 one (0.37 → 0.55 µs).
+        if n > 4 {
+            self.fill_by_rows_of_w(expl, out);
+        } else {
+            self.fill_by_entry(expl, out);
+        }
+    }
+
+    /// `P(t)` one entry at a time: a dot product down a column of `W`.
+    #[inline]
+    fn fill_by_entry(&self, expl: &[f64], out: &mut [f64]) {
+        let n = self.n;
+        for i in 0..n {
+            let vrow = self.v.row(i);
+            for j in 0..n {
+                let mut p = 0.0;
+                for k in 0..n {
+                    p += vrow[k] * expl[k] * self.w[(k, j)];
                 }
+                out[i * n + j] = p.max(0.0);
+            }
+        }
+    }
+
+    /// `P(t)` one row at a time: `k` outermost, so each `V_ik·e^{λ_k t}` is
+    /// formed once and `W` is read along its contiguous rows.
+    fn fill_by_rows_of_w(&self, expl: &[f64], out: &mut [f64]) {
+        let n = self.n;
+        for (i, prow) in out.chunks_exact_mut(n).enumerate() {
+            let vrow = self.v.row(i);
+            prow.fill(0.0);
+            for k in 0..n {
+                let ve = vrow[k] * expl[k];
+                for (p, &w) in prow.iter_mut().zip(self.w.row(k)) {
+                    *p += ve * w;
+                }
+            }
+            for p in prow {
+                *p = p.max(0.0);
             }
         }
     }
@@ -388,6 +416,35 @@ mod tests {
             assert!((s - 1.0).abs() < 1e-9, "row {i} sums to {s}");
             for j in 0..20 {
                 assert!(p[i * 20 + j] >= 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn both_loop_orders_give_the_same_bits() {
+        // `transition_matrix` picks a loop order by state count; the choice
+        // must never show in the output.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let gtr = dna::gtr(&[1.0, 2.5, 1.2, 0.8, 3.1, 1.0], &[0.30, 0.21, 0.27, 0.22]).unwrap();
+        for rm in [gtr, crate::aa::synthetic_aa(7).unwrap(), crate::aa::poisson_aa()] {
+            let m = SubstModel::new(&rm, DiscreteGamma::none()).unwrap();
+            let n = m.n_states();
+            let (mut by_entry, mut by_rows) = (vec![0.0; n * n], vec![0.0; n * n]);
+            for case in 0..200 {
+                // Spread over the optimizer's whole range, ends included.
+                let t = match case {
+                    0 => 0.0,
+                    1 => 1e-6,
+                    _ => 10f64.powf(rng.gen_range(-6.0..1.5)),
+                };
+                let expl: Vec<f64> = m.eigenvalues.iter().map(|&l| (l * t).exp()).collect();
+                m.fill_by_entry(&expl, &mut by_entry);
+                m.fill_by_rows_of_w(&expl, &mut by_rows);
+                let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&by_entry), bits(&by_rows), "n = {n}, t = {t}");
+                m.transition_matrix(t, &mut by_rows);
+                assert_eq!(bits(&by_entry), bits(&by_rows), "n = {n}, t = {t}");
             }
         }
     }

@@ -7,7 +7,9 @@ use crate::lookup::LookupTable;
 use crate::memplan::{self, BlockPlan, MemoryPlan};
 use crate::queries::{EncodedQuery, QueryBatch};
 use crate::result::{DegradationStats, PlacementEntry, PlacementResult, RunReport};
-use crate::score::{attachment_partials, score_thorough, BranchScoreTable, ScoreScratch};
+use crate::score::{
+    attachment_partials_into, score_thorough, AttachmentPartials, BranchScoreTable, ScoreScratch,
+};
 use crate::sweep::{panic_message, run_sweep, DegradationCounters};
 use phylo_amc::CancelToken;
 use phylo_engine::{ManagedStore, ReferenceContext};
@@ -603,25 +605,27 @@ impl Placer {
         let s2p = &self.site_to_pattern;
         let pendant = (ctx.tree().total_length() / branches as f64).max(1e-6);
         let mut mat_cell = RowMatrix { data: mat, width: branches };
+        // One scratch and one set of transient tables for the whole chunk,
+        // rebuilt in place block after block.
+        let mut scratch = ScoreScratch::new(ctx);
+        let mut partials = AttachmentPartials::empty();
+        let mut tables: Vec<BranchScoreTable> = Vec::new();
         run_sweep(ctx, store, &sweep.steps(|_| true), plan, deg, |block| {
-            // Build the block's transient tables; the block's CLVs are
-            // pinned and published, so reads need no lock.
-            let tables: Vec<BranchScoreTable> = {
-                let mut scratch = ScoreScratch::new(ctx);
-                block
-                    .iter()
-                    .map(|&e| {
-                        let partials = attachment_partials(ctx, store, e, 0.5, &mut scratch);
-                        BranchScoreTable::build(ctx, &partials, pendant, &mut scratch)
-                    })
-                    .collect()
-            };
+            // The block's CLVs are pinned and published, so reads need no
+            // lock.
+            if tables.len() < block.len() {
+                tables.resize_with(block.len(), BranchScoreTable::empty);
+            }
+            for (table, &e) in tables.iter_mut().zip(block) {
+                attachment_partials_into(ctx, store, e, 0.5, &mut scratch, &mut partials);
+                table.rebuild(ctx, &partials, pendant, &mut scratch);
+            }
             // Score the chunk against the block, parallel over queries.
             mat_cell.with_rows(chunk.len(), cfg.threads, |q_range, rows| {
                 for (local, row) in q_range.clone().zip(rows.chunks_mut(branches)) {
                     let codes = &chunk[local].codes;
-                    for (bi, &e) in block.iter().enumerate() {
-                        row[e.idx()] = tables[bi].prescore(ctx, s2p, codes);
+                    for (table, &e) in tables.iter().zip(block) {
+                        row[e.idx()] = table.prescore(ctx, s2p, codes);
                     }
                 }
             });
@@ -648,17 +652,21 @@ impl Placer {
         let s2p = &self.site_to_pattern;
         let plan = self.plan_block(store.n_slots(), deg)?;
         let steps = sweep.steps(|e| !grouped[e.idx()].is_empty());
+        // One scratch per worker for the whole chunk, not one per block.
+        let mut scratches: Vec<ScoreScratch> =
+            (0..cfg.threads).map(|_| ScoreScratch::new(ctx)).collect();
         run_sweep(ctx, store, &steps, plan, deg, |block| {
             // Flatten to (edge, query) work items and strip across threads.
             let items: Vec<(EdgeId, usize)> =
                 block.iter().flat_map(|&e| grouped[e.idx()].iter().map(move |&q| (e, q))).collect();
             let n_threads = cfg.threads.min(items.len().max(1));
-            let work = |t: usize| -> Result<Vec<(usize, PlacementEntry)>, PlaceError> {
+            let work = |t: usize,
+                        scratch: &mut ScoreScratch|
+             -> Result<Vec<(usize, PlacementEntry)>, PlaceError> {
                 if phylo_faults::fire("place::worker_panic") {
                     panic!("injected thorough-worker panic");
                 }
                 let mut out = Vec::new();
-                let mut scratch = ScoreScratch::new(ctx);
                 for &(e, q) in items.iter().skip(t).step_by(n_threads) {
                     let sp = score_thorough(
                         ctx,
@@ -667,7 +675,7 @@ impl Placer {
                         s2p,
                         &chunk[q].codes,
                         cfg.blo_iterations,
-                        &mut scratch,
+                        scratch,
                     )?;
                     if !sp.log_likelihood.is_finite() {
                         return Err(PlaceError::NonFiniteLikelihood {
@@ -693,12 +701,17 @@ impl Placer {
             // and the surviving workers' reads drain before the error
             // surfaces.
             let joined: Vec<std::thread::Result<_>> = if n_threads == 1 {
-                vec![std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(0)))]
+                let scratch = &mut scratches[0];
+                vec![std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(0, scratch)))]
             } else {
                 std::thread::scope(|s| {
                     let work = &work;
-                    let handles: Vec<_> =
-                        (0..n_threads).map(|t| s.spawn(move || work(t))).collect();
+                    let handles: Vec<_> = scratches
+                        .iter_mut()
+                        .take(n_threads)
+                        .enumerate()
+                        .map(|(t, scratch)| s.spawn(move || work(t, scratch)))
+                        .collect();
                     handles.into_iter().map(|h| h.join()).collect()
                 })
             };

@@ -1,5 +1,6 @@
-//! Placement scoring: attachment partials, per-branch score tables, and
-//! thorough (branch-length-optimizing) query scoring.
+//! Placement scoring: attachment partials, per-branch score tables, the
+//! single-query evaluator, and thorough (branch-length-optimizing) query
+//! scoring.
 //!
 //! Inserting a query into branch `e = {a, b}` splits it at an attachment
 //! point ρ: proximal part `x·t`, distal part `(1−x)·t`, plus a pendant
@@ -10,9 +11,25 @@
 //!
 //! where `A`/`B` are the branch-side CLVs propagated to ρ and `C` is the
 //! query tip propagated through the pendant branch. The `A·B` product
-//! depends only on `(e, x)` — precomputing it per branch is what the
-//! lookup table stores, and what makes prescoring a query a per-site table
-//! walk.
+//! ([`AttachmentPartials`]) depends only on `(e, x)`.
+//!
+//! Two consumers turn it into a score, and they agree bit for bit:
+//!
+//! * [`BranchScoreTable`] tabulates `L` for *every* query residue at every
+//!   pattern — one row of the lookup table, built once per branch and
+//!   walked by every query ([`BranchScoreTable::prescore`]). It serves the
+//!   lookup table and the no-lookup prescore sweep, where one table
+//!   amortizes over a whole chunk.
+//! * [`QueryEvaluator`] scores *one* query: per site it accumulates only
+//!   the column the query's residue selects (the whole row only for
+//!   ambiguity and gap codes), never materializing a table.
+//!   [`score_thorough`] evaluates each (query, branch) pair dozens of
+//!   times at different `(x, pendant)`, so it goes through the evaluator.
+//!
+//! The evaluator's sums run in the table's order — rates outer, states
+//! inner, `(w_r·π_i)·AB[i]·P_ij` associated left to right — which is what
+//! makes the table its test oracle and keeps the jplace bytes independent
+//! of which of the two produced a number.
 
 use crate::error::PlaceError;
 use phylo_engine::{ManagedStore, ReferenceContext};
@@ -56,8 +73,8 @@ pub struct ScoreScratch {
     partials_a: AttachmentPartials,
     /// Second partials buffer for attachment-position refinement evals.
     partials_b: AttachmentPartials,
-    /// Reusable branch score table for pendant-length refinement evals.
-    table: BranchScoreTable,
+    /// The evaluator behind every refinement eval of [`score_thorough`].
+    evaluator: QueryEvaluator,
 }
 
 impl ScoreScratch {
@@ -76,7 +93,7 @@ impl ScoreScratch {
             tip_table: TipTable::empty(),
             partials_a: AttachmentPartials::empty(),
             partials_b: AttachmentPartials::empty(),
-            table: BranchScoreTable::empty(),
+            evaluator: QueryEvaluator::new(ctx),
         }
     }
 }
@@ -158,7 +175,8 @@ pub fn attachment_partials_into(
         dist,
         dist_scale,
     );
-    out.ab.clear();
+    // Every element is overwritten: resizing without a clear costs
+    // nothing once the buffer is warm.
     out.ab.resize(layout.clv_len(), 0.0);
     for ((o, &p), &d) in out.ab.iter_mut().zip(&*prox).zip(&*dist) {
         *o = p * d;
@@ -219,9 +237,10 @@ impl BranchScoreTable {
     }
 
     /// Rebuilds the table in place for new partials / pendant length,
-    /// reusing the existing allocations. The pendant-length refinement
-    /// loop calls this once per golden-section evaluation, so it must not
-    /// allocate once warm.
+    /// reusing the existing allocations: the no-lookup prescore sweep
+    /// rebuilds one table per branch per chunk. Thorough scoring does not
+    /// come through here — it runs on [`QueryEvaluator`], for which this
+    /// table is the oracle.
     pub fn rebuild(
         &mut self,
         ctx: &ReferenceContext,
@@ -298,6 +317,168 @@ impl BranchScoreTable {
     }
 }
 
+/// Scores one query against one branch's attachment partials without a
+/// [`BranchScoreTable`]: for each site only what the query's code selects
+/// is accumulated — one column for a concrete residue, the whole row for
+/// an ambiguity or gap code (their likelihood is a sum over columns, and a
+/// sum of per-column sums is the only association that reproduces the
+/// table's bits).
+///
+/// Every number equals [`BranchScoreTable::prescore`] of a table built
+/// from the same partials and pendant length, bit for bit: each column sum
+/// runs over rates, then states, skips exact-zero weights, and multiplies
+/// `(w_r·π_i)·AB[i]` before `P_ij`, exactly as [`BranchScoreTable::rebuild`]
+/// does.
+///
+/// The pendant branch's transition matrices are state of the evaluator
+/// ([`QueryEvaluator::set_pendant`]), so a search that holds the pendant
+/// length fixed builds them once.
+#[derive(Debug, Default)]
+pub struct QueryEvaluator {
+    /// `[rate][state]`: `w_r·π_i`, fixed per context.
+    weights: Vec<f64>,
+    /// `[rate][i][j]`: `P(pendant)` as the model writes it (row reads).
+    pm: Vec<f64>,
+    /// `[rate][j][i]`: the per-rate transpose (contiguous column reads).
+    pm_t: Vec<f64>,
+}
+
+impl QueryEvaluator {
+    /// An evaluator for a context; no pendant length is set yet.
+    pub fn new(ctx: &ReferenceContext) -> Self {
+        let (freqs, rw) = (ctx.model().freqs(), ctx.model().gamma().weights());
+        let len = ctx.layout().pmatrix_len();
+        QueryEvaluator {
+            weights: rw.iter().flat_map(|&w| freqs.iter().map(move |&f| w * f)).collect(),
+            pm: vec![0.0; len],
+            pm_t: vec![0.0; len],
+        }
+    }
+
+    /// Sets the pendant branch length every following [`score`] call
+    /// evaluates at.
+    ///
+    /// [`score`]: QueryEvaluator::score
+    pub fn set_pendant(&mut self, ctx: &ReferenceContext, pendant: f64) {
+        let states = ctx.layout().states;
+        ctx.model().transition_matrices(pendant, &mut self.pm);
+        for (p, t) in self.pm.chunks(states * states).zip(self.pm_t.chunks_mut(states * states)) {
+            for (i, prow) in p.chunks(states).enumerate() {
+                for (j, &pij) in prow.iter().enumerate() {
+                    t[j * states + i] = pij;
+                }
+            }
+        }
+    }
+
+    /// The log-likelihood of the query `codes` (one per alignment site)
+    /// attached at `partials` through the pendant length last set.
+    pub fn score(
+        &self,
+        ctx: &ReferenceContext,
+        partials: &AttachmentPartials,
+        site_to_pattern: &[u32],
+        codes: &[u8],
+    ) -> f64 {
+        let sites = Sites { ctx, partials, site_to_pattern, codes };
+        match ctx.layout().states {
+            4 => self.score_fixed::<4>(&sites),
+            20 => self.score_fixed::<20>(&sites),
+            // An alphabet's state masks are `u32`: 32 states at most.
+            states => self.score_sites(states, &mut [0.0; 32][..states], &sites),
+        }
+    }
+
+    /// [`score_sites`] with the state count a compile-time constant and
+    /// the row accumulator on the stack.
+    ///
+    /// [`score_sites`]: QueryEvaluator::score_sites
+    fn score_fixed<const S: usize>(&self, sites: &Sites) -> f64 {
+        self.score_sites(S, &mut [0.0; S], sites)
+    }
+
+    /// The site loop; inlined into each caller so that a constant `states`
+    /// unrolls the state loops.
+    #[inline(always)]
+    fn score_sites(&self, states: usize, row: &mut [f64], sites: &Sites) -> f64 {
+        let mut total = 0.0f64;
+        for (&p, &code) in sites.site_to_pattern.iter().zip(sites.codes) {
+            let p = p as usize;
+            let lik = self.site_likelihood(states, row, sites, p, code);
+            total += lik.ln() - sites.partials.scale[p] as f64 * LN_SCALE;
+        }
+        total
+    }
+
+    /// The linear likelihood of residue `code` at pattern `p`: the entry
+    /// (or sum of entries) of the table row a [`BranchScoreTable`] would
+    /// hold for `p`, to the bit.
+    #[inline(always)]
+    fn site_likelihood(
+        &self,
+        states: usize,
+        row: &mut [f64],
+        sites: &Sites,
+        p: usize,
+        code: u8,
+    ) -> f64 {
+        let alphabet = sites.ctx.alphabet();
+        let stride = sites.ctx.layout().pattern_stride();
+        // `(rate, w_r·π, AB)` slices of the pattern, rates ascending.
+        let ab = &sites.partials.ab[p * stride..(p + 1) * stride];
+        let per_rate = self.weights.chunks_exact(states).zip(ab.chunks_exact(states)).enumerate();
+        if (code as usize) < states {
+            // One column of the table row, read from the transpose.
+            let mut acc = 0.0;
+            for (r, (wf, ab)) in per_rate {
+                let col = &self.pm_t[(r * states + code as usize) * states..][..states];
+                for i in 0..states {
+                    let w = wf[i] * ab[i];
+                    if w == 0.0 {
+                        continue;
+                    }
+                    acc += w * col[i];
+                }
+            }
+            return acc;
+        }
+        // The whole table row, then the sum the code selects.
+        row.fill(0.0);
+        for (r, (wf, ab)) in per_rate {
+            for i in 0..states {
+                let w = wf[i] * ab[i];
+                if w == 0.0 {
+                    continue;
+                }
+                let prow = &self.pm[(r * states + i) * states..][..states];
+                for (acc, &pij) in row.iter_mut().zip(prow) {
+                    *acc += w * pij;
+                }
+            }
+        }
+        if code == alphabet.unknown_code() {
+            return row.iter().sum();
+        }
+        let mask = alphabet.state_mask(code);
+        let mut sum = 0.0;
+        for (j, &v) in row.iter().enumerate() {
+            if (mask >> j) & 1 == 1 {
+                sum += v;
+            }
+        }
+        sum
+    }
+}
+
+/// What [`QueryEvaluator::score`] walks: the query and the branch.
+#[derive(Clone, Copy)]
+struct Sites<'a> {
+    ctx: &'a ReferenceContext,
+    partials: &'a AttachmentPartials,
+    site_to_pattern: &'a [u32],
+    codes: &'a [u8],
+}
+
 /// A fully scored placement of one query into one branch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoredPlacement {
@@ -329,29 +510,26 @@ pub fn score_thorough(
     // borrowed mutably alongside them; restored before returning.
     let mut partials = std::mem::take(&mut scratch.partials_a);
     let mut partials_b = std::mem::take(&mut scratch.partials_b);
-    let mut table = std::mem::take(&mut scratch.table);
+    let mut eval = std::mem::take(&mut scratch.evaluator);
     attachment_partials_into(ctx, store, edge, x, scratch, &mut partials);
-    let eval_pendant = |partials: &AttachmentPartials,
-                        pend: f64,
-                        table: &mut BranchScoreTable,
-                        scratch: &mut ScoreScratch| {
-        table.rebuild(ctx, partials, pend, scratch);
-        table.prescore(ctx, site_to_pattern, codes)
-    };
-    let mut best = eval_pendant(&partials, pendant, &mut table, scratch);
+    eval.set_pendant(ctx, pendant);
+    let mut best = eval.score(ctx, &partials, site_to_pattern, codes);
     for _ in 0..blo_iterations.max(1) {
         // Refine the pendant length with the attachment fixed.
         let (p_opt, p_ll) = golden_section(1e-6, (4.0 * mean_len).max(0.5), 8, |pend| {
-            eval_pendant(&partials, pend, &mut table, scratch)
+            eval.set_pendant(ctx, pend);
+            eval.score(ctx, &partials, site_to_pattern, codes)
         });
         if p_ll > best {
             best = p_ll;
             pendant = p_opt;
         }
-        // Refine the attachment position with the pendant fixed.
+        // Refine the attachment position with the pendant — and so its
+        // transition matrices — fixed.
+        eval.set_pendant(ctx, pendant);
         let (x_opt, x_ll) = golden_section(0.01, 0.99, 8, |xx| {
             attachment_partials_into(ctx, store, edge, xx, scratch, &mut partials_b);
-            eval_pendant(&partials_b, pendant, &mut table, scratch)
+            eval.score(ctx, &partials_b, site_to_pattern, codes)
         });
         if x_ll > best {
             best = x_ll;
@@ -361,7 +539,7 @@ pub fn score_thorough(
     }
     scratch.partials_a = partials;
     scratch.partials_b = partials_b;
-    scratch.table = table;
+    scratch.evaluator = eval;
     Ok(ScoredPlacement { log_likelihood: best, pendant, proximal_fraction: x })
 }
 
@@ -413,6 +591,16 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn setup(n: usize, sites: usize, seed: u64) -> (ReferenceContext, Vec<u32>) {
+        let model = SubstModel::new(&dna::jc69(), DiscreteGamma::none()).unwrap();
+        setup_with(n, sites, seed, model)
+    }
+
+    fn setup_with(
+        n: usize,
+        sites: usize,
+        seed: u64,
+        model: SubstModel,
+    ) -> (ReferenceContext, Vec<u32>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let tree = generate::yule(n, 0.1, &mut rng).unwrap();
         let rows: Vec<Sequence> = (0..n)
@@ -425,10 +613,17 @@ mod tests {
             .collect();
         let patterns = compress(&Msa::new(rows).unwrap()).unwrap();
         let s2p = patterns.site_to_pattern().to_vec();
-        let model = SubstModel::new(&dna::jc69(), DiscreteGamma::none()).unwrap();
         let ctx =
             ReferenceContext::new(tree, model, AlphabetKind::Dna.alphabet(), &patterns).unwrap();
         (ctx, s2p)
+    }
+
+    /// GTR with unequal frequencies and four Γ rates: no weight is a power
+    /// of two, so a reassociated product shows in the last bit.
+    fn gtr_gamma() -> SubstModel {
+        let rm = dna::gtr(&[1.0, 2.5, 1.2, 0.8, 3.1, 1.0], &[0.30, 0.21, 0.27, 0.22]).unwrap();
+        let gamma = DiscreteGamma::new(0.5, 4, phylo_models::gamma::GammaMode::Mean).unwrap();
+        SubstModel::new(&rm, gamma).unwrap()
     }
 
     #[test]
@@ -440,8 +635,8 @@ mod tests {
 
     #[test]
     fn prescore_matches_thorough_at_same_parameters() {
-        // The lookup-table prescore and a direct three-way evaluation at
-        // identical (x=0.5, pendant) must agree exactly.
+        // The lookup-table prescore and the evaluator thorough scoring
+        // runs on must agree exactly at identical (x=0.5, pendant).
         let (ctx, s2p) = setup(10, 30, 1);
         let store = ManagedStore::full(&ctx);
         let e = EdgeId(2);
@@ -452,7 +647,56 @@ mod tests {
         let codes: Vec<u8> = (0..30).map(|i| (i % 4) as u8).collect();
         let pre = table.prescore(&ctx, &s2p, &codes);
         assert!(pre.is_finite() && pre < 0.0);
+        let mut evaluator = QueryEvaluator::new(&ctx);
+        evaluator.set_pendant(&ctx, 0.1);
+        let direct = evaluator.score(&ctx, &partials, &s2p, &codes);
+        assert_eq!(direct.to_bits(), pre.to_bits(), "evaluator {direct} vs table {pre}");
         store.release(block);
+    }
+
+    #[test]
+    fn evaluator_reproduces_every_table_entry() {
+        // Sharper than comparing log-likelihoods (`ln` swallows a last-bit
+        // difference): every linear site likelihood, for every code, is
+        // the table's entry — through the fixed-size loop and the generic
+        // one alike.
+        let (ctx, _) = setup_with(9, 50, 5, gtr_gamma());
+        let store = ManagedStore::full(&ctx);
+        let alphabet = ctx.alphabet();
+        let states = ctx.layout().states;
+        let mut scratch = ScoreScratch::new(&ctx);
+        let mut evaluator = QueryEvaluator::new(&ctx);
+        for e in ctx.tree().all_edges().take(6) {
+            let block = store.prepare(&ctx, &[DirEdgeId::new(e, 0), DirEdgeId::new(e, 1)]).unwrap();
+            let mut partials = attachment_partials(&ctx, &store, e, 0.31, &mut scratch);
+            // An exact zero exercises the `w == 0.0` skip.
+            partials.ab[3] = 0.0;
+            let table = BranchScoreTable::build(&ctx, &partials, 0.07, &mut scratch);
+            evaluator.set_pendant(&ctx, 0.07);
+            let sites = Sites { ctx: &ctx, partials: &partials, site_to_pattern: &[], codes: &[] };
+            for p in 0..ctx.layout().patterns {
+                let row = &table.table[p * (states + 1)..(p + 1) * (states + 1)];
+                for code in 0..alphabet.n_codes() as u8 {
+                    let want = if code == alphabet.unknown_code() {
+                        row[states]
+                    } else {
+                        let mask = alphabet.state_mask(code);
+                        (0..states).filter(|j| (mask >> j) & 1 == 1).fold(0.0, |s, j| s + row[j])
+                    };
+                    let fixed = evaluator.site_likelihood(4, &mut [0.0; 4], &sites, p, code);
+                    let generic = evaluator.site_likelihood(
+                        std::hint::black_box(states),
+                        &mut vec![0.0; states],
+                        &sites,
+                        p,
+                        code,
+                    );
+                    assert_eq!(fixed.to_bits(), want.to_bits(), "{e:?} p={p} code={code}");
+                    assert_eq!(generic.to_bits(), want.to_bits(), "{e:?} p={p} code={code}");
+                }
+            }
+            store.release(block);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Steady-state scoring must not touch the heap. A counting global
 //! allocator wraps the system allocator; after one warm-up pass fills the
-//! reusable scratch buffers, further prescore / thorough-score / partials
-//! evaluations must perform **zero** allocations.
+//! reusable scratch buffers, further partials / single-query evaluator /
+//! thorough-score evaluations must perform **zero** allocations.
 //!
 //! This binary holds exactly one test so no concurrent test thread can
 //! pollute the counters.
@@ -32,7 +32,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 use epa_place::score::{
-    attachment_partials_into, score_thorough, AttachmentPartials, ScoreScratch,
+    attachment_partials_into, score_thorough, AttachmentPartials, QueryEvaluator, ScoreScratch,
 };
 use phylo_engine::{ManagedStore, ReferenceContext};
 use phylo_models::gamma::GammaMode;
@@ -68,7 +68,17 @@ fn steady_state_scoring_is_allocation_free() {
     let mut scratch = ScoreScratch::new(&ctx);
     let mut partials = AttachmentPartials::empty();
     let n_sites = s2p.len();
-    let codes: Vec<u8> = (0..n_sites).map(|i| ((i * 5 + 1) % 4) as u8).collect();
+    // Concrete residues, gaps and an ambiguity code: the evaluator's
+    // column path and both of its whole-row paths.
+    let (gap, r) = (ctx.alphabet().unknown_code(), ctx.alphabet().encode(b'R').unwrap());
+    let codes: Vec<u8> = (0..n_sites)
+        .map(|i| match i % 7 {
+            5 => gap,
+            6 => r,
+            _ => ((i * 5 + 1) % 4) as u8,
+        })
+        .collect();
+    let mut evaluator = QueryEvaluator::new(&ctx);
     let edges: Vec<_> = ctx.tree().all_edges().take(4).collect();
 
     // Pin every tested orientation once, then warm up all code paths so
@@ -78,14 +88,18 @@ fn steady_state_scoring_is_allocation_free() {
     let prepared = store.prepare(&ctx, &dirs).unwrap();
     for &e in &edges {
         attachment_partials_into(&ctx, &store, e, 0.37, &mut scratch, &mut partials);
+        evaluator.set_pendant(&ctx, 0.2);
+        evaluator.score(&ctx, &partials, &s2p, &codes);
         score_thorough(&ctx, &store, e, &s2p, &codes, 2, &mut scratch).unwrap();
     }
 
     // Steady state: the same evaluations must not allocate at all.
-    let mut lls = Vec::with_capacity(edges.len());
+    let mut lls = Vec::with_capacity(2 * edges.len());
     let before = ALLOCS.load(Ordering::SeqCst);
     for &e in &edges {
         attachment_partials_into(&ctx, &store, e, 0.62, &mut scratch, &mut partials);
+        evaluator.set_pendant(&ctx, 0.05);
+        lls.push(evaluator.score(&ctx, &partials, &s2p, &codes));
         let sp = score_thorough(&ctx, &store, e, &s2p, &codes, 2, &mut scratch).unwrap();
         lls.push(sp.log_likelihood);
     }

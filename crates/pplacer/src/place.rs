@@ -2,7 +2,7 @@
 
 use crate::backing::{Backing, ClvStoreBacking};
 use epa_place::result::{PlacementEntry, PlacementResult};
-use epa_place::score::{AttachmentPartials, BranchScoreTable, ScoreScratch};
+use epa_place::score::{AttachmentPartials, QueryEvaluator};
 use epa_place::{PlaceError, QueryBatch};
 use phylo_amc::StrategyKind;
 use phylo_engine::{ManagedStore, ReferenceContext};
@@ -149,11 +149,10 @@ impl PplacerLike {
         let mut dist = vec![0.0; layout.clv_len()];
         let mut dist_scale = vec![0u32; layout.patterns];
         let mut pm = vec![0.0; layout.pmatrix_len()];
-        let mut scratch = ScoreScratch::new(&self.ctx);
+        let mut evaluator = QueryEvaluator::new(&self.ctx);
         let mut kernel = KernelScratch::for_layout(&layout);
         let mut tip_table = TipTable::empty();
         let mut partials = AttachmentPartials::empty();
-        let mut table = BranchScoreTable::empty();
         let masks: Vec<u32> = (0..self.ctx.alphabet().n_codes())
             .map(|c| self.ctx.alphabet().state_mask(c as u8))
             .collect();
@@ -237,8 +236,8 @@ impl PplacerLike {
                         (4.0 * mean_len).max(0.5),
                         self.cfg.pendant_iterations,
                         |pend| {
-                            table.rebuild(&self.ctx, &partials, pend, &mut scratch);
-                            table.prescore(&self.ctx, &self.site_to_pattern, &q.codes)
+                            evaluator.set_pendant(&self.ctx, pend);
+                            evaluator.score(&self.ctx, &partials, &self.site_to_pattern, &q.codes)
                         },
                     );
                     report.n_scored += 1;

@@ -40,13 +40,18 @@ cargo test -q --workspace
 # The kernel crate's differential + proptest suite, once per tier: the
 # dispatch must be correct no matter what PHYLO_KERNEL_TIER pins, and
 # the forced-fallback run (simd tier + portable backend) is what a
-# non-AVX2 host executes, so it is exercised on every CI machine.
+# non-AVX2 host executes, so it is exercised on every CI machine. The
+# placement crate rides along: its evaluator-vs-table checks must hold
+# over whichever kernels produced the partials. The golden jplace hashes
+# pin each tier themselves; they join the forced-fallback run, the one
+# backend an AVX2 host never picks on its own.
 for tier in reference fixed simd; do
-    echo "==> cargo test -q -p phylo-kernel (PHYLO_KERNEL_TIER=$tier)"
-    PHYLO_KERNEL_TIER="$tier" cargo test -q -p phylo-kernel
+    echo "==> cargo test -q -p phylo-kernel -p epa-place (PHYLO_KERNEL_TIER=$tier)"
+    PHYLO_KERNEL_TIER="$tier" cargo test -q -p phylo-kernel -p epa-place
 done
-echo "==> cargo test -q -p phylo-kernel (simd tier, forced portable fallback)"
-PHYLO_KERNEL_TIER=simd PHYLO_SIMD_PORTABLE=1 cargo test -q -p phylo-kernel
+echo "==> cargo test -q -p phylo-kernel -p epa-place (simd tier, forced portable fallback)"
+PHYLO_KERNEL_TIER=simd PHYLO_SIMD_PORTABLE=1 cargo test -q -p phylo-kernel -p epa-place
+PHYLO_KERNEL_TIER=simd PHYLO_SIMD_PORTABLE=1 cargo test -q --test golden_jplace
 
 echo "==> cargo test -q --features faults --test faults (fault matrix)"
 cargo test -q --features faults --test faults
