@@ -61,7 +61,8 @@ fn bench_ensure_resident(c: &mut Criterion) {
                 let mut total_ops = 0usize;
                 for e in tree.all_edges().take(16) {
                     let targets = [DirEdgeId::new(e, 0), DirEdgeId::new(e, 1)];
-                    let rs = phylo_amc::ensure_resident(&tree, &targets, &mut mgr, &need).unwrap();
+                    let mut rs =
+                        phylo_amc::ensure_resident(&tree, &targets, &mut mgr, &need).unwrap();
                     total_ops += rs.ops.len();
                     rs.release(&mut mgr);
                 }

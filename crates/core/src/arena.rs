@@ -227,6 +227,12 @@ impl SlotArena {
     ///
     /// SAFETY: the caller must be the slot's exclusive writer (own its
     /// unpublished Computing phase, or hold `&mut` arena access).
+    // `&self -> &mut` is the point, not an oversight: slots are disjoint
+    // ranges behind raw pointers, the arena is shared between the compute
+    // and prefetch threads, and exclusivity per slot comes from the phase
+    // protocol above (which is why this is an `unsafe fn`), not from a
+    // borrow of the whole arena.
+    #[allow(clippy::mut_from_ref)]
     #[inline]
     unsafe fn slot_raw_mut(&self, slot: SlotId) -> (&mut [f64], &mut [u32]) {
         let clv = std::slice::from_raw_parts_mut(

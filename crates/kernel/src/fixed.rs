@@ -238,8 +238,23 @@ fn update_fused<const S: usize, L: SideProp<S>, R: SideProp<S>>(
     }
 }
 
-/// One-side propagation for compile-time `S` (placement lookup tables and
-/// attachment partials). Tip sides degenerate to straight row copies.
+/// One-side propagation for compile-time `S`: the two half-branch products
+/// behind every attachment partial, so the placement layer's inner loop
+/// (lookup build, prescore sweep, each attachment-position evaluation of
+/// thorough scoring). Tip sides degenerate to straight row copies.
+///
+/// The CLV side streams **columns** of `P`: per rate, `P` is transposed
+/// onto the stack once and every pattern of the range accumulates
+/// `acc[i] += Pᵀ[j][i]·child[j]` over ascending `j`. Each output state
+/// thereby sums exactly the products `ClvProp::prop`'s row dot product
+/// sums, in the same order — the same bits — but the inner loop is a
+/// contiguous `S`-wide axpy with `S` independent accumulators instead of
+/// `S` serial reductions.
+///
+/// `#[inline(always)]` so that [`crate::simd`] can instantiate this body a
+/// second time under AVX2 code generation (wider lanes, same operations,
+/// no contraction: still the same bits).
+#[inline(always)]
 pub fn propagate<const S: usize>(
     layout: &Layout,
     side: Side<'_>,
@@ -264,15 +279,27 @@ pub fn propagate<const S: usize>(
             }
         }
         Side::Clv { clv, pmatrix, .. } => {
-            let prop = ClvProp { clv, pmatrix, stride };
-            for p in range {
-                for r in 0..rates {
-                    let dst: &mut [f64; S] = (&mut out
-                        [p * stride + r * S..p * stride + (r + 1) * S])
-                        .try_into()
-                        .unwrap();
-                    SideProp::<S>::prop(&prop, p, r, dst);
+            // Rate-outer over the whole range: one transpose per rate.
+            for r in 0..rates {
+                let mut pt = [[0.0f64; S]; S];
+                for (i, row) in pmatrix[r * S * S..(r + 1) * S * S].chunks_exact(S).enumerate() {
+                    for (j, &pij) in row.iter().enumerate() {
+                        pt[j][i] = pij;
+                    }
                 }
+                for p in range.clone() {
+                    let base = p * stride + r * S;
+                    let child: &[f64; S] = clv[base..base + S].try_into().unwrap();
+                    let mut acc = [0.0f64; S];
+                    for (col, &c) in pt.iter().zip(child) {
+                        for i in 0..S {
+                            acc[i] += col[i] * c;
+                        }
+                    }
+                    out[base..base + S].copy_from_slice(&acc);
+                }
+            }
+            for p in range {
                 out_scale[p] = scale.map_or(0, |s| s[p]);
             }
         }

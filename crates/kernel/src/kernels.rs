@@ -8,9 +8,11 @@
 //!   (`states == 20`): fused, pattern-blocked kernels with compile-time
 //!   state counts and no heap scratch;
 //! * [`crate::simd`] for the same state counts under the SIMD tier:
-//!   AVX2/FMA intrinsics for the fused hot paths (`update_partials`
-//!   here, `edge_log_likelihood` in [`crate::likelihood`]); the cooler
-//!   entry points (`propagate`, `point_log_likelihood`) stay on `fixed`;
+//!   AVX2/FMA intrinsics for the fused paths (`update_partials` here,
+//!   `edge_log_likelihood` in [`crate::likelihood`]); `propagate` runs
+//!   `fixed`'s order-preserving body under AVX2 code generation, and
+//!   `point_log_likelihood` stays on `fixed` — both bit-exact on every
+//!   tier;
 //! * [`crate::reference`] for every other state count — and for any
 //!   layout whose tier is [`KernelTier::Reference`]: the generic scalar
 //!   kernels, which double as the differential-test oracle.
@@ -165,13 +167,25 @@ pub fn propagate_scratch(
     range: std::ops::Range<usize>,
     scratch: &mut KernelScratch,
 ) {
-    // `propagate` is off the hot path; the SIMD tier runs `fixed` here.
+    // The placement layer's inner loop (two calls per attachment
+    // partial). Every arm sums each output state's products in ascending
+    // state order: bit-exact across tiers and SIMD backends.
     match (layout.kind(), layout.tier()) {
         (KernelKind::Generic, _) | (_, KernelTier::Reference) => {
             reference::propagate(layout, side, out, out_scale, range, scratch)
         }
-        (KernelKind::Dna4, _) => fixed::propagate::<4>(layout, side, out, out_scale, range),
-        (KernelKind::Protein20, _) => fixed::propagate::<20>(layout, side, out, out_scale, range),
+        (KernelKind::Dna4, KernelTier::Fixed) => {
+            fixed::propagate::<4>(layout, side, out, out_scale, range)
+        }
+        (KernelKind::Protein20, KernelTier::Fixed) => {
+            fixed::propagate::<20>(layout, side, out, out_scale, range)
+        }
+        (KernelKind::Dna4, KernelTier::Simd) => {
+            simd::propagate::<4>(layout, side, out, out_scale, range)
+        }
+        (KernelKind::Protein20, KernelTier::Simd) => {
+            simd::propagate::<20>(layout, side, out, out_scale, range)
+        }
     }
 }
 

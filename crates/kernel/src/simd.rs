@@ -22,9 +22,16 @@
 //!   order-preserving [`crate::fixed`] kernels, so the portable path is
 //!   bit-for-bit identical to the oracle.
 //!
-//! Only the two hot fused entry points get intrinsics; `propagate` and
-//! `point_log_likelihood` under the SIMD tier run the `fixed`
-//! implementations (see [`crate::kernels`] / [`crate::likelihood`]).
+//! Only the two fused entry points get intrinsics. [`propagate`] — the
+//! placement layer's inner loop — is hot too, but must stay
+//! **order-preserving and bit-exact on every tier** (lookup-table
+//! prescores and thorough scores are compared and printed side by side),
+//! so the AVX2 backend runs the very body of [`crate::fixed::propagate`],
+//! instantiated a second time behind a `#[target_feature(enable =
+//! "avx2")]` shim: the column-streaming axpy widens to four lanes, while
+//! without intrinsics and without the `fma` feature nothing contracts or
+//! reassociates. `point_log_likelihood` under the SIMD tier runs the
+//! `fixed` implementation (see [`crate::likelihood`]).
 
 use crate::fixed;
 use crate::kernels::Side;
@@ -106,6 +113,25 @@ pub fn update_partials<const S: usize>(
         return;
     }
     fixed::update_partials::<S>(layout, left, right, out, out_scale, range)
+}
+
+/// One-side propagation, SIMD tier: [`crate::fixed::propagate`]'s body
+/// under the backend's code generation. Bit-identical to it on either
+/// backend.
+pub fn propagate<const S: usize>(
+    layout: &Layout,
+    side: Side<'_>,
+    out: &mut [f64],
+    out_scale: &mut [u32],
+    range: std::ops::Range<usize>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if backend() == SimdBackend::Avx2 {
+        // SAFETY: backend() verified avx2 at runtime.
+        unsafe { avx2::propagate::<S>(layout, side, out, out_scale, range) };
+        return;
+    }
+    fixed::propagate::<S>(layout, side, out, out_scale, range)
 }
 
 /// Edge log-likelihood, SIMD tier. Same contract as
@@ -384,6 +410,22 @@ mod avx2 {
         }
     }
 
+    /// [`crate::fixed::propagate`] compiled for AVX2: the shim only changes
+    /// which instructions the (inlined) portable body is lowered to. `fma`
+    /// is deliberately not enabled here.
+    ///
+    /// SAFETY: caller guarantees avx2 is available.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn propagate<const S: usize>(
+        layout: &Layout,
+        side: Side<'_>,
+        out: &mut [f64],
+        out_scale: &mut [u32],
+        range: std::ops::Range<usize>,
+    ) {
+        fixed::propagate::<S>(layout, side, out, out_scale, range)
+    }
+
     /// `Σ_i freqs[i] · u[i] · v[i]` over `S` lanes (FMA-accumulated,
     /// tree-order reduction).
     ///
@@ -498,6 +540,72 @@ mod tests {
         assert_eq!(b, backend(), "backend must be decided once");
         assert_eq!(runtime_supported(), b == SimdBackend::Avx2);
         assert!(matches!(b.name(), "avx2" | "portable"));
+    }
+
+    #[test]
+    fn forced_portable_switch_turns_the_avx2_backend_off() {
+        if portable_forced() {
+            assert_eq!(backend(), SimdBackend::Portable);
+        }
+    }
+
+    /// `propagate` is the one SIMD-tier entry point with a bit-exactness
+    /// contract: whichever backend this process selected, and the AVX2
+    /// shim itself wherever the host can run it (also under
+    /// `PHYLO_SIMD_PORTABLE=1`, which only changes what `backend()`
+    /// picks), must reproduce the portable body and the reference kernel
+    /// to the bit.
+    #[test]
+    fn propagate_bits_do_not_depend_on_the_backend() {
+        fn run<const S: usize>() {
+            let (patterns, rates) = (37usize, 4usize);
+            let layout = Layout::new(patterns, rates, S);
+            // No power-of-two structure: a reassociated or contracted sum
+            // shows in the last bit.
+            let pm: Vec<f64> = (0..layout.pmatrix_len())
+                .map(|i| ((i * 7919 + 13) % 1009) as f64 / 1009.0 / S as f64 + 1e-3)
+                .collect();
+            let clv: Vec<f64> = (0..layout.clv_len())
+                .map(|i| ((i * 104_729 + 7) % 997) as f64 / 997.0 * 10f64.powi(-((i % 5) as i32)))
+                .collect();
+            let scale: Vec<u32> = (0..patterns).map(|p| (p % 3) as u32).collect();
+            let side = Side::Clv { clv: &clv, scale: Some(&scale), pmatrix: &pm };
+            let range = 5..31;
+
+            // The oracle: a row dot product per output state.
+            let mut want = vec![-1.0; layout.clv_len()];
+            let mut want_scale = vec![99u32; patterns];
+            crate::reference::propagate(
+                &layout,
+                side,
+                &mut want,
+                &mut want_scale,
+                range.clone(),
+                &mut crate::KernelScratch::new(),
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            type Propagate = fn(&Layout, Side<'_>, &mut [f64], &mut [u32], std::ops::Range<usize>);
+            let mut impls: Vec<(&str, Propagate)> = vec![
+                ("portable body", fixed::propagate::<S>),
+                ("selected backend", propagate::<S>),
+            ];
+            #[cfg(target_arch = "x86_64")]
+            if host_has_avx2_fma() {
+                impls.push(("avx2 shim", |l, s, o, os, r| {
+                    // SAFETY: avx2 was detected on this host just above.
+                    unsafe { avx2::propagate::<S>(l, s, o, os, r) }
+                }));
+            }
+            for (name, f) in impls {
+                let mut out = vec![-1.0; layout.clv_len()];
+                let mut out_scale = vec![99u32; patterns];
+                f(&layout, side, &mut out, &mut out_scale, range.clone());
+                assert_eq!(bits(&out), bits(&want), "{name}, S = {S}");
+                assert_eq!(out_scale, want_scale, "{name}, S = {S}");
+            }
+        }
+        run::<4>();
+        run::<20>();
     }
 
     /// The SIMD entry points must run (and produce finite values) on

@@ -12,8 +12,9 @@
 //!   absorbing legitimate ±1 scaler-count differences at the rescale
 //!   threshold) within `1e-10`, exact zeroes must match exactly, and
 //!   log-likelihood totals must agree within `1e-9 · max(1, |L|)`.
-//!   `propagate` and `point_log_likelihood` run the fixed scalar path
-//!   even under the `simd` tier, so they stay bit-exact on every tier.
+//!   `propagate` and `point_log_likelihood` are order-preserving under
+//!   the `simd` tier too (`propagate` is the fixed body compiled for
+//!   AVX2, without FMA), so they stay bit-exact on every tier.
 //!
 //! Tiers are pinned explicitly via `Layout::with_tier`, never inherited
 //! from the environment, so the suite exercises all tiers regardless of
@@ -356,13 +357,19 @@ proptest! {
         check_update(&layout, left.as_side(), right.as_side(), range);
     }
 
-    /// One-side propagation (lookup-table construction path). Bit-exact
-    /// on every tier: the simd tier dispatches propagate to the fixed
-    /// scalar kernels (it is off the placement hot path).
+    /// One-side propagation — the placement layer's inner loop (lookup
+    /// build, prescore sweep, every attachment-position evaluation).
+    /// Bit-exact on every tier: all of them sum each output state's
+    /// products in ascending state order, and the simd tier only
+    /// re-instantiates the fixed body under AVX2 code generation. The
+    /// fixed body runs rate-outer over the whole range, so ranges that do
+    /// not start at 0 and pattern counts well past one cache block are
+    /// where an indexing slip would show; entries outside the range must
+    /// stay untouched.
     #[test]
     fn propagate_matches_reference(
         seed in 0u64..u64::MAX,
-        patterns in 1usize..40,
+        patterns in 1usize..=300,
         rates in 1usize..5,
         protein in 0usize..2,
     ) {
@@ -370,29 +377,38 @@ proptest! {
         let base = dims_to_layout(patterns, rates, states);
         let mut g = Gen::new(seed);
         let side = OwnedSide::generate(&mut g, &base, false, false);
-        let range = g.range(patterns);
+        // A random range, and one that is guaranteed not to start at 0.
+        let start = 1 + g.rng.below(patterns as u64) as usize;
+        let offset = start.min(patterns - 1)..patterns;
+        for range in [g.range(patterns), offset] {
+            let mut oracle = vec![-1.0; base.clv_len()];
+            let mut oracle_scale = vec![u32::MAX; base.patterns];
+            let mut scratch = KernelScratch::new();
+            reference::propagate(
+                &base,
+                side.as_side(),
+                &mut oracle,
+                &mut oracle_scale,
+                range.clone(),
+                &mut scratch,
+            );
 
-        let mut oracle = vec![0.0; base.clv_len()];
-        let mut oracle_scale = vec![0u32; base.patterns];
-        let mut scratch = KernelScratch::new();
-        reference::propagate(
-            &base,
-            side.as_side(),
-            &mut oracle,
-            &mut oracle_scale,
-            range.clone(),
-            &mut scratch,
-        );
-
-        for choice in ALL_TIERS {
-            let layout = base.with_tier(choice);
-            let mut fast = vec![0.0; layout.clv_len()];
-            let mut fast_scale = vec![0u32; layout.patterns];
-            kernels::propagate(&layout, side.as_side(), &mut fast, &mut fast_scale, range.clone());
-            for (a, b) in fast.iter().zip(&oracle) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
+            for choice in ALL_TIERS {
+                let layout = base.with_tier(choice);
+                let mut fast = vec![-1.0; layout.clv_len()];
+                let mut fast_scale = vec![u32::MAX; layout.patterns];
+                kernels::propagate(
+                    &layout,
+                    side.as_side(),
+                    &mut fast,
+                    &mut fast_scale,
+                    range.clone(),
+                );
+                for (a, b) in fast.iter().zip(&oracle) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "tier {:?}, range {:?}", choice, range);
+                }
+                prop_assert_eq!(&fast_scale, &oracle_scale);
             }
-            prop_assert_eq!(&fast_scale, &oracle_scale);
         }
     }
 

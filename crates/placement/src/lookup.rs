@@ -15,7 +15,9 @@
 use crate::config::EpaConfig;
 use crate::error::PlaceError;
 use crate::memplan::{self, BlockPlan};
-use crate::score::{attachment_partials_into, AttachmentPartials, BranchScoreTable, ScoreScratch};
+use crate::score::{
+    attachment_partials_into, AttachmentPartials, BranchScoreTable, QueryEvaluator, ScoreScratch,
+};
 use crate::sweep::{run_sweep, DegradationCounters};
 use phylo_engine::{ManagedStore, ReferenceContext};
 use phylo_tree::traversal::SweepSchedule;
@@ -41,6 +43,10 @@ impl LookupTable {
     ) -> Result<LookupTable, PlaceError> {
         let pendant = (ctx.tree().total_length() / ctx.tree().n_edges() as f64).max(1e-6);
         let mut scratch = ScoreScratch::new(ctx);
+        // Every row is built at the one pendant length: its transition
+        // matrices are built here, once, not once per branch.
+        let mut pendant_eval = QueryEvaluator::new(ctx);
+        pendant_eval.set_pendant(ctx, pendant);
         let mut tables: Vec<Option<BranchScoreTable>> = Vec::new();
         tables.resize_with(ctx.tree().n_edges(), || None);
         // One partials buffer serves the whole sweep; only the stored
@@ -58,8 +64,9 @@ impl LookupTable {
         run_sweep(ctx, store, &steps, plan, &DegradationCounters::default(), |batch| {
             for &e in batch {
                 attachment_partials_into(ctx, store, e, 0.5, &mut scratch, &mut partials);
-                tables[e.idx()] =
-                    Some(BranchScoreTable::build(ctx, &partials, pendant, &mut scratch));
+                let mut table = BranchScoreTable::empty();
+                table.rebuild(ctx, &partials, &pendant_eval);
+                tables[e.idx()] = Some(table);
             }
             Ok(())
         })?;

@@ -8,7 +8,8 @@ use crate::memplan::{self, BlockPlan, MemoryPlan};
 use crate::queries::{EncodedQuery, QueryBatch};
 use crate::result::{DegradationStats, PlacementEntry, PlacementResult, RunReport};
 use crate::score::{
-    attachment_partials_into, score_thorough, AttachmentPartials, BranchScoreTable, ScoreScratch,
+    attachment_partials_into, score_thorough, AttachmentPartials, BranchScoreTable, QueryEvaluator,
+    ScoreScratch,
 };
 use crate::sweep::{panic_message, run_sweep, DegradationCounters};
 use phylo_amc::CancelToken;
@@ -605,9 +606,12 @@ impl Placer {
         let s2p = &self.site_to_pattern;
         let pendant = (ctx.tree().total_length() / branches as f64).max(1e-6);
         let mut mat_cell = RowMatrix { data: mat, width: branches };
-        // One scratch and one set of transient tables for the whole chunk,
+        // One scratch, one evaluator holding the pendant branch's
+        // matrices, and one set of transient tables for the whole chunk,
         // rebuilt in place block after block.
         let mut scratch = ScoreScratch::new(ctx);
+        let mut pendant_eval = QueryEvaluator::new(ctx);
+        pendant_eval.set_pendant(ctx, pendant);
         let mut partials = AttachmentPartials::empty();
         let mut tables: Vec<BranchScoreTable> = Vec::new();
         run_sweep(ctx, store, &sweep.steps(|_| true), plan, deg, |block| {
@@ -618,7 +622,7 @@ impl Placer {
             }
             for (table, &e) in tables.iter_mut().zip(block) {
                 attachment_partials_into(ctx, store, e, 0.5, &mut scratch, &mut partials);
-                table.rebuild(ctx, &partials, pendant, &mut scratch);
+                table.rebuild(ctx, &partials, &pendant_eval);
             }
             // Score the chunk against the block, parallel over queries.
             mat_cell.with_rows(chunk.len(), cfg.threads, |q_range, rows| {

@@ -19,7 +19,9 @@
 //!   pattern — one row of the lookup table, built once per branch and
 //!   walked by every query ([`BranchScoreTable::prescore`]). It serves the
 //!   lookup table and the no-lookup prescore sweep, where one table
-//!   amortizes over a whole chunk.
+//!   amortizes over a whole chunk. It is filled from an evaluator's
+//!   `w_r·π_i` weights and pendant matrices, so a sweep builds those once,
+//!   not once per branch.
 //! * [`QueryEvaluator`] scores *one* query: per site it accumulates only
 //!   the column the query's residue selects (the whole row only for
 //!   ambiguity and gap codes), never materializing a table.
@@ -34,7 +36,8 @@
 use crate::error::PlaceError;
 use phylo_engine::{ManagedStore, ReferenceContext};
 use phylo_kernel::kernels::{propagate_scratch, Side};
-use phylo_kernel::{KernelScratch, TipTable, LN_SCALE};
+use phylo_kernel::simd::{self, SimdBackend};
+use phylo_kernel::{KernelKind, KernelScratch, KernelTier, TipTable, LN_SCALE};
 
 /// The `A·B` product at an attachment point, over patterns × rates ×
 /// states, with combined scaler counts.
@@ -98,16 +101,15 @@ impl ScoreScratch {
     }
 }
 
-/// Propagates one side of `edge` (the orientation `d`) through a branch
-/// segment of length `t` into `out`. All working storage (`pm`,
-/// `tip_table`, `kernel`) is caller-owned and reused.
+/// Propagates one side of `edge` (the orientation `d`) through the
+/// per-rate transition matrices `pm` of a branch segment into `out`. All
+/// working storage (`tip_table`, `kernel`) is caller-owned and reused.
 #[allow(clippy::too_many_arguments)]
 fn propagate_partial(
     ctx: &ReferenceContext,
     store: &ManagedStore,
     d: phylo_tree::DirEdgeId,
-    t: f64,
-    pm: &mut Vec<f64>,
+    pm: &[f64],
     tip_table: &mut TipTable,
     masks: &[u32],
     kernel: &mut KernelScratch,
@@ -115,8 +117,6 @@ fn propagate_partial(
     out_scale: &mut [u32],
 ) {
     let layout = ctx.layout();
-    pm.resize(layout.pmatrix_len(), 0.0);
-    ctx.model().transition_matrices(t, pm);
     match store.side(ctx, d) {
         phylo_engine::EdgeSide::Tip(node) => {
             tip_table.rebuild(layout, pm, masks);
@@ -144,6 +144,7 @@ pub fn attachment_partials_into(
 ) {
     let layout = ctx.layout();
     let t = ctx.tree().edge_length(edge);
+    let (t_prox, t_dist) = (x * t, (1.0 - x) * t);
     let d_prox = phylo_tree::DirEdgeId::new(edge, 0);
     let d_dist = phylo_tree::DirEdgeId::new(edge, 1);
     // Disjoint field borrows: the propagation reads/writes different
@@ -151,30 +152,16 @@ pub fn attachment_partials_into(
     let ScoreScratch {
         prox, prox_scale, dist, dist_scale, pmatrix, kernel, masks, tip_table, ..
     } = scratch;
-    propagate_partial(
-        ctx,
-        store,
-        d_prox,
-        x * t,
-        pmatrix,
-        tip_table,
-        masks,
-        kernel,
-        prox,
-        prox_scale,
-    );
-    propagate_partial(
-        ctx,
-        store,
-        d_dist,
-        (1.0 - x) * t,
-        pmatrix,
-        tip_table,
-        masks,
-        kernel,
-        dist,
-        dist_scale,
-    );
+    pmatrix.resize(layout.pmatrix_len(), 0.0);
+    ctx.model().transition_matrices(t_prox, pmatrix);
+    propagate_partial(ctx, store, d_prox, pmatrix, tip_table, masks, kernel, prox, prox_scale);
+    // At the midpoint — every lookup-table row, every prescore-sweep
+    // branch, the first evaluation of every thorough pair — both halves
+    // have the same length, hence the same matrices.
+    if t_dist != t_prox {
+        ctx.model().transition_matrices(t_dist, pmatrix);
+    }
+    propagate_partial(ctx, store, d_dist, pmatrix, tip_table, masks, kernel, dist, dist_scale);
     // Every element is overwritten: resizing without a clear costs
     // nothing once the buffer is warm.
     out.ab.resize(layout.clv_len(), 0.0);
@@ -223,61 +210,74 @@ impl BranchScoreTable {
         BranchScoreTable { table: Vec::new(), scale: Vec::new(), states: 0 }
     }
 
-    /// Builds the table from attachment partials and a pendant branch
-    /// length.
+    /// Builds a one-off table from attachment partials and a pendant
+    /// branch length (through the scratch's evaluator). Sweeps set the
+    /// pendant once and [`rebuild`] per branch instead.
+    ///
+    /// [`rebuild`]: BranchScoreTable::rebuild
     pub fn build(
         ctx: &ReferenceContext,
         partials: &AttachmentPartials,
         pendant: f64,
         scratch: &mut ScoreScratch,
     ) -> BranchScoreTable {
+        scratch.evaluator.set_pendant(ctx, pendant);
         let mut t = BranchScoreTable::empty();
-        t.rebuild(ctx, partials, pendant, scratch);
+        t.rebuild(ctx, partials, &scratch.evaluator);
         t
     }
 
-    /// Rebuilds the table in place for new partials / pendant length,
-    /// reusing the existing allocations: the no-lookup prescore sweep
-    /// rebuilds one table per branch per chunk. Thorough scoring does not
-    /// come through here — it runs on [`QueryEvaluator`], for which this
+    /// Rebuilds the table in place for new partials, reusing the existing
+    /// allocations, at the pendant length last set on `eval`: the `w_r·π_i`
+    /// weights and the pendant transition matrices are the evaluator's, so
+    /// a sweep over many branches at one pendant length builds them once
+    /// and this function builds none. Thorough scoring does not come
+    /// through here — it runs on [`QueryEvaluator::score`], for which this
     /// table is the oracle.
     pub fn rebuild(
         &mut self,
         ctx: &ReferenceContext,
         partials: &AttachmentPartials,
-        pendant: f64,
-        scratch: &mut ScoreScratch,
+        eval: &QueryEvaluator,
     ) {
         let layout = ctx.layout();
-        let states = layout.states;
-        let (freqs, rw) = (ctx.model().freqs(), ctx.model().gamma().weights());
-        scratch.pmatrix.resize(layout.pmatrix_len(), 0.0);
-        ctx.model().transition_matrices(pendant, &mut scratch.pmatrix);
-        let pm = &scratch.pmatrix;
-        self.states = states;
-        self.table.clear();
-        self.table.resize(layout.patterns * (states + 1), 0.0);
-        for p in 0..layout.patterns {
-            let row = &mut self.table[p * (states + 1)..(p + 1) * (states + 1)];
-            for r in 0..layout.rates {
-                let base = p * layout.pattern_stride() + r * states;
-                let ab = &partials.ab[base..base + states];
-                let pmr = &pm[r * states * states..(r + 1) * states * states];
-                for i in 0..states {
-                    let w = rw[r] * freqs[i] * ab[i];
-                    if w == 0.0 {
-                        continue;
-                    }
-                    let prow = &pmr[i * states..(i + 1) * states];
-                    for (j, &pij) in prow.iter().enumerate() {
-                        row[j] += w * pij;
-                    }
-                }
-            }
-            row[states] = row[..states].iter().sum();
+        let fill = self.start_rebuild(ctx, partials, eval);
+        match (layout.kind(), layout.tier()) {
+            (KernelKind::Generic, _) | (_, KernelTier::Reference) => fill.generic(ctx),
+            (KernelKind::Dna4, tier) => fill.fixed_for_tier::<4>(tier),
+            (KernelKind::Protein20, tier) => fill.fixed_for_tier::<20>(tier),
         }
+    }
+
+    /// [`rebuild`] through the generic loop whatever the state count and
+    /// tier: the oracle the fixed-size fills are tested against.
+    ///
+    /// [`rebuild`]: BranchScoreTable::rebuild
+    pub fn rebuild_reference(
+        &mut self,
+        ctx: &ReferenceContext,
+        partials: &AttachmentPartials,
+        eval: &QueryEvaluator,
+    ) {
+        self.start_rebuild(ctx, partials, eval).generic(ctx)
+    }
+
+    /// Sizes the table, takes over the partials' scaler counts, and hands
+    /// back what a fill loop works on.
+    fn start_rebuild<'a>(
+        &'a mut self,
+        ctx: &ReferenceContext,
+        partials: &'a AttachmentPartials,
+        eval: &'a QueryEvaluator,
+    ) -> TableFill<'a> {
+        let layout = ctx.layout();
+        debug_assert_eq!(partials.ab.len(), layout.clv_len());
+        self.states = layout.states;
         self.scale.clear();
         self.scale.extend_from_slice(&partials.scale);
+        // Every fill writes every entry: no clear.
+        self.table.resize(layout.patterns * (layout.states + 1), 0.0);
+        TableFill { ab: &partials.ab, weights: &eval.weights, pm: &eval.pm, table: &mut self.table }
     }
 
     /// Bytes this table occupies.
@@ -314,6 +314,106 @@ impl BranchScoreTable {
             total += lik.ln() - self.scale[p] as f64 * LN_SCALE;
         }
         total
+    }
+}
+
+/// One table fill: `table[p][j] = Σ_r Σ_i (w_r·π_i)·AB[p][r][i]·P_r[i][j]`
+/// for `j < states`, and their sum in column `states`. Rates outer, states
+/// inner, exact-zero weights skipped, `(w_r·π_i)·AB[i]` formed before the
+/// multiplication by `P_ij` — the order [`QueryEvaluator::score`]
+/// reproduces.
+struct TableFill<'a> {
+    /// `[pattern][rate][state]` attachment partials.
+    ab: &'a [f64],
+    /// `[rate][state]`: `w_r·π_i`.
+    weights: &'a [f64],
+    /// `[rate][i][j]`: the pendant branch's transition matrices.
+    pm: &'a [f64],
+    /// `[pattern][state + 1]`, fully overwritten.
+    table: &'a mut [f64],
+}
+
+impl TableFill<'_> {
+    /// Compile-time `S`: the row accumulates in a stack array and the `j`
+    /// loop is a contiguous `S`-wide axpy.
+    #[inline(always)]
+    fn fixed<const S: usize>(self) {
+        let stride = self.weights.len();
+        for (out, ab) in self.table.chunks_exact_mut(S + 1).zip(self.ab.chunks_exact(stride)) {
+            let mut row = [0.0f64; S];
+            let per_rate = self
+                .weights
+                .chunks_exact(S)
+                .zip(ab.chunks_exact(S))
+                .zip(self.pm.chunks_exact(S * S));
+            for ((wf, ab), pmr) in per_rate {
+                for i in 0..S {
+                    let w = wf[i] * ab[i];
+                    if w == 0.0 {
+                        continue;
+                    }
+                    let prow: &[f64; S] = pmr[i * S..(i + 1) * S].try_into().unwrap();
+                    for j in 0..S {
+                        row[j] += w * prow[j];
+                    }
+                }
+            }
+            out[..S].copy_from_slice(&row);
+            out[S] = row.iter().sum();
+        }
+    }
+
+    /// [`fixed`] under the code generation of the layout's kernel tier:
+    /// the simd tier's AVX2 backend re-instantiates the portable body
+    /// behind a `target_feature` shim, as `phylo_kernel::simd::propagate`
+    /// does — wider lanes over the `j` loop, the same operations in the
+    /// same order, and without the `fma` feature nothing contracts.
+    ///
+    /// [`fixed`]: TableFill::fixed
+    fn fixed_for_tier<const S: usize>(self, tier: KernelTier) {
+        if tier == KernelTier::Simd && simd::backend() == SimdBackend::Avx2 {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `simd::backend()` verified avx2 at runtime.
+            return unsafe { self.fixed_avx2::<S>() };
+        }
+        self.fixed::<S>()
+    }
+
+    /// SAFETY: caller guarantees avx2 is available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn fixed_avx2<const S: usize>(self) {
+        self.fixed::<S>()
+    }
+
+    /// Any state count, accumulating in place in the table row, with the
+    /// weights taken from the model rather than from the evaluator's table:
+    /// the Generic kind's and the reference tier's loop, and the oracle of
+    /// the fixed-size ones.
+    fn generic(self, ctx: &ReferenceContext) {
+        let layout = ctx.layout();
+        let states = layout.states;
+        let (freqs, rw) = (ctx.model().freqs(), ctx.model().gamma().weights());
+        self.table.fill(0.0);
+        for p in 0..layout.patterns {
+            let row = &mut self.table[p * (states + 1)..(p + 1) * (states + 1)];
+            for r in 0..layout.rates {
+                let base = p * layout.pattern_stride() + r * states;
+                let ab = &self.ab[base..base + states];
+                let pmr = &self.pm[r * states * states..(r + 1) * states * states];
+                for i in 0..states {
+                    let w = rw[r] * freqs[i] * ab[i];
+                    if w == 0.0 {
+                        continue;
+                    }
+                    let prow = &pmr[i * states..(i + 1) * states];
+                    for (j, &pij) in prow.iter().enumerate() {
+                        row[j] += w * pij;
+                    }
+                }
+            }
+            row[states] = row[..states].iter().sum();
+        }
     }
 }
 

@@ -1,7 +1,10 @@
 //! Steady-state scoring must not touch the heap. A counting global
 //! allocator wraps the system allocator; after one warm-up pass fills the
 //! reusable scratch buffers, further partials / single-query evaluator /
-//! thorough-score evaluations must perform **zero** allocations.
+//! thorough-score evaluations — and what the lookup build and the
+//! prescore sweep run per branch: partials, an in-place table rebuild at
+//! the sweep's hoisted pendant length, a table prescore — must perform
+//! **zero** allocations, for DNA and for protein (`S = 20`, Γ4).
 //!
 //! This binary holds exactly one test so no concurrent test thread can
 //! pollute the counters.
@@ -32,53 +35,78 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 use epa_place::score::{
-    attachment_partials_into, score_thorough, AttachmentPartials, QueryEvaluator, ScoreScratch,
+    attachment_partials_into, score_thorough, AttachmentPartials, BranchScoreTable, QueryEvaluator,
+    ScoreScratch,
 };
 use phylo_engine::{ManagedStore, ReferenceContext};
 use phylo_models::gamma::GammaMode;
-use phylo_models::{dna, DiscreteGamma, SubstModel};
+use phylo_models::{aa, dna, DiscreteGamma, SubstModel};
 use phylo_seq::alphabet::AlphabetKind;
 use phylo_seq::{compress, Msa, Sequence};
 use phylo_tree::{generate, DirEdgeId, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn setup(n: usize, sites: usize, seed: u64) -> (ReferenceContext, Vec<u32>) {
+const AA: &[u8] = b"ARNDCQEGHILKMFPSTWYV";
+
+fn setup(kind: AlphabetKind, n: usize, sites: usize, seed: u64) -> (ReferenceContext, Vec<u32>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let tree = generate::yule(n, 0.1, &mut rng).unwrap();
+    let (letters, rate_matrix) = match kind {
+        AlphabetKind::Dna => (&b"ACGT"[..], dna::jc69()),
+        AlphabetKind::Protein => (AA, aa::synthetic_aa(seed).unwrap()),
+    };
     let rows: Vec<Sequence> = (0..n)
         .map(|i| {
             let text: String =
-                (0..sites).map(|_| "ACGT".as_bytes()[rng.gen_range(0..4usize)] as char).collect();
-            Sequence::from_text(tree.taxon(NodeId(i as u32)), AlphabetKind::Dna, &text).unwrap()
+                (0..sites).map(|_| letters[rng.gen_range(0..letters.len())] as char).collect();
+            Sequence::from_text(tree.taxon(NodeId(i as u32)), kind, &text).unwrap()
         })
         .collect();
     let patterns = compress(&Msa::new(rows).unwrap()).unwrap();
     let s2p = patterns.site_to_pattern().to_vec();
-    let model = SubstModel::new(&dna::jc69(), DiscreteGamma::new(0.7, 4, GammaMode::Mean).unwrap())
-        .unwrap();
-    let ctx = ReferenceContext::new(tree, model, AlphabetKind::Dna.alphabet(), &patterns).unwrap();
+    let gamma = DiscreteGamma::new(0.7, 4, GammaMode::Mean).unwrap();
+    let model = SubstModel::new(&rate_matrix, gamma).unwrap();
+    let ctx = ReferenceContext::new(tree, model, kind.alphabet(), &patterns).unwrap();
     (ctx, s2p)
 }
 
 #[test]
 fn steady_state_scoring_is_allocation_free() {
-    let (ctx, s2p) = setup(12, 60, 7);
+    // One test, both alphabets in turn: the counter is process-wide.
+    for kind in [AlphabetKind::Dna, AlphabetKind::Protein] {
+        steady_state(kind);
+    }
+}
+
+fn steady_state(kind: AlphabetKind) {
+    let (ctx, s2p) = setup(kind, 12, 60, 7);
+    let states = ctx.layout().states;
     let store = ManagedStore::full(&ctx);
     let mut scratch = ScoreScratch::new(&ctx);
     let mut partials = AttachmentPartials::empty();
     let n_sites = s2p.len();
     // Concrete residues, gaps and an ambiguity code: the evaluator's
     // column path and both of its whole-row paths.
-    let (gap, r) = (ctx.alphabet().unknown_code(), ctx.alphabet().encode(b'R').unwrap());
+    let ambiguity = match kind {
+        AlphabetKind::Dna => b'R',
+        AlphabetKind::Protein => b'B',
+    };
+    let (gap, ambig) = (ctx.alphabet().unknown_code(), ctx.alphabet().encode(ambiguity).unwrap());
+    assert!(ambig as usize >= states && ambig != gap, "not an ambiguity code");
     let codes: Vec<u8> = (0..n_sites)
         .map(|i| match i % 7 {
             5 => gap,
-            6 => r,
-            _ => ((i * 5 + 1) % 4) as u8,
+            6 => ambig,
+            _ => ((i * 5 + 1) % states) as u8,
         })
         .collect();
     let mut evaluator = QueryEvaluator::new(&ctx);
+    // What a sweep holds: the pendant matrices, built once, and a table
+    // rebuilt in place branch after branch.
+    let mut pendant_eval = QueryEvaluator::new(&ctx);
+    pendant_eval.set_pendant(&ctx, 0.1);
+    let mut table = BranchScoreTable::empty();
     let edges: Vec<_> = ctx.tree().all_edges().take(4).collect();
 
     // Pin every tested orientation once, then warm up all code paths so
@@ -90,24 +118,36 @@ fn steady_state_scoring_is_allocation_free() {
         attachment_partials_into(&ctx, &store, e, 0.37, &mut scratch, &mut partials);
         evaluator.set_pendant(&ctx, 0.2);
         evaluator.score(&ctx, &partials, &s2p, &codes);
+        table.rebuild(&ctx, &partials, &pendant_eval);
+        table.prescore(&ctx, &s2p, &codes);
         score_thorough(&ctx, &store, e, &s2p, &codes, 2, &mut scratch).unwrap();
     }
 
     // Steady state: the same evaluations must not allocate at all.
-    let mut lls = Vec::with_capacity(2 * edges.len());
+    let mut lls = Vec::with_capacity(3 * edges.len());
     let before = ALLOCS.load(Ordering::SeqCst);
     for &e in &edges {
         attachment_partials_into(&ctx, &store, e, 0.62, &mut scratch, &mut partials);
         evaluator.set_pendant(&ctx, 0.05);
         lls.push(evaluator.score(&ctx, &partials, &s2p, &codes));
+        // The sweep round, at the midpoint as the sweeps run it (one set
+        // of half-branch matrices for both sides).
+        attachment_partials_into(&ctx, &store, e, 0.5, &mut scratch, &mut partials);
+        table.rebuild(&ctx, &partials, &pendant_eval);
+        lls.push(table.prescore(&ctx, &s2p, &codes));
         let sp = score_thorough(&ctx, &store, e, &s2p, &codes, 2, &mut scratch).unwrap();
         lls.push(sp.log_likelihood);
     }
     let after = ALLOCS.load(Ordering::SeqCst);
-    assert_eq!(after - before, 0, "steady-state scoring allocated {} times", after - before);
+    assert_eq!(
+        after - before,
+        0,
+        "{kind:?}: steady-state scoring allocated {} times",
+        after - before
+    );
     // Sanity: the scores are real likelihoods, not garbage.
     for ll in lls {
-        assert!(ll.is_finite() && ll < 0.0, "implausible log-likelihood {ll}");
+        assert!(ll.is_finite() && ll < 0.0, "{kind:?}: implausible log-likelihood {ll}");
     }
     store.release(prepared);
 }

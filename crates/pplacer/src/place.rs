@@ -189,15 +189,16 @@ impl PplacerLike {
                             .map_err(|io| PlaceError::BadConfig(format!("CLV backing: {io}")))?;
                     }
                 }
-                // Propagate both halves to the midpoint.
+                // Propagate both halves to the midpoint: the same length,
+                // so one set of transition matrices serves both.
                 pm.resize(layout.pmatrix_len(), 0.0);
+                self.ctx.model().transition_matrices(0.5 * t, &mut pm);
                 for (side_idx, (out, out_scale)) in
                     [(&mut prox, &mut prox_scale), (&mut dist, &mut dist_scale)]
                         .into_iter()
                         .enumerate()
                 {
                     let d = DirEdgeId::new(e, side_idx as u8);
-                    self.ctx.model().transition_matrices(0.5 * t, &mut pm);
                     let node = self.ctx.tree().src(d);
                     if self.ctx.tree().is_leaf(node) {
                         tip_table.rebuild(&layout, &pm, &masks);

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # The full CI gate: release build, the benchmark harness, the whole
-# workspace's test suite, formatting, and a single-iteration bench smoke
-# pass (compiles every benchmark and runs the kernel suite in quick
-# mode, writing its baselines to a throwaway directory so the committed
-# BENCH_*.json files are not churned).
+# workspace's test suite, formatting, clippy's deny-level lints, and a
+# single-iteration bench smoke pass (compiles every benchmark and runs
+# the kernel suite in quick mode, writing its baselines to a throwaway
+# directory so the committed BENCH_*.json files are not churned).
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -40,17 +40,21 @@ cargo test -q --workspace
 # The kernel crate's differential + proptest suite, once per tier: the
 # dispatch must be correct no matter what PHYLO_KERNEL_TIER pins, and
 # the forced-fallback run (simd tier + portable backend) is what a
-# non-AVX2 host executes, so it is exercised on every CI machine. The
-# placement crate rides along: its evaluator-vs-table checks must hold
-# over whichever kernels produced the partials. The golden jplace hashes
-# pin each tier themselves; they join the forced-fallback run, the one
-# backend an AVX2 host never picks on its own.
+# non-AVX2 host executes, so it is exercised on every CI machine — it is
+# also the run that proves the AVX2 `target_feature` shims of `propagate`
+# and the score-table fill are off when told to be. The placement crate
+# rides along: its evaluator-vs-table and table-vs-generic-loop checks
+# must hold over whichever kernels produced the partials; so does the
+# models crate, whose `P(t)` loop orders feed all of them. The golden
+# jplace hashes pin each tier themselves; they join the forced-fallback
+# run, the one backend an AVX2 host never picks on its own.
+tier_crates=(-p phylo-kernel -p phylo-models -p epa-place)
 for tier in reference fixed simd; do
-    echo "==> cargo test -q -p phylo-kernel -p epa-place (PHYLO_KERNEL_TIER=$tier)"
-    PHYLO_KERNEL_TIER="$tier" cargo test -q -p phylo-kernel -p epa-place
+    echo "==> cargo test -q ${tier_crates[*]} (PHYLO_KERNEL_TIER=$tier)"
+    PHYLO_KERNEL_TIER="$tier" cargo test -q "${tier_crates[@]}"
 done
-echo "==> cargo test -q -p phylo-kernel -p epa-place (simd tier, forced portable fallback)"
-PHYLO_KERNEL_TIER=simd PHYLO_SIMD_PORTABLE=1 cargo test -q -p phylo-kernel -p epa-place
+echo "==> cargo test -q ${tier_crates[*]} (simd tier, forced portable fallback)"
+PHYLO_KERNEL_TIER=simd PHYLO_SIMD_PORTABLE=1 cargo test -q "${tier_crates[@]}"
 PHYLO_KERNEL_TIER=simd PHYLO_SIMD_PORTABLE=1 cargo test -q --test golden_jplace
 
 echo "==> cargo test -q --features faults --test faults (fault matrix)"
@@ -246,6 +250,11 @@ cargo test -q --features obs
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+# Deny-level lints (clippy's `correctness` group) fail the gate; the
+# warn-level backlog is printed and does not.
+echo "==> cargo clippy --workspace --offline -q (deny-level lints fail)"
+cargo clippy --workspace --offline -q
 
 echo "==> bench smoke (single quick pass)"
 bench_out=$(mktemp -d -t bench_smoke.XXXXXX)
