@@ -27,6 +27,8 @@ pub struct ReferenceContext {
     costs: Vec<u32>,
     /// Per directed edge: Sethi–Ullman register need.
     register_need: Vec<u32>,
+    /// `total_length / n_edges`, kept in step with the tree.
+    mean_branch_length: f64,
 }
 
 impl std::fmt::Debug for ReferenceContext {
@@ -83,6 +85,7 @@ impl ReferenceContext {
         }
         let costs = subtree_leaf_counts(&tree);
         let need = register_need(&tree);
+        let mean_branch_length = mean_branch_length(&tree);
         Ok(ReferenceContext {
             tree,
             model,
@@ -94,6 +97,7 @@ impl ReferenceContext {
             tip_tables,
             costs,
             register_need: need,
+            mean_branch_length,
         })
     }
 
@@ -109,6 +113,22 @@ impl ReferenceContext {
     #[inline]
     pub fn tree(&self) -> &Tree {
         &self.tree
+    }
+
+    /// The tree's mean branch length: the scale of the pendant-length
+    /// search lattice.
+    #[inline]
+    pub fn mean_branch_length(&self) -> f64 {
+        self.mean_branch_length
+    }
+
+    /// The pendant length placement starts from — the mean branch length
+    /// (EPA-NG's default heuristic), kept off zero. The lookup table, the
+    /// prescore sweep and thorough scoring's first evaluation all run at
+    /// it, which is what lets a prescore stand in for that evaluation.
+    #[inline]
+    pub fn starting_pendant(&self) -> f64 {
+        self.mean_branch_length.max(1e-6)
     }
 
     /// The compiled substitution model.
@@ -191,6 +211,7 @@ impl ReferenceContext {
         self.tree
             .set_edge_length(e, new_length)
             .expect("branch-length optimizer produced an invalid length");
+        self.mean_branch_length = mean_branch_length(&self.tree);
         let pm_len = self.layout.pmatrix_len();
         // Work around borrowck: compute into a scratch block first.
         let mut block = vec![0.0; pm_len];
@@ -202,6 +223,12 @@ impl ReferenceContext {
             self.tip_tables[e.idx()] = Some(TipTable::build(&self.layout, &block, &masks));
         }
     }
+}
+
+/// `total_length / n_edges`: the expression every consumer of the mean
+/// used to spell out for itself.
+fn mean_branch_length(tree: &Tree) -> f64 {
+    tree.total_length() / tree.n_edges() as f64
 }
 
 #[cfg(test)]
@@ -297,6 +324,10 @@ mod tests {
         let after = ctx.pmatrix(e);
         assert_ne!(before.as_slice(), after);
         assert_eq!(ctx.tree().edge_length(e), 1.5);
+        // The cached mean follows the tree: (1.5 + 0.2 + 0.3) / 3.
+        let mean = ctx.tree().total_length() / ctx.tree().n_edges() as f64;
+        assert_eq!(ctx.mean_branch_length().to_bits(), mean.to_bits());
+        assert_eq!(ctx.starting_pendant(), mean);
         for i in 0..4 {
             let s: f64 = after[i * 4..(i + 1) * 4].iter().sum();
             assert!((s - 1.0).abs() < 1e-10);

@@ -42,7 +42,9 @@ pub struct EpaConfig {
     /// Across-site threads for CLV recomputation (the paper's Fig. 7
     /// experimental mode); `1` = serial kernels.
     pub sitepar_threads: usize,
-    /// Iterations of pendant/position refinement in thorough scoring.
+    /// Most rounds of pendant/position refinement in thorough scoring
+    /// (at least 1). A pair's rounds end earlier at the fixpoint: once
+    /// neither search has an input it has not already searched.
     pub blo_iterations: usize,
     /// Kernel tier request (`--kernel-tier`): `Auto` resolves from
     /// `PHYLO_KERNEL_TIER` and runtime CPU detection; explicit choices
@@ -102,6 +104,9 @@ impl EpaConfig {
         if self.thorough_min == 0 {
             return Err(BadConfig("thorough_min must be at least 1".into()));
         }
+        if self.blo_iterations == 0 {
+            return Err(BadConfig("blo_iterations must be at least 1".into()));
+        }
         if self.slot_wait_timeout.is_some_and(|d| d.is_zero()) {
             return Err(BadConfig("slot_wait_timeout must be non-zero".into()));
         }
@@ -152,6 +157,9 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = EpaConfig::default();
         c.thorough_min = 0;
+        assert!(c.validate().is_err());
+        let mut c = EpaConfig::default();
+        c.blo_iterations = 0;
         assert!(c.validate().is_err());
     }
 

@@ -41,7 +41,7 @@ impl LookupTable {
         store: &ManagedStore,
         cfg: &EpaConfig,
     ) -> Result<LookupTable, PlaceError> {
-        let pendant = (ctx.tree().total_length() / ctx.tree().n_edges() as f64).max(1e-6);
+        let pendant = ctx.starting_pendant();
         let mut scratch = ScoreScratch::new(ctx);
         // Every row is built at the one pendant length: its transition
         // matrices are built here, once, not once per branch.
@@ -74,6 +74,11 @@ impl LookupTable {
         Ok(LookupTable { tables, pendant })
     }
 
+    /// The score table of one branch.
+    pub fn table(&self, edge: EdgeId) -> &BranchScoreTable {
+        &self.tables[edge.idx()]
+    }
+
     /// The prescore of one query at one branch.
     pub fn prescore(
         &self,
@@ -82,7 +87,7 @@ impl LookupTable {
         site_to_pattern: &[u32],
         codes: &[u8],
     ) -> f64 {
-        self.tables[edge.idx()].prescore(ctx, site_to_pattern, codes)
+        self.table(edge).prescore(ctx, site_to_pattern, codes)
     }
 
     /// The pendant length the table was built with.

@@ -604,16 +604,16 @@ impl Placer {
         let cfg = &self.cfg;
         let plan = self.plan_block(store.n_slots(), deg)?;
         let s2p = &self.site_to_pattern;
-        let pendant = (ctx.tree().total_length() / branches as f64).max(1e-6);
         let mut mat_cell = RowMatrix { data: mat, width: branches };
         // One scratch, one evaluator holding the pendant branch's
-        // matrices, and one set of transient tables for the whole chunk,
-        // rebuilt in place block after block.
+        // matrices, one log row per worker and one set of transient tables
+        // for the whole chunk, rebuilt in place block after block.
         let mut scratch = ScoreScratch::new(ctx);
         let mut pendant_eval = QueryEvaluator::new(ctx);
-        pendant_eval.set_pendant(ctx, pendant);
+        pendant_eval.set_pendant(ctx, ctx.starting_pendant());
         let mut partials = AttachmentPartials::empty();
         let mut tables: Vec<BranchScoreTable> = Vec::new();
+        let mut log_rows = vec![Vec::new(); cfg.threads];
         run_sweep(ctx, store, &sweep.steps(|_| true), plan, deg, |block| {
             // The block's CLVs are pinned and published, so reads need no
             // lock.
@@ -625,12 +625,9 @@ impl Placer {
                 table.rebuild(ctx, &partials, &pendant_eval);
             }
             // Score the chunk against the block, parallel over queries.
-            mat_cell.with_rows(chunk.len(), cfg.threads, |q_range, rows| {
-                for (local, row) in q_range.clone().zip(rows.chunks_mut(branches)) {
-                    let codes = &chunk[local].codes;
-                    for (table, &e) in tables.iter().zip(block) {
-                        row[e.idx()] = table.prescore(ctx, s2p, codes);
-                    }
+            mat_cell.with_rows(chunk.len(), &mut log_rows, |q_range, rows, log_row| {
+                for (table, &e) in tables.iter().zip(block) {
+                    prescore_branch(ctx, table, e, s2p, &chunk[q_range.clone()], rows, log_row);
                 }
             });
             Ok(())
@@ -915,35 +912,41 @@ struct RowMatrix<'a> {
 }
 
 impl<'a> RowMatrix<'a> {
-    fn with_rows(
+    /// One worker per element of `scratch` (at most one per row): each
+    /// gets a row range, those rows, and its own scratch element.
+    fn with_rows<T: Send>(
         &mut self,
         n_rows: usize,
-        n_threads: usize,
-        work: impl Fn(std::ops::Range<usize>, &mut [f64]) + Sync,
+        scratch: &mut [T],
+        work: impl Fn(std::ops::Range<usize>, &mut [f64], &mut T) + Sync,
     ) {
         let width = self.width;
-        let n_threads = n_threads.max(1).min(n_rows.max(1));
+        let n_threads = scratch.len().min(n_rows.max(1));
         if n_threads == 1 {
-            return work(0..n_rows, &mut self.data[..n_rows * width]);
+            return work(0..n_rows, &mut self.data[..n_rows * width], &mut scratch[0]);
         }
         let rows_per = n_rows.div_ceil(n_threads);
         std::thread::scope(|s| {
             let mut rest: &mut [f64] = self.data;
             let mut start = 0usize;
-            while start < n_rows {
+            for scratch in scratch.iter_mut() {
+                if start == n_rows {
+                    break;
+                }
                 let take = rows_per.min(n_rows - start);
                 let (head, tail) = rest.split_at_mut(take * width);
                 rest = tail;
                 let range = start..start + take;
                 let work = &work;
-                s.spawn(move || work(range, head));
+                s.spawn(move || work(range, head, scratch));
                 start += take;
             }
         });
     }
 }
 
-/// Phase-1 prescoring against the lookup table, parallel over queries.
+/// Phase-1 prescoring against the lookup table, parallel over queries,
+/// branch by branch within a worker.
 fn prescore_with_lookup(
     ctx: &ReferenceContext,
     table: &LookupTable,
@@ -954,14 +957,28 @@ fn prescore_with_lookup(
     n_threads: usize,
 ) {
     let mut m = RowMatrix { data: mat, width: branches };
-    m.with_rows(chunk.len(), n_threads, |q_range, rows| {
-        for (local, row) in q_range.clone().zip(rows.chunks_mut(branches)) {
-            let codes = &chunk[local].codes;
-            for e in ctx.tree().all_edges() {
-                row[e.idx()] = table.prescore(ctx, e, s2p, codes);
-            }
+    let mut log_rows = vec![Vec::new(); n_threads];
+    m.with_rows(chunk.len(), &mut log_rows, |q_range, rows, log_row| {
+        for e in ctx.tree().all_edges() {
+            prescore_branch(ctx, table.table(e), e, s2p, &chunk[q_range.clone()], rows, log_row);
         }
     });
+}
+
+/// Prescores a worker's `queries` at branch `e` into column `e` of their
+/// rows of the prescore matrix.
+fn prescore_branch(
+    ctx: &ReferenceContext,
+    table: &BranchScoreTable,
+    e: EdgeId,
+    s2p: &[u32],
+    queries: &[EncodedQuery],
+    rows: &mut [f64],
+    log_row: &mut Vec<f64>,
+) {
+    let branches = ctx.tree().n_edges();
+    let codes = queries.iter().map(|q| q.codes.as_slice());
+    table.prescore_chunk(ctx, s2p, codes, log_row, |q, score| rows[q * branches + e.idx()] = score);
 }
 
 #[cfg(test)]

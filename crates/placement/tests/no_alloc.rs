@@ -3,8 +3,11 @@
 //! reusable scratch buffers, further partials / single-query evaluator /
 //! thorough-score evaluations — and what the lookup build and the
 //! prescore sweep run per branch: partials, an in-place table rebuild at
-//! the sweep's hoisted pendant length, a table prescore — must perform
-//! **zero** allocations, for DNA and for protein (`S = 20`, Γ4).
+//! the sweep's hoisted pendant length, a table prescore, a chunk prescore
+//! through the once-per-branch log row — must perform **zero**
+//! allocations, for DNA and for protein (`S = 20`, Γ4). Thorough scoring
+//! includes its three partials buffers: the held position's and the two
+//! live points of the attachment search, swapped, never reallocated.
 //!
 //! This binary holds exactly one test so no concurrent test thread can
 //! pollute the counters.
@@ -107,6 +110,11 @@ fn steady_state(kind: AlphabetKind) {
     let mut pendant_eval = QueryEvaluator::new(&ctx);
     pendant_eval.set_pendant(&ctx, 0.1);
     let mut table = BranchScoreTable::empty();
+    // Enough queries that together they read more entries than a table
+    // holds: the chunk prescore goes through the log row.
+    let chunk: Vec<&[u8]> = vec![&codes; 2 + ctx.layout().patterns * (states + 1) / n_sites];
+    let mut log_row = Vec::new();
+    let mut chunk_scores = vec![0.0; chunk.len()];
     let edges: Vec<_> = ctx.tree().all_edges().take(4).collect();
 
     // Pin every tested orientation once, then warm up all code paths so
@@ -120,11 +128,13 @@ fn steady_state(kind: AlphabetKind) {
         evaluator.score(&ctx, &partials, &s2p, &codes);
         table.rebuild(&ctx, &partials, &pendant_eval);
         table.prescore(&ctx, &s2p, &codes);
+        table.prescore_chunk(&ctx, &s2p, chunk.iter().copied(), &mut log_row, |_, _| ());
         score_thorough(&ctx, &store, e, &s2p, &codes, 2, &mut scratch).unwrap();
     }
+    assert!(!log_row.is_empty(), "{kind:?}: the chunk prescore took the direct walk");
 
     // Steady state: the same evaluations must not allocate at all.
-    let mut lls = Vec::with_capacity(3 * edges.len());
+    let mut lls = Vec::with_capacity(4 * edges.len());
     let before = ALLOCS.load(Ordering::SeqCst);
     for &e in &edges {
         attachment_partials_into(&ctx, &store, e, 0.62, &mut scratch, &mut partials);
@@ -135,6 +145,10 @@ fn steady_state(kind: AlphabetKind) {
         attachment_partials_into(&ctx, &store, e, 0.5, &mut scratch, &mut partials);
         table.rebuild(&ctx, &partials, &pendant_eval);
         lls.push(table.prescore(&ctx, &s2p, &codes));
+        table.prescore_chunk(&ctx, &s2p, chunk.iter().copied(), &mut log_row, |q, v| {
+            chunk_scores[q] = v
+        });
+        lls.push(chunk_scores[chunk.len() - 1]);
         let sp = score_thorough(&ctx, &store, e, &s2p, &codes, 2, &mut scratch).unwrap();
         lls.push(sp.log_likelihood);
     }

@@ -2,7 +2,7 @@
 
 use crate::backing::{Backing, ClvStoreBacking};
 use epa_place::result::{PlacementEntry, PlacementResult};
-use epa_place::score::{AttachmentPartials, QueryEvaluator};
+use epa_place::score::{rate_state_weights, AttachmentPartials, QueryEvaluator};
 use epa_place::{PlaceError, QueryBatch};
 use phylo_amc::StrategyKind;
 use phylo_engine::{ManagedStore, ReferenceContext};
@@ -138,7 +138,7 @@ impl PplacerLike {
             .iter()
             .map(|q| PlacementResult { name: q.name.clone(), placements: Vec::new() })
             .collect();
-        let mean_len = self.ctx.tree().total_length() / self.ctx.tree().n_edges() as f64;
+        let mean_len = self.ctx.mean_branch_length();
         // Scratch: two record buffers plus kernel scratch.
         let mut clv_u = vec![0.0; layout.clv_len()];
         let mut scale_u = vec![0u32; layout.patterns];
@@ -153,6 +153,7 @@ impl PplacerLike {
         let mut kernel = KernelScratch::for_layout(&layout);
         let mut tip_table = TipTable::empty();
         let mut partials = AttachmentPartials::empty();
+        let weights = rate_state_weights(&self.ctx);
         let masks: Vec<u32> = (0..self.ctx.alphabet().n_codes())
             .map(|c| self.ctx.alphabet().state_mask(c as u8))
             .collect();
@@ -225,10 +226,7 @@ impl PplacerLike {
                         );
                     }
                 }
-                partials.ab.clear();
-                partials.ab.extend(prox.iter().zip(&dist).map(|(&a, &b)| a * b));
-                partials.scale.clear();
-                partials.scale.extend(prox_scale.iter().zip(&dist_scale).map(|(&a, &b)| a + b));
+                partials.assign(&weights, &prox, &prox_scale, &dist, &dist_scale);
                 // Score every query of the chunk at this branch, with a
                 // short pendant-length refinement.
                 for (local, q) in chunk.iter().enumerate() {

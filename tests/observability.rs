@@ -70,6 +70,14 @@ fn metrics_account_for_every_clv_acquisition() {
     assert_eq!(m.counter("slot.misses"), report.slot_stats.misses);
     // Live probes recorded during the run (compiled in under `obs`).
     assert!(m.counter("engine.ops") > 0, "kernel op counter never fired: {m:?}");
+    // Thorough scoring's searches: every pair runs its first round's two,
+    // and rounds are whole, so run + skipped is even and bounded by
+    // `2 · blo_iterations` a pair.
+    let (run, skipped) =
+        (m.counter("place.thorough.searches_run"), m.counter("place.thorough.searches_skipped"));
+    assert!(run >= 2 * report.n_thorough, "{run} searches for {} pairs", report.n_thorough);
+    assert_eq!((run + skipped) % 2, 0);
+    assert!(run + skipped <= 2 * placer.config().blo_iterations as u64 * report.n_thorough);
 
     // The snapshot exports as JSON with the counters present and the
     // braces balanced (the file must load in any JSON reader).
