@@ -241,11 +241,9 @@ pub struct SlotManager {
     trace: Mutex<Option<Arc<SlotTrace>>>,
 }
 
-/// Latch-wait latency histogram (`phylo-obs`); the handle is interned
-/// once so the wait path never touches the registry lock.
+/// Latch-wait latency histogram, shared by both wait paths.
 fn wait_hist() -> &'static phylo_obs::Histogram {
-    static H: std::sync::OnceLock<&'static phylo_obs::Histogram> = std::sync::OnceLock::new();
-    H.get_or_init(|| phylo_obs::histogram("slot.wait_ns"))
+    phylo_obs::histogram!("slot.wait_ns")
 }
 
 impl SlotManager {
@@ -1179,6 +1177,7 @@ mod tests {
         m.set_wait_timeout(Duration::from_millis(30));
         let s = m.acquire(ClvKey(0)).unwrap().slot();
         m.pin(s);
+        let waits_before = wait_hist().snapshot();
         let err = m.wait_ready(s).unwrap_err();
         assert!(matches!(err, AmcError::SlotWaitTimeout { .. }), "{err:?}");
         // A snapshot wait on the live version also times out rather than
@@ -1186,6 +1185,10 @@ mod tests {
         let err = m.wait_ready_at(s, m.version(s)).unwrap_err();
         assert!(matches!(err, AmcError::SlotWaitTimeout { .. }), "{err:?}");
         m.unpin(s).unwrap();
+        // Both waits are in `slot.wait_ns`, at their full length (the
+        // histogram is process-global: other tests may add, never take).
+        let waits = wait_hist().snapshot().delta(&waits_before);
+        assert!(waits.count >= 2 && waits.sum_ns >= 60_000_000, "{waits:?}");
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::slots::ClvKey;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex};
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE, reflected) — hand-rolled, no dependencies
@@ -575,9 +575,9 @@ struct TierCounters {
     prefetches: AtomicU64,
 }
 
-/// Snapshot of a [`TieredStore`]'s traffic counters. Collected
-/// unconditionally (independent of the `obs` feature) so tests and
-/// `RunReport` can assert on tier behavior in any build.
+/// Snapshot of a [`TieredStore`]'s traffic counters. Kept per store
+/// (the `phylo-obs` registry is per process) so tests and `RunReport`
+/// can assert on one run's tier behavior.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierStats {
     /// Victims accepted for demotion (payload staged for writeback).
@@ -616,15 +616,9 @@ impl TierCounters {
     }
 }
 
-// Interned obs handles (no-ops unless built with the obs feature).
+/// Reload latency histogram, shared by the fetch and prefetch paths.
 fn obs_reload_ns() -> &'static phylo_obs::Histogram {
-    static H: OnceLock<&'static phylo_obs::Histogram> = OnceLock::new();
-    H.get_or_init(|| phylo_obs::histogram("tier.reload_ns"))
-}
-
-fn obs_writeback_ns() -> &'static phylo_obs::Histogram {
-    static H: OnceLock<&'static phylo_obs::Histogram> = OnceLock::new();
-    H.get_or_init(|| phylo_obs::histogram("tier.writeback_ns"))
+    phylo_obs::histogram!("tier.reload_ns")
 }
 
 // ---------------------------------------------------------------------------
@@ -786,7 +780,7 @@ impl Inner {
         match landed {
             Some(ti) => {
                 let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                obs_writeback_ns().record_ns(ns);
+                phylo_obs::histogram!("tier.writeback_ns").record_ns(ns);
                 self.index.lock().unwrap_or_else(|e| e.into_inner()).insert(key, (ti, crc));
                 self.counters.writebacks.fetch_add(1, Ordering::Relaxed);
             }

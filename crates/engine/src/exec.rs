@@ -47,13 +47,6 @@ pub fn execute_op_par(
     execute_op_inner(ctx, arena, op, Some((pool, n_chunks)), scratch)
 }
 
-/// Per-op kernel timing probes (`phylo-obs`), interned once.
-fn op_probes() -> (&'static phylo_obs::Counter, &'static phylo_obs::Histogram) {
-    static P: std::sync::OnceLock<(&'static phylo_obs::Counter, &'static phylo_obs::Histogram)> =
-        std::sync::OnceLock::new();
-    *P.get_or_init(|| (phylo_obs::counter("engine.ops"), phylo_obs::histogram("engine.op_ns")))
-}
-
 fn execute_op_inner(
     ctx: &ReferenceContext,
     arena: &SlotArena,
@@ -69,7 +62,6 @@ fn execute_op_inner(
     if arena.manager().cancel_token().is_cancelled() {
         return Err(EngineError::Amc(phylo_amc::AmcError::Cancelled));
     }
-    let (ops_counter, op_hist) = op_probes();
     if let Some(tiers) = arena.tiers() {
         // A demoted copy of this exact CLV answers the step without the
         // kernels or the dependency slots: the op owns its unpublished
@@ -156,8 +148,8 @@ fn execute_op_inner(
     // generation — announcing them as the new mapping's data would hand
     // concurrent plans the wrong CLV. The final-generation op publishes.
     arena.manager().mark_ready_at(op.slot, op.slot_version);
-    ops_counter.inc();
-    sw.record(op_hist);
+    phylo_obs::counter!("engine.ops").inc();
+    sw.record(phylo_obs::histogram!("engine.op_ns"));
     Ok(())
 }
 

@@ -57,13 +57,13 @@ impl ScratchPool {
     }
 
     fn checkout(&self) -> KernelScratch {
-        phylo_obs::counter("engine.scratch.checkouts").inc();
+        phylo_obs::counter!("engine.scratch.checkouts").inc();
         match self.pool.lock().unwrap_or_else(|e| e.into_inner()).pop() {
             Some(s) => s,
             None => {
                 // Pool churn: a fresh allocation means a buffer was lost
                 // or more preparations run concurrently than ever before.
-                phylo_obs::counter("engine.scratch.allocs").inc();
+                phylo_obs::counter!("engine.scratch.allocs").inc();
                 KernelScratch::new()
             }
         }
@@ -74,7 +74,7 @@ impl ScratchPool {
             // Simulates scratch-pool exhaustion: the buffer is dropped
             // instead of returned. Recovery is built in — the next
             // checkout simply allocates a fresh one.
-            phylo_obs::counter("engine.scratch.lost").inc();
+            phylo_obs::counter!("engine.scratch.lost").inc();
             drop(scratch);
             return;
         }

@@ -253,9 +253,9 @@ pub fn replay(path: &Path) -> Result<Replay, JournalError> {
         out.frame_ends.push(pos as u64);
     }
     if out.torn_tail {
-        phylo_obs::counter("journal.torn_tails").inc();
+        phylo_obs::counter!("journal.torn_tails").inc();
     }
-    phylo_obs::counter("journal.replayed_frames").add(out.frames.len() as u64);
+    phylo_obs::counter!("journal.replayed_frames").add(out.frames.len() as u64);
     Ok(out)
 }
 
@@ -313,8 +313,8 @@ impl JournalWriter {
         // sync_all (not sync_data): the file grows on every append, so
         // the size metadata is part of the durability contract.
         self.file.sync_all().map_err(io_err(ctx()))?;
-        phylo_obs::counter("journal.appends").inc();
-        phylo_obs::counter("journal.append_bytes").add(bytes.len() as u64);
+        phylo_obs::counter!("journal.appends").inc();
+        phylo_obs::counter!("journal.append_bytes").add(bytes.len() as u64);
         if phylo_faults::fire("journal::crash_after_chunk") {
             return Err(JournalError::InjectedCrash);
         }

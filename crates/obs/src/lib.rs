@@ -1,6 +1,6 @@
 //! Zero-dependency observability primitives for the phyloplace stack.
 //!
-//! Two halves, both behind the `enabled` feature:
+//! Two halves, both always compiled in:
 //!
 //! * a process-global **metrics registry** of named atomic counters,
 //!   gauges, and fixed-bucket (power-of-two nanosecond) latency
@@ -10,32 +10,29 @@
 //!   wall-clock phase intervals and exports them as Chrome-trace JSON
 //!   loadable in `chrome://tracing` / Perfetto.
 //!
-//! Without the feature every probe type is a zero-sized no-op and the
-//! optimizer deletes the call sites outright; [`Snapshot`] and
-//! [`TraceEvent`](trace::TraceEvent) stay available as plain data so
-//! downstream types (e.g. `RunReport::metrics`) need no feature gates.
+//! Probes are always live: a counter or gauge update is one relaxed
+//! atomic read-modify-write, a timed operation adds two `Instant::now()`
+//! calls and three relaxed `fetch_add`s, and an idle span is one atomic
+//! load. There is no switch to turn them off — the binary people run is
+//! the instrumented one.
 //!
 //! The registry is process-global and monotonic by design: per-run
-//! figures are obtained by snapshotting before and after and taking
-//! [`Snapshot::delta`].
+//! figures are what [`Baseline::elapsed`] reports against a
+//! [`Baseline::now`] taken before the run.
 
 pub mod slottrace;
 pub mod trace;
 
 use std::collections::BTreeMap;
-
-/// True when the crate was built with the `enabled` feature, i.e. when
-/// probes actually record.
-pub const fn enabled() -> bool {
-    cfg!(feature = "enabled")
-}
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// Number of histogram buckets; bucket `i` counts samples in
 /// `[2^i, 2^(i+1))` nanoseconds (bucket 0 also absorbs 0), the last
 /// bucket absorbs everything above (~2^39 ns ≈ 9 minutes).
 pub const HIST_BUCKETS: usize = 40;
 
-#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
 pub(crate) fn bucket_of(ns: u64) -> usize {
     if ns < 2 {
         0
@@ -64,285 +61,237 @@ pub fn json_escape(s: &str) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Live metric handles + registry (feature = "enabled")
+// Metric handles + registry
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "enabled")]
-mod live {
-    use super::{bucket_of, HIST_BUCKETS};
-    use std::collections::HashMap;
-    use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-    use std::sync::{Mutex, OnceLock};
-    use std::time::Instant;
+/// Monotonic event counter.
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
 
-    /// Monotonic event counter.
-    #[derive(Debug, Default)]
-    pub struct Counter(AtomicU64);
-
-    impl Counter {
-        #[inline]
-        pub fn inc(&self) {
-            self.0.fetch_add(1, Ordering::Relaxed);
-        }
-        #[inline]
-        pub fn add(&self, n: u64) {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
-        #[inline]
-        pub fn get(&self) -> u64 {
-            self.0.load(Ordering::Relaxed)
-        }
-    }
-
-    /// Last-write-wins signed level (queue depths, current chunk, ...).
-    #[derive(Debug, Default)]
-    pub struct Gauge(AtomicI64);
-
-    impl Gauge {
-        #[inline]
-        pub fn set(&self, v: i64) {
-            self.0.store(v, Ordering::Relaxed);
-        }
-        #[inline]
-        pub fn add(&self, d: i64) {
-            self.0.fetch_add(d, Ordering::Relaxed);
-        }
-        #[inline]
-        pub fn get(&self) -> i64 {
-            self.0.load(Ordering::Relaxed)
-        }
-    }
-
-    /// Fixed power-of-two-nanosecond bucket histogram.
-    #[derive(Debug)]
-    pub struct Histogram {
-        buckets: [AtomicU64; HIST_BUCKETS],
-        count: AtomicU64,
-        sum_ns: AtomicU64,
-    }
-
-    impl Default for Histogram {
-        fn default() -> Self {
-            Self {
-                buckets: [(); HIST_BUCKETS].map(|_| AtomicU64::new(0)),
-                count: AtomicU64::new(0),
-                sum_ns: AtomicU64::new(0),
-            }
-        }
-    }
-
-    impl Histogram {
-        #[inline]
-        pub fn record_ns(&self, ns: u64) {
-            self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        }
-
-        pub fn snapshot(&self) -> super::HistogramSnapshot {
-            let mut buckets = Vec::new();
-            for (i, b) in self.buckets.iter().enumerate() {
-                let n = b.load(Ordering::Relaxed);
-                if n > 0 {
-                    buckets.push((i as u8, n));
-                }
-            }
-            super::HistogramSnapshot {
-                count: self.count.load(Ordering::Relaxed),
-                sum_ns: self.sum_ns.load(Ordering::Relaxed),
-                buckets,
-            }
-        }
-    }
-
-    /// Wall-clock timer whose cost vanishes when the feature is off.
-    #[derive(Debug)]
-    pub struct Stopwatch(Instant);
-
-    impl Stopwatch {
-        #[inline]
-        pub fn elapsed_ns(&self) -> u64 {
-            u64::try_from(self.0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        }
-        /// Records the elapsed time into `hist`.
-        #[inline]
-        pub fn record(&self, hist: &Histogram) {
-            hist.record_ns(self.elapsed_ns());
-        }
-    }
-
+impl Counter {
     #[inline]
-    pub fn stopwatch() -> Stopwatch {
-        Stopwatch(Instant::now())
+    pub fn inc(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
     }
-
-    #[derive(Default)]
-    struct Registry {
-        counters: HashMap<String, &'static Counter>,
-        gauges: HashMap<String, &'static Gauge>,
-        histograms: HashMap<String, &'static Histogram>,
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
-
-    fn registry() -> std::sync::MutexGuard<'static, Registry> {
-        static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-        REGISTRY
-            .get_or_init(|| Mutex::new(Registry::default()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
     }
+}
 
-    /// Interns `name` and returns its counter; the same name always
-    /// yields the same handle. Handles are leaked once per name —
-    /// metric names are a small static vocabulary.
-    pub fn counter(name: &str) -> &'static Counter {
-        let mut r = registry();
-        if let Some(c) = r.counters.get(name) {
-            return c;
+/// Last-write-wins signed level (queue depths, current chunk, ...).
+#[derive(Debug, Default)]
+pub struct Gauge(AtomicI64);
+
+impl Gauge {
+    #[inline]
+    pub fn set(&self, v: i64) {
+        self.0.store(v, Ordering::Relaxed);
+    }
+    #[inline]
+    pub fn add(&self, d: i64) {
+        self.0.fetch_add(d, Ordering::Relaxed);
+    }
+    #[inline]
+    pub fn get(&self) -> i64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// Fixed power-of-two-nanosecond bucket histogram.
+#[derive(Debug)]
+pub struct Histogram {
+    buckets: [AtomicU64; HIST_BUCKETS],
+    count: AtomicU64,
+    sum_ns: AtomicU64,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Self {
+            buckets: [(); HIST_BUCKETS].map(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum_ns: AtomicU64::new(0),
         }
-        let c: &'static Counter = Box::leak(Box::default());
-        r.counters.insert(name.to_string(), c);
-        c
+    }
+}
+
+impl Histogram {
+    #[inline]
+    pub fn record_ns(&self, ns: u64) {
+        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Interns `name` and returns its gauge.
-    pub fn gauge(name: &str) -> &'static Gauge {
-        let mut r = registry();
-        if let Some(g) = r.gauges.get(name) {
-            return g;
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let mut buckets = Vec::new();
+        for (i, b) in self.buckets.iter().enumerate() {
+            let n = b.load(Ordering::Relaxed);
+            if n > 0 {
+                buckets.push((i as u8, n));
+            }
         }
-        let g: &'static Gauge = Box::leak(Box::default());
-        r.gauges.insert(name.to_string(), g);
-        g
-    }
-
-    /// Interns `name` and returns its histogram.
-    pub fn histogram(name: &str) -> &'static Histogram {
-        let mut r = registry();
-        if let Some(h) = r.histograms.get(name) {
-            return h;
+        HistogramSnapshot {
+            count: self.count.load(Ordering::Relaxed),
+            sum_ns: self.sum_ns.load(Ordering::Relaxed),
+            buckets,
         }
-        let h: &'static Histogram = Box::leak(Box::default());
-        r.histograms.insert(name.to_string(), h);
-        h
     }
+}
 
-    /// Copies the current state of every registered metric.
-    pub fn snapshot() -> super::Snapshot {
+/// Wall-clock timer: one `Instant::now()` to start, one to read.
+#[derive(Debug)]
+pub struct Stopwatch(Instant);
+
+impl Stopwatch {
+    #[inline]
+    pub fn elapsed_ns(&self) -> u64 {
+        u64::try_from(self.0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+    /// Records the elapsed time into `hist`.
+    #[inline]
+    pub fn record(&self, hist: &Histogram) {
+        hist.record_ns(self.elapsed_ns());
+    }
+}
+
+#[inline]
+pub fn stopwatch() -> Stopwatch {
+    Stopwatch(Instant::now())
+}
+
+/// One kind of metric, in registration order: a position is stable for
+/// the life of the process, which is what lets a [`Baseline`] drop the
+/// names.
+type Family<T> = Vec<(&'static str, &'static T)>;
+
+/// The handle of `name`, leaked once per name — metric names are a small
+/// static vocabulary. A linear scan: the [`counter!`] family of macros
+/// interns once per call site, so this is off every hot path.
+fn intern<T: Default>(family: &mut Family<T>, name: &str) -> &'static T {
+    if let Some(&(_, h)) = family.iter().find(|(n, _)| *n == name) {
+        return h;
+    }
+    let h: &'static T = Box::leak(Box::default());
+    family.push((Box::leak(name.into()), h));
+    h
+}
+
+struct Registry {
+    counters: Family<Counter>,
+    gauges: Family<Gauge>,
+    histograms: Family<Histogram>,
+}
+
+fn registry() -> std::sync::MutexGuard<'static, Registry> {
+    static REGISTRY: Mutex<Registry> =
+        Mutex::new(Registry { counters: Vec::new(), gauges: Vec::new(), histograms: Vec::new() });
+    REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Interns `name` and returns its counter; the same name always yields
+/// the same handle. Takes the registry lock: instrumented code goes
+/// through [`counter!`], which does this once per call site.
+pub fn counter(name: &str) -> &'static Counter {
+    intern(&mut registry().counters, name)
+}
+
+/// Interns `name` and returns its gauge (see [`counter()`]).
+pub fn gauge(name: &str) -> &'static Gauge {
+    intern(&mut registry().gauges, name)
+}
+
+/// Interns `name` and returns its histogram (see [`counter()`]).
+pub fn histogram(name: &str) -> &'static Histogram {
+    intern(&mut registry().histograms, name)
+}
+
+/// The workspace's one spelling of a probe handle:
+/// `phylo_obs::counter!("engine.ops").inc()` interns the name on the
+/// call site's first pass and is a plain `&'static` load ever after.
+#[macro_export]
+macro_rules! counter {
+    ($name:literal) => {
+        $crate::handle!(Counter, counter, $name)
+    };
+}
+
+/// [`counter!`] for a gauge.
+#[macro_export]
+macro_rules! gauge {
+    ($name:literal) => {
+        $crate::handle!(Gauge, gauge, $name)
+    };
+}
+
+/// [`counter!`] for a histogram.
+#[macro_export]
+macro_rules! histogram {
+    ($name:literal) => {
+        $crate::handle!(Histogram, histogram, $name)
+    };
+}
+
+#[doc(hidden)]
+#[macro_export]
+macro_rules! handle {
+    ($ty:ident, $intern:ident, $name:literal) => {{
+        static HANDLE: ::std::sync::OnceLock<&'static $crate::$ty> = ::std::sync::OnceLock::new();
+        *HANDLE.get_or_init(|| $crate::$intern($name))
+    }};
+}
+
+/// Every counter and histogram as it stood at [`Baseline::now`], by
+/// registration position and without names: the "before" half of a
+/// per-run view, cheap enough to take per daemon request. The default
+/// is the start of the process: everything recorded so far has elapsed.
+#[derive(Debug, Default)]
+pub struct Baseline {
+    counters: Vec<u64>,
+    histograms: Vec<HistogramSnapshot>,
+}
+
+impl Baseline {
+    pub fn now() -> Self {
         let r = registry();
-        let mut s = super::Snapshot::default();
-        for (name, c) in &r.counters {
-            s.counters.insert(name.clone(), c.get());
+        Baseline {
+            counters: r.counters.iter().map(|(_, c)| c.get()).collect(),
+            histograms: r.histograms.iter().map(|(_, h)| h.snapshot()).collect(),
+        }
+    }
+
+    /// What happened since: counters and histograms are subtracted (the
+    /// registry is monotonic), gauges keep their latest value, metrics
+    /// registered after the baseline pass through whole.
+    pub fn elapsed(&self) -> Snapshot {
+        let r = registry();
+        let mut s = Snapshot::default();
+        for (i, (name, c)) in r.counters.iter().enumerate() {
+            let before = self.counters.get(i).copied().unwrap_or(0);
+            s.counters.insert(name.to_string(), c.get().saturating_sub(before));
         }
         for (name, g) in &r.gauges {
-            s.gauges.insert(name.clone(), g.get());
+            s.gauges.insert(name.to_string(), g.get());
         }
-        for (name, h) in &r.histograms {
-            s.histograms.insert(name.clone(), h.snapshot());
+        for (i, (name, h)) in r.histograms.iter().enumerate() {
+            let now = h.snapshot();
+            let d = match self.histograms.get(i) {
+                Some(before) => now.delta(before),
+                None => now,
+            };
+            s.histograms.insert(name.to_string(), d);
         }
         s
     }
 }
 
-#[cfg(feature = "enabled")]
-pub use live::{
-    counter, gauge, histogram, snapshot, stopwatch, Counter, Gauge, Histogram, Stopwatch,
-};
-
 // ---------------------------------------------------------------------------
-// No-op handles (feature off): same API, zero size, zero cost
-// ---------------------------------------------------------------------------
-
-#[cfg(not(feature = "enabled"))]
-mod noop {
-    /// No-op counter (observability disabled at compile time).
-    #[derive(Debug, Default)]
-    pub struct Counter;
-
-    impl Counter {
-        #[inline(always)]
-        pub fn inc(&self) {}
-        #[inline(always)]
-        pub fn add(&self, _n: u64) {}
-        #[inline(always)]
-        pub fn get(&self) -> u64 {
-            0
-        }
-    }
-
-    /// No-op gauge.
-    #[derive(Debug, Default)]
-    pub struct Gauge;
-
-    impl Gauge {
-        #[inline(always)]
-        pub fn set(&self, _v: i64) {}
-        #[inline(always)]
-        pub fn add(&self, _d: i64) {}
-        #[inline(always)]
-        pub fn get(&self) -> i64 {
-            0
-        }
-    }
-
-    /// No-op histogram.
-    #[derive(Debug, Default)]
-    pub struct Histogram;
-
-    impl Histogram {
-        #[inline(always)]
-        pub fn record_ns(&self, _ns: u64) {}
-        pub fn snapshot(&self) -> super::HistogramSnapshot {
-            super::HistogramSnapshot::default()
-        }
-    }
-
-    /// No-op stopwatch: takes no timestamp at all.
-    #[derive(Debug)]
-    pub struct Stopwatch;
-
-    impl Stopwatch {
-        #[inline(always)]
-        pub fn elapsed_ns(&self) -> u64 {
-            0
-        }
-        #[inline(always)]
-        pub fn record(&self, _hist: &Histogram) {}
-    }
-
-    #[inline(always)]
-    pub fn stopwatch() -> Stopwatch {
-        Stopwatch
-    }
-
-    static NOOP_COUNTER: Counter = Counter;
-    static NOOP_GAUGE: Gauge = Gauge;
-    static NOOP_HISTOGRAM: Histogram = Histogram;
-
-    #[inline(always)]
-    pub fn counter(_name: &str) -> &'static Counter {
-        &NOOP_COUNTER
-    }
-    #[inline(always)]
-    pub fn gauge(_name: &str) -> &'static Gauge {
-        &NOOP_GAUGE
-    }
-    #[inline(always)]
-    pub fn histogram(_name: &str) -> &'static Histogram {
-        &NOOP_HISTOGRAM
-    }
-    /// With probes compiled out the registry is always empty.
-    pub fn snapshot() -> super::Snapshot {
-        super::Snapshot::default()
-    }
-}
-
-#[cfg(not(feature = "enabled"))]
-pub use noop::{
-    counter, gauge, histogram, snapshot, stopwatch, Counter, Gauge, Histogram, Stopwatch,
-};
-
-// ---------------------------------------------------------------------------
-// Snapshot: plain data, always compiled
+// Snapshot: plain data
 // ---------------------------------------------------------------------------
 
 /// Frozen copy of one histogram: total count, summed nanoseconds, and
@@ -398,31 +347,6 @@ impl Snapshot {
     /// snapshot.
     pub fn set_gauge(&mut self, name: &str, value: i64) {
         self.gauges.insert(name.to_string(), value);
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// What happened between `earlier` and `self`: counters and
-    /// histograms are subtracted (the registry is monotonic), gauges
-    /// keep their latest value. Metrics absent from `earlier` pass
-    /// through unchanged.
-    pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
-        let mut out = Snapshot::default();
-        for (name, &v) in &self.counters {
-            let prev = earlier.counters.get(name).copied().unwrap_or(0);
-            out.counters.insert(name.clone(), v.saturating_sub(prev));
-        }
-        out.gauges = self.gauges.clone();
-        for (name, h) in &self.histograms {
-            let d = match earlier.histograms.get(name) {
-                Some(prev) => h.delta(prev),
-                None => h.clone(),
-            };
-            out.histograms.insert(name.clone(), d);
-        }
-        out
     }
 
     /// Serializes to a self-describing JSON object (hand-rolled, like
@@ -507,28 +431,23 @@ mod tests {
 
     #[test]
     fn delta_subtracts_counters_and_histograms() {
-        let mut earlier = Snapshot::default();
-        earlier.set_counter("c", 5);
-        earlier
-            .histograms
-            .insert("h".into(), HistogramSnapshot { count: 3, sum_ns: 30, buckets: vec![(2, 3)] });
-        let mut later = earlier.clone();
-        later.set_counter("c", 9);
-        later.set_counter("new", 1);
-        later.histograms.insert(
-            "h".into(),
-            HistogramSnapshot { count: 5, sum_ns: 80, buckets: vec![(2, 4), (5, 1)] },
-        );
-        let d = later.delta(&earlier);
-        assert_eq!(d.counter("c"), 4);
-        assert_eq!(d.counter("new"), 1);
-        let h = &d.histograms["h"];
+        let (c, h) = (counter("test.obs.delta.c"), histogram("test.obs.delta.h"));
+        c.add(5);
+        (0..3).for_each(|_| h.record_ns(10));
+        let base = Baseline::now();
+        c.add(4);
+        counter("test.obs.delta.new").inc();
+        h.record_ns(10);
+        h.record_ns(40);
+        let d = base.elapsed();
+        assert_eq!(d.counter("test.obs.delta.c"), 4);
+        assert_eq!(d.counter("test.obs.delta.new"), 1);
+        let h = &d.histograms["test.obs.delta.h"];
         assert_eq!(h.count, 2);
         assert_eq!(h.sum_ns, 50);
-        assert_eq!(h.buckets, vec![(2, 1), (5, 1)]);
+        assert_eq!(h.buckets, vec![(3, 1), (5, 1)]);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn registry_interns_and_counts() {
         let a = counter("test.obs.interned");
@@ -538,28 +457,35 @@ mod tests {
         a.inc();
         a.add(2);
         assert_eq!(a.get(), before + 3);
-        let snap = snapshot();
+        let snap = Baseline::default().elapsed();
         assert!(snap.counter("test.obs.interned") >= 3);
 
         let h = histogram("test.obs.hist");
         h.record_ns(100);
-        let hs = snapshot().histograms["test.obs.hist"].clone();
+        let hs = Baseline::default().elapsed().histograms["test.obs.hist"].clone();
         assert!(hs.count >= 1);
         assert!(hs.sum_ns >= 100);
+
+        // The call-site-cached spelling resolves to the same handle.
+        assert!(std::ptr::eq(crate::counter!("test.obs.interned"), a));
+        assert!(std::ptr::eq(crate::histogram!("test.obs.hist"), h));
     }
 
-    #[cfg(not(feature = "enabled"))]
     #[test]
-    fn disabled_probes_record_nothing() {
-        let c = counter("test.obs.noop");
-        c.inc();
-        c.add(10);
-        assert_eq!(c.get(), 0);
-        assert_eq!(std::mem::size_of::<Counter>(), 0);
-        assert_eq!(std::mem::size_of::<Stopwatch>(), 0);
-        let sw = stopwatch();
-        sw.record(histogram("test.obs.noop_hist"));
-        assert!(snapshot().is_empty());
-        assert!(!enabled());
+    fn histogram_count_is_the_sum_of_its_buckets_after_concurrent_records() {
+        let h = histogram("test.obs.concurrent");
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    (0..10_000u64).for_each(|i| h.record_ns((i << t) + t));
+                });
+            }
+        });
+        let snap = h.snapshot();
+        assert_eq!(snap.count, 40_000);
+        assert_eq!(snap.count, snap.buckets.iter().map(|&(_, n)| n).sum::<u64>());
     }
 }

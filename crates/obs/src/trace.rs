@@ -3,12 +3,15 @@
 //! Dapper-style wall-clock spans: a [`span`] guard records one interval
 //! per scope, tagged with a category and the recording thread. Nothing
 //! is captured until [`start`] flips the collector on, so instrumented
-//! code pays one relaxed atomic load per span when tracing is idle —
-//! and literally nothing when the `enabled` feature is off.
+//! code pays one atomic load per span when tracing is idle.
 //!
 //! [`chrome_json`] renders captured events in the Trace Event Format
 //! (`{"traceEvents": [...]}`, `ph: "X"` complete events, microsecond
 //! timestamps) understood by `chrome://tracing` and Perfetto.
+
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
 /// One completed span. Timestamps are nanoseconds since the tracing
 /// epoch (the first [`start`] call).
@@ -23,9 +26,8 @@ pub struct TraceEvent {
     pub tid: u64,
 }
 
-/// Renders events as Chrome Trace Event Format JSON. Always available;
-/// with tracing compiled out it renders an empty (still loadable)
-/// trace.
+/// Renders events as Chrome Trace Event Format JSON. No events render
+/// an empty (still loadable) trace.
 pub fn chrome_json(events: &[TraceEvent]) -> String {
     let mut out = String::from("{\"traceEvents\":[\n");
     for (i, e) in events.iter().enumerate() {
@@ -46,140 +48,101 @@ pub fn chrome_json(events: &[TraceEvent]) -> String {
     out
 }
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::TraceEvent;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Mutex, OnceLock};
-    use std::time::Instant;
+static ACTIVE: AtomicBool = AtomicBool::new(false);
+static EPOCH: OnceLock<Instant> = OnceLock::new();
+static EVENTS: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
+static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
-    static ACTIVE: AtomicBool = AtomicBool::new(false);
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    static EVENTS: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
-    static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+thread_local! {
+    static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+}
 
-    thread_local! {
-        static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+fn epoch() -> Instant {
+    *EPOCH.get_or_init(Instant::now)
+}
+
+fn ns_since_epoch(t: Instant) -> u64 {
+    u64::try_from(t.duration_since(epoch()).as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Starts capturing spans (idempotent). The first call fixes the
+/// trace epoch.
+pub fn start() {
+    epoch();
+    ACTIVE.store(true, Ordering::Release);
+}
+
+/// Stops capturing. Already-captured events stay buffered until
+/// [`drain`].
+pub fn stop() {
+    ACTIVE.store(false, Ordering::Release);
+}
+
+#[inline]
+pub fn is_active() -> bool {
+    ACTIVE.load(Ordering::Acquire)
+}
+
+/// Takes all buffered events, ordered by start time.
+pub fn drain() -> Vec<TraceEvent> {
+    let mut ev = std::mem::take(&mut *EVENTS.lock().unwrap_or_else(|e| e.into_inner()));
+    ev.sort_by_key(|e| e.ts_ns);
+    ev
+}
+
+/// RAII span: records `[creation, drop)` under `name` when tracing
+/// is active, otherwise does nothing.
+#[must_use = "a span records its interval when dropped"]
+#[derive(Debug)]
+pub struct Span(Option<SpanInner>);
+
+#[derive(Debug)]
+struct SpanInner {
+    name: String,
+    cat: &'static str,
+    start: Instant,
+}
+
+pub fn span(name: &str, cat: &'static str) -> Span {
+    if !is_active() {
+        return Span(None);
     }
+    Span(Some(SpanInner { name: name.to_string(), cat, start: Instant::now() }))
+}
 
-    fn epoch() -> Instant {
-        *EPOCH.get_or_init(Instant::now)
+/// Records a zero-duration marker event (heartbeats, transitions).
+pub fn mark(name: &str, cat: &'static str) {
+    if !is_active() {
+        return;
     }
+    let now = Instant::now();
+    push(TraceEvent {
+        name: name.to_string(),
+        cat,
+        ts_ns: ns_since_epoch(now),
+        dur_ns: 0,
+        tid: TID.with(|t| *t),
+    });
+}
 
-    fn ns_since_epoch(t: Instant) -> u64 {
-        u64::try_from(t.duration_since(epoch()).as_nanos()).unwrap_or(u64::MAX)
-    }
+fn push(e: TraceEvent) {
+    EVENTS.lock().unwrap_or_else(|p| p.into_inner()).push(e);
+}
 
-    /// Starts capturing spans (idempotent). The first call fixes the
-    /// trace epoch.
-    pub fn start() {
-        epoch();
-        ACTIVE.store(true, Ordering::Release);
-    }
-
-    /// Stops capturing. Already-captured events stay buffered until
-    /// [`drain`].
-    pub fn stop() {
-        ACTIVE.store(false, Ordering::Release);
-    }
-
-    #[inline]
-    pub fn is_active() -> bool {
-        ACTIVE.load(Ordering::Acquire)
-    }
-
-    /// Takes all buffered events, ordered by start time.
-    pub fn drain() -> Vec<TraceEvent> {
-        let mut ev = std::mem::take(&mut *EVENTS.lock().unwrap_or_else(|e| e.into_inner()));
-        ev.sort_by_key(|e| e.ts_ns);
-        ev
-    }
-
-    /// RAII span: records `[creation, drop)` under `name` when tracing
-    /// is active, otherwise does nothing.
-    #[must_use = "a span records its interval when dropped"]
-    #[derive(Debug)]
-    pub struct Span(Option<SpanInner>);
-
-    #[derive(Debug)]
-    struct SpanInner {
-        name: String,
-        cat: &'static str,
-        start: Instant,
-    }
-
-    pub fn span(name: &str, cat: &'static str) -> Span {
-        if !is_active() {
-            return Span(None);
-        }
-        Span(Some(SpanInner { name: name.to_string(), cat, start: Instant::now() }))
-    }
-
-    /// Records a zero-duration marker event (heartbeats, transitions).
-    pub fn mark(name: &str, cat: &'static str) {
-        if !is_active() {
-            return;
-        }
-        let now = Instant::now();
-        push(TraceEvent {
-            name: name.to_string(),
-            cat,
-            ts_ns: ns_since_epoch(now),
-            dur_ns: 0,
-            tid: TID.with(|t| *t),
-        });
-    }
-
-    fn push(e: TraceEvent) {
-        EVENTS.lock().unwrap_or_else(|p| p.into_inner()).push(e);
-    }
-
-    impl Drop for Span {
-        fn drop(&mut self) {
-            if let Some(inner) = self.0.take() {
-                let dur = inner.start.elapsed();
-                push(TraceEvent {
-                    name: inner.name,
-                    cat: inner.cat,
-                    ts_ns: ns_since_epoch(inner.start),
-                    dur_ns: u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX),
-                    tid: TID.with(|t| *t),
-                });
-            }
+impl Drop for Span {
+    fn drop(&mut self) {
+        if let Some(inner) = self.0.take() {
+            let dur = inner.start.elapsed();
+            push(TraceEvent {
+                name: inner.name,
+                cat: inner.cat,
+                ts_ns: ns_since_epoch(inner.start),
+                dur_ns: u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX),
+                tid: TID.with(|t| *t),
+            });
         }
     }
 }
-
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::TraceEvent;
-
-    #[inline(always)]
-    pub fn start() {}
-    #[inline(always)]
-    pub fn stop() {}
-    #[inline(always)]
-    pub fn is_active() -> bool {
-        false
-    }
-    pub fn drain() -> Vec<TraceEvent> {
-        Vec::new()
-    }
-
-    /// No-op span (tracing compiled out).
-    #[must_use = "a span records its interval when dropped"]
-    #[derive(Debug)]
-    pub struct Span(());
-
-    #[inline(always)]
-    pub fn span(_name: &str, _cat: &'static str) -> Span {
-        Span(())
-    }
-    #[inline(always)]
-    pub fn mark(_name: &str, _cat: &'static str) {}
-}
-
-pub use imp::{drain, is_active, mark, span, start, stop, Span};
 
 #[cfg(test)]
 mod tests {
@@ -218,7 +181,6 @@ mod tests {
         assert_eq!(chrome_json(&[]), "{\"traceEvents\":[\n\n]}\n");
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn spans_record_only_while_active() {
         // Global collector: drain whatever other tests left behind.
@@ -239,15 +201,5 @@ mod tests {
         assert!(events.iter().any(|e| e.name == "seen" && e.cat == "test"));
         assert!(events.iter().any(|e| e.name == "beat" && e.dur_ns == 0));
         assert!(!events.iter().any(|e| e.name.starts_with("ignored")));
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn disabled_tracing_is_inert() {
-        start();
-        assert!(!is_active());
-        let _s = span("x", "y");
-        mark("x", "y");
-        assert!(drain().is_empty());
     }
 }

@@ -93,10 +93,11 @@ pub struct RunReport {
     /// Storage-tier traffic (`None` unless the run was configured with
     /// tiered CLV storage via `EpaConfig::tiers`).
     pub tier_stats: Option<phylo_amc::TierStats>,
-    /// Per-run observability snapshot: the slot-traffic and degradation
-    /// counters are always folded in; with the `obs` feature enabled it
-    /// additionally carries every live probe recorded during the run
-    /// (kernel timings, wait-latency histograms, scratch-pool churn).
+    /// Per-run observability snapshot: every live probe recorded during
+    /// the run (kernel timings, wait-latency histograms, scratch-pool
+    /// churn) as a delta of the process-global registry, with the
+    /// slot-traffic and degradation counters folded in from this run's
+    /// own tallies.
     /// Export with [`phylo_obs::Snapshot::to_json`].
     pub metrics: phylo_obs::Snapshot,
 }

@@ -489,7 +489,7 @@ impl Placer {
             // placements from the abandoned chunk; drop them so the
             // outcome is exactly the durable prefix.
             results.truncate(queries_done);
-            phylo_obs::counter("place.cancelled_runs").inc();
+            phylo_obs::counter!("place.cancelled_runs").inc();
         }
         for r in &mut results {
             r.finalize();
@@ -522,8 +522,8 @@ impl Placer {
         // run's report still covers the pre-crash chunks.
         let deg = DegradationCounters::default();
         let chunk_span = phylo_obs::trace::span(&format!("chunk {chunk_idx}"), "chunk");
-        phylo_obs::counter("place.chunks").inc();
-        phylo_obs::gauge("place.chunk.current").set(chunk_idx as i64);
+        phylo_obs::counter!("place.chunks").inc();
+        phylo_obs::gauge!("place.chunk.current").set(chunk_idx as i64);
         phylo_obs::trace::mark("chunk.heartbeat", "chunk");
 
         // ---- Phase 1: prescore every (query, branch) pair. ----
@@ -656,7 +656,7 @@ impl Placer {
         // One scratch per worker for the whole chunk, not one per block.
         let mut scratches: Vec<ScoreScratch> =
             (0..cfg.threads).map(|_| ScoreScratch::new(ctx)).collect();
-        run_sweep(ctx, store, &steps, plan, deg, |block| {
+        let swept = run_sweep(ctx, store, &steps, plan, deg, |block| {
             // Flatten to (edge, query) work items and strip across threads.
             let items: Vec<(EdgeId, usize)> =
                 block.iter().flat_map(|&e| grouped[e.idx()].iter().map(move |&q| (e, q))).collect();
@@ -741,7 +741,9 @@ impl Placer {
                 results[qoff + q].placements.push(entry);
             }
             Ok(())
-        })
+        });
+        scratches.iter_mut().for_each(ScoreScratch::publish_searches);
+        swept
     }
 }
 
@@ -801,7 +803,7 @@ fn restore_chunk(
         block_clamped: frame.stats.block_clamped,
         flush_retries: frame.stats.flush_retries,
     });
-    phylo_obs::counter("journal.chunks_restored").inc();
+    phylo_obs::counter!("journal.chunks_restored").inc();
     Ok(())
 }
 
@@ -834,12 +836,12 @@ fn frame_of(chunk_idx: usize, stats: ChunkStats, slice: &[PlacementResult]) -> C
 /// view in [`RunReport::metrics`] is the delta against this baseline.
 struct RunClock {
     started: Instant,
-    obs_base: phylo_obs::Snapshot,
+    obs_base: phylo_obs::Baseline,
 }
 
 impl RunClock {
     fn start() -> Self {
-        RunClock { started: Instant::now(), obs_base: phylo_obs::snapshot() }
+        RunClock { started: Instant::now(), obs_base: phylo_obs::Baseline::now() }
     }
 
     /// Stamps the finished report with the run's wall time and metrics.
@@ -853,19 +855,20 @@ impl RunClock {
 /// against the run's baseline, with the slot-traffic and degradation
 /// counters injected from their authoritative per-run sources
 /// ([`RunReport::slot_stats`] and [`RunReport::degradation`]). The
-/// injected counters are exact regardless of the `obs` feature or of
-/// concurrent runs sharing the global registry. The selected kernel
-/// tier is exported as exactly one `kernel.tier.<name>` gauge (the
-/// invariant the observability suite checks), alongside the
+/// registry is per process and the report per run: the injected
+/// counters stay exact when concurrent runs share the registry, while
+/// the live probes' deltas then include the other runs' traffic. The
+/// selected kernel tier is exported as exactly one `kernel.tier.<name>`
+/// gauge (the invariant the observability suite checks), alongside the
 /// site-parallel pool counters.
 fn run_metrics(
     report: &RunReport,
-    base: &phylo_obs::Snapshot,
+    base: &phylo_obs::Baseline,
     tier: phylo_kernel::KernelTier,
     warm: &WarmStore,
 ) -> phylo_obs::Snapshot {
     let pool = warm.store.sitepar_stats();
-    let mut m = phylo_obs::snapshot().delta(base);
+    let mut m = base.elapsed();
     m.set_gauge(&format!("kernel.tier.{}", tier.name()), 1);
     m.set_gauge("sitepar.pool.workers", pool.workers as i64);
     m.set_gauge("sitepar.pool.parked", pool.parked as i64);

@@ -132,6 +132,8 @@ pub struct ScoreScratch {
     search: [AttachmentPartials; 2],
     /// The evaluator behind every refinement eval of [`score_thorough`].
     evaluator: QueryEvaluator,
+    /// Searches of the pairs scored since [`ScoreScratch::publish_searches`].
+    searches: SearchCounts,
 }
 
 impl ScoreScratch {
@@ -152,7 +154,17 @@ impl ScoreScratch {
             partials: AttachmentPartials::empty(),
             search: [AttachmentPartials::empty(), AttachmentPartials::empty()],
             evaluator: QueryEvaluator::new(ctx),
+            searches: SearchCounts::default(),
         }
+    }
+
+    /// Adds the searches tallied since the last call to the
+    /// `place.thorough.searches_*` counters: once per batch of pairs, so
+    /// scorer threads do not meet on the shared counters pair by pair.
+    pub fn publish_searches(&mut self) {
+        let SearchCounts { run, skipped } = std::mem::take(&mut self.searches);
+        phylo_obs::counter!("place.thorough.searches_run").add(run);
+        phylo_obs::counter!("place.thorough.searches_skipped").add(skipped);
     }
 }
 
@@ -916,8 +928,8 @@ pub fn score_thorough(
         thorough_search(ctx, site_to_pattern, codes, blo_iterations, scratch, |x, scratch, out| {
             attachment_partials_into(ctx, store, edge, x, scratch, out)
         });
-    phylo_obs::counter("place.thorough.searches_run").add(searches.run);
-    phylo_obs::counter("place.thorough.searches_skipped").add(searches.skipped);
+    scratch.searches.run += searches.run;
+    scratch.searches.skipped += searches.skipped;
     Ok(placement)
 }
 

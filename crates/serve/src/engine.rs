@@ -231,7 +231,7 @@ impl WarmEngine {
             out.push(match rendered {
                 Ok(jplace) => Ok(Served { jplace, n_queries: n, degraded }),
                 Err(payload) => {
-                    phylo_obs::counter("serve.internal_errors").inc();
+                    phylo_obs::counter!("serve.internal_errors").inc();
                     let msg = payload
                         .downcast_ref::<&str>()
                         .map(|s| s.to_string())

@@ -93,8 +93,8 @@ impl ConnHandle {
     }
 }
 
-/// Counters surfaced by the `status` op (authoritative here, mirrored
-/// into phylo-obs when the feature is on).
+/// Counters surfaced by the `status` op. These are per daemon; each is
+/// mirrored into a `serve.*` probe, which is per process.
 #[derive(Default)]
 struct Tally {
     requests: AtomicU64,
@@ -318,7 +318,7 @@ fn accept_loop(
             }
             Ok(None) => std::thread::sleep(Duration::from_millis(10)),
             Err(e) => {
-                phylo_obs::counter("serve.accept_errors").inc();
+                phylo_obs::counter!("serve.accept_errors").inc();
                 eprintln!("phyloplaced: accept error (retrying in {backoff_ms}ms): {e}");
                 std::thread::sleep(Duration::from_millis(backoff_ms));
                 backoff_ms = (backoff_ms * 2).min(500);
@@ -340,7 +340,7 @@ fn spawn_writer(pending: Arc<AtomicUsize>, mut w: Box<dyn Write + Send>) -> Conn
                 // A client that stops reading: the kernel buffer backs
                 // up and writes stall. Simulated with a sleep so the
                 // chaos test can assert other connections stay live.
-                phylo_obs::counter("serve.slow_writes").inc();
+                phylo_obs::counter!("serve.slow_writes").inc();
                 std::thread::sleep(Duration::from_millis(1500));
             }
             if !dead && writeln!(w, "{line}").and_then(|_| w.flush()).is_err() {
@@ -380,7 +380,7 @@ fn reader_loop(state: &Arc<ServerState>, mut r: impl BufRead, conn: ConnHandle) 
             continue;
         }
         state.tally.requests.fetch_add(1, Ordering::Relaxed);
-        phylo_obs::counter("serve.requests").inc();
+        phylo_obs::counter!("serve.requests").inc();
         let parsed = if phylo_faults::fire("serve::request_parse") {
             Err((None, "injected parse failure".to_string()))
         } else {
@@ -389,7 +389,7 @@ fn reader_loop(state: &Arc<ServerState>, mut r: impl BufRead, conn: ConnHandle) 
         match parsed {
             Err((id, detail)) => {
                 state.tally.bad.fetch_add(1, Ordering::Relaxed);
-                phylo_obs::counter("serve.bad_request").inc();
+                phylo_obs::counter!("serve.bad_request").inc();
                 conn.send(proto::error_line(
                     id.as_deref().unwrap_or(""),
                     Code::BadRequest,
@@ -452,7 +452,7 @@ fn admit_place(
         Ok(rows) => rows,
         Err(fail) => {
             state.tally.bad.fetch_add(1, Ordering::Relaxed);
-            phylo_obs::counter("serve.bad_request").inc();
+            phylo_obs::counter!("serve.bad_request").inc();
             conn.send(proto::error_line(&id, fail.code, &fail.detail));
             return;
         }
@@ -463,7 +463,7 @@ fn admit_place(
         None => None,
         Some(ms) if ms <= 0.0 => {
             state.tally.deadline.fetch_add(1, Ordering::Relaxed);
-            phylo_obs::counter("serve.deadline_expired").inc();
+            phylo_obs::counter!("serve.deadline_expired").inc();
             conn.send(proto::error_line(&id, Code::Deadline, "deadline already expired"));
             return;
         }
@@ -480,14 +480,14 @@ fn admit_place(
         // typed code, and sheds the youngest request. Never a hang.
         job.conn.registry.lock().unwrap_or_else(|e| e.into_inner()).remove(&job.id);
         state.tally.shed.fetch_add(1, Ordering::Relaxed);
-        phylo_obs::counter("serve.shed").inc();
+        phylo_obs::counter!("serve.shed").inc();
         job.conn.send(proto::error_line(
             &job.id,
             Code::Overloaded,
             &format!("admission queue full (cap {})", state.queue.capacity()),
         ));
     }
-    phylo_obs::gauge("serve.queue_depth").set(state.queue.depth() as i64);
+    phylo_obs::gauge!("serve.queue_depth").set(state.queue.depth() as i64);
 }
 
 /// The engine executor: micro-batches admitted jobs into warm runs.
@@ -502,7 +502,7 @@ fn executor_loop(state: &Arc<ServerState>) {
         }
         let budget = ladder.budget();
         state.batch_budget.store(budget, Ordering::SeqCst);
-        phylo_obs::gauge("serve.batch_budget").set(budget as i64);
+        phylo_obs::gauge!("serve.batch_budget").set(budget as i64);
         let batch = state.queue.pop_batch(budget, Duration::from_millis(25));
         if batch.is_empty() {
             let done = state.admission_closed.load(Ordering::SeqCst) || phase != Phase::Running;
@@ -542,8 +542,8 @@ fn run_batch(state: &Arc<ServerState>, ladder: &mut PressureLadder, batch: Vec<P
     let rows: Vec<Vec<Sequence>> = live.iter().map(|j| j.rows.clone()).collect();
     let t0 = Instant::now();
     let results = state.engine.place_merged(&rows, &run_token);
-    phylo_obs::counter("serve.batches").inc();
-    phylo_obs::histogram("serve.batch_ns").record_ns(t0.elapsed().as_nanos() as u64);
+    phylo_obs::counter!("serve.batches").inc();
+    phylo_obs::histogram!("serve.batch_ns").record_ns(t0.elapsed().as_nanos() as u64);
     let mut degraded = false;
     for (job, res) in live.iter().zip(results) {
         match res {
@@ -578,8 +578,8 @@ fn finish(
     match outcome {
         Ok((jplace, n, t0)) => {
             state.tally.served.fetch_add(1, Ordering::Relaxed);
-            phylo_obs::counter("serve.served").inc();
-            phylo_obs::histogram("serve.request_ns").record_ns(t0.elapsed().as_nanos() as u64);
+            phylo_obs::counter!("serve.served").inc();
+            phylo_obs::histogram!("serve.request_ns").record_ns(t0.elapsed().as_nanos() as u64);
             job.conn.registry.lock().unwrap_or_else(|e| e.into_inner()).remove(&job.id);
             job.conn.send(proto::render(&[
                 Field::Str("id", &job.id),
@@ -606,11 +606,11 @@ fn finish_err(state: &Arc<ServerState>, job: &PlaceJob, code: Code, detail: &str
     match code {
         Code::Deadline => {
             state.tally.deadline.fetch_add(1, Ordering::Relaxed);
-            phylo_obs::counter("serve.deadline_expired").inc();
+            phylo_obs::counter!("serve.deadline_expired").inc();
         }
         Code::Cancelled => {
             state.tally.cancelled.fetch_add(1, Ordering::Relaxed);
-            phylo_obs::counter("serve.cancelled").inc();
+            phylo_obs::counter!("serve.cancelled").inc();
         }
         Code::Internal => {
             state.tally.internal.fetch_add(1, Ordering::Relaxed);

@@ -184,6 +184,6 @@ pub fn run_coordinator(
         docs.push(parse_jplace(&text, shard).map_err(|e| ShardError::Runtime(e.to_string()))?);
     }
     let jplace = merge_jplace(&docs).map_err(|e| ShardError::Runtime(e.to_string()))?;
-    phylo_obs::gauge("shard.n_shards").set(n_shards as i64);
+    phylo_obs::gauge!("shard.n_shards").set(n_shards as i64);
     Ok(CoordinatorOutcome { jplace, report, n_shards, n_queries })
 }

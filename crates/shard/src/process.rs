@@ -77,7 +77,7 @@ fn handle_line(state: &Arc<Mutex<HbState>>, shard: usize, line: HbLine) {
             s.last_beat = Some(Instant::now());
         }
         HbLine::Malformed(raw) => {
-            phylo_obs::counter("shard.heartbeat_malformed").inc();
+            phylo_obs::counter!("shard.heartbeat_malformed").inc();
             eprintln!("[shard {shard}] malformed heartbeat skipped: {raw}");
         }
         HbLine::Other(raw) => {

@@ -276,7 +276,7 @@ where
             return Err(ShardError::RetriesExhausted { shard, attempts: next, last: why });
         }
         report.requeues += 1;
-        phylo_obs::counter("shard.requeues").inc();
+        phylo_obs::counter!("shard.requeues").inc();
         slots[shard] = Slot::Pending {
             attempt: next,
             not_before: Instant::now() + backoffs[shard].next_delay(),
@@ -313,7 +313,7 @@ where
                 Ok(worker) => {
                     report.launched += 1;
                     report.attempts[shard] = attempt;
-                    phylo_obs::counter("shard.launched").inc();
+                    phylo_obs::counter!("shard.launched").inc();
                     slots[shard] = Slot::Running { worker, attempt, started: now };
                     running += 1;
                 }
@@ -345,7 +345,7 @@ where
                 }
                 Ok(Some(code)) => {
                     report.crashes += 1;
-                    phylo_obs::counter("shard.crashes").inc();
+                    phylo_obs::counter!("shard.crashes").inc();
                     let why = if code < 0 {
                         "killed by signal".to_string()
                     } else {
@@ -359,7 +359,7 @@ where
                     if now.saturating_duration_since(quiet_since) > cfg.heartbeat_timeout {
                         worker.kill();
                         report.hangs += 1;
-                        phylo_obs::counter("shard.hangs").inc();
+                        phylo_obs::counter!("shard.hangs").inc();
                         requeue(
                             slots,
                             report,
@@ -406,7 +406,7 @@ where
             };
             worker.kill();
             report.stragglers += 1;
-            phylo_obs::counter("shard.stragglers").inc();
+            phylo_obs::counter!("shard.stragglers").inc();
             requeue(
                 slots,
                 report,

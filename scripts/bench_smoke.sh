@@ -47,7 +47,7 @@ EOF
 # emit a metrics JSON that parses and shows real slot traffic (non-zero
 # slot.misses — CLVs were recomputed under the budget).
 echo "==> observability smoke (--metrics-json under tight --maxmem)"
-cargo build --release --features obs --bin phyloplace
+cargo build --release --bin phyloplace
 obsdir="$(mktemp -d -t obs_smoke.XXXXXX)"
 trap 'rm -rf "$obsdir"' EXIT
 cat > "$obsdir/ref.nwk" <<'EOF'
@@ -87,6 +87,9 @@ assert hits + misses == acquires, f"{hits} + {misses} != {acquires}"
 # The traversal planner's reuses of cached CLVs are hits: a slot-managed
 # run that reads 0 would mean they went uncounted again.
 assert hits > 0, "expected non-zero slot.hits under a tight --maxmem"
+# The release binary is the instrumented one: kernel time is recorded.
+op_ns = metrics["histograms"]["engine.op_ns"]
+assert op_ns["count"] == metrics["counters"]["engine.ops"] > 0, op_ns
 trace = json.load(open(sys.argv[2]))
 names = {e["name"] for e in trace["traceEvents"]}
 assert "prescore" in names and "thorough" in names, f"missing phase spans: {sorted(names)}"
@@ -98,7 +101,6 @@ EOF
 # --checkpoint, reported as % wall-clock. The journal fsyncs one frame
 # per chunk; this keeps an eye on that cost as chunk/frame sizes evolve.
 echo "==> checkpoint journal overhead (journal on vs off)"
-cargo build --release --bin phyloplace
 cargo build --release -q --example export_dataset
 jdir="$(mktemp -d -t journal_smoke.XXXXXX)"
 trap 'rm -rf "$obsdir" "$jdir"' EXIT

@@ -369,15 +369,6 @@ pub fn run_placement_with(opts: &CliOptions, cancel: CancelToken) -> Result<RunO
         }
     };
 
-    if (opts.metrics_json.is_some() || opts.trace_path.is_some()) && !phylo_obs::enabled() {
-        // Slot-traffic and degradation counters are always collected, so
-        // the metrics file is still useful — but kernel timings, wait
-        // histograms, and trace spans need the compiled-in probes.
-        eprintln!(
-            "phyloplace: warning: built without the `obs` feature; \
-             metrics are limited to slot counters and the trace will be empty"
-        );
-    }
     if opts.trace_path.is_some() {
         phylo_obs::trace::start();
     }

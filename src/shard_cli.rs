@@ -193,9 +193,9 @@ pub fn run_shard(opts: &ShardCliOptions, shutdown: &Shutdown) -> Result<String, 
     )
     .map_err(|e| ShardError::Runtime(format!("{}: {e}", opts.out_path)))?;
     if let Some(path) = &opts.metrics_json {
-        // Authoritative fleet counters are injected from the report, so
-        // the metrics file is meaningful even without the `obs` feature
-        // (same pattern as the per-run metrics in `cli.rs`).
+        // The fleet counters come from this run's report, not from the
+        // live `shard.*` probes: the registry is process-global, the
+        // file is per run (same pattern as `run_metrics`).
         let mut snap = phylo_obs::Snapshot::default();
         snap.set_counter("shard.launched", outcome.report.launched);
         snap.set_counter("shard.requeues", outcome.report.requeues);

@@ -173,3 +173,47 @@ fn heartbeat_protocol_on_stdout() {
     assert_eq!(last.queries_done, last.n_queries);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The integer after `"key": ` / `"key": {"count": ` in a metrics file.
+fn metric(doc: &str, key: &str) -> u64 {
+    let at = doc.find(&format!("\"{key}\"")).unwrap_or_else(|| panic!("no {key:?} in {doc}"));
+    let digits = doc[at + key.len() + 2..].trim_start_matches(|c: char| !c.is_ascii_digit());
+    digits[..digits.find(|c: char| !c.is_ascii_digit()).unwrap()].parse().unwrap()
+}
+
+#[test]
+fn metrics_and_trace_are_live_in_the_default_build() {
+    let dir = tmpdir("obs");
+    export(&dir);
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (m, t, s) = (path("metrics.json"), path("trace.json"), path("slots.txt"));
+    let out = bin()
+        .args(place_args(&dir))
+        .args(["--maxmem", "300K", "--no-lookup", "--out", &path("out.jplace")])
+        .args(["--metrics-json", &m, "--trace", &t, "--slot-trace", &s])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("warning"), "{stderr}");
+
+    let metrics = std::fs::read_to_string(&m).unwrap();
+    assert!(metric(&metrics, "engine.ops") > 0, "{metrics}");
+    assert!(metric(&metrics, "engine.op_ns") > 0, "empty kernel-time histogram: {metrics}");
+    assert!(metric(&metrics, "slot.misses") > 0, "a floor-budget run recomputes: {metrics}");
+    assert_eq!(
+        metric(&metrics, "slot.hits") + metric(&metrics, "slot.misses"),
+        metric(&metrics, "slot.acquires"),
+        "{metrics}"
+    );
+    assert_eq!(metrics.matches("\"kernel.tier.").count(), 1, "{metrics}");
+    let trace = std::fs::read_to_string(&t).unwrap();
+    for span in ["\"name\":\"prescore\"", "\"name\":\"thorough\""] {
+        assert!(trace.contains(span), "no {span} span in the trace");
+    }
+
+    // The simulator reproduces that file's slot counters exactly.
+    let out = bin().args(["replay", "--trace", &s, "--verify", &m]).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -3,10 +3,9 @@
 //! (`hits + misses == acquires`, the acceptance invariant for slot
 //! traffic) and a Chrome trace that names the orchestrator's phases.
 //!
-//! Build with `cargo test --features obs --test observability`; without
-//! the feature the live probes are no-ops and this file compiles to
-//! nothing.
-#![cfg(feature = "obs")]
+//! Probes are always compiled in, so this runs with the rest of Tier-1
+//! (`cargo test -q`) against the same library code the release binary
+//! ships.
 
 use phyloplace::place::{memplan, EpaConfig, Placer, PreplacementMode, QueryBatch};
 use phyloplace::prelude::*;
@@ -68,7 +67,7 @@ fn metrics_account_for_every_clv_acquisition() {
     // The injected counters agree with the report's own slot stats.
     assert_eq!(m.counter("slot.hits"), report.slot_stats.hits);
     assert_eq!(m.counter("slot.misses"), report.slot_stats.misses);
-    // Live probes recorded during the run (compiled in under `obs`).
+    // Live probes recorded during the run.
     assert!(m.counter("engine.ops") > 0, "kernel op counter never fired: {m:?}");
     // Thorough scoring's searches: every pair runs its first round's two,
     // and rounds are whole, so run + skipped is even and bounded by
