@@ -70,9 +70,9 @@ pub struct SlotArena {
     patterns: usize,
     data: SyncBuf<f64>,
     scales: SyncBuf<u32>,
-    /// Optional demotion tiers ([`SlotArena::set_tiers`]). When set,
-    /// eviction in the lease path demotes published victims and misses
-    /// try a tier reload before falling back to recomputation.
+    /// Optional CLV spill file ([`SlotArena::set_tiers`]). When set,
+    /// eviction in the lease path spills published victims and misses
+    /// try a reload before falling back to recomputation.
     tiers: OnceLock<Arc<TieredStore>>,
 }
 
@@ -137,7 +137,7 @@ impl SlotArena {
         })
     }
 
-    /// Attaches demotion storage tiers (at most once; later calls are
+    /// Attaches a CLV spill file (at most once; later calls are
     /// ignored). From then on, evictions through the lease path offer
     /// published victims to the store and misses try [`TieredStore::
     /// fetch_into`] before recomputing.
@@ -145,7 +145,7 @@ impl SlotArena {
         let _ = self.tiers.set(tiers);
     }
 
-    /// The attached tier store, if any.
+    /// The attached spill file, if any.
     pub fn tiers(&self) -> Option<&Arc<TieredStore>> {
         self.tiers.get()
     }
@@ -308,13 +308,13 @@ impl SlotArena {
             drop(guard);
             if !acq.is_hit() {
                 if let Some(tiers) = self.tiers.get() {
-                    // Demotion: the victim's bytes are still in the slot
+                    // Spill: the victim's bytes are still in the slot
                     // (nothing writes until this lease does) and the pin
                     // plus unpublished phase make us its exclusive owner.
                     if let Acquire::Evicted { victim, victim_ready: true, .. } = acq {
                         tiers.offer(victim, self.clv(slot), self.scale(slot));
                     }
-                    // Promotion: answer the miss from a tier if possible.
+                    // Promotion: answer the miss from the file if possible.
                     // SAFETY: same exclusivity a ComputeLease certifies —
                     // the slot is mapped to `clv`, pinned, unpublished.
                     let (clv_buf, scale_buf) = unsafe { self.slot_raw_mut(slot) };

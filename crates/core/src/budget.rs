@@ -26,17 +26,15 @@ pub enum MemCategory {
     TipTables,
     /// Reference tree + alignment + query batch.
     StaticData,
-    /// Demoted CLVs held in the compressed in-RAM storage tier.
-    CompressedTier,
-    /// Index + staging bytes for the disk-backed storage tier (the
-    /// file payload itself lives outside the RAM budget).
+    /// The per-key index of the CLV spill file (the records themselves
+    /// live on disk, outside the RAM budget).
     DiskTier,
     /// Anything else.
     Other,
 }
 
 /// Number of [`MemCategory`] variants (array-backed accounting).
-const N_CATEGORIES: usize = 9;
+const N_CATEGORIES: usize = 8;
 
 impl MemCategory {
     /// All categories, for report ordering.
@@ -48,7 +46,6 @@ impl MemCategory {
             MemCategory::PMatrices,
             MemCategory::TipTables,
             MemCategory::StaticData,
-            MemCategory::CompressedTier,
             MemCategory::DiskTier,
             MemCategory::Other,
         ]
@@ -62,9 +59,8 @@ impl MemCategory {
             MemCategory::PMatrices => 3,
             MemCategory::TipTables => 4,
             MemCategory::StaticData => 5,
-            MemCategory::CompressedTier => 6,
-            MemCategory::DiskTier => 7,
-            MemCategory::Other => 8,
+            MemCategory::DiskTier => 6,
+            MemCategory::Other => 7,
         }
     }
 }
@@ -78,7 +74,6 @@ impl fmt::Display for MemCategory {
             MemCategory::PMatrices => "p-matrices",
             MemCategory::TipTables => "tip-tables",
             MemCategory::StaticData => "static-data",
-            MemCategory::CompressedTier => "compressed-tier",
             MemCategory::DiskTier => "disk-tier",
             MemCategory::Other => "other",
         };

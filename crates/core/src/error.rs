@@ -59,13 +59,13 @@ pub enum AmcError {
         /// Why the figure was rejected.
         why: String,
     },
-    /// A storage-tier operation failed (I/O, bad configuration). The
+    /// A CLV spill-file operation failed (I/O, bad configuration). The
     /// cause is carried pre-rendered so this enum stays `Clone + Eq`.
-    /// Demotion-tier failures on the load path are never fatal to a
+    /// Spill failures on the write and read paths are never fatal to a
     /// run — the caller falls back to recomputing the CLV — but setup
     /// failures (unwritable `--tier-dir`) surface through here.
     TierIo {
-        /// Which tier failed (`"ram"`, `"compressed"`, `"disk"`).
+        /// What failed (`"disk"` or `"config"`).
         tier: &'static str,
         /// The rendered cause.
         detail: String,

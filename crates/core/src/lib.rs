@@ -48,7 +48,7 @@ pub use slots::{Acquire, ClvKey, SlotId, SlotManager, SlotStats};
 pub use strategy::{
     CostBased, Fifo, Lru, Mru, RandomEvict, ReplacementStrategy, StrategyKind, VictimView,
 };
-pub use tier::{StorageTier, TierConfig, TierKind, TierStats, TieredStore};
+pub use tier::{TierConfig, TierStats, TieredStore};
 
 /// The table a sweep announces through [`SlotManager::announce_schedule`].
 pub use phylo_tree::traversal::NextUse;

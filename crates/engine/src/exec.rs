@@ -63,7 +63,7 @@ fn execute_op_inner(
         return Err(EngineError::Amc(phylo_amc::AmcError::Cancelled));
     }
     if let Some(tiers) = arena.tiers() {
-        // A demoted copy of this exact CLV answers the step without the
+        // A spilled copy of this exact CLV answers the step without the
         // kernels or the dependency slots: the op owns its unpublished
         // target exclusively (execution pins + latch down), so the
         // single-slot view is the same exclusive write access the
@@ -116,8 +116,8 @@ fn execute_op_inner(
         });
     }
     let (left, right) = (sides[0].take().unwrap(), sides[1].take().unwrap());
-    // Kernel wall time feeds the tier store's demote-vs-drop cost model
-    // (ns per unit of recompute cost) — only measured when tiers exist.
+    // Kernel wall time feeds the spill file's spill-vs-drop cost model
+    // (ns per unit of recompute cost) — only measured when one exists.
     let tier_t0 = arena.tiers().map(|_| std::time::Instant::now());
     match par {
         None | Some((_, 0..=1)) => update_partials_scratch(

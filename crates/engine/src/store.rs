@@ -326,9 +326,10 @@ impl ManagedStore {
     }
 
     /// Offers the published CLVs a freshly planned schedule evicted to
-    /// the demotion tiers. Must run before any of the plan's ops execute:
-    /// the victims' bytes sit untouched in their (execution-pinned,
-    /// unpublished) slots exactly until the ops overwrite them.
+    /// the spill file, outside the plan lock. Must run before any of the
+    /// plan's ops execute: the victims' bytes sit untouched in their
+    /// (execution-pinned, unpublished) slots exactly until the ops
+    /// overwrite them.
     fn demote_evicted(&self, rs: &mut phylo_amc::ResidentSet) {
         if rs.evicted.is_empty() {
             return;

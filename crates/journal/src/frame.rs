@@ -29,6 +29,8 @@
 //! "valid prefix + torn tail" (expected after a crash mid-append; the
 //! tail is discarded) from a complete frame.
 
+use phylo_obs::crc32;
+
 /// Frame header magic, `b"PJF1"` read as a little-endian u32.
 pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"PJF1");
 
@@ -190,28 +192,6 @@ impl ChunkFrame {
     }
 }
 
-/// IEEE CRC-32 (the zlib/PNG polynomial, reflected 0xEDB88320), table
-/// built once on first use.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
-        }
-        t
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,13 +227,6 @@ mod tests {
                 QueryRecord { name: String::new(), placements: vec![] },
             ],
         }
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // The canonical check value for CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

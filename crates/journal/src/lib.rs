@@ -37,7 +37,8 @@ pub use frame::{ChunkFrame, ChunkStats, PlacementRecord, QueryRecord};
 pub use manifest::{fnv1a64, Manifest, MANIFEST_FORMAT};
 pub use shard::{ShardSetManifest, SHARD_MANIFEST_FILE, SHARD_MANIFEST_FORMAT};
 
-use frame::{crc32, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_PAYLOAD_LEN};
+use frame::{FRAME_HEADER_LEN, FRAME_MAGIC, MAX_PAYLOAD_LEN};
+use phylo_obs::crc32;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};

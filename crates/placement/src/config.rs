@@ -54,10 +54,9 @@ pub struct EpaConfig {
     /// manager's default (60 s). A lost or stalled publish then surfaces
     /// as [`phylo_amc::AmcError::SlotWaitTimeout`] instead of hanging.
     pub slot_wait_timeout: Option<std::time::Duration>,
-    /// Demotion storage tiers for evicted CLVs (`--storage-tiers`):
-    /// eviction becomes demotion into these tiers (in order of
-    /// preference) and misses try a tier reload before recomputing.
-    /// `None` keeps the paper's pure recompute-on-miss AMC.
+    /// CLV spill file for evicted CLVs (`--tier-dir`): eviction writes
+    /// published victims to it and misses try a reload before
+    /// recomputing. `None` keeps the paper's pure recompute-on-miss AMC.
     pub tiers: Option<phylo_amc::tier::TierConfig>,
 }
 
@@ -125,12 +124,6 @@ impl EpaConfig {
     pub fn with_maxmem_mib(mut self, mib: f64) -> Self {
         self.max_memory =
             Some(phylo_amc::budget::mib_to_bytes(mib).expect("invalid MiB budget in config"));
-        self
-    }
-
-    /// Convenience: demotion tiers from a `--storage-tiers` style spec.
-    pub fn with_tiers(mut self, cfg: phylo_amc::tier::TierConfig) -> Self {
-        self.tiers = Some(cfg);
         self
     }
 }

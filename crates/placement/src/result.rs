@@ -90,8 +90,8 @@ pub struct RunReport {
     /// recomputed (zero on a fresh run). Their stats are folded into
     /// the counters above; the timings cover only this process's work.
     pub resumed_chunks: usize,
-    /// Storage-tier traffic (`None` unless the run was configured with
-    /// tiered CLV storage via `EpaConfig::tiers`).
+    /// CLV spill-file traffic and occupancy (`None` unless the run was
+    /// configured with a spill file via `EpaConfig::tiers`).
     pub tier_stats: Option<phylo_amc::TierStats>,
     /// Per-run observability snapshot: every live probe recorded during
     /// the run (kernel timings, wait-latency histograms, scratch-pool

@@ -18,7 +18,7 @@ use phylo_journal::{ChunkFrame, ChunkStats, PlacementRecord, QueryRecord, RunJou
 use phylo_tree::traversal::SweepSchedule;
 use phylo_tree::EdgeId;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One progress beat of a run, handed to [`RunControl::heartbeat`] at
@@ -104,9 +104,9 @@ pub struct WarmStore {
     sweep: SweepSchedule,
     plan: MemoryPlan,
     lookup_time: Duration,
-    /// Demotion tiers and the tracker their bytes are accounted in
-    /// (cold runs only; [`Placer::warm_up`] refuses them).
-    tiers: Option<(Arc<phylo_amc::TieredStore>, Arc<Mutex<phylo_amc::MemoryTracker>>)>,
+    /// The CLV spill file (cold runs only; [`Placer::warm_up`] refuses
+    /// it).
+    tiers: Option<Arc<phylo_amc::TieredStore>>,
 }
 
 impl WarmStore {
@@ -220,14 +220,12 @@ impl Placer {
         let report = &mut outcome.report;
         report.slot_stats = warm.slot_stats();
         report.lookup_time = warm.lookup_time;
-        if let Some((tiers, tracker)) = &warm.tiers {
-            // Settle in-flight writebacks so the stats and the tracker
-            // rows describe the run's final tier state, not a snapshot
-            // racing the writeback worker.
-            tiers.drain();
+        if let Some(tiers) = &warm.tiers {
             report.tier_stats = Some(tiers.stats());
-            let peak = tracker.lock().unwrap_or_else(|e| e.into_inner()).peak();
-            report.peak_memory = report.peak_memory.max(peak);
+            // The spill file's index sits in RAM next to the plan's rows.
+            let mut tracker = warm.plan.tracker.clone();
+            tracker.allocate(phylo_amc::MemCategory::DiskTier, tiers.ram_bytes());
+            report.peak_memory = report.peak_memory.max(tracker.peak());
         }
         clock.seal(report, self.ctx.layout().tier(), &warm);
         Ok(outcome)
@@ -239,9 +237,9 @@ impl Placer {
     /// each) and the preplacement lookup table. One call amortizes over
     /// arbitrarily many [`Placer::place_warm`] runs.
     ///
-    /// Tiered CLV storage is a batch-mode feature (its writeback worker
-    /// and disk arena are scoped to one run); a config that asks for
-    /// both is refused rather than silently ignored.
+    /// The CLV spill file is a batch-mode feature (it is scoped to one
+    /// run); a config that asks for both is refused rather than
+    /// silently ignored.
     pub fn warm_up(&self) -> Result<WarmStore, PlaceError> {
         if self.cfg.tiers.is_some() {
             return Err(PlaceError::BadConfig(
@@ -280,7 +278,7 @@ impl Placer {
 
     /// Opens the reference-side state for runs of up to `n_queries`
     /// queries: memory plan → slot arena → threads / wait timeout /
-    /// cancel token → storage tiers → slot trace → lookup build.
+    /// cancel token → spill file → slot trace → lookup build.
     /// `replayed_chunks` is how many leading chunks a resumed journal
     /// already holds.
     fn open_store(
@@ -301,27 +299,22 @@ impl Placer {
         // polls per Felsenstein op, slot waits poll while blocked, and
         // the chunk loop polls at chunk boundaries.
         store.set_cancel_token(&control.cancel);
-        // Tiered CLV storage: evicted slot payloads demote to the
-        // configured colder tiers instead of being dropped, and slot
-        // misses probe the tiers before falling back to recomputation.
-        // The shared tracker starts from the plan's accounting so the
-        // compressed-tier / disk-tier rows sit next to the static rows
-        // and `peak_memory` stays truthful under tier growth.
+        // CLV spill file: evicted slot payloads are written to it
+        // instead of being dropped, and slot misses read it before
+        // falling back to recomputation.
         let tiers = match &cfg.tiers {
             None => None,
             Some(tcfg) => {
-                let tracker = Arc::new(Mutex::new(plan.tracker.clone()));
                 let tiers = phylo_amc::TieredStore::new(
                     tcfg,
                     ctx.tree().n_dir_edges(),
                     ctx.layout().clv_len(),
                     ctx.layout().patterns,
                     ctx.cost_table(),
-                    Some(Arc::clone(&tracker)),
                 )
                 .map_err(phylo_engine::EngineError::Amc)?;
                 store.arena().set_tiers(Arc::clone(&tiers));
-                Some((tiers, tracker))
+                Some(tiers)
             }
         };
         // Arm the slot-access trace before the lookup build below — the
@@ -889,20 +882,14 @@ fn run_metrics(
     m.set_counter("place.degrade.flush_retries", d.flush_retries);
     if let Some(t) = &report.tier_stats {
         m.set_counter("tier.demotions", t.demotions);
-        m.set_counter("tier.writebacks", t.writebacks);
         m.set_counter("tier.writeback_lost", t.writeback_lost);
         m.set_counter("tier.drops_cost", t.drops_cost);
         m.set_counter("tier.drops_budget", t.drops_budget);
         m.set_counter("tier.reloads", t.reloads);
         m.set_counter("tier.reload_misses", t.reload_misses);
         m.set_counter("tier.corrupt", t.corrupt);
-        m.set_counter("tier.prefetches", t.prefetches);
-    }
-    if let Some((tiers, _)) = &warm.tiers {
-        for (name, bytes, entries) in tiers.occupancy() {
-            m.set_gauge(&format!("tier.{name}.bytes"), bytes as i64);
-            m.set_gauge(&format!("tier.{name}.entries"), entries as i64);
-        }
+        m.set_gauge("tier.disk.bytes", t.bytes as i64);
+        m.set_gauge("tier.disk.entries", t.entries as i64);
     }
     m
 }
@@ -1466,7 +1453,7 @@ mod tests {
     fn warm_up_refuses_tiered_storage() {
         let (ctx, s2p, _) = setup(10, 40, 2, 14);
         let cfg = EpaConfig {
-            tiers: Some(phylo_amc::TierConfig::parse("compressed").unwrap()),
+            tiers: Some(phylo_amc::TierConfig::new(std::env::temp_dir())),
             ..Default::default()
         };
         let placer = Placer::new(ctx, s2p, cfg).unwrap();

@@ -228,14 +228,6 @@ impl<'a> Walker<'a> {
                 Err(e) => return Err(e.into()),
             }
         };
-        if let Some(tiers) = store.arena().tiers() {
-            // The schedule names the batch after this one too: stage any
-            // demoted copies (disk reads off the critical path) a whole
-            // batch before the slot planner asks.
-            let ahead = dirs_of(&self.batch_from(end, self.block_size).1);
-            let keys: Vec<_> = ahead.iter().map(|d| phylo_amc::ClvKey(d.0)).collect();
-            tiers.prefetch(&keys);
-        }
         let first = std::mem::replace(&mut self.next, end);
         if self.holds {
             for step in &self.steps[first..end] {

@@ -1,12 +1,12 @@
-//! Measures the tiered-store trade-off the demote-vs-drop cost model
-//! navigates: how long a reload from each storage tier takes versus
-//! recomputing the CLV with the kernels, and the recompute cost (in
-//! descendant-operation units) where the two break even — the
-//! *crossover* below which demotion stops paying.
+//! Measures the spill-file trade-off the spill-vs-drop cost model
+//! navigates: how long writing a CLV to the spill file and reading it
+//! back take versus recomputing the CLV with the kernels, and the
+//! recompute cost (in descendant-operation units) where the two break
+//! even — the *crossover* below which spilling stops paying.
 //!
 //! The measurement drives the real pipeline, not a synthetic loop: a
 //! floor-slot [`ManagedStore`] with a [`TieredStore`] attached walks
-//! every directed edge of the tree twice, so the first pass demotes
+//! every directed edge of the tree twice, so the first pass spills
 //! evicted CLVs and the second pass reloads them, and the reported
 //! latencies are the store's own EWMAs — the exact numbers the live
 //! cost model steers by. One DNA and one protein dataset, since the
@@ -22,7 +22,7 @@ use phyloplace::tree::ids::DirEdgeId;
 struct TierRow {
     dataset: &'static str,
     alphabet: &'static str,
-    tier: &'static str,
+    write_ns: f64,
     reload_ns: f64,
     recompute_ns_per_cost: f64,
     crossover_cost: f64,
@@ -31,7 +31,7 @@ struct TierRow {
     payload_bytes: usize,
 }
 
-fn measure(spec: &phyloplace::datasets::DatasetSpec, tier_spec: &'static str) -> TierRow {
+fn measure(spec: &phyloplace::datasets::DatasetSpec) -> TierRow {
     let ds = generate_dataset(spec);
     let patterns = phyloplace::seq::compress(&ds.reference).unwrap();
     let ctx = ReferenceContext::new(
@@ -43,58 +43,50 @@ fn measure(spec: &phyloplace::datasets::DatasetSpec, tier_spec: &'static str) ->
     .unwrap();
 
     // Floor slots: every block of edges evicts the previous one, so the
-    // two passes below exercise demotion and reload on every CLV.
+    // two passes below exercise spilling and reloading on every CLV.
     let store = ManagedStore::with_slots(&ctx, ctx.min_slots(), StrategyKind::default()).unwrap();
-    let cfg = TierConfig::parse(tier_spec).unwrap();
+    let dir = std::env::temp_dir().join(format!("bench-tiers-{}", std::process::id()));
     let tiers = TieredStore::new(
-        &cfg,
+        &TierConfig::new(dir),
         ctx.tree().n_dir_edges(),
         ctx.layout().clv_len(),
         ctx.layout().patterns,
         ctx.cost_table(),
-        None,
     )
     .unwrap();
     store.arena().set_tiers(std::sync::Arc::clone(&tiers));
 
     let n_edges = ctx.tree().n_edges();
-    let walk = |_pass: usize| {
+    let walk = || {
         // One edge per block: two target pins plus the traversal floor
         // always fit in `min_slots`, for any tree size.
-        for block in (0..n_edges).collect::<Vec<_>>().chunks(1) {
-            let dirs: Vec<DirEdgeId> = block
-                .iter()
-                .flat_map(|&e| {
-                    let e = phyloplace::tree::ids::EdgeId(e as u32);
-                    [DirEdgeId::new(e, 0), DirEdgeId::new(e, 1)]
-                })
-                .collect();
-            let prepared = store.prepare(&ctx, &dirs).unwrap();
+        for e in 0..n_edges {
+            let e = phyloplace::tree::ids::EdgeId(e as u32);
+            let prepared =
+                store.prepare(&ctx, &[DirEdgeId::new(e, 0), DirEdgeId::new(e, 1)]).unwrap();
             store.release(prepared);
         }
     };
-    walk(0); // populate: recomputes feed the rate EWMA, evictions demote
-    tiers.drain(); // all demotions landed before the reload pass
-    walk(1); // revisit: tier reloads feed the latency EWMA
-    tiers.drain();
+    walk(); // populate: recomputes feed the rate EWMA, evictions spill and feed the write EWMA
+    walk(); // revisit: reloads feed the latency EWMA
 
     let stats = tiers.stats();
-    let reload_ns = tiers.reload_latency_ns().into_iter().map(|(_, ns)| ns).fold(0.0f64, f64::max);
+    let (write_ns, reload_ns) = (tiers.write_ns(), tiers.reload_ns());
     let rate = tiers.recompute_ns_per_cost();
-    let crossover = if rate > 0.0 { reload_ns / rate } else { f64::NAN };
+    let crossover = if rate > 0.0 { (write_ns + reload_ns) / rate } else { f64::NAN };
     TierRow {
         dataset: spec.name,
         alphabet: match spec.alphabet {
             phyloplace::seq::alphabet::AlphabetKind::Dna => "dna",
             _ => "protein",
         },
-        tier: tier_spec,
+        write_ns,
         reload_ns,
         recompute_ns_per_cost: rate,
         crossover_cost: crossover,
         demotions: stats.demotions,
         reloads: stats.reloads,
-        payload_bytes: ctx.layout().clv_len() * 8 + ctx.layout().patterns * 4,
+        payload_bytes: tiers.record_len(),
     }
 }
 
@@ -107,36 +99,34 @@ fn main() {
     for spec in
         [phyloplace::datasets::neotrop(Scale::Ci), phyloplace::datasets::serratus(Scale::Ci)]
     {
-        for tier in ["ram", "compressed", "disk"] {
-            let row = measure(&spec, tier);
-            println!(
-                "{:<10} {:<8} {:<11} reload={:>10.0}ns  recompute={:>8.1}ns/cost  \
-                 crossover@cost={:<8.1} demotions={} reloads={}",
-                row.dataset,
-                row.alphabet,
-                row.tier,
-                row.reload_ns,
-                row.recompute_ns_per_cost,
-                row.crossover_cost,
-                row.demotions,
-                row.reloads,
-            );
-            rows.push(row);
-        }
+        let row = measure(&spec);
+        println!(
+            "{:<10} {:<8} write={:>8.0}ns  reload={:>8.0}ns  recompute={:>8.1}ns/cost  \
+             crossover@cost={:<8.1} demotions={} reloads={}",
+            row.dataset,
+            row.alphabet,
+            row.write_ns,
+            row.reload_ns,
+            row.recompute_ns_per_cost,
+            row.crossover_cost,
+            row.demotions,
+            row.reloads,
+        );
+        rows.push(row);
     }
 
-    // Hand-rolled JSON (no serde in the tree): one object per
-    // dataset × tier with both sides of the crossover.
+    // Hand-rolled JSON (no serde in the tree): one object per dataset
+    // with both sides of the crossover.
     let mut json = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "  {{\"dataset\": \"{}\", \"alphabet\": \"{}\", \"tier\": \"{}\", \
-             \"reload_ns\": {:.1}, \"recompute_ns_per_cost\": {:.3}, \
+            "  {{\"dataset\": \"{}\", \"alphabet\": \"{}\", \"tier\": \"disk\", \
+             \"write_ns\": {:.1}, \"reload_ns\": {:.1}, \"recompute_ns_per_cost\": {:.3}, \
              \"crossover_cost\": {:.3}, \"demotions\": {}, \"reloads\": {}, \
              \"payload_bytes\": {}}}{}\n",
             r.dataset,
             r.alphabet,
-            r.tier,
+            r.write_ns,
             r.reload_ns,
             r.recompute_ns_per_cost,
             if r.crossover_cost.is_nan() { -1.0 } else { r.crossover_cost },

@@ -136,22 +136,21 @@ print(f"journal overhead: off={off/1e6:.1f} ms, on={on/1e6:.1f} ms, "
       f"delta={pct:+.1f}% wall-clock (best of 3)")
 EOF
 
-# Storage-tier bench: drive the real demote/reload pipeline per tier on
-# one DNA and one protein reference and refresh BENCH_tiers.json — the
-# measured reload latencies and the recompute-vs-reload crossover the
-# demote-vs-drop cost model steers by. One summary line per
-# dataset × tier lands in the CI log.
-echo "==> storage-tier reload latency vs recompute crossover"
+# CLV spill bench: drive the real spill/reload pipeline on one DNA and
+# one protein reference and refresh BENCH_tiers.json — the measured
+# reload latency and the recompute-vs-reload crossover the spill-vs-drop
+# cost model steers by. One summary line per dataset lands in the CI log.
+echo "==> CLV spill reload latency vs recompute crossover"
 tiers_out="$out_dir/BENCH_tiers.json"
 cargo run --release -q --example bench_tiers -- "$tiers_out"
 python3 - "$tiers_out" <<'EOF'
 import json, sys
 rows = json.load(open(sys.argv[1]))
-assert rows, "bench_tiers produced no rows"
+assert len(rows) == 2, f"bench_tiers must produce one row per dataset: {rows}"
 for r in rows:
     assert r["reload_ns"] > 0, f"unmeasured reload latency: {r}"
     print(f"tier [{r['dataset']}/{r['alphabet']}/{r['tier']}]: "
-          f"reload={r['reload_ns']/1e3:.1f}us  "
+          f"write={r['write_ns']/1e3:.1f}us  reload={r['reload_ns']/1e3:.1f}us  "
           f"recompute={r['recompute_ns_per_cost']:.0f}ns/cost  "
           f"crossover@cost={r['crossover_cost']:.0f}")
 EOF

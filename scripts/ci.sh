@@ -102,35 +102,33 @@ for policy in cost lru mru fifo random cost-lru; do
 done
 echo "    replay differential OK (all policies bit-exact, oracle bound holds)"
 
-echo "==> tiered-storage pass (tight --maxmem + compressed/disk tiers -> byte-compare)"
-# A slot budget below the working set with demotion to a compressed RAM
-# tier and a disk arena: the tiers may only change *where* CLV bytes
-# wait, never the likelihoods — the jplace must match the unconstrained
-# run byte-for-byte, and the metrics must show real demotion traffic.
+echo "==> CLV spill pass (tight --maxmem + --tier-dir -> byte-compare)"
+# A slot budget below the working set with evicted CLVs spilled to a
+# file: the spill may only change *where* CLV bytes wait, never the
+# likelihoods — the jplace must match the unconstrained run
+# byte-for-byte, and the metrics must show real spill traffic.
 tier_dir="$smoke_dir/tiers"
 mkdir -p "$tier_dir"
-"$bin" "${place_args[@]}" --maxmem 300K --no-lookup \
-    --storage-tiers compressed,disk --tier-dir "$tier_dir" \
+"$bin" "${place_args[@]}" --maxmem 300K --no-lookup --tier-dir "$tier_dir" \
     --metrics-json "$smoke_dir/tiered.metrics.json" \
     --out "$smoke_dir/tiered.jplace" >/dev/null 2>&1
 cmp "$smoke_dir/full.jplace" "$smoke_dir/tiered.jplace" \
-    || { echo "tiered run differs from unconstrained run"; exit 1; }
+    || { echo "spilled run differs from unconstrained run"; exit 1; }
 grep -q '"tier.demotions": 0' "$smoke_dir/tiered.metrics.json" \
-    && { echo "tiered run demoted nothing — the pass is not under pressure"; exit 1; }
+    && { echo "spilled run wrote nothing — the pass is not under pressure"; exit 1; }
 grep -q '"tier.demotions"' "$smoke_dir/tiered.metrics.json" \
     || { echo "tier counters missing from metrics JSON"; exit 1; }
-# Same run under a tiny tier budget: demotions become drops, output
-# still byte-identical (drops degrade to recomputation, not to wrong
+# Same run under a tiny byte budget: spills become drops, output still
+# byte-identical (drops degrade to recomputation, not to wrong
 # likelihoods).
-"$bin" "${place_args[@]}" --maxmem 300K --no-lookup \
-    --storage-tiers compressed,disk --tier-dir "$tier_dir" --tier-budget 1K \
+"$bin" "${place_args[@]}" --maxmem 300K --no-lookup --tier-dir "$tier_dir" --tier-budget 1K \
     --metrics-json "$smoke_dir/tiercap.metrics.json" \
     --out "$smoke_dir/tiercap.jplace" >/dev/null 2>&1
 cmp "$smoke_dir/full.jplace" "$smoke_dir/tiercap.jplace" \
-    || { echo "budget-capped tiered run differs from unconstrained run"; exit 1; }
+    || { echo "budget-capped spilled run differs from unconstrained run"; exit 1; }
 grep -q '"tier.drops_budget": 0' "$smoke_dir/tiercap.metrics.json" \
     && { echo "1K tier budget dropped nothing"; exit 1; }
-echo "    tiered-storage OK (demotions under pressure, output byte-identical)"
+echo "    CLV spill OK (spills under pressure, output byte-identical)"
 
 echo "==> cargo test -q --features faults --test shard_supervision (fleet chaos matrix)"
 cargo test -q --features faults --test shard_supervision

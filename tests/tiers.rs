@@ -1,9 +1,9 @@
-//! Integration tests for tiered CLV storage: under a slot budget below
-//! the working set, demoting evicted CLVs to compressed-RAM or disk
-//! tiers must change performance characteristics only — the jplace
-//! output stays byte-identical to the RAM-only run, the tier traffic
-//! shows up in the run report, and a tier byte budget turns demotions
-//! into drops instead of overflowing.
+//! Integration tests for the CLV spill file: under a slot budget below
+//! the working set, writing evicted CLVs to disk must change
+//! performance characteristics only — the jplace output stays
+//! byte-identical to the recompute-only run, the spill traffic shows
+//! up in the run report, and a byte budget turns spills into drops
+//! instead of overflowing.
 
 use phyloplace::place::result::to_jplace;
 use phyloplace::place::{memplan, EpaConfig, Placer, PreplacementMode, QueryBatch, RunReport};
@@ -25,8 +25,8 @@ fn ctx_of(ds: &phyloplace::datasets::Dataset) -> ReferenceContext {
 }
 
 /// Floor slot budget, no lookup shortcut: every thorough score walks the
-/// AMC machinery, so evictions — and with tiers attached, demotions —
-/// are guaranteed traffic, not a lucky accident.
+/// AMC machinery, so evictions — and with a spill file attached,
+/// spills — are guaranteed traffic, not a lucky accident.
 fn tight_config(ds: &phyloplace::datasets::Dataset, batch: &QueryBatch) -> EpaConfig {
     let base = EpaConfig {
         preplacement: PreplacementMode::Off,
@@ -38,6 +38,12 @@ fn tight_config(ds: &phyloplace::datasets::Dataset, batch: &QueryBatch) -> EpaCo
     let probe = ctx_of(ds);
     let floor = memplan::floor_budget(&probe, &base, batch.len(), batch.n_sites());
     EpaConfig { max_memory: Some(floor), ..base }
+}
+
+/// A fresh spill directory per call (the tests of this file run in
+/// parallel within one process).
+fn spill_dir(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("phyloplace-tiertest-{tag}-{}", std::process::id()))
 }
 
 fn run(
@@ -56,27 +62,31 @@ fn tiered_runs_match_ram_only_byte_for_byte() {
     let (ds, s2p, batch) = setup();
     let cfg = tight_config(&ds, &batch);
     let (baseline, base_report) = run(&ds, &s2p, &batch, &cfg);
-    assert!(base_report.tier_stats.is_none(), "untired run must not report tier traffic");
+    assert!(base_report.tier_stats.is_none(), "an unspilled run must not report spill traffic");
     assert!(base_report.slot_stats.evictions > 0, "floor budget must force evictions");
 
-    for spec in ["ram", "compressed", "disk", "compressed,disk"] {
-        let tiers = phylo_amc::TierConfig::parse(spec).unwrap();
-        let tiered = EpaConfig { tiers: Some(tiers), ..cfg.clone() };
-        let (out, report) = run(&ds, &s2p, &batch, &tiered);
-        assert_eq!(baseline, out, "{spec}: tiered jplace differs from RAM-only");
-        let stats = report.tier_stats.expect("tiered run must report tier stats");
-        assert!(stats.demotions > 0, "{spec}: floor budget produced no demotions");
-        // Everything demoted either landed in a tier, was deliberately
-        // dropped, or died with the store — never silently vanished.
-        assert!(
-            stats.writebacks + stats.drops_cost + stats.drops_budget + stats.writeback_lost > 0,
-            "{spec}: demotions without any writeback/drop accounting"
-        );
-        // The counters the report carries are the ones `--metrics-json`
-        // exports; spot-check the injection.
-        let json = report.metrics.to_json();
-        assert!(json.contains("tier.demotions"), "{spec}: metrics missing tier counters");
-    }
+    let dir = spill_dir("identity");
+    let tiered = EpaConfig { tiers: Some(phylo_amc::TierConfig::new(&dir)), ..cfg.clone() };
+    let (out, report) = run(&ds, &s2p, &batch, &tiered);
+    assert_eq!(baseline, out, "spilled jplace differs from the recompute-only run");
+    let stats = report.tier_stats.expect("a spilled run must report spill stats");
+    assert!(stats.demotions > 0, "floor budget produced no spills");
+    assert!(stats.reloads > 0, "no miss was answered from the file");
+    assert_eq!(stats.writeback_lost, 0);
+    // The gauges `--metrics-json` exports describe the file: its bytes
+    // are whole records, one per stored entry.
+    let gauge = |name: &str| report.metrics.gauges.get(name).copied();
+    let layout = *ctx_of(&ds).layout();
+    let record_len = (layout.clv_len() * 8 + layout.patterns * 4) as i64;
+    let entries = gauge("tier.disk.entries").expect("metrics missing tier.disk.entries");
+    assert_eq!(entries, stats.entries as i64);
+    assert!(entries > 0);
+    assert_eq!(gauge("tier.disk.bytes"), Some(entries * record_len));
+    assert_eq!(report.metrics.counter("tier.demotions"), stats.demotions);
+    // The file's per-key index is tracked RAM in the `disk-tier` row.
+    let index_bytes = ds.tree.n_dir_edges() * std::mem::size_of::<u64>();
+    assert_eq!(report.peak_memory, base_report.peak_memory + index_bytes);
+    assert!(!dir.exists(), "the directory the store created goes with it");
 }
 
 #[test]
@@ -84,17 +94,18 @@ fn tier_byte_budget_drops_instead_of_overflowing() {
     let (ds, s2p, batch) = setup();
     let cfg = tight_config(&ds, &batch);
     let (baseline, _) = run(&ds, &s2p, &batch, &cfg);
-    // One byte of tier budget: every offer must be refused (a slot
-    // payload never fits), and the run degrades to plain recomputation
-    // with identical output.
-    let tiers = phylo_amc::TierConfig::parse("compressed,disk").unwrap().with_budget(1);
+    // One byte of budget: every offer must be refused (a record never
+    // fits), and the run degrades to plain recomputation with identical
+    // output.
+    let tiers = phylo_amc::TierConfig::new(spill_dir("budget")).with_budget(1);
     let tiered = EpaConfig { tiers: Some(tiers), ..cfg.clone() };
     let (out, report) = run(&ds, &s2p, &batch, &tiered);
-    assert_eq!(baseline, out, "budget-starved tiered run changed the output");
+    assert_eq!(baseline, out, "budget-starved spilled run changed the output");
     let stats = report.tier_stats.unwrap();
-    assert!(stats.drops_budget > 0, "budget of 1 byte must drop demotions");
-    assert_eq!(stats.writebacks, 0, "nothing can land under a 1-byte budget");
-    assert_eq!(stats.reloads, 0, "nothing landed, so nothing can reload");
+    assert!(stats.drops_budget > 0, "budget of 1 byte must drop spills");
+    assert_eq!(stats.demotions, 0, "nothing can be written under a 1-byte budget");
+    assert_eq!(stats.reloads, 0, "nothing was written, so nothing can reload");
+    assert_eq!((stats.entries, stats.bytes), (0, 0));
 }
 
 #[test]
@@ -102,20 +113,19 @@ fn disk_tier_honors_an_explicit_directory() {
     let (ds, s2p, batch) = setup();
     let cfg = tight_config(&ds, &batch);
     let (baseline, _) = run(&ds, &s2p, &batch, &cfg);
-    let dir = std::env::temp_dir().join(format!("phyloplace-tiertest-{}", std::process::id()));
+    let dir = spill_dir("explicit");
     // Pre-existing directory: the store must use it without claiming
-    // ownership, so it survives the run (only the arena file goes).
+    // ownership, so it survives the run (only the spill file goes).
     std::fs::create_dir_all(&dir).unwrap();
-    let tiers = phylo_amc::TierConfig::parse("disk").unwrap().with_dir(dir.clone());
-    let tiered = EpaConfig { tiers: Some(tiers), ..cfg.clone() };
+    let tiered = EpaConfig { tiers: Some(phylo_amc::TierConfig::new(&dir)), ..cfg.clone() };
     let (out, report) = run(&ds, &s2p, &batch, &tiered);
     assert_eq!(baseline, out, "disk-tier run changed the output");
     let stats = report.tier_stats.unwrap();
     assert!(stats.demotions > 0);
-    // The store removes its arena file on drop but leaves the caller's
+    // The store removes its spill file on drop but leaves the caller's
     // directory in place.
     assert!(dir.is_dir(), "explicit tier dir must survive the run");
     let leftovers = std::fs::read_dir(&dir).unwrap().count();
-    assert_eq!(leftovers, 0, "tier arena file must be cleaned up on drop");
+    assert_eq!(leftovers, 0, "spill file must be cleaned up on drop");
     std::fs::remove_dir_all(&dir).ok();
 }
