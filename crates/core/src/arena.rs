@@ -15,24 +15,23 @@
 //!
 //! * a slot's data may be **read** ([`SlotArena::clv`]/[`SlotArena::
 //!   scale`]) only while the reader holds a pin on the slot *and* the
-//!   slot is published ([`SlotManager::is_ready`]) — exactly what a
-//!   [`ReadLease`] certifies;
+//!   slot is published ([`SlotManager::wait_ready`]) or its version has
+//!   moved past the reader's snapshot ([`SlotManager::wait_ready_at`]);
 //! * a slot's data may be **written** ([`SlotArena::compute_view`]) only
-//!   by the single thread that installed the mapping and has not yet
-//!   published it — exactly what a [`ComputeLease`] (or an executing FPA
-//!   plan) certifies.
+//!   by the schedule op that installed the mapping, before it publishes
+//!   ([`SlotManager::mark_ready_at`]).
 //!
-//! Because an unpublished slot cannot be leased for reading and a
-//! published, pinned slot cannot be remapped, writers are exclusive and
-//! readers race only with other readers. The lease API below packages
-//! this protocol; `phylo_engine` composes the same primitives for
-//! whole-traversal plans.
+//! Pins are taken only while planning, under the plan guard, and a
+//! pinned slot is never remapped, so writers are exclusive and readers
+//! race only with other readers. `phylo_engine`'s `ManagedStore` is the
+//! one user: `ensure_resident` plans and pins, `exec::execute_ops`
+//! writes and publishes, `release` unpins (DESIGN.md §6).
 
 use std::cell::UnsafeCell;
 use std::sync::{Arc, OnceLock};
 
 use crate::error::AmcError;
-use crate::slots::{Acquire, ClvKey, SlotId, SlotManager, SlotStats};
+use crate::slots::{SlotId, SlotManager, SlotStats};
 use crate::strategy::ReplacementStrategy;
 use crate::tier::TieredStore;
 
@@ -70,9 +69,7 @@ pub struct SlotArena {
     patterns: usize,
     data: SyncBuf<f64>,
     scales: SyncBuf<u32>,
-    /// Optional CLV spill file ([`SlotArena::set_tiers`]). When set,
-    /// eviction in the lease path spills published victims and misses
-    /// try a reload before falling back to recomputation.
+    /// Optional CLV spill file ([`SlotArena::set_tiers`]).
     tiers: OnceLock<Arc<TieredStore>>,
 }
 
@@ -138,9 +135,9 @@ impl SlotArena {
     }
 
     /// Attaches a CLV spill file (at most once; later calls are
-    /// ignored). From then on, evictions through the lease path offer
-    /// published victims to the store and misses try [`TieredStore::
-    /// fetch_into`] before recomputing.
+    /// ignored). The arena only carries it: the engine offers a plan's
+    /// published victims to it and tries [`TieredStore::fetch_into`]
+    /// before recomputing a target.
     pub fn set_tiers(&self, tiers: Arc<TieredStore>) {
         let _ = self.tiers.set(tiers);
     }
@@ -153,13 +150,6 @@ impl SlotArena {
     /// The slot manager (for pinning, stats, lookups).
     #[inline]
     pub fn manager(&self) -> &SlotManager {
-        &self.mgr
-    }
-
-    /// The slot manager, from exclusive arena access (kept for API
-    /// symmetry; the manager's whole API takes `&self`).
-    #[inline]
-    pub fn manager_mut(&mut self) -> &SlotManager {
         &self.mgr
     }
 
@@ -181,16 +171,11 @@ impl SlotArena {
         self.mgr.stats()
     }
 
-    /// Shorthand for [`SlotManager::acquire`].
-    pub fn acquire(&self, clv: ClvKey) -> Result<Acquire, AmcError> {
-        self.mgr.acquire(clv)
-    }
-
     /// The CLV data of a slot.
     ///
     /// Protocol: the caller must hold a pin on `slot` and the slot must
-    /// be published (a [`ReadLease`] certifies both), or the caller must
-    /// otherwise be the slot's exclusive owner.
+    /// be readable (see the module docs), or the caller must otherwise be
+    /// the slot's exclusive owner.
     #[inline]
     pub fn clv(&self, slot: SlotId) -> &[f64] {
         debug_assert!(slot.idx() * self.clv_len < self.data.len());
@@ -214,19 +199,10 @@ impl SlotArena {
         }
     }
 
-    /// Mutable CLV data of a slot (single-slot writes, e.g. copying in a
-    /// precomputed vector). Exclusive arena access makes this safe
-    /// unconditionally.
-    #[inline]
-    pub fn clv_mut(&mut self, slot: SlotId) -> (&mut [f64], &mut [u32]) {
-        // SAFETY: `&mut self` rules out any other access.
-        unsafe { self.slot_raw_mut(slot) }
-    }
-
     /// Raw mutable slices for one slot.
     ///
     /// SAFETY: the caller must be the slot's exclusive writer (own its
-    /// unpublished Computing phase, or hold `&mut` arena access).
+    /// unpublished Computing phase).
     // `&self -> &mut` is the point, not an oversight: slots are disjoint
     // ranges behind raw pointers, the arena is shared between the compute
     // and prefetch threads, and exclusivity per slot comes from the phase
@@ -269,87 +245,6 @@ impl SlotArena {
         }
     }
 
-    // ---- lease API ---------------------------------------------------
-
-    /// Non-blocking read lease on a resident, published CLV. Pins the
-    /// slot for the lease's lifetime; `None` if the CLV is absent or
-    /// still being computed (use [`SlotArena::acquire_compute`]).
-    pub fn acquire_read(&self, clv: ClvKey) -> Option<ReadLease<'_>> {
-        let slot = self.mgr.pin_if_ready(clv)?;
-        Some(ReadLease { arena: self, clv, slot })
-    }
-
-    /// Lease for a CLV that may need computing. Takes the plan lock for
-    /// the table operation only, then either:
-    ///
-    /// * the CLV is resident → pins it, waits (off-lock) for its data to
-    ///   be published, returns [`Lease::Ready`];
-    /// * the CLV misses → assigns a slot (evicting per strategy), pins
-    ///   it, returns [`Lease::Compute`] — the caller fills the buffers
-    ///   and calls [`ComputeLease::finish`].
-    ///
-    /// A thread must not re-acquire a CLV whose unfinished
-    /// [`ComputeLease`] it already holds (it would wait on itself).
-    ///
-    /// If the thread computing a hit's data dies before publishing (its
-    /// [`ComputeLease`] poisons the slot on drop), the waiter does not
-    /// hang: the poison's version bump wakes it, the acquire retries, and
-    /// the retry misses — this thread then recomputes the CLV itself.
-    pub fn acquire_compute(&self, clv: ClvKey) -> Result<Lease<'_>, AmcError> {
-        loop {
-            let guard = self.mgr.plan_guard();
-            let acq = self.mgr.acquire(clv)?;
-            let slot = acq.slot();
-            self.mgr.pin(slot);
-            // Snapshot under the plan guard: poisoning also takes the
-            // guard, so the version cannot move between the acquire and
-            // this read.
-            let version = self.mgr.version(slot);
-            drop(guard);
-            if !acq.is_hit() {
-                if let Some(tiers) = self.tiers.get() {
-                    // Spill: the victim's bytes are still in the slot
-                    // (nothing writes until this lease does) and the pin
-                    // plus unpublished phase make us its exclusive owner.
-                    if let Acquire::Evicted { victim, victim_ready: true, .. } = acq {
-                        tiers.offer(victim, self.clv(slot), self.scale(slot));
-                    }
-                    // Promotion: answer the miss from the file if possible.
-                    // SAFETY: same exclusivity a ComputeLease certifies —
-                    // the slot is mapped to `clv`, pinned, unpublished.
-                    let (clv_buf, scale_buf) = unsafe { self.slot_raw_mut(slot) };
-                    if tiers.fetch_into(clv, clv_buf, scale_buf) {
-                        self.mgr.mark_ready(slot);
-                        return Ok(Lease::Ready(ReadLease { arena: self, clv, slot }));
-                    }
-                }
-                return Ok(Lease::Compute(ComputeLease { arena: self, clv, slot }));
-            }
-            // Resident but possibly still computing in another thread —
-            // the pin forbids remapping, so the wait is on this CLV's own
-            // data. It returns when the planner publishes, when the slot
-            // is poisoned (version bump), or on watchdog timeout.
-            match self.mgr.wait_ready_at(slot, version) {
-                Ok(()) if self.mgr.is_ready(slot) => {
-                    // Published while we hold a pin: the mapping is
-                    // stable (only unpublished slots can be poisoned,
-                    // and pinned slots are never remapped).
-                    return Ok(Lease::Ready(ReadLease { arena: self, clv, slot }));
-                }
-                Ok(()) => {
-                    // Woken by a poison: the mapping is gone. Drop the
-                    // pin (freeing the slot once every waiter drains)
-                    // and retry from the top.
-                    let _ = self.mgr.unpin(slot);
-                }
-                Err(e) => {
-                    let _ = self.mgr.unpin(slot);
-                    return Err(e);
-                }
-            }
-        }
-    }
-
     /// Bytes held by the CLV and scaler buffers — the quantity the paper's
     /// `--maxmem` budget controls.
     pub fn bytes(&self) -> usize {
@@ -360,113 +255,6 @@ impl SlotArena {
     /// Bytes one slot costs, for budget planning.
     pub fn bytes_per_slot(clv_len: usize, patterns: usize) -> usize {
         clv_len * std::mem::size_of::<f64>() + patterns * std::mem::size_of::<u32>()
-    }
-}
-
-/// Outcome of [`SlotArena::acquire_compute`].
-pub enum Lease<'a> {
-    /// The CLV was resident and published; read away.
-    Ready(ReadLease<'a>),
-    /// The CLV needs computing; the holder owns the slot's write phase.
-    Compute(ComputeLease<'a>),
-}
-
-impl<'a> Lease<'a> {
-    /// The leased slot.
-    pub fn slot(&self) -> SlotId {
-        match self {
-            Lease::Ready(l) => l.slot(),
-            Lease::Compute(l) => l.slot(),
-        }
-    }
-}
-
-/// Shared lease on one published CLV: holds a pin, so the slot can be
-/// neither evicted nor rewritten while the lease lives. Many read leases
-/// on the same slot coexist.
-pub struct ReadLease<'a> {
-    arena: &'a SlotArena,
-    clv: ClvKey,
-    slot: SlotId,
-}
-
-impl<'a> ReadLease<'a> {
-    /// The leased logical CLV.
-    pub fn key(&self) -> ClvKey {
-        self.clv
-    }
-
-    /// The physical slot holding it.
-    pub fn slot(&self) -> SlotId {
-        self.slot
-    }
-
-    /// The CLV data.
-    pub fn clv(&self) -> &[f64] {
-        self.arena.clv(self.slot)
-    }
-
-    /// The scaler counts.
-    pub fn scale(&self) -> &[u32] {
-        self.arena.scale(self.slot)
-    }
-}
-
-impl Drop for ReadLease<'_> {
-    fn drop(&mut self) {
-        let _ = self.arena.mgr.unpin(self.slot);
-    }
-}
-
-/// Exclusive write lease on one slot whose CLV is being (re)computed.
-/// The holder fills the buffers via [`ComputeLease::target`], then
-/// publishes with [`ComputeLease::finish`]. Dropping without finishing —
-/// which happens when the computing thread panics mid-closure — **poisons
-/// the slot** ([`SlotManager::poison`]): the mapping is torn down so the
-/// half-written data can never be read, waiters blocked on the publish
-/// latch wake and recompute the CLV themselves, and the slot returns to
-/// the free list once their pins drain.
-pub struct ComputeLease<'a> {
-    arena: &'a SlotArena,
-    clv: ClvKey,
-    slot: SlotId,
-}
-
-impl<'a> ComputeLease<'a> {
-    /// The leased logical CLV.
-    pub fn key(&self) -> ClvKey {
-        self.clv
-    }
-
-    /// The physical slot assigned to it.
-    pub fn slot(&self) -> SlotId {
-        self.slot
-    }
-
-    /// The buffers to fill.
-    pub fn target(&mut self) -> (&mut [f64], &mut [u32]) {
-        // SAFETY: the lease owns the slot's unpublished Computing phase:
-        // no reader can lease it (pin_if_ready refuses) and no other
-        // writer can claim it (it is mapped and pinned).
-        unsafe { self.arena.slot_raw_mut(self.slot) }
-    }
-
-    /// Publishes the computed data, downgrading to a read lease (the pin
-    /// carries over).
-    pub fn finish(self) -> ReadLease<'a> {
-        let lease = ReadLease { arena: self.arena, clv: self.clv, slot: self.slot };
-        self.arena.mgr.mark_ready(self.slot);
-        std::mem::forget(self); // pin ownership moved into `lease`
-        lease
-    }
-}
-
-impl Drop for ComputeLease<'_> {
-    fn drop(&mut self) {
-        // Abandoned mid-compute (typically a panic unwind): the buffers
-        // hold garbage, so the slot must NOT be published. Poisoning
-        // consumes this lease's pin.
-        self.arena.mgr.poison(self.slot);
     }
 }
 
@@ -483,20 +271,26 @@ impl std::fmt::Debug for SlotArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slots::ClvKey;
     use crate::strategy::Fifo;
 
     fn arena(n_clvs: usize, n_slots: usize) -> SlotArena {
         SlotArena::new(n_clvs, n_slots, 8, 2, Box::new(Fifo::new()))
     }
 
+    /// Acquires `clv` and returns its slot.
+    fn slot(a: &SlotArena, clv: u32) -> SlotId {
+        a.manager().acquire(ClvKey(clv)).unwrap().slot()
+    }
+
     #[test]
     fn write_then_read() {
-        let mut a = arena(4, 2);
-        let s = a.acquire(ClvKey(0)).unwrap().slot();
+        let a = arena(4, 2);
+        let s = slot(&a, 0);
         {
-            let (clv, scale) = a.clv_mut(s);
-            clv.fill(1.5);
-            scale.fill(3);
+            let view = a.compute_view(s, &[]);
+            view.target_clv.fill(1.5);
+            view.target_scale.fill(3);
         }
         assert!(a.clv(s).iter().all(|&v| v == 1.5));
         assert!(a.scale(s).iter().all(|&v| v == 3));
@@ -504,18 +298,12 @@ mod tests {
 
     #[test]
     fn compute_view_disjoint() {
-        let mut a = arena(4, 3);
-        let s0 = a.acquire(ClvKey(0)).unwrap().slot();
-        let s1 = a.acquire(ClvKey(1)).unwrap().slot();
-        let s2 = a.acquire(ClvKey(2)).unwrap().slot();
-        {
-            let (clv, _) = a.clv_mut(s0);
-            clv.fill(2.0);
-        }
-        {
-            let (clv, _) = a.clv_mut(s1);
-            clv.fill(3.0);
-        }
+        let a = arena(4, 3);
+        let s0 = slot(&a, 0);
+        let s1 = slot(&a, 1);
+        let s2 = slot(&a, 2);
+        a.compute_view(s0, &[]).target_clv.fill(2.0);
+        a.compute_view(s1, &[]).target_clv.fill(3.0);
         let view = a.compute_view(s2, &[s0, s1]);
         for i in 0..8 {
             view.target_clv[i] = view.children[0].0[i] * view.children[1].0[i];
@@ -527,7 +315,7 @@ mod tests {
     #[should_panic(expected = "aliases")]
     fn compute_view_rejects_aliasing() {
         let a = arena(4, 2);
-        let s = a.acquire(ClvKey(0)).unwrap().slot();
+        let s = slot(&a, 0);
         let _ = a.compute_view(s, &[s]);
     }
 
@@ -536,131 +324,5 @@ mod tests {
         let a = SlotArena::new(10, 5, 100, 25, Box::new(Fifo::new()));
         assert_eq!(a.bytes(), 5 * 100 * 8 + 5 * 25 * 4);
         assert_eq!(SlotArena::bytes_per_slot(100, 25), 900);
-    }
-
-    #[test]
-    fn lease_roundtrip() {
-        let a = arena(6, 2);
-        // Miss → compute lease; fill and publish.
-        let lease = a.acquire_compute(ClvKey(2)).unwrap();
-        let Lease::Compute(mut c) = lease else { panic!("expected compute lease") };
-        assert!(a.acquire_read(ClvKey(2)).is_none(), "unpublished CLV must not read-lease");
-        let (clv, scale) = c.target();
-        clv.fill(7.0);
-        scale.fill(1);
-        let r = c.finish();
-        assert!(r.clv().iter().all(|&v| v == 7.0));
-        drop(r);
-        // Now resident + published → read lease; pin blocks eviction.
-        let r = a.acquire_read(ClvKey(2)).expect("published CLV read-leases");
-        assert_eq!(a.manager().pin_count(r.slot()), 1);
-        assert!(r.scale().iter().all(|&v| v == 1));
-        drop(r);
-        assert_eq!(a.manager().n_pinned(), 0);
-        a.manager().check_invariants().unwrap();
-    }
-
-    #[test]
-    fn acquire_compute_hit_returns_ready() {
-        let a = arena(6, 2);
-        let Lease::Compute(c) = a.acquire_compute(ClvKey(1)).unwrap() else {
-            panic!("first acquire must miss")
-        };
-        drop(c.finish());
-        let lease = a.acquire_compute(ClvKey(1)).unwrap();
-        match &lease {
-            Lease::Ready(r) => assert_eq!(r.key(), ClvKey(1)),
-            Lease::Compute(_) => panic!("resident CLV must not re-compute"),
-        }
-        drop(lease);
-    }
-
-    #[test]
-    fn dropped_compute_lease_poisons_the_slot() {
-        let a = arena(6, 2);
-        let Lease::Compute(c) = a.acquire_compute(ClvKey(3)).unwrap() else { panic!() };
-        let slot = c.slot();
-        drop(c); // abandoned: mapping torn down, garbage never published
-        assert!(!a.manager().is_ready(slot), "garbage must not be published");
-        assert_eq!(a.manager().lookup(ClvKey(3)), None, "mapping must be gone");
-        assert_eq!(a.manager().pin_count(slot), 0);
-        a.manager().check_invariants().unwrap();
-        // The slot is reclaimable: the same CLV can be acquired afresh.
-        let Lease::Compute(mut c) = a.acquire_compute(ClvKey(3)).unwrap() else {
-            panic!("poisoned CLV must miss, not hit")
-        };
-        c.target().0.fill(2.0);
-        let r = c.finish();
-        assert!(r.clv().iter().all(|&v| v == 2.0));
-    }
-
-    #[test]
-    fn panicking_compute_closure_leaves_arena_usable() {
-        // The lease-poisoning regression: a worker panics mid-compute; the
-        // slot must be reclaimed and a later acquire_compute on the SAME
-        // CLV must succeed with freshly computed data.
-        let a = arena(6, 2);
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let Lease::Compute(mut c) = a.acquire_compute(ClvKey(1)).unwrap() else { panic!() };
-            c.target().0.fill(666.0); // half-written garbage
-            panic!("injected compute failure");
-        }));
-        assert!(panicked.is_err());
-        a.manager().check_invariants().unwrap();
-        assert_eq!(a.manager().n_pinned(), 0, "the panicked lease's pin must drain");
-        let Lease::Compute(mut c) = a.acquire_compute(ClvKey(1)).unwrap() else {
-            panic!("CLV 1 must need recomputing after the poison")
-        };
-        c.target().0.fill(9.0);
-        let r = c.finish();
-        assert!(r.clv().iter().all(|&v| v == 9.0), "reader must see the recomputed data");
-    }
-
-    #[test]
-    fn waiter_on_poisoned_slot_recomputes() {
-        // A concurrent acquire_compute blocked on a computing slot must
-        // wake on the poison and transparently recompute rather than hang
-        // or read garbage.
-        use std::sync::Arc;
-        let a = Arc::new(arena(6, 2));
-        let Lease::Compute(c) = a.acquire_compute(ClvKey(2)).unwrap() else { panic!() };
-        let a2 = Arc::clone(&a);
-        let waiter = std::thread::spawn(move || {
-            let lease = a2.acquire_compute(ClvKey(2)).unwrap();
-            match lease {
-                Lease::Ready(_) => panic!("waiter must not read the poisoned data"),
-                Lease::Compute(mut c2) => {
-                    c2.target().0.fill(5.0);
-                    let r = c2.finish();
-                    assert!(r.clv().iter().all(|&v| v == 5.0));
-                }
-            }
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        drop(c); // poison while the waiter is blocked
-        waiter.join().unwrap();
-        a.manager().check_invariants().unwrap();
-        assert_eq!(a.manager().n_pinned(), 0);
-    }
-
-    #[test]
-    fn concurrent_compute_and_read_distinct_slots() {
-        use std::sync::Arc;
-        let a = Arc::new(arena(8, 3));
-        let Lease::Compute(mut c) = a.acquire_compute(ClvKey(0)).unwrap() else { panic!() };
-        c.target().0.fill(4.0);
-        drop(c.finish());
-        // Hold an unfinished compute lease on CLV 1...
-        let Lease::Compute(c1) = a.acquire_compute(ClvKey(1)).unwrap() else { panic!() };
-        // ...while another thread freely read-leases CLV 0.
-        let a2 = Arc::clone(&a);
-        std::thread::spawn(move || {
-            let r = a2.acquire_read(ClvKey(0)).expect("reader of another slot never blocks");
-            assert!(r.clv().iter().all(|&v| v == 4.0));
-        })
-        .join()
-        .unwrap();
-        drop(c1);
-        a.manager().check_invariants().unwrap();
     }
 }

@@ -157,8 +157,8 @@ pub fn ensure_resident(
     // of the returned schedule runs lock-free.
     let _plan = mgr.plan_guard();
     // Pins this call has added (+) or consumed (−), for precise rollback
-    // on error: under concurrency a blanket `unpin_all` would destroy
-    // other threads' pins.
+    // on error: under concurrency other threads' execution pins on the
+    // same slots must survive it.
     let mut pin_log: Vec<(SlotId, i64)> = Vec::new();
     // Per CLV the schedule touches — plan entries, their dependencies,
     // the targets — how often it is read or returned. Ordered, so the
@@ -271,9 +271,9 @@ pub fn ensure_resident(
         // this call hold uncomputed garbage. Roll back exactly the pins
         // this call added (other threads' pins stay intact), then drop
         // the installed mappings. No foreign pins can exist on those
-        // slots: planners are serialized by the plan lock and read
-        // leases refuse still-unpublished slots, so the invalidate's
-        // pin-free precondition holds.
+        // slots: every pin is taken while planning, and planners are
+        // serialized by the plan lock, so the invalidate's pin-free
+        // precondition holds.
         let mut net: BTreeMap<SlotId, i64> = BTreeMap::new();
         for (slot, delta) in pin_log {
             *net.entry(slot).or_default() += delta;

@@ -15,13 +15,12 @@
 //!   next use while a sweep has announced its order — plus
 //!   LRU/MRU/FIFO/random for ablation;
 //! * [`arena::SlotArena`] — slot-backed CLV + scaler storage with safe
-//!   disjoint target/children access for the kernels, plus the
-//!   concurrent lease API ([`arena::ReadLease`]/[`arena::ComputeLease`]):
-//!   the manager and arena are internally synchronized (`&self` API,
-//!   lock-free residency lookups, per-slot publish latches), so distinct
-//!   CLVs can be recomputed concurrently while readers of other slots
-//!   never block — see the module docs and DESIGN.md §6 for the lock
-//!   order and deadlock-freedom argument;
+//!   disjoint target/children access for the kernels. The manager and
+//!   arena are internally synchronized (`&self` API, lock-free residency
+//!   lookups, per-slot publish latches), so distinct CLVs can be
+//!   recomputed concurrently while readers of other slots never block —
+//!   see the module docs and DESIGN.md §6 for the lock order and
+//!   deadlock-freedom argument;
 //! * [`fpa`] — the slot-constrained Felsenstein traversal planner: given a
 //!   set of target CLVs it emits a pin-correct compute schedule,
 //!   guaranteed to succeed whenever `⌈log₂ n⌉ + 2` slots are unpinned;
@@ -38,7 +37,7 @@ pub mod slots;
 pub mod strategy;
 pub mod tier;
 
-pub use arena::{ComputeLease, Lease, ReadLease, SlotArena};
+pub use arena::SlotArena;
 pub use budget::{MemCategory, MemoryTracker};
 pub use cancel::CancelToken;
 pub use error::AmcError;

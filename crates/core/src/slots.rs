@@ -7,13 +7,13 @@
 //!
 //! # Concurrency model
 //!
-//! Since the fine-grained leasing rework the manager is internally
-//! synchronized and its whole API takes `&self`. Three layers of state,
-//! with a strict lock order (DESIGN.md §6):
+//! The manager is internally synchronized and its whole API takes
+//! `&self`. Three layers of state, with a strict lock order (DESIGN.md
+//! §6):
 //!
 //! 1. **`plan_lock`** — serializes *planning*: every code path that may
-//!    remap slots (FPA planning, [`SlotManager::acquire`] via the lease
-//!    API, cache flushes) runs under this mutex. Planning is short —
+//!    remap slots (FPA planning, which calls [`SlotManager::acquire`],
+//!    and cache flushes) runs under this mutex. Planning is short —
 //!    table surgery only, never kernel work — so planners queue briefly
 //!    while *execution* (CLV recomputation) proceeds concurrently.
 //! 2. **the eviction table** (`inner`) — one mutex over the
@@ -21,9 +21,9 @@
 //!    Held for O(1)/O(slots) table operations only.
 //! 3. **per-slot publish latches** (`phases`) — a tiny mutex + condvar
 //!    per slot flagging whether the slot's *data* is ready to read.
-//!    A freshly (re)assigned slot is `Computing` until the thread that
-//!    planned it publishes with [`SlotManager::mark_ready`]; readers of
-//!    *other* slots never touch this latch and never block.
+//!    A freshly (re)assigned slot is `Computing` until the schedule op
+//!    that computes it publishes with [`SlotManager::mark_ready_at`];
+//!    readers of *other* slots never touch this latch and never block.
 //!
 //! Locks are always taken in that order (`plan_lock` → table → latch)
 //! and a thread never *blocks* on a latch while holding the table lock,
@@ -35,12 +35,12 @@
 //! without acquiring any lock. Traffic counters are atomics, so stats
 //! from concurrent planners aggregate without lost updates.
 //!
-//! The classic `&self`-everywhere API (`acquire`, `pin`, …) remains the
-//! low-level building block and is what single-owner users (benches,
-//! the FPA planner, the model-based test harness) drive directly;
-//! concurrent users go through [`crate::SlotArena`]'s lease API or
-//! `phylo_engine`'s `ManagedStore`, which compose these primitives under
-//! `plan_lock`.
+//! Single-owner users (benches, the model-based test harness) drive
+//! `acquire`/`pin`/`unpin` directly. The one concurrent user is
+//! `phylo_engine`'s `ManagedStore`: it plans and pins with
+//! [`crate::fpa::ensure_resident`] under `plan_lock`, executes the
+//! schedule lock-free (`wait_ready_at` / `mark_ready_at`), waits for its
+//! targets (`wait_ready`) and unpins on release.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -137,28 +137,19 @@ impl Acquire {
 /// these to report recomputation overhead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SlotStats {
-    /// Reuses of a resident CLV: `acquire` hits, read leases
-    /// (`pin_if_ready`) and the planner's `touch` of cached CLVs.
+    /// Reuses of a resident CLV: `acquire` hits and the planner's
+    /// `touch` of cached CLVs.
     pub hits: u64,
     /// `acquire` calls that had to (re)assign a slot.
     pub misses: u64,
-    /// Data discarded to make room: eviction-path misses plus poisoned
-    /// slots whose mapping was torn down. A poison is counted here, at
-    /// teardown — the waiter's later recompute is only a miss, so a
-    /// poisoned CLV never double-counts as eviction *and* miss twice.
+    /// Data discarded to make room: misses that took a victim's slot.
     pub evictions: u64,
     /// Slot (re)assignments, i.e. recomputations scheduled. Invariant:
     /// `installs == misses` — a failed acquire installs nothing.
     pub installs: u64,
     /// Successful CLV acquisitions of any kind: `acquire` hits and
-    /// misses, `pin_if_ready` leases, `touch` reuses. Invariant:
-    /// `acquires == hits + misses`.
+    /// misses, `touch` reuses. Invariant: `acquires == hits + misses`.
     pub acquires: u64,
-    /// [`SlotManager::poison`] calls (computing thread died before
-    /// publishing).
-    pub poisoned: u64,
-    /// Failed slots returned to the free list after their pins drained.
-    pub reclaimed: u64,
 }
 
 impl SlotStats {
@@ -174,8 +165,6 @@ impl SlotStats {
             evictions: self.evictions - baseline.evictions,
             installs: self.installs - baseline.installs,
             acquires: self.acquires - baseline.acquires,
-            poisoned: self.poisoned - baseline.poisoned,
-            reclaimed: self.reclaimed - baseline.reclaimed,
         }
     }
 }
@@ -187,18 +176,12 @@ struct TableInner {
     pin_counts: Vec<u32>,
     free: Vec<u32>,
     n_pinned_slots: usize,
-    /// Slots whose computing thread died before publishing
-    /// ([`SlotManager::poison`]). A failed slot holds no mapping but still
-    /// carries foreign pins (waiters that raced the failure); it returns
-    /// to the free list only when the last pin drains, so the free list
-    /// never hands out a slot another thread still references.
-    failed: Vec<bool>,
     strategy: Box<dyn ReplacementStrategy>,
 }
 
 /// Per-slot publish latch (lock level 3): `ready == false` while the
-/// planning thread that (re)assigned the slot is still computing its
-/// CLV. Version counts reassignments, for lease revalidation in tests.
+/// schedule that (re)assigned the slot is still computing its CLV.
+/// Version counts reassignments ([`SlotManager::version`]).
 struct SlotPhase {
     ready: Mutex<bool>,
     cv: Condvar,
@@ -221,8 +204,6 @@ pub struct SlotManager {
     evictions: AtomicU64,
     installs: AtomicU64,
     acquires: AtomicU64,
-    poisoned: AtomicU64,
-    reclaimed: AtomicU64,
     /// Publish-latch watchdog deadline in milliseconds.
     wait_timeout_ms: AtomicU64,
     /// Cooperative shutdown flag threaded in from the run owner (see
@@ -258,7 +239,6 @@ impl SlotManager {
                 pin_counts: vec![0; n_slots],
                 free: (0..n_slots as u32).rev().collect(),
                 n_pinned_slots: 0,
-                failed: vec![false; n_slots],
                 strategy,
             }),
             phases: (0..n_slots)
@@ -274,8 +254,6 @@ impl SlotManager {
             evictions: AtomicU64::new(0),
             installs: AtomicU64::new(0),
             acquires: AtomicU64::new(0),
-            poisoned: AtomicU64::new(0),
-            reclaimed: AtomicU64::new(0),
             wait_timeout_ms: AtomicU64::new(DEFAULT_WAIT_TIMEOUT.as_millis() as u64),
             cancel: Mutex::new(CancelToken::new()),
             trace_on: AtomicBool::new(false),
@@ -356,12 +334,6 @@ impl SlotManager {
         self.table().n_pinned_slots
     }
 
-    /// Number of slots currently unpinned (free or evictable).
-    #[inline]
-    pub fn n_unpinned(&self) -> usize {
-        self.n_slots() - self.n_pinned()
-    }
-
     /// Traffic counters so far. Each counter is read atomically; a
     /// snapshot racing a concurrent `acquire` may be mid-operation
     /// (e.g. miss counted, eviction not yet), which quiescent callers
@@ -374,20 +346,7 @@ impl SlotManager {
             evictions: self.evictions.load(Ordering::Relaxed),
             installs: self.installs.load(Ordering::Relaxed),
             acquires: self.acquires.load(Ordering::Relaxed),
-            poisoned: self.poisoned.load(Ordering::Relaxed),
-            reclaimed: self.reclaimed.load(Ordering::Relaxed),
         }
-    }
-
-    /// Resets the traffic counters (e.g. between measured phases).
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.installs.store(0, Ordering::Relaxed);
-        self.acquires.store(0, Ordering::Relaxed);
-        self.poisoned.store(0, Ordering::Relaxed);
-        self.reclaimed.store(0, Ordering::Relaxed);
     }
 
     /// The slot currently holding `clv`, if resident. Lock-free.
@@ -561,17 +520,15 @@ impl SlotManager {
         let mut t = self.table();
         // Trace the pin in CLV terms (the slot numbering is an
         // implementation detail the simulator re-derives). A pin on an
-        // unmapped slot — only possible in fault scenarios — is traced
-        // with `NO_CLV` and skipped by the replay.
+        // unmapped slot — the engine never takes one — is traced with
+        // `NO_CLV` and skipped by the replay.
         let occ = t.slot_to_clv[slot.idx()];
         self.record(SlotEvent::Pin { clv: if occ == FREE { NO_CLV } else { occ }, n: count });
         t.pin_n(slot, count);
     }
 
-    /// Decrements a slot's pin count. The last unpin of a
-    /// [`SlotManager::poison`]ed slot also returns it to the free list —
-    /// deferred reclamation, so a failed slot is never handed out while
-    /// waiters that raced the failure still hold pins on it.
+    /// Decrements a slot's pin count; [`AmcError::NotPinned`] if it has
+    /// none.
     pub fn unpin(&self, slot: SlotId) -> Result<(), AmcError> {
         let mut t = self.table();
         let occ = t.slot_to_clv[slot.idx()];
@@ -584,72 +541,8 @@ impl SlotManager {
         *c -= 1;
         if *c == 0 {
             t.n_pinned_slots -= 1;
-            if t.failed[slot.idx()] {
-                t.failed[slot.idx()] = false;
-                debug_assert_eq!(t.slot_to_clv[slot.idx()], FREE, "failed slot kept a mapping");
-                t.free.push(slot.0);
-                self.reclaimed.fetch_add(1, Ordering::Relaxed);
-            }
         }
         Ok(())
-    }
-
-    /// Marks a slot **failed and reclaimable**: the thread that was
-    /// computing its CLV died before publishing (a panicking
-    /// [`crate::ComputeLease`] holder). The mapping is torn down under the
-    /// plan guard — planning never runs concurrently with table surgery —
-    /// and the slot's version is bumped with a wake-up, so latch waiters
-    /// observe the mapping gone and retry instead of hanging on a publish
-    /// that will never come. The caller's own pin is consumed; the slot
-    /// rejoins the free list when the last foreign pin drains (see
-    /// [`SlotManager::unpin`]).
-    pub fn poison(&self, slot: SlotId) {
-        let _plan = self.plan_guard();
-        let mut t = self.table();
-        self.poisoned.fetch_add(1, Ordering::Relaxed);
-        let c = t.slot_to_clv[slot.idx()];
-        self.record(SlotEvent::Poison { clv: if c == FREE { NO_CLV } else { c } });
-        if c != FREE {
-            // The teardown IS the eviction. The waiter that recomputes
-            // this CLV later counts only a miss — counting here too
-            // would double-book the poison as eviction + miss's
-            // eviction (the old accounting bug).
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            t.strategy.on_evict(ClvKey(c), slot);
-            self.clv_to_slot[c as usize].store(UNSLOTTED, Ordering::Release);
-            t.slot_to_clv[slot.idx()] = FREE;
-        }
-        t.failed[slot.idx()] = true;
-        let pc = &mut t.pin_counts[slot.idx()];
-        debug_assert!(*pc > 0, "poison requires the caller's own pin");
-        *pc = pc.saturating_sub(1);
-        if *pc == 0 {
-            t.n_pinned_slots -= 1;
-            t.failed[slot.idx()] = false;
-            t.free.push(slot.0);
-            self.reclaimed.fetch_add(1, Ordering::Relaxed);
-        }
-        drop(t);
-        let ph = &self.phases[slot.idx()];
-        {
-            let mut r = ph.ready.lock().unwrap_or_else(|e| e.into_inner());
-            *r = false;
-            ph.version.fetch_add(1, Ordering::AcqRel);
-        }
-        ph.cv.notify_all();
-    }
-
-    /// Forcibly clears all pins. Single-owner teardown only: under
-    /// concurrency this would destroy other threads' pins, so concurrent
-    /// code paths roll back their own pins precisely instead (see
-    /// `fpa::ensure_resident`).
-    pub fn unpin_all(&self) {
-        let mut t = self.table();
-        self.record(SlotEvent::UnpinAll);
-        for c in &mut t.pin_counts {
-            *c = 0;
-        }
-        t.n_pinned_slots = 0;
     }
 
     /// Drops `clv` from its slot, returning the slot to the free list.
@@ -831,46 +724,10 @@ impl SlotManager {
     }
 
     /// Reassignment counter for `slot` (bumps on every install and
-    /// invalidate). Lets tests assert a slot was not remapped across an
-    /// operation.
+    /// invalidate). The planner snapshots it per op for
+    /// [`SlotManager::wait_ready_at`] and [`SlotManager::mark_ready_at`].
     pub fn version(&self, slot: SlotId) -> u64 {
         self.phases[slot.idx()].version.load(Ordering::Acquire)
-    }
-
-    /// If `clv` is resident *and published*, pins its slot and returns
-    /// it; otherwise `None`. This is the read-lease fast path: it never
-    /// blocks, and by refusing still-Computing slots it guarantees that
-    /// no foreign pins exist on slots a planner installed but has not
-    /// yet published — which is what makes the planner's error rollback
-    /// (unpin + invalidate its own installs) safe.
-    pub fn pin_if_ready(&self, clv: ClvKey) -> Option<SlotId> {
-        let mut t = self.table();
-        let s = self.clv_to_slot[clv.idx()].load(Ordering::Acquire);
-        if s == UNSLOTTED {
-            return None;
-        }
-        let slot = SlotId(s);
-        // Latch probe under the table lock (level 2 → 3 is the legal
-        // order); try_lock never blocks, and the latch mutex is only
-        // ever held for an assignment, so contention means "in flux" —
-        // treat it as not ready.
-        let ready = match self.phases[slot.idx()].ready.try_lock() {
-            Ok(r) => *r,
-            Err(_) => false,
-        };
-        if !ready {
-            return None;
-        }
-        // A successful lease is a hit plus a pin: two trace events, in
-        // that order (the replay counts the Acquire as the hit, then
-        // applies the pin to the now-resident CLV).
-        self.record(SlotEvent::Acquire { clv: clv.0 });
-        self.record(SlotEvent::Pin { clv: clv.0, n: 1 });
-        t.pin_n(slot, 1);
-        t.strategy.on_access(clv, slot);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.acquires.fetch_add(1, Ordering::Relaxed);
-        Some(slot)
     }
 
     /// Checks the bijection invariant between the two maps (tests/debug).
@@ -928,19 +785,6 @@ impl SlotManager {
         for &raw in &t.free {
             if t.slot_to_clv[raw as usize] != FREE {
                 return Err(format!("slot {raw} is on the free list but occupied"));
-            }
-            if t.failed[raw as usize] {
-                return Err(format!("slot {raw} is on the free list but still marked failed"));
-            }
-        }
-        for (s, &failed) in t.failed.iter().enumerate() {
-            if failed {
-                if t.slot_to_clv[s] != FREE {
-                    return Err(format!("failed slot {s} still holds a mapping"));
-                }
-                if t.pin_counts[s] == 0 {
-                    return Err(format!("failed slot {s} has no pins; it should have been freed"));
-                }
             }
         }
         Ok(())
@@ -1109,18 +953,6 @@ mod tests {
     }
 
     #[test]
-    fn unpin_all_clears() {
-        let m = mgr(4, 3);
-        let s0 = m.acquire(ClvKey(0)).unwrap().slot();
-        let s1 = m.acquire(ClvKey(1)).unwrap().slot();
-        m.pin_n(s0, 2);
-        m.pin(s1);
-        m.unpin_all();
-        assert_eq!(m.n_pinned(), 0);
-        m.check_invariants().unwrap();
-    }
-
-    #[test]
     fn install_drops_publish_latch() {
         let m = mgr(8, 2);
         let s = m.acquire(ClvKey(0)).unwrap().slot();
@@ -1138,20 +970,6 @@ mod tests {
         assert_eq!(a.slot(), s, "FIFO evicts the oldest");
         assert!(!m.is_ready(s));
         assert!(m.version(s) > v0);
-    }
-
-    #[test]
-    fn pin_if_ready_refuses_computing_slots() {
-        let m = mgr(8, 2);
-        let s = m.acquire(ClvKey(3)).unwrap().slot();
-        assert_eq!(m.pin_if_ready(ClvKey(3)), None, "unpublished slot must not lease");
-        assert_eq!(m.pin_count(s), 0);
-        m.mark_ready(s);
-        assert_eq!(m.pin_if_ready(ClvKey(3)), Some(s));
-        assert_eq!(m.pin_count(s), 1);
-        assert_eq!(m.pin_if_ready(ClvKey(4)), None, "absent CLV must not lease");
-        m.unpin(s).unwrap();
-        m.check_invariants().unwrap();
     }
 
     #[test]
@@ -1216,72 +1034,20 @@ mod tests {
     }
 
     #[test]
-    fn poison_defers_reclamation_until_pins_drain() {
-        let m = mgr(8, 2);
-        let s = m.acquire(ClvKey(0)).unwrap().slot();
-        m.pin(s); // the computing thread's own pin
-        m.pin(s); // a foreign waiter's pin
-        let v0 = m.version(s);
-        m.poison(s);
-        // Mapping gone, version bumped, slot NOT yet free (foreign pin).
-        assert_eq!(m.lookup(ClvKey(0)), None);
-        assert!(m.version(s) > v0);
-        assert!(!m.is_ready(s));
-        m.check_invariants().unwrap();
-        // Two fresh acquires: only ONE free slot may be handed out while
-        // the failed slot still carries the foreign pin.
-        let a = m.acquire(ClvKey(1)).unwrap();
-        assert_ne!(a.slot(), s, "failed slot leaked into the free list early");
-        // The foreign waiter drains its pin: now the slot is reusable.
-        m.unpin(s).unwrap();
-        let b = m.acquire(ClvKey(2)).unwrap();
-        assert_eq!(b.slot(), s, "reclaimed slot must be reusable");
-        m.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn poison_counts_one_eviction_and_recompute_is_only_a_miss() {
-        let m = mgr(8, 2);
-        m.acquire(ClvKey(0)).unwrap(); // miss 1
-        let s = m.acquire(ClvKey(1)).unwrap().slot(); // miss 2
-        m.pin(s);
-        m.poison(s);
-        let st = m.stats();
-        assert_eq!(st.evictions, 1, "poison teardown is the eviction");
-        assert_eq!(st.poisoned, 1);
-        assert_eq!(st.reclaimed, 1, "sole pin was the caller's: immediate reclaim");
-        assert_eq!(st.misses, 2, "poison itself is not a miss");
-        // The waiter recomputes the poisoned CLV: one more miss, and the
-        // eviction count must NOT move again (no double-counting).
-        m.acquire(ClvKey(1)).unwrap();
-        let st = m.stats();
-        assert_eq!(st.misses, 3);
-        assert_eq!(st.evictions, 1);
-        assert_eq!(st.installs, st.misses);
-        assert_eq!(st.acquires, st.hits + st.misses);
-        m.check_invariants().unwrap();
-    }
-
-    #[test]
     fn acquisition_counters_balance() {
         let m = mgr(10, 2);
-        let s = m.acquire(ClvKey(0)).unwrap().slot(); // miss
+        m.acquire(ClvKey(0)).unwrap(); // miss
         m.acquire(ClvKey(0)).unwrap(); // hit
-        m.mark_ready(s);
-        assert_eq!(m.pin_if_ready(ClvKey(0)), Some(s)); // lease hit
-        m.unpin(s).unwrap();
         m.touch(ClvKey(0)); // planner reuse: hit
         m.touch(ClvKey(7)); // not resident: counts nothing
         m.acquire(ClvKey(1)).unwrap(); // miss
         m.acquire(ClvKey(2)).unwrap(); // miss + eviction
         let st = m.stats();
-        assert_eq!(st.hits, 3);
+        assert_eq!(st.hits, 2);
         assert_eq!(st.misses, 3);
-        assert_eq!(st.acquires, 6);
+        assert_eq!(st.acquires, 5);
         assert_eq!(st.installs, 3);
         m.check_invariants().unwrap();
-        m.reset_stats();
-        assert_eq!(m.stats(), SlotStats::default());
     }
 
     #[test]
@@ -1315,7 +1081,6 @@ mod tests {
         m.invalidate(ClvKey(2));
         m.touch(ClvKey(1)); // not resident: must NOT trace
         assert!(m.unpin(s0).is_err()); // rejected: must NOT trace
-        m.unpin_all();
         use SlotEvent::*;
         assert_eq!(
             trace.snapshot().events,
@@ -1328,49 +1093,37 @@ mod tests {
                 Acquire { clv: 2 },
                 Unpin { clv: 0 },
                 Invalidate { clv: 2 },
-                UnpinAll,
             ]
         );
         // Disarming stops recording.
         m.set_slot_trace(None);
         m.acquire(ClvKey(3)).unwrap();
-        assert_eq!(trace.len(), 9);
+        assert_eq!(trace.len(), 8);
         m.check_invariants().unwrap();
     }
 
     #[test]
-    fn trace_records_lease_hit_and_poison() {
-        let m = mgr(8, 2);
-        let trace = Arc::new(SlotTrace::new());
-        m.set_slot_trace(Some(Arc::clone(&trace)));
-        let s = m.acquire(ClvKey(4)).unwrap().slot();
-        assert_eq!(m.pin_if_ready(ClvKey(4)), None, "unpublished: no lease, no trace");
-        m.mark_ready(s);
-        assert_eq!(m.pin_if_ready(ClvKey(4)), Some(s));
-        m.poison(s); // consumes the lease pin, tears down clv 4
-        use SlotEvent::*;
-        assert_eq!(
-            trace.snapshot().events,
-            vec![Acquire { clv: 4 }, Acquire { clv: 4 }, Pin { clv: 4, n: 1 }, Poison { clv: 4 },]
-        );
-        m.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn poisoned_slot_wakes_snapshot_waiters() {
+    fn remapped_slot_wakes_snapshot_waiters() {
+        // A schedule op waiting on a dependency slot that a later op of
+        // the same schedule remaps (DESIGN.md §6) is released by the
+        // eviction's install — the version bump plus its wake-up — not by
+        // the watchdog, and not by a publish that will never come.
         use std::sync::Arc;
         let m = Arc::new(mgr(4, 2));
-        let s = m.acquire(ClvKey(0)).unwrap().slot();
-        m.pin(s); // computing thread's pin
-        m.pin(s); // waiter's pin
+        m.set_wait_timeout(Duration::from_secs(30));
+        let s = m.acquire(ClvKey(0)).unwrap().slot(); // unpublished
+        m.acquire(ClvKey(1)).unwrap();
         let v = m.version(s);
         let m2 = Arc::clone(&m);
         let waiter = std::thread::spawn(move || m2.wait_ready_at(s, v));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        m.poison(s);
-        // The version bump releases the waiter promptly (no timeout).
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!waiter.is_finished(), "an unpublished, unmoved slot must block the waiter");
+        let t = Instant::now();
+        let a = m.acquire(ClvKey(2)).unwrap(); // evicts clv 0 (FIFO)
+        assert_eq!(a, Acquire::Evicted { slot: s, victim: ClvKey(0), victim_ready: false });
         waiter.join().unwrap().unwrap();
-        m.unpin(s).unwrap();
+        assert!(t.elapsed() < Duration::from_secs(5), "wake took {:?}", t.elapsed());
+        assert!(!m.is_ready(s), "the waiter was released by the remap, not a publish");
         m.check_invariants().unwrap();
     }
 }

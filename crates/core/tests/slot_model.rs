@@ -13,7 +13,7 @@
 
 use phylo_amc::{AmcError, ClvKey, SlotId, SlotManager, StrategyKind};
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 const N_CLVS: usize = 32;
 
@@ -24,13 +24,9 @@ struct Oracle {
     slot_of: HashMap<u32, u32>,
     clv_of: HashMap<u32, u32>,
     pins: HashMap<u32, u32>,
-    /// Poisoned slots still carrying pins (reclaim deferred).
-    failed: HashSet<u32>,
     hits: u64,
     misses: u64,
     evictions: u64,
-    poisoned: u64,
-    reclaimed: u64,
 }
 
 impl Oracle {
@@ -86,12 +82,12 @@ fn check(mgr: &SlotManager, o: &Oracle) {
     assert_eq!(resident, expected, "resident set");
     let stats = mgr.stats();
     assert_eq!(
-        (stats.hits, stats.misses, stats.evictions, stats.poisoned, stats.reclaimed),
-        (o.hits, o.misses, o.evictions, o.poisoned, o.reclaimed),
+        (stats.hits, stats.misses, stats.evictions),
+        (o.hits, o.misses, o.evictions),
         "stats must reconcile with the oracle's event log"
     );
     // Counter invariants: every miss is exactly one install (a failed
-    // acquire installs nothing, a poison is not a miss), and every
+    // acquire installs nothing), and every
     // successful acquisition is a hit or a miss, never both.
     assert_eq!(stats.installs, stats.misses, "installs == misses invariant");
     assert_eq!(stats.acquires, stats.hits + stats.misses, "acquires == hits + misses invariant");
@@ -103,7 +99,7 @@ proptest! {
 
     #[test]
     fn random_op_sequences_match_the_oracle(
-        ops in proptest::collection::vec((0u8..7, 0u32..N_CLVS as u32), 1..300),
+        ops in proptest::collection::vec((0u8..4, 0u32..N_CLVS as u32), 1..300),
         n_slots in 2usize..12,
         strat_idx in 0usize..4,
     ) {
@@ -111,7 +107,7 @@ proptest! {
             [StrategyKind::Fifo, StrategyKind::Lru, StrategyKind::Mru, StrategyKind::Random];
         let mgr = SlotManager::new(N_CLVS, n_slots, strategies[strat_idx].build(None));
         let mut o = Oracle::default();
-        // Stack of pins this test owns (ops 1 and 4 push, op 2 pops).
+        // Stack of pins this test owns (op 1 pushes, op 2 pops).
         let mut pinned: Vec<u32> = Vec::new();
         for (op, key) in ops {
             match op {
@@ -156,11 +152,7 @@ proptest! {
                 2 => {
                     if let Some(slot) = pinned.pop() {
                         mgr.unpin(SlotId(slot)).unwrap();
-                        let pc = o.pins.get_mut(&slot).unwrap();
-                        *pc -= 1;
-                        if *pc == 0 && o.failed.remove(&slot) {
-                            o.reclaimed += 1;
-                        }
+                        *o.pins.get_mut(&slot).unwrap() -= 1;
                     } else {
                         let probe = SlotId(key % n_slots as u32);
                         if o.pin_count(probe.0) == 0 {
@@ -170,7 +162,7 @@ proptest! {
                 }
                 // unslot: invalidate an unpinned resident (no-op
                 // otherwise, on both sides).
-                3 => {
+                _ => {
                     if let Some(&slot) = o.slot_of.get(&key) {
                         if o.pin_count(slot) == 0 {
                             mgr.invalidate(ClvKey(key));
@@ -180,63 +172,13 @@ proptest! {
                         mgr.invalidate(ClvKey(key));
                     }
                 }
-                // read-lease fast path: every model install is published
-                // immediately, so refusal must mean "not resident".
-                4 => {
-                    let resident = o.slot_of.get(&key).copied();
-                    match mgr.pin_if_ready(ClvKey(key)) {
-                        Some(slot) => {
-                            assert_eq!(Some(slot.0), resident);
-                            *o.pins.entry(slot.0).or_insert(0) += 1;
-                            o.hits += 1;
-                            pinned.push(slot.0);
-                        }
-                        None => assert_eq!(resident, None, "published resident refused a lease"),
-                    }
-                }
-                // reset the traffic counters (and the oracle's log).
-                5 => {
-                    mgr.reset_stats();
-                    o.hits = 0;
-                    o.misses = 0;
-                    o.evictions = 0;
-                    o.poisoned = 0;
-                    o.reclaimed = 0;
-                }
-                // poison one of our pinned slots (a dying compute
-                // lease): the teardown counts one eviction iff the slot
-                // held a mapping, never a miss; reclamation is deferred
-                // until the remaining pins drain.
-                _ => {
-                    if let Some(slot) = pinned.pop() {
-                        let occupant = o.clv_of.get(&slot).copied();
-                        mgr.poison(SlotId(slot));
-                        o.poisoned += 1;
-                        if let Some(clv) = occupant {
-                            o.unmap(clv);
-                            o.evictions += 1;
-                        }
-                        let pc = o.pins.get_mut(&slot).unwrap();
-                        *pc -= 1;
-                        if *pc == 0 {
-                            o.failed.remove(&slot);
-                            o.reclaimed += 1;
-                        } else {
-                            o.failed.insert(slot);
-                        }
-                    }
-                }
             }
             check(&mgr, &o);
         }
         // Drain our pins; the manager must end fully unpinned.
         for slot in pinned.drain(..) {
             mgr.unpin(SlotId(slot)).unwrap();
-            let pc = o.pins.get_mut(&slot).unwrap();
-            *pc -= 1;
-            if *pc == 0 && o.failed.remove(&slot) {
-                o.reclaimed += 1;
-            }
+            *o.pins.get_mut(&slot).unwrap() -= 1;
         }
         check(&mgr, &o);
         prop_assert_eq!(mgr.n_pinned(), 0);

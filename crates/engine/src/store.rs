@@ -238,11 +238,6 @@ impl ManagedStore {
         self.arena.stats()
     }
 
-    /// Resets the traffic counters.
-    pub fn reset_stats(&self) {
-        self.arena.manager().reset_stats();
-    }
-
     /// Bytes held by the slot storage (the `--maxmem`-controlled term).
     pub fn bytes(&self) -> usize {
         self.arena.bytes()

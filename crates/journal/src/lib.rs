@@ -29,6 +29,7 @@
 //! frame is durable — the "process died between chunks" path, which a
 //! resume must complete from exactly.
 
+mod fields;
 pub mod frame;
 pub mod manifest;
 pub mod shard;

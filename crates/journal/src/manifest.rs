@@ -14,6 +14,7 @@
 //! dependencies): one `"key": value` pair per line, hashes as 16-hex-char
 //! strings so 64-bit values never pass through f64.
 
+use crate::fields::{check_inputs, mismatch, Fields, Inputs};
 use crate::JournalError;
 
 /// Manifest format version; bump on any layout change so an old journal
@@ -60,43 +61,16 @@ pub struct Manifest {
     pub blo_iterations: usize,
 }
 
-fn mismatch(field: &'static str, expected: impl ToString, found: impl ToString) -> JournalError {
-    JournalError::ManifestMismatch {
-        field,
-        expected: expected.to_string(),
-        found: found.to_string(),
-    }
-}
-
 impl Manifest {
+    fn inputs(&self) -> Inputs {
+        (self.format, [self.tree_hash, self.ref_msa_hash, self.query_hash])
+    }
+
     /// Checks that `self` (the current run) is compatible with `on_disk`
     /// (the checkpointed run being resumed). The error names the first
     /// diverging field; `expected` is the on-disk value.
     pub fn check_matches(&self, on_disk: &Manifest) -> Result<(), JournalError> {
-        if self.format != on_disk.format {
-            return Err(mismatch("format", on_disk.format, self.format));
-        }
-        if self.tree_hash != on_disk.tree_hash {
-            return Err(mismatch(
-                "tree_hash",
-                format!("{:016x}", on_disk.tree_hash),
-                format!("{:016x}", self.tree_hash),
-            ));
-        }
-        if self.ref_msa_hash != on_disk.ref_msa_hash {
-            return Err(mismatch(
-                "ref_msa_hash",
-                format!("{:016x}", on_disk.ref_msa_hash),
-                format!("{:016x}", self.ref_msa_hash),
-            ));
-        }
-        if self.query_hash != on_disk.query_hash {
-            return Err(mismatch(
-                "query_hash",
-                format!("{:016x}", on_disk.query_hash),
-                format!("{:016x}", self.query_hash),
-            ));
-        }
+        check_inputs(self.inputs(), on_disk.inputs())?;
         if self.alphabet != on_disk.alphabet {
             return Err(mismatch("alphabet", &on_disk.alphabet, &self.alphabet));
         }
@@ -172,54 +146,29 @@ impl Manifest {
     /// Parses the manifest JSON produced by [`Manifest::to_json`]. The
     /// error string names the missing or malformed field.
     pub fn parse(text: &str) -> Result<Manifest, String> {
-        let raw = |key: &str| -> Result<&str, String> {
-            let needle = format!("\"{key}\":");
-            let start =
-                text.find(&needle).ok_or_else(|| format!("missing field `{key}`"))? + needle.len();
-            let rest = &text[start..];
-            let end = rest.find(['\n', ','].as_ref()).unwrap_or(rest.len());
-            Ok(rest[..end].trim())
-        };
-        let uint = |key: &str| -> Result<u64, String> {
-            raw(key)?.parse::<u64>().map_err(|_| format!("malformed field `{key}`"))
-        };
-        let hex = |key: &str| -> Result<u64, String> {
-            let v = raw(key)?;
-            let v = v
-                .strip_prefix('"')
-                .and_then(|v| v.strip_suffix('"'))
-                .ok_or_else(|| format!("malformed field `{key}`"))?;
-            u64::from_str_radix(v, 16).map_err(|_| format!("malformed field `{key}`"))
-        };
-        let string = |key: &str| -> Result<String, String> {
-            let v = raw(key)?;
-            v.strip_prefix('"')
-                .and_then(|v| v.strip_suffix('"'))
-                .map(str::to_owned)
-                .ok_or_else(|| format!("malformed field `{key}`"))
-        };
-        let format = uint("format")? as u32;
+        let f = Fields(text);
+        let format: u32 = f.uint("format")?;
         if format != MANIFEST_FORMAT {
             return Err(format!(
                 "unsupported manifest format {format} (this build reads {MANIFEST_FORMAT})"
             ));
         }
-        let gamma_alpha_bits = match raw("gamma_alpha_bits")? {
+        let gamma_alpha_bits = match f.raw("gamma_alpha_bits")? {
             "null" => None,
-            _ => Some(hex("gamma_alpha_bits")?),
+            _ => Some(f.hex("gamma_alpha_bits")?),
         };
         Ok(Manifest {
             format,
-            tree_hash: hex("tree_hash")?,
-            ref_msa_hash: hex("ref_msa_hash")?,
-            query_hash: hex("query_hash")?,
-            alphabet: string("alphabet")?,
+            tree_hash: f.hex("tree_hash")?,
+            ref_msa_hash: f.hex("ref_msa_hash")?,
+            query_hash: f.hex("query_hash")?,
+            alphabet: f.string("alphabet")?.to_owned(),
             gamma_alpha_bits,
-            chunk_size: uint("chunk_size")? as usize,
-            n_queries: uint("n_queries")? as usize,
-            thorough_fraction_bits: hex("thorough_fraction_bits")?,
-            thorough_min: uint("thorough_min")? as usize,
-            blo_iterations: uint("blo_iterations")? as usize,
+            chunk_size: f.uint("chunk_size")?,
+            n_queries: f.uint("n_queries")?,
+            thorough_fraction_bits: f.hex("thorough_fraction_bits")?,
+            thorough_min: f.uint("thorough_min")?,
+            blo_iterations: f.uint("blo_iterations")?,
         })
     }
 }

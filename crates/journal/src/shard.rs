@@ -11,6 +11,7 @@
 //! the shard level; this manifest refuses it one level up, before any
 //! worker is launched, with an error that names the diverging field.
 
+use crate::fields::{check_inputs, malformed, mismatch, Fields, Inputs};
 use crate::{JournalError, Manifest};
 
 /// Shard-set manifest format version; bump on any layout change.
@@ -36,48 +37,21 @@ pub struct ShardSetManifest {
     pub shard_sizes: Vec<usize>,
 }
 
-fn mismatch(field: &'static str, expected: impl ToString, found: impl ToString) -> JournalError {
-    JournalError::ManifestMismatch {
-        field,
-        expected: expected.to_string(),
-        found: found.to_string(),
-    }
-}
-
 impl ShardSetManifest {
     /// Number of shards in the split.
     pub fn n_shards(&self) -> usize {
         self.shard_sizes.len()
     }
 
+    fn inputs(&self) -> Inputs {
+        (self.format, [self.tree_hash, self.ref_msa_hash, self.query_hash])
+    }
+
     /// Checks that `self` (the current coordinator invocation) matches
     /// `on_disk` (the work directory's recorded split). The error names
     /// the first diverging field; `expected` is the on-disk value.
     pub fn check_matches(&self, on_disk: &ShardSetManifest) -> Result<(), JournalError> {
-        if self.format != on_disk.format {
-            return Err(mismatch("format", on_disk.format, self.format));
-        }
-        if self.tree_hash != on_disk.tree_hash {
-            return Err(mismatch(
-                "tree_hash",
-                format!("{:016x}", on_disk.tree_hash),
-                format!("{:016x}", self.tree_hash),
-            ));
-        }
-        if self.ref_msa_hash != on_disk.ref_msa_hash {
-            return Err(mismatch(
-                "ref_msa_hash",
-                format!("{:016x}", on_disk.ref_msa_hash),
-                format!("{:016x}", self.ref_msa_hash),
-            ));
-        }
-        if self.query_hash != on_disk.query_hash {
-            return Err(mismatch(
-                "query_hash",
-                format!("{:016x}", on_disk.query_hash),
-                format!("{:016x}", self.query_hash),
-            ));
-        }
+        check_inputs(self.inputs(), on_disk.inputs())?;
         if self.shard_sizes != on_disk.shard_sizes {
             return Err(mismatch(
                 "shard_sizes",
@@ -108,49 +82,33 @@ impl ShardSetManifest {
     /// Parses the JSON produced by [`ShardSetManifest::to_json`]. The
     /// error string names the missing or malformed field.
     pub fn parse(text: &str) -> Result<ShardSetManifest, String> {
-        let raw = |key: &str| -> Result<&str, String> {
-            let needle = format!("\"{key}\":");
-            let start =
-                text.find(&needle).ok_or_else(|| format!("missing field `{key}`"))? + needle.len();
-            let rest = &text[start..];
-            let end = rest.find('\n').unwrap_or(rest.len());
-            Ok(rest[..end].trim().trim_end_matches(','))
-        };
-        let hex = |key: &str| -> Result<u64, String> {
-            let v = raw(key)?;
-            let v = v
-                .strip_prefix('"')
-                .and_then(|v| v.strip_suffix('"'))
-                .ok_or_else(|| format!("malformed field `{key}`"))?;
-            u64::from_str_radix(v, 16).map_err(|_| format!("malformed field `{key}`"))
-        };
-        let format =
-            raw("format")?.parse::<u32>().map_err(|_| "malformed field `format`".to_string())?;
+        let f = Fields(text);
+        let format: u32 = f.uint("format")?;
         if format != SHARD_MANIFEST_FORMAT {
             return Err(format!(
                 "unsupported shard manifest format {format} (this build reads \
                  {SHARD_MANIFEST_FORMAT})"
             ));
         }
-        let sizes_raw = raw("shard_sizes")?;
-        let inner = sizes_raw
+        let inner = f
+            .raw("shard_sizes")?
             .strip_prefix('[')
             .and_then(|v| v.strip_suffix(']'))
-            .ok_or_else(|| "malformed field `shard_sizes`".to_string())?;
+            .ok_or_else(|| malformed("shard_sizes"))?;
         let shard_sizes = inner
             .split(',')
             .map(str::trim)
             .filter(|s| !s.is_empty())
-            .map(|s| s.parse::<usize>().map_err(|_| "malformed field `shard_sizes`".to_string()))
+            .map(|s| s.parse::<usize>().map_err(|_| malformed("shard_sizes")))
             .collect::<Result<Vec<_>, _>>()?;
         if shard_sizes.is_empty() {
             return Err("malformed field `shard_sizes`: empty split".to_string());
         }
         Ok(ShardSetManifest {
             format,
-            tree_hash: hex("tree_hash")?,
-            ref_msa_hash: hex("ref_msa_hash")?,
-            query_hash: hex("query_hash")?,
+            tree_hash: f.hex("tree_hash")?,
+            ref_msa_hash: f.hex("ref_msa_hash")?,
+            query_hash: f.hex("query_hash")?,
             shard_sizes,
         })
     }

@@ -30,7 +30,7 @@
 //! protein (`states == 20`) run the fused fixed-state kernels in
 //! [`fixed`], or the AVX2/FMA kernels in [`simd`] when the SIMD tier is
 //! active; everything else runs the generic scalar kernels in
-//! [`reference`], which double as the bit-for-bit differential-test
+//! [`mod@reference`], which double as the bit-for-bit differential-test
 //! oracle for the fast paths. The tier is resolved once per layout from
 //! `--kernel-tier` / `PHYLO_KERNEL_TIER` / runtime CPU detection (see
 //! [`layout::TierChoice`]); `reference` vs `fixed` is bit-identical,

@@ -27,17 +27,15 @@
 //! a 17        # Acquire: demand access (hit or miss decided on replay)
 //! t 17        # Touch: planner reuse of a resident CLV (a hit)
 //! p 17 2      # Pin: 2 pins on the slot holding CLV 17 ("-" = empty slot)
-//! u 17        # Unpin one pin ("-" = a failed slot with no occupant)
-//! U           # UnpinAll (single-owner teardown)
+//! u 17        # Unpin one pin ("-" = an empty slot)
 //! i 17        # Invalidate: resident CLV dropped, slot freed
-//! x 17        # Poison: slot teardown after a dead computing thread
 //! s 17:3,4 20:1  # Schedule: a sweep told the policy when it will want
 //!                # which CLV (clv:step,step …); "s -" withdraws it
 //! c 5         # Cursor: the sweep is about to ask for the steps before 5
 //! ```
 //!
 //! The `(clv, access-kind)` pair is explicit per line; the *pinned set*
-//! at any position is implicit — fold `p`/`u`/`U` up to that position.
+//! at any position is implicit — fold `p`/`u` up to that position.
 //! `s`/`c` lines are not table operations: they record what the
 //! replacement policy was told, at the point in table-lock order where it
 //! was told, because a policy that plans ahead decides differently for it.
@@ -47,8 +45,9 @@
 
 use std::sync::Mutex;
 
-/// Sentinel CLV value for events on slots with no occupant (pins on a
-/// freed slot, poison of an already-torn-down slot).
+/// Sentinel CLV value for events on slots with no occupant (pins and
+/// unpins of a free slot). The engine never records one; the parser
+/// accepts `-` because trace files are outside input.
 pub const NO_CLV: u32 = u32::MAX;
 
 /// Sentinel table index of a [`SlotEvent::Schedule`] that withdraws the
@@ -59,9 +58,9 @@ pub const NO_TABLE: u32 = u32::MAX;
 /// ([`NO_CLV`] when the affected slot had no occupant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotEvent {
-    /// A demand access (`acquire` or a successful `pin_if_ready` lease):
-    /// the CLV was needed; whether it was a hit is a property of the
-    /// policy and slot count, so the replayer decides.
+    /// A demand access (`acquire`): the CLV was needed; whether it was a
+    /// hit is a property of the policy and slot count, so the replayer
+    /// decides.
     Acquire { clv: u32 },
     /// A reuse (`touch`) of a resident CLV by the traversal planner:
     /// a hit in the live run, which never installs.
@@ -70,16 +69,10 @@ pub enum SlotEvent {
     Pin { clv: u32, n: u32 },
     /// One pin removed from the slot holding `clv`.
     Unpin { clv: u32 },
-    /// All pins force-cleared (single-owner teardown).
-    UnpinAll,
     /// A resident, unpinned CLV dropped from its slot (`invalidate`,
     /// including cache flushes). Not counted as an eviction by the live
     /// manager, and therefore not by the replayer either.
     Invalidate { clv: u32 },
-    /// Slot teardown after the computing thread died ([`NO_CLV`] when
-    /// the slot held no mapping). Only fault-injection runs produce
-    /// these; see `phylo-replay` for the replay caveat.
-    Poison { clv: u32 },
     /// A sweep announced its future accesses to the replacement policy:
     /// [`Trace::schedules`]`[table]`, or [`NO_TABLE`] when it withdrew
     /// them.
@@ -223,9 +216,7 @@ impl Trace {
                 SlotEvent::Touch { clv } => out.push_str(&format!("t {}\n", fmt_clv(clv))),
                 SlotEvent::Pin { clv, n } => out.push_str(&format!("p {} {n}\n", fmt_clv(clv))),
                 SlotEvent::Unpin { clv } => out.push_str(&format!("u {}\n", fmt_clv(clv))),
-                SlotEvent::UnpinAll => out.push_str("U\n"),
                 SlotEvent::Invalidate { clv } => out.push_str(&format!("i {}\n", fmt_clv(clv))),
-                SlotEvent::Poison { clv } => out.push_str(&format!("x {}\n", fmt_clv(clv))),
                 SlotEvent::Schedule { table: NO_TABLE } => out.push_str("s -\n"),
                 SlotEvent::Schedule { table } => {
                     // An index the trace has no table for prints as an
@@ -318,9 +309,7 @@ impl Trace {
                     SlotEvent::Pin { clv: c, n }
                 }
                 "u" => SlotEvent::Unpin { clv: clv()? },
-                "U" => SlotEvent::UnpinAll,
                 "i" => SlotEvent::Invalidate { clv: clv()? },
-                "x" => SlotEvent::Poison { clv: clv()? },
                 "s" => {
                     let rest: Vec<&str> = tok.collect();
                     if rest == ["-"] {
@@ -388,9 +377,7 @@ mod tests {
                 SlotEvent::Touch { clv: 3 },
                 SlotEvent::Unpin { clv: 3 },
                 SlotEvent::Unpin { clv: NO_CLV },
-                SlotEvent::UnpinAll,
                 SlotEvent::Invalidate { clv: 3 },
-                SlotEvent::Poison { clv: NO_CLV },
                 SlotEvent::Schedule { table: 0 },
                 SlotEvent::Cursor { pos: 2 },
                 SlotEvent::Schedule { table: NO_TABLE },
@@ -433,6 +420,12 @@ mod tests {
         assert!(Trace::parse("#phylo-slot-trace v1\ns 3\n").is_err());
         assert!(Trace::parse("#phylo-slot-trace v1\ns 3:1,x\n").is_err());
         assert!(Trace::parse("#phylo-slot-trace v1\nc\n").is_err());
+        // Retired kinds (the old poison and unpin-all events) are unknown,
+        // not misread, and the error names the line.
+        for (text, kind) in [("a 1\nx 3\n", "\"x\""), ("a 1\nU\n", "\"U\"")] {
+            let err = Trace::parse(&format!("#phylo-slot-trace v1\n{text}")).unwrap_err();
+            assert_eq!(err, format!("line 3: unknown event kind {kind}"));
+        }
         // Unknown comments and meta keys pass through.
         let t =
             Trace::parse("#phylo-slot-trace v1\n# a comment\n#meta n_clvs=3 future=9\n").unwrap();

@@ -40,8 +40,9 @@ pub enum PlaceError {
     /// A configuration field is out of range.
     BadConfig(String),
     /// A worker or prefetch thread panicked. The panic was contained at
-    /// the thread boundary: in-flight leases are drained before this is
-    /// surfaced, so the store remains usable.
+    /// the thread boundary: the other workers are joined and the sweep's
+    /// prepared blocks released before this is surfaced, so the store
+    /// remains usable.
     WorkerPanicked {
         /// Which thread panicked and the panic payload, if printable.
         context: String,

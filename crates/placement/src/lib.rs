@@ -24,7 +24,7 @@
 //!    parallel kernels); a worker pool scores (QS × branch) pairs.
 //!
 //! Every front end gets its reference (tree + alignment text → model →
-//! [`Placer`]) from [`reference`]; results are exported in the
+//! [`Placer`]) from [`mod@reference`]; results are exported in the
 //! `jplace`-compatible format ([`result`]).
 
 pub mod candidates;

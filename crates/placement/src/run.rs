@@ -874,8 +874,6 @@ fn run_metrics(
     m.set_counter("slot.evictions", s.evictions);
     m.set_counter("slot.installs", s.installs);
     m.set_counter("slot.acquires", s.acquires);
-    m.set_counter("slot.poisoned", s.poisoned);
-    m.set_counter("slot.reclaimed", s.reclaimed);
     let d = &report.degradation;
     m.set_counter("place.degrade.prefetch_disabled", d.prefetch_disabled);
     m.set_counter("place.degrade.block_clamped", d.block_clamped);

@@ -24,12 +24,6 @@
 //!    optimal among demand-fill policies. Its miss count is the lower bound every implementable
 //!    policy is judged against, exactly like pplacer's mmap baseline
 //!    bounds memory from the other side.
-//!
-//! Fault-run caveat: traces containing [`SlotEvent::Poison`] events are
-//! replayed with a documented approximation (a dead computing thread's
-//! slot is reclaimed against the lowest-index failed slot), so only
-//! fault-injection runs with *concurrent* poisons can diverge; normal
-//! runs never record a poison.
 
 pub mod sim;
 pub mod sweep;

@@ -23,16 +23,14 @@ use phylo_obs::slottrace::{SlotEvent, Trace, NO_CLV, NO_TABLE};
 const FREE: u32 = u32::MAX;
 
 /// The simulated traffic counters; field-for-field comparable with the
-/// live manager's `SlotStats` (which additionally tracks
-/// `poisoned`/`reclaimed`, both outside the replacement model).
+/// live manager's `SlotStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Demand accesses that found the CLV resident.
     pub hits: u64,
     /// Demand accesses that had to (re)assign a slot.
     pub misses: u64,
-    /// Victims discarded to make room (plus poison teardowns, matching
-    /// the live accounting).
+    /// Victims discarded to make room.
     pub evictions: u64,
     /// Slot (re)assignments; invariant `installs == misses`.
     pub installs: u64,
@@ -148,9 +146,6 @@ struct Sim {
     slot_to_clv: Vec<u32>,
     clv_to_slot: Vec<u32>,
     pin_counts: Vec<u32>,
-    /// Poisoned slots waiting for their foreign pins to drain
-    /// (fault-run traces only); mirrors the live `failed` column.
-    failed: Vec<bool>,
     free: Vec<u32>,
     /// Pins recorded for CLVs that are not resident *in this replay
     /// configuration* (cross-policy replay evicts differently than the
@@ -233,13 +228,6 @@ impl Sim {
         self.clv_to_slot[clv as usize] = slot as u32;
         self.slot_to_clv[slot] = clv;
     }
-
-    /// Lowest-index poisoned slot still draining pins, for attributing
-    /// `Pin`/`Unpin` events that the live run recorded against a failed
-    /// (occupant-less) slot.
-    fn lowest_failed(&self) -> Option<usize> {
-        self.failed.iter().position(|&f| f)
-    }
 }
 
 /// A replacement decision surfaced to [`simulate_observed`] observers.
@@ -251,9 +239,9 @@ pub enum SimEvent {
     /// A demand access missed; a (re)computation — or a tier reload —
     /// follows.
     Miss { clv: u32 },
-    /// A resident CLV was discarded to make room. Only demand-path
-    /// evictions are reported (poison teardowns and invalidation
-    /// flushes never reach a live tiered store either).
+    /// A resident CLV was discarded to make room. Invalidations are not
+    /// evictions and are not reported: they never reach the live spill
+    /// file either.
     Evict { clv: u32 },
 }
 
@@ -289,9 +277,8 @@ pub fn simulate_observed(
             | SlotEvent::Touch { clv }
             | SlotEvent::Pin { clv, .. }
             | SlotEvent::Unpin { clv }
-            | SlotEvent::Invalidate { clv }
-            | SlotEvent::Poison { clv } => clv,
-            SlotEvent::UnpinAll | SlotEvent::Schedule { .. } | SlotEvent::Cursor { .. } => NO_CLV,
+            | SlotEvent::Invalidate { clv } => clv,
+            SlotEvent::Schedule { .. } | SlotEvent::Cursor { .. } => NO_CLV,
         };
         if clv != NO_CLV {
             n_clvs = n_clvs.max(clv as usize + 1);
@@ -330,7 +317,6 @@ pub fn simulate_observed(
         slot_to_clv: vec![FREE; n_slots],
         clv_to_slot: vec![FREE; n_clvs],
         pin_counts: vec![0; n_slots],
-        failed: vec![false; n_slots],
         free: (0..n_slots as u32).rev().collect(),
         skipped_pins: vec![0; n_clvs],
         policy: policy_state,
@@ -388,12 +374,10 @@ pub fn simulate_observed(
             }
             SlotEvent::Pin { clv, n } => {
                 if clv == NO_CLV {
-                    // A pin on a failed slot (fault runs): attribute it
-                    // to the draining slot so its reclamation balances.
-                    if let Some(slot) = sim.lowest_failed() {
-                        sim.pin_counts[slot] += n;
-                    }
-                } else if let Some(slot) = sim.resident(clv) {
+                    // A pin on an empty slot constrains no CLV.
+                    continue;
+                }
+                if let Some(slot) = sim.resident(clv) {
                     sim.pin_counts[slot] += n;
                 } else {
                     // Not resident under *this* replay configuration:
@@ -403,36 +387,13 @@ pub fn simulate_observed(
             }
             SlotEvent::Unpin { clv } => {
                 if clv == NO_CLV {
-                    if let Some(slot) = sim.lowest_failed() {
-                        let c = &mut sim.pin_counts[slot];
-                        *c = c.saturating_sub(1);
-                        if *c == 0 {
-                            sim.failed[slot] = false;
-                            sim.free.push(slot as u32);
-                        }
-                    }
-                } else if sim.skipped_pins[clv as usize] > 0 {
+                    continue;
+                }
+                if sim.skipped_pins[clv as usize] > 0 {
                     sim.skipped_pins[clv as usize] -= 1;
                 } else if let Some(slot) = sim.resident(clv) {
                     let c = &mut sim.pin_counts[slot];
                     *c = c.saturating_sub(1);
-                }
-            }
-            SlotEvent::UnpinAll => {
-                // Mirrors the live single-owner teardown: every pin is
-                // force-cleared, including remembered off-resident ones.
-                for c in &mut sim.pin_counts {
-                    *c = 0;
-                }
-                for s in &mut sim.skipped_pins {
-                    *s = 0;
-                }
-                // Failed slots lose their last pins too — reclaim them.
-                for slot in 0..sim.failed.len() {
-                    if sim.failed[slot] {
-                        sim.failed[slot] = false;
-                        sim.free.push(slot as u32);
-                    }
                 }
             }
             SlotEvent::Invalidate { clv } => {
@@ -446,26 +407,6 @@ pub fn simulate_observed(
                         sim.unmap(clv, slot);
                         sim.free.push(slot as u32);
                     }
-                }
-            }
-            SlotEvent::Poison { clv } => {
-                // Fault-run teardown: counted as one eviction, mapping
-                // torn down, caller's pin consumed; the slot drains its
-                // foreign pins before rejoining the free list.
-                let slot = if clv == NO_CLV { sim.lowest_failed() } else { sim.resident(clv) };
-                let Some(slot) = slot else { continue };
-                if clv != NO_CLV {
-                    sim.stats.evictions += 1;
-                    sim.on_evict(clv, slot);
-                    sim.unmap(clv, slot);
-                }
-                let c = &mut sim.pin_counts[slot];
-                *c = c.saturating_sub(1);
-                if *c == 0 {
-                    sim.failed[slot] = false;
-                    sim.free.push(slot as u32);
-                } else {
-                    sim.failed[slot] = true;
                 }
             }
             // What the live policy was told, the replayed one is told at
@@ -613,21 +554,6 @@ mod tests {
         let s = simulate(&t, 1, Policy::Kind(StrategyKind::Fifo)).unwrap();
         assert_eq!(s.evictions, 0, "invalidate is not an eviction");
         assert_eq!(s.misses, 2);
-    }
-
-    #[test]
-    fn poison_counts_one_eviction_and_drains_pins() {
-        // Mirrors the live `poison_counts_one_eviction…` test shape.
-        let t = trace(vec![
-            acq(0),
-            acq(1),
-            SlotEvent::Pin { clv: 1, n: 1 },
-            SlotEvent::Poison { clv: 1 },
-            acq(1), // recompute: a miss, no second eviction
-        ]);
-        let s = simulate(&t, 2, Policy::Kind(StrategyKind::Fifo)).unwrap();
-        assert_eq!(s.misses, 3);
-        assert_eq!(s.evictions, 1);
     }
 
     #[test]

@@ -48,19 +48,6 @@ pub fn min_feasible_slots(trace: &Trace) -> usize {
                     }
                 }
             }
-            SlotEvent::UnpinAll => {
-                pins.iter_mut().for_each(|c| *c = 0);
-                pinned_now = 0;
-            }
-            // A poisoned CLV's mapping is torn down with the caller's
-            // pin; foreign pins then drain against a slot with no
-            // occupant, which no longer constrains *which* CLVs pin.
-            SlotEvent::Poison { clv } if clv != NO_CLV => {
-                if pins[clv as usize] > 0 {
-                    pins[clv as usize] = 0;
-                    pinned_now -= 1;
-                }
-            }
             _ => {}
         }
     }
@@ -199,7 +186,7 @@ mod tests {
                 SlotEvent::Unpin { clv: 1 },
                 acq(2),
                 SlotEvent::Pin { clv: 2, n: 1 },
-                SlotEvent::UnpinAll,
+                SlotEvent::Unpin { clv: 2 },
             ],
             schedules: Vec::new(),
         };

@@ -494,6 +494,25 @@ mod tests {
     }
 
     #[test]
+    fn retired_event_kinds_are_a_typed_error() {
+        let dir = std::env::temp_dir().join(format!("phyloplace-retired-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.txt");
+        std::fs::write(&path, "#phylo-slot-trace v1\na 0\nx 3\n").unwrap();
+        let opts = ReplayOptions {
+            trace_path: path.to_str().unwrap().into(),
+            slots: None,
+            policies: None,
+            threshold_pct: 10.0,
+            verify_metrics: None,
+            tier: None,
+        };
+        let err = run_replay(&opts).unwrap_err();
+        assert!(err.ends_with("line 3: unknown event kind \"x\""), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn json_counter_handles_the_metrics_format() {
         let doc = "{\n  \"counters\": {\n    \"slot.misses\": 42,\n    \"slot.hits\": 7\n  }\n}";
         assert_eq!(json_counter(doc, "slot.misses"), Some(42));
