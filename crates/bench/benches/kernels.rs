@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use phylo_kernel::kernels::{update_partials, Side};
 use phylo_kernel::likelihood::edge_log_likelihood;
-use phylo_kernel::sitepar::update_partials_par;
+use phylo_kernel::sitepar::SiteParPool;
 use phylo_kernel::{reference, KernelScratch, Layout, TierChoice, TipTable};
 use phylo_models::gamma::GammaMode;
 use phylo_models::{aa, dna, DiscreteGamma, SubstModel};
@@ -125,8 +125,10 @@ fn bench_sitepar(c: &mut Criterion) {
         .map(|threads| {
             let mut out = vec![0.0; s.layout.clv_len()];
             let mut scale = vec![0u32; s.layout.patterns];
+            // One owned pool per row, as the engine's store owns one per run.
+            let pool = SiteParPool::new(threads);
             let f: Box<dyn FnMut()> = Box::new(move || {
-                update_partials_par(
+                pool.update_partials(
                     &s.layout,
                     Side::Clv { clv: &s.clv, scale: None, pmatrix: &s.pmatrix },
                     Side::Clv { clv: &s.clv, scale: None, pmatrix: &s.pmatrix },
@@ -243,8 +245,8 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
 
 fn bench_kernel_tier(c: &mut Criterion) {
     // Tier-by-tier comparison on identical inputs and layouts: the
-    // reference oracle, the fixed scalar kernels, and the SIMD tier
-    // (AVX2 where the host supports it, portable fallback otherwise).
+    // reference oracle and the SIMD tier (AVX2 where the host supports
+    // it, the portable fixed-state kernels otherwise).
     // Rows share a group so `bench_smoke.sh` can print a per-tier
     // throughput line straight from the JSON export.
     let mut group = c.benchmark_group("kernel_tier");
@@ -258,7 +260,7 @@ fn bench_kernel_tier(c: &mut Criterion) {
         group.throughput(Throughput::Elements((patterns * rates) as u64));
         let mut out = vec![0.0; s.layout.clv_len()];
         let mut scale = vec![0u32; patterns];
-        for choice in [TierChoice::Reference, TierChoice::Fixed, TierChoice::Simd] {
+        for choice in [TierChoice::Reference, TierChoice::Simd] {
             let layout = s.layout.with_tier(choice);
             group.bench_function(BenchmarkId::new(layout.tier().name(), label), |b| {
                 b.iter(|| {

@@ -232,6 +232,9 @@ impl SlotManager {
     /// slots with the given replacement strategy.
     pub fn new(n_clvs: usize, n_slots: usize, strategy: Box<dyn ReplacementStrategy>) -> Self {
         assert!(n_slots > 0, "at least one slot required");
+        // Registered up front, so every metrics file carries the
+        // histogram, empty when no latch wait happened.
+        wait_hist();
         SlotManager {
             clv_to_slot: (0..n_clvs).map(|_| AtomicU32::new(UNSLOTTED)).collect(),
             inner: Mutex::new(TableInner {

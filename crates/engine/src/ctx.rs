@@ -102,8 +102,8 @@ impl ReferenceContext {
     }
 
     /// Overrides the kernel tier every computation over this context
-    /// dispatches to (default: auto-resolved from `PHYLO_KERNEL_TIER` and
-    /// runtime CPU detection at layout construction). Call before any
+    /// dispatches to (default: auto-resolved from `PHYLO_KERNEL_TIER` at
+    /// layout construction). Call before any
     /// store is built from this context so the whole run uses one tier.
     pub fn set_kernel_tier(&mut self, choice: phylo_kernel::TierChoice) {
         self.layout = self.layout.with_tier(choice);

@@ -15,39 +15,32 @@ use phylo_kernel::kernels::{update_partials_scratch, Side};
 use phylo_kernel::sitepar::SiteParPool;
 use phylo_kernel::KernelScratch;
 
-/// Executes one Felsenstein step: reads the dependency slots / tip
-/// encodings named by `op` and writes the target slot. `scratch` is only
-/// touched by the generic kernel fallback; the store owns a pool of them
-/// so repeated recomputation allocates nothing.
+/// Executes a whole schedule in order. Each step reads the dependency
+/// slots / tip encodings named by its op and writes the target slot;
+/// with `par = Some((pool, n_chunks))` the step's pattern range is split
+/// into `n_chunks` ranges run on the store's persistent [`SiteParPool`]
+/// (the paper's across-site experimental parallelization, Fig. 7 — the
+/// pool outlives the run, so no threads are spawned per op). `scratch`
+/// is only touched by the generic kernel fallback; the store owns a pool
+/// of them so repeated recomputation allocates nothing.
 ///
 /// The caller must hold the plan's execution pins (see
-/// `phylo_amc::ensure_resident`), which make the op's slot assignments
-/// stable; the target slot is published when the step completes.
-pub fn execute_op(
+/// `phylo_amc::ensure_resident`), which make the ops' slot assignments
+/// stable; each target slot is published when its step completes.
+pub fn execute_ops(
     ctx: &ReferenceContext,
     arena: &SlotArena,
-    op: &FpaOp,
+    ops: &[FpaOp],
+    par: Option<(&SiteParPool, usize)>,
     scratch: &mut KernelScratch,
 ) -> Result<(), EngineError> {
-    execute_op_inner(ctx, arena, op, None, scratch)
+    for op in ops {
+        execute_op(ctx, arena, op, par, scratch)?;
+    }
+    Ok(())
 }
 
-/// As [`execute_op`], splitting the pattern range into `n_chunks` ranges
-/// executed on the store's persistent [`SiteParPool`] (the paper's
-/// across-site experimental parallelization, Fig. 7) — the pool outlives
-/// the run, so no threads are spawned per op.
-pub fn execute_op_par(
-    ctx: &ReferenceContext,
-    arena: &SlotArena,
-    op: &FpaOp,
-    pool: &SiteParPool,
-    n_chunks: usize,
-    scratch: &mut KernelScratch,
-) -> Result<(), EngineError> {
-    execute_op_inner(ctx, arena, op, Some((pool, n_chunks)), scratch)
-}
-
-fn execute_op_inner(
+fn execute_op(
     ctx: &ReferenceContext,
     arena: &SlotArena,
     op: &FpaOp,
@@ -150,34 +143,5 @@ fn execute_op_inner(
     arena.manager().mark_ready_at(op.slot, op.slot_version);
     phylo_obs::counter!("engine.ops").inc();
     sw.record(phylo_obs::histogram!("engine.op_ns"));
-    Ok(())
-}
-
-/// Executes a whole schedule in order.
-pub fn execute_ops(
-    ctx: &ReferenceContext,
-    arena: &SlotArena,
-    ops: &[FpaOp],
-    scratch: &mut KernelScratch,
-) -> Result<(), EngineError> {
-    for op in ops {
-        execute_op(ctx, arena, op, scratch)?;
-    }
-    Ok(())
-}
-
-/// Executes a whole schedule with across-site parallelism per step, all
-/// steps sharing one persistent pool.
-pub fn execute_ops_par(
-    ctx: &ReferenceContext,
-    arena: &SlotArena,
-    ops: &[FpaOp],
-    pool: &SiteParPool,
-    n_chunks: usize,
-    scratch: &mut KernelScratch,
-) -> Result<(), EngineError> {
-    for op in ops {
-        execute_op_par(ctx, arena, op, pool, n_chunks, scratch)?;
-    }
     Ok(())
 }

@@ -262,17 +262,8 @@ impl ManagedStore {
         let mut rs = ensure_resident(ctx.tree(), dirs, self.arena.manager(), ctx.register_need())?;
         self.demote_evicted(&mut rs);
         let mut scratch = self.scratch.checkout();
-        let run = match &self.sitepar {
-            None => exec::execute_ops(ctx, &self.arena, &rs.ops, &mut scratch),
-            Some(pool) => exec::execute_ops_par(
-                ctx,
-                &self.arena,
-                &rs.ops,
-                pool,
-                self.compute_threads,
-                &mut scratch,
-            ),
-        };
+        let par = self.sitepar.as_ref().map(|pool| (pool, self.compute_threads));
+        let run = exec::execute_ops(ctx, &self.arena, &rs.ops, par, &mut scratch);
         self.scratch.checkin(scratch);
         if let Err(e) = run {
             self.abort_schedule(rs);

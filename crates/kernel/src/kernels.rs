@@ -4,15 +4,12 @@
 //! per call on [`Layout::kind`] and [`Layout::tier`] (both selected at
 //! layout construction) to one of the implementations —
 //!
-//! * [`crate::fixed`] for DNA (`states == 4`) and protein
-//!   (`states == 20`): fused, pattern-blocked kernels with compile-time
-//!   state counts and no heap scratch;
-//! * [`crate::simd`] for the same state counts under the SIMD tier:
-//!   AVX2/FMA intrinsics for the fused paths (`update_partials` here,
-//!   `edge_log_likelihood` in [`crate::likelihood`]); `propagate` runs
-//!   `fixed`'s order-preserving body under AVX2 code generation, and
-//!   `point_log_likelihood` stays on `fixed` — both bit-exact on every
-//!   tier;
+//! * [`crate::simd`] for DNA (`states == 4`) and protein
+//!   (`states == 20`) under the SIMD tier: AVX2/FMA intrinsics for
+//!   `update_partials`, and `propagate` as [`crate::fixed`]'s
+//!   order-preserving body under AVX2 code generation (bit-exact on every
+//!   tier); on the portable backend both are the `fixed` kernels — fused,
+//!   pattern-blocked, compile-time state counts, no heap scratch;
 //! * [`crate::reference`] for every other state count — and for any
 //!   layout whose tier is [`KernelTier::Reference`]: the generic scalar
 //!   kernels, which double as the differential-test oracle.
@@ -24,7 +21,7 @@
 use crate::layout::{KernelKind, KernelTier, Layout};
 use crate::scratch::KernelScratch;
 use crate::tips::TipTable;
-use crate::{fixed, reference, simd};
+use crate::{reference, simd};
 
 /// One side of a likelihood combination: the data flowing toward a node
 /// across one of its edges.
@@ -128,12 +125,6 @@ pub fn update_partials_scratch(
         (KernelKind::Generic, _) | (_, KernelTier::Reference) => {
             reference::update_partials(layout, left, right, out, out_scale, range, scratch)
         }
-        (KernelKind::Dna4, KernelTier::Fixed) => {
-            fixed::update_partials::<4>(layout, left, right, out, out_scale, range)
-        }
-        (KernelKind::Protein20, KernelTier::Fixed) => {
-            fixed::update_partials::<20>(layout, left, right, out, out_scale, range)
-        }
         (KernelKind::Dna4, KernelTier::Simd) => {
             simd::update_partials::<4>(layout, left, right, out, out_scale, range)
         }
@@ -173,12 +164,6 @@ pub fn propagate_scratch(
     match (layout.kind(), layout.tier()) {
         (KernelKind::Generic, _) | (_, KernelTier::Reference) => {
             reference::propagate(layout, side, out, out_scale, range, scratch)
-        }
-        (KernelKind::Dna4, KernelTier::Fixed) => {
-            fixed::propagate::<4>(layout, side, out, out_scale, range)
-        }
-        (KernelKind::Protein20, KernelTier::Fixed) => {
-            fixed::propagate::<20>(layout, side, out, out_scale, range)
         }
         (KernelKind::Dna4, KernelTier::Simd) => {
             simd::propagate::<4>(layout, side, out, out_scale, range)

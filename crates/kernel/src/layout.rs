@@ -5,12 +5,13 @@
 ///
 /// * [`KernelTier::Reference`] — the generic scalar oracle kernels, for
 ///   every state count. Bit-for-bit the definition of correctness.
-/// * [`KernelTier::Fixed`] — const-generic fused kernels (S = 4 / 20),
-///   order-preserving arithmetic, bit-identical to `Reference`.
-/// * [`KernelTier::Simd`] — explicit AVX2/FMA intrinsics for S = 4 / 20
-///   (`crate::simd`). FMA reassociates the inner dot products, so this
-///   tier is *tolerance-checked* against the oracle, not bit-identical —
-///   unless the portable fallback is active, which delegates to `Fixed`.
+/// * [`KernelTier::Simd`] — the fast kernels for S = 4 / 20
+///   (`crate::simd`): AVX2/FMA intrinsics for `update_partials`, which
+///   FMA makes *tolerance-checked* against the oracle; every other entry
+///   point runs the order-preserving `crate::fixed` bodies and is
+///   bit-identical to it. On a host without AVX2+FMA (or under
+///   `PHYLO_SIMD_PORTABLE=1`) the portable backend runs `fixed` for
+///   `update_partials` too.
 ///
 /// Layouts with [`KernelKind::Generic`] always run the reference
 /// implementation regardless of tier.
@@ -18,9 +19,8 @@
 pub enum KernelTier {
     /// Generic scalar kernels (the differential-test oracle).
     Reference,
-    /// Const-generic fused kernels, bit-identical to `Reference`.
-    Fixed,
-    /// AVX2/FMA kernels (tolerance contract); portable fallback = `Fixed`.
+    /// AVX2/FMA `update_partials` (tolerance contract); everything else,
+    /// and the portable backend, bit-identical to `Reference`.
     Simd,
 }
 
@@ -29,48 +29,61 @@ impl KernelTier {
     pub fn name(&self) -> &'static str {
         match self {
             KernelTier::Reference => "reference",
-            KernelTier::Fixed => "fixed",
             KernelTier::Simd => "simd",
         }
     }
 }
 
+/// The name of the environment variable that overrides `Auto`.
+const TIER_ENV: &str = "PHYLO_KERNEL_TIER";
+
 /// A tier *request*: what the user (CLI flag, `PHYLO_KERNEL_TIER` env
-/// var) asked for, before runtime feature detection resolves it.
+/// var) asked for, before `Auto` is resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TierChoice {
-    /// Resolve from the environment, then CPU features: the env var if
-    /// set, else [`KernelTier::Simd`] when AVX2+FMA are detected at
-    /// runtime, else [`KernelTier::Fixed`].
+    /// The env var if set, else [`KernelTier::Simd`].
     #[default]
     Auto,
     /// Force the generic scalar oracle.
     Reference,
-    /// Force the const-generic fused kernels.
-    Fixed,
     /// Force the SIMD module (which itself falls back to portable code
     /// on hosts without AVX2+FMA, so this is always safe to request).
     Simd,
 }
 
 impl TierChoice {
-    /// Parses the CLI/env vocabulary (`auto|reference|fixed|simd`).
+    /// Parses the CLI/env vocabulary (`auto|reference|simd`).
     pub fn parse(s: &str) -> Option<TierChoice> {
         match s.trim().to_ascii_lowercase().as_str() {
             "auto" => Some(TierChoice::Auto),
             "reference" => Some(TierChoice::Reference),
-            "fixed" => Some(TierChoice::Fixed),
             "simd" => Some(TierChoice::Simd),
             _ => None,
         }
     }
 
+    /// Checks the `PHYLO_KERNEL_TIER` override, which [`from_env`] reads
+    /// as `Auto` when it is not a tier name: the front doors call this
+    /// first, so a bad value is a usage error rather than a silent
+    /// default.
+    ///
+    /// [`from_env`]: TierChoice::from_env
+    pub fn check_env() -> Result<(), String> {
+        match std::env::var(TIER_ENV) {
+            Ok(v) if TierChoice::parse(&v).is_none() => {
+                Err(format!("bad {TIER_ENV} {v:?} (expected auto|reference|simd)"))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// The `PHYLO_KERNEL_TIER` override, read once per process (invalid
-    /// values fall back to `Auto` rather than aborting mid-run).
+    /// values fall back to `Auto` rather than aborting mid-run; see
+    /// [`TierChoice::check_env`]).
     pub fn from_env() -> TierChoice {
         static ENV: std::sync::OnceLock<TierChoice> = std::sync::OnceLock::new();
         *ENV.get_or_init(|| {
-            std::env::var("PHYLO_KERNEL_TIER")
+            std::env::var(TIER_ENV)
                 .ok()
                 .and_then(|v| TierChoice::parse(&v))
                 .unwrap_or(TierChoice::Auto)
@@ -78,23 +91,15 @@ impl TierChoice {
     }
 
     /// Resolves the request into a concrete tier. Priority: an explicit
-    /// choice wins outright; `Auto` defers to the env var, then to
-    /// runtime CPU feature detection (AVX2+FMA → `Simd`, else `Fixed`).
+    /// choice wins outright; `Auto` defers to the env var, then to `Simd`
+    /// (whose backend does the CPU detection).
     pub fn resolve(self) -> KernelTier {
         match self {
             TierChoice::Reference => KernelTier::Reference,
-            TierChoice::Fixed => KernelTier::Fixed,
             TierChoice::Simd => KernelTier::Simd,
             TierChoice::Auto => match TierChoice::from_env() {
-                // Env `auto` (or unset): pick from CPU features.
-                TierChoice::Auto => {
-                    if crate::simd::runtime_supported() {
-                        KernelTier::Simd
-                    } else {
-                        KernelTier::Fixed
-                    }
-                }
-                explicit => explicit.resolve(),
+                TierChoice::Reference => KernelTier::Reference,
+                TierChoice::Auto | TierChoice::Simd => KernelTier::Simd,
             },
         }
     }
@@ -145,8 +150,8 @@ pub struct Layout {
 
 impl Layout {
     /// Creates a layout; all dimensions must be non-zero. The kernel
-    /// tier resolves from `PHYLO_KERNEL_TIER` / runtime CPU detection
-    /// (see [`TierChoice::resolve`]); use [`Layout::with_tier`] for an
+    /// tier resolves from `PHYLO_KERNEL_TIER` (see
+    /// [`TierChoice::resolve`]); use [`Layout::with_tier`] for an
     /// explicit override.
     pub fn new(patterns: usize, rates: usize, states: usize) -> Self {
         assert!(patterns > 0 && rates > 0 && states > 0, "layout dimensions must be non-zero");
@@ -160,7 +165,7 @@ impl Layout {
     }
 
     /// This layout with its tier re-resolved from an explicit request
-    /// (`Auto` re-runs env + CPU detection, so it is priority-neutral).
+    /// (`Auto` re-reads the env override, so it is priority-neutral).
     #[inline]
     pub fn with_tier(mut self, choice: TierChoice) -> Self {
         self.tier = choice.resolve();
@@ -287,8 +292,9 @@ mod tests {
     fn tier_choice_parse_vocabulary() {
         assert_eq!(TierChoice::parse("auto"), Some(TierChoice::Auto));
         assert_eq!(TierChoice::parse("Reference"), Some(TierChoice::Reference));
-        assert_eq!(TierChoice::parse(" fixed "), Some(TierChoice::Fixed));
-        assert_eq!(TierChoice::parse("SIMD"), Some(TierChoice::Simd));
+        assert_eq!(TierChoice::parse(" SIMD "), Some(TierChoice::Simd));
+        // The retired middle tier is not a tier name any more.
+        assert_eq!(TierChoice::parse("fixed"), None);
         assert_eq!(TierChoice::parse("avx512"), None);
         assert_eq!(TierChoice::parse(""), None);
     }
@@ -297,18 +303,15 @@ mod tests {
     fn explicit_tier_overrides_resolution() {
         let l = Layout::new(8, 2, 4);
         assert_eq!(l.with_tier(TierChoice::Reference).tier(), KernelTier::Reference);
-        assert_eq!(l.with_tier(TierChoice::Fixed).tier(), KernelTier::Fixed);
         assert_eq!(l.with_tier(TierChoice::Simd).tier(), KernelTier::Simd);
         // Auto lands on a concrete tier and slicing preserves it. Which
         // tier depends on the environment: PHYLO_KERNEL_TIER pins it
-        // (ci.sh runs this suite once per value); unpinned, auto never
-        // picks the reference oracle.
+        // (ci.sh runs this suite once per value); unpinned, auto picks
+        // the SIMD tier on every host.
         let auto = l.with_tier(TierChoice::Auto);
-        match std::env::var("PHYLO_KERNEL_TIER").ok().as_deref().and_then(TierChoice::parse) {
+        match std::env::var(TIER_ENV).ok().as_deref().and_then(TierChoice::parse) {
             Some(TierChoice::Reference) => assert_eq!(auto.tier(), KernelTier::Reference),
-            Some(TierChoice::Fixed) => assert_eq!(auto.tier(), KernelTier::Fixed),
-            Some(TierChoice::Simd) => assert_eq!(auto.tier(), KernelTier::Simd),
-            _ => assert!(matches!(auto.tier(), KernelTier::Fixed | KernelTier::Simd)),
+            _ => assert_eq!(auto.tier(), KernelTier::Simd),
         }
         assert_eq!(auto.slice(1..5).tier(), auto.tier());
     }
@@ -316,7 +319,6 @@ mod tests {
     #[test]
     fn tier_names_are_stable() {
         assert_eq!(KernelTier::Reference.name(), "reference");
-        assert_eq!(KernelTier::Fixed.name(), "fixed");
         assert_eq!(KernelTier::Simd.name(), "simd");
     }
 }

@@ -15,8 +15,8 @@
 //!   that scores a query-sequence insertion into a branch;
 //! * [`tips::TipTable`] — precomputed per-character tip lookups that make
 //!   tip children (and ambiguity codes) free in the inner loop;
-//! * [`sitepar`] — across-site parallel wrappers (the paper's Fig. 7
-//!   "experimental" mode) that split the pattern range over worker threads.
+//! * [`sitepar`] — across-site parallel CLV updates (the paper's Fig. 7
+//!   "experimental" mode) that split the pattern range over a worker pool.
 //!
 //! CLV memory itself is owned by callers (the engine's stores or the AMC
 //! slot arena); kernels only ever see slices, which is what lets one kernel
@@ -26,15 +26,18 @@
 //!
 //! Every public entry point is a dispatcher selected once per call from
 //! [`layout::KernelKind`] (itself fixed at [`Layout`] construction from
-//! the state count) and [`layout::KernelTier`]: DNA (`states == 4`) and
-//! protein (`states == 20`) run the fused fixed-state kernels in
-//! [`fixed`], or the AVX2/FMA kernels in [`simd`] when the SIMD tier is
-//! active; everything else runs the generic scalar kernels in
-//! [`mod@reference`], which double as the bit-for-bit differential-test
-//! oracle for the fast paths. The tier is resolved once per layout from
-//! `--kernel-tier` / `PHYLO_KERNEL_TIER` / runtime CPU detection (see
-//! [`layout::TierChoice`]); `reference` vs `fixed` is bit-identical,
-//! the AVX2 path is tolerance-checked (FMA reassociation).
+//! the state count) and [`layout::KernelTier`], of which there are two.
+//! Under `simd`, DNA (`states == 4`) and protein (`states == 20`) run the
+//! fused fixed-state kernels in [`fixed`], except that `update_partials`
+//! runs AVX2/FMA intrinsics in [`simd`] when the host has them (and
+//! `propagate` runs `fixed`'s body compiled for AVX2); under `reference`,
+//! and for every other state count, the generic scalar kernels in
+//! [`mod@reference`] run — they double as the bit-for-bit
+//! differential-test oracle for the fast paths. The tier is resolved once
+//! per layout from `--kernel-tier` / `PHYLO_KERNEL_TIER` (see
+//! [`layout::TierChoice`]); every kernel is bit-identical across the two
+//! tiers except the AVX2 `update_partials`, which is tolerance-checked
+//! (FMA reassociation).
 
 pub mod fixed;
 pub mod kernels;

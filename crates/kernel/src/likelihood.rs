@@ -1,19 +1,19 @@
 //! Log-likelihood evaluation from CLVs.
 //!
 //! Like [`crate::kernels`], the functions here dispatch once per call on
-//! [`Layout::kind`] and [`Layout::tier`] to the fixed-state
-//! implementations in [`crate::fixed`] (DNA/protein), the AVX2/FMA
-//! implementations in [`crate::simd`] (SIMD tier, `edge_log_likelihood`
-//! only — `point_log_likelihood` stays on `fixed`), or the generic oracle
-//! in [`crate::reference`]. The scalar paths keep the pattern-outer /
-//! rate-inner accumulation order, so their totals are bit-identical; the
-//! AVX2 path reassociates the state-dimension dot product and is
-//! tolerance-checked against the oracle instead.
+//! [`Layout::kind`] and [`Layout::tier`]: the generic oracle in
+//! [`crate::reference`] for the reference tier and odd state counts, the
+//! fixed-state implementations in [`crate::fixed`] for DNA and protein on
+//! the SIMD tier, whatever its backend. Both keep the pattern-outer /
+//! rate-inner accumulation order, so their totals are bit-identical on
+//! every tier. Neither is on a placement path — thorough scoring and the
+//! lookup table score through `epa_place::score` — so neither has
+//! intrinsics.
 
 use crate::kernels::Side;
 use crate::layout::{KernelKind, KernelTier, Layout};
 use crate::scratch::KernelScratch;
-use crate::{fixed, reference, simd};
+use crate::{fixed, reference};
 
 /// Evaluates the tree log-likelihood at a branch: one side is the CLV
 /// *at* node `u` (unpropagated), the other is everything beyond the branch,
@@ -72,7 +72,7 @@ pub fn edge_log_likelihood_scratch(
             range,
             scratch,
         ),
-        (KernelKind::Dna4, KernelTier::Fixed) => fixed::edge_log_likelihood::<4>(
+        (KernelKind::Dna4, KernelTier::Simd) => fixed::edge_log_likelihood::<4>(
             layout,
             u_clv,
             u_scale,
@@ -82,27 +82,7 @@ pub fn edge_log_likelihood_scratch(
             pattern_weights,
             range,
         ),
-        (KernelKind::Protein20, KernelTier::Fixed) => fixed::edge_log_likelihood::<20>(
-            layout,
-            u_clv,
-            u_scale,
-            v,
-            freqs,
-            rate_weights,
-            pattern_weights,
-            range,
-        ),
-        (KernelKind::Dna4, KernelTier::Simd) => simd::edge_log_likelihood::<4>(
-            layout,
-            u_clv,
-            u_scale,
-            v,
-            freqs,
-            rate_weights,
-            pattern_weights,
-            range,
-        ),
-        (KernelKind::Protein20, KernelTier::Simd) => simd::edge_log_likelihood::<20>(
+        (KernelKind::Protein20, KernelTier::Simd) => fixed::edge_log_likelihood::<20>(
             layout,
             u_clv,
             u_scale,
@@ -150,7 +130,6 @@ pub fn point_log_likelihood_scratch(
     range: std::ops::Range<usize>,
     scratch: &mut KernelScratch,
 ) -> f64 {
-    // Multi-side points are off the hot path; the SIMD tier runs `fixed`.
     match (layout.kind(), layout.tier()) {
         (KernelKind::Generic, _) | (_, KernelTier::Reference) => reference::point_log_likelihood(
             layout,
@@ -161,7 +140,7 @@ pub fn point_log_likelihood_scratch(
             range,
             scratch,
         ),
-        (KernelKind::Dna4, _) => fixed::point_log_likelihood::<4>(
+        (KernelKind::Dna4, KernelTier::Simd) => fixed::point_log_likelihood::<4>(
             layout,
             sides,
             freqs,
@@ -169,7 +148,7 @@ pub fn point_log_likelihood_scratch(
             pattern_weights,
             range,
         ),
-        (KernelKind::Protein20, _) => fixed::point_log_likelihood::<20>(
+        (KernelKind::Protein20, KernelTier::Simd) => fixed::point_log_likelihood::<20>(
             layout,
             sides,
             freqs,

@@ -1,42 +1,41 @@
-//! Explicit SIMD kernel tier: AVX2/FMA implementations of the fused
-//! `update_partials` and `edge_log_likelihood` inner loops for the
-//! compile-time state counts `S = 4` (DNA) and `S = 20` (protein).
+//! The fast tier's kernels for the compile-time state counts `S = 4`
+//! (DNA) and `S = 20` (protein).
 //!
 //! The backend is picked **once per process** ([`backend`]):
 //!
 //! * **AVX2** — requires both `avx2` and `fma` at runtime
-//!   (`is_x86_feature_detected!`). The `S×S` matrix–vector propagation
-//!   runs four output states per step with FMA-accumulated dot products,
-//!   and the fused multiply + running-maximum pass is vectorized
-//!   four lanes wide. FMA contracts `a*b+c` and the dot products reduce
-//!   in tree order, so results are **not** bit-identical to the
-//!   [`crate::reference`] oracle — the differential suite checks this
-//!   tier under the log-domain tolerance contract documented in
-//!   `DESIGN.md` §5c (per-element effective log within `1e-10`,
-//!   log-likelihood totals within `1e-9·max(1, |lnL|)`; scaler counts
-//!   may legitimately differ when the compared implementations land on
-//!   opposite sides of the rescale threshold, which the log-domain
+//!   (`is_x86_feature_detected!`). `update_partials`, the one kernel a
+//!   workload is bound by, has explicit intrinsics: the `S×S`
+//!   matrix–vector propagation runs four output states per step with
+//!   FMA-accumulated dot products, and the fused multiply + running-maximum
+//!   pass is vectorized four lanes wide. FMA contracts `a*b+c` and the dot
+//!   products reduce in tree order, so its results are **not**
+//!   bit-identical to the [`crate::reference`] oracle — the differential
+//!   suite checks it under the log-domain tolerance contract documented
+//!   in `DESIGN.md` §5c (per-element effective log within `1e-10`; scaler
+//!   counts may legitimately differ when the compared implementations
+//!   land on opposite sides of the rescale threshold, which the log-domain
 //!   comparison absorbs because `SCALE_FACTOR` is an exact power of 2).
 //! * **Portable** — any other host, or `PHYLO_SIMD_PORTABLE=1` (the
-//!   forced-fallback switch `scripts/ci.sh` tests). Delegates to the
-//!   order-preserving [`crate::fixed`] kernels, so the portable path is
-//!   bit-for-bit identical to the oracle.
+//!   forced-fallback switch `scripts/ci.sh` tests). Runs the
+//!   order-preserving [`crate::fixed`] kernels, bit-for-bit identical to
+//!   the oracle.
 //!
-//! Only the two fused entry points get intrinsics. [`propagate`] — the
-//! placement layer's inner loop — is hot too, but must stay
-//! **order-preserving and bit-exact on every tier** (lookup-table
-//! prescores and thorough scores are compared and printed side by side),
-//! so the AVX2 backend runs the very body of [`crate::fixed::propagate`],
-//! instantiated a second time behind a `#[target_feature(enable =
-//! "avx2")]` shim: the column-streaming axpy widens to four lanes, while
-//! without intrinsics and without the `fma` feature nothing contracts or
-//! reassociates. `point_log_likelihood` under the SIMD tier runs the
-//! `fixed` implementation (see [`crate::likelihood`]).
+//! Every other entry point is bit-exact on either backend. [`propagate`]
+//! — the placement layer's inner loop — must stay **order-preserving**
+//! (lookup-table prescores and thorough scores are compared and printed
+//! side by side), so the AVX2 backend runs the very body of
+//! [`crate::fixed::propagate`], instantiated a second time behind a
+//! `#[target_feature(enable = "avx2")]` shim: the column-streaming axpy
+//! widens to four lanes, while without intrinsics and without the `fma`
+//! feature nothing contracts or reassociates. `edge_log_likelihood` and
+//! `point_log_likelihood` run the `fixed` implementations (see
+//! [`crate::likelihood`]).
 
 use crate::fixed;
 use crate::kernels::Side;
-use crate::layout::Layout;
-use crate::scaling::{LN_SCALE, SCALE_THRESHOLD};
+use crate::layout::{KernelKind, KernelTier, Layout};
+use crate::scaling::SCALE_THRESHOLD;
 
 /// Which implementation the SIMD tier runs on this process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,16 +44,6 @@ pub enum SimdBackend {
     Avx2,
     /// Delegation to [`crate::fixed`] (bit-identical to the oracle).
     Portable,
-}
-
-impl SimdBackend {
-    /// Stable lowercase name (metrics vocabulary).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SimdBackend::Avx2 => "avx2",
-            SimdBackend::Portable => "portable",
-        }
-    }
 }
 
 /// True when `PHYLO_SIMD_PORTABLE=1` forces the portable fallback
@@ -88,12 +77,14 @@ pub fn backend() -> SimdBackend {
     })
 }
 
-/// Whether auto tier selection should pick the SIMD tier: the AVX2
-/// backend is actually available (and not disabled via
-/// `PHYLO_SIMD_PORTABLE`). When false, auto resolves to the fixed tier
-/// instead — requesting `simd` explicitly is still safe (portable path).
-pub fn runtime_supported() -> bool {
-    backend() == SimdBackend::Avx2
+/// Whether kernels dispatched for `layout` run the AVX2 backend: a DNA or
+/// protein layout on the SIMD tier, in a process that selected AVX2. The
+/// one place that question is answered — the dispatchers here and the
+/// placement layer's `target_feature` re-instantiations all ask it.
+pub fn runs_avx2(layout: &Layout) -> bool {
+    layout.tier() == KernelTier::Simd
+        && layout.kind() != KernelKind::Generic
+        && backend() == SimdBackend::Avx2
 }
 
 /// Fused parent-CLV computation, SIMD tier. Same contract as
@@ -107,8 +98,9 @@ pub fn update_partials<const S: usize>(
     range: std::ops::Range<usize>,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if backend() == SimdBackend::Avx2 {
-        // SAFETY: backend() verified avx2+fma at runtime.
+    if runs_avx2(layout) {
+        // SAFETY: `runs_avx2` holds only if backend() verified avx2+fma
+        // at runtime.
         unsafe { avx2::update_partials::<S>(layout, left, right, out, out_scale, range) };
         return;
     }
@@ -126,53 +118,13 @@ pub fn propagate<const S: usize>(
     range: std::ops::Range<usize>,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if backend() == SimdBackend::Avx2 {
-        // SAFETY: backend() verified avx2 at runtime.
+    if runs_avx2(layout) {
+        // SAFETY: `runs_avx2` holds only if backend() verified avx2 at
+        // runtime.
         unsafe { avx2::propagate::<S>(layout, side, out, out_scale, range) };
         return;
     }
     fixed::propagate::<S>(layout, side, out, out_scale, range)
-}
-
-/// Edge log-likelihood, SIMD tier. Same contract as
-/// [`crate::fixed::edge_log_likelihood`].
-#[allow(clippy::too_many_arguments)]
-pub fn edge_log_likelihood<const S: usize>(
-    layout: &Layout,
-    u_clv: &[f64],
-    u_scale: Option<&[u32]>,
-    v: Side<'_>,
-    freqs: &[f64],
-    rate_weights: &[f64],
-    pattern_weights: &[u32],
-    range: std::ops::Range<usize>,
-) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if backend() == SimdBackend::Avx2 {
-        // SAFETY: backend() verified avx2+fma at runtime.
-        return unsafe {
-            avx2::edge_log_likelihood::<S>(
-                layout,
-                u_clv,
-                u_scale,
-                v,
-                freqs,
-                rate_weights,
-                pattern_weights,
-                range,
-            )
-        };
-    }
-    fixed::edge_log_likelihood::<S>(
-        layout,
-        u_clv,
-        u_scale,
-        v,
-        freqs,
-        rate_weights,
-        pattern_weights,
-        range,
-    )
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -425,109 +377,6 @@ mod avx2 {
     ) {
         fixed::propagate::<S>(layout, side, out, out_scale, range)
     }
-
-    /// `Σ_i freqs[i] · u[i] · v[i]` over `S` lanes (FMA-accumulated,
-    /// tree-order reduction).
-    ///
-    /// SAFETY: caller guarantees avx2+fma; all pointers cover `S` f64s.
-    #[inline(always)]
-    unsafe fn weighted_dot<const S: usize>(freqs: *const f64, u: *const f64, v: *const f64) -> f64 {
-        let mut acc = _mm256_setzero_pd();
-        let mut i = 0;
-        while i < S {
-            let fu = _mm256_mul_pd(_mm256_loadu_pd(freqs.add(i)), _mm256_loadu_pd(u.add(i)));
-            acc = _mm256_fmadd_pd(fu, _mm256_loadu_pd(v.add(i)), acc);
-            i += 4;
-        }
-        let hi = _mm256_extractf128_pd(acc, 1);
-        let lo = _mm256_castpd256_pd128(acc);
-        let s = _mm_add_pd(lo, hi);
-        _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
-    }
-
-    /// AVX2 edge log-likelihood (fused v-side propagation + weighted
-    /// per-category dot).
-    ///
-    /// SAFETY: caller guarantees avx2+fma are available.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn edge_log_likelihood<const S: usize>(
-        layout: &Layout,
-        u_clv: &[f64],
-        u_scale: Option<&[u32]>,
-        v: Side<'_>,
-        freqs: &[f64],
-        rate_weights: &[f64],
-        pattern_weights: &[u32],
-        range: std::ops::Range<usize>,
-    ) -> f64 {
-        debug_assert_eq!(layout.states, S);
-        debug_assert_eq!(u_clv.len(), layout.clv_len());
-        debug_assert_eq!(freqs.len(), S);
-        debug_assert_eq!(rate_weights.len(), layout.rates);
-        debug_assert_eq!(pattern_weights.len(), layout.patterns);
-        let stride = layout.pattern_stride();
-        let vscale = side_scale(&v);
-        match v {
-            Side::Tip { table, codes } => edge_fused::<S, _>(
-                layout.rates,
-                stride,
-                u_clv,
-                u_scale,
-                TipPropV { table, codes },
-                vscale,
-                freqs,
-                rate_weights,
-                pattern_weights,
-                range,
-            ),
-            Side::Clv { clv, pmatrix, .. } => edge_fused::<S, _>(
-                layout.rates,
-                stride,
-                u_clv,
-                u_scale,
-                ClvPropV { clv, pmatrix, stride },
-                vscale,
-                freqs,
-                rate_weights,
-                pattern_weights,
-                range,
-            ),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn edge_fused<const S: usize, V: SidePropV<S>>(
-        rates: usize,
-        stride: usize,
-        u_clv: &[f64],
-        u_scale: Option<&[u32]>,
-        v: V,
-        vscale: Option<&[u32]>,
-        freqs: &[f64],
-        rate_weights: &[f64],
-        pattern_weights: &[u32],
-        range: std::ops::Range<usize>,
-    ) -> f64 {
-        let mut total = 0.0f64;
-        for p in range {
-            let mut site = 0.0f64;
-            for r in 0..rates {
-                let mut buf = [0.0f64; S];
-                v.prop(p, r, &mut buf);
-                let cat = weighted_dot::<S>(
-                    freqs.as_ptr(),
-                    u_clv.as_ptr().add(p * stride + r * S),
-                    buf.as_ptr(),
-                );
-                site += rate_weights[r] * cat;
-            }
-            let scale = u_scale.map_or(0, |s| s[p]) + vscale.map_or(0, |s| s[p]);
-            total += pattern_weights[p] as f64 * (site.ln() - scale as f64 * LN_SCALE);
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -538,8 +387,12 @@ mod tests {
     fn backend_is_stable_and_consistent() {
         let b = backend();
         assert_eq!(b, backend(), "backend must be decided once");
-        assert_eq!(runtime_supported(), b == SimdBackend::Avx2);
-        assert!(matches!(b.name(), "avx2" | "portable"));
+        // Only a DNA or protein layout on the SIMD tier runs what the
+        // backend selected.
+        let simd = Layout::new(8, 2, 20).with_tier(crate::TierChoice::Simd);
+        assert_eq!(runs_avx2(&simd), b == SimdBackend::Avx2);
+        assert!(!runs_avx2(&simd.with_tier(crate::TierChoice::Reference)));
+        assert!(!runs_avx2(&Layout::new(8, 2, 2).with_tier(crate::TierChoice::Simd)));
     }
 
     #[test]
@@ -559,7 +412,7 @@ mod tests {
     fn propagate_bits_do_not_depend_on_the_backend() {
         fn run<const S: usize>() {
             let (patterns, rates) = (37usize, 4usize);
-            let layout = Layout::new(patterns, rates, S);
+            let layout = Layout::new(patterns, rates, S).with_tier(crate::TierChoice::Simd);
             // No power-of-two structure: a reassociated or contracted sum
             // shows in the last bit.
             let pm: Vec<f64> = (0..layout.pmatrix_len())
@@ -608,13 +461,13 @@ mod tests {
         run::<20>();
     }
 
-    /// The SIMD entry points must run (and produce finite values) on
-    /// whatever backend this host selects — the cross-tier numerical
-    /// comparison lives in `tests/differential.rs`.
+    /// `update_partials` must run (and produce finite values) on whatever
+    /// backend this host selects — the cross-tier numerical comparison
+    /// lives in `tests/differential.rs`.
     #[test]
-    fn simd_entry_points_run_on_selected_backend() {
+    fn update_partials_runs_on_selected_backend() {
         for states in [4usize, 20] {
-            let layout = Layout::new(17, 3, states).with_tier(crate::layout::TierChoice::Simd);
+            let layout = Layout::new(17, 3, states).with_tier(crate::TierChoice::Simd);
             let mut pm = vec![0.0; layout.pmatrix_len()];
             for r in 0..layout.rates {
                 for i in 0..states {
@@ -634,14 +487,6 @@ mod tests {
                 _ => update_partials::<20>(&layout, side, side, &mut out, &mut scale, 0..17),
             }
             assert!(out.iter().all(|v| v.is_finite() && *v > 0.0));
-            let freqs = vec![1.0 / states as f64; states];
-            let rw = vec![1.0 / 3.0; 3];
-            let pw = vec![1u32; 17];
-            let ll = match states {
-                4 => edge_log_likelihood::<4>(&layout, &clv, None, side, &freqs, &rw, &pw, 0..17),
-                _ => edge_log_likelihood::<20>(&layout, &clv, None, side, &freqs, &rw, &pw, 0..17),
-            };
-            assert!(ll.is_finite());
         }
     }
 }

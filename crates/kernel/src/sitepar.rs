@@ -1,4 +1,4 @@
-//! Across-site parallel kernel wrappers over a persistent worker pool.
+//! Across-site parallel CLV updates over a persistent worker pool.
 //!
 //! The paper's Fig. 7 "experimental" mode parallelizes CLV recomputation
 //! over alignment sites instead of (only) overlapping it with placement
@@ -7,19 +7,18 @@
 //!
 //! Earlier revisions spawned (and joined) fresh OS threads on *every*
 //! kernel call, which made site-parallel scoring scale negatively: the
-//! per-call spawn cost dwarfed the per-chunk kernel work. The wrappers
-//! now run on a [`SiteParPool`] — workers are spawned once, park on a
+//! per-call spawn cost dwarfed the per-chunk kernel work. Updates now
+//! run on a [`SiteParPool`] — workers are spawned once, park on a
 //! condvar between calls, and a call is just "publish a job, wake the
 //! pool, help drain it". The caller thread always participates in the
 //! drain, so a pool sized `n` uses `n - 1` parked workers plus the
 //! caller, and on a single-core host (zero workers) every call runs
 //! inline with no synchronization beyond two atomic bumps.
 //!
-//! Each chunk calls the dispatching serial kernels on its sub-range, so
+//! Each chunk calls the dispatching serial kernel on its sub-range, so
 //! the range split composes with kernel specialization *and* the tier
-//! layer: DNA/protein chunks run the fused fixed-state or SIMD kernels
-//! allocation-free, and only the generic fallback touches a transient
-//! scratch.
+//! layer: DNA/protein chunks run the SIMD tier's kernels allocation-free,
+//! and only the generic fallback touches a transient scratch.
 //!
 //! As the paper observes (§V-C), site parallelism still only pays off
 //! for wide alignments — each chunk must amortize its share of the
@@ -28,9 +27,8 @@
 
 use crate::kernels::{update_partials, Side};
 use crate::layout::Layout;
-use crate::likelihood::edge_log_likelihood;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Splits `patterns` into at most `n_chunks` near-equal contiguous ranges.
 pub fn split_ranges(patterns: usize, n_chunks: usize) -> Vec<std::ops::Range<usize>> {
@@ -168,9 +166,8 @@ pub struct PoolStats {
 /// A persistent site-parallel worker pool: `requested - 1` worker threads
 /// (clamped to the host's available parallelism) that park between calls.
 ///
-/// Created once per run (the engine's store owns one; a lazily created
-/// [`SiteParPool::global`] instance backs the free-function wrappers) so
-/// thread startup is amortized across every kernel call of the run.
+/// Created once per run (the engine's store owns one) so thread startup
+/// is amortized across every kernel call of the run.
 pub struct SiteParPool {
     inner: Arc<PoolInner>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -217,16 +214,6 @@ impl SiteParPool {
             })
             .collect();
         SiteParPool { inner, handles }
-    }
-
-    /// The process-wide pool backing [`update_partials_par`] /
-    /// [`edge_log_likelihood_par`], sized to the host parallelism and
-    /// created on first use.
-    pub fn global() -> &'static SiteParPool {
-        static POOL: OnceLock<SiteParPool> = OnceLock::new();
-        POOL.get_or_init(|| {
-            SiteParPool::new(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-        })
     }
 
     /// Current pool counters.
@@ -338,51 +325,6 @@ impl SiteParPool {
             update_partials(&sub, l, r, out_chunk, scale_chunk, 0..sub.patterns);
         });
     }
-
-    /// Parallel [`edge_log_likelihood`] over `n_chunks` pattern ranges;
-    /// partial sums are added in range order, so the result is
-    /// deterministic for a fixed chunk count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn edge_log_likelihood(
-        &self,
-        layout: &Layout,
-        u_clv: &[f64],
-        u_scale: Option<&[u32]>,
-        v: Side<'_>,
-        freqs: &[f64],
-        rate_weights: &[f64],
-        pattern_weights: &[u32],
-        n_chunks: usize,
-    ) -> f64 {
-        if n_chunks <= 1 || layout.patterns < 2 * n_chunks || self.handles.is_empty() {
-            return edge_log_likelihood(
-                layout,
-                u_clv,
-                u_scale,
-                v,
-                freqs,
-                rate_weights,
-                pattern_weights,
-                0..layout.patterns,
-            );
-        }
-        let ranges = split_ranges(layout.patterns, n_chunks);
-        let mut partials = vec![0.0f64; ranges.len()];
-        let p_ptr = SendPtr(partials.as_mut_ptr());
-        self.run(ranges.len(), &|i| {
-            let range = ranges[i].clone();
-            let sub = layout.slice(range.clone());
-            let u = &u_clv[layout.clv_range(&range)];
-            let us = u_scale.map(|x| &x[range.clone()]);
-            let vv = slice_side(&v, layout, &range);
-            let pw = &pattern_weights[range.clone()];
-            let val =
-                edge_log_likelihood(&sub, u, us, vv, freqs, rate_weights, pw, 0..sub.patterns);
-            // SAFETY: task `i` exclusively owns `partials[i]`.
-            unsafe { *p_ptr.get().add(i) = val };
-        });
-        partials.iter().sum()
-    }
 }
 
 impl Drop for SiteParPool {
@@ -422,46 +364,6 @@ fn worker_loop(inner: Arc<PoolInner>) {
         };
         job.drain();
     }
-}
-
-/// Parallel [`update_partials`] on the [`SiteParPool::global`] pool:
-/// splits the pattern range into `n_threads` chunks. Falls back to the
-/// serial kernel for one thread or tiny pattern counts.
-pub fn update_partials_par(
-    layout: &Layout,
-    left: Side<'_>,
-    right: Side<'_>,
-    out: &mut [f64],
-    out_scale: &mut [u32],
-    n_threads: usize,
-) {
-    SiteParPool::global().update_partials(layout, left, right, out, out_scale, n_threads)
-}
-
-/// Parallel [`edge_log_likelihood`] on the [`SiteParPool::global`] pool;
-/// deterministic for a fixed `n_threads` (partial sums added in range
-/// order).
-#[allow(clippy::too_many_arguments)]
-pub fn edge_log_likelihood_par(
-    layout: &Layout,
-    u_clv: &[f64],
-    u_scale: Option<&[u32]>,
-    v: Side<'_>,
-    freqs: &[f64],
-    rate_weights: &[f64],
-    pattern_weights: &[u32],
-    n_threads: usize,
-) -> f64 {
-    SiteParPool::global().edge_log_likelihood(
-        layout,
-        u_clv,
-        u_scale,
-        v,
-        freqs,
-        rate_weights,
-        pattern_weights,
-        n_threads,
-    )
 }
 
 #[cfg(test)]
@@ -519,63 +421,12 @@ mod tests {
             assert_eq!(serial, par, "threads={threads}");
             assert_eq!(serial_scale, par_scale);
         }
-        // The free-function wrapper (global pool, host-clamped) agrees too.
+        // A host-clamped pool agrees too.
         let mut par = vec![0.0; layout.clv_len()];
         let mut par_scale = vec![0u32; patterns];
-        update_partials_par(&layout, left, right, &mut par, &mut par_scale, 4);
+        SiteParPool::new(4).update_partials(&layout, left, right, &mut par, &mut par_scale, 4);
         assert_eq!(serial, par);
         assert_eq!(serial_scale, par_scale);
-    }
-
-    #[test]
-    fn parallel_matches_serial_loglik() {
-        let patterns = 64;
-        let layout = Layout::new(patterns, 1, 4);
-        let pm = jc_pmatrix(0.4);
-        let table = TipTable::build(&layout, &pm, &DNA_MASKS);
-        let codes: Vec<u8> = (0..patterns).map(|i| (i % 4) as u8).collect();
-        let mut u_clv = vec![0.0; layout.clv_len()];
-        for p in 0..patterns {
-            u_clv[p * 4 + (p + 1) % 4] = 1.0;
-        }
-        let pw: Vec<u32> = (0..patterns).map(|i| 1 + (i % 3) as u32).collect();
-        let freqs = [0.25; 4];
-        let serial = edge_log_likelihood(
-            &layout,
-            &u_clv,
-            None,
-            Side::Tip { table: &table, codes: &codes },
-            &freqs,
-            &[1.0],
-            &pw,
-            0..patterns,
-        );
-        // Unclamped pool: the chunked path runs even on a one-core host.
-        let pool = SiteParPool::with_workers(2);
-        for threads in [2usize, 4, 5] {
-            let par = pool.edge_log_likelihood(
-                &layout,
-                &u_clv,
-                None,
-                Side::Tip { table: &table, codes: &codes },
-                &freqs,
-                &[1.0],
-                &pw,
-                threads,
-            );
-            assert!((serial - par).abs() < 1e-9, "threads={threads}: {serial} vs {par}");
-        }
-        let par = edge_log_likelihood_par(
-            &layout,
-            &u_clv,
-            None,
-            Side::Tip { table: &table, codes: &codes },
-            &freqs,
-            &[1.0],
-            &pw,
-            3,
-        );
-        assert!((serial - par).abs() < 1e-9, "{serial} vs {par}");
     }
 
     #[test]
@@ -586,7 +437,7 @@ mod tests {
         let codes = [0u8, 1, 2];
         let mut out = vec![0.0; layout.clv_len()];
         let mut scale = vec![0u32; 3];
-        update_partials_par(
+        SiteParPool::with_workers(2).update_partials(
             &layout,
             Side::Tip { table: &table, codes: &codes },
             Side::Tip { table: &table, codes: &codes },

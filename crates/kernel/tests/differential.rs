@@ -1,29 +1,31 @@
-//! Differential tests: every dispatchable kernel tier must reproduce the
-//! generic reference kernels, under the per-tier equivalence contract
+//! Differential tests: every kernel the tiers dispatch to must reproduce
+//! the generic reference kernels, under the equivalence contract
 //! documented in DESIGN.md §5c:
 //!
-//! * `reference` and `fixed` tiers are **bit-for-bit** identical — same
-//!   CLV bits, same scaler counts, same log-likelihood bits — across
+//! * The `fixed` bodies — the SIMD tier's portable backend, the only code
+//!   a non-AVX2 host runs — are **bit-for-bit** identical to `reference`:
+//!   same CLV bits, same scaler counts, same log-likelihood bits, across
 //!   random dimensions, side combinations, partial pattern ranges, and
-//!   scaling-heavy tiny-likelihood inputs.
-//! * The `simd` tier is **tolerance-checked**: FMA contraction and the
-//!   vectorized horizontal reductions reassociate sums, so CLV elements
-//!   are compared in the effective log domain (`ln v − scale·LN_SCALE`,
-//!   absorbing legitimate ±1 scaler-count differences at the rescale
-//!   threshold) within `1e-10`, exact zeroes must match exactly, and
-//!   log-likelihood totals must agree within `1e-9 · max(1, |L|)`.
-//!   `propagate` and `point_log_likelihood` are order-preserving under
-//!   the `simd` tier too (`propagate` is the fixed body compiled for
-//!   AVX2, without FMA), so they stay bit-exact on every tier.
+//!   scaling-heavy tiny-likelihood inputs. They are called directly, so
+//!   this holds on every host and under every `PHYLO_KERNEL_TIER`.
+//! * Through the dispatchers, `propagate`, `edge_log_likelihood` and
+//!   `point_log_likelihood` are bit-exact on **both** tiers (`propagate`
+//!   is the fixed body compiled for AVX2, without FMA; the other two run
+//!   the fixed bodies outright).
+//! * `update_partials` on the `simd` tier is **tolerance-checked**: FMA
+//!   contraction and the vectorized horizontal reductions reassociate
+//!   sums, so CLV elements are compared in the effective log domain
+//!   (`ln v − scale·LN_SCALE`, absorbing legitimate ±1 scaler-count
+//!   differences at the rescale threshold) within `1e-10`, and exact
+//!   zeroes must match exactly.
 //!
 //! Tiers are pinned explicitly via `Layout::with_tier`, never inherited
-//! from the environment, so the suite exercises all tiers regardless of
-//! `PHYLO_KERNEL_TIER` or host CPU features (on non-AVX2 hosts the simd
-//! tier falls back to the portable backend, which is bit-exact, and the
-//! tolerance checks pass trivially).
+//! from the environment (on non-AVX2 hosts the simd tier runs the
+//! portable backend, which is bit-exact, and the tolerance check passes
+//! trivially).
 
 use phylo_kernel::kernels::{self, Side};
-use phylo_kernel::{likelihood, reference};
+use phylo_kernel::{fixed, likelihood, reference};
 use phylo_kernel::{
     KernelKind, KernelScratch, KernelTier, Layout, TierChoice, TipTable, LN_SCALE, SCALE_THRESHOLD,
 };
@@ -32,14 +34,21 @@ use proptest::test_runner::TestRng;
 
 /// Per-element tolerance for simd-tier CLVs in the effective log domain.
 const CLV_LOG_TOL: f64 = 1e-10;
-/// Relative tolerance for simd-tier log-likelihood totals.
-const LL_REL_TOL: f64 = 1e-9;
 
-/// The bit-exact tiers: dispatched output must equal reference exactly.
-const EXACT_TIERS: [TierChoice; 2] = [TierChoice::Reference, TierChoice::Fixed];
+/// Every tier, for the entry points that are bit-exact on all of them.
+const ALL_TIERS: [TierChoice; 2] = [TierChoice::Reference, TierChoice::Simd];
 
-/// Every tier choice, for entry points that stay bit-exact on all tiers.
-const ALL_TIERS: [TierChoice; 3] = [TierChoice::Reference, TierChoice::Fixed, TierChoice::Simd];
+/// Calls a `phylo_kernel::fixed` body at the compile-time state count
+/// matching `states` (4 or 20).
+macro_rules! fixed_body {
+    ($states:expr, $f:ident($($arg:expr),* $(,)?)) => {
+        match $states {
+            4 => fixed::$f::<4>($($arg),*),
+            20 => fixed::$f::<20>($($arg),*),
+            s => unreachable!("no fixed body for {s} states"),
+        }
+    };
+}
 
 /// Deterministic input builder driven by the proptest shim's RNG.
 struct Gen {
@@ -210,9 +219,9 @@ fn assert_clv_close(
     }
 }
 
-/// Runs dispatched-vs-reference `update_partials` on every tier: exact
-/// tiers bit-for-bit, the simd tier under the documented log-domain
-/// tolerance.
+/// `update_partials` against the reference oracle: the fixed body and the
+/// reference tier bit-for-bit, the simd tier under the documented
+/// log-domain tolerance.
 fn check_update(base: &Layout, left: Side<'_>, right: Side<'_>, range: std::ops::Range<usize>) {
     let mut oracle = vec![0.0; base.clv_len()];
     let mut oracle_scale = vec![0u32; base.patterns];
@@ -227,17 +236,25 @@ fn check_update(base: &Layout, left: Side<'_>, right: Side<'_>, range: std::ops:
         &mut scratch,
     );
 
-    for choice in EXACT_TIERS {
-        let layout = (*base).with_tier(choice);
-        let (clv, scale) = run_update(&layout, left, right, range.clone());
+    let mut body = vec![0.0; base.clv_len()];
+    let mut body_scale = vec![0u32; base.patterns];
+    fixed_body!(
+        base.states,
+        update_partials(base, left, right, &mut body, &mut body_scale, range.clone())
+    );
+    let reference_tier =
+        run_update(&base.with_tier(TierChoice::Reference), left, right, range.clone());
+    for (name, (clv, scale)) in
+        [("fixed body", (body, body_scale)), ("reference tier", reference_tier)]
+    {
         for (i, (a, b)) in clv.iter().zip(&oracle).enumerate() {
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "tier {choice:?}: CLV bit mismatch at f64 index {i} (range {range:?})"
+                "{name}: CLV bit mismatch at f64 index {i} (range {range:?})"
             );
         }
-        assert_eq!(scale, oracle_scale, "tier {choice:?}: scaler mismatch (range {range:?})");
+        assert_eq!(scale, oracle_scale, "{name}: scaler mismatch (range {range:?})");
     }
 
     let simd = (*base).with_tier(TierChoice::Simd);
@@ -245,8 +262,8 @@ fn check_update(base: &Layout, left: Side<'_>, right: Side<'_>, range: std::ops:
     assert_clv_close(base, &clv, &scale, &oracle, &oracle_scale, range, simd.tier());
 }
 
-/// Runs dispatched-vs-reference `edge_log_likelihood` on every tier:
-/// bit-exact on the scalar tiers, relative tolerance on simd.
+/// `edge_log_likelihood` against the reference oracle, bit-for-bit: the
+/// fixed body, and the dispatcher on every tier.
 #[allow(clippy::too_many_arguments)]
 fn check_edge_ll(
     base: &Layout,
@@ -270,8 +287,12 @@ fn check_edge_ll(
         range.clone(),
         &mut scratch,
     );
-
-    for choice in EXACT_TIERS {
+    let body = fixed_body!(
+        base.states,
+        edge_log_likelihood(base, u_clv, Some(u_scale), v, freqs, rw, pw, range.clone())
+    );
+    assert_eq!(body.to_bits(), oracle.to_bits(), "fixed body: {body} vs {oracle}");
+    for choice in ALL_TIERS {
         let layout = (*base).with_tier(choice);
         let fast = likelihood::edge_log_likelihood(
             &layout,
@@ -285,17 +306,6 @@ fn check_edge_ll(
         );
         assert_eq!(fast.to_bits(), oracle.to_bits(), "tier {choice:?}: {fast} vs {oracle}");
     }
-
-    let simd = (*base).with_tier(TierChoice::Simd);
-    let fast =
-        likelihood::edge_log_likelihood(&simd, u_clv, Some(u_scale), v, freqs, rw, pw, range);
-    let tol = LL_REL_TOL * oracle.abs().max(1.0);
-    assert!(
-        (fast - oracle).abs() <= tol,
-        "tier {:?}: log-likelihood mismatch {fast} vs {oracle} (delta {:e}, tol {tol:e})",
-        simd.tier(),
-        (fast - oracle).abs(),
-    );
 }
 
 fn dims_to_layout(patterns: usize, rates: usize, states: usize) -> Layout {
@@ -339,7 +349,7 @@ proptest! {
 
     /// Scaling-heavy inputs: tiny CLVs on both sides force the rescale
     /// paths (one-shot cold rescale vs iterative loop) to agree — bit for
-    /// bit on the scalar tiers, within the log-domain tolerance on simd,
+    /// bit for the fixed body, within the log-domain tolerance on simd,
     /// including multi-level rescales.
     #[test]
     fn scaling_heavy_update_matches_reference(
@@ -359,9 +369,9 @@ proptest! {
 
     /// One-side propagation — the placement layer's inner loop (lookup
     /// build, prescore sweep, every attachment-position evaluation).
-    /// Bit-exact on every tier: all of them sum each output state's
-    /// products in ascending state order, and the simd tier only
-    /// re-instantiates the fixed body under AVX2 code generation. The
+    /// Bit-exact on every tier: both sum each output state's products in
+    /// ascending state order, and the simd tier only re-instantiates the
+    /// fixed body under AVX2 code generation. The
     /// fixed body runs rate-outer over the whole range, so ranges that do
     /// not start at 0 and pattern counts well past one cache block are
     /// where an indexing slip would show; entries outside the range must
@@ -393,6 +403,13 @@ proptest! {
                 &mut scratch,
             );
 
+            let mut body = vec![-1.0; base.clv_len()];
+            let mut body_scale = vec![u32::MAX; base.patterns];
+            fixed_body!(
+                states,
+                propagate(&base, side.as_side(), &mut body, &mut body_scale, range.clone())
+            );
+            let mut runs = vec![("fixed body".to_string(), body, body_scale)];
             for choice in ALL_TIERS {
                 let layout = base.with_tier(choice);
                 let mut fast = vec![-1.0; layout.clv_len()];
@@ -404,17 +421,19 @@ proptest! {
                     &mut fast_scale,
                     range.clone(),
                 );
+                runs.push((format!("tier {choice:?}"), fast, fast_scale));
+            }
+            for (name, fast, fast_scale) in runs {
                 for (a, b) in fast.iter().zip(&oracle) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(), "tier {:?}, range {:?}", choice, range);
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "{}, range {:?}", name, range);
                 }
-                prop_assert_eq!(&fast_scale, &oracle_scale);
+                prop_assert_eq!(&fast_scale, &oracle_scale, "{}", name);
             }
         }
     }
 
-    /// Edge log-likelihood totals: bit-exact on the scalar tiers (same
-    /// accumulation order on both paths), within relative tolerance on
-    /// simd.
+    /// Edge log-likelihood totals: bit-exact on every tier (the simd tier
+    /// runs the fixed body, in the oracle's accumulation order).
     #[test]
     fn edge_log_likelihood_matches_reference(
         seed in 0u64..u64::MAX,
@@ -439,9 +458,8 @@ proptest! {
         check_edge_ll(&layout, &u_clv, &u_scale, v.as_side(), &freqs, &rw, &pw, range);
     }
 
-    /// Three-way point log-likelihood (the placement evaluation).
-    /// Bit-exact on every tier: the simd tier dispatches this entry point
-    /// to the fixed scalar kernels.
+    /// Three-way point log-likelihood. Bit-exact on every tier: the simd
+    /// tier dispatches this entry point to the fixed body.
     #[test]
     fn point_log_likelihood_matches_reference(
         seed in 0u64..u64::MAX,
@@ -467,6 +485,11 @@ proptest! {
         let oracle = reference::point_log_likelihood(
             &base, &sides, &freqs, &rw, &pw, range.clone(), &mut scratch,
         );
+        let body = fixed_body!(
+            states,
+            point_log_likelihood(&base, &sides, &freqs, &rw, &pw, range.clone())
+        );
+        prop_assert_eq!(body.to_bits(), oracle.to_bits(), "fixed body: {} vs {}", body, oracle);
         for choice in ALL_TIERS {
             let layout = base.with_tier(choice);
             let fast = likelihood::point_log_likelihood(

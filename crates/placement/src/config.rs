@@ -47,8 +47,8 @@ pub struct EpaConfig {
     /// neither search has an input it has not already searched.
     pub blo_iterations: usize,
     /// Kernel tier request (`--kernel-tier`): `Auto` resolves from
-    /// `PHYLO_KERNEL_TIER` and runtime CPU detection; explicit choices
-    /// pin the reference / fixed / SIMD implementations.
+    /// `PHYLO_KERNEL_TIER`, else to the SIMD tier; explicit choices pin
+    /// the reference or SIMD implementations.
     pub kernel_tier: phylo_kernel::TierChoice,
     /// Watchdog deadline for publish-latch waits; `None` keeps the
     /// manager's default (60 s). A lost or stalled publish then surfaces

@@ -44,7 +44,7 @@
 use crate::error::PlaceError;
 use phylo_engine::{ManagedStore, ReferenceContext};
 use phylo_kernel::kernels::{propagate_scratch, Side};
-use phylo_kernel::simd::{self, SimdBackend};
+use phylo_kernel::simd;
 use phylo_kernel::{KernelKind, KernelScratch, KernelTier, TipTable, LN_SCALE};
 
 /// The weighted `A·B` product at an attachment point, over patterns ×
@@ -311,10 +311,11 @@ impl BranchScoreTable {
     ) {
         let layout = ctx.layout();
         let fill = self.start_rebuild(ctx, partials, eval);
+        let avx2 = simd::runs_avx2(layout);
         match (layout.kind(), layout.tier()) {
             (KernelKind::Generic, _) | (_, KernelTier::Reference) => fill.generic(ctx),
-            (KernelKind::Dna4, tier) => fill.fixed_for_tier::<4>(tier),
-            (KernelKind::Protein20, tier) => fill.fixed_for_tier::<20>(tier),
+            (KernelKind::Dna4, KernelTier::Simd) => fill.fixed_for::<4>(avx2),
+            (KernelKind::Protein20, KernelTier::Simd) => fill.fixed_for::<20>(avx2),
         }
     }
 
@@ -486,17 +487,17 @@ impl TableFill<'_> {
         }
     }
 
-    /// [`fixed`] under the code generation of the layout's kernel tier:
-    /// the simd tier's AVX2 backend re-instantiates the portable body
+    /// [`fixed`] under the code generation of the layout's backend: when
+    /// `avx2` ([`simd::runs_avx2`]) the portable body is re-instantiated
     /// behind a `target_feature` shim, as `phylo_kernel::simd::propagate`
     /// does — wider lanes over the `j` loop, the same operations in the
     /// same order, and without the `fma` feature nothing contracts.
     ///
     /// [`fixed`]: TableFill::fixed
-    fn fixed_for_tier<const S: usize>(self, tier: KernelTier) {
-        if tier == KernelTier::Simd && simd::backend() == SimdBackend::Avx2 {
+    fn fixed_for<const S: usize>(self, avx2: bool) {
+        if avx2 {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `simd::backend()` verified avx2 at runtime.
+            // SAFETY: `simd::runs_avx2` verified avx2 at runtime.
             return unsafe { self.fixed_avx2::<S>() };
         }
         self.fixed::<S>()
@@ -609,9 +610,9 @@ impl QueryEvaluator {
     ) -> f64 {
         let sites = Sites { ctx, partials, site_to_pattern, codes };
         let layout = ctx.layout();
-        // As `TableFill::fixed_for_tier`: the simd tier's AVX2 backend
-        // gets the wider lanes.
-        let avx2 = layout.tier() == KernelTier::Simd && simd::backend() == SimdBackend::Avx2;
+        // As `TableFill::fixed_for`: the simd tier's AVX2 backend gets the
+        // wider lanes.
+        let avx2 = simd::runs_avx2(layout);
         match layout.states {
             4 => self.score_blocked::<4>(&sites, avx2),
             20 => self.score_blocked::<20>(&sites, avx2),
@@ -725,7 +726,7 @@ impl QueryEvaluator {
     ) -> [f64; SITE_BLOCK] {
         if avx2 {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `avx2` is set only after `simd::backend()` verified
+            // SAFETY: `avx2` is set only after `simd::runs_avx2` verified
             // avx2 at runtime.
             return unsafe { self.block_rows_avx2::<S>(sites, ps, cs) };
         }
@@ -1647,7 +1648,7 @@ mod tests {
                         };
                         assert_eq!(got.map(f64::to_bits), want, "{e:?} {ps:?} {cs:?}");
                         #[cfg(target_arch = "x86_64")]
-                        if !columns && simd::backend() == SimdBackend::Avx2 {
+                        if !columns && simd::backend() == simd::SimdBackend::Avx2 {
                             // SAFETY: the backend verified avx2 at runtime.
                             let got = unsafe { eval.block_rows_avx2::<S>(&sites, ps, cs) };
                             assert_eq!(got.map(f64::to_bits), want, "avx2 {e:?} {ps:?} {cs:?}");

@@ -6,10 +6,10 @@
 //! jplace bytes must not depend on which of the two produced a likelihood.
 //!
 //! And the table against *its* oracles: the compile-time-`S` fills
-//! (`S = 4`, `S = 20`; portable and, under the simd tier on an AVX2 host,
-//! the `target_feature` re-instantiation) must reproduce the generic loop
-//! entry for entry, the generic loop a triple loop over the raw,
-//! unweighted `A·B` spelled out here, and the once-per-branch log row of
+//! (`S = 4`, `S = 20`, under the simd tier: portable, or the
+//! `target_feature` re-instantiation on an AVX2 host) must reproduce the
+//! generic loop entry for entry, the generic loop a triple loop over the
+//! raw, unweighted `A·B` spelled out here, and the once-per-branch log row of
 //! [`BranchScoreTable::prescore_chunk`] the per-query walk.
 
 use epa_place::score::{
@@ -27,16 +27,14 @@ use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
 
 /// DNA and protein contexts, each with one and with four rate categories:
-/// on the kernel tier the environment selects, then pinned to the `fixed`
-/// tier (the portable compile-time-`S` loops), then to the `simd` tier
-/// (their AVX2 re-instantiation where the host has one).
+/// pinned to the `reference` tier (the generic table fill, the portable
+/// evaluator), then to the `simd` tier (the compile-time-`S` fills and the
+/// evaluator's AVX2 re-instantiation where the host has one; portable
+/// under `PHYLO_SIMD_PORTABLE=1`).
 fn contexts() -> &'static [ReferenceContext] {
     static CTX: OnceLock<Vec<ReferenceContext>> = OnceLock::new();
     CTX.get_or_init(|| {
-        [TierChoice::Auto, TierChoice::Fixed, TierChoice::Simd]
-            .into_iter()
-            .flat_map(build_contexts)
-            .collect()
+        [TierChoice::Reference, TierChoice::Simd].into_iter().flat_map(build_contexts).collect()
     })
 }
 
@@ -136,7 +134,7 @@ proptest! {
     #[test]
     fn evaluator_equals_table_prescore_bit_for_bit(
         seed in 0u64..u64::MAX,
-        which in 0usize..12,
+        which in 0usize..8,
         // Up to ~20 sites per pattern: the evaluator pays per site, the
         // table per pattern, and neither may notice.
         sites in 1usize..400,
@@ -174,7 +172,7 @@ proptest! {
     #[test]
     fn table_fills_equal_the_generic_loop_and_the_raw_sum_bit_for_bit(
         seed in 0u64..u64::MAX,
-        which in 0usize..12,
+        which in 0usize..8,
         pendant_exp in -6.0f64..0.5,
     ) {
         let ctx = &contexts()[which];
@@ -230,7 +228,8 @@ proptest! {
     #[test]
     fn chunk_prescore_equals_the_per_query_walk_bit_for_bit(
         seed in 0u64..u64::MAX,
-        which in 0usize..4,
+        // The simd-tier contexts: the table fill a default run uses.
+        which in 4usize..8,
         sites in 1usize..120,
         n_queries in 0usize..12,
     ) {

@@ -28,7 +28,7 @@ CRITERION_QUICK=1 CRITERION_JSON="$out" cargo bench -p bench --bench kernels
 echo "wrote $out"
 
 # Per-tier throughput summary straight from the JSON export: one line
-# per workload with the reference/fixed/simd rates side by side, so a
+# per workload with the reference/simd rates side by side, so a
 # tier regression is visible in the CI log without opening the file.
 python3 - "$out" <<'EOF'
 import json, sys
@@ -39,7 +39,7 @@ for r in rows:
     tier, workload = r["bench"].split("/", 1)
     by_workload[workload][tier] = r["throughput_per_sec"]
 for workload, tiers in sorted(by_workload.items()):
-    parts = [f"{t}={tiers[t] / 1e6:.1f} Melem/s" for t in ("reference", "fixed", "simd") if t in tiers]
+    parts = [f"{t}={tiers[t] / 1e6:.1f} Melem/s" for t in ("reference", "simd") if t in tiers]
     print(f"kernel tiers [{workload}]: " + "  ".join(parts))
 EOF
 

@@ -38,21 +38,24 @@ echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
 # The kernel crate's differential + proptest suite, once per tier: the
-# dispatch must be correct no matter what PHYLO_KERNEL_TIER pins, and
-# the forced-fallback run (simd tier + portable backend) is what a
-# non-AVX2 host executes, so it is exercised on every CI machine — it is
-# also the run that proves the AVX2 `target_feature` shims of `propagate`
-# and the score-table fill are off when told to be. The placement crate
-# rides along: its evaluator-vs-table and table-vs-generic-loop checks
-# must hold over whichever kernels produced the partials; so does the
-# models crate, whose `P(t)` loop orders feed all of them. The golden
-# jplace hashes pin each tier themselves; they join the forced-fallback
-# run, the one backend an AVX2 host never picks on its own.
+# dispatch must be correct no matter what PHYLO_KERNEL_TIER pins. The
+# placement crate rides along: its evaluator-vs-table and
+# table-vs-generic-loop checks must hold over whichever kernels produced
+# the partials; so does the models crate, whose `P(t)` loop orders feed
+# all of them.
 tier_crates=(-p phylo-kernel -p phylo-models -p epa-place)
-for tier in reference fixed simd; do
+for tier in reference simd; do
     echo "==> cargo test -q ${tier_crates[*]} (PHYLO_KERNEL_TIER=$tier)"
     PHYLO_KERNEL_TIER="$tier" cargo test -q "${tier_crates[@]}"
 done
+# The forced-fallback run (simd tier + portable backend) is what a
+# non-AVX2 host executes, and on an AVX2 host it is now the only run that
+# sends the portable table fill and the `fixed` bodies through the
+# dispatchers (the differential suite calls the bodies directly in every
+# run); it also proves the AVX2 `target_feature` shims of `propagate`
+# and the score-table fill are off when told to be. The golden jplace
+# hashes pin each tier themselves; they join this run, the one backend
+# an AVX2 host never picks on its own.
 echo "==> cargo test -q ${tier_crates[*]} (simd tier, forced portable fallback)"
 PHYLO_KERNEL_TIER=simd PHYLO_SIMD_PORTABLE=1 cargo test -q "${tier_crates[@]}"
 PHYLO_KERNEL_TIER=simd PHYLO_SIMD_PORTABLE=1 cargo test -q --test golden_jplace

@@ -86,7 +86,7 @@ pub struct CliOptions {
     pub chunk_size: usize,
     /// Worker threads.
     pub threads: usize,
-    /// Kernel tier request (`--kernel-tier auto|reference|fixed|simd`).
+    /// Kernel tier request (`--kernel-tier auto|reference|simd`).
     pub kernel_tier: phylo_kernel::TierChoice,
     /// Replacement strategy for the CLV slot cache
     /// (`--strategy cost|lru|mru|fifo|random|cost-lru`; the paper's
@@ -260,8 +260,12 @@ pub fn parse_scoring_flag(
 /// `--maxmem` becomes bytes: `Some(0)` autodetects, and the conversion
 /// is checked — an unrepresentable budget (NaN leaking in
 /// programmatically, or a size past the address space) is the user's
-/// input problem, not a runtime failure.
+/// input problem, not a runtime failure. It is also where a
+/// `PHYLO_KERNEL_TIER` that names no tier is refused, since the kernels
+/// would read it as `auto`: `place`, `shard` (coordinator and workers)
+/// and `serve` all resolve their settings here.
 pub fn engine_settings(opts: &CliOptions) -> Result<EngineSettings, String> {
+    phylo_kernel::TierChoice::check_env()?;
     let max_memory = match opts.maxmem_mib {
         None => None,
         Some(mib) if mib <= 0.0 => memplan::detect_available_memory(),
@@ -471,7 +475,7 @@ pub fn parse_cli(args: &[String]) -> Result<(CliOptions, Option<String>), String
     const USAGE: &str =
         "usage: phyloplace place --tree REF.nwk --ref-msa REF.fasta --queries Q.fasta \
   [--aa] [--maxmem SIZE[K|M|G|T] | --maxmem auto] [--gamma ALPHA | --no-gamma] \
-  [--chunk N] [--threads N] [--kernel-tier auto|reference|fixed|simd] [--out OUT.jplace] \
+  [--chunk N] [--threads N] [--kernel-tier auto|reference|simd] [--out OUT.jplace] \
   [--strategy cost|lru|mru|fifo|random|cost-lru] [--no-lookup] [--slot-trace TRACE.txt] \
   [--checkpoint DIR | --resume DIR] [--deadline SECS] [--heartbeat] \
   [--tier-dir DIR [--tier-budget SIZE[K|M|G|T]]] \
@@ -701,13 +705,16 @@ mod tests {
         for (flag, want) in [
             ("auto", phylo_kernel::TierChoice::Auto),
             ("reference", phylo_kernel::TierChoice::Reference),
-            ("fixed", phylo_kernel::TierChoice::Fixed),
             ("simd", phylo_kernel::TierChoice::Simd),
         ] {
             let (opts, _) = parse_cli(&base(&["--kernel-tier", flag])).unwrap();
             assert_eq!(opts.kernel_tier, want);
         }
-        assert!(parse_cli(&base(&["--kernel-tier", "avx9000"])).is_err());
+        // An unknown name and the retired middle tier are usage errors.
+        for bad in ["avx9000", "fixed"] {
+            let err = parse_cli(&base(&["--kernel-tier", bad])).unwrap_err();
+            assert!(err.contains("--kernel-tier auto|reference|simd"), "{bad}: {err}");
+        }
         // Every strategy name round-trips through the flag.
         for kind in phylo_amc::StrategyKind::all() {
             let name = kind.to_string();

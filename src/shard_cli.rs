@@ -16,7 +16,9 @@
 //! coordinator crash; a workdir whose inputs no longer match is
 //! refused (exit 2).
 
-use crate::cli::{parse_deadline, parse_scoring_flag, parse_value, with_deadline, CliOptions};
+use crate::cli::{
+    engine_settings, parse_deadline, parse_scoring_flag, parse_value, with_deadline, CliOptions,
+};
 use phylo_shard::{run_coordinator, CoordinatorConfig, ShardConfig, ShardError, Shutdown};
 use std::time::Duration;
 
@@ -58,7 +60,7 @@ pub fn parse_shard(args: &[String]) -> Result<ShardCliOptions, String> {
         "usage: phyloplace shard --tree REF.nwk --ref-msa REF.fasta --queries Q.fasta \
   --out OUT.jplace --workdir DIR --shards N \
   [--aa] [--maxmem SIZE[K|M|G|T] | --maxmem auto] [--gamma ALPHA | --no-gamma] \
-  [--chunk N] [--threads N] [--kernel-tier auto|reference|fixed|simd] \
+  [--chunk N] [--threads N] [--kernel-tier auto|reference|simd] \
   [--strategy cost|lru|mru|fifo|random|cost-lru] [--no-lookup] \
   [--workers N] [--heartbeat-timeout SECS] [--straggler-factor F] \
   [--max-shard-retries N] [--deadline SECS] [--metrics-json METRICS.json]";
@@ -141,6 +143,9 @@ pub fn parse_shard(args: &[String]) -> Result<ShardCliOptions, String> {
             }
         }
     }
+    // Resolved as every worker will resolve it, so a setting the workers
+    // would refuse (a bad `PHYLO_KERNEL_TIER` among them) fails here once.
+    engine_settings(&scoring).map_err(usage)?;
     let require = |v: Option<String>, what: &str| -> Result<String, String> {
         v.ok_or_else(|| format!("{what} is required\n{USAGE}"))
     };
@@ -303,6 +308,7 @@ mod tests {
         assert!(parse_shard(&base(&["--straggler-factor", "1.0"])).is_err());
         assert!(parse_shard(&base(&["--maxmem", "-2G"])).is_err());
         assert!(parse_shard(&base(&["--bogus"])).is_err());
+        assert!(parse_shard(&base(&["--kernel-tier", "fixed"])).is_err());
         assert!(parse_shard(&["place".to_string()]).is_err());
     }
 }

@@ -58,10 +58,39 @@ fn usage_errors_exit_2() {
         vec!["place".to_string(), "--bogus".to_string()],
         vec!["place".to_string(), "--heartbeat".to_string()],
         vec!["shard".to_string()],
+        // The retired middle kernel tier is not a tier name.
+        vec!["place".to_string(), "--kernel-tier".to_string(), "fixed".to_string()],
+        vec!["shard".to_string(), "--kernel-tier".to_string(), "fixed".to_string()],
     ] {
         let out = bin().args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
     }
+}
+
+/// A `PHYLO_KERNEL_TIER` that names no tier would otherwise be read as
+/// `auto`: every front door refuses it up front, as it refuses a bad
+/// `--kernel-tier`.
+#[test]
+fn bad_kernel_tier_env_exits_2() {
+    let dir = tmpdir("tier-env");
+    export(&dir);
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let serve = ["serve", "--tree", &path("ref.nwk"), "--ref-msa", &path("ref.fasta")];
+    let mut shard = place_args(&dir);
+    shard[0] = "shard".into();
+    shard.extend(
+        ["--out", &path("o.jplace"), "--workdir", &path("wd"), "--shards", "2"].map(String::from),
+    );
+    for args in [place_args(&dir), serve.iter().map(|s| s.to_string()).collect(), shard] {
+        let out = bin().args(&args).env("PHYLO_KERNEL_TIER", "fixed").output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("PHYLO_KERNEL_TIER") && stderr.contains("auto|reference|simd"),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -207,6 +236,9 @@ fn metrics_and_trace_are_live_in_the_default_build() {
         "{metrics}"
     );
     assert_eq!(metrics.matches("\"kernel.tier.").count(), 1, "{metrics}");
+    // Registered with the slot manager, so present even when no latch
+    // wait happened (a one-thread run may well have none).
+    assert!(metrics.contains("\"slot.wait_ns\""), "{metrics}");
     let trace = std::fs::read_to_string(&t).unwrap();
     for span in ["\"name\":\"prescore\"", "\"name\":\"thorough\""] {
         assert!(trace.contains(span), "no {span} span in the trace");

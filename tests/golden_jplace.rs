@@ -53,12 +53,12 @@ fn jplace_hash(spec: &DatasetSpec, budget: Budget, tier: TierChoice) -> u64 {
     fnv1a64(to_jplace(&ds.tree, &results).as_bytes())
 }
 
-/// Asserts one run under every kernel tier. The reference and fixed tiers
-/// are bit-identical by contract (DESIGN.md §5c); the simd tier's
-/// sub-tolerance differences do not reach the printed digits of these
-/// three runs, so one hash serves all three.
+/// Asserts one run under each kernel tier. Only the simd tier's AVX2
+/// `update_partials` is not bit-identical to reference (DESIGN.md §5c),
+/// and its sub-tolerance differences do not reach the printed digits of
+/// these three runs, so one hash serves both tiers.
 fn assert_golden(spec: DatasetSpec, budget: Budget, want: u64) {
-    for tier in [TierChoice::Reference, TierChoice::Fixed, TierChoice::Simd] {
+    for tier in [TierChoice::Reference, TierChoice::Simd] {
         let got = jplace_hash(&spec, budget, tier);
         assert_eq!(
             got, want,
