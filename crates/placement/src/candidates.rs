@@ -1,14 +1,85 @@
 //! Candidate selection between the prescore and thorough phases.
 
 use phylo_tree::EdgeId;
+use std::cmp::Ordering;
 
-/// Selects the branches each query is thoroughly re-scored on: the top
-/// `max(min_candidates, ceil(fraction · branches))` by prescore.
+/// How many branches each query is thoroughly re-scored on:
+/// `max(min_candidates, ⌈fraction · branches⌉)`, at most `branches`.
+pub fn candidate_count(branches: usize, fraction: f64, min_candidates: usize) -> usize {
+    ((branches as f64 * fraction).ceil() as usize).max(min_candidates).min(branches)
+}
+
+/// One query's candidate branches, selected while its prescores stream
+/// in: the best `k` `(score, branch)` pairs seen so far, best first, in
+/// the order a sort of the query's full prescore row would give — score
+/// descending, ties (and `-0.0` against `+0.0`, which `partial_cmp` calls
+/// equal) broken by ascending branch id. The order is total on non-NaN
+/// scores, so the kept list does not depend on the order the scores
+/// arrive in.
 ///
-/// `prescores` is the per-branch prescore row of one query.
+/// A NaN score never ranks (every comparison is false); the selector
+/// keeps it out of the list and remembers the lowest branch that
+/// produced one, for the caller to surface as a typed error.
+#[derive(Debug)]
+pub struct TopCandidates {
+    k: usize,
+    /// Never longer than `k`, so it never reallocates.
+    kept: Vec<(f64, EdgeId)>,
+    nan_edge: Option<EdgeId>,
+}
+
+/// Whether `a` ranks strictly before `b`.
+#[inline]
+fn ranks_before(a: (f64, EdgeId), b: (f64, EdgeId)) -> bool {
+    b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal).then(a.1.cmp(&b.1)) == Ordering::Less
+}
+
+impl TopCandidates {
+    /// Heap bytes one kept entry occupies.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<(f64, EdgeId)>();
+
+    /// An empty selector keeping at most `k` branches.
+    pub fn new(k: usize) -> Self {
+        TopCandidates { k, kept: Vec::with_capacity(k), nan_edge: None }
+    }
+
+    /// Offers the prescore of branch `edge`.
+    #[inline]
+    pub fn push(&mut self, edge: EdgeId, score: f64) {
+        if score.is_nan() {
+            self.nan_edge = Some(self.nan_edge.map_or(edge, |e| e.min(edge)));
+            return;
+        }
+        let entry = (score, edge);
+        if self.kept.len() == self.k {
+            if !self.kept.last().is_some_and(|&worst| ranks_before(entry, worst)) {
+                return;
+            }
+            self.kept.pop();
+        }
+        let at = self.kept.partition_point(|&e| ranks_before(e, entry));
+        self.kept.insert(at, entry);
+    }
+
+    /// The lowest branch that scored NaN, if any did.
+    pub fn nan_edge(&self) -> Option<EdgeId> {
+        self.nan_edge
+    }
+
+    /// The kept branches, best first, leaving the selector empty for the
+    /// next query.
+    pub fn take(&mut self) -> Vec<EdgeId> {
+        self.nan_edge = None;
+        self.kept.drain(..).map(|(_, e)| e).collect()
+    }
+}
+
+/// The top [`candidate_count`] branches of one query's full prescore
+/// row, by select-then-sort: the oracle [`TopCandidates`] must equal.
+#[cfg(test)]
 pub fn select_candidates(prescores: &[f64], fraction: f64, min_candidates: usize) -> Vec<EdgeId> {
     let n = prescores.len();
-    let k = ((n as f64 * fraction).ceil() as usize).max(min_candidates).min(n);
+    let k = candidate_count(n, fraction, min_candidates);
     let mut order: Vec<u32> = (0..n as u32).collect();
     // Descending prescore, ties broken by ascending branch id — the
     // tie-break keeps the result deterministic regardless of how the
@@ -16,12 +87,9 @@ pub fn select_candidates(prescores: &[f64], fraction: f64, min_candidates: usize
     let by_score_then_id = |&a: &u32, &b: &u32| {
         prescores[b as usize]
             .partial_cmp(&prescores[a as usize])
-            .unwrap_or(std::cmp::Ordering::Equal)
+            .unwrap_or(Ordering::Equal)
             .then(a.cmp(&b))
     };
-    // Partial selection: O(n) to isolate the top k, then sort only that
-    // prefix. With per-query candidate fractions of a few percent this
-    // beats the full O(n log n) sort the prescore phase used to pay.
     if k < n {
         order.select_nth_unstable_by(k, by_score_then_id);
         order.truncate(k);
@@ -46,6 +114,9 @@ pub fn group_by_branch(per_query: &[Vec<EdgeId>], n_branches: usize) -> Vec<Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn selects_top_fraction() {
@@ -92,6 +163,97 @@ mod tests {
         for min in [0usize, 1, 5, 13, 96, 97, 200] {
             let got = select_candidates(&scores, 0.0, min);
             assert_eq!(got, full(min.min(scores.len())), "min={min}");
+        }
+    }
+
+    #[test]
+    fn candidate_count_is_the_fraction_floored_by_the_minimum() {
+        assert_eq!(candidate_count(509, 0.01, 2), 6);
+        assert_eq!(candidate_count(39_997, 0.01, 2), 400);
+        assert_eq!(candidate_count(21, 0.01, 2), 2);
+        assert_eq!(candidate_count(3, 0.0, 10), 3);
+    }
+
+    #[test]
+    fn signed_zeros_tie_and_nan_never_ranks() {
+        let mut top = TopCandidates::new(3);
+        for (e, s) in [(4, 0.0), (2, f64::NAN), (1, -0.0), (7, f64::NAN), (0, f64::NEG_INFINITY)] {
+            top.push(EdgeId(e), s);
+        }
+        assert_eq!(top.nan_edge(), Some(EdgeId(2)));
+        assert_eq!(top.take(), vec![EdgeId(1), EdgeId(4), EdgeId(0)]);
+        assert_eq!(top.nan_edge(), None, "take resets the selector");
+        assert!(top.take().is_empty());
+    }
+
+    /// Scores with heavy ties: a few distinct values, both zeros and −∞.
+    fn tied_scores(rng: &mut StdRng, n: usize) -> Vec<f64> {
+        const PALETTE: [f64; 6] = [0.0, -0.0, f64::NEG_INFINITY, -1.0, -2.5, -1e300];
+        (0..n)
+            .map(|_| match rng.gen_range(0..3) {
+                0 => PALETTE[rng.gen_range(0..PALETTE.len())],
+                1 => -(rng.gen_range(0..8) as f64),
+                _ => -rng.gen_range(0.0f64..4.0),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Streaming selection equals the full-row oracle, whatever order
+        /// the branches arrive in and however the queries are split
+        /// across workers; a reused selector starts clean.
+        #[test]
+        fn streamed_selection_equals_the_oracle(
+            seed in 0u64..u64::MAX,
+            n in 1usize..=600,
+            k in 1usize..=700,
+            n_queries in 1usize..=6,
+            workers in 1usize..=4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let rows: Vec<Vec<f64>> = (0..n_queries).map(|_| tied_scores(&mut rng, n)).collect();
+            let orders: Vec<Vec<u32>> = (0..2 * n_queries)
+                .map(|_| {
+                    let mut order: Vec<u32> = (0..n as u32).collect();
+                    for i in (1..n).rev() {
+                        order.swap(i, rng.gen_range(0..=i));
+                    }
+                    order
+                })
+                .collect();
+            let mut selectors: Vec<_> = (0..n_queries).map(|_| TopCandidates::new(k)).collect();
+            let per_worker = n_queries.div_ceil(workers);
+            for pass in 0..2 {
+                let mut got = vec![Vec::new(); n_queries];
+                std::thread::scope(|s| {
+                    for ((sels, out), start) in selectors
+                        .chunks_mut(per_worker)
+                        .zip(got.chunks_mut(per_worker))
+                        .zip((0..).step_by(per_worker))
+                    {
+                        let (rows, orders) = (&rows, &orders);
+                        s.spawn(move || {
+                            for (i, (top, out)) in sels.iter_mut().zip(out).enumerate() {
+                                let q = start + i;
+                                for &e in &orders[pass * n_queries + q] {
+                                    top.push(EdgeId(e), rows[q][e as usize]);
+                                }
+                                *out = top.take();
+                            }
+                        });
+                    }
+                });
+                for (q, row) in rows.iter().enumerate() {
+                    prop_assert_eq!(
+                        &got[q],
+                        &select_candidates(row, 0.0, k),
+                        "pass {} query {} of {} (n {}, k {}, {} workers)",
+                        pass, q, n_queries, n, k, workers
+                    );
+                }
+            }
         }
     }
 

@@ -8,14 +8,15 @@
 //!
 //! 1. **Memory planning** ([`memplan`]) — the `--maxmem` budget is turned
 //!    into a concrete plan: how many CLV slots, whether the preplacement
-//!    lookup table fits, and how large the per-chunk result buffers are.
+//!    lookup table fits, and what a chunk of queries costs (their bytes
+//!    and their kept candidate lists — [`candidates`]).
 //! 2. **Preplacement** ([`lookup`]) — a per-branch, per-pattern, per-state
 //!    table of insertion likelihoods lets every (QS × branch) pair be
 //!    *prescored* without touching a single CLV. When the budget cannot
 //!    hold the table, prescoring falls back to recomputing branch CLVs
 //!    block by block — the paper's ~23× cliff.
 //! 3. **Thorough placement** ([`score`]) — each query's best candidate
-//!    branches are re-scored with full three-way likelihoods and
+//!    branches, selected while its prescores stream in, are re-scored with full three-way likelihoods and
 //!    branch-length optimization of the pendant and insertion position.
 //! 4. **Chunked, swept, parallel execution** ([`run`]) — queries stream
 //!    through in chunks; branches are walked in one traversal-ordered

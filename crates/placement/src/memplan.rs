@@ -2,15 +2,18 @@
 //!
 //! Priority order (mirroring EPA-NG's behavior in the paper):
 //!
-//! 1. mandatory structures: static reference data, per-chunk query bytes,
-//!    and the per-chunk (QS × branch) result matrix — the structure whose
-//!    `chunk_size` proportionality sets the minimum possible footprint
-//!    (paper §V-A and Fig. 4);
+//! 1. mandatory structures: static reference data and, per query of a
+//!    chunk, its sequence bytes and its kept candidate list
+//!    ([`chunk_bytes`]). EPA-NG also holds a (QS × branch) result matrix
+//!    here, which makes its floor grow with `chunk_size × branches`
+//!    (paper §V-A and Fig. 4); this planner has none to charge, because
+//!    candidates are selected while the prescores stream in;
 //! 2. the preplacement lookup table, if it fits alongside the minimum slot
 //!    count — losing it is the paper's sharp execution-time cliff;
 //! 3. every remaining byte goes to CLV slots, clamped to
 //!    `[⌈log₂ n⌉ + 2 + pin headroom, 3(n−2)]`.
 
+use crate::candidates::{candidate_count, TopCandidates};
 use crate::config::{EpaConfig, PreplacementMode};
 use crate::error::PlaceError;
 use phylo_amc::budget::{slots_for_budget, MemCategory, MemoryTracker};
@@ -66,11 +69,16 @@ pub fn lookup_bytes(ctx: &ReferenceContext) -> usize {
     branches * patterns * ((states + 1) * 8 + 4)
 }
 
-/// Bytes of the per-chunk (QS × branch) prescore matrix plus per-chunk
-/// query storage.
-pub fn chunk_bytes(ctx: &ReferenceContext, chunk_size: usize, n_sites: usize) -> usize {
-    let branches = ctx.tree().n_edges();
-    chunk_size * branches * 8 + chunk_size * n_sites
+/// Bytes a chunk of `chunk_size` queries holds: each query's sequence
+/// and its [`TopCandidates`] list of `k` ([`candidate_count`]) entries.
+pub fn chunk_bytes(
+    ctx: &ReferenceContext,
+    cfg: &EpaConfig,
+    chunk_size: usize,
+    n_sites: usize,
+) -> usize {
+    let k = candidate_count(ctx.tree().n_edges(), cfg.thorough_fraction, cfg.thorough_min);
+    chunk_size * (n_sites + k * TopCandidates::ENTRY_BYTES)
 }
 
 /// Derives the plan from the configuration and reference shape.
@@ -85,7 +93,7 @@ pub fn plan(
     let slot_bytes = SlotArena::bytes_per_slot(layout.clv_len(), layout.patterns);
     let chunk_size = cfg.chunk_size.min(n_queries.max(1));
     let static_bytes = ctx.approx_bytes();
-    let chunk_buf = chunk_bytes(ctx, chunk_size, n_sites);
+    let chunk_buf = chunk_bytes(ctx, cfg, chunk_size, n_sites);
     let lookup = lookup_bytes(ctx);
     let min_slots = ctx.min_slots() + pin_headroom(ctx);
     let max_slots = ctx.max_slots().max(ctx.min_slots());
@@ -247,7 +255,7 @@ pub fn floor_budget(
     let slot_bytes = SlotArena::bytes_per_slot(layout.clv_len(), layout.patterns);
     let chunk_size = cfg.chunk_size.min(n_queries.max(1));
     ctx.approx_bytes()
-        + chunk_bytes(ctx, chunk_size, n_sites)
+        + chunk_bytes(ctx, cfg, chunk_size, n_sites)
         + (ctx.min_slots() + pin_headroom(ctx)) * slot_bytes
 }
 
@@ -324,7 +332,7 @@ mod tests {
     fn tight_budget_drops_lookup_then_slots() {
         let c = ctx(64, 200);
         let slot_bytes = SlotArena::bytes_per_slot(c.layout().clv_len(), c.layout().patterns);
-        let fixed = c.approx_bytes() + chunk_bytes(&c, 10, 200);
+        let fixed = c.approx_bytes() + chunk_bytes(&c, &EpaConfig::default(), 10, 200);
         // Budget: fixed + min slots + lookup - 1 → lookup cannot fit.
         let min_slots = c.min_slots() + 4;
         let budget = fixed + min_slots * slot_bytes + lookup_bytes(&c) - 1;
@@ -351,12 +359,25 @@ mod tests {
     #[test]
     fn smaller_chunk_lowers_floor() {
         let c = ctx(64, 200);
+        let cfg = EpaConfig::default();
+        // The chunk term is the queries' bytes plus their kept candidate
+        // lists (16 B an entry), and nothing proportional to the branches.
+        let k = |c: &ReferenceContext| candidate_count(c.tree().n_edges(), 0.01, 2);
+        assert_eq!(k(&c), 2);
+        assert_eq!(chunk_bytes(&c, &cfg, 500, 200), 500 * (200 + 2 * 16));
+        // A 4× larger tree at the same chunk moves the term only through k.
+        let big = ctx(256, 200);
+        assert_eq!(k(&big), 6);
+        assert_eq!(
+            chunk_bytes(&big, &cfg, 500, 200) - chunk_bytes(&c, &cfg, 500, 200),
+            500 * (6 - 2) * 16
+        );
         // Find the minimal feasible budget for two chunk sizes.
         let floor = |chunk: usize| {
             let slot_bytes = SlotArena::bytes_per_slot(c.layout().clv_len(), c.layout().patterns);
-            c.approx_bytes() + chunk_bytes(&c, chunk, 200) + (c.min_slots() + 4) * slot_bytes
+            c.approx_bytes() + chunk_bytes(&c, &cfg, chunk, 200) + (c.min_slots() + 4) * slot_bytes
         };
-        assert!(floor(500) < floor(5000), "chunk 500 must allow a lower floor");
+        assert_eq!(floor(5000) - floor(500), 4500 * (200 + 2 * 16));
         // And the planner agrees: the chunk-500 floor budget fails at 5000.
         let cfg =
             EpaConfig { max_memory: Some(floor(500)), chunk_size: 5000, ..Default::default() };

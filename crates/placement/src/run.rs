@@ -1,6 +1,6 @@
 //! The placement orchestrator: chunks × branch sweeps × worker threads.
 
-use crate::candidates::{group_by_branch, select_candidates};
+use crate::candidates::{candidate_count, group_by_branch, TopCandidates};
 use crate::config::EpaConfig;
 use crate::error::PlaceError;
 use crate::lookup::LookupTable;
@@ -413,7 +413,11 @@ impl Placer {
             .iter()
             .map(|q| PlacementResult { name: q.name.clone(), placements: Vec::new() })
             .collect();
-        let mut prescores = vec![0.0f64; chunk_size * branches];
+        // One candidate selector per query of a chunk, reused chunk after
+        // chunk: the prescores stream into them and are never stored.
+        let k = candidate_count(branches, self.cfg.thorough_fraction, self.cfg.thorough_min);
+        let mut selectors: Vec<TopCandidates> =
+            (0..chunk_size).map(|_| TopCandidates::new(k)).collect();
         let mut completed = true;
         let mut chunks_done = 0usize;
 
@@ -432,14 +436,12 @@ impl Placer {
                 completed = false;
                 break;
             }
-            let mat = &mut prescores[..chunk.len() * branches];
             match self.compute_chunk(
                 warm,
                 chunk,
                 chunk_idx,
                 qoff,
-                mat,
-                branches,
+                &mut selectors[..chunk.len()],
                 &mut results,
                 &mut report,
             ) {
@@ -500,13 +502,13 @@ impl Placer {
         chunk: &[EncodedQuery],
         chunk_idx: usize,
         qoff: usize,
-        mat: &mut [f64],
-        branches: usize,
+        selectors: &mut [TopCandidates],
         results: &mut [PlacementResult],
         report: &mut RunReport,
     ) -> Result<ChunkStats, PlaceError> {
         let ctx = &self.ctx;
         let cfg = &self.cfg;
+        let branches = ctx.tree().n_edges();
         let WarmStore { store, lookup, sweep, .. } = warm;
         // Ladder counters are per chunk and merged into the report at
         // the end of each chunk, so a run that degrades on every chunk
@@ -519,7 +521,8 @@ impl Placer {
         phylo_obs::gauge!("place.chunk.current").set(chunk_idx as i64);
         phylo_obs::trace::mark("chunk.heartbeat", "chunk");
 
-        // ---- Phase 1: prescore every (query, branch) pair. ----
+        // ---- Phase 1: prescore every (query, branch) pair, selecting
+        // each query's candidates as its scores arrive. ----
         let t = Instant::now();
         let phase_span = phylo_obs::trace::span("prescore", "phase");
         match lookup {
@@ -529,34 +532,20 @@ impl Placer {
                     table,
                     &self.site_to_pattern,
                     chunk,
-                    mat,
-                    branches,
+                    selectors,
                     cfg.threads,
                 );
             }
             None => {
-                self.prescore_swept(ctx, store, sweep, chunk, mat, branches, &deg)?;
+                self.prescore_swept(ctx, store, sweep, chunk, selectors, &deg)?;
             }
         }
         drop(phase_span);
         let n_prescored = (chunk.len() * branches) as u64;
         report.n_prescored += n_prescored;
         report.prescore_time += t.elapsed();
-        // NaN never ranks correctly in candidate selection (every
-        // comparison is false), so a kernel numeric failure here would
-        // otherwise silently drop branches from consideration.
-        if let Some(bad) = mat.iter().position(|v| v.is_nan()) {
-            return Err(PlaceError::NonFiniteLikelihood {
-                query: chunk[bad / branches].name.clone(),
-                edge: (bad % branches) as u32,
-            });
-        }
-
-        // ---- Candidate selection. ----
-        let cand: Vec<Vec<EdgeId>> = mat
-            .chunks(branches)
-            .map(|row| select_candidates(row, cfg.thorough_fraction, cfg.thorough_min))
-            .collect();
+        check_nan_prescores(chunk, selectors)?;
+        let cand: Vec<Vec<EdgeId>> = selectors.iter_mut().map(TopCandidates::take).collect();
 
         // ---- Phase 2: thorough scoring, grouped by branch. ----
         let t = Instant::now();
@@ -590,14 +579,12 @@ impl Placer {
         store: &ManagedStore,
         sweep: &SweepSchedule,
         chunk: &[EncodedQuery],
-        mat: &mut [f64],
-        branches: usize,
+        selectors: &mut [TopCandidates],
         deg: &DegradationCounters,
     ) -> Result<(), PlaceError> {
         let cfg = &self.cfg;
         let plan = self.plan_block(store.n_slots(), deg)?;
         let s2p = &self.site_to_pattern;
-        let mut mat_cell = RowMatrix { data: mat, width: branches };
         // One scratch, one evaluator holding the pendant branch's
         // matrices, one log row per worker and one set of transient tables
         // for the whole chunk, rebuilt in place block after block.
@@ -618,9 +605,9 @@ impl Placer {
                 table.rebuild(ctx, &partials, &pendant_eval);
             }
             // Score the chunk against the block, parallel over queries.
-            mat_cell.with_rows(chunk.len(), &mut log_rows, |q_range, rows, log_row| {
+            for_query_ranges(selectors, &mut log_rows, |q_range, tops, log_row| {
                 for (table, &e) in tables.iter().zip(block) {
-                    prescore_branch(ctx, table, e, s2p, &chunk[q_range.clone()], rows, log_row);
+                    prescore_branch(ctx, table, e, s2p, &chunk[q_range.clone()], tops, log_row);
                 }
             });
             Ok(())
@@ -892,45 +879,43 @@ fn run_metrics(
     m
 }
 
-/// Shared-nothing row access: hands disjoint row ranges of a flat matrix
-/// to worker threads.
-struct RowMatrix<'a> {
-    data: &'a mut [f64],
-    width: usize,
+/// NaN never ranks in candidate selection (every comparison is false),
+/// so a kernel numeric failure in the prescore phase would otherwise
+/// silently drop branches from consideration. Names the lowest query
+/// that saw one, and its lowest such branch.
+fn check_nan_prescores(
+    chunk: &[EncodedQuery],
+    selectors: &[TopCandidates],
+) -> Result<(), PlaceError> {
+    match selectors.iter().zip(chunk).find_map(|(top, q)| Some((q, top.nan_edge()?))) {
+        Some((q, edge)) => {
+            Err(PlaceError::NonFiniteLikelihood { query: q.name.clone(), edge: edge.0 })
+        }
+        None => Ok(()),
+    }
 }
 
-impl<'a> RowMatrix<'a> {
-    /// One worker per element of `scratch` (at most one per row): each
-    /// gets a row range, those rows, and its own scratch element.
-    fn with_rows<T: Send>(
-        &mut self,
-        n_rows: usize,
-        scratch: &mut [T],
-        work: impl Fn(std::ops::Range<usize>, &mut [f64], &mut T) + Sync,
-    ) {
-        let width = self.width;
-        let n_threads = scratch.len().min(n_rows.max(1));
-        if n_threads == 1 {
-            return work(0..n_rows, &mut self.data[..n_rows * width], &mut scratch[0]);
-        }
-        let rows_per = n_rows.div_ceil(n_threads);
-        std::thread::scope(|s| {
-            let mut rest: &mut [f64] = self.data;
-            let mut start = 0usize;
-            for scratch in scratch.iter_mut() {
-                if start == n_rows {
-                    break;
-                }
-                let take = rows_per.min(n_rows - start);
-                let (head, tail) = rest.split_at_mut(take * width);
-                rest = tail;
-                let range = start..start + take;
-                let work = &work;
-                s.spawn(move || work(range, head, scratch));
-                start += take;
-            }
-        });
+/// Shared-nothing query access: one worker per element of `scratch` (at
+/// most one per query), each with a disjoint range of the chunk's
+/// queries, those queries' selectors and its own scratch element.
+fn for_query_ranges<T: Send>(
+    selectors: &mut [TopCandidates],
+    scratch: &mut [T],
+    work: impl Fn(std::ops::Range<usize>, &mut [TopCandidates], &mut T) + Sync,
+) {
+    let n = selectors.len();
+    let n_threads = scratch.len().min(n.max(1));
+    if n_threads == 1 {
+        return work(0..n, selectors, &mut scratch[0]);
     }
+    let per = n.div_ceil(n_threads);
+    std::thread::scope(|s| {
+        for ((i, tops), scratch) in selectors.chunks_mut(per).enumerate().zip(scratch) {
+            let range = i * per..i * per + tops.len();
+            let work = &work;
+            s.spawn(move || work(range, tops, scratch));
+        }
+    });
 }
 
 /// Phase-1 prescoring against the lookup table, parallel over queries,
@@ -940,33 +925,29 @@ fn prescore_with_lookup(
     table: &LookupTable,
     s2p: &[u32],
     chunk: &[EncodedQuery],
-    mat: &mut [f64],
-    branches: usize,
+    selectors: &mut [TopCandidates],
     n_threads: usize,
 ) {
-    let mut m = RowMatrix { data: mat, width: branches };
     let mut log_rows = vec![Vec::new(); n_threads];
-    m.with_rows(chunk.len(), &mut log_rows, |q_range, rows, log_row| {
+    for_query_ranges(selectors, &mut log_rows, |q_range, tops, log_row| {
         for e in ctx.tree().all_edges() {
-            prescore_branch(ctx, table.table(e), e, s2p, &chunk[q_range.clone()], rows, log_row);
+            prescore_branch(ctx, table.table(e), e, s2p, &chunk[q_range.clone()], tops, log_row);
         }
     });
 }
 
-/// Prescores a worker's `queries` at branch `e` into column `e` of their
-/// rows of the prescore matrix.
+/// Prescores a worker's `queries` at branch `e` into their selectors.
 fn prescore_branch(
     ctx: &ReferenceContext,
     table: &BranchScoreTable,
     e: EdgeId,
     s2p: &[u32],
     queries: &[EncodedQuery],
-    rows: &mut [f64],
+    selectors: &mut [TopCandidates],
     log_row: &mut Vec<f64>,
 ) {
-    let branches = ctx.tree().n_edges();
     let codes = queries.iter().map(|q| q.codes.as_slice());
-    table.prescore_chunk(ctx, s2p, codes, log_row, |q, score| rows[q * branches + e.idx()] = score);
+    table.prescore_chunk(ctx, s2p, codes, log_row, |q, score| selectors[q].push(e, score));
 }
 
 #[cfg(test)]
@@ -1272,17 +1253,20 @@ mod tests {
         let (ctx2, _, _) = setup(24, 60, 6, 7);
         let slot_bytes =
             phylo_amc::SlotArena::bytes_per_slot(ctx2.layout().clv_len(), ctx2.layout().patterns);
-        let floor = ctx2.approx_bytes()
-            + memplan::chunk_bytes(&ctx2, 2, batch.n_sites())
-            + (ctx2.min_slots() + 4) * slot_bytes;
-        let cfg = EpaConfig {
+        let probe = EpaConfig {
             preplacement: PreplacementMode::Off,
-            max_memory: Some(floor),
             chunk_size: 2,
             block_size: 8,
             async_prefetch: false,
             ..Default::default()
         };
+        // Per query of the chunk: its 60 sites and two kept candidates
+        // (45 branches, so k = thorough_min).
+        assert_eq!(memplan::chunk_bytes(&ctx2, &probe, 2, batch.n_sites()), 2 * (60 + 2 * 16));
+        let floor = ctx2.approx_bytes()
+            + memplan::chunk_bytes(&ctx2, &probe, 2, batch.n_sites())
+            + (ctx2.min_slots() + 4) * slot_bytes;
+        let cfg = EpaConfig { max_memory: Some(floor), ..probe };
         let tight = Placer::new(ctx2, s2p, cfg).unwrap();
         let (_, rep_tight) = tight.place(&batch).unwrap();
         assert!(
@@ -1291,6 +1275,35 @@ mod tests {
             rep_tight.slot_stats,
             rep_off.slot_stats
         );
+    }
+
+    #[test]
+    fn nan_prescores_name_the_lowest_query_then_its_lowest_edge() {
+        let chunk: Vec<EncodedQuery> =
+            (0..4).map(|i| EncodedQuery { name: format!("q{i}"), codes: Vec::new() }).collect();
+        let mut selectors: Vec<TopCandidates> = (0..4).map(|_| TopCandidates::new(2)).collect();
+        // Query 0 is clean; queries 2 and 1 (in that order) see NaNs on
+        // several branches, out of id order, between finite scores.
+        for e in 0..9 {
+            selectors[0].push(EdgeId(e), -(e as f64));
+        }
+        for (q, edges) in [(2, [6, 1, 4]), (1, [8, 3, 5])] {
+            for e in edges {
+                selectors[q].push(EdgeId(e + 1), -1.0);
+                selectors[q].push(EdgeId(e), f64::NAN);
+            }
+        }
+        match check_nan_prescores(&chunk, &selectors) {
+            Err(PlaceError::NonFiniteLikelihood { query, edge }) => {
+                assert_eq!((query.as_str(), edge), ("q1", 3));
+            }
+            other => panic!("expected NonFiniteLikelihood, got {other:?}"),
+        }
+        // A NaN never enters a candidate list, and taking the lists
+        // clears the record for the next chunk.
+        assert_eq!(selectors[1].take(), [EdgeId(4), EdgeId(6)]);
+        assert_eq!(selectors[2].take(), [EdgeId(2), EdgeId(5)]);
+        assert!(check_nan_prescores(&chunk, &selectors).is_ok());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The full CI gate: release build, the benchmark harness, the whole
-# workspace's test suite, formatting, clippy's deny-level lints, and a
+# The full CI gate: release build, a Table II smoke run, the benchmark
+# harness, the whole workspace's test suite, formatting, clippy's
+# deny-level lints, and a
 # single-iteration bench smoke pass (compiles every benchmark and runs
 # the kernel suite in quick mode, writing its baselines to a throwaway
 # directory so the committed BENCH_*.json files are not churned).
@@ -12,6 +13,14 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="-D warnings" cargo build --release
+
+# The paper's Table II at ci scale (≈ 0.3 s): every dataset must plan
+# and place at `floor_budget` and `lookup_floor_budget` — the binary
+# `.expect`s both — so a planner change that breaks an operating point
+# fails here. Same flags as above, so the release artifacts are reused.
+echo "==> Table II smoke (pewo table2_absolute --scale ci)"
+RUSTFLAGS="-D warnings" cargo run --release -q -p pewo-bench --bin table2_absolute -- \
+    --scale ci --repeats 1
 
 # The benchmark gate (BENCHMARK.json) builds `bench/` against this
 # workspace's public API (`RunReport`, `DegradationStats`, `memplan`,

@@ -286,12 +286,20 @@ fn kernel_nan_is_a_typed_error_not_a_wrong_answer() {
         EpaConfig { preplacement: PreplacementMode::Off, chunk_size: 7, ..Default::default() };
     let placer = Placer::new(ctx_of(&ds), s2p, cfg).unwrap();
 
-    phylo_faults::arm("engine::kernel_nan", Trigger::Once { after: 2 });
-    match placer.place(&batch) {
-        Err(PlaceError::NonFiniteLikelihood { .. }) => {}
-        other => panic!("expected NonFiniteLikelihood, got {other:?}"),
+    // The error names the first NaN of the chunk in (query, edge) order:
+    // exactly what a scan of the full (query × branch) prescore matrix
+    // reported, before candidates were selected as the scores stream in.
+    for (after, want_edge) in [(2, 0), (20, 15), (40, 25)] {
+        phylo_faults::reset();
+        phylo_faults::arm("engine::kernel_nan", Trigger::Once { after });
+        match placer.place(&batch) {
+            Err(PlaceError::NonFiniteLikelihood { query, edge }) => {
+                assert_eq!((query.as_str(), edge), ("Q000000", want_edge), "after {after}");
+            }
+            other => panic!("after {after}: expected NonFiniteLikelihood, got {other:?}"),
+        }
+        assert_eq!(phylo_faults::hits("engine::kernel_nan"), 1);
     }
-    assert_eq!(phylo_faults::hits("engine::kernel_nan"), 1);
     phylo_faults::reset();
 }
 

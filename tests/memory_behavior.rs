@@ -2,6 +2,7 @@
 //! slot-count mapping, the lookup-table cliff, the chunk-size floor, and
 //! recomputation monotonicity.
 
+use phyloplace::place::candidates::candidate_count;
 use phyloplace::place::{memplan, AmcMode, EpaConfig, Placer, QueryBatch};
 use phyloplace::prelude::*;
 
@@ -113,6 +114,14 @@ fn smaller_chunks_lower_the_floor_but_cost_time() {
         floor_small < floor_big,
         "chunk 1 floor {floor_small} must be below chunk-all floor {floor_big}"
     );
+    // What a query of the chunk costs is its sequence and its kept
+    // candidate list, 16 B an entry — nothing per branch.
+    let k = candidate_count(ctx.tree().n_edges(), 0.01, 2);
+    assert_eq!(k, 13, "pro_ref at ci scale has 1 247 branches");
+    let per_query = batch.n_sites() + k * 16;
+    assert_eq!(floor_big - floor_small, (batch.len() - 1) * per_query);
+    let cfg = EpaConfig::default();
+    assert_eq!(memplan::chunk_bytes(&ctx, &cfg, 7, batch.n_sites()), 7 * per_query);
 }
 
 #[test]
