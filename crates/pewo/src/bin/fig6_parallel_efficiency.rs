@@ -7,8 +7,10 @@
 //!   complement (≈ the unconstrained footprint).
 //!
 //! `PE(r) = T(serial) / (T(r) · P(r))`, fastest of N repeats, where `P`
-//! counts the extra asynchronous prefetch thread when AMC is enabled
-//! (paper §V-C). Expected shape: PE degrades when AMC is on, because the
+//! counts the run's scorers plus the asynchronous prefetch thread when
+//! AMC is enabled (paper §V-C). `threads` already includes that thread
+//! while the sweep evicts (`memplan::scoring_workers`), so at the floor
+//! `P(r) = max(r, 2)`. Expected shape: PE degrades when AMC is on, because the
 //! branch-block CLV recomputation is only parallelized as one async
 //! thread.
 
@@ -70,10 +72,11 @@ fn main() {
                     let (ctx, s2p) = build_reference(&ds);
                     let placer = Placer::new(ctx, s2p, cfg.clone()).expect("valid cfg");
                     let (_, report) = placer.place(&batch).expect("parallel run");
-                    Timed { time: report.total_time, payload: () }
+                    Timed { time: report.total_time, payload: report.scoring.workers }
                 });
-                // AMC runs use one extra async precompute thread.
-                let p = threads + usize::from(amc_on);
+                // AMC runs keep one async precompute thread beside the
+                // scorers.
+                let p = run.payload + usize::from(amc_on);
                 let speedup = t_serial / run.time.as_secs_f64();
                 table.row(&[
                     spec.name.to_string(),

@@ -24,7 +24,9 @@ pub struct EpaConfig {
     pub max_memory: Option<usize>,
     /// Queries per chunk (`5 000` default; the paper's Fig. 4 uses `500`).
     pub chunk_size: usize,
-    /// Worker threads for (QS × branch) scoring. `1` = serial.
+    /// Threads for (QS × branch) scoring, the sweep's prefetch thread
+    /// included ([`crate::memplan::scoring_workers`]). `1` = serial;
+    /// defaults to the machine's cores.
     pub threads: usize,
     /// Branches per block when CLVs must be recomputed under AMC.
     pub block_size: usize,
@@ -65,7 +67,7 @@ impl Default for EpaConfig {
         EpaConfig {
             max_memory: None,
             chunk_size: 5000,
-            threads: 1,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             block_size: 64,
             strategy: StrategyKind::CostBased,
             preplacement: PreplacementMode::Auto,

@@ -59,6 +59,7 @@ impl LookupTable {
             async_prefetch: false,
             prefetch_disabled: false,
             block_clamped: false,
+            workers: 1,
         });
         let steps = SweepSchedule::new(ctx.tree()).steps(|_| true);
         run_sweep(ctx, store, &steps, plan, &DegradationCounters::default(), |batch| {

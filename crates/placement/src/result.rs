@@ -86,6 +86,8 @@ pub struct RunReport {
     pub slots: usize,
     /// How often the run had to step down the degradation ladder.
     pub degradation: DegradationStats,
+    /// How the run's scoring spread over threads.
+    pub scoring: ScoringStats,
     /// Chunks restored from a resumed checkpoint journal instead of
     /// recomputed (zero on a fresh run). Their stats are folded into
     /// the counters above; the timings cover only this process's work.
@@ -128,6 +130,24 @@ impl DegradationStats {
         self.block_clamped += other.block_clamped;
         self.flush_retries += other.flush_retries;
     }
+}
+
+/// How a run's scoring spread over threads: the worker rule's verdict
+/// and how often a phase fanned out (started threads besides the
+/// caller). Like the slot traffic, these depend on the thread count, not
+/// on timing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScoringStats {
+    /// Scoring workers of the swept phases
+    /// ([`crate::memplan::scoring_workers`]); zero when nothing swept.
+    pub workers: usize,
+    /// Fan-outs of the lookup prescore (at most one per chunk).
+    pub lookup_prescore_fanouts: u64,
+    /// Fan-outs of the swept prescore (one per multi-branch block at
+    /// most; a one-branch block is scored on the caller).
+    pub swept_prescore_fanouts: u64,
+    /// Fan-outs of thorough scoring (at most one per block).
+    pub thorough_fanouts: u64,
 }
 
 /// Serializes results in the `jplace` (v3) format. The tree string carries

@@ -6,7 +6,7 @@ use crate::error::PlaceError;
 use crate::lookup::LookupTable;
 use crate::memplan::{self, BlockPlan, MemoryPlan};
 use crate::queries::{EncodedQuery, QueryBatch};
-use crate::result::{DegradationStats, PlacementEntry, PlacementResult, RunReport};
+use crate::result::{DegradationStats, PlacementEntry, PlacementResult, RunReport, ScoringStats};
 use crate::score::{
     attachment_partials_into, score_thorough, AttachmentPartials, BranchScoreTable, QueryEvaluator,
     ScoreScratch,
@@ -17,8 +17,10 @@ use phylo_engine::{ManagedStore, ReferenceContext};
 use phylo_journal::{ChunkFrame, ChunkStats, PlacementRecord, QueryRecord, RunJournal};
 use phylo_tree::traversal::SweepSchedule;
 use phylo_tree::EdgeId;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One progress beat of a run, handed to [`RunControl::heartbeat`] at
@@ -534,10 +536,19 @@ impl Placer {
                     chunk,
                     selectors,
                     cfg.threads,
-                );
+                    &mut report.scoring.lookup_prescore_fanouts,
+                )?;
             }
             None => {
-                self.prescore_swept(ctx, store, sweep, chunk, selectors, &deg)?;
+                self.prescore_swept(
+                    ctx,
+                    store,
+                    sweep,
+                    chunk,
+                    selectors,
+                    &deg,
+                    &mut report.scoring,
+                )?;
             }
         }
         drop(phase_span);
@@ -553,7 +564,17 @@ impl Placer {
         let grouped = group_by_branch(&cand, branches);
         let n_thorough = grouped.iter().map(|qs| qs.len() as u64).sum::<u64>();
         report.n_thorough += n_thorough;
-        self.thorough_swept(ctx, store, sweep, chunk, &grouped, qoff, results, &deg)?;
+        self.thorough_swept(
+            ctx,
+            store,
+            sweep,
+            chunk,
+            &grouped,
+            qoff,
+            results,
+            &deg,
+            &mut report.scoring,
+        )?;
         drop(phase_span);
         report.thorough_time += t.elapsed();
         let snap = deg.snapshot();
@@ -581,9 +602,10 @@ impl Placer {
         chunk: &[EncodedQuery],
         selectors: &mut [TopCandidates],
         deg: &DegradationCounters,
+        scoring: &mut ScoringStats,
     ) -> Result<(), PlaceError> {
-        let cfg = &self.cfg;
         let plan = self.plan_block(store.n_slots(), deg)?;
+        scoring.workers = plan.workers;
         let s2p = &self.site_to_pattern;
         // One scratch, one evaluator holding the pendant branch's
         // matrices, one log row per worker and one set of transient tables
@@ -593,7 +615,7 @@ impl Placer {
         pendant_eval.set_pendant(ctx, ctx.starting_pendant());
         let mut partials = AttachmentPartials::empty();
         let mut tables: Vec<BranchScoreTable> = Vec::new();
-        let mut log_rows = vec![Vec::new(); cfg.threads];
+        let mut log_rows = vec![Vec::new(); plan.workers];
         run_sweep(ctx, store, &sweep.steps(|_| true), plan, deg, |block| {
             // The block's CLVs are pinned and published, so reads need no
             // lock.
@@ -604,12 +626,22 @@ impl Placer {
                 attachment_partials_into(ctx, store, e, 0.5, &mut scratch, &mut partials);
                 table.rebuild(ctx, &partials, &pendant_eval);
             }
-            // Score the chunk against the block, parallel over queries.
-            for_query_ranges(selectors, &mut log_rows, |q_range, tops, log_row| {
-                for (table, &e) in tables.iter().zip(block) {
-                    prescore_branch(ctx, table, e, s2p, &chunk[q_range.clone()], tops, log_row);
-                }
-            });
+            // Score the chunk against the block, parallel over queries —
+            // except a one-branch block (the floor's only kind), whose
+            // table walk is shorter than starting a thread.
+            let workers = if block.len() > 1 { plan.workers } else { 1 };
+            fan_out(
+                "prescore worker",
+                query_ranges(selectors, workers),
+                &mut log_rows,
+                &mut scoring.swept_prescore_fanouts,
+                |(q_range, tops), log_row| {
+                    for (table, &e) in tables.iter().zip(block) {
+                        prescore_branch(ctx, table, e, s2p, &chunk[q_range.clone()], tops, log_row);
+                    }
+                    Ok(())
+                },
+            )?;
             Ok(())
         })
     }
@@ -628,27 +660,28 @@ impl Placer {
         qoff: usize,
         results: &mut [PlacementResult],
         deg: &DegradationCounters,
+        scoring: &mut ScoringStats,
     ) -> Result<(), PlaceError> {
         let cfg = &self.cfg;
         let s2p = &self.site_to_pattern;
         let plan = self.plan_block(store.n_slots(), deg)?;
+        scoring.workers = plan.workers;
         let steps = sweep.steps(|e| !grouped[e.idx()].is_empty());
         // One scratch per worker for the whole chunk, not one per block.
         let mut scratches: Vec<ScoreScratch> =
-            (0..cfg.threads).map(|_| ScoreScratch::new(ctx)).collect();
+            (0..plan.workers).map(|_| ScoreScratch::new(ctx)).collect();
         let swept = run_sweep(ctx, store, &steps, plan, deg, |block| {
-            // Flatten to (edge, query) work items and strip across threads.
-            let items: Vec<(EdgeId, usize)> =
+            let pairs: Vec<(EdgeId, usize)> =
                 block.iter().flat_map(|&e| grouped[e.idx()].iter().map(move |&q| (e, q))).collect();
-            let n_threads = cfg.threads.min(items.len().max(1));
-            let work = |t: usize,
-                        scratch: &mut ScoreScratch|
-             -> Result<Vec<(usize, PlacementEntry)>, PlaceError> {
-                if phylo_faults::fire("place::worker_panic") {
-                    panic!("injected thorough-worker panic");
-                }
-                let mut out = Vec::new();
-                for &(e, q) in items.iter().skip(t).step_by(n_threads) {
+            let entries = fan_out(
+                "thorough scoring worker",
+                pairs,
+                &mut scratches,
+                &mut scoring.thorough_fanouts,
+                |(e, q), scratch| {
+                    if phylo_faults::fire("place::worker_panic") {
+                        panic!("injected thorough-worker panic");
+                    }
                     let sp = score_thorough(
                         ctx,
                         store,
@@ -664,7 +697,7 @@ impl Placer {
                             edge: e.0,
                         });
                     }
-                    out.push((
+                    Ok((
                         q,
                         PlacementEntry {
                             edge: e,
@@ -673,51 +706,10 @@ impl Placer {
                             pendant_length: sp.pendant,
                             distal_length: sp.proximal_fraction * ctx.tree().edge_length(e),
                         },
-                    ));
-                }
-                Ok(out)
-            };
-            // A single worker runs on the caller. Either way every worker
-            // is joined even after a panic or error: nothing re-raises,
-            // and the surviving workers' reads drain before the error
-            // surfaces.
-            let joined: Vec<std::thread::Result<_>> = if n_threads == 1 {
-                let scratch = &mut scratches[0];
-                vec![std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(0, scratch)))]
-            } else {
-                std::thread::scope(|s| {
-                    let work = &work;
-                    let handles: Vec<_> = scratches
-                        .iter_mut()
-                        .take(n_threads)
-                        .enumerate()
-                        .map(|(t, scratch)| s.spawn(move || work(t, scratch)))
-                        .collect();
-                    handles.into_iter().map(|h| h.join()).collect()
-                })
-            };
-            let mut failed: Option<PlaceError> = None;
-            let mut outputs = Vec::with_capacity(joined.len());
-            for j in joined {
-                match j {
-                    Ok(Ok(out)) => outputs.push(out),
-                    Ok(Err(e)) => {
-                        failed.get_or_insert(e);
-                    }
-                    Err(payload) => {
-                        failed = Some(PlaceError::WorkerPanicked {
-                            context: format!(
-                                "thorough scoring worker: {}",
-                                panic_message(payload.as_ref())
-                            ),
-                        });
-                    }
-                }
-            }
-            if let Some(e) = failed {
-                return Err(e);
-            }
-            for (q, entry) in outputs.into_iter().flatten() {
+                    ))
+                },
+            )?;
+            for (q, entry) in entries {
                 results[qoff + q].placements.push(entry);
             }
             Ok(())
@@ -837,7 +829,8 @@ impl RunClock {
 /// ([`RunReport::slot_stats`] and [`RunReport::degradation`]). The
 /// registry is per process and the report per run: the injected
 /// counters stay exact when concurrent runs share the registry, while
-/// the live probes' deltas then include the other runs' traffic. The
+/// the live probes' deltas then include the other runs' traffic. So do
+/// the scoring workers and per-phase fan-outs ([`ScoringStats`]). The
 /// selected kernel tier is exported as exactly one `kernel.tier.<name>`
 /// gauge (the invariant the observability suite checks), alongside the
 /// site-parallel pool counters.
@@ -861,6 +854,11 @@ fn run_metrics(
     m.set_counter("slot.evictions", s.evictions);
     m.set_counter("slot.installs", s.installs);
     m.set_counter("slot.acquires", s.acquires);
+    let sc = &report.scoring;
+    m.set_gauge("place.scoring.workers", sc.workers as i64);
+    m.set_counter("place.fanout.lookup_prescore", sc.lookup_prescore_fanouts);
+    m.set_counter("place.fanout.swept_prescore", sc.swept_prescore_fanouts);
+    m.set_counter("place.fanout.thorough", sc.thorough_fanouts);
     let d = &report.degradation;
     m.set_counter("place.degrade.prefetch_disabled", d.prefetch_disabled);
     m.set_counter("place.degrade.block_clamped", d.block_clamped);
@@ -895,31 +893,103 @@ fn check_nan_prescores(
     }
 }
 
-/// Shared-nothing query access: one worker per element of `scratch` (at
-/// most one per query), each with a disjoint range of the chunk's
-/// queries, those queries' selectors and its own scratch element.
-fn for_query_ranges<T: Send>(
-    selectors: &mut [TopCandidates],
-    scratch: &mut [T],
-    work: impl Fn(std::ops::Range<usize>, &mut [TopCandidates], &mut T) + Sync,
-) {
-    let n = selectors.len();
-    let n_threads = scratch.len().min(n.max(1));
-    if n_threads == 1 {
-        return work(0..n, selectors, &mut scratch[0]);
-    }
-    let per = n.div_ceil(n_threads);
-    std::thread::scope(|s| {
-        for ((i, tops), scratch) in selectors.chunks_mut(per).enumerate().zip(scratch) {
-            let range = i * per..i * per + tops.len();
-            let work = &work;
-            s.spawn(move || work(range, tops, scratch));
+/// The one fan-out: runs `work` on every unit, on the calling thread as
+/// worker 0 plus `min(scratch.len(), units.len()) − 1` scoped threads,
+/// each worker with its own `scratch` element. Workers claim units
+/// through a shared cursor, so units of unequal cost balance out.
+///
+/// Every worker, the caller included, runs under `catch_unwind`, and all
+/// are joined before anything surfaces: a panic becomes
+/// [`PlaceError::WorkerPanicked`] naming `what`; otherwise the error of
+/// the lowest failing unit wins. Units are claimed in order, every
+/// claimed unit runs to its end and none is claimed after a failure, so
+/// that error is the one a serial run meets first. Outputs come back in
+/// unit order; `fanouts` counts the calls that started threads.
+fn fan_out<U: Send, S: Send, R: Send>(
+    what: &str,
+    units: Vec<U>,
+    scratch: &mut [S],
+    fanouts: &mut u64,
+    work: impl Fn(U, &mut S) -> Result<R, PlaceError> + Sync,
+) -> Result<Vec<R>, PlaceError> {
+    let workers = scratch.len().min(units.len());
+    let units: Vec<Mutex<Option<U>>> = units.into_iter().map(|u| Mutex::new(Some(u))).collect();
+    let cursor = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let worker = |scratch: &mut S| {
+        let claimed = catch_unwind(AssertUnwindSafe(|| {
+            let mut done = Vec::new();
+            while !failed.load(Ordering::Relaxed) {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(unit) = units.get(i) else { break };
+                let unit = unit.lock().expect("no unit lock is held across a panic").take();
+                match work(unit.expect("the cursor hands each unit out once"), scratch) {
+                    Ok(out) => done.push((i, out)),
+                    Err(e) => return Err((i, e)),
+                }
+            }
+            Ok(done)
+        }));
+        if !matches!(claimed, Ok(Ok(_))) {
+            failed.store(true, Ordering::Relaxed);
         }
-    });
+        claimed
+    };
+    let joined = match &mut scratch[..workers] {
+        [] => return Ok(Vec::new()),
+        [own] => vec![worker(own)],
+        [own, rest @ ..] => {
+            *fanouts += 1;
+            std::thread::scope(|s| {
+                let worker = &worker;
+                let handles: Vec<_> =
+                    rest.iter_mut().map(|sc| s.spawn(move || worker(sc))).collect();
+                let mut joined = vec![worker(own)];
+                joined.extend(handles.into_iter().map(|h| h.join().unwrap_or_else(Err)));
+                joined
+            })
+        }
+    };
+    let mut outputs = Vec::with_capacity(units.len());
+    let mut first_err: Option<(usize, PlaceError)> = None;
+    for j in joined {
+        match j {
+            Ok(Ok(done)) => outputs.extend(done),
+            Ok(Err((i, e))) => {
+                if first_err.as_ref().is_none_or(|&(f, _)| i < f) {
+                    first_err = Some((i, e));
+                }
+            }
+            Err(payload) => {
+                return Err(PlaceError::WorkerPanicked {
+                    context: format!("{what}: {}", panic_message(payload.as_ref())),
+                });
+            }
+        }
+    }
+    if let Some((_, e)) = first_err {
+        return Err(e);
+    }
+    outputs.sort_unstable_by_key(|&(i, _)| i);
+    Ok(outputs.into_iter().map(|(_, out)| out).collect())
 }
 
-/// Phase-1 prescoring against the lookup table, parallel over queries,
-/// branch by branch within a worker.
+/// Splits a chunk's selectors into at most `n` contiguous query ranges,
+/// each with its queries' selectors: the units of a prescore fan-out.
+fn query_ranges(
+    selectors: &mut [TopCandidates],
+    n: usize,
+) -> Vec<(Range<usize>, &mut [TopCandidates])> {
+    let per = selectors.len().div_ceil(n).max(1);
+    selectors
+        .chunks_mut(per)
+        .enumerate()
+        .map(|(i, tops)| (i * per..i * per + tops.len(), tops))
+        .collect()
+}
+
+/// Phase-1 prescoring against the lookup table, parallel over queries
+/// (one fan-out per chunk), branch by branch within a worker.
 fn prescore_with_lookup(
     ctx: &ReferenceContext,
     table: &LookupTable,
@@ -927,13 +997,17 @@ fn prescore_with_lookup(
     chunk: &[EncodedQuery],
     selectors: &mut [TopCandidates],
     n_threads: usize,
-) {
+    fanouts: &mut u64,
+) -> Result<(), PlaceError> {
     let mut log_rows = vec![Vec::new(); n_threads];
-    for_query_ranges(selectors, &mut log_rows, |q_range, tops, log_row| {
+    let ranges = query_ranges(selectors, n_threads);
+    fan_out("prescore worker", ranges, &mut log_rows, fanouts, |(q_range, tops), log_row| {
         for e in ctx.tree().all_edges() {
             prescore_branch(ctx, table.table(e), e, s2p, &chunk[q_range.clone()], tops, log_row);
         }
-    });
+        Ok(())
+    })?;
+    Ok(())
 }
 
 /// Prescores a worker's `queries` at branch `e` into their selectors.
@@ -1131,6 +1205,7 @@ mod tests {
             async_prefetch: false,
             prefetch_disabled: false,
             block_clamped: false,
+            workers: 1,
         };
         // Recomputes of one pruned walk over a store a full sweep warmed.
         let misses = |slots: usize, stride: u32| {
@@ -1185,6 +1260,7 @@ mod tests {
                 async_prefetch,
                 prefetch_disabled: false,
                 block_clamped: false,
+                workers: 1,
             };
             let mut batches = 0;
             let failed =

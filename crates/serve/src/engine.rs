@@ -133,6 +133,11 @@ impl WarmEngine {
         self.warm.slots()
     }
 
+    /// Scoring threads each request runs with (`--threads`).
+    pub fn threads(&self) -> usize {
+        self.placer.config().threads
+    }
+
     /// Whether the preplacement lookup table is resident.
     pub fn use_lookup(&self) -> bool {
         self.warm.use_lookup()

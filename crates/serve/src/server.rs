@@ -216,10 +216,12 @@ pub fn run(
     };
 
     eprintln!(
-        "phyloplaced: ready (fingerprint={}, slots={}, lookup={}, queue_cap={}, batch_max={})",
+        "phyloplaced: ready (fingerprint={}, slots={}, lookup={}, threads={}, queue_cap={}, \
+         batch_max={})",
         state.engine.fingerprint(),
         state.engine.slots(),
         state.engine.use_lookup(),
+        state.engine.threads(),
         state.cfg.queue_cap,
         state.cfg.batch_max,
     );

@@ -8,7 +8,8 @@
 //!    directory whose inputs or split differ is refused (exit 2), never
 //!    silently resumed into wrong answers;
 //! 2. launch one checkpoint-enabled `phyloplace place --heartbeat`
-//!    worker per shard and supervise the fleet
+//!    worker per shard — each with its share of the machine's cores
+//!    unless the user passed `--threads` — and supervise the fleet
 //!    ([`crate::supervisor::supervise`]): re-launches of a shard resume
 //!    from its journal (`--resume`) so completed chunks are never
 //!    recomputed;
@@ -51,7 +52,8 @@ pub struct CoordinatorConfig {
     /// The worker binary (normally `std::env::current_exe()`).
     pub worker_exe: PathBuf,
     /// Placement flags forwarded verbatim to every worker (alphabet,
-    /// budget, chunk size, threads, …).
+    /// budget, chunk size, threads, …). Without `--threads` among them,
+    /// the coordinator adds each worker's share of the machine's cores.
     pub passthrough: Vec<String>,
     /// Supervision policy.
     pub shard: ShardConfig,
@@ -77,6 +79,53 @@ pub fn shard_dir(workdir: &Path, shard: usize) -> PathBuf {
 
 fn runtime(context: &str, e: impl std::fmt::Display) -> ShardError {
     ShardError::Runtime(format!("{context}: {e}"))
+}
+
+/// The `--threads` each worker gets when the passthrough has none:
+/// `cores` split evenly over the workers that run at once (`max_workers`,
+/// 0 meaning one per shard, never more than `n_shards`), at least one
+/// each. A worker left to its default would start `cores` scorers of its
+/// own, and N of them would oversubscribe the machine N-fold. `None`
+/// when the user's own `--threads` is forwarded.
+fn worker_threads(cfg: &CoordinatorConfig, n_shards: usize, cores: usize) -> Option<usize> {
+    if cfg.passthrough.iter().any(|a| a == "--threads") {
+        return None;
+    }
+    let concurrent = match cfg.shard.max_workers {
+        0 => n_shards,
+        m => m.min(n_shards),
+    };
+    Some((cores / concurrent.max(1)).max(1))
+}
+
+/// The command line of shard `shard`'s worker: `place` on its query
+/// file with the passthrough flags, `threads` (see [`worker_threads`]),
+/// its output and heartbeat, and a fresh or resumed checkpoint journal.
+fn worker_command(cfg: &CoordinatorConfig, shard: usize, threads: Option<usize>) -> Command {
+    let dir = shard_dir(&cfg.workdir, shard);
+    let journal = dir.join("journal");
+    let mut cmd = Command::new(&cfg.worker_exe);
+    cmd.arg("place")
+        .arg("--tree")
+        .arg(&cfg.tree_path)
+        .arg("--ref-msa")
+        .arg(&cfg.ref_path)
+        .arg("--queries")
+        .arg(dir.join("queries.fasta"))
+        .args(&cfg.passthrough);
+    if let Some(threads) = threads {
+        cmd.arg("--threads").arg(threads.to_string());
+    }
+    cmd.arg("--out").arg(dir.join("out.jplace")).arg("--heartbeat");
+    // First attempt of a fresh shard starts a journal; any journal
+    // with a manifest (earlier attempt or earlier coordinator run)
+    // is resumed so durable chunks are never recomputed.
+    if journal.join(MANIFEST_FILE).exists() {
+        cmd.arg("--resume").arg(&journal);
+    } else {
+        cmd.arg("--checkpoint").arg(&journal);
+    }
+    cmd
 }
 
 /// Runs a sharded placement to completion (or typed failure).
@@ -141,29 +190,10 @@ pub fn run_coordinator(
     }
 
     let shard_cfg = ShardConfig { n_shards, ..cfg.shard.clone() };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = worker_threads(cfg, n_shards, cores);
     let report = supervise(&shard_cfg, shutdown, |shard, attempt| {
-        let dir = shard_dir(&cfg.workdir, shard);
-        let journal = dir.join("journal");
-        let mut cmd = Command::new(&cfg.worker_exe);
-        cmd.arg("place")
-            .arg("--tree")
-            .arg(&cfg.tree_path)
-            .arg("--ref-msa")
-            .arg(&cfg.ref_path)
-            .arg("--queries")
-            .arg(dir.join("queries.fasta"))
-            .args(&cfg.passthrough)
-            .arg("--out")
-            .arg(dir.join("out.jplace"))
-            .arg("--heartbeat");
-        // First attempt of a fresh shard starts a journal; any journal
-        // with a manifest (earlier attempt or earlier coordinator run)
-        // is resumed so durable chunks are never recomputed.
-        if journal.join(MANIFEST_FILE).exists() {
-            cmd.arg("--resume").arg(&journal);
-        } else {
-            cmd.arg("--checkpoint").arg(&journal);
-        }
+        let mut cmd = worker_command(cfg, shard, threads);
         // Workers never inherit the coordinator's own fault arming; a
         // shard-addressed spec is delivered to the first attempt only,
         // so the re-queued attempt recovers clean.
@@ -186,4 +216,46 @@ pub fn run_coordinator(
     let jplace = merge_jplace(&docs).map_err(|e| ShardError::Runtime(e.to_string()))?;
     phylo_obs::gauge!("shard.n_shards").set(n_shards as i64);
     Ok(CoordinatorOutcome { jplace, report, n_shards, n_queries })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config(passthrough: &[&str], max_workers: usize) -> CoordinatorConfig {
+        CoordinatorConfig {
+            workdir: PathBuf::from("wd"),
+            tree_path: "t.nwk".into(),
+            ref_path: "r.fasta".into(),
+            query_path: "q.fasta".into(),
+            worker_exe: PathBuf::from("phyloplace"),
+            passthrough: passthrough.iter().map(|s| s.to_string()).collect(),
+            shard: ShardConfig { max_workers, ..ShardConfig::default() },
+        }
+    }
+
+    /// The values that follow `--threads` on shard 0's command line.
+    fn threads_on_command_line(
+        cfg: &CoordinatorConfig,
+        n_shards: usize,
+        cores: usize,
+    ) -> Vec<String> {
+        let cmd = worker_command(cfg, 0, worker_threads(cfg, n_shards, cores));
+        let args: Vec<String> = cmd.get_args().map(|a| a.to_string_lossy().into_owned()).collect();
+        args.windows(2).filter(|w| w[0] == "--threads").map(|w| w[1].clone()).collect()
+    }
+
+    #[test]
+    fn workers_split_the_cores_unless_the_user_sets_threads() {
+        // One worker per shard: 8 cores over 4 shards.
+        assert_eq!(threads_on_command_line(&config(&["--chunk", "16"], 0), 4, 8), ["2"]);
+        // Two at a time: each gets half the machine.
+        assert_eq!(threads_on_command_line(&config(&[], 2), 4, 8), ["4"]);
+        // More workers than cores, or a budget above the shard count.
+        assert_eq!(threads_on_command_line(&config(&[], 0), 3, 2), ["1"]);
+        assert_eq!(threads_on_command_line(&config(&[], 16), 2, 8), ["4"]);
+        // The user's own count is forwarded, and nothing is added.
+        let user = config(&["--threads", "3", "--no-lookup"], 0);
+        assert_eq!(threads_on_command_line(&user, 4, 8), ["3"]);
+    }
 }

@@ -96,23 +96,33 @@ cmp "$smoke_dir/full.jplace" "$smoke_dir/resumed.jplace" \
     || { echo "resumed jplace differs from uninterrupted run"; exit 1; }
 echo "    interrupt/resume smoke OK (resumed output byte-identical)"
 
-echo "==> replay differential (capture -> replay -> exact counter compare, per policy)"
+echo "==> replay differential (capture -> replay -> exact counter compare, per policy and thread count)"
 # A tight budget with the lookup table disabled forces real eviction
 # traffic; the offline simulator must then reproduce the live slot.*
-# counters bit-exactly from the captured trace (DESIGN.md §10).
+# counters bit-exactly from the captured trace (DESIGN.md §10). The
+# default thread count is the runner's core count, so the contract is
+# pinned at two explicit ones: one scorer, and several beside the
+# prefetch thread. Both must replay exactly, and agree with each other
+# on the jplace and on every slot counter.
 for policy in cost lru mru fifo random cost-lru; do
-    "$bin" "${place_args[@]}" --maxmem 300K --no-lookup --strategy "$policy" \
-        --slot-trace "$smoke_dir/$policy.trace" \
-        --metrics-json "$smoke_dir/$policy.metrics.json" \
-        --out "$smoke_dir/$policy.jplace" >/dev/null 2>&1
-    grep -q '"slot.evictions": 0' "$smoke_dir/$policy.metrics.json" \
-        && { echo "$policy: no evictions — the differential run is not under pressure"; exit 1; }
-    "$bin" replay --trace "$smoke_dir/$policy.trace" \
-        --verify "$smoke_dir/$policy.metrics.json" \
-        | grep -E 'verified|oracle bound holds' \
-        || { echo "$policy: replay differential failed"; exit 1; }
+    for threads in 1 4; do
+        run="$smoke_dir/$policy.t$threads"
+        "$bin" "${place_args[@]}" --maxmem 300K --no-lookup --strategy "$policy" \
+            --threads "$threads" --slot-trace "$run.trace" --metrics-json "$run.metrics.json" \
+            --out "$run.jplace" >/dev/null 2>&1
+        grep -q '"slot.evictions": 0' "$run.metrics.json" \
+            && { echo "$policy: no evictions — the differential run is not under pressure"; exit 1; }
+        "$bin" replay --trace "$run.trace" --verify "$run.metrics.json" \
+            | grep -E 'verified|oracle bound holds' \
+            || { echo "$policy at $threads threads: replay differential failed"; exit 1; }
+        grep -E '"slot\.(hits|misses|evictions)"' "$run.metrics.json" > "$run.slots"
+    done
+    cmp "$smoke_dir/$policy.t1.jplace" "$smoke_dir/$policy.t4.jplace" \
+        || { echo "$policy: jplace differs between 1 and 4 threads"; exit 1; }
+    cmp "$smoke_dir/$policy.t1.slots" "$smoke_dir/$policy.t4.slots" \
+        || { echo "$policy: slot counters differ between 1 and 4 threads"; exit 1; }
 done
-echo "    replay differential OK (all policies bit-exact, oracle bound holds)"
+echo "    replay differential OK (all policies bit-exact at 1 and 4 threads, oracle bound holds)"
 
 echo "==> CLV spill pass (tight --maxmem + --tier-dir -> byte-compare)"
 # A slot budget below the working set with evicted CLVs spilled to a

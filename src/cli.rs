@@ -84,7 +84,8 @@ pub struct CliOptions {
     pub gamma_alpha: Option<f64>,
     /// Queries per chunk.
     pub chunk_size: usize,
-    /// Worker threads.
+    /// Scoring threads, the sweep's prefetch thread included (default:
+    /// the machine's cores).
     pub threads: usize,
     /// Kernel tier request (`--kernel-tier auto|reference|simd`).
     pub kernel_tier: phylo_kernel::TierChoice,
@@ -475,7 +476,8 @@ pub fn parse_cli(args: &[String]) -> Result<(CliOptions, Option<String>), String
     const USAGE: &str =
         "usage: phyloplace place --tree REF.nwk --ref-msa REF.fasta --queries Q.fasta \
   [--aa] [--maxmem SIZE[K|M|G|T] | --maxmem auto] [--gamma ALPHA | --no-gamma] \
-  [--chunk N] [--threads N] [--kernel-tier auto|reference|simd] [--out OUT.jplace] \
+  [--chunk N] [--threads N (default: the machine's cores)] \
+  [--kernel-tier auto|reference|simd] [--out OUT.jplace] \
   [--strategy cost|lru|mru|fifo|random|cost-lru] [--no-lookup] [--slot-trace TRACE.txt] \
   [--checkpoint DIR | --resume DIR] [--deadline SECS] [--heartbeat] \
   [--tier-dir DIR [--tier-budget SIZE[K|M|G|T]]] \

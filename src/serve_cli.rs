@@ -22,7 +22,8 @@ pub struct ServeOptions {
 
 const USAGE: &str = "usage: phyloplaced --tree REF.nwk --ref-msa REF.fasta \
   [--aa] [--maxmem SIZE[K|M|G|T] | --maxmem auto] [--gamma ALPHA | --no-gamma] \
-  [--chunk N] [--threads N] [--strategy cost|lru|mru|fifo|random|cost-lru] [--no-lookup] \
+  [--chunk N] [--threads N (default: the machine's cores)] \
+  [--strategy cost|lru|mru|fifo|random|cost-lru] [--no-lookup] \
   [--stdio | --unix SOCKET.path | --tcp HOST:PORT] [--queue-cap N] [--batch-max N]\n\
 Serves newline-delimited JSON placement requests against a warm reference.\n\
 Exit codes: 0 clean drain (SIGTERM/SIGINT or stdin EOF), 1 runtime error, \

@@ -38,7 +38,8 @@ pub struct ShardCliOptions {
     pub workdir: String,
     /// Requested shard count (clamped to the query count).
     pub n_shards: usize,
-    /// Placement flags forwarded verbatim to every worker.
+    /// Placement flags forwarded verbatim to every worker (the
+    /// coordinator adds a `--threads` share when they carry none).
     pub passthrough: Vec<String>,
     /// Concurrent workers (0 = one per shard).
     pub max_workers: usize,
@@ -60,7 +61,8 @@ pub fn parse_shard(args: &[String]) -> Result<ShardCliOptions, String> {
         "usage: phyloplace shard --tree REF.nwk --ref-msa REF.fasta --queries Q.fasta \
   --out OUT.jplace --workdir DIR --shards N \
   [--aa] [--maxmem SIZE[K|M|G|T] | --maxmem auto] [--gamma ALPHA | --no-gamma] \
-  [--chunk N] [--threads N] [--kernel-tier auto|reference|simd] \
+  [--chunk N] [--threads N (default: the machine's cores, split over the workers)] \
+  [--kernel-tier auto|reference|simd] \
   [--strategy cost|lru|mru|fifo|random|cost-lru] [--no-lookup] \
   [--workers N] [--heartbeat-timeout SECS] [--straggler-factor F] \
   [--max-shard-retries N] [--deadline SECS] [--metrics-json METRICS.json]";

@@ -132,24 +132,65 @@ fn jplace_byte_identical_across_thread_counts() {
     let probe = ctx_of(&ds);
     let floor = memplan::floor_budget(&probe, &base, batch.len(), batch.n_sites());
     drop(probe);
+    // Nor the work: the same CLVs are recomputed, hit and evicted, and
+    // the same pairs scored, whatever the number of scorers.
     for (label, cfg) in [
         ("unmanaged", base.clone()),
         ("amc-floor", EpaConfig { max_memory: Some(floor), async_prefetch: true, ..base.clone() }),
     ] {
-        let mut seen: Option<String> = None;
+        let mut seen: Option<(String, [u64; 5])> = None;
         for threads in [1usize, 2, 8] {
             let cfg = EpaConfig { threads, ..cfg.clone() };
             let placer = Placer::new(ctx_of(&ds), s2p.clone(), cfg).unwrap();
-            let (results, _) = placer.place(&batch).unwrap();
+            let (results, report) = placer.place(&batch).unwrap();
             let j = to_jplace(&ds.tree, &results);
+            let s = &report.slot_stats;
+            let work = [s.hits, s.misses, s.evictions, report.n_prescored, report.n_thorough];
             match &seen {
-                None => seen = Some(j),
-                Some(reference) => {
+                None => seen = Some((j, work)),
+                Some((reference, reference_work)) => {
                     assert_eq!(reference, &j, "{label}: jplace differs at {threads} threads");
+                    assert_eq!(
+                        reference_work, &work,
+                        "{label}: [hits, misses, evictions, prescored, thorough] differ at \
+                         {threads} threads"
+                    );
                 }
             }
         }
     }
+}
+
+#[test]
+fn one_branch_floor_blocks_are_prescored_on_the_caller() {
+    // At the floor the ladder leaves one-branch blocks and an async
+    // prefetch. Starting threads to split one branch's table walk cost
+    // more than the walk; the swept prescore must run on the caller,
+    // whatever the thread count, and the prefetch thread takes one of
+    // the threads from the scorers.
+    let spec = phyloplace::datasets::pro_ref(Scale::Ci);
+    let (ds, s2p, batch) = setup(&spec);
+    let base = EpaConfig { preplacement: PreplacementMode::Off, ..Default::default() };
+    let probe = ctx_of(&ds);
+    let floor = memplan::floor_budget(&probe, &base, batch.len(), batch.n_sites());
+    drop(probe);
+    let cfg =
+        EpaConfig { max_memory: Some(floor), threads: 8, async_prefetch: true, ..base.clone() };
+    let (_, report) = Placer::new(ctx_of(&ds), s2p.clone(), cfg).unwrap().place(&batch).unwrap();
+    assert_eq!(report.scoring.swept_prescore_fanouts, 0, "{:?}", report.scoring);
+    assert_eq!(report.scoring.workers, 7);
+    assert_eq!(report.metrics.counter("place.fanout.swept_prescore"), 0);
+    assert_eq!(report.metrics.gauges.get("place.scoring.workers"), Some(&7));
+    // With the full store the blocks hold many branches, and each one
+    // is split over the queries.
+    let cfg = EpaConfig { threads: 2, ..base };
+    let (_, report) = Placer::new(ctx_of(&ds), s2p, cfg).unwrap().place(&batch).unwrap();
+    assert_eq!(report.scoring.workers, 2);
+    assert!(report.scoring.swept_prescore_fanouts > 0, "{:?}", report.scoring);
+    assert_eq!(
+        report.metrics.counter("place.fanout.swept_prescore"),
+        report.scoring.swept_prescore_fanouts
+    );
 }
 
 #[test]
