@@ -204,8 +204,8 @@ impl SlotArena {
     /// SAFETY: the caller must be the slot's exclusive writer (own its
     /// unpublished Computing phase).
     // `&self -> &mut` is the point, not an oversight: slots are disjoint
-    // ranges behind raw pointers, the arena is shared between the compute
-    // and prefetch threads, and exclusivity per slot comes from the phase
+    // ranges behind raw pointers, the arena is shared between the threads
+    // that prepare blocks and those that score them, and exclusivity per slot comes from the phase
     // protocol above (which is why this is an `unsafe fn`), not from a
     // borrow of the whole arena.
     #[allow(clippy::mut_from_ref)]

@@ -18,7 +18,8 @@ pub enum MemCategory {
     ClvSlots,
     /// The preplacement lookup table memoization.
     LookupTable,
-    /// Per-chunk intermediate results (∝ chunk size × branches).
+    /// Per-chunk buffers: each query's sequence and its kept candidate
+    /// list (∝ chunk size × (sites + k · 16 B)), nothing per branch.
     ChunkBuffers,
     /// Per-edge transition matrix cache.
     PMatrices,

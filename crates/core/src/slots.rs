@@ -398,8 +398,9 @@ impl SlotManager {
     ///
     /// There is one announcement per store, not one per caller: it
     /// describes *the* sweep in progress, and one sweep per store at a
-    /// time is the rule everywhere (one walker per `run_sweep`, inline
-    /// or on its one prefetch thread; one executor thread in the daemon).
+    /// time is the rule everywhere (one walker per `run_sweep`, whose
+    /// prepares run one at a time on whichever of its threads claims
+    /// them; one executor thread in the daemon).
     /// Whoever announces must withdraw, or later plans are judged by a
     /// walk that is no longer happening.
     pub fn announce_schedule(&self, next_use: Option<Arc<NextUse>>) {

@@ -1,7 +1,7 @@
-//! Thorough-phase scaling of the fine-grained slot protocol (no
-//! store-wide lock): places `pro_ref` at CI scale under a **floor** AMC
-//! budget with 1, 2 and 8 threads, verifies the emitted jplace is
-//! byte-identical across thread counts, and records the phase timings —
+//! Scaling at the floor: places `pro_ref` at CI scale under a **floor**
+//! AMC budget with 1, 2 and 8 threads (fastest of N by total time),
+//! verifies the emitted jplace is byte-identical across thread counts,
+//! and records the phase timings and the sweeps' board tallies —
 //! together with the host's core count, so the numbers can be read
 //! honestly on any machine — in `BENCH_parallel.json`.
 //!
@@ -39,7 +39,7 @@ fn main() {
             let (ctx, s2p) = build_reference(&ds);
             let placer = Placer::new(ctx, s2p, cfg.clone()).expect("valid cfg");
             let (results, report) = placer.place(&batch).expect("floor-budget run");
-            Timed { time: report.thorough_time, payload: (to_jplace(&ds.tree, &results), report) }
+            Timed { time: report.total_time, payload: (to_jplace(&ds.tree, &results), report) }
         });
         let (j, report) = run.payload;
         match &jplace {
@@ -63,12 +63,18 @@ fn main() {
         .map(|(threads, r)| {
             format!(
                 "    \"{threads}\": {{ \"thorough_s\": {:.6}, \"prescore_s\": {:.6}, \
-                 \"total_s\": {:.6}, \"scoring_workers\": {}, \"slots\": {}, \"hits\": {}, \
-                 \"misses\": {}, \"evictions\": {}, \"acquires\": {}, \"flush_retries\": {} }}",
+                 \"total_s\": {:.6}, \"workers\": {}, \"threads_started\": {}, \
+                 \"prepare_ms\": {:.3}, \"score_ms\": {:.3}, \"idle_ms\": {:.3}, \"slots\": {}, \
+                 \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"acquires\": {}, \
+                 \"flush_retries\": {} }}",
                 r.thorough_time.as_secs_f64(),
                 r.prescore_time.as_secs_f64(),
                 r.total_time.as_secs_f64(),
                 r.scoring.workers,
+                r.scoring.sweep.threads_started,
+                r.scoring.sweep.prepare_ns as f64 / 1e6,
+                r.scoring.sweep.score_ns as f64 / 1e6,
+                r.scoring.sweep.idle_ns as f64 / 1e6,
                 r.slots,
                 r.slot_stats.hits,
                 r.slot_stats.misses,
@@ -84,8 +90,9 @@ fn main() {
          \"host_cores\": {host_cores},\n  \"repeats\": {repeats},\n  \"threads\": {{\n{per_thread}\n  }},\n  \
          \"thorough_speedup_8_vs_1\": {speedup:.3},\n  \
          \"jplace_byte_identical\": {byte_identical},\n  \
-         \"note\": \"threads count the prefetch thread, which holds a core at the floor, so the \
-         scorers are threads - 1 (at least 1); speedup is bounded by host_cores\"\n}}\n"
+         \"note\": \"threads are every busy thread: a sweep's threads claim both the next \
+         block's prepare and the pinned blocks' scoring units; the board times are summed over \
+         threads; speedup is bounded by host_cores\"\n}}\n"
     );
     std::fs::write(&out, &json).expect("write BENCH_parallel.json");
     println!("{json}");

@@ -7,12 +7,12 @@
 //!   complement (≈ the unconstrained footprint).
 //!
 //! `PE(r) = T(serial) / (T(r) · P(r))`, fastest of N repeats, where `P`
-//! counts the run's scorers plus the asynchronous prefetch thread when
-//! AMC is enabled (paper §V-C). `threads` already includes that thread
-//! while the sweep evicts (`memplan::scoring_workers`), so at the floor
-//! `P(r) = max(r, 2)`. Expected shape: PE degrades when AMC is on, because the
-//! branch-block CLV recomputation is only parallelized as one async
-//! thread.
+//! counts every busy thread of the run, the one preparing the next block
+//! included (paper §V-C). The sweeps run on a work board of `threads`
+//! threads that claim both the prepares and the scoring units, so there
+//! is no prefetch thread on top: `P(r) = r` (`RunReport::scoring.workers`).
+//! Expected shape: PE degrades when AMC is on, because a block's CLV
+//! recomputation runs on one thread at a time.
 
 use epa_place::{memplan, EpaConfig, Placer};
 use pewo_bench::setup::thread_sweep;
@@ -74,9 +74,7 @@ fn main() {
                     let (_, report) = placer.place(&batch).expect("parallel run");
                     Timed { time: report.total_time, payload: report.scoring.workers }
                 });
-                // AMC runs keep one async precompute thread beside the
-                // scorers.
-                let p = run.payload + usize::from(amc_on);
+                let p = run.payload;
                 let speedup = t_serial / run.time.as_secs_f64();
                 table.row(&[
                     spec.name.to_string(),

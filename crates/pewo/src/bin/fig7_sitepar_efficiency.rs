@@ -78,9 +78,10 @@ fn main() {
                     let (_, report) = placer.place(&batch).expect("parallel run");
                     Timed { time: report.total_time, payload: () }
                 });
-                // The async scheme uses one extra prefetch thread; the
-                // across-site scheme reuses the workers.
-                let p = threads + usize::from(amc_on && scheme == "async");
+                // Either scheme's threads are all its busy threads: the
+                // async scheme's sweep threads prepare blocks and score
+                // them, the across-site scheme's split both over sites.
+                let p = threads;
                 let pe = t_serial / run.time.as_secs_f64() / p as f64;
                 table.row(&[
                     mode.to_string(),

@@ -24,9 +24,10 @@ pub struct EpaConfig {
     pub max_memory: Option<usize>,
     /// Queries per chunk (`5 000` default; the paper's Fig. 4 uses `500`).
     pub chunk_size: usize,
-    /// Threads for (QS × branch) scoring, the sweep's prefetch thread
-    /// included ([`crate::memplan::scoring_workers`]). `1` = serial;
-    /// defaults to the machine's cores.
+    /// Threads of every scoring phase, the paper's P(r): a sweep's
+    /// threads both prepare the next block and score the pinned ones, with
+    /// no prefetch thread on top. `1` = serial; defaults to the machine's
+    /// cores.
     pub threads: usize,
     /// Branches per block when CLVs must be recomputed under AMC.
     pub block_size: usize,
@@ -39,7 +40,8 @@ pub struct EpaConfig {
     /// Minimum number of thoroughly scored branches per query.
     pub thorough_min: usize,
     /// Overlap next-block CLV precomputation with current-block placement
-    /// on a dedicated thread (the paper's adapted parallelization).
+    /// (the paper's adapted parallelization): two blocks are pinned at
+    /// once, and any free sweep thread prepares the next or scores either.
     pub async_prefetch: bool,
     /// Across-site threads for CLV recomputation (the paper's Fig. 7
     /// experimental mode); `1` = serial kernels.

@@ -39,8 +39,8 @@ pub enum PlaceError {
     },
     /// A configuration field is out of range.
     BadConfig(String),
-    /// A worker or prefetch thread panicked. The panic was contained at
-    /// the thread boundary: the other workers are joined and the sweep's
+    /// A scoring unit or a block prepare panicked. The panic was contained
+    /// where the job ran: the other threads are joined and the sweep's
     /// prepared blocks released before this is surfaced, so the store
     /// remains usable.
     WorkerPanicked {

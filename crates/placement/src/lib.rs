@@ -22,7 +22,8 @@
 //!    through in chunks; branches are walked in one traversal-ordered
 //!    sweep whose CLVs are prepared batch by batch under the slot budget
 //!    (optionally prefetched asynchronously, optionally with across-site
-//!    parallel kernels); a worker pool scores (QS × branch) pairs.
+//!    parallel kernels); the sweep's threads claim both the next batch's
+//!    prepare and the (QS × branch) scoring units from one work board.
 //!
 //! Every front end gets its reference (tree + alignment text → model →
 //! [`Placer`]) from [`mod@reference`]; results are exported in the

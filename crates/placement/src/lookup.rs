@@ -15,24 +15,25 @@
 use crate::config::EpaConfig;
 use crate::error::PlaceError;
 use crate::memplan::{self, BlockPlan};
-use crate::score::{
-    attachment_partials_into, AttachmentPartials, BranchScoreTable, QueryEvaluator, ScoreScratch,
-};
-use crate::sweep::{run_sweep, DegradationCounters};
+use crate::result::SweepStats;
+use crate::score::{BranchScoreTable, QueryEvaluator, ScoreScratch};
+use crate::sweep::{run_sweep, DegradationCounters, Walk};
 use phylo_engine::{ManagedStore, ReferenceContext};
 use phylo_tree::traversal::SweepSchedule;
 use phylo_tree::EdgeId;
+use std::sync::Mutex;
 
 /// Per-branch prescore tables for the whole reference tree.
 pub struct LookupTable {
     tables: Vec<BranchScoreTable>,
     pendant: f64,
+    built: SweepStats,
 }
 
 impl LookupTable {
     /// Builds the table with one sweep over all branches
     /// ([`SweepSchedule`] order) under whatever slot budget the store
-    /// enforces.
+    /// enforces, on `cfg.threads` threads: a unit is one branch's row.
     ///
     /// The pendant length used for prescoring is the tree's mean branch
     /// length (EPA-NG's default heuristic).
@@ -42,16 +43,16 @@ impl LookupTable {
         cfg: &EpaConfig,
     ) -> Result<LookupTable, PlaceError> {
         let pendant = ctx.starting_pendant();
-        let mut scratch = ScoreScratch::new(ctx);
         // Every row is built at the one pendant length: its transition
         // matrices are built here, once, not once per branch.
         let mut pendant_eval = QueryEvaluator::new(ctx);
         pendant_eval.set_pendant(ctx, pendant);
-        let mut tables: Vec<Option<BranchScoreTable>> = Vec::new();
-        tables.resize_with(ctx.tree().n_edges(), || None);
-        // One partials buffer serves the whole sweep; only the stored
-        // tables themselves are allocated per branch.
-        let mut partials = AttachmentPartials::empty();
+        // The table's storage and every thread's buffers are allocated
+        // here, on the calling thread; the sweep only fills them.
+        let tables: Vec<Mutex<BranchScoreTable>> =
+            ctx.tree().all_edges().map(|_| Mutex::new(BranchScoreTable::sized(ctx))).collect();
+        let mut scratch: Vec<ScoreScratch> =
+            (0..cfg.threads.max(1)).map(|_| ScoreScratch::for_tables(ctx)).collect();
         // A hand-built store without block headroom still builds, one
         // branch at a time.
         let plan = memplan::effective_block_size(ctx, cfg, store.n_slots()).unwrap_or(BlockPlan {
@@ -59,20 +60,36 @@ impl LookupTable {
             async_prefetch: false,
             prefetch_disabled: false,
             block_clamped: false,
-            workers: 1,
         });
         let steps = SweepSchedule::new(ctx.tree()).steps(|_| true);
-        run_sweep(ctx, store, &steps, plan, &DegradationCounters::default(), |batch| {
-            for &e in batch {
-                attachment_partials_into(ctx, store, e, 0.5, &mut scratch, &mut partials);
-                let mut table = BranchScoreTable::empty();
-                table.rebuild(ctx, &partials, &pendant_eval);
-                tables[e.idx()] = Some(table);
-            }
-            Ok(())
-        })?;
-        let tables = tables.into_iter().map(|t| t.expect("the sweep covers every edge")).collect();
-        Ok(LookupTable { tables, pendant })
+        let deg = DegradationCounters::default();
+        let walk = Walk { ctx, store, steps: &steps, plan, deg: &deg };
+        let mut built = SweepStats::default();
+        let rows = run_sweep(
+            walk,
+            "lookup build worker",
+            &mut scratch,
+            &mut built,
+            <[EdgeId]>::to_vec,
+            |e, scratch| {
+                let partials = scratch.midpoint_partials(ctx, store, e);
+                let mut table =
+                    tables[e.idx()].lock().expect("no table lock is held across a panic");
+                table.rebuild(ctx, partials, &pendant_eval);
+                Ok(())
+            },
+        )?;
+        assert_eq!(rows.len(), tables.len(), "the sweep covers every edge");
+        let tables = tables
+            .into_iter()
+            .map(|t| t.into_inner().expect("no table lock is held across a panic"))
+            .collect();
+        Ok(LookupTable { tables, pendant, built })
+    }
+
+    /// Where the build's sweep spent its threads' time.
+    pub(crate) fn build_stats(&self) -> SweepStats {
+        self.built
     }
 
     /// The score table of one branch.

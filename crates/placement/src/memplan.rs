@@ -150,7 +150,8 @@ pub fn plan(
 pub struct BlockPlan {
     /// Branches per block, ≥ 1 whenever planning succeeds.
     pub block_size: usize,
-    /// Whether the next block is prefetched on a dedicated thread.
+    /// Whether the next block is prepared while the current one is
+    /// scored, so that two blocks are pinned at once.
     pub async_prefetch: bool,
     /// Ladder rung 1 fired: async prefetch was requested but the spare
     /// slots can only carry one pinned block.
@@ -158,23 +159,6 @@ pub struct BlockPlan {
     /// Ladder rung 2 fired: the block size was clamped below the
     /// configured one.
     pub block_clamped: bool,
-    /// Scoring workers of a swept phase ([`scoring_workers`]).
-    pub workers: usize,
-}
-
-/// The worker rule: how many of `threads` score a swept phase. While a
-/// sweep evicts and prefetches asynchronously, its prefetch thread
-/// recomputes the next block's CLVs and holds a core — the paper's P(r)
-/// counts it as a worker — so the scorers get `threads − 1`, at least
-/// one. Otherwise (a full store's prefetch only pins resident CLVs, a
-/// synchronous sweep prepares on the scoring thread) every thread
-/// scores.
-pub fn scoring_workers(threads: usize, evicts: bool, async_prefetch: bool) -> usize {
-    if evicts && async_prefetch {
-        threads.saturating_sub(1).max(1)
-    } else {
-        threads.max(1)
-    }
 }
 
 /// The degradation ladder: fits the configured block size and prefetch
@@ -206,7 +190,6 @@ pub fn effective_block_size(
             async_prefetch: cfg.async_prefetch,
             prefetch_disabled: false,
             block_clamped: false,
-            workers: scoring_workers(cfg.threads, false, cfg.async_prefetch),
         });
     }
     let spare = slots.saturating_sub(ctx.min_slots());
@@ -229,7 +212,6 @@ pub fn effective_block_size(
         async_prefetch,
         prefetch_disabled,
         block_clamped: block_size < cfg.block_size,
-        workers: scoring_workers(cfg.threads, true, async_prefetch),
     })
 }
 
@@ -472,32 +454,6 @@ mod tests {
         let cfg_under = EpaConfig { max_memory: Some(floor - 1), ..cfg };
         let err = plan(&c, &cfg_under, 10, 60).unwrap_err();
         assert!(matches!(err, PlaceError::BudgetTooSmall { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn the_prefetch_thread_counts_as_a_worker_only_while_the_sweep_evicts() {
-        let c = ctx(24, 60);
-        let floor = c.min_slots() + pin_headroom(&c);
-        let full = c.max_slots();
-        // (slots, async prefetch) → scorers at 1, 2 and 8 threads.
-        let cases = [
-            ("full store", full, true, [1, 2, 8]),
-            ("evicting + prefetch", floor, true, [1, 1, 7]),
-            ("evicting, no prefetch", floor, false, [1, 2, 8]),
-        ];
-        for (label, slots, async_prefetch, want) in cases {
-            for (threads, want) in [1, 2, 8].into_iter().zip(want) {
-                let cfg = EpaConfig { threads, async_prefetch, ..Default::default() };
-                let plan = effective_block_size(&c, &cfg, slots).unwrap();
-                assert_eq!(plan.async_prefetch, async_prefetch, "{label}");
-                assert_eq!(plan.workers, want, "{label} at {threads} threads");
-            }
-        }
-        // A ladder that drops the prefetch hands its core back.
-        let cfg = EpaConfig { threads: 2, async_prefetch: true, ..Default::default() };
-        let plan = effective_block_size(&c, &cfg, c.min_slots() + 3).unwrap();
-        assert!(plan.prefetch_disabled);
-        assert_eq!(plan.workers, 2);
     }
 
     #[test]

@@ -132,22 +132,45 @@ impl DegradationStats {
     }
 }
 
-/// How a run's scoring spread over threads: the worker rule's verdict
-/// and how often a phase fanned out (started threads besides the
-/// caller). Like the slot traffic, these depend on the thread count, not
-/// on timing.
+/// How a run's scoring spread over threads: the thread count every
+/// scoring phase runs on, how often the lookup prescore fanned out
+/// (started threads besides the caller), and where the sweeps' threads
+/// spent their time ([`SweepStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScoringStats {
-    /// Scoring workers of the swept phases
-    /// ([`crate::memplan::scoring_workers`]); zero when nothing swept.
+    /// Threads of every sweep and of the lookup prescore: the run's
+    /// `threads`, the caller included.
     pub workers: usize,
     /// Fan-outs of the lookup prescore (at most one per chunk).
     pub lookup_prescore_fanouts: u64,
-    /// Fan-outs of the swept prescore (one per multi-branch block at
-    /// most; a one-branch block is scored on the caller).
-    pub swept_prescore_fanouts: u64,
-    /// Fan-outs of thorough scoring (at most one per block).
-    pub thorough_fanouts: u64,
+    /// The sweeps' work board: prepares, scoring units, waits, threads.
+    pub sweep: SweepStats,
+}
+
+/// Where the threads of the sweeps' work board spent their time, summed
+/// over the threads, and how many threads the sweeps started. The times
+/// depend on timing; `threads_started` only on the thread count and the
+/// number of sweeps.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SweepStats {
+    /// Nanoseconds in prepare jobs: CLV recomputation and holds.
+    pub prepare_ns: u64,
+    /// Nanoseconds in scoring units.
+    pub score_ns: u64,
+    /// Nanoseconds threads waited on the board for a job.
+    pub idle_ns: u64,
+    /// Threads started besides the callers: `threads − 1` per sweep.
+    pub threads_started: u64,
+}
+
+impl SweepStats {
+    /// Adds another board's tallies to these.
+    pub fn merge(&mut self, other: SweepStats) {
+        self.prepare_ns += other.prepare_ns;
+        self.score_ns += other.score_ns;
+        self.idle_ns += other.idle_ns;
+        self.threads_started += other.threads_started;
+    }
 }
 
 /// Serializes results in the `jplace` (v3) format. The tree string carries

@@ -6,20 +6,18 @@ use crate::error::PlaceError;
 use crate::lookup::LookupTable;
 use crate::memplan::{self, BlockPlan, MemoryPlan};
 use crate::queries::{EncodedQuery, QueryBatch};
-use crate::result::{DegradationStats, PlacementEntry, PlacementResult, RunReport, ScoringStats};
-use crate::score::{
-    attachment_partials_into, score_thorough, AttachmentPartials, BranchScoreTable, QueryEvaluator,
-    ScoreScratch,
+use crate::result::{
+    DegradationStats, PlacementEntry, PlacementResult, RunReport, ScoringStats, SweepStats,
 };
-use crate::sweep::{panic_message, run_sweep, DegradationCounters};
+use crate::score::{score_thorough, BranchScoreTable, QueryEvaluator, ScoreScratch};
+use crate::sweep::{fan_out, run_sweep, DegradationCounters, Walk};
 use phylo_amc::CancelToken;
 use phylo_engine::{ManagedStore, ReferenceContext};
 use phylo_journal::{ChunkFrame, ChunkStats, PlacementRecord, QueryRecord, RunJournal};
 use phylo_tree::traversal::SweepSchedule;
 use phylo_tree::EdgeId;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -106,6 +104,8 @@ pub struct WarmStore {
     sweep: SweepSchedule,
     plan: MemoryPlan,
     lookup_time: Duration,
+    /// The lookup build's sweep: its prepares, units, waits and threads.
+    lookup_sweep: SweepStats,
     /// The CLV spill file (cold runs only; [`Placer::warm_up`] refuses
     /// it).
     tiers: Option<Arc<phylo_amc::TieredStore>>,
@@ -222,6 +222,7 @@ impl Placer {
         let report = &mut outcome.report;
         report.slot_stats = warm.slot_stats();
         report.lookup_time = warm.lookup_time;
+        report.scoring.sweep.merge(warm.lookup_sweep);
         if let Some(tiers) = &warm.tiers {
             report.tier_stats = Some(tiers.stats());
             // The spill file's index sits in RAM next to the plan's rows.
@@ -349,6 +350,7 @@ impl Placer {
         // and emits the partial outcome.
         let n_chunks = n_queries.div_ceil(plan.chunk_size.max(1));
         let mut lookup_time = Duration::ZERO;
+        let mut lookup_sweep = SweepStats::default();
         let lookup =
             if plan.use_lookup && replayed_chunks < n_chunks && !control.cancel.is_cancelled() {
                 let t = Instant::now();
@@ -356,6 +358,7 @@ impl Placer {
                 match LookupTable::build(ctx, &store, cfg) {
                     Ok(table) => {
                         lookup_time = t.elapsed();
+                        lookup_sweep = table.build_stats();
                         Some(table)
                     }
                     Err(e) if e.is_cancellation() => None,
@@ -370,6 +373,7 @@ impl Placer {
             sweep: SweepSchedule::new(ctx.tree()),
             plan,
             lookup_time,
+            lookup_sweep,
             tiers,
         })
     }
@@ -404,6 +408,7 @@ impl Placer {
         };
         let mut report = RunReport {
             n_queries: batch.len(),
+            scoring: ScoringStats { workers: self.cfg.threads, ..Default::default() },
             used_lookup: warm.plan.use_lookup,
             slots: warm.plan.slots,
             peak_memory: warm.plan.tracker.peak(),
@@ -590,9 +595,12 @@ impl Placer {
     }
 
     /// Prescoring without the lookup table: one sweep over every branch
-    /// under the slot budget (optionally prefetched asynchronously), a
-    /// transient score table built per branch — the paper's expensive
-    /// path.
+    /// under the slot budget, a transient score table built per branch —
+    /// the paper's expensive path. A unit is one branch: its table, the
+    /// logarithm of each table entry once, every query of the chunk, and
+    /// one lock of the selectors to hand the scores in. The selectors'
+    /// total order makes the kept lists independent of the order the
+    /// branches finish in.
     #[allow(clippy::too_many_arguments)]
     fn prescore_swept(
         &self,
@@ -605,45 +613,38 @@ impl Placer {
         scoring: &mut ScoringStats,
     ) -> Result<(), PlaceError> {
         let plan = self.plan_block(store.n_slots(), deg)?;
-        scoring.workers = plan.workers;
         let s2p = &self.site_to_pattern;
-        // One scratch, one evaluator holding the pendant branch's
-        // matrices, one log row per worker and one set of transient tables
-        // for the whole chunk, rebuilt in place block after block.
-        let mut scratch = ScoreScratch::new(ctx);
+        // One evaluator holding the pendant branch's matrices, shared;
+        // every thread's buffers are allocated here, on the caller.
         let mut pendant_eval = QueryEvaluator::new(ctx);
         pendant_eval.set_pendant(ctx, ctx.starting_pendant());
-        let mut partials = AttachmentPartials::empty();
-        let mut tables: Vec<BranchScoreTable> = Vec::new();
-        let mut log_rows = vec![Vec::new(); plan.workers];
-        run_sweep(ctx, store, &sweep.steps(|_| true), plan, deg, |block| {
-            // The block's CLVs are pinned and published, so reads need no
-            // lock.
-            if tables.len() < block.len() {
-                tables.resize_with(block.len(), BranchScoreTable::empty);
-            }
-            for (table, &e) in tables.iter_mut().zip(block) {
-                attachment_partials_into(ctx, store, e, 0.5, &mut scratch, &mut partials);
-                table.rebuild(ctx, &partials, &pendant_eval);
-            }
-            // Score the chunk against the block, parallel over queries —
-            // except a one-branch block (the floor's only kind), whose
-            // table walk is shorter than starting a thread.
-            let workers = if block.len() > 1 { plan.workers } else { 1 };
-            fan_out(
-                "prescore worker",
-                query_ranges(selectors, workers),
-                &mut log_rows,
-                &mut scoring.swept_prescore_fanouts,
-                |(q_range, tops), log_row| {
-                    for (table, &e) in tables.iter().zip(block) {
-                        prescore_branch(ctx, table, e, s2p, &chunk[q_range.clone()], tops, log_row);
-                    }
-                    Ok(())
-                },
-            )?;
-            Ok(())
-        })
+        let mut scratch: Vec<PrescoreScratch> =
+            (0..self.cfg.threads).map(|_| PrescoreScratch::new(ctx, chunk.len())).collect();
+        let selectors = Mutex::new(selectors);
+        let steps = sweep.steps(|_| true);
+        let walk = Walk { ctx, store, steps: &steps, plan, deg };
+        run_sweep(
+            walk,
+            "prescore worker",
+            &mut scratch,
+            &mut scoring.sweep,
+            <[EdgeId]>::to_vec,
+            |e, s| {
+                // The branch's CLVs are pinned and published, so reads need
+                // no lock.
+                let PrescoreScratch { scratch, table, log_row, scores } = s;
+                table.rebuild(ctx, scratch.midpoint_partials(ctx, store, e), &pendant_eval);
+                scores.clear();
+                let codes = chunk.iter().map(|q| q.codes.as_slice());
+                table.prescore_chunk(ctx, s2p, codes, log_row, |_, score| scores.push(score));
+                let mut tops = selectors.lock().expect("no selector lock is held across a panic");
+                for (top, &score) in tops.iter_mut().zip(scores.iter()) {
+                    top.push(e, score);
+                }
+                Ok(())
+            },
+        )?;
+        Ok(())
     }
 
     /// Thorough scoring of the candidate (query, branch) pairs: the sweep
@@ -665,57 +666,77 @@ impl Placer {
         let cfg = &self.cfg;
         let s2p = &self.site_to_pattern;
         let plan = self.plan_block(store.n_slots(), deg)?;
-        scoring.workers = plan.workers;
         let steps = sweep.steps(|e| !grouped[e.idx()].is_empty());
-        // One scratch per worker for the whole chunk, not one per block.
+        // One scratch per thread for the whole chunk, allocated here.
         let mut scratches: Vec<ScoreScratch> =
-            (0..plan.workers).map(|_| ScoreScratch::new(ctx)).collect();
-        let swept = run_sweep(ctx, store, &steps, plan, deg, |block| {
-            let pairs: Vec<(EdgeId, usize)> =
-                block.iter().flat_map(|&e| grouped[e.idx()].iter().map(move |&q| (e, q))).collect();
-            let entries = fan_out(
-                "thorough scoring worker",
-                pairs,
-                &mut scratches,
-                &mut scoring.thorough_fanouts,
-                |(e, q), scratch| {
-                    if phylo_faults::fire("place::worker_panic") {
-                        panic!("injected thorough-worker panic");
-                    }
-                    let sp = score_thorough(
-                        ctx,
-                        store,
-                        e,
-                        s2p,
-                        &chunk[q].codes,
-                        cfg.blo_iterations,
-                        scratch,
-                    )?;
-                    if !sp.log_likelihood.is_finite() {
-                        return Err(PlaceError::NonFiniteLikelihood {
-                            query: chunk[q].name.clone(),
-                            edge: e.0,
-                        });
-                    }
-                    Ok((
-                        q,
-                        PlacementEntry {
-                            edge: e,
-                            log_likelihood: sp.log_likelihood,
-                            like_weight_ratio: 0.0,
-                            pendant_length: sp.pendant,
-                            distal_length: sp.proximal_fraction * ctx.tree().edge_length(e),
-                        },
-                    ))
-                },
-            )?;
-            for (q, entry) in entries {
-                results[qoff + q].placements.push(entry);
-            }
-            Ok(())
-        });
+            (0..cfg.threads).map(|_| ScoreScratch::new(ctx)).collect();
+        let walk = Walk { ctx, store, steps: &steps, plan, deg };
+        let swept = run_sweep(
+            walk,
+            "thorough scoring worker",
+            &mut scratches,
+            &mut scoring.sweep,
+            |block| {
+                block.iter().flat_map(|&e| grouped[e.idx()].iter().map(move |&q| (e, q))).collect()
+            },
+            |(e, q), scratch| {
+                if phylo_faults::fire("place::worker_panic") {
+                    panic!("injected thorough-worker panic");
+                }
+                let sp = score_thorough(
+                    ctx,
+                    store,
+                    e,
+                    s2p,
+                    &chunk[q].codes,
+                    cfg.blo_iterations,
+                    scratch,
+                )?;
+                if !sp.log_likelihood.is_finite() {
+                    return Err(PlaceError::NonFiniteLikelihood {
+                        query: chunk[q].name.clone(),
+                        edge: e.0,
+                    });
+                }
+                Ok((
+                    q,
+                    PlacementEntry {
+                        edge: e,
+                        log_likelihood: sp.log_likelihood,
+                        like_weight_ratio: 0.0,
+                        pendant_length: sp.pendant,
+                        distal_length: sp.proximal_fraction * ctx.tree().edge_length(e),
+                    },
+                ))
+            },
+        );
         scratches.iter_mut().for_each(ScoreScratch::publish_searches);
-        swept
+        for (q, entry) in swept? {
+            results[qoff + q].placements.push(entry);
+        }
+        Ok(())
+    }
+}
+
+/// One thread's buffers for the swept prescore, all at their final size.
+struct PrescoreScratch {
+    scratch: ScoreScratch,
+    table: BranchScoreTable,
+    /// The logarithm of every table entry.
+    log_row: Vec<f64>,
+    /// One score per query of the chunk.
+    scores: Vec<f64>,
+}
+
+impl PrescoreScratch {
+    fn new(ctx: &ReferenceContext, queries: usize) -> Self {
+        let table = BranchScoreTable::sized(ctx);
+        PrescoreScratch {
+            scratch: ScoreScratch::for_tables(ctx),
+            log_row: Vec::with_capacity(table.table.len()),
+            table,
+            scores: Vec::with_capacity(queries),
+        }
     }
 }
 
@@ -830,7 +851,8 @@ impl RunClock {
 /// registry is per process and the report per run: the injected
 /// counters stay exact when concurrent runs share the registry, while
 /// the live probes' deltas then include the other runs' traffic. So do
-/// the scoring workers and per-phase fan-outs ([`ScoringStats`]). The
+/// the scoring threads, the sweeps' board tallies and the lookup
+/// prescore's fan-outs ([`ScoringStats`]). The
 /// selected kernel tier is exported as exactly one `kernel.tier.<name>`
 /// gauge (the invariant the observability suite checks), alongside the
 /// site-parallel pool counters.
@@ -857,8 +879,10 @@ fn run_metrics(
     let sc = &report.scoring;
     m.set_gauge("place.scoring.workers", sc.workers as i64);
     m.set_counter("place.fanout.lookup_prescore", sc.lookup_prescore_fanouts);
-    m.set_counter("place.fanout.swept_prescore", sc.swept_prescore_fanouts);
-    m.set_counter("place.fanout.thorough", sc.thorough_fanouts);
+    m.set_counter("place.sweep.prepare_ns", sc.sweep.prepare_ns);
+    m.set_counter("place.sweep.score_ns", sc.sweep.score_ns);
+    m.set_counter("place.sweep.idle_ns", sc.sweep.idle_ns);
+    m.set_counter("place.sweep.threads_started", sc.sweep.threads_started);
     let d = &report.degradation;
     m.set_counter("place.degrade.prefetch_disabled", d.prefetch_disabled);
     m.set_counter("place.degrade.block_clamped", d.block_clamped);
@@ -893,87 +917,6 @@ fn check_nan_prescores(
     }
 }
 
-/// The one fan-out: runs `work` on every unit, on the calling thread as
-/// worker 0 plus `min(scratch.len(), units.len()) − 1` scoped threads,
-/// each worker with its own `scratch` element. Workers claim units
-/// through a shared cursor, so units of unequal cost balance out.
-///
-/// Every worker, the caller included, runs under `catch_unwind`, and all
-/// are joined before anything surfaces: a panic becomes
-/// [`PlaceError::WorkerPanicked`] naming `what`; otherwise the error of
-/// the lowest failing unit wins. Units are claimed in order, every
-/// claimed unit runs to its end and none is claimed after a failure, so
-/// that error is the one a serial run meets first. Outputs come back in
-/// unit order; `fanouts` counts the calls that started threads.
-fn fan_out<U: Send, S: Send, R: Send>(
-    what: &str,
-    units: Vec<U>,
-    scratch: &mut [S],
-    fanouts: &mut u64,
-    work: impl Fn(U, &mut S) -> Result<R, PlaceError> + Sync,
-) -> Result<Vec<R>, PlaceError> {
-    let workers = scratch.len().min(units.len());
-    let units: Vec<Mutex<Option<U>>> = units.into_iter().map(|u| Mutex::new(Some(u))).collect();
-    let cursor = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let worker = |scratch: &mut S| {
-        let claimed = catch_unwind(AssertUnwindSafe(|| {
-            let mut done = Vec::new();
-            while !failed.load(Ordering::Relaxed) {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(unit) = units.get(i) else { break };
-                let unit = unit.lock().expect("no unit lock is held across a panic").take();
-                match work(unit.expect("the cursor hands each unit out once"), scratch) {
-                    Ok(out) => done.push((i, out)),
-                    Err(e) => return Err((i, e)),
-                }
-            }
-            Ok(done)
-        }));
-        if !matches!(claimed, Ok(Ok(_))) {
-            failed.store(true, Ordering::Relaxed);
-        }
-        claimed
-    };
-    let joined = match &mut scratch[..workers] {
-        [] => return Ok(Vec::new()),
-        [own] => vec![worker(own)],
-        [own, rest @ ..] => {
-            *fanouts += 1;
-            std::thread::scope(|s| {
-                let worker = &worker;
-                let handles: Vec<_> =
-                    rest.iter_mut().map(|sc| s.spawn(move || worker(sc))).collect();
-                let mut joined = vec![worker(own)];
-                joined.extend(handles.into_iter().map(|h| h.join().unwrap_or_else(Err)));
-                joined
-            })
-        }
-    };
-    let mut outputs = Vec::with_capacity(units.len());
-    let mut first_err: Option<(usize, PlaceError)> = None;
-    for j in joined {
-        match j {
-            Ok(Ok(done)) => outputs.extend(done),
-            Ok(Err((i, e))) => {
-                if first_err.as_ref().is_none_or(|&(f, _)| i < f) {
-                    first_err = Some((i, e));
-                }
-            }
-            Err(payload) => {
-                return Err(PlaceError::WorkerPanicked {
-                    context: format!("{what}: {}", panic_message(payload.as_ref())),
-                });
-            }
-        }
-    }
-    if let Some((_, e)) = first_err {
-        return Err(e);
-    }
-    outputs.sort_unstable_by_key(|&(i, _)| i);
-    Ok(outputs.into_iter().map(|(_, out)| out).collect())
-}
-
 /// Splits a chunk's selectors into at most `n` contiguous query ranges,
 /// each with its queries' selectors: the units of a prescore fan-out.
 fn query_ranges(
@@ -999,14 +942,18 @@ fn prescore_with_lookup(
     n_threads: usize,
     fanouts: &mut u64,
 ) -> Result<(), PlaceError> {
-    let mut log_rows = vec![Vec::new(); n_threads];
+    let layout = ctx.layout();
+    let row = layout.patterns * (layout.states + 1);
+    let mut log_rows: Vec<Vec<f64>> = (0..n_threads).map(|_| Vec::with_capacity(row)).collect();
     let ranges = query_ranges(selectors, n_threads);
-    fan_out("prescore worker", ranges, &mut log_rows, fanouts, |(q_range, tops), log_row| {
+    let mut board = SweepStats::default();
+    fan_out("prescore worker", ranges, &mut log_rows, &mut board, |(q_range, tops), log_row| {
         for e in ctx.tree().all_edges() {
             prescore_branch(ctx, table.table(e), e, s2p, &chunk[q_range.clone()], tops, log_row);
         }
         Ok(())
     })?;
+    *fanouts += (board.threads_started > 0) as u64;
     Ok(())
 }
 
@@ -1034,6 +981,7 @@ mod tests {
     use phylo_tree::{generate, NodeId};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::atomic::AtomicUsize;
 
     fn setup(
         n: usize,
@@ -1173,24 +1121,39 @@ mod tests {
 
     #[test]
     fn prefetched_sweeps_repeat_their_slot_traffic_exactly() {
-        // The prefetch thread plans while the scorer runs; the handoff
-        // protocol must keep every plan's view of the pins independent of
-        // their timing, or recompute counts would drift from run to run.
+        // Blocks are prepared while others are scored, on whichever
+        // thread is free; the board's prepare/release order must keep
+        // every plan's view of the pins independent of the threads'
+        // number and timing, or recompute counts would drift.
         let mut seen: Option<phylo_amc::SlotStats> = None;
-        for _ in 0..6 {
+        for threads in [1, 2, 8, 1, 2, 8] {
             let (ctx, s2p, batch) = setup(40, 30, 4, 15);
             let probe = EpaConfig {
                 preplacement: PreplacementMode::Off,
                 async_prefetch: true,
                 chunk_size: 2,
+                threads,
                 ..Default::default()
             };
             let floor = memplan::floor_budget(&ctx, &probe, batch.len(), batch.n_sites());
             let cfg = EpaConfig { max_memory: Some(floor), ..probe };
             let (_, report) = Placer::new(ctx, s2p, cfg).unwrap().place(&batch).unwrap();
             assert!(report.slot_stats.evictions > 0 && report.slot_stats.hits > 0);
-            assert_eq!(*seen.get_or_insert(report.slot_stats), report.slot_stats);
+            assert_eq!(*seen.get_or_insert(report.slot_stats), report.slot_stats, "{threads}");
         }
+    }
+
+    /// Walks `steps` with one unit per branch and nothing to score.
+    fn walk_only(
+        ctx: &ReferenceContext,
+        store: &ManagedStore,
+        steps: &[phylo_tree::traversal::SweepStep],
+        plan: BlockPlan,
+        deg: &DegradationCounters,
+    ) {
+        let walk = Walk { ctx, store, steps, plan, deg };
+        let mut stats = SweepStats::default();
+        run_sweep(walk, "walk", &mut [()], &mut stats, <[EdgeId]>::to_vec, |_, _| Ok(())).unwrap();
     }
 
     /// The rule that decides whether a pruned walk builds the root path
@@ -1205,17 +1168,16 @@ mod tests {
             async_prefetch: false,
             prefetch_disabled: false,
             block_clamped: false,
-            workers: 1,
         };
         // Recomputes of one pruned walk over a store a full sweep warmed.
         let misses = |slots: usize, stride: u32| {
             let store =
                 ManagedStore::with_slots(&ctx, slots, phylo_amc::StrategyKind::CostBased).unwrap();
             let deg = DegradationCounters::default();
-            run_sweep(&ctx, &store, &schedule.steps(|_| true), plan, &deg, |_| Ok(())).unwrap();
+            walk_only(&ctx, &store, &schedule.steps(|_| true), plan, &deg);
             let warm = store.stats();
             let pruned = schedule.steps(|e| e.0 % stride == 3);
-            run_sweep(&ctx, &store, &pruned, plan, &deg, |_| Ok(())).unwrap();
+            walk_only(&ctx, &store, &pruned, plan, &deg);
             assert_eq!(deg.snapshot().flush_retries, 0);
             assert_eq!(store.arena().manager().n_pinned(), 0, "every hold is released");
             store.stats().delta(&warm).misses
@@ -1250,9 +1212,18 @@ mod tests {
         let steps = SweepSchedule::new(ctx.tree()).steps(|_| true);
         let floor = ctx.min_slots() + memplan::pin_headroom(&ctx);
         let costs = ctx.cost_table();
-        for async_prefetch in [false, true] {
+        // The third unit fails, or cancels the run so that a later
+        // prepare fails.
+        for (async_prefetch, threads, in_prepare) in [false, true]
+            .into_iter()
+            .flat_map(|a| [1, 2, 8].map(|t| (a, t)))
+            .flat_map(|(a, t)| [false, true].map(move |p| (a, t, p)))
+        {
+            let label = format!("prefetch {async_prefetch}, {threads} threads, {in_prepare}");
             let store =
                 ManagedStore::with_slots(&ctx, floor, phylo_amc::StrategyKind::CostBased).unwrap();
+            let cancel = CancelToken::new();
+            store.set_cancel_token(&cancel);
             let recorder = Arc::new(phylo_obs::slottrace::SlotTrace::new());
             store.set_slot_trace(Arc::clone(&recorder));
             let plan = BlockPlan {
@@ -1260,20 +1231,31 @@ mod tests {
                 async_prefetch,
                 prefetch_disabled: false,
                 block_clamped: false,
-                workers: 1,
             };
-            let mut batches = 0;
+            let deg = DegradationCounters::default();
+            let walk = Walk { ctx: &ctx, store: &store, steps: &steps, plan, deg: &deg };
+            let units = AtomicUsize::new(0);
+            let mut scratch = vec![(); threads];
+            let mut stats = SweepStats::default();
             let failed =
-                run_sweep(&ctx, &store, &steps, plan, &DegradationCounters::default(), |_| {
-                    batches += 1;
-                    if batches == 3 {
-                        return Err(PlaceError::BadConfig("scorer gave up".into()));
+                run_sweep(walk, "test", &mut scratch, &mut stats, <[EdgeId]>::to_vec, |_, _| {
+                    if units.fetch_add(1, Ordering::Relaxed) == 2 {
+                        if in_prepare {
+                            cancel.cancel();
+                        } else {
+                            return Err(PlaceError::BadConfig("scorer gave up".into()));
+                        }
                     }
                     Ok(())
                 });
-            assert!(matches!(failed, Err(PlaceError::BadConfig(_))), "{failed:?}");
+            match failed {
+                Err(e) if in_prepare => assert!(e.is_cancellation(), "{label}: {e:?}"),
+                Err(PlaceError::BadConfig(_)) => {}
+                other => panic!("{label}: {other:?}"),
+            }
+            store.set_cancel_token(&CancelToken::new());
             let mgr = store.arena().manager();
-            assert_eq!(mgr.n_pinned(), 0, "prefetch {async_prefetch}");
+            assert_eq!(mgr.n_pinned(), 0, "{label}");
             // The policy heard about the walk, and then that it was over.
             use phylo_obs::slottrace::{SlotEvent, NO_TABLE};
             let told: Vec<SlotEvent> = recorder
@@ -1285,12 +1267,16 @@ mod tests {
             assert_eq!(
                 told,
                 [SlotEvent::Schedule { table: 0 }, SlotEvent::Schedule { table: NO_TABLE }],
-                "prefetch {async_prefetch}"
+                "{label}"
             );
             // So a hand-driven request evicts in cost order again, not by
-            // what the dead walk would have wanted next.
+            // what the dead walk would have wanted next. (A cancelled
+            // prepare drops its unpublished targets: no full store.)
+            if in_prepare {
+                continue;
+            }
             let resident = mgr.resident();
-            assert_eq!(resident.len(), floor);
+            assert_eq!(resident.len(), floor, "{label}");
             let cheapest = resident
                 .iter()
                 .map(|&(clv, _)| clv)
@@ -1302,7 +1288,7 @@ mod tests {
                 .unwrap();
             match mgr.acquire(absent).unwrap() {
                 phylo_amc::Acquire::Evicted { victim, .. } => assert_eq!(victim, cheapest),
-                other => panic!("expected an eviction, got {other:?}"),
+                other => panic!("{label}: expected an eviction, got {other:?}"),
             }
         }
     }

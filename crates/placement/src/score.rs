@@ -64,6 +64,13 @@ impl AttachmentPartials {
         AttachmentPartials { wab: Vec::new(), scale: Vec::new() }
     }
 
+    /// A buffer already at a context's size, so that no
+    /// [`attachment_partials_into`] call allocates.
+    pub(crate) fn sized(ctx: &ReferenceContext) -> Self {
+        let layout = ctx.layout();
+        AttachmentPartials { wab: vec![0.0; layout.clv_len()], scale: vec![0; layout.patterns] }
+    }
+
     /// Overwrites the buffer with the product of two sides propagated to
     /// the attachment point (`[pattern][rate][state]` each, plus their
     /// per-pattern scaler counts), weighted by `weights`
@@ -109,8 +116,9 @@ pub fn rate_state_weights(ctx: &ReferenceContext) -> Vec<f64> {
 }
 
 /// Scratch buffers reused across scoring calls to keep the hot path
-/// allocation-free: once warm, a `(query × branch)` thorough scoring pass
-/// performs zero heap allocations.
+/// allocation-free: every buffer is allocated at its final size by
+/// [`ScoreScratch::new`], so a thread handed a fresh scratch performs no
+/// heap allocation in a `(query × branch)` thorough scoring pass.
 #[derive(Debug, Default)]
 pub struct ScoreScratch {
     prox: Vec<f64>,
@@ -139,23 +147,49 @@ pub struct ScoreScratch {
 impl ScoreScratch {
     /// Scratch sized for a context.
     pub fn new(ctx: &ReferenceContext) -> Self {
+        let mut s = ScoreScratch::for_tables(ctx);
+        s.search = [AttachmentPartials::sized(ctx), AttachmentPartials::sized(ctx)];
+        s
+    }
+
+    /// Scratch for building score tables ([`ScoreScratch::midpoint_partials`])
+    /// only: as [`ScoreScratch::new`] without the two buffers that only
+    /// [`score_thorough`]'s attachment-position search uses.
+    pub(crate) fn for_tables(ctx: &ReferenceContext) -> Self {
         let layout = ctx.layout();
         let a = ctx.alphabet();
+        let pmatrix = vec![0.0; layout.pmatrix_len()];
+        let masks: Vec<u32> = (0..a.n_codes()).map(|c| a.state_mask(c as u8)).collect();
         ScoreScratch {
             prox: vec![0.0; layout.clv_len()],
             prox_scale: vec![0; layout.patterns],
             dist: vec![0.0; layout.clv_len()],
             dist_scale: vec![0; layout.patterns],
-            pmatrix: vec![0.0; layout.pmatrix_len()],
             kernel: KernelScratch::for_layout(layout),
-            masks: (0..a.n_codes()).map(|c| a.state_mask(c as u8)).collect(),
+            // Built once at its final size: every rebuild reuses it.
+            tip_table: TipTable::build(layout, &pmatrix, &masks),
+            pmatrix,
+            masks,
             weights: rate_state_weights(ctx),
-            tip_table: TipTable::empty(),
-            partials: AttachmentPartials::empty(),
-            search: [AttachmentPartials::empty(), AttachmentPartials::empty()],
+            partials: AttachmentPartials::sized(ctx),
+            search: Default::default(),
             evaluator: QueryEvaluator::new(ctx),
             searches: SearchCounts::default(),
         }
+    }
+
+    /// The partials of `edge` at its midpoint, built into this scratch's
+    /// own buffer: what a branch's score table is built from.
+    pub(crate) fn midpoint_partials(
+        &mut self,
+        ctx: &ReferenceContext,
+        store: &ManagedStore,
+        edge: phylo_tree::EdgeId,
+    ) -> &AttachmentPartials {
+        let mut out = std::mem::take(&mut self.partials);
+        attachment_partials_into(ctx, store, edge, 0.5, self, &mut out);
+        self.partials = out;
+        &self.partials
     }
 
     /// Adds the searches tallied since the last call to the
@@ -277,6 +311,17 @@ impl BranchScoreTable {
     /// An empty table for reuse through [`BranchScoreTable::rebuild`].
     pub const fn empty() -> BranchScoreTable {
         BranchScoreTable { table: Vec::new(), scale: Vec::new(), states: 0 }
+    }
+
+    /// A table already at a context's size, so that no
+    /// [`BranchScoreTable::rebuild`] allocates.
+    pub(crate) fn sized(ctx: &ReferenceContext) -> BranchScoreTable {
+        let layout = ctx.layout();
+        BranchScoreTable {
+            table: vec![0.0; layout.patterns * (layout.states + 1)],
+            scale: vec![0; layout.patterns],
+            states: layout.states,
+        }
     }
 
     /// Builds a one-off table from attachment partials and a pendant

@@ -101,11 +101,11 @@ echo "==> replay differential (capture -> replay -> exact counter compare, per p
 # traffic; the offline simulator must then reproduce the live slot.*
 # counters bit-exactly from the captured trace (DESIGN.md §10). The
 # default thread count is the runner's core count, so the contract is
-# pinned at two explicit ones: one scorer, and several beside the
-# prefetch thread. Both must replay exactly, and agree with each other
-# on the jplace and on every slot counter.
+# pinned at three explicit ones: one thread that prepares and scores,
+# two, and four sharing the sweeps' work board. All must replay exactly,
+# and agree with each other on the jplace and on every slot counter.
 for policy in cost lru mru fifo random cost-lru; do
-    for threads in 1 4; do
+    for threads in 1 2 4; do
         run="$smoke_dir/$policy.t$threads"
         "$bin" "${place_args[@]}" --maxmem 300K --no-lookup --strategy "$policy" \
             --threads "$threads" --slot-trace "$run.trace" --metrics-json "$run.metrics.json" \
@@ -117,12 +117,14 @@ for policy in cost lru mru fifo random cost-lru; do
             || { echo "$policy at $threads threads: replay differential failed"; exit 1; }
         grep -E '"slot\.(hits|misses|evictions)"' "$run.metrics.json" > "$run.slots"
     done
-    cmp "$smoke_dir/$policy.t1.jplace" "$smoke_dir/$policy.t4.jplace" \
-        || { echo "$policy: jplace differs between 1 and 4 threads"; exit 1; }
-    cmp "$smoke_dir/$policy.t1.slots" "$smoke_dir/$policy.t4.slots" \
-        || { echo "$policy: slot counters differ between 1 and 4 threads"; exit 1; }
+    for threads in 2 4; do
+        cmp "$smoke_dir/$policy.t1.jplace" "$smoke_dir/$policy.t$threads.jplace" \
+            || { echo "$policy: jplace differs between 1 and $threads threads"; exit 1; }
+        cmp "$smoke_dir/$policy.t1.slots" "$smoke_dir/$policy.t$threads.slots" \
+            || { echo "$policy: slot counters differ between 1 and $threads threads"; exit 1; }
+    done
 done
-echo "    replay differential OK (all policies bit-exact at 1 and 4 threads, oracle bound holds)"
+echo "    replay differential OK (all policies bit-exact at 1, 2 and 4 threads, oracle bound holds)"
 
 echo "==> CLV spill pass (tight --maxmem + --tier-dir -> byte-compare)"
 # A slot budget below the working set with evicted CLVs spilled to a

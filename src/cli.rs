@@ -84,8 +84,8 @@ pub struct CliOptions {
     pub gamma_alpha: Option<f64>,
     /// Queries per chunk.
     pub chunk_size: usize,
-    /// Scoring threads, the sweep's prefetch thread included (default:
-    /// the machine's cores).
+    /// Threads of every scoring phase, the ones preparing the next block
+    /// included (default: the machine's cores).
     pub threads: usize,
     /// Kernel tier request (`--kernel-tier auto|reference|simd`).
     pub kernel_tier: phylo_kernel::TierChoice,

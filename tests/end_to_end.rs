@@ -86,9 +86,9 @@ fn swept_budgets_are_byte_identical_to_unlimited_memory() {
     // The sweep schedule decides how often kernels run, never what they
     // compute: at the floor (no lookup: prescore and thorough sweeps) and
     // at the lookup floor (lookup-build and thorough sweeps) the jplace
-    // must equal the unlimited run's, with the batches prepared inline
-    // or on the prefetch thread, scored by one worker or four, over
-    // several chunks.
+    // must equal the unlimited run's, with one batch pinned at a time or
+    // two, prepared and scored by one thread or four, over several
+    // chunks.
     let spec = phyloplace::datasets::neotrop(Scale::Ci);
     let (ds, s2p, batch) = setup(&spec);
     let base = EpaConfig { chunk_size: 7, ..Default::default() };
@@ -162,35 +162,35 @@ fn jplace_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn one_branch_floor_blocks_are_prescored_on_the_caller() {
-    // At the floor the ladder leaves one-branch blocks and an async
-    // prefetch. Starting threads to split one branch's table walk cost
-    // more than the walk; the swept prescore must run on the caller,
-    // whatever the thread count, and the prefetch thread takes one of
-    // the threads from the scorers.
+fn sweeps_start_threads_once_per_sweep() {
+    // The sweeps' work board starts `threads − 1` threads per sweep and
+    // keeps them for every block: at the floor, where the ladder leaves
+    // hundreds of one-branch blocks per sweep, a thread start per block
+    // would cost more than the blocks' scoring.
     let spec = phyloplace::datasets::pro_ref(Scale::Ci);
     let (ds, s2p, batch) = setup(&spec);
     let base = EpaConfig { preplacement: PreplacementMode::Off, ..Default::default() };
     let probe = ctx_of(&ds);
     let floor = memplan::floor_budget(&probe, &base, batch.len(), batch.n_sites());
     drop(probe);
-    let cfg =
-        EpaConfig { max_memory: Some(floor), threads: 8, async_prefetch: true, ..base.clone() };
-    let (_, report) = Placer::new(ctx_of(&ds), s2p.clone(), cfg).unwrap().place(&batch).unwrap();
-    assert_eq!(report.scoring.swept_prescore_fanouts, 0, "{:?}", report.scoring);
-    assert_eq!(report.scoring.workers, 7);
-    assert_eq!(report.metrics.counter("place.fanout.swept_prescore"), 0);
-    assert_eq!(report.metrics.gauges.get("place.scoring.workers"), Some(&7));
-    // With the full store the blocks hold many branches, and each one
-    // is split over the queries.
-    let cfg = EpaConfig { threads: 2, ..base };
-    let (_, report) = Placer::new(ctx_of(&ds), s2p, cfg).unwrap().place(&batch).unwrap();
-    assert_eq!(report.scoring.workers, 2);
-    assert!(report.scoring.swept_prescore_fanouts > 0, "{:?}", report.scoring);
-    assert_eq!(
-        report.metrics.counter("place.fanout.swept_prescore"),
-        report.scoring.swept_prescore_fanouts
-    );
+    for (threads, budget) in [(8, Some(floor)), (2, None)] {
+        let cfg = EpaConfig { max_memory: budget, threads, async_prefetch: true, ..base.clone() };
+        let placer = Placer::new(ctx_of(&ds), s2p.clone(), cfg).unwrap();
+        let chunks = batch.len().div_ceil(placer.memory_plan(&batch).unwrap().chunk_size) as u64;
+        let (_, report) = placer.place(&batch).unwrap();
+        // A prescore sweep and a thorough sweep per chunk.
+        let sweeps = 2 * chunks;
+        let sc = &report.scoring;
+        assert_eq!(sc.sweep.threads_started, sweeps * (threads as u64 - 1), "{sc:?}");
+        assert_eq!(sc.workers, threads);
+        assert!(sc.sweep.prepare_ns > 0 && sc.sweep.score_ns > 0, "{sc:?}");
+        let m = &report.metrics;
+        assert_eq!(m.counter("place.sweep.threads_started"), sc.sweep.threads_started);
+        assert_eq!(m.counter("place.sweep.prepare_ns"), sc.sweep.prepare_ns);
+        assert_eq!(m.counter("place.sweep.score_ns"), sc.sweep.score_ns);
+        assert_eq!(m.counter("place.sweep.idle_ns"), sc.sweep.idle_ns);
+        assert_eq!(m.gauges.get("place.scoring.workers"), Some(&(threads as i64)));
+    }
 }
 
 #[test]
