@@ -16,7 +16,6 @@ use phylo_engine::{ManagedStore, ReferenceContext};
 use phylo_journal::{ChunkFrame, ChunkStats, PlacementRecord, QueryRecord, RunJournal};
 use phylo_tree::traversal::SweepSchedule;
 use phylo_tree::EdgeId;
-use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -122,6 +121,14 @@ impl WarmStore {
         self.plan.use_lookup
     }
 
+    /// Whether [`Placer::place_warm`] runs against this store may
+    /// overlap: it was planned without a memory cap, so once
+    /// [`Placer::warm_up`] returns it holds every CLV and runs only read
+    /// it.
+    pub fn runs_may_overlap(&self) -> bool {
+        self.plan.mode == memplan::AmcMode::Off
+    }
+
     /// Cumulative slot traffic over every run served so far.
     pub fn slot_stats(&self) -> phylo_amc::SlotStats {
         self.store.stats()
@@ -216,7 +223,8 @@ impl Placer {
         // CRC-validated prefix of the run's chunks.
         let replayed = control.journal.as_mut().map(|j| j.take_replayed()).unwrap_or_default();
         let warm = self.open_store(batch.len(), &control, replayed.len())?;
-        let mut outcome = self.run_chunks(&warm, batch, &mut control, &replayed)?;
+        let mut outcome =
+            self.run_chunks(&warm, batch, &mut control, &replayed, self.cfg.threads)?;
         // The store lived for this run only, so the report covers the
         // open as well: its slot traffic, its lookup build, its tiers.
         let report = &mut outcome.report;
@@ -240,6 +248,12 @@ impl Placer {
     /// each) and the preplacement lookup table. One call amortizes over
     /// arbitrarily many [`Placer::place_warm`] runs.
     ///
+    /// Without a memory cap the store holds every CLV, and `warm_up`
+    /// computes them all: the lookup build does so anyway, and without
+    /// the lookup one walk over every branch does. Runs against such a
+    /// store then only read it, so they may overlap
+    /// ([`WarmStore::runs_may_overlap`]).
+    ///
     /// The CLV spill file is a batch-mode feature (it is scoped to one
     /// run); a config that asks for both is refused rather than
     /// silently ignored.
@@ -249,7 +263,18 @@ impl Placer {
                 "tiered CLV storage is not supported for warm (service-mode) stores".into(),
             ));
         }
-        self.open_store(self.cfg.chunk_size, &RunControl::default(), 0)
+        let warm = self.open_store(self.cfg.chunk_size, &RunControl::default(), 0)?;
+        if warm.runs_may_overlap() && warm.lookup.is_none() {
+            // Every batch is prepared and released with no units: the
+            // prepares compute both orientations of every branch.
+            let deg = DegradationCounters::default();
+            let plan = self.plan_block(warm.store.n_slots(), &deg)?;
+            let steps = warm.sweep.steps(|_| true);
+            let walk = Walk { ctx: &self.ctx, store: &warm.store, steps: &steps, plan, deg: &deg };
+            let mut stats = SweepStats::default();
+            run_sweep(walk, "warm-up walk", &mut [()], &mut stats, |_| Vec::new(), |(), _| Ok(()))?;
+        }
+        Ok(warm)
     }
 
     /// Places one request's batch against a shared [`WarmStore`]: the
@@ -263,18 +288,28 @@ impl Placer {
     /// `cancel` is request-scoped: a deadline or client cancellation
     /// unwinds at the next cancellation point and yields a clean
     /// partial outcome (`completed == false`), exactly like batch mode.
-    /// Runs against one store must be issued sequentially — the store
-    /// is internally synchronized, but the cancel token is store-wide.
+    /// The run scores on `threads` threads, the caller included.
+    ///
+    /// Runs against an uncapped store ([`WarmStore::runs_may_overlap`])
+    /// may overlap: they only read the store, so each is cancelled at
+    /// its chunk boundaries, and the store's token is left alone. Runs
+    /// against a capped store must be issued one at a time, because
+    /// they compute CLVs and the cancel token the engine polls is
+    /// store-wide: each run installs its own. While runs overlap, a
+    /// report's slot traffic includes the other runs' hits.
     pub fn place_warm(
         &self,
         warm: &WarmStore,
         batch: &QueryBatch,
         cancel: &CancelToken,
+        threads: usize,
     ) -> Result<PlaceOutcome, PlaceError> {
         let clock = RunClock::start();
-        warm.store.set_cancel_token(cancel);
+        if !warm.runs_may_overlap() {
+            warm.store.set_cancel_token(cancel);
+        }
         let mut control = RunControl { cancel: cancel.clone(), ..Default::default() };
-        let mut outcome = self.run_chunks(warm, batch, &mut control, &[])?;
+        let mut outcome = self.run_chunks(warm, batch, &mut control, &[], threads.max(1))?;
         clock.seal(&mut outcome.report, self.ctx.layout().tier(), warm);
         Ok(outcome)
     }
@@ -381,14 +416,15 @@ impl Placer {
     /// The chunk loop every run goes through: restore what the journal
     /// replayed, compute the rest chunk by chunk (journal frame first,
     /// heartbeat second), stop cleanly at a cancelled token, then
-    /// finalize the results. The report's slot traffic is this call's
-    /// share of the store's.
+    /// finalize the results on `threads` threads. The report's slot
+    /// traffic is the store's over this call.
     fn run_chunks(
         &self,
         warm: &WarmStore,
         batch: &QueryBatch,
         control: &mut RunControl,
         replayed: &[ChunkFrame],
+        threads: usize,
     ) -> Result<PlaceOutcome, PlaceError> {
         let slot_base = warm.store.stats();
         let branches = self.ctx.tree().n_edges();
@@ -408,7 +444,7 @@ impl Placer {
         };
         let mut report = RunReport {
             n_queries: batch.len(),
-            scoring: ScoringStats { workers: self.cfg.threads, ..Default::default() },
+            scoring: ScoringStats { workers: threads, ..Default::default() },
             used_lookup: warm.plan.use_lookup,
             slots: warm.plan.slots,
             peak_memory: warm.plan.tracker.peak(),
@@ -501,7 +537,8 @@ impl Placer {
     }
 
     /// One chunk of the run: prescore, candidate selection, thorough
-    /// scoring. Returns the chunk's journal-frame stats.
+    /// scoring, on the report's `scoring.workers` threads. Returns the
+    /// chunk's journal-frame stats.
     #[allow(clippy::too_many_arguments)]
     fn compute_chunk(
         &self,
@@ -514,7 +551,6 @@ impl Placer {
         report: &mut RunReport,
     ) -> Result<ChunkStats, PlaceError> {
         let ctx = &self.ctx;
-        let cfg = &self.cfg;
         let branches = ctx.tree().n_edges();
         let WarmStore { store, lookup, sweep, .. } = warm;
         // Ladder counters are per chunk and merged into the report at
@@ -540,8 +576,7 @@ impl Placer {
                     &self.site_to_pattern,
                     chunk,
                     selectors,
-                    cfg.threads,
-                    &mut report.scoring.lookup_prescore_fanouts,
+                    &mut report.scoring,
                 )?;
             }
             None => {
@@ -596,11 +631,8 @@ impl Placer {
 
     /// Prescoring without the lookup table: one sweep over every branch
     /// under the slot budget, a transient score table built per branch —
-    /// the paper's expensive path. A unit is one branch: its table, the
-    /// logarithm of each table entry once, every query of the chunk, and
-    /// one lock of the selectors to hand the scores in. The selectors'
-    /// total order makes the kept lists independent of the order the
-    /// branches finish in.
+    /// the paper's expensive path. A unit is one branch: its table, then
+    /// [`PrescoreRow::prescore`].
     #[allow(clippy::too_many_arguments)]
     fn prescore_swept(
         &self,
@@ -619,7 +651,7 @@ impl Placer {
         let mut pendant_eval = QueryEvaluator::new(ctx);
         pendant_eval.set_pendant(ctx, ctx.starting_pendant());
         let mut scratch: Vec<PrescoreScratch> =
-            (0..self.cfg.threads).map(|_| PrescoreScratch::new(ctx, chunk.len())).collect();
+            (0..scoring.workers).map(|_| PrescoreScratch::new(ctx, chunk.len())).collect();
         let selectors = Mutex::new(selectors);
         let steps = sweep.steps(|_| true);
         let walk = Walk { ctx, store, steps: &steps, plan, deg };
@@ -632,15 +664,9 @@ impl Placer {
             |e, s| {
                 // The branch's CLVs are pinned and published, so reads need
                 // no lock.
-                let PrescoreScratch { scratch, table, log_row, scores } = s;
+                let PrescoreScratch { scratch, table, row } = s;
                 table.rebuild(ctx, scratch.midpoint_partials(ctx, store, e), &pendant_eval);
-                scores.clear();
-                let codes = chunk.iter().map(|q| q.codes.as_slice());
-                table.prescore_chunk(ctx, s2p, codes, log_row, |_, score| scores.push(score));
-                let mut tops = selectors.lock().expect("no selector lock is held across a panic");
-                for (top, &score) in tops.iter_mut().zip(scores.iter()) {
-                    top.push(e, score);
-                }
+                row.prescore(ctx, s2p, table, e, chunk, &selectors);
                 Ok(())
             },
         )?;
@@ -669,7 +695,7 @@ impl Placer {
         let steps = sweep.steps(|e| !grouped[e.idx()].is_empty());
         // One scratch per thread for the whole chunk, allocated here.
         let mut scratches: Vec<ScoreScratch> =
-            (0..cfg.threads).map(|_| ScoreScratch::new(ctx)).collect();
+            (0..scoring.workers).map(|_| ScoreScratch::new(ctx)).collect();
         let walk = Walk { ctx, store, steps: &steps, plan, deg };
         let swept = run_sweep(
             walk,
@@ -722,20 +748,58 @@ impl Placer {
 struct PrescoreScratch {
     scratch: ScoreScratch,
     table: BranchScoreTable,
+    row: PrescoreRow,
+}
+
+impl PrescoreScratch {
+    fn new(ctx: &ReferenceContext, queries: usize) -> Self {
+        PrescoreScratch {
+            scratch: ScoreScratch::for_tables(ctx),
+            table: BranchScoreTable::sized(ctx),
+            row: PrescoreRow::new(ctx, queries),
+        }
+    }
+}
+
+/// One thread's buffers for prescoring a chunk from a branch's table,
+/// at their final size.
+struct PrescoreRow {
     /// The logarithm of every table entry.
     log_row: Vec<f64>,
     /// One score per query of the chunk.
     scores: Vec<f64>,
 }
 
-impl PrescoreScratch {
+impl PrescoreRow {
     fn new(ctx: &ReferenceContext, queries: usize) -> Self {
-        let table = BranchScoreTable::sized(ctx);
-        PrescoreScratch {
-            scratch: ScoreScratch::for_tables(ctx),
-            log_row: Vec::with_capacity(table.table.len()),
-            table,
+        let layout = ctx.layout();
+        PrescoreRow {
+            log_row: Vec::with_capacity(layout.patterns * (layout.states + 1)),
             scores: Vec::with_capacity(queries),
+        }
+    }
+
+    /// The unit of both prescore paths: scores every query of `chunk` at
+    /// branch `e` from its table, taking the logarithm of each table
+    /// entry once, and hands the scores to the shared selectors under one
+    /// lock. The selectors' total order makes the kept lists independent
+    /// of the order the branches finish in.
+    fn prescore(
+        &mut self,
+        ctx: &ReferenceContext,
+        s2p: &[u32],
+        table: &BranchScoreTable,
+        e: EdgeId,
+        chunk: &[EncodedQuery],
+        selectors: &Mutex<&mut [TopCandidates]>,
+    ) {
+        let PrescoreRow { log_row, scores } = self;
+        scores.clear();
+        let codes = chunk.iter().map(|q| q.codes.as_slice());
+        table.prescore_chunk(ctx, s2p, codes, log_row, |_, score| scores.push(score));
+        let mut tops = selectors.lock().expect("no selector lock is held across a panic");
+        for (top, &score) in tops.iter_mut().zip(scores.iter()) {
+            top.push(e, score);
         }
     }
 }
@@ -917,58 +981,28 @@ fn check_nan_prescores(
     }
 }
 
-/// Splits a chunk's selectors into at most `n` contiguous query ranges,
-/// each with its queries' selectors: the units of a prescore fan-out.
-fn query_ranges(
-    selectors: &mut [TopCandidates],
-    n: usize,
-) -> Vec<(Range<usize>, &mut [TopCandidates])> {
-    let per = selectors.len().div_ceil(n).max(1);
-    selectors
-        .chunks_mut(per)
-        .enumerate()
-        .map(|(i, tops)| (i * per..i * per + tops.len(), tops))
-        .collect()
-}
-
-/// Phase-1 prescoring against the lookup table, parallel over queries
-/// (one fan-out per chunk), branch by branch within a worker.
+/// Phase-1 prescoring against the lookup table, on the work board with
+/// no walk (one fan-out per chunk): a unit is one branch,
+/// [`PrescoreRow::prescore`] from its table row.
 fn prescore_with_lookup(
     ctx: &ReferenceContext,
     table: &LookupTable,
     s2p: &[u32],
     chunk: &[EncodedQuery],
     selectors: &mut [TopCandidates],
-    n_threads: usize,
-    fanouts: &mut u64,
+    scoring: &mut ScoringStats,
 ) -> Result<(), PlaceError> {
-    let layout = ctx.layout();
-    let row = layout.patterns * (layout.states + 1);
-    let mut log_rows: Vec<Vec<f64>> = (0..n_threads).map(|_| Vec::with_capacity(row)).collect();
-    let ranges = query_ranges(selectors, n_threads);
+    let mut rows: Vec<PrescoreRow> =
+        (0..scoring.workers).map(|_| PrescoreRow::new(ctx, chunk.len())).collect();
+    let selectors = Mutex::new(selectors);
+    let branches: Vec<EdgeId> = ctx.tree().all_edges().collect();
     let mut board = SweepStats::default();
-    fan_out("prescore worker", ranges, &mut log_rows, &mut board, |(q_range, tops), log_row| {
-        for e in ctx.tree().all_edges() {
-            prescore_branch(ctx, table.table(e), e, s2p, &chunk[q_range.clone()], tops, log_row);
-        }
+    fan_out("prescore worker", branches, &mut rows, &mut board, |e, row| {
+        row.prescore(ctx, s2p, table.table(e), e, chunk, &selectors);
         Ok(())
     })?;
-    *fanouts += (board.threads_started > 0) as u64;
+    scoring.lookup_prescore_fanouts += (board.threads_started > 0) as u64;
     Ok(())
-}
-
-/// Prescores a worker's `queries` at branch `e` into their selectors.
-fn prescore_branch(
-    ctx: &ReferenceContext,
-    table: &BranchScoreTable,
-    e: EdgeId,
-    s2p: &[u32],
-    queries: &[EncodedQuery],
-    selectors: &mut [TopCandidates],
-    log_row: &mut Vec<f64>,
-) {
-    let codes = queries.iter().map(|q| q.codes.as_slice());
-    table.prescore_chunk(ctx, s2p, codes, log_row, |q, score| selectors[q].push(e, score));
 }
 
 #[cfg(test)]
@@ -1459,11 +1493,11 @@ mod tests {
         // cold run bit-exactly — the second proves that residue from
         // the first (resident CLVs, strategy state) cannot change
         // results, only hit rates.
-        let one = placer.place_warm(&warm, &batch, &token).unwrap();
+        let one = placer.place_warm(&warm, &batch, &token, placer.config().threads).unwrap();
         assert!(one.completed);
         assert_bit_identical(&cold, &one.results);
         let base = warm.slot_stats();
-        let two = placer.place_warm(&warm, &batch, &token).unwrap();
+        let two = placer.place_warm(&warm, &batch, &token, placer.config().threads).unwrap();
         assert_bit_identical(&cold, &two.results);
         let delta = warm.slot_stats().delta(&base);
         assert_eq!(two.report.slot_stats, delta, "report must cover only its own run");
@@ -1497,7 +1531,8 @@ mod tests {
             let cold = self::setup(14, 60, 8, 12);
             let cold_placer = Placer::new(cold.0, cold.1, EpaConfig::default()).unwrap();
             let (cold_results, _) = cold_placer.place(&sub_batch).unwrap();
-            let out = placer.place_warm(&warm, &sub_batch, &token).unwrap();
+            let out =
+                placer.place_warm(&warm, &sub_batch, &token, placer.config().threads).unwrap();
             assert_bit_identical(&cold_results, &out.results);
         }
     }
@@ -1510,16 +1545,59 @@ mod tests {
         let warm = placer.warm_up().unwrap();
         let armed = CancelToken::new();
         armed.cancel();
-        let out = placer.place_warm(&warm, &batch, &armed).unwrap();
+        let out = placer.place_warm(&warm, &batch, &armed, placer.config().threads).unwrap();
         assert!(!out.completed);
         assert_eq!(out.queries_done, 0);
         assert!(out.results.is_empty());
         // The pre-armed token must not poison the store for the next
         // request: a fresh token serves normally.
         let fresh = CancelToken::new();
-        let ok = placer.place_warm(&warm, &batch, &fresh).unwrap();
+        let ok = placer.place_warm(&warm, &batch, &fresh, placer.config().threads).unwrap();
         assert!(ok.completed);
         assert_eq!(ok.results.len(), 6);
+    }
+
+    #[test]
+    fn overlapping_warm_runs_on_an_uncapped_store_match_solo_runs() {
+        for preplacement in [PreplacementMode::Auto, PreplacementMode::Off] {
+            let (ctx, s2p, batch) = setup(14, 60, 8, 15);
+            let cfg = EpaConfig { preplacement, chunk_size: 3, ..Default::default() };
+            let placer = Placer::new(ctx, s2p, cfg).unwrap();
+            let warm = placer.warm_up().unwrap();
+            assert!(warm.runs_may_overlap());
+            assert_eq!(warm.use_lookup(), preplacement == PreplacementMode::Auto);
+            let base = warm.slot_stats();
+            let solo = placer.place_warm(&warm, &batch, &CancelToken::new(), 1).unwrap();
+            assert!(solo.completed);
+            // Two live runs and a pre-armed one, released at once.
+            let armed = CancelToken::new();
+            armed.cancel();
+            let tokens = [CancelToken::new(), armed, CancelToken::new()];
+            let start = std::sync::Barrier::new(tokens.len());
+            let outs: Vec<PlaceOutcome> = std::thread::scope(|s| {
+                let runs: Vec<_> = tokens
+                    .iter()
+                    .map(|token| {
+                        let (placer, warm, batch, start) = (&placer, &warm, &batch, &start);
+                        s.spawn(move || {
+                            start.wait();
+                            placer.place_warm(warm, batch, token, 1).unwrap()
+                        })
+                    })
+                    .collect();
+                runs.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            let label = format!("{preplacement:?}");
+            assert!(!outs[1].completed, "{label}: the pre-armed run must stop");
+            assert!(outs[1].results.is_empty(), "{label}");
+            for out in [&outs[0], &outs[2]] {
+                assert!(out.completed, "{label}: another run's token cancelled this one");
+                assert_bit_identical(&solo.results, &out.results);
+                assert_eq!(out.report.slot_stats.misses, 0, "{label}");
+            }
+            assert_eq!(solo.report.slot_stats.misses, 0, "{label}");
+            assert_eq!(warm.slot_stats().delta(&base).misses, 0, "{label}: a warm run computed");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The sweep executor: one walk of a [`SweepSchedule`] under the slot
-//! budget, shared by the lookup build, blocked prescoring and thorough
-//! scoring, and the work board every scoring fan-out runs on.
+//! budget, shared by the lookup build, blocked prescoring, thorough
+//! scoring and the warm-up walk of an uncapped store without the lookup,
+//! and the work board every scoring fan-out runs on.
 //!
 //! The schedule ([`phylo_tree::traversal::SweepSchedule`]) says in which
 //! order the branches are met and which `up(·)` CLV to keep resident

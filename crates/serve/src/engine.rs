@@ -15,6 +15,7 @@ use phylo_journal::fnv1a64;
 use phylo_seq::alphabet::AlphabetKind;
 use phylo_seq::{fasta, Sequence};
 use phylo_tree::Tree;
+use std::sync::atomic::{AtomicIsize, Ordering};
 
 /// The scoring settings of an engine: what the flags `place`, `serve`
 /// and `shard` share resolve to. `Default` is the one definition of
@@ -94,6 +95,21 @@ pub struct WarmEngine {
     n_sites: usize,
     alphabet: AlphabetKind,
     fingerprint: u64,
+    /// Cores no run holds: `threads` less the cores of the runs in
+    /// flight, below zero while runs hold more cores than there are.
+    free_cores: AtomicIsize,
+}
+
+/// The cores one run scores on, given back when it ends (or unwinds).
+struct HeldCores<'a> {
+    free: &'a AtomicIsize,
+    n: usize,
+}
+
+impl Drop for HeldCores<'_> {
+    fn drop(&mut self) {
+        self.free.fetch_add(self.n as isize, Ordering::SeqCst);
+    }
 }
 
 impl WarmEngine {
@@ -120,7 +136,16 @@ impl WarmEngine {
         let mut fp = fnv1a64(tree_text.as_bytes());
         fp ^= fnv1a64(ref_fasta.as_bytes()).rotate_left(1);
         fp ^= fnv1a64(format!("{st:?}").as_bytes()).rotate_left(2);
-        Ok(WarmEngine { placer, warm, tree, n_sites, alphabet: st.alphabet, fingerprint: fp })
+        let free_cores = AtomicIsize::new(placer.config().threads as isize);
+        Ok(WarmEngine {
+            placer,
+            warm,
+            tree,
+            n_sites,
+            alphabet: st.alphabet,
+            fingerprint: fp,
+            free_cores,
+        })
     }
 
     /// Hex fingerprint of (tree, reference, settings).
@@ -133,9 +158,32 @@ impl WarmEngine {
         self.warm.slots()
     }
 
-    /// Scoring threads each request runs with (`--threads`).
+    /// Cores the engine scores on (`--threads`): all of them go to a
+    /// run that overlaps no other.
     pub fn threads(&self) -> usize {
         self.placer.config().threads
+    }
+
+    /// How many runs the engine admits at once: one per core when the
+    /// store is uncapped (no `--maxmem`), whose runs only read it; one
+    /// under a cap, where a run computes CLVs and installs its cancel
+    /// token store-wide.
+    pub fn runs(&self) -> usize {
+        if self.warm.runs_may_overlap() {
+            self.threads()
+        } else {
+            1
+        }
+    }
+
+    /// Takes the cores no other run holds, at least one.
+    fn take_cores(&self) -> HeldCores<'_> {
+        let take = |free: isize| free.max(1);
+        let before = self
+            .free_cores
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |free| Some(free - take(free)))
+            .expect("the update never declines");
+        HeldCores { free: &self.free_cores, n: take(before) as usize }
     }
 
     /// Whether the preplacement lookup table is resident.
@@ -176,6 +224,10 @@ impl WarmEngine {
     /// merged). A cancelled run maps to a typed failure per request,
     /// never a torn jplace: a request either gets its complete document
     /// or an error.
+    ///
+    /// The run scores on the cores no other run holds, at least one,
+    /// and gives them back when it ends: a lone run gets every core, and
+    /// runs that overlap share them.
     pub fn place_merged(
         &self,
         requests: &[Vec<Sequence>],
@@ -189,7 +241,11 @@ impl WarmEngine {
                 return requests.iter().map(|_| Err(ServeFail::bad(detail.clone()))).collect();
             }
         };
-        let outcome = match self.placer.place_warm(&self.warm, &batch, cancel) {
+        let placed = {
+            let cores = self.take_cores();
+            self.placer.place_warm(&self.warm, &batch, cancel, cores.n)
+        };
+        let outcome = match placed {
             Ok(o) => o,
             Err(e) => {
                 let fail = ServeFail { code: Code::Internal, detail: format!("placement: {e}") };
@@ -283,6 +339,25 @@ mod tests {
         assert_eq!(doc(&merged[0]), doc(&solo0[0]));
         assert_eq!(doc(&merged[1]), doc(&solo12[0]));
         assert_eq!(merged[1].as_ref().ok().unwrap().n_queries, 2);
+    }
+
+    #[test]
+    fn a_lone_run_holds_every_core_and_overlapping_runs_share_them() {
+        let (tree, ref_fa, _) = dataset_texts();
+        let st = EngineSettings { threads: 2, ..EngineSettings::default() };
+        let engine = WarmEngine::build(&tree, &ref_fa, &st).unwrap();
+        assert_eq!(engine.runs(), 2, "an uncapped store admits one run per core");
+        let first = engine.take_cores();
+        assert_eq!(first.n, 2);
+        let second = engine.take_cores();
+        assert_eq!(second.n, 1, "a run never gets fewer than one core");
+        drop(first);
+        let third = engine.take_cores();
+        assert_eq!(third.n, 1, "the second run still holds its core");
+        drop((second, third));
+        assert_eq!(engine.take_cores().n, 2);
+        let capped = EngineSettings { max_memory: Some(64 << 20), ..st };
+        assert_eq!(WarmEngine::build(&tree, &ref_fa, &capped).unwrap().runs(), 1);
     }
 
     #[test]

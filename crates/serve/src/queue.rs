@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-/// A bounded MPSC queue with non-blocking admission and batched,
+/// A bounded MPMC queue with non-blocking admission and batched,
 /// timeout-polled removal.
 pub struct AdmissionQueue<T> {
     inner: Mutex<VecDeque<T>>,
@@ -52,7 +52,7 @@ impl<T> AdmissionQueue<T> {
 
     /// Removes up to `max` items in FIFO order, waiting at most
     /// `timeout` for the first one. Empty result means the timeout
-    /// elapsed — the executor uses that to poll the shutdown phase.
+    /// elapsed — an executor uses that to poll the shutdown phase.
     pub fn pop_batch(&self, max: usize, timeout: Duration) -> Vec<T> {
         let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if q.is_empty() {

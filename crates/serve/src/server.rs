@@ -10,17 +10,20 @@
 //! * one **writer** thread per connection, fed over a channel — a slow
 //!   or stalled client delays only its own responses, never the engine
 //!   or other connections;
-//! * one **executor** thread over the warm engine — pops micro-batches
-//!   from the admission queue, runs them, and routes each response to
-//!   its connection.
+//! * one **executor** thread per run the warm engine admits at once
+//!   ([`WarmEngine::runs`]: one per core without `--maxmem`, else one)
+//!   — each pops micro-batches from the one admission queue, runs them
+//!   under the one shared pressure ladder, and routes each response to
+//!   its connection;
+//! * one **deadline sweeper**, which arms expired requests' tokens.
 //!
 //! Shutdown: the first SIGTERM/SIGINT (via [`phylo_shard::Shutdown`])
 //! moves to Draining — readers stop admitting (typed `Draining`
-//! rejections), the executor finishes everything already admitted
-//! (each request ends in a valid response), and `run` returns so the
-//! binary exits 0. A second SIGINT is handled by the binary's watchdog
-//! (exit 130). On stdio, EOF on stdin is an implicit drain: finish the
-//! backlog, then return.
+//! rejections), the executors finish everything already admitted
+//! (each request ends in a valid response), the sweeper stops, and
+//! `run` returns so the binary exits 0. A second SIGINT is handled by
+//! the binary's watchdog (exit 130). On stdio, EOF on stdin is an
+//! implicit drain: finish the backlog, then return.
 
 use crate::engine::WarmEngine;
 use crate::proto::{self, Code, Field, Request};
@@ -112,7 +115,10 @@ struct ServerState {
     shutdown: Shutdown,
     cfg: ServeConfig,
     tally: Tally,
+    /// Requests in the runs of every executor.
     in_flight: AtomicUsize,
+    /// The executors' one ladder: every run's verdict moves it.
+    ladder: Mutex<PressureLadder>,
     batch_budget: AtomicUsize,
     /// Set when the (stdio) input stream hit EOF: drain and return.
     admission_closed: AtomicBool,
@@ -123,6 +129,23 @@ struct ServerState {
 }
 
 impl ServerState {
+    fn new(engine: WarmEngine, cfg: ServeConfig, shutdown: Shutdown) -> Arc<ServerState> {
+        Arc::new(ServerState {
+            queue: AdmissionQueue::new(cfg.queue_cap),
+            ladder: Mutex::new(PressureLadder::new(cfg.batch_max)),
+            batch_budget: AtomicUsize::new(cfg.batch_max.max(1)),
+            engine,
+            shutdown,
+            cfg,
+            tally: Tally::default(),
+            in_flight: AtomicUsize::new(0),
+            admission_closed: AtomicBool::new(false),
+            pending_writes: Arc::new(AtomicUsize::new(0)),
+            started: Instant::now(),
+            deadlines: Mutex::new(Vec::new()),
+        })
+    }
+
     fn phase(&self) -> Phase {
         self.shutdown.phase()
     }
@@ -142,6 +165,7 @@ impl ServerState {
             Field::Int("queue_depth", self.queue.depth() as i64),
             Field::Int("queue_cap", self.queue.capacity() as i64),
             Field::Int("in_flight", self.in_flight.load(Ordering::SeqCst) as i64),
+            Field::Int("runs", self.engine.runs() as i64),
             Field::Int("batch_budget", self.batch_budget.load(Ordering::SeqCst) as i64),
             Field::Str("fingerprint", &fp),
             Field::Int("slots", self.engine.slots() as i64),
@@ -178,6 +202,54 @@ impl ServerState {
     }
 }
 
+/// The threads that outlive every connection: the deadline sweeper
+/// and the executors. [`Workers::drain`] joins them all.
+struct Workers {
+    executors: Vec<std::thread::JoinHandle<()>>,
+    sweeper: std::thread::JoinHandle<()>,
+    /// Dropping it stops the sweeper.
+    stop_sweeper: mpsc::Sender<()>,
+}
+
+impl Workers {
+    fn start(state: &Arc<ServerState>) -> Workers {
+        // One sweeper for every request (not one thread per deadline).
+        let (stop_sweeper, stopped) = mpsc::channel::<()>();
+        let sweeper = {
+            let state = Arc::clone(state);
+            std::thread::spawn(move || {
+                while stopped.recv_timeout(Duration::from_millis(10))
+                    == Err(mpsc::RecvTimeoutError::Timeout)
+                {
+                    state.sweep_deadlines();
+                }
+            })
+        };
+        let executors = (0..state.engine.runs())
+            .map(|_| {
+                let state = Arc::clone(state);
+                std::thread::spawn(move || executor_loop(&state))
+            })
+            .collect();
+        Workers { executors, sweeper, stop_sweeper }
+    }
+
+    /// Waits for the executors to finish the backlog, stops the sweeper
+    /// and waits for the flush, so that no thread of the daemon keeps
+    /// its state alive once `run` has returned.
+    fn drain(self, state: &ServerState) -> Result<(), String> {
+        let panicked = self.executors.into_iter().map(|e| e.join()).filter(Result::is_err).count();
+        drop(self.stop_sweeper);
+        let sweeper = self.sweeper.join();
+        await_flush(state);
+        match (panicked, sweeper) {
+            (0, Ok(())) => Ok(()),
+            (0, Err(_)) => Err("deadline sweeper panicked".to_string()),
+            (n, _) => Err(format!("{n} executor thread(s) panicked")),
+        }
+    }
+}
+
 /// Runs the daemon until drained. `Ok(())` means a clean drain (the
 /// binary exits 0); `Err` is a startup/transport failure (exit 1).
 pub fn run(
@@ -186,58 +258,54 @@ pub fn run(
     transport: Transport,
     shutdown: Shutdown,
 ) -> Result<(), String> {
-    let state = Arc::new(ServerState {
-        queue: AdmissionQueue::new(cfg.queue_cap),
-        batch_budget: AtomicUsize::new(cfg.batch_max.max(1)),
-        engine,
-        shutdown,
-        cfg,
-        tally: Tally::default(),
-        in_flight: AtomicUsize::new(0),
-        admission_closed: AtomicBool::new(false),
-        pending_writes: Arc::new(AtomicUsize::new(0)),
-        started: Instant::now(),
-        deadlines: Mutex::new(Vec::new()),
-    });
-
-    // Deadline sweeper: one detached thread for every request (not one
-    // thread per deadline). Dies with the process.
-    {
-        let state = Arc::clone(&state);
-        std::thread::spawn(move || loop {
-            state.sweep_deadlines();
-            std::thread::sleep(Duration::from_millis(10));
-        });
-    }
-
-    let executor = {
-        let state = Arc::clone(&state);
-        std::thread::spawn(move || executor_loop(&state))
-    };
+    let state = ServerState::new(engine, cfg, shutdown);
+    let workers = Workers::start(&state);
 
     eprintln!(
-        "phyloplaced: ready (fingerprint={}, slots={}, lookup={}, threads={}, queue_cap={}, \
-         batch_max={})",
+        "phyloplaced: ready (fingerprint={}, slots={}, lookup={}, threads={}, runs={}, \
+         queue_cap={}, batch_max={})",
         state.engine.fingerprint(),
         state.engine.slots(),
         state.engine.use_lookup(),
         state.engine.threads(),
+        state.engine.runs(),
         state.cfg.queue_cap,
         state.cfg.batch_max,
     );
+    let listened = listen(&state, transport);
+    if listened.is_err() {
+        // Nothing can be admitted any more: let the executors return.
+        state.admission_closed.store(true, Ordering::SeqCst);
+    }
+    workers.drain(&state)?;
+    listened?;
+    eprintln!(
+        "phyloplaced: drained ({} served, {} shed, {} bad, {} expired, {} cancelled, {} internal)",
+        state.tally.served.load(Ordering::Relaxed),
+        state.tally.shed.load(Ordering::Relaxed),
+        state.tally.bad.load(Ordering::Relaxed),
+        state.tally.deadline.load(Ordering::Relaxed),
+        state.tally.cancelled.load(Ordering::Relaxed),
+        state.tally.internal.load(Ordering::Relaxed),
+    );
+    Ok(())
+}
 
+/// Serves `transport` until admission ends: EOF on stdio, the drain
+/// phase on a listener.
+fn listen(state: &Arc<ServerState>, transport: Transport) -> Result<(), String> {
     match transport {
         Transport::Stdio => {
             // The reader gets its own thread so a SIGTERM drain can
-            // finish even while stdin is open and idle: the executor
-            // observes the phase change, drains, and `run` returns —
+            // finish even while stdin is open and idle: the executors
+            // observe the phase change, drain, and `run` returns —
             // the process exits without waiting for client EOF.
             let conn = spawn_writer(Arc::clone(&state.pending_writes), Box::new(std::io::stdout()));
-            let rstate = Arc::clone(&state);
+            let rstate = Arc::clone(state);
             std::thread::spawn(move || {
                 reader_loop(&rstate, BufReader::new(std::io::stdin()), conn);
-                // EOF: no more admissions; the executor drains what is
-                // queued and returns.
+                // EOF: no more admissions; the executors drain what is
+                // queued and return.
                 rstate.admission_closed.store(true, Ordering::SeqCst);
             });
         }
@@ -246,7 +314,7 @@ pub fn run(
             let listener = std::os::unix::net::UnixListener::bind(&path)
                 .map_err(|e| format!("bind {}: {e}", path.display()))?;
             listener.set_nonblocking(true).map_err(|e| format!("listener: {e}"))?;
-            accept_loop(&state, || match listener.accept() {
+            accept_loop(state, || match listener.accept() {
                 Ok((sock, _)) => {
                     let r = sock.try_clone().map_err(|e| e.to_string())?;
                     Ok(Some((
@@ -267,7 +335,7 @@ pub fn run(
                 "phyloplaced: listening on {}",
                 listener.local_addr().map_err(|e| e.to_string())?
             );
-            accept_loop(&state, || match listener.accept() {
+            accept_loop(state, || match listener.accept() {
                 Ok((sock, _)) => {
                     let r = sock.try_clone().map_err(|e| e.to_string())?;
                     Ok(Some((
@@ -280,18 +348,6 @@ pub fn run(
             });
         }
     }
-
-    executor.join().map_err(|_| "executor thread panicked".to_string())?;
-    await_flush(&state);
-    eprintln!(
-        "phyloplaced: drained ({} served, {} shed, {} bad, {} expired, {} cancelled, {} internal)",
-        state.tally.served.load(Ordering::Relaxed),
-        state.tally.shed.load(Ordering::Relaxed),
-        state.tally.bad.load(Ordering::Relaxed),
-        state.tally.deadline.load(Ordering::Relaxed),
-        state.tally.cancelled.load(Ordering::Relaxed),
-        state.tally.internal.load(Ordering::Relaxed),
-    );
     Ok(())
 }
 
@@ -306,8 +362,8 @@ fn accept_loop(
     loop {
         match state.phase() {
             Phase::Running => {}
-            // Draining or aborting: stop accepting; the executor
-            // finishes the backlog and `run` returns after the join.
+            // Draining or aborting: stop accepting; the executors
+            // finish the backlog and `run` returns after the join.
             _ => return,
         }
         let injected = phylo_faults::fire("serve::accept_error");
@@ -492,9 +548,8 @@ fn admit_place(
     phylo_obs::gauge!("serve.queue_depth").set(state.queue.depth() as i64);
 }
 
-/// The engine executor: micro-batches admitted jobs into warm runs.
+/// One engine executor: micro-batches admitted jobs into warm runs.
 fn executor_loop(state: &Arc<ServerState>) {
-    let mut ladder = PressureLadder::new(state.cfg.batch_max);
     loop {
         let phase = state.phase();
         if phase == Phase::Aborting {
@@ -502,27 +557,27 @@ fn executor_loop(state: &Arc<ServerState>) {
             // in-process (test) path.
             return;
         }
-        let budget = ladder.budget();
+        let budget = state.ladder.lock().unwrap_or_else(|e| e.into_inner()).budget();
         state.batch_budget.store(budget, Ordering::SeqCst);
         phylo_obs::gauge!("serve.batch_budget").set(budget as i64);
         let batch = state.queue.pop_batch(budget, Duration::from_millis(25));
         if batch.is_empty() {
             let done = state.admission_closed.load(Ordering::SeqCst) || phase != Phase::Running;
-            // Drain exit: no new admissions are possible, the backlog
-            // is empty, and nothing is mid-run (we are the only
-            // consumer, so in_flight is already 0 here).
+            // Drain exit: no new admissions are possible and the backlog
+            // is empty; `run` joins the executors still mid-run.
             if done && state.queue.depth() == 0 {
                 return;
             }
             continue;
         }
-        state.in_flight.store(batch.len(), Ordering::SeqCst);
-        run_batch(state, &mut ladder, batch);
-        state.in_flight.store(0, Ordering::SeqCst);
+        let n = batch.len();
+        state.in_flight.fetch_add(n, Ordering::SeqCst);
+        run_batch(state, batch);
+        state.in_flight.fetch_sub(n, Ordering::SeqCst);
     }
 }
 
-fn run_batch(state: &Arc<ServerState>, ladder: &mut PressureLadder, batch: Vec<PlaceJob>) {
+fn run_batch(state: &Arc<ServerState>, batch: Vec<PlaceJob>) {
     // Jobs whose token fired while queued (deadline, client cancel)
     // are answered without touching the engine.
     let mut live: Vec<PlaceJob> = Vec::with_capacity(batch.len());
@@ -559,7 +614,7 @@ fn run_batch(state: &Arc<ServerState>, ladder: &mut PressureLadder, batch: Vec<P
             }
         }
     }
-    ladder.on_run(degraded);
+    state.ladder.lock().unwrap_or_else(|e| e.into_inner()).on_run(degraded);
 }
 
 /// Deadline-vs-cancel refinement: both arrive as an armed token; the
@@ -702,36 +757,12 @@ mod tests {
         r: UnixStream,
         w: UnixStream,
     ) -> Result<(), String> {
-        let state = Arc::new(ServerState {
-            queue: AdmissionQueue::new(cfg.queue_cap),
-            batch_budget: AtomicUsize::new(cfg.batch_max.max(1)),
-            engine,
-            shutdown,
-            cfg,
-            tally: Tally::default(),
-            in_flight: AtomicUsize::new(0),
-            admission_closed: AtomicBool::new(false),
-            pending_writes: Arc::new(AtomicUsize::new(0)),
-            started: Instant::now(),
-            deadlines: Mutex::new(Vec::new()),
-        });
-        {
-            let state = Arc::clone(&state);
-            std::thread::spawn(move || loop {
-                state.sweep_deadlines();
-                std::thread::sleep(Duration::from_millis(10));
-            });
-        }
-        let executor = {
-            let state = Arc::clone(&state);
-            std::thread::spawn(move || executor_loop(&state))
-        };
+        let state = ServerState::new(engine, cfg, shutdown);
+        let workers = Workers::start(&state);
         let conn = spawn_writer(Arc::clone(&state.pending_writes), Box::new(w));
         reader_loop(&state, BufReader::new(r), conn);
         state.admission_closed.store(true, Ordering::SeqCst);
-        let res = executor.join().map_err(|_| "executor panicked".to_string());
-        await_flush(&state);
-        res
+        workers.drain(&state)
     }
 
     fn expect_str<'a>(

@@ -243,7 +243,59 @@ exec 3>&-
 [ "$rc" -eq 0 ] || { echo "SIGTERM drain exited $rc, want 0"; exit 1; }
 grep -q '"code":"Ok"' "$serve_dir/drain.ndjson" \
     || { echo "drained daemon lost its in-flight response"; exit 1; }
-echo "    daemon pass OK (typed codes, byte-identity, SIGTERM drain -> 0)"
+# Overlapping requests: without --maxmem the daemon runs one request per
+# core at once. Two clients on a Unix socket send four requests each,
+# each waiting for its reply, and every response must be byte-identical
+# to a cold `phyloplace place` run of its queries.
+"$dbin" "${serve_args[@]}" --unix "$serve_dir/d.sock" 2>/dev/null &
+dpid=$!
+python3 - "$smoke_dir/query.fasta" "$serve_dir" <<'PY' \
+    || { kill -TERM "$dpid"; echo "overlapping clients failed"; exit 1; }
+import json, socket, sys, threading, time
+recs = ['>' + r for r in open(sys.argv[1]).read().split('>') if r.strip()]
+d = sys.argv[2]
+for _ in range(600):
+    try:
+        socket.socket(socket.AF_UNIX).connect(d + '/d.sock')
+        break
+    except OSError:
+        time.sleep(0.1)
+failed = []
+def client(c):
+    try:
+        serve(c)
+    except Exception as e:
+        failed.append(f'client {c}: {e!r}')
+def serve(c):
+    s = socket.socket(socket.AF_UNIX)
+    s.connect(d + '/d.sock')
+    f = s.makefile('rw')
+    for k in range(4):
+        i = 4 * c + k
+        # Requests of one to four queries, so that runs differ in length.
+        q = ''.join(recs[i:i + 1 + k])
+        open(f'{d}/o{i}.fasta', 'w').write(q)
+        f.write(json.dumps({"id": f"o{i}", "op": "place", "queries": q}) + "\n")
+        f.flush()
+        r = json.loads(f.readline())
+        assert r['code'] == 'Ok' and r['id'] == f'o{i}', (r['id'], r['code'], r.get('detail'))
+        open(f'{d}/o{i}.warm.jplace', 'w').write(r['jplace'])
+threads = [threading.Thread(target=client, args=(c,)) for c in range(2)]
+for t in threads: t.start()
+for t in threads: t.join()
+sys.exit('\n'.join(failed) or None)
+PY
+kill -TERM "$dpid"
+rc=0; wait "$dpid" || rc=$?
+[ "$rc" -eq 0 ] || { echo "overlapping-request daemon drained with $rc, want 0"; exit 1; }
+for i in $(seq 0 7); do
+    [ -s "$serve_dir/o$i.warm.jplace" ] || { echo "overlapping request o$i got no response"; exit 1; }
+    "$bin" place "${serve_args[@]}" --queries "$serve_dir/o$i.fasta" \
+        > "$serve_dir/o$i.cold.jplace" 2>/dev/null
+    cmp "$serve_dir/o$i.cold.jplace" "$serve_dir/o$i.warm.jplace" \
+        || { echo "overlapping request o$i differs from its cold place run"; exit 1; }
+done
+echo "    daemon pass OK (typed codes, byte-identity, SIGTERM drain -> 0, overlapping clients)"
 
 echo "==> daemon chaos (mid-request crash isolated to its request)"
 # The faults-enabled debug build through the `phyloplace serve` alias:

@@ -148,7 +148,7 @@ fn served_responses_are_byte_identical_to_cold_place_runs() {
 fn typed_request_errors_leave_the_daemon_serving() {
     let dir = tmpdir("typed");
     let queries = export(&dir);
-    let mut d = Daemon::spawn(&dir, &[], &[]);
+    let mut d = Daemon::spawn(&dir, &["--threads", "2"], &[]);
 
     // Malformed line: typed BadRequest.
     d.send("not json at all");
@@ -176,8 +176,73 @@ fn typed_request_errors_leave_the_daemon_serving() {
     assert_eq!(st["served"], proto::Value::Num(1.0));
     assert!(st["bad_request"].as_num().unwrap() >= 3.0, "{st:?}");
     assert_eq!(st["deadline_expired"], proto::Value::Num(1.0));
+    // No `--maxmem`: one run per core at once.
+    assert_eq!(st["runs"], proto::Value::Num(2.0), "{st:?}");
     assert_eq!(d.finish(), 0);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Sends a 32-query request, polls `status` until it is in flight,
+/// then sends a one-query request. Returns the ids in the order they
+/// were answered, after checking both documents against cold runs.
+fn large_then_small(tag: &str, extra: &[&str]) -> Vec<String> {
+    let dir = tmpdir(tag);
+    let queries = export(&dir);
+    let (large, small) = (queries[..32].concat(), queries[32].clone());
+    let mut d = Daemon::spawn(&dir, extra, &[]);
+    d.send(&place_req("large", &large, None));
+    loop {
+        d.send(r#"{"id":"st","op":"status"}"#);
+        let st = d.recv();
+        assert_eq!(field(&st, "id"), "st", "the large request ended before it was seen running");
+        if st["in_flight"] == proto::Value::Num(1.0) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    d.send(&place_req("small", &small, None));
+    let mut order = Vec::new();
+    let mut docs = BTreeMap::new();
+    for _ in 0..2 {
+        let resp = d.recv();
+        assert_eq!(field(&resp, "code"), "Ok", "{resp:?}");
+        order.push(field(&resp, "id").to_string());
+        docs.insert(field(&resp, "id").to_string(), field(&resp, "jplace").to_string());
+    }
+    assert_eq!(d.finish(), 0);
+    assert_eq!(docs["large"], cold_place(&dir, &large), "large: daemon bytes != cold bytes");
+    assert_eq!(docs["small"], cold_place(&dir, &small), "small: daemon bytes != cold bytes");
+    std::fs::remove_dir_all(&dir).unwrap();
+    order
+}
+
+#[test]
+fn an_uncapped_daemon_answers_a_small_request_during_a_large_one() {
+    let order = large_then_small("overlap", &["--threads", "2"]);
+    assert_eq!(order, ["small", "large"], "the small request waited for the large one");
+}
+
+#[test]
+fn a_daemon_at_the_floor_runs_one_request_at_a_time() {
+    // The smallest `--maxmem` a 32-query chunk plans under.
+    let ds = phyloplace::datasets::generate(&phyloplace::datasets::neotrop(Scale::Ci));
+    let tree = phyloplace::tree::newick::write(&ds.tree);
+    let ref_fa = phyloplace::seq::fasta::to_string(ds.reference.rows(), 70);
+    let cfg = phyloplace::place::EpaConfig { chunk_size: 32, ..Default::default() };
+    let alphabet = phyloplace::seq::alphabet::AlphabetKind::Dna;
+    let gamma = phyloplace::place::DEFAULT_GAMMA_ALPHA;
+    let built = phyloplace::place::build_reference(&tree, &ref_fa, alphabet, gamma, cfg.clone());
+    let reference = built.unwrap();
+    let floor = phyloplace::place::memplan::floor_budget(
+        reference.placer.ctx(),
+        &cfg,
+        cfg.chunk_size,
+        reference.n_sites,
+    );
+    let maxmem = format!("{}K", floor.div_ceil(1024));
+    let args = ["--threads", "2", "--chunk", "32", "--maxmem", &maxmem];
+    let order = large_then_small("floor", &args);
+    assert_eq!(order, ["large", "small"], "a capped daemon overlapped two runs");
 }
 
 #[test]
