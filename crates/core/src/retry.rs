@@ -1,18 +1,14 @@
 //! Capped exponential backoff with deterministic jitter.
 //!
-//! Two retry ladders in this workspace share the same shape: the slot
-//! manager's flush-and-retry rung (pin exhaustion on a single-branch
-//! block, milliseconds) and the shard coordinator's worker re-queue
-//! (process restarts, hundreds of milliseconds). Both want the classic
-//! schedule — delay doubles per attempt up to a cap, a bounded jitter
-//! de-synchronizes competing retriers, and a success resets the ladder —
-//! so the schedule lives here once, with unit tests, instead of being
-//! re-derived inline at each site.
+//! The sweep's flush-and-retry rung (pin exhaustion on a single-branch
+//! block, milliseconds) retries on the classic schedule: the delay
+//! doubles per attempt up to a cap, a bounded jitter de-synchronizes
+//! competing retriers, and a success resets the ladder. The schedule
+//! lives here, with unit tests, rather than inline at the retry site.
 //!
-//! Jitter is *deterministic*: a SplitMix64 stream seeded by the caller.
-//! Retry timing then never depends on ambient entropy, which keeps the
-//! crash/requeue test matrices reproducible; callers that want distinct
-//! streams (one per shard) seed with their own identity.
+//! Jitter is *deterministic*: a fixed SplitMix64 stream. Retry timing
+//! then never depends on ambient entropy, which keeps the fault matrices
+//! reproducible.
 
 use std::time::Duration;
 
@@ -30,17 +26,11 @@ pub struct Backoff {
 }
 
 impl Backoff {
-    /// A schedule starting at `base` and capping (pre-jitter) at `cap`,
-    /// with the default jitter stream. A zero `base` degenerates to
-    /// all-zero delays (useful to disable backoff in tests).
+    /// A schedule starting at `base` and capping (pre-jitter) at `cap`.
+    /// A zero `base` degenerates to all-zero delays (useful to disable
+    /// backoff in tests).
     pub fn new(base: Duration, cap: Duration) -> Self {
-        Backoff::with_seed(base, cap, 0)
-    }
-
-    /// As [`Backoff::new`] with a caller-chosen jitter seed, so distinct
-    /// retriers (e.g. shards) get de-correlated but reproducible jitter.
-    pub fn with_seed(base: Duration, cap: Duration, seed: u64) -> Self {
-        Backoff { base, cap, attempt: 0, rng: seed.wrapping_add(0x9e37_79b9_7f4a_7c15) }
+        Backoff { base, cap, attempt: 0, rng: 0x9e37_79b9_7f4a_7c15 }
     }
 
     /// Attempts taken since construction or the last [`Backoff::reset`].
@@ -111,14 +101,12 @@ mod tests {
     }
 
     #[test]
-    fn jitter_is_deterministic_per_seed_and_decorrelated_across_seeds() {
-        let take = |seed: u64| -> Vec<Duration> {
-            let mut b =
-                Backoff::with_seed(Duration::from_millis(100), Duration::from_secs(2), seed);
+    fn jitter_is_deterministic() {
+        let take = || -> Vec<Duration> {
+            let mut b = Backoff::new(Duration::from_millis(100), Duration::from_secs(2));
             (0..5).map(|_| b.next_delay()).collect()
         };
-        assert_eq!(take(7), take(7), "same seed, same schedule");
-        assert_ne!(take(7), take(8), "different seeds must not march in lockstep");
+        assert_eq!(take(), take(), "same schedule every time");
     }
 
     #[test]

@@ -171,11 +171,11 @@ pub fn parse_trigger(spec: &str) -> Result<Trigger, String> {
 }
 
 /// Arms sites from a comma-separated `site=trigger` spec, e.g.
-/// `shard::worker_crash=once:1,journal::torn_write=every:3`. This is how
-/// fault injection crosses a process boundary: a supervisor sets the
-/// spec in a worker's `PHYLO_FAULTS` environment and the worker arms it
-/// at startup via [`arm_from_env`]. Without the `inject` feature the
-/// spec is still validated but arming is a no-op.
+/// `serve::mid_request_crash=once,journal::torn_write=every:3`. This is
+/// how fault injection crosses a process boundary: a test sets the spec
+/// in a binary's `PHYLO_FAULTS` environment and the binary arms it at
+/// startup via [`arm_from_env`]. Without the `inject` feature the spec
+/// is still validated but arming is a no-op.
 pub fn arm_from_spec(spec: &str) -> Result<(), String> {
     for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
         let (site, trig) = part

@@ -29,14 +29,11 @@
 //! frame is durable — the "process died between chunks" path, which a
 //! resume must complete from exactly.
 
-mod fields;
 pub mod frame;
 pub mod manifest;
-pub mod shard;
 
 pub use frame::{ChunkFrame, ChunkStats, PlacementRecord, QueryRecord};
 pub use manifest::{fnv1a64, Manifest, MANIFEST_FORMAT};
-pub use shard::{ShardSetManifest, SHARD_MANIFEST_FILE, SHARD_MANIFEST_FORMAT};
 
 use frame::{FRAME_HEADER_LEN, FRAME_MAGIC, MAX_PAYLOAD_LEN};
 use phylo_obs::crc32;
@@ -123,8 +120,8 @@ fn sync_dir(dir: &Path) -> Result<(), JournalError> {
 /// — never a truncated one — and the temp file is cleaned up on error.
 ///
 /// This is the single write idiom for every user-visible artifact of a
-/// run (jplace output, slot traces, shard manifests, merged results);
-/// callers that need a deterministic failure-injection point use
+/// run (jplace output, slot traces, the journal manifest); callers that
+/// need a deterministic failure-injection point use
 /// [`write_text_atomic_probed`].
 pub fn write_text_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
     write_text_atomic_impl(path, contents, None)
@@ -345,7 +342,7 @@ impl RunJournal {
         // The one atomic-writer implementation in the workspace: tmp +
         // file fsync + rename + parent-dir fsync. Keeping the manifest
         // on the same helper as every other run artifact (jplace, slot
-        // traces, shards.json) means an audit of crash-atomicity has a
+        // traces) means an audit of crash-atomicity has a
         // single code path to read.
         write_text_atomic(&man_path, &manifest.to_json())
             .map_err(io_err(format!("write manifest {}", man_path.display())))?;

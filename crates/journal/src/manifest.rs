@@ -14,7 +14,6 @@
 //! dependencies): one `"key": value` pair per line, hashes as 16-hex-char
 //! strings so 64-bit values never pass through f64.
 
-use crate::fields::{check_inputs, mismatch, Fields, Inputs};
 use crate::JournalError;
 
 /// Manifest format version; bump on any layout change so an old journal
@@ -62,15 +61,23 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    fn inputs(&self) -> Inputs {
-        (self.format, [self.tree_hash, self.ref_msa_hash, self.query_hash])
-    }
-
     /// Checks that `self` (the current run) is compatible with `on_disk`
     /// (the checkpointed run being resumed). The error names the first
     /// diverging field; `expected` is the on-disk value.
     pub fn check_matches(&self, on_disk: &Manifest) -> Result<(), JournalError> {
-        check_inputs(self.inputs(), on_disk.inputs())?;
+        if self.format != on_disk.format {
+            return Err(mismatch("format", on_disk.format, self.format));
+        }
+        let hashes = [
+            ("tree_hash", self.tree_hash, on_disk.tree_hash),
+            ("ref_msa_hash", self.ref_msa_hash, on_disk.ref_msa_hash),
+            ("query_hash", self.query_hash, on_disk.query_hash),
+        ];
+        for (field, found, expected) in hashes {
+            if found != expected {
+                return Err(mismatch(field, format!("{expected:016x}"), format!("{found:016x}")));
+            }
+        }
         if self.alphabet != on_disk.alphabet {
             return Err(mismatch("alphabet", &on_disk.alphabet, &self.alphabet));
         }
@@ -170,6 +177,54 @@ impl Manifest {
             thorough_min: f.uint("thorough_min")?,
             blo_iterations: f.uint("blo_iterations")?,
         })
+    }
+}
+
+/// A manifest's JSON text, read one field at a time. Every error string
+/// names the missing or malformed field.
+struct Fields<'a>(&'a str);
+
+impl<'a> Fields<'a> {
+    /// The value text of `key`: the rest of its line, trimmed, without
+    /// the separating comma.
+    fn raw(&self, key: &str) -> Result<&'a str, String> {
+        let needle = format!("\"{key}\":");
+        let start =
+            self.0.find(&needle).ok_or_else(|| format!("missing field `{key}`"))? + needle.len();
+        let rest = &self.0[start..];
+        let end = rest.find('\n').unwrap_or(rest.len());
+        Ok(rest[..end].trim().trim_end_matches(','))
+    }
+
+    /// An unquoted number.
+    fn uint<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
+        self.raw(key)?.parse().map_err(|_| malformed(key))
+    }
+
+    /// A quoted string, without its quotes.
+    fn string(&self, key: &str) -> Result<&'a str, String> {
+        let v = self.raw(key)?;
+        v.strip_prefix('"').and_then(|v| v.strip_suffix('"')).ok_or_else(|| malformed(key))
+    }
+
+    /// A 64-bit value written as a quoted hex string, so it never passes
+    /// through f64.
+    fn hex(&self, key: &str) -> Result<u64, String> {
+        u64::from_str_radix(self.string(key)?, 16).map_err(|_| malformed(key))
+    }
+}
+
+/// The parse error for a field that is present but unreadable.
+fn malformed(key: &str) -> String {
+    format!("malformed field `{key}`")
+}
+
+/// A `ManifestMismatch` naming `field`; `expected` is the on-disk value.
+fn mismatch(field: &'static str, expected: impl ToString, found: impl ToString) -> JournalError {
+    JournalError::ManifestMismatch {
+        field,
+        expected: expected.to_string(),
+        found: found.to_string(),
     }
 }
 

@@ -47,4 +47,4 @@ pub use memplan::{AmcMode, MemoryPlan};
 pub use queries::QueryBatch;
 pub use reference::{build_reference, Reference, ReferenceError, DEFAULT_GAMMA_ALPHA};
 pub use result::{PlacementEntry, PlacementResult, RunReport};
-pub use run::{HeartbeatEvent, PlaceOutcome, Placer, RunControl, WarmStore};
+pub use run::{PlaceOutcome, Placer, RunControl, WarmStore};

@@ -1,12 +1,11 @@
 //! The one reference builder: tree text + reference alignment text in,
 //! a configured [`Placer`] out.
 //!
-//! `phyloplace place`, the daemon's warm engine and every shard worker
-//! assemble their reference here, so a query scores against the same
-//! model whichever front end it came through: +F empirical frequencies
-//! over the reference with unit GTR rates for DNA, the synthetic
-//! exchangeability matrix for protein, four mean-Γ categories when a
-//! shape is given.
+//! `phyloplace place` and the daemon's warm engine assemble their
+//! reference here, so a query scores against the same model whichever
+//! front end it came through: +F empirical frequencies over the
+//! reference with unit GTR rates for DNA, the synthetic exchangeability
+//! matrix for protein, four mean-Γ categories when a shape is given.
 
 use crate::config::EpaConfig;
 use crate::run::Placer;

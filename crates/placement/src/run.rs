@@ -20,28 +20,6 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// One progress beat of a run, handed to [`RunControl::heartbeat`] at
-/// run start (once the chunk geometry is known) and after every chunk
-/// boundary — freshly computed *or* restored from a resumed journal.
-/// Chunk boundaries are the run's natural liveness granularity: every
-/// beat corresponds to durable progress, so a supervisor that stops
-/// seeing beats knows the worker is dead, hung, or starved — never
-/// merely "between reporting intervals".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeartbeatEvent {
-    /// Chunks finished so far (restored chunks count).
-    pub chunks_done: usize,
-    /// Total chunks this run will process.
-    pub n_chunks: usize,
-    /// Queries with final results so far.
-    pub queries_done: usize,
-    /// Total queries in the batch.
-    pub n_queries: usize,
-}
-
-/// Chunk-boundary progress callback (see [`HeartbeatEvent`]).
-pub type HeartbeatFn = Box<dyn Fn(HeartbeatEvent) + Send + Sync>;
-
 /// Run-lifecycle hooks for [`Placer::place_run`]: cooperative
 /// cancellation plus optional chunk-journal checkpointing. The default
 /// is inert (never cancelled, no journal), which is exactly what
@@ -65,11 +43,6 @@ pub struct RunControl {
     /// snapshots it after the run for the offline replay lab
     /// (`phylo-replay`).
     pub slot_trace: Option<std::sync::Arc<phylo_obs::slottrace::SlotTrace>>,
-    /// Progress heartbeat, invoked at run start and per chunk boundary
-    /// (see [`HeartbeatEvent`]). The shard coordinator's workers pipe
-    /// these beats to their supervisor for liveness and straggler
-    /// detection; `None` costs nothing.
-    pub heartbeat: Option<HeartbeatFn>,
 }
 
 /// What a crash-safe run produced: the placements for every finished
@@ -414,8 +387,8 @@ impl Placer {
     }
 
     /// The chunk loop every run goes through: restore what the journal
-    /// replayed, compute the rest chunk by chunk (journal frame first,
-    /// heartbeat second), stop cleanly at a cancelled token, then
+    /// replayed, compute the rest chunk by chunk (each journaled before
+    /// the next starts), stop cleanly at a cancelled token, then
     /// finalize the results on `threads` threads. The report's slot
     /// traffic is the store's over this call.
     fn run_chunks(
@@ -431,17 +404,6 @@ impl Placer {
         let chunk_size = warm.plan.chunk_size.min(batch.len().max(1));
         let n_chunks = batch.len().div_ceil(chunk_size);
         let replayed_chunks = replayed.len().min(n_chunks);
-        let heartbeat = control.heartbeat.as_ref();
-        let beat = |chunks_done: usize| {
-            if let Some(hb) = heartbeat {
-                hb(HeartbeatEvent {
-                    chunks_done,
-                    n_chunks,
-                    queries_done: (chunks_done * chunk_size).min(batch.len()),
-                    n_queries: batch.len(),
-                });
-            }
-        };
         let mut report = RunReport {
             n_queries: batch.len(),
             scoring: ScoringStats { workers: threads, ..Default::default() },
@@ -464,15 +426,11 @@ impl Placer {
         let mut completed = true;
         let mut chunks_done = 0usize;
 
-        // The run-start beat: tells a supervisor the chunk geometry and
-        // that the (possibly expensive) setup phase is behind us.
-        beat(0);
         for (chunk_idx, chunk) in batch.chunks(chunk_size).enumerate() {
             let qoff = chunk_idx * chunk_size;
             if chunk_idx < replayed_chunks {
                 restore_chunk(&replayed[chunk_idx], chunk, qoff, &mut results, &mut report)?;
                 chunks_done = chunk_idx + 1;
-                beat(chunks_done);
                 continue;
             }
             if control.cancel.is_cancelled() {
@@ -497,10 +455,6 @@ impl Placer {
                         journal.append(&frame)?;
                     }
                     chunks_done = chunk_idx + 1;
-                    // Beat only after the chunk is durable: a supervisor
-                    // may treat every reported chunk as safe to skip on
-                    // resume.
-                    beat(chunks_done);
                 }
                 // Cancellation surfacing through a worker/prefetch/slot
                 // wait is a graceful break, not a failure: the chunk is

@@ -17,9 +17,9 @@ use phylo_seq::{fasta, Sequence};
 use phylo_tree::Tree;
 use std::sync::atomic::{AtomicIsize, Ordering};
 
-/// The scoring settings of an engine: what the flags `place`, `serve`
-/// and `shard` share resolve to. `Default` is the one definition of
-/// their defaults.
+/// The scoring settings of an engine: what the flags `place` and
+/// `serve` share resolve to. `Default` is the one definition of their
+/// defaults.
 #[derive(Debug, Clone)]
 pub struct EngineSettings {
     pub alphabet: AlphabetKind,

@@ -1,46 +1,12 @@
-//! Fault-tolerant sharded placement.
+//! Run lifecycle: the Running → Draining → Aborting signal state
+//! machine and the exit codes it ends in ([`shutdown`]). `phyloplace
+//! place`, `phyloplaced` and the bench harness share it, so one signal
+//! drains every front door the same way and a second escapes the drain
+//! (exit 130).
 //!
-//! Phylogenetic placement is embarrassingly parallel across queries, so
-//! the natural scale-out is to split the query batch into shards and
-//! run one checkpoint-enabled placement process per shard. What does
-//! *not* fall out for free is robustness: a crashed, hung, or merely
-//! slow worker must not lose the fleet's work or wedge the run. This
-//! crate supplies that layer:
-//!
-//! * [`split`] — byte-preserving contiguous FASTA splitting;
-//! * [`heartbeat`] — the worker→coordinator stdout progress protocol
-//!   (beats are emitted only after a chunk is durably journaled);
-//! * [`supervisor`] — the poll-based supervision engine: crash/hang/
-//!   straggler detection, capped-backoff re-queue with per-shard jitter,
-//!   typed failure after retry exhaustion; unit-testable over an
-//!   abstract [`supervisor::Worker`];
-//! * [`process`] — the real subprocess worker (spawn, SIGTERM/SIGKILL,
-//!   heartbeat reader thread);
-//! * [`merge`] — strict jplace parsing and a merge byte-identical to a
-//!   single-process run;
-//! * [`coordinator`] — ties the above into `phyloplace shard`, with a
-//!   [`phylo_journal::ShardSetManifest`] guarding work-directory reuse;
-//! * [`shutdown`] — the Running → Draining → Aborting signal state
-//!   machine (second SIGINT escapes a graceful drain, exit 130).
-//!
-//! Every worker journals its chunks (`phylo-journal`), so a re-queued
-//! shard resumes from its durable prefix: supervision can kill workers
-//! freely without ever recomputing finished work — the crash-safety
-//! design of the single-process pipeline is what makes aggressive
-//! fleet-level recovery cheap.
+//! The crate keeps its historical name until the bench lockfile is
+//! refreshed; it no longer holds a sharded fleet.
 
-pub mod coordinator;
-pub mod heartbeat;
-pub mod merge;
-pub mod process;
 pub mod shutdown;
-pub mod split;
-pub mod supervisor;
 
-pub use coordinator::{run_coordinator, shard_dir, CoordinatorConfig, CoordinatorOutcome};
-pub use heartbeat::{format_heartbeat, parse_heartbeat, HbLine, Heartbeat, HeartbeatScanner};
-pub use merge::{merge_jplace, parse_jplace, JplaceDoc, MergeError};
-pub use process::{kill_registered_workers, ProcessWorker};
 pub use shutdown::{Phase, Shutdown, EXIT_ABORTED, EXIT_INTERRUPTED};
-pub use split::{split_fasta, Split};
-pub use supervisor::{supervise, ShardConfig, ShardError, ShardReport, Worker, WorkerProgress};

@@ -1,15 +1,15 @@
-//! The coordinator/CLI shutdown state machine.
+//! The shutdown state machine every front door shares.
 //!
 //! Three phases, strictly monotonic:
 //!
 //! * **Running** — no signal, no deadline; work proceeds.
 //! * **Draining** — one SIGINT/SIGTERM, or the cancel token armed (the
-//!   `--deadline` watchdog): stop gracefully. Workers get SIGTERM, write
-//!   their durable prefix, and the process exits [`EXIT_INTERRUPTED`].
+//!   `--deadline` watchdog): stop gracefully. The run finishes its
+//!   durable prefix and the process exits [`EXIT_INTERRUPTED`].
 //! * **Aborting** — a *second* signal while draining is the operator
-//!   saying "now": workers are SIGKILLed and the process exits
-//!   [`EXIT_ABORTED`] immediately. Every finished chunk is already
-//!   durable, so even the hard path loses no completed work.
+//!   saying "now": the process exits [`EXIT_ABORTED`] immediately.
+//!   Every finished chunk is already durable, so even the hard path
+//!   loses no completed work.
 //!
 //! The struct is plain shared state (an atomic signal count plus the
 //! cooperative [`CancelToken`]) so the phase logic is unit-testable
@@ -32,7 +32,7 @@ pub enum Phase {
     Running,
     /// Graceful stop in progress: finish the durable prefix and exit 3.
     Draining,
-    /// Immediate stop: kill workers, exit 130.
+    /// Immediate stop: exit 130.
     Aborting,
 }
 

@@ -41,8 +41,8 @@ rm -f "$quick_out"
 # `--workspace`: at a workspace root with a root package, a bare
 # `cargo test` runs the root package's tests only — the member crates'
 # unit and property tests (warm == cold in `epa-place`, the slot-model
-# proptest in `phylo-amc`, the shard supervisor matrix, the daemon's
-# merge tests) run here or nowhere.
+# proptest in `phylo-amc`, the daemon's merge tests) run here or
+# nowhere.
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
@@ -153,37 +153,6 @@ cmp "$smoke_dir/full.jplace" "$smoke_dir/tiercap.jplace" \
 grep -q '"tier.drops_budget": 0' "$smoke_dir/tiercap.metrics.json" \
     && { echo "1K tier budget dropped nothing"; exit 1; }
 echo "    CLV spill OK (spills under pressure, output byte-identical)"
-
-echo "==> cargo test -q --features faults --test shard_supervision (fleet chaos matrix)"
-cargo test -q --features faults --test shard_supervision
-
-echo "==> shell-level shard chaos (crash + hang injection -> requeue -> byte-compare)"
-# The release binary has no fault hooks, so the chaos fleet runs the
-# faults-enabled debug binary end-to-end: a worker SIGKILL-dies right
-# after journaling a chunk, another hangs silently; the coordinator
-# must requeue both and still merge output byte-identical to a serial
-# run of the same binary.
-cargo build -q --features faults
-fbin=target/debug/phyloplace
-shard_args=(shard --tree "$smoke_dir/ref.nwk" --ref-msa "$smoke_dir/ref.fasta"
-            --queries "$smoke_dir/query.fasta" --chunk 7 --shards 3)
-"$fbin" place --tree "$smoke_dir/ref.nwk" --ref-msa "$smoke_dir/ref.fasta" \
-    --queries "$smoke_dir/query.fasta" --chunk 7 --out "$smoke_dir/fserial.jplace"
-PHYLO_FAULTS_SHARD_0="shard::worker_crash=once:1" \
-    "$fbin" "${shard_args[@]}" --workdir "$smoke_dir/chaos-crash" \
-    --out "$smoke_dir/chaos-crash.jplace" --metrics-json "$smoke_dir/chaos-crash.metrics.json"
-cmp "$smoke_dir/fserial.jplace" "$smoke_dir/chaos-crash.jplace" \
-    || { echo "crash-injected shard run differs from serial"; exit 1; }
-grep -q '"shard.requeues": 0' "$smoke_dir/chaos-crash.metrics.json" \
-    && { echo "crashed worker was not requeued"; exit 1; }
-PHYLO_FAULTS_SHARD_1="shard::worker_hang=once" \
-    "$fbin" "${shard_args[@]}" --workdir "$smoke_dir/chaos-hang" --heartbeat-timeout 1 \
-    --out "$smoke_dir/chaos-hang.jplace" --metrics-json "$smoke_dir/chaos-hang.metrics.json"
-cmp "$smoke_dir/fserial.jplace" "$smoke_dir/chaos-hang.jplace" \
-    || { echo "hang-injected shard run differs from serial"; exit 1; }
-grep -q '"shard.hangs": 0' "$smoke_dir/chaos-hang.metrics.json" \
-    && { echo "hung worker was not detected"; exit 1; }
-echo "    shard chaos OK (crash + hang requeued, merged output byte-identical)"
 
 echo "==> daemon pass (phyloplaced: typed per-request errors, byte-identity, SIGTERM drain)"
 # The service contract end-to-end: concurrent requests where one is past
@@ -301,6 +270,10 @@ echo "==> daemon chaos (mid-request crash isolated to its request)"
 # The faults-enabled debug build through the `phyloplace serve` alias:
 # one injected mid-request panic must yield exactly one typed Internal
 # error while every other concurrent request still gets its bytes.
+# The release binary has no fault hooks, so this step builds and runs
+# the debug binary with them.
+cargo build -q --features faults
+fbin=target/debug/phyloplace
 python3 - "$smoke_dir/query.fasta" "$serve_dir" <<'PY'
 import json, sys
 recs = ['>' + r for r in open(sys.argv[1]).read().split('>') if r.strip()]

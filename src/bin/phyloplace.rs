@@ -5,11 +5,7 @@
 //!     [--aa] [--maxmem SIZE[K|M|G|T]|auto] [--gamma ALPHA|--no-gamma] \
 //!     [--chunk N] [--threads N] [--out out.jplace] \
 //!     [--strategy cost|lru|mru|fifo|random|cost-lru] [--slot-trace TRACE.txt] \
-//!     [--checkpoint DIR | --resume DIR] [--deadline SECS] [--heartbeat]
-//! phyloplace shard --tree ref.nwk --ref-msa ref.fasta --queries q.fasta \
-//!     --out out.jplace --workdir DIR --shards N [placement flags...] \
-//!     [--workers N] [--heartbeat-timeout SECS] [--straggler-factor F] \
-//!     [--max-shard-retries N] [--deadline SECS] [--metrics-json M.json]
+//!     [--checkpoint DIR | --resume DIR] [--deadline SECS]
 //! phyloplace replay --trace TRACE.txt [--slots N,M,...] [--policies LIST|all] \
 //!     [--threshold PCT] [--verify METRICS.json]
 //! ```
@@ -55,28 +51,6 @@ fn main() {
         // Alias for the `phyloplaced` daemon binary: same flags, same
         // exit-code contract (a completed drain is success, exit 0).
         std::process::exit(phyloplace::serve_cli::serve_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("shard") {
-        let opts = match phyloplace::shard_cli::parse_shard(&args) {
-            Ok(o) => o,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        };
-        let shutdown = Shutdown::new();
-        signals::install(shutdown.clone());
-        match phyloplace::shard_cli::run_shard(&opts, &shutdown) {
-            Ok(summary) => {
-                eprintln!("{summary}");
-                eprintln!("wrote {}", opts.out_path);
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(e.exit_code());
-            }
-        }
-        return;
     }
     let (opts, out_path) = match cli::parse_cli(&args) {
         Ok(v) => v,

@@ -6,7 +6,7 @@
 //! format — here with the paper's `--maxmem` memory management surface.
 
 use crate::place::result::to_jplace_with;
-use crate::place::run::{HeartbeatEvent, HeartbeatFn, RunControl};
+use crate::place::run::RunControl;
 use crate::place::{build_reference, memplan, EpaConfig, QueryBatch, Reference, ReferenceError};
 use phylo_amc::CancelToken;
 use phylo_journal::{fnv1a64, JournalError, Manifest, RunJournal, MANIFEST_FORMAT};
@@ -112,10 +112,6 @@ pub struct CliOptions {
     /// Cancel the run after this many wall-clock seconds and emit the
     /// completed prefix as a partial result.
     pub deadline_secs: Option<f64>,
-    /// Emit `HB` progress lines on stdout (one at run start, one per
-    /// durable chunk) for a supervising `phyloplace shard` coordinator.
-    /// Requires `--out` (the jplace must not share the channel).
-    pub heartbeat: bool,
     /// CLV spill file for evicted CLVs, assembled from `--tier-dir` /
     /// `--tier-budget`. `None` keeps the paper's pure recompute-on-miss
     /// AMC.
@@ -125,7 +121,7 @@ pub struct CliOptions {
 impl Default for CliOptions {
     fn default() -> Self {
         // The scoring defaults are the engine's: one definition for
-        // `place`, `serve` and `shard`.
+        // `place` and `serve`.
         let scoring = EngineSettings::default();
         CliOptions {
             tree_text: String::new(),
@@ -145,7 +141,6 @@ impl Default for CliOptions {
             checkpoint_dir: None,
             resume_dir: None,
             deadline_secs: None,
-            heartbeat: false,
             tiers: None,
         }
     }
@@ -217,7 +212,7 @@ pub(crate) fn parse_value<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T
 }
 
 /// Parses a `--deadline` value: finite, non-negative seconds.
-pub(crate) fn parse_deadline(v: &str) -> Result<f64, String> {
+fn parse_deadline(v: &str) -> Result<f64, String> {
     let secs: f64 = parse_value("--deadline", v)?;
     if !secs.is_finite() || secs < 0.0 {
         return Err(format!("bad --deadline {v:?}: must be >= 0"));
@@ -225,7 +220,7 @@ pub(crate) fn parse_deadline(v: &str) -> Result<f64, String> {
     Ok(secs)
 }
 
-/// The scoring-flag table `place`, `serve` and `shard` share: if `flag`
+/// The scoring-flag table `place` and `serve` share: if `flag`
 /// is one of `--aa --maxmem --gamma --no-gamma --chunk --threads
 /// --strategy --no-lookup`, takes its value from `rest`, stores it in
 /// `opts` and returns `true`; any other flag is left to the caller.
@@ -263,8 +258,8 @@ pub fn parse_scoring_flag(
 /// programmatically, or a size past the address space) is the user's
 /// input problem, not a runtime failure. It is also where a
 /// `PHYLO_KERNEL_TIER` that names no tier is refused, since the kernels
-/// would read it as `auto`: `place`, `shard` (coordinator and workers)
-/// and `serve` all resolve their settings here.
+/// would read it as `auto`: `place` and `serve` both resolve their
+/// settings here.
 pub fn engine_settings(opts: &CliOptions) -> Result<EngineSettings, String> {
     phylo_kernel::TierChoice::check_env()?;
     let max_memory = match opts.maxmem_mib {
@@ -288,11 +283,7 @@ pub fn engine_settings(opts: &CliOptions) -> Result<EngineSettings, String> {
 /// Runs `run` with `cancel` armed once `secs` of wall clock have passed
 /// (`--deadline`); the run then unwinds at its next cancellation point.
 /// The watchdog thread ends with the run, not with the deadline.
-pub(crate) fn with_deadline<T>(
-    secs: Option<f64>,
-    cancel: &CancelToken,
-    run: impl FnOnce() -> T,
-) -> T {
+fn with_deadline<T>(secs: Option<f64>, cancel: &CancelToken, run: impl FnOnce() -> T) -> T {
     let Some(secs) = secs else { return run() };
     let budget = Duration::try_from_secs_f64(secs).unwrap_or(Duration::MAX);
     let (done, wait) = std::sync::mpsc::channel::<()>();
@@ -381,40 +372,7 @@ pub fn run_placement_with(opts: &CliOptions, cancel: CancelToken) -> Result<RunO
         .slot_trace
         .as_ref()
         .map(|_| std::sync::Arc::new(phylo_obs::slottrace::SlotTrace::new()));
-    // Heartbeats for a supervising coordinator: one line per durable
-    // chunk on stdout (freed by --out). The three shard::* fault sites
-    // let the chaos tests force, at an exact chunk boundary, a worker
-    // that hangs, goes silent, or dies right after its durable append.
-    let heartbeat: Option<HeartbeatFn> = opts.heartbeat.then(|| {
-        Box::new(|ev: HeartbeatEvent| {
-            if phylo_faults::fire("shard::worker_hang") {
-                loop {
-                    std::thread::sleep(std::time::Duration::from_secs(60));
-                }
-            }
-            if !phylo_faults::fire("shard::heartbeat_lost") {
-                use std::io::Write;
-                let mut out = std::io::stdout().lock();
-                let hb = phylo_shard::Heartbeat {
-                    chunks_done: ev.chunks_done,
-                    n_chunks: ev.n_chunks,
-                    queries_done: ev.queries_done,
-                    n_queries: ev.n_queries,
-                };
-                // stdout is block-buffered on a pipe; an unflushed beat
-                // is a beat the supervisor never sees.
-                let _ = writeln!(out, "{}", phylo_shard::format_heartbeat(&hb));
-                let _ = out.flush();
-            }
-            if phylo_faults::fire("shard::worker_crash") {
-                // The chunk is durable and the beat is out: the most
-                // adversarial instant to die.
-                std::process::abort();
-            }
-        }) as HeartbeatFn
-    });
-    let control =
-        RunControl { cancel: cancel.clone(), journal, slot_trace: slot_trace.clone(), heartbeat };
+    let control = RunControl { cancel: cancel.clone(), journal, slot_trace: slot_trace.clone() };
     let outcome = with_deadline(opts.deadline_secs, &cancel, || placer.place_run(&batch, control))
         .map_err(|e| CliError::Runtime(format!("placement: {e}")))?;
     if let (Some(path), Some(trace)) = (&opts.slot_trace, &slot_trace) {
@@ -479,7 +437,7 @@ pub fn parse_cli(args: &[String]) -> Result<(CliOptions, Option<String>), String
   [--chunk N] [--threads N (default: the machine's cores)] \
   [--kernel-tier auto|reference|simd] [--out OUT.jplace] \
   [--strategy cost|lru|mru|fifo|random|cost-lru] [--no-lookup] [--slot-trace TRACE.txt] \
-  [--checkpoint DIR | --resume DIR] [--deadline SECS] [--heartbeat] \
+  [--checkpoint DIR | --resume DIR] [--deadline SECS] \
   [--tier-dir DIR [--tier-budget SIZE[K|M|G|T]]] \
   [--metrics-json METRICS.json] [--trace TRACE.json]";
     let mut opts = CliOptions::default();
@@ -515,7 +473,6 @@ pub fn parse_cli(args: &[String]) -> Result<(CliOptions, Option<String>), String
             "--trace" => opts.trace_path = Some(value()?),
             "--checkpoint" => opts.checkpoint_dir = Some(value()?),
             "--resume" => opts.resume_dir = Some(value()?),
-            "--heartbeat" => opts.heartbeat = true,
             "--deadline" => {
                 opts.deadline_secs = Some(parse_deadline(&value()?).map_err(usage)?);
             }
@@ -525,11 +482,6 @@ pub fn parse_cli(args: &[String]) -> Result<(CliOptions, Option<String>), String
                 }
             }
         }
-    }
-    if opts.heartbeat && out.is_none() {
-        return Err(format!(
-            "--heartbeat needs --out: heartbeat lines own stdout, the jplace needs a file\n{USAGE}"
-        ));
     }
     match tier_dir {
         None => {
@@ -750,9 +702,8 @@ mod tests {
     }
 
     #[test]
-    fn scoring_flags_mean_the_same_in_place_serve_and_shard() {
+    fn scoring_flags_mean_the_same_in_place_and_serve() {
         use crate::serve_cli::parse_serve;
-        use crate::shard_cli::parse_shard;
         let dir = std::env::temp_dir().join(format!("phyloplace-flags-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let file = |name: &str, text: &str| -> String {
@@ -771,13 +722,6 @@ mod tests {
         };
         let serve =
             |flags: &[&str]| parse_serve(&argv(&["--tree", &tree, "--ref-msa", &msa], flags));
-        let shard = |flags: &[&str]| {
-            let head = ["shard", "--tree", &tree, "--ref-msa", &msa, "--queries", &q];
-            parse_shard(&argv(
-                &head,
-                &[&["--out", "o", "--workdir", "w", "--shards", "2"], flags].concat(),
-            ))
-        };
         // The daemon fingerprints its settings by their Debug text, so
         // that is the equality that matters.
         let settings = |opts: &CliOptions| format!("{:?}", engine_settings(opts).unwrap());
@@ -814,11 +758,6 @@ mod tests {
         for flags in &cases {
             let want = settings(&place(flags).unwrap().0);
             assert_eq!(format!("{:?}", serve(flags).unwrap().settings), want, "serve {flags:?}");
-            // A shard worker is a `place` run of the forwarded flags.
-            let forwarded = shard(flags).unwrap().passthrough;
-            assert_eq!(&forwarded, flags, "shard must forward verbatim");
-            let worker: Vec<&str> = forwarded.iter().map(String::as_str).collect();
-            assert_eq!(settings(&place(&worker).unwrap().0), want, "shard {flags:?}");
         }
         assert_eq!(
             settings(&place(&[]).unwrap().0),
@@ -841,7 +780,6 @@ mod tests {
             let msg = place(flags).unwrap_err();
             assert!(msg.contains("usage: phyloplace place"), "{flags:?}: {msg}");
             assert!(serve(flags).is_err(), "serve accepted {flags:?}");
-            assert!(shard(flags).is_err(), "shard accepted {flags:?}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -885,36 +823,6 @@ mod tests {
         let err = run_placement(&opts).unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err}");
         assert!(err.to_string().contains("resume"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn heartbeat_flag_requires_out() {
-        let dir = std::env::temp_dir().join(format!("phyloplace-hb-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let tree = dir.join("t.nwk");
-        std::fs::write(&tree, "(A:0.1,B:0.2,C:0.3);").unwrap();
-        let msa = dir.join("r.fasta");
-        std::fs::write(&msa, ">A\nACGT\n>B\nACGA\n>C\nACTA\n").unwrap();
-        let q = dir.join("q.fasta");
-        std::fs::write(&q, ">x\nACGT\n").unwrap();
-        let mk = |extra: &[&str]| -> Vec<String> {
-            let mut v: Vec<String> = vec![
-                "place".into(),
-                "--tree".into(),
-                tree.to_str().unwrap().into(),
-                "--ref-msa".into(),
-                msa.to_str().unwrap().into(),
-                "--queries".into(),
-                q.to_str().unwrap().into(),
-            ];
-            v.extend(extra.iter().map(|s| s.to_string()));
-            v
-        };
-        assert!(parse_cli(&mk(&["--heartbeat"])).unwrap_err().contains("--out"));
-        let (opts, out) = parse_cli(&mk(&["--heartbeat", "--out", "o.jplace"])).unwrap();
-        assert!(opts.heartbeat);
-        assert_eq!(out.as_deref(), Some("o.jplace"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

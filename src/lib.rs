@@ -54,7 +54,6 @@
 pub mod cli;
 pub mod replay_cli;
 pub mod serve_cli;
-pub mod shard_cli;
 pub mod signals;
 
 pub use epa_place as place;

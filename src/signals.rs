@@ -17,11 +17,7 @@ extern "C" fn on_signal(_signum: i32) {
 /// Installs the SIGINT/SIGTERM handlers and spawns the detached
 /// watchdog that forwards handler-counted signals into `shutdown`. At
 /// the second signal the process exits 130 on the spot: the user asked
-/// twice, so no more graceful anything. Because this exit bypasses the
-/// shard supervision loop's own kill paths, any live worker
-/// subprocesses are SIGKILLed from the pid registry first — a hung
-/// fleet must not outlive an aborted coordinator (the registry is empty
-/// in every other mode).
+/// twice, so no more graceful anything.
 pub fn install(shutdown: Shutdown) {
     // The libc `signal(2)` that std already links — no new dependency.
     // Failure to install (exotic platforms) degrades to default signal
@@ -41,7 +37,6 @@ pub fn install(shutdown: Shutdown) {
     }
     std::thread::spawn(move || loop {
         if shutdown.record_signals(SIGNALS.load(Ordering::SeqCst)) == Phase::Aborting {
-            phylo_shard::kill_registered_workers();
             std::process::exit(EXIT_ABORTED);
         }
         std::thread::sleep(std::time::Duration::from_millis(25));

@@ -1,8 +1,7 @@
 //! The exit-code contract, exercised through the real binary: `0`
 //! success, `1` runtime error, `2` usage/input error, `3` interrupted.
 //! The in-process test suites assert typed errors; this file asserts
-//! the thing scripts and schedulers actually see — process exit status
-//! — plus the worker heartbeat protocol on stdout.
+//! the thing scripts and schedulers actually see — process exit status.
 
 use phyloplace::prelude::Scale;
 use std::path::{Path, PathBuf};
@@ -56,11 +55,11 @@ fn usage_errors_exit_2() {
         vec![],
         vec!["place".to_string()],
         vec!["place".to_string(), "--bogus".to_string()],
+        // The retired sharded fleet and its heartbeat flag.
         vec!["place".to_string(), "--heartbeat".to_string()],
         vec!["shard".to_string()],
         // The retired middle kernel tier is not a tier name.
         vec!["place".to_string(), "--kernel-tier".to_string(), "fixed".to_string()],
-        vec!["shard".to_string(), "--kernel-tier".to_string(), "fixed".to_string()],
     ] {
         let out = bin().args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
@@ -76,12 +75,7 @@ fn bad_kernel_tier_env_exits_2() {
     export(&dir);
     let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
     let serve = ["serve", "--tree", &path("ref.nwk"), "--ref-msa", &path("ref.fasta")];
-    let mut shard = place_args(&dir);
-    shard[0] = "shard".into();
-    shard.extend(
-        ["--out", &path("o.jplace"), "--workdir", &path("wd"), "--shards", "2"].map(String::from),
-    );
-    for args in [place_args(&dir), serve.iter().map(|s| s.to_string()).collect(), shard] {
+    for args in [place_args(&dir), serve.iter().map(|s| s.to_string()).collect()] {
         let out = bin().args(&args).env("PHYLO_KERNEL_TIER", "fixed").output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -166,40 +160,6 @@ fn deadline_zero_exits_3_with_valid_partial() {
     assert_eq!(out.status.code(), Some(3), "{out:?}");
     let partial = std::fs::read_to_string(dir.join("partial.jplace")).unwrap();
     assert!(partial.contains("\"completed\": false"), "partial not marked incomplete");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn heartbeat_protocol_on_stdout() {
-    let dir = tmpdir("heartbeat");
-    export(&dir);
-    let out = bin()
-        .args(place_args(&dir))
-        .arg("--heartbeat")
-        .arg("--out")
-        .arg(dir.join("out.jplace"))
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    let beats: Vec<_> = stdout
-        .lines()
-        .map(|l| {
-            phyloplace::shard::parse_heartbeat(l)
-                .unwrap_or_else(|| panic!("non-heartbeat line on a --heartbeat stdout: {l:?}"))
-        })
-        .collect();
-    // One beat at start plus one per chunk boundary, monotone, ending
-    // with everything done.
-    assert!(beats.len() >= 2, "{stdout:?}");
-    assert_eq!(beats[0].chunks_done, 0);
-    for w in beats.windows(2) {
-        assert!(w[1].chunks_done >= w[0].chunks_done);
-        assert!(w[1].queries_done >= w[0].queries_done);
-    }
-    let last = beats.last().unwrap();
-    assert_eq!(last.chunks_done, last.n_chunks);
-    assert_eq!(last.queries_done, last.n_queries);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -1,8 +1,8 @@
-//! One front door: a cold `run_placement`, a warm `WarmEngine` request
-//! and a split + merged pair of shards are the same pipeline, so their
-//! jplace bytes must agree under every scoring-flag combination — not
-//! only the defaults the daemon and shard suites compare. Also pins the
-//! jplace writer's JSON escaping, which every one of those paths shares.
+//! One front door: a cold `run_placement` and a warm `WarmEngine`
+//! request are the same pipeline, so their jplace bytes must agree under
+//! every scoring-flag combination — not only the defaults the daemon
+//! suite compares. Also pins the jplace writer's JSON escaping, which
+//! both paths share.
 
 use phyloplace::amc::CancelToken;
 use phyloplace::cli::{engine_settings, run_placement, CliOptions};
@@ -11,10 +11,9 @@ use phyloplace::place::result::{to_jplace_with, PlacementEntry};
 use phyloplace::place::{build_reference, memplan, PlacementResult};
 use phyloplace::seq::fasta;
 use phyloplace::serve::WarmEngine;
-use phyloplace::shard::{merge_jplace, parse_jplace, split_fasta};
 use phyloplace::tree::EdgeId;
 
-/// A dataset in the image of `spec`, cut down to what 48 × 4 debug-build
+/// A dataset in the image of `spec`, cut down to what 48 × 2 debug-build
 /// runs can afford.
 fn inputs(spec: DatasetSpec, leaves: usize, sites: usize, n_queries: usize) -> CliOptions {
     let ds = generate(&DatasetSpec { leaves, sites, n_queries, ..spec });
@@ -46,23 +45,8 @@ fn served(opts: &CliOptions) -> String {
     out.remove(0).map_err(|f| f.detail).unwrap().jplace
 }
 
-fn sharded(opts: &CliOptions) -> String {
-    let split = split_fasta(&opts.query_fasta, 2).unwrap();
-    assert_eq!(split.shards.len(), 2);
-    let docs: Vec<_> = split
-        .shards
-        .into_iter()
-        .enumerate()
-        .map(|(k, query_fasta)| {
-            let shard = run_placement(&CliOptions { query_fasta, ..opts.clone() }).unwrap();
-            parse_jplace(&shard.jplace, k).unwrap()
-        })
-        .collect();
-    merge_jplace(&docs).unwrap()
-}
-
 #[test]
-fn cold_served_and_sharded_bytes_agree_under_every_scoring_flag_set() {
+fn cold_and_served_bytes_agree_under_every_scoring_flag_set() {
     let mut compared = 0;
     for base in [inputs(neotrop(Scale::Ci), 16, 40, 4), inputs(serratus(Scale::Ci), 8, 16, 2)] {
         for gamma_alpha in [base.gamma_alpha, None, Some(0.3)] {
@@ -85,7 +69,6 @@ fn cold_served_and_sharded_bytes_agree_under_every_scoring_flag_set() {
                         let lookup_on = cold.summary.contains("lookup on");
                         assert_eq!(lookup_on, !budgeted && !no_lookup, "{what}: {}", cold.summary);
                         assert_eq!(served(&opts), cold.jplace, "served != cold: {what}");
-                        assert_eq!(sharded(&opts), cold.jplace, "sharded != cold: {what}");
                         compared += 1;
                     }
                 }
@@ -96,7 +79,7 @@ fn cold_served_and_sharded_bytes_agree_under_every_scoring_flag_set() {
 }
 
 #[test]
-fn hostile_names_are_json_escaped_and_survive_a_merge() {
+fn hostile_names_are_json_escaped_cold_and_served() {
     // Through the text front door: Newick and FASTA names may hold
     // anything but their own delimiters and whitespace.
     let opts = CliOptions {
@@ -118,7 +101,6 @@ fn hostile_names_are_json_escaped_and_survive_a_merge() {
     for name in ["\"q\\u0001a\"", "\"soft\u{ad}hyphen\"", "\"\\\"\\\\\u{7f}\""] {
         assert!(cold.contains(&format!("\"n\": [{name}]}}")), "{name} not in {cold}");
     }
-    assert_eq!(sharded(&opts), cold);
     assert_eq!(served(&opts), cold);
 
     // Past the parsers: names a library caller may hand over, newlines
@@ -143,12 +125,4 @@ fn hostile_names_are_json_escaped_and_survive_a_merge() {
     assert_eq!(whole.lines().count(), 10, "{whole}");
     assert!(whole.contains("(A\\n:0.1{0},B\\r\\t:0.2{1},C:0.3{2});"), "{whole}");
     assert!(whole.contains("\"n\": [\"line\\nbreak\"]},\n"), "{whole}");
-    let parts: Vec<_> = all
-        .iter()
-        .enumerate()
-        .map(|(k, r)| {
-            parse_jplace(&to_jplace_with(&tree, std::slice::from_ref(r), true), k).unwrap()
-        })
-        .collect();
-    assert_eq!(merge_jplace(&parts).unwrap(), whole);
 }

@@ -2,8 +2,7 @@
 //! ci-scale runs, recorded from the commit *before* PR 21 replaced the
 //! thorough-scoring evaluator. Every other byte-identity check in the
 //! tree compares two runs of the same build (budgeted == unlimited,
-//! served == cold, sharded == serial); this one also catches a drift
-//! common to both.
+//! served == cold); this one also catches a drift common to both.
 //!
 //! The hashes are a contract, not a snapshot to refresh: a change that
 //! moves them moves every user's output, and is allowed only behind the
