@@ -21,21 +21,18 @@ pub enum MemCategory {
     /// Per-chunk buffers: each query's sequence and its kept candidate
     /// list (∝ chunk size × (sites + k · 16 B)), nothing per branch.
     ChunkBuffers,
-    /// Per-edge transition matrix cache.
-    PMatrices,
-    /// Per-edge tip lookup tables.
-    TipTables,
-    /// Reference tree + alignment + query batch.
+    /// The reference context's static tables: per-edge transition
+    /// matrices, tip lookup tables, tip codes, pattern weights and
+    /// traversal costs (`ReferenceContext::approx_bytes`).
     StaticData,
     /// The per-key index of the CLV spill file (the records themselves
     /// live on disk, outside the RAM budget).
     DiskTier,
-    /// Anything else.
-    Other,
 }
 
-/// Number of [`MemCategory`] variants (array-backed accounting).
-const N_CATEGORIES: usize = 8;
+/// Number of [`MemCategory`] variants (array-backed accounting, indexed
+/// by discriminant).
+const N_CATEGORIES: usize = 5;
 
 impl MemCategory {
     /// All categories, for report ordering.
@@ -44,25 +41,9 @@ impl MemCategory {
             MemCategory::ClvSlots,
             MemCategory::LookupTable,
             MemCategory::ChunkBuffers,
-            MemCategory::PMatrices,
-            MemCategory::TipTables,
             MemCategory::StaticData,
             MemCategory::DiskTier,
-            MemCategory::Other,
         ]
-    }
-
-    fn index(self) -> usize {
-        match self {
-            MemCategory::ClvSlots => 0,
-            MemCategory::LookupTable => 1,
-            MemCategory::ChunkBuffers => 2,
-            MemCategory::PMatrices => 3,
-            MemCategory::TipTables => 4,
-            MemCategory::StaticData => 5,
-            MemCategory::DiskTier => 6,
-            MemCategory::Other => 7,
-        }
     }
 }
 
@@ -72,11 +53,8 @@ impl fmt::Display for MemCategory {
             MemCategory::ClvSlots => "clv-slots",
             MemCategory::LookupTable => "lookup-table",
             MemCategory::ChunkBuffers => "chunk-buffers",
-            MemCategory::PMatrices => "p-matrices",
-            MemCategory::TipTables => "tip-tables",
             MemCategory::StaticData => "static-data",
             MemCategory::DiskTier => "disk-tier",
-            MemCategory::Other => "other",
         };
         write!(f, "{s}")
     }
@@ -97,19 +75,19 @@ impl MemoryTracker {
 
     /// Registers an allocation.
     pub fn allocate(&mut self, category: MemCategory, bytes: usize) {
-        self.current[category.index()] += bytes;
+        self.current[category as usize] += bytes;
         self.peak_total = self.peak_total.max(self.total());
     }
 
     /// Registers a release.
     pub fn release(&mut self, category: MemCategory, bytes: usize) {
-        let slot = &mut self.current[category.index()];
+        let slot = &mut self.current[category as usize];
         *slot = slot.saturating_sub(bytes);
     }
 
     /// Current bytes in one category.
     pub fn current(&self, category: MemCategory) -> usize {
-        self.current[category.index()]
+        self.current[category as usize]
     }
 
     /// Current total bytes across categories.
@@ -221,8 +199,8 @@ mod tests {
     #[test]
     fn release_saturates() {
         let mut t = MemoryTracker::new();
-        t.allocate(MemCategory::Other, 10);
-        t.release(MemCategory::Other, 100);
+        t.allocate(MemCategory::DiskTier, 10);
+        t.release(MemCategory::DiskTier, 100);
         assert_eq!(t.total(), 0);
     }
 

@@ -312,16 +312,23 @@ impl<'a> Parser<'a> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = self
-                            .bytes
-                            .get(self.pos..self.pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let cp = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                        self.pos += 4;
-                        // Surrogates are not paired here; replace them.
-                        out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
+                        // A character outside the BMP arrives as a UTF-16
+                        // surrogate pair of two escapes (Python's
+                        // `json.dumps` writes it so); join the halves.
+                        let hi = self.hex4()?;
+                        let lo = if (0xd800..0xdc00).contains(&hi)
+                            && self.bytes[self.pos..].starts_with(b"\\u")
+                        {
+                            self.pos += 2;
+                            Some(self.hex4()?)
+                        } else {
+                            None
+                        };
+                        for c in char::decode_utf16(std::iter::once(hi).chain(lo)) {
+                            out.push(c.map_err(|e| {
+                                format!("unpaired surrogate \\u{:04x}", e.unpaired_surrogate())
+                            })?);
+                        }
                     }
                     other => return Err(format!("bad escape \\{}", ch(other))),
                 },
@@ -343,6 +350,18 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape, as a UTF-16 code unit.
+    fn hex4(&mut self) -> Result<u16, String> {
+        let hex = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .and_then(|h| std::str::from_utf8(h).ok())
+            .ok_or_else(|| "truncated \\u escape".to_string())?;
+        let unit = u16::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape {hex:?}"))?;
+        self.pos += 4;
+        Ok(unit)
     }
 }
 
@@ -429,6 +448,33 @@ mod tests {
     fn unicode_and_u_escapes_decode() {
         let obj = parse_object(r#"{"k":"café ≠ café?"}"#).unwrap();
         assert_eq!(obj["k"], Value::Str("café ≠ café?".into()));
+        let obj = parse_object(r#"{"k":"caf\u00e9 \u2260"}"#).unwrap();
+        assert_eq!(obj["k"], Value::Str("café ≠".into()));
+    }
+
+    #[test]
+    fn surrogate_pair_escape_decodes_to_one_char() {
+        // `json.dumps("q😀")`
+        let obj = parse_object(r#"{"k":"q\ud83d\ude00"}"#).unwrap();
+        assert_eq!(obj["k"], Value::Str("q😀".into()));
+    }
+
+    #[test]
+    fn lone_high_surrogate_is_rejected() {
+        assert!(parse_object(r#"{"k":"q\ud83d"}"#).is_err());
+        let (id, _) = parse_request(r#"{"id":"r","op":"place","queries":"\ud83d x"}"#).unwrap_err();
+        assert_eq!(id, None, "an unparsable line is a BadRequest with no id");
+    }
+
+    #[test]
+    fn lone_low_surrogate_is_rejected() {
+        assert!(parse_object(r#"{"k":"q\ude00"}"#).is_err());
+    }
+
+    #[test]
+    fn high_surrogate_before_non_low_escape_is_rejected() {
+        assert!(parse_object(r#"{"k":"q\ud83d\u0041"}"#).is_err());
+        assert!(parse_object(r#"{"k":"q\ud83d\ud83d"}"#).is_err());
     }
 
     #[test]

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # The full CI gate: release build, a Table II smoke run, the benchmark
 # harness, the whole workspace's test suite, formatting, clippy's
-# deny-level lints, and a
-# single-iteration bench smoke pass (compiles every benchmark and runs
-# the kernel suite in quick mode, writing its baselines to a throwaway
-# directory so the committed BENCH_*.json files are not churned).
+# deny-level lints, and the bench smoke pass (writing the spill bench's
+# JSON to a throwaway directory so the committed BENCH_tiers.json is not
+# churned).
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -29,6 +28,11 @@ RUSTFLAGS="-D warnings" cargo run --release -q -p pewo-bench --bin table2_absolu
 # briefly here, so an API break or a wrong answer fails CI, not the gate.
 echo "==> benchmark harness (unit tests against the workspace + quick run)"
 cargo test --release --offline -q --manifest-path bench/Cargo.toml
+# `bench/` path-depends on this workspace, so cargo rewrites its lock
+# file whenever a member crate gains or loses a dependency edge. The
+# gate's lock file must not change under it: fail here instead.
+git diff --exit-code -- bench/Cargo.lock \
+    || { echo "bench/Cargo.lock changed: a workspace dependency edge moved"; exit 1; }
 quick_out=$(mktemp -t bench_quick.XXXXXX)
 bash bench/run.sh --quick > "$quick_out" 2>&1 \
     || { tail -20 "$quick_out"; echo "bench/run.sh --quick failed"; exit 1; }
@@ -312,11 +316,11 @@ cargo clippy --workspace --offline -q
 # external crates are not ours to document.
 echo "==> cargo doc (broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --offline --no-deps -q \
-    --workspace --exclude proptest --exclude criterion --exclude rand
+    --workspace --exclude proptest --exclude rand
 
-echo "==> bench smoke (single quick pass)"
+echo "==> bench smoke"
 bench_out=$(mktemp -d -t bench_smoke.XXXXXX)
 trap 'rm -rf "$smoke_dir" "$bench_out"' EXIT
-scripts/bench_smoke.sh "$bench_out/BENCH_kernels.json"
+scripts/bench_smoke.sh "$bench_out"
 
 echo "==> CI OK"

@@ -145,6 +145,28 @@ fn served_responses_are_byte_identical_to_cold_place_runs() {
 }
 
 #[test]
+fn u_escaped_non_bmp_query_names_are_served_as_cold() {
+    // Python's `json.dumps` escapes every non-ASCII character as `\uXXXX`,
+    // and one outside the BMP as a UTF-16 surrogate pair.
+    let dir = tmpdir("surrogates");
+    let q = export(&dir)[0].replacen('>', ">q\u{1f600}\u{e9}_", 1);
+    let line: String = place_req("u", &q, None)
+        .chars()
+        .map(|c| match c.is_ascii() {
+            true => c.to_string(),
+            false => c.encode_utf16(&mut [0; 2]).iter().map(|u| format!("\\u{u:04x}")).collect(),
+        })
+        .collect();
+    let mut d = Daemon::spawn(&dir, &[], &[]);
+    d.send(&line);
+    let resp = d.recv();
+    assert_eq!(field(&resp, "code"), "Ok", "{resp:?}");
+    assert_eq!(d.finish(), 0, "EOF drain must exit 0");
+    assert_eq!(field(&resp, "jplace"), cold_place(&dir, &q), "daemon bytes != cold place bytes");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn typed_request_errors_leave_the_daemon_serving() {
     let dir = tmpdir("typed");
     let queries = export(&dir);
