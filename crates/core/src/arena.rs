@@ -79,8 +79,9 @@ pub struct ComputeView<'a> {
     pub target_clv: &'a mut [f64],
     /// The target's per-pattern scaler counts to fill.
     pub target_scale: &'a mut [u32],
-    /// `(clv, scale)` of each requested child slot, in request order.
-    pub children: Vec<(&'a [f64], &'a [u32])>,
+    /// `(clv, scale)` of each requested child slot, by position (`None`
+    /// where none was requested: a compute step has at most two).
+    pub children: [Option<(&'a [f64], &'a [u32])>; 2],
 }
 
 impl SlotArena {
@@ -223,15 +224,15 @@ impl SlotArena {
     }
 
     /// Simultaneous mutable access to `target` and shared access to
-    /// `children`. Panics if `target` appears among `children` (a compute
-    /// step never reads its own output).
+    /// `children`, without allocating. Panics if `target` appears among
+    /// `children` (a compute step never reads its own output).
     ///
     /// Protocol: the caller must be `target`'s exclusive writer (its
     /// unpublished Computing phase) and must hold pins on every child,
     /// each published — the shape an executing FPA plan guarantees.
-    pub fn compute_view(&self, target: SlotId, children: &[SlotId]) -> ComputeView<'_> {
+    pub fn compute_view(&self, target: SlotId, children: [Option<SlotId>; 2]) -> ComputeView<'_> {
         assert!(
-            children.iter().all(|&c| c != target),
+            children.iter().all(|&c| c != Some(target)),
             "compute target {target:?} aliases a child slot"
         );
         // SAFETY: slots are disjoint, fixed-size ranges of `data` and
@@ -240,7 +241,7 @@ impl SlotArena {
         // above rules out concurrent writers to any of them.
         unsafe {
             let (target_clv, target_scale) = self.slot_raw_mut(target);
-            let children = children.iter().map(|&c| (self.clv(c), self.scale(c))).collect();
+            let children = children.map(|c| c.map(|c| (self.clv(c), self.scale(c))));
             ComputeView { target_clv, target_scale, children }
         }
     }
@@ -288,7 +289,7 @@ mod tests {
         let a = arena(4, 2);
         let s = slot(&a, 0);
         {
-            let view = a.compute_view(s, &[]);
+            let view = a.compute_view(s, [None, None]);
             view.target_clv.fill(1.5);
             view.target_scale.fill(3);
         }
@@ -302,11 +303,12 @@ mod tests {
         let s0 = slot(&a, 0);
         let s1 = slot(&a, 1);
         let s2 = slot(&a, 2);
-        a.compute_view(s0, &[]).target_clv.fill(2.0);
-        a.compute_view(s1, &[]).target_clv.fill(3.0);
-        let view = a.compute_view(s2, &[s0, s1]);
+        a.compute_view(s0, [None, None]).target_clv.fill(2.0);
+        a.compute_view(s1, [None, None]).target_clv.fill(3.0);
+        let view = a.compute_view(s2, [Some(s0), Some(s1)]);
+        let [Some((c0, _)), Some((c1, _))] = view.children else { panic!("two children") };
         for i in 0..8 {
-            view.target_clv[i] = view.children[0].0[i] * view.children[1].0[i];
+            view.target_clv[i] = c0[i] * c1[i];
         }
         assert!(a.clv(s2).iter().all(|&v| v == 6.0));
     }
@@ -316,7 +318,7 @@ mod tests {
     fn compute_view_rejects_aliasing() {
         let a = arena(4, 2);
         let s = slot(&a, 0);
-        let _ = a.compute_view(s, &[s]);
+        let _ = a.compute_view(s, [None, Some(s)]);
     }
 
     #[test]

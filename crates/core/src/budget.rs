@@ -22,7 +22,7 @@ pub enum MemCategory {
     /// list (∝ chunk size × (sites + k · 16 B)), nothing per branch.
     ChunkBuffers,
     /// The reference context's static tables: per-edge transition
-    /// matrices, tip lookup tables, tip codes, pattern weights and
+    /// matrices, tip codes and per-leaf code sets, pattern weights and
     /// traversal costs (`ReferenceContext::approx_bytes`).
     StaticData,
     /// The per-key index of the CLV spill file (the records themselves

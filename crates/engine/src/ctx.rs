@@ -1,7 +1,8 @@
 //! The static reference context shared by every CLV computation.
 
 use crate::error::EngineError;
-use phylo_kernel::{Layout, TipTable};
+use phylo_kernel::tips::code_set;
+use phylo_kernel::Layout;
 use phylo_models::SubstModel;
 use phylo_seq::alphabet::Alphabet;
 use phylo_seq::PatternMsa;
@@ -10,7 +11,11 @@ use phylo_tree::{EdgeId, NodeId, Tree};
 
 /// Everything immutable a likelihood computation over the reference tree
 /// needs: the tree, the compiled model, per-leaf encoded patterns, and the
-/// per-edge transition machinery.
+/// per-edge transition matrices. It holds no tip rows: an operation with
+/// a tip child builds that leaf's rows from the edge's matrices
+/// ([`phylo_kernel::tips`]), for the codes in [`tip_code_set`].
+///
+/// [`tip_code_set`]: ReferenceContext::tip_code_set
 pub struct ReferenceContext {
     tree: Tree,
     model: SubstModel,
@@ -19,15 +24,15 @@ pub struct ReferenceContext {
     pattern_weights: Vec<u32>,
     /// Per leaf: encoded characters over patterns.
     tip_codes: Vec<Vec<u8>>,
+    /// Per leaf: the set of codes its row uses ([`code_set`]).
+    tip_code_sets: Vec<u64>,
     /// Per edge: per-rate transition matrices, `pmatrix_len` each.
     pmatrices: Vec<f64>,
-    /// Per edge: tip lookup table if one endpoint is a leaf.
-    tip_tables: Vec<Option<TipTable>>,
     /// Per directed edge: subtree leaf count (recomputation-cost proxy).
     costs: Vec<u32>,
     /// Per directed edge: Sethi–Ullman register need.
     register_need: Vec<u32>,
-    /// `total_length / n_edges`, kept in step with the tree.
+    /// `total_length / n_edges`.
     mean_branch_length: f64,
 }
 
@@ -68,20 +73,11 @@ impl ReferenceContext {
                 .ok_or_else(|| EngineError::MissingSequence(name.to_string()))?;
             tip_codes.push(patterns.row(row).to_vec());
         }
-        // Per-edge transition matrices and (for pendant edges) tip tables.
+        let tip_code_sets = tip_codes.iter().map(|codes| code_set(codes)).collect();
         let pm_len = layout.pmatrix_len();
         let mut pmatrices = vec![0.0; tree.n_edges() * pm_len];
-        let mut tip_tables = Vec::with_capacity(tree.n_edges());
-        let masks: Vec<u32> =
-            (0..alphabet.n_codes()).map(|c| alphabet.state_mask(c as u8)).collect();
-        for e in 0..tree.n_edges() {
-            let edge = EdgeId(e as u32);
-            let len = tree.edge_length(edge);
-            let block = &mut pmatrices[e * pm_len..(e + 1) * pm_len];
-            model.transition_matrices(len, block);
-            let rec = tree.edge(edge);
-            let has_leaf = tree.is_leaf(rec.a) || tree.is_leaf(rec.b);
-            tip_tables.push(has_leaf.then(|| TipTable::build(&layout, block, &masks)));
+        for (e, block) in pmatrices.chunks_exact_mut(pm_len).enumerate() {
+            model.transition_matrices(tree.edge_length(EdgeId(e as u32)), block);
         }
         let costs = subtree_leaf_counts(&tree);
         let need = register_need(&tree);
@@ -93,8 +89,8 @@ impl ReferenceContext {
             layout,
             pattern_weights: patterns.weights().to_vec(),
             tip_codes,
+            tip_code_sets,
             pmatrices,
-            tip_tables,
             costs,
             register_need: need,
             mean_branch_length,
@@ -161,17 +157,19 @@ impl ReferenceContext {
         &self.tip_codes[leaf.idx()]
     }
 
+    /// The set of codes a leaf's row uses: bit `c` set when code `c`
+    /// occurs in [`tip_codes`](ReferenceContext::tip_codes). The codes
+    /// whose tip rows an operation over the leaf's pendant edge builds.
+    #[inline]
+    pub fn tip_code_set(&self, leaf: NodeId) -> u64 {
+        self.tip_code_sets[leaf.idx()]
+    }
+
     /// The per-rate transition matrices of an edge.
     #[inline]
     pub fn pmatrix(&self, e: EdgeId) -> &[f64] {
         let len = self.layout.pmatrix_len();
         &self.pmatrices[e.idx() * len..(e.idx() + 1) * len]
-    }
-
-    /// The tip lookup table of a pendant edge (`None` for inner edges).
-    #[inline]
-    pub fn tip_table(&self, e: EdgeId) -> Option<&TipTable> {
-        self.tip_tables[e.idx()].as_ref()
     }
 
     /// Per-directed-edge recomputation-cost proxies (subtree leaf counts),
@@ -196,32 +194,21 @@ impl ReferenceContext {
         self.tree.n_inner_dir_edges()
     }
 
-    /// Bytes of the static tables this context holds (for accounting).
-    pub fn approx_bytes(&self) -> usize {
-        self.pmatrices.len() * 8
-            + self.tip_tables.iter().flatten().map(|t| t.approx_bytes()).sum::<usize>()
-            + self.tip_codes.iter().map(|c| c.len()).sum::<usize>()
-            + self.pattern_weights.len() * 4
-            + (self.costs.len() + self.register_need.len()) * 4
+    /// Bytes of the static tables this context holds, by table: the
+    /// `StaticData` term of a memory plan, split for reporting.
+    pub fn static_split(&self) -> [(&'static str, usize); 5] {
+        [
+            ("pmatrices", self.pmatrices.len() * 8),
+            ("tip_codes", self.tip_codes.iter().map(|c| c.len()).sum()),
+            ("tip_code_sets", self.tip_code_sets.len() * 8),
+            ("pattern_weights", self.pattern_weights.len() * 4),
+            ("costs", (self.costs.len() + self.register_need.len()) * 4),
+        ]
     }
 
-    /// Rebuilds the transition matrices and tip table of one edge after a
-    /// branch-length change (used by branch-length optimization).
-    pub fn refresh_edge(&mut self, e: EdgeId, new_length: f64) {
-        self.tree
-            .set_edge_length(e, new_length)
-            .expect("branch-length optimizer produced an invalid length");
-        self.mean_branch_length = mean_branch_length(&self.tree);
-        let pm_len = self.layout.pmatrix_len();
-        // Work around borrowck: compute into a scratch block first.
-        let mut block = vec![0.0; pm_len];
-        self.model.transition_matrices(new_length, &mut block);
-        self.pmatrices[e.idx() * pm_len..(e.idx() + 1) * pm_len].copy_from_slice(&block);
-        if self.tip_tables[e.idx()].is_some() {
-            let masks: Vec<u32> =
-                (0..self.alphabet.n_codes()).map(|c| self.alphabet.state_mask(c as u8)).collect();
-            self.tip_tables[e.idx()] = Some(TipTable::build(&self.layout, &block, &masks));
-        }
+    /// Bytes of the static tables this context holds (for accounting).
+    pub fn approx_bytes(&self) -> usize {
+        self.static_split().iter().map(|&(_, bytes)| bytes).sum()
     }
 }
 
@@ -260,6 +247,16 @@ mod tests {
         assert_eq!(ctx.min_slots(), 4); // ceil(log2 3) = 2, +2
         assert_eq!(ctx.max_slots(), 3);
         assert!(ctx.approx_bytes() > 0);
+    }
+
+    #[test]
+    fn static_split_sums_to_approx_bytes_and_code_sets_follow_the_rows() {
+        let ctx = small_ctx();
+        let split = ctx.static_split();
+        assert_eq!(split.iter().map(|&(_, b)| b).sum::<usize>(), ctx.approx_bytes());
+        assert_eq!(split[2], ("tip_code_sets", 3 * 8));
+        // Leaf C reads ACTT: codes 0, 1 and 3.
+        assert_eq!(ctx.tip_code_set(NodeId(2)), 0b1011);
     }
 
     #[test]
@@ -313,24 +310,5 @@ mod tests {
         let err = ReferenceContext::new(tree, model, AlphabetKind::Protein.alphabet(), &patterns)
             .unwrap_err();
         assert!(matches!(err, EngineError::AlphabetMismatch { .. }));
-    }
-
-    #[test]
-    fn refresh_edge_updates_pmatrix() {
-        let mut ctx = small_ctx();
-        let e = EdgeId(0);
-        let before = ctx.pmatrix(e).to_vec();
-        ctx.refresh_edge(e, 1.5);
-        let after = ctx.pmatrix(e);
-        assert_ne!(before.as_slice(), after);
-        assert_eq!(ctx.tree().edge_length(e), 1.5);
-        // The cached mean follows the tree: (1.5 + 0.2 + 0.3) / 3.
-        let mean = ctx.tree().total_length() / ctx.tree().n_edges() as f64;
-        assert_eq!(ctx.mean_branch_length().to_bits(), mean.to_bits());
-        assert_eq!(ctx.starting_pendant(), mean);
-        for i in 0..4 {
-            let s: f64 = after[i * 4..(i + 1) * 4].iter().sum();
-            assert!((s - 1.0).abs() < 1e-10);
-        }
     }
 }

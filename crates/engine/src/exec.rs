@@ -10,7 +10,7 @@
 
 use crate::ctx::ReferenceContext;
 use crate::error::EngineError;
-use phylo_amc::{DepSource, FpaOp, SlotArena, SlotId};
+use phylo_amc::{DepSource, FpaOp, SlotArena};
 use phylo_kernel::kernels::{update_partials_scratch, Side};
 use phylo_kernel::sitepar::SiteParPool;
 use phylo_kernel::KernelScratch;
@@ -20,9 +20,12 @@ use phylo_kernel::KernelScratch;
 /// with `par = Some((pool, n_chunks))` the step's pattern range is split
 /// into `n_chunks` ranges run on the store's persistent [`SiteParPool`]
 /// (the paper's across-site experimental parallelization, Fig. 7 — the
-/// pool outlives the run, so no threads are spawned per op). `scratch`
-/// is only touched by the generic kernel fallback; the store owns a pool
-/// of them so repeated recomputation allocates nothing.
+/// pool outlives the run, so no threads are spawned per op). A tip
+/// child's rows are built per op from its edge's transition matrices into
+/// `scratch`'s [`KernelScratch::tips`], for the leaf's codes only;
+/// otherwise `scratch` is only touched by the generic kernel fallback.
+/// The store owns a pool of them, so once a scratch is warm an op
+/// allocates nothing.
 ///
 /// The caller must hold the plan's execution pins (see
 /// `phylo_amc::ensure_resident`), which make the ops' slot assignments
@@ -61,7 +64,7 @@ fn execute_op(
         // target exclusively (execution pins + latch down), so the
         // single-slot view is the same exclusive write access the
         // kernel path uses below.
-        let view = arena.compute_view(op.slot, &[]);
+        let view = arena.compute_view(op.slot, [None, None]);
         if tiers.fetch_into(phylo_amc::ClvKey(op.target.0), view.target_clv, view.target_scale) {
             arena.manager().mark_ready_at(op.slot, op.slot_version);
             return Ok(());
@@ -69,14 +72,10 @@ fn execute_op(
     }
     let sw = phylo_obs::stopwatch();
     let layout = *ctx.layout();
-    let child_slots: Vec<SlotId> = op
-        .deps
-        .iter()
-        .filter_map(|d| match d {
-            DepSource::Slot(s) => Some(*s),
-            DepSource::Tip(_) => None,
-        })
-        .collect();
+    let child_slots = op.deps.map(|d| match d {
+        DepSource::Slot(s) => Some(s),
+        DepSource::Tip(_) => None,
+    });
     // Dependencies computed earlier in this schedule are already
     // published by their own step; a wait only ever blocks on a CLV a
     // *concurrent* plan is still computing, and that plan's execution is
@@ -91,24 +90,25 @@ fn execute_op(
             arena.manager().wait_ready_at(*s, op.dep_versions[k])?;
         }
     }
-    let view = arena.compute_view(op.slot, &child_slots);
-    let mut next_child = 0usize;
-    let mut sides: [Option<Side<'_>>; 2] = [None, None];
-    for k in 0..2 {
-        let edge = op.dep_edges[k].edge();
-        sides[k] = Some(match op.deps[k] {
-            DepSource::Tip(node) => Side::Tip {
-                table: ctx.tip_table(edge).expect("tip dependency edge must have a tip table"),
-                codes: ctx.tip_codes(node),
-            },
-            DepSource::Slot(_) => {
-                let (clv, scale) = view.children[next_child];
-                next_child += 1;
-                Side::Clv { clv, scale: Some(scale), pmatrix: ctx.pmatrix(edge) }
-            }
-        });
+    let view = arena.compute_view(op.slot, child_slots);
+    // The tip rows leave the scratch for the op, so that the sides can
+    // borrow them while the kernel borrows the rest of it; moving a table
+    // moves its allocation, it does not copy it.
+    let mut tips = std::mem::take(&mut scratch.tips);
+    for (k, tip) in tips.iter_mut().enumerate() {
+        if let DepSource::Tip(node) = op.deps[k] {
+            let pm = ctx.pmatrix(op.dep_edges[k].edge());
+            tip.rebuild(&layout, pm, ctx.alphabet().state_masks(), ctx.tip_code_set(node));
+        }
     }
-    let (left, right) = (sides[0].take().unwrap(), sides[1].take().unwrap());
+    let side = |k: usize| match (op.deps[k], view.children[k]) {
+        (DepSource::Tip(node), _) => Side::Tip { table: &tips[k], codes: ctx.tip_codes(node) },
+        (DepSource::Slot(_), Some((clv, scale))) => {
+            Side::Clv { clv, scale: Some(scale), pmatrix: ctx.pmatrix(op.dep_edges[k].edge()) }
+        }
+        (DepSource::Slot(_), None) => unreachable!("every slot dependency is in the view"),
+    };
+    let (left, right) = (side(0), side(1));
     // Kernel wall time feeds the spill file's spill-vs-drop cost model
     // (ns per unit of recompute cost) — only measured when one exists.
     let tier_t0 = arena.tiers().map(|_| std::time::Instant::now());
@@ -126,6 +126,7 @@ fn execute_op(
             pool.update_partials(&layout, left, right, view.target_clv, view.target_scale, n_chunks)
         }
     }
+    scratch.tips = tips;
     if let (Some(tiers), Some(t0)) = (arena.tiers(), tier_t0) {
         let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         tiers.note_recompute(phylo_amc::ClvKey(op.target.0), ns);
@@ -134,7 +135,7 @@ fn execute_op(
         // Simulates a kernel numeric failure (underflow past the scaler
         // thresholds). The op is still this slot's exclusive writer: the
         // slot is unpublished, so a fresh single-slot view is safe.
-        arena.compute_view(op.slot, &[]).target_clv[0] = f64::NAN;
+        arena.compute_view(op.slot, [None, None]).target_clv[0] = f64::NAN;
     }
     // Generation-aware publish: if a later op of this same schedule
     // already remapped the target slot, this op's bytes are a superseded

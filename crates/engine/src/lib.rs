@@ -4,8 +4,9 @@
 //!
 //! * [`ctx::ReferenceContext`] — everything static about a reference
 //!   analysis: the tree, the compiled substitution model, compressed site
-//!   patterns, per-leaf tip encodings, per-edge transition matrices and tip
-//!   lookup tables, subtree-cost and register-need tables;
+//!   patterns, per-leaf tip encodings and code sets, per-edge transition
+//!   matrices, subtree-cost and register-need tables (tip rows are built
+//!   per operation, not stored);
 //! * [`store`] — the two CLV storage policies behind one interface:
 //!   [`store::FullStore`] materializes all `3(n−2)` directional CLVs
 //!   (EPA-NG's default layout), while [`store::ManagedStore`] runs them

@@ -10,6 +10,7 @@ use crate::ctx::ReferenceContext;
 use crate::error::EngineError;
 use crate::store::{EdgeSide, ManagedStore};
 use phylo_kernel::likelihood::edge_log_likelihood;
+use phylo_kernel::TipTable;
 use phylo_tree::{DirEdgeId, EdgeId};
 
 /// Computes the tree log-likelihood with the virtual root on `edge`.
@@ -24,14 +25,20 @@ pub fn tree_log_likelihood(
     let d0 = DirEdgeId::new(edge, 0);
     let d1 = DirEdgeId::new(edge, 1);
     let block = store.prepare(ctx, &[d0, d1])?;
-    let ll = evaluate_prepared_edge(ctx, store, edge);
+    let ll = evaluate_prepared_edge(ctx, store, edge, &mut TipTable::empty());
     store.release(block);
     Ok(ll)
 }
 
 /// Evaluates the likelihood at `edge` assuming both orientations are
-/// already prepared (inside a `prepare`/`release` window).
-pub fn evaluate_prepared_edge(ctx: &ReferenceContext, store: &ManagedStore, edge: EdgeId) -> f64 {
+/// already prepared (inside a `prepare`/`release` window). A pendant
+/// edge's tip rows are built into `tip`.
+pub fn evaluate_prepared_edge(
+    ctx: &ReferenceContext,
+    store: &ManagedStore,
+    edge: EdgeId,
+    tip: &mut TipTable,
+) -> f64 {
     let mut d_u = DirEdgeId::new(edge, 0);
     let mut d_v = DirEdgeId::new(edge, 1);
     // The unpropagated `u` term must be an inner CLV; at least one side of
@@ -41,7 +48,7 @@ pub fn evaluate_prepared_edge(ctx: &ReferenceContext, store: &ManagedStore, edge
     }
     let (u_clv, u_scale) =
         store.clv_of(ctx, d_u).expect("at least one side of a branch is an inner node");
-    let v_side = store.kernel_side(ctx, d_v);
+    let v_side = store.kernel_side(ctx, d_v, tip);
     let layout = ctx.layout();
     edge_log_likelihood(
         layout,

@@ -30,7 +30,7 @@ use crate::exec;
 use phylo_amc::{ensure_resident, ClvKey, ResidentSet, SlotArena, SlotId, SlotStats, StrategyKind};
 use phylo_kernel::kernels::Side;
 use phylo_kernel::sitepar::{PoolStats, SiteParPool};
-use phylo_kernel::KernelScratch;
+use phylo_kernel::{KernelScratch, TipTable};
 use phylo_tree::{DirEdgeId, NodeId};
 
 /// One side of a branch, as stored: either a leaf (tips are not slotted)
@@ -346,16 +346,23 @@ impl ManagedStore {
     }
 
     /// A kernel-ready [`Side`] view of a directed edge `d = x → y`,
-    /// propagated across its own branch (transition matrices / tip table
-    /// of `d.edge()`). This is the "everything beyond the branch" term of
-    /// an edge likelihood. Lock-free: the caller must hold the edge in a
-    /// prepared (hence pinned and published) block.
-    pub fn kernel_side<'a>(&'a self, ctx: &'a ReferenceContext, d: DirEdgeId) -> Side<'a> {
+    /// propagated across its own branch (the transition matrices of
+    /// `d.edge()`; for a leaf, its tip rows, built into the caller's
+    /// `tip`). This is the "everything beyond the branch" term of an edge
+    /// likelihood. Lock-free: the caller must hold the edge in a prepared
+    /// (hence pinned and published) block.
+    pub fn kernel_side<'a>(
+        &'a self,
+        ctx: &'a ReferenceContext,
+        d: DirEdgeId,
+        tip: &'a mut TipTable,
+    ) -> Side<'a> {
         match self.side(ctx, d) {
-            EdgeSide::Tip(node) => Side::Tip {
-                table: ctx.tip_table(d.edge()).expect("pendant edge has a tip table"),
-                codes: ctx.tip_codes(node),
-            },
+            EdgeSide::Tip(node) => {
+                let (masks, codes) = (ctx.alphabet().state_masks(), ctx.tip_code_set(node));
+                tip.rebuild(ctx.layout(), ctx.pmatrix(d.edge()), masks, codes);
+                Side::Tip { table: tip, codes: ctx.tip_codes(node) }
+            }
             EdgeSide::Resident(slot) => Side::Clv {
                 clv: self.arena.clv(slot),
                 scale: Some(self.arena.scale(slot)),

@@ -41,7 +41,7 @@ trait SideProp<const S: usize>: Copy {
     fn prop(&self, pattern: usize, rate: usize, out: &mut [f64; S]);
 }
 
-/// Tip side: a `S`-wide row copy out of the per-edge lookup table.
+/// Tip side: a `S`-wide row copy out of the edge's tip rows.
 #[derive(Clone, Copy)]
 struct TipProp<'a> {
     table: &'a TipTable,

@@ -13,8 +13,9 @@
 //!   a branch from the two CLVs facing each other across it;
 //! * [`likelihood::point_log_likelihood`] — the multi-way combination
 //!   that scores a query-sequence insertion into a branch;
-//! * [`tips::TipTable`] — precomputed per-character tip lookups that make
-//!   tip children (and ambiguity codes) free in the inner loop;
+//! * [`tips::TipTable`] — per-character tip rows, built per operation for
+//!   the codes a leaf uses, that make tip children (and ambiguity codes)
+//!   free in the inner loop;
 //! * [`sitepar`] — across-site parallel CLV updates (the paper's Fig. 7
 //!   "experimental" mode) that split the pattern range over a worker pool.
 //!

@@ -11,8 +11,14 @@
 //! fixed-size stack arrays and never touch the scratch, so passing
 //! [`KernelScratch::new`] (which allocates nothing) is free on those
 //! paths.
+//!
+//! A CLV update with tip children also needs those leaves' tip rows. The
+//! reference keeps none ([`crate::tips`]); the caller builds them per
+//! operation into [`KernelScratch::tips`], which a warm scratch holds at
+//! full size, so that costs no allocation either.
 
 use crate::layout::Layout;
+use crate::tips::TipTable;
 
 /// Working buffers for the generic kernels. Cheap to construct (empty);
 /// buffers grow on first use and are reused afterwards.
@@ -24,12 +30,20 @@ pub struct KernelScratch {
     pub(crate) rbuf: Vec<f64>,
     /// Accumulator for multi-side products ([`crate::likelihood::point_log_likelihood`]).
     pub(crate) acc: Vec<f64>,
+    /// Tip rows of an operation's two children, by child position: built
+    /// by the caller before the kernel call, never touched by kernels.
+    pub tips: [TipTable; 2],
 }
 
 impl KernelScratch {
     /// An empty scratch; performs no allocation.
     pub const fn new() -> Self {
-        KernelScratch { lbuf: Vec::new(), rbuf: Vec::new(), acc: Vec::new() }
+        KernelScratch {
+            lbuf: Vec::new(),
+            rbuf: Vec::new(),
+            acc: Vec::new(),
+            tips: [TipTable::empty(), TipTable::empty()],
+        }
     }
 
     /// A scratch pre-sized for a layout, so even the first kernel call

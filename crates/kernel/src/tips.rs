@@ -1,19 +1,29 @@
-//! Precomputed tip lookups.
+//! Tip rows, built per use.
 //!
 //! For a tip child with character code `c`, the propagated value at parent
 //! state `i` is `Σ_{j ∈ mask(c)} P[i][j]` — it depends only on `(code,
-//! rate, i)`, not on the pattern. Precomputing this table once per edge
-//! turns every tip-child contribution into a single indexed load, and makes
-//! IUPAC ambiguity codes exactly as cheap as concrete states. This is the
-//! same trick libpll-2 applies for its tip-inner kernels.
+//! rate, i)`, not on the pattern. Tabulating it for the codes a leaf
+//! actually uses turns every tip-child contribution into a single indexed
+//! load, and makes IUPAC ambiguity codes exactly as cheap as concrete
+//! states: the libpll-2 tip-inner trick.
+//!
+//! Nothing keeps these rows per edge. A caller builds them from the edge's
+//! transition matrices when an operation needs them, into a [`TipTable`]
+//! it reuses ([`KernelScratch::tips`] for CLV updates): only the rows of
+//! the leaf's own codes ([`code_set`]), each a sum over its mask's set
+//! bits. A protein leaf's rows cost a few microseconds, and the reference
+//! holds no `leaves × codes` term.
+//!
+//! [`KernelScratch::tips`]: crate::KernelScratch::tips
 
 use crate::layout::Layout;
 
-/// Per-edge tip lookup: `data[code][rate][state]` = propagated likelihood
-/// of observing `code` at the far end of the edge, given parent state.
+/// Tip rows for one edge: `data[code][rate][state]` = propagated
+/// likelihood of observing `code` at the far end of the edge, given
+/// parent state. Only the rows of the codes last built are meaningful;
+/// the others hold whatever an earlier build left.
 #[derive(Debug, Clone)]
 pub struct TipTable {
-    n_codes: usize,
     rates: usize,
     states: usize,
     data: Vec<f64>,
@@ -25,50 +35,62 @@ impl Default for TipTable {
     }
 }
 
+/// The set of codes in `codes` as a bitmask: bit `c` set when code `c`
+/// occurs. Alphabets have at most 64 codes.
+pub fn code_set(codes: &[u8]) -> u64 {
+    codes.iter().fold(0u64, |set, &c| set | 1u64 << c)
+}
+
 impl TipTable {
-    /// An empty table holding no codes; a reusable seed for
+    /// An empty table holding no rows; a reusable seed for
     /// [`TipTable::rebuild`] on hot per-edge paths.
     pub const fn empty() -> TipTable {
-        TipTable { n_codes: 0, rates: 0, states: 0, data: Vec::new() }
+        TipTable { rates: 0, states: 0, data: Vec::new() }
     }
 
-    /// Builds the table from a per-rate transition matrix set
+    /// Builds the rows of every code from a per-rate transition matrix set
     /// (`pmatrix[rate · states² + i · states + j]`) and the alphabet's
     /// per-code state masks.
     pub fn build(layout: &Layout, pmatrix: &[f64], masks: &[u32]) -> TipTable {
         let mut t = TipTable::empty();
-        t.rebuild(layout, pmatrix, masks);
+        let all = if masks.len() == 64 { u64::MAX } else { (1u64 << masks.len()) - 1 };
+        t.rebuild(layout, pmatrix, masks, all);
         t
     }
 
-    /// Rebuilds the table in place for a new edge (new transition
-    /// matrices), reusing the existing allocation whenever the dimensions
-    /// allow. Callers that sweep many edges keep one table and rebuild it
-    /// per edge instead of allocating per edge.
-    pub fn rebuild(&mut self, layout: &Layout, pmatrix: &[f64], masks: &[u32]) {
+    /// Rebuilds, in place, the rows of the codes in `codes` (a
+    /// [`code_set`]) for a new edge. The allocation is reused whenever
+    /// the dimensions allow, so callers that sweep many edges keep one
+    /// table and allocate nothing per edge.
+    ///
+    /// Each entry sums `P[i][j]` over the set bits of the code's mask,
+    /// `j` ascending from `0.0`: the additions, and so the bits, of a
+    /// loop over every `j` that adds where the mask's bit is set.
+    pub fn rebuild(&mut self, layout: &Layout, pmatrix: &[f64], masks: &[u32], codes: u64) {
         let (rates, states) = (layout.rates, layout.states);
         debug_assert_eq!(pmatrix.len(), layout.pmatrix_len());
-        let n_codes = masks.len();
-        self.n_codes = n_codes;
         self.rates = rates;
         self.states = states;
-        let len = n_codes * rates * states;
-        // Shrink-or-grow without reallocating when capacity suffices; all
-        // entries are overwritten below.
-        self.data.clear();
-        self.data.resize(len, 0.0);
-        for (code, &mask) in masks.iter().enumerate() {
-            for r in 0..rates {
-                let pm = &pmatrix[r * states * states..(r + 1) * states * states];
-                let out = &mut self.data
-                    [code * rates * states + r * states..code * rates * states + (r + 1) * states];
-                for (i, o) in out.iter_mut().enumerate() {
+        let len = masks.len() * rates * states;
+        if self.data.len() != len {
+            self.data.clear();
+            self.data.resize(len, 0.0);
+        }
+        let mut left = codes;
+        while left != 0 {
+            let code = left.trailing_zeros() as usize;
+            left &= left - 1;
+            let mask = masks[code];
+            let block = &mut self.data[code * rates * states..(code + 1) * rates * states];
+            for (out, pm) in
+                block.chunks_exact_mut(states).zip(pmatrix.chunks_exact(states * states))
+            {
+                for (o, row) in out.iter_mut().zip(pm.chunks_exact(states)) {
                     let mut sum = 0.0;
-                    let row = &pm[i * states..(i + 1) * states];
-                    for (j, &p) in row.iter().enumerate() {
-                        if (mask >> j) & 1 == 1 {
-                            sum += p;
-                        }
+                    let mut bits = mask;
+                    while bits != 0 {
+                        sum += row[bits.trailing_zeros() as usize];
+                        bits &= bits - 1;
                     }
                     *o = sum;
                 }
@@ -88,17 +110,6 @@ impl TipTable {
     pub fn code_rate(&self, code: u8, rate: usize) -> &[f64] {
         let base = code as usize * self.rates * self.states + rate * self.states;
         &self.data[base..base + self.states]
-    }
-
-    /// Number of codes covered.
-    #[inline]
-    pub fn n_codes(&self) -> usize {
-        self.n_codes
-    }
-
-    /// Heap bytes used (for memory accounting).
-    pub fn approx_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f64>()
     }
 }
 
@@ -163,7 +174,7 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_reuses_allocation_and_matches_build() {
+    fn rebuild_reuses_allocation_and_builds_only_the_codes_asked_for() {
         let layout = Layout::new(1, 2, 4);
         let mut p1 = identity_pmatrix();
         p1.extend(std::iter::repeat_n(0.25, 16));
@@ -175,10 +186,16 @@ mod tests {
         let masks = [0b0001, 0b0010, 0b0100, 0b1000, 0b1111];
         let mut t = TipTable::build(&layout, &p1, &masks);
         let ptr = t.data.as_ptr();
-        t.rebuild(&layout, &p2, &masks);
+        let codes = code_set(&[4, 1, 4]);
+        assert_eq!(codes, 0b10010);
+        t.rebuild(&layout, &p2, &masks, codes);
         assert_eq!(t.data.as_ptr(), ptr, "same-shape rebuild must not reallocate");
         let fresh = TipTable::build(&layout, &p2, &masks);
-        assert_eq!(t.data, fresh.data);
-        assert_eq!(t.n_codes(), 5);
+        for code in [1u8, 4] {
+            assert_eq!(t.code_block(code), fresh.code_block(code));
+        }
+        // Codes outside the set keep the earlier edge's rows.
+        let old = TipTable::build(&layout, &p1, &masks);
+        assert_eq!(t.code_block(0), old.code_block(0));
     }
 }

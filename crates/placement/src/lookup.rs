@@ -8,7 +8,8 @@
 //! branch midpoint, per site pattern. Prescoring a query against a branch
 //! is then a table walk over its sites — no CLV access at all.
 //!
-//! The table's footprint (`branches × patterns × (states+1) × 8 B`) is the
+//! The table's footprint (`branches × patterns × (states+1) × 8 B`, the
+//! `states` concrete columns plus the fully-ambiguous site term) is the
 //! single allocation whose fit decides between the fast path and the
 //! paper's ~23× slowdown cliff.
 

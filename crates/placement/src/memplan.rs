@@ -61,7 +61,8 @@ impl MemoryPlan {
 }
 
 /// Bytes of the lookup table for this reference: per branch, per pattern,
-/// `states + 1` linear-likelihood columns plus a scaler count.
+/// `states` linear-likelihood columns, the fully-ambiguous site term and a
+/// scaler count.
 pub fn lookup_bytes(ctx: &ReferenceContext) -> usize {
     let branches = ctx.tree().n_edges();
     let patterns = ctx.layout().patterns;

@@ -106,6 +106,16 @@ impl WarmStore {
     pub fn slot_stats(&self) -> phylo_amc::SlotStats {
         self.store.stats()
     }
+
+    /// The plan's tracked bytes by category, with the spill file's RAM
+    /// index as it stands now.
+    fn tracked(&self) -> phylo_amc::MemoryTracker {
+        let mut tracker = self.plan.tracker.clone();
+        if let Some(tiers) = &self.tiers {
+            tracker.allocate(phylo_amc::MemCategory::DiskTier, tiers.ram_bytes());
+        }
+        tracker
+    }
 }
 
 /// A configured placement engine over one reference.
@@ -207,11 +217,9 @@ impl Placer {
         if let Some(tiers) = &warm.tiers {
             report.tier_stats = Some(tiers.stats());
             // The spill file's index sits in RAM next to the plan's rows.
-            let mut tracker = warm.plan.tracker.clone();
-            tracker.allocate(phylo_amc::MemCategory::DiskTier, tiers.ram_bytes());
-            report.peak_memory = report.peak_memory.max(tracker.peak());
+            report.peak_memory = report.peak_memory.max(warm.tracked().peak());
         }
-        clock.seal(report, self.ctx.layout().tier(), &warm);
+        clock.seal(report, &self.ctx, &warm);
         Ok(outcome)
     }
 
@@ -283,7 +291,7 @@ impl Placer {
         }
         let mut control = RunControl { cancel: cancel.clone(), ..Default::default() };
         let mut outcome = self.run_chunks(warm, batch, &mut control, &[], threads.max(1))?;
-        clock.seal(&mut outcome.report, self.ctx.layout().tier(), warm);
+        clock.seal(&mut outcome.report, &self.ctx, warm);
         Ok(outcome)
     }
 
@@ -856,9 +864,9 @@ impl RunClock {
     }
 
     /// Stamps the finished report with the run's wall time and metrics.
-    fn seal(self, report: &mut RunReport, tier: phylo_kernel::KernelTier, warm: &WarmStore) {
+    fn seal(self, report: &mut RunReport, ctx: &ReferenceContext, warm: &WarmStore) {
         report.total_time = self.started.elapsed();
-        report.metrics = run_metrics(report, &self.obs_base, tier, warm);
+        report.metrics = run_metrics(report, &self.obs_base, ctx, warm);
     }
 }
 
@@ -873,16 +881,30 @@ impl RunClock {
 /// prescore's fan-outs ([`ScoringStats`]). The
 /// selected kernel tier is exported as exactly one `kernel.tier.<name>`
 /// gauge (the invariant the observability suite checks), alongside the
-/// site-parallel pool counters.
+/// site-parallel pool counters. Where the memory went is exported as
+/// gauges too: the plan's tracked bytes per category
+/// (`mem.tracked.<category>`, their sum `mem.tracked.total` and the peak
+/// `mem.tracked.peak`) and the reference's static data per table
+/// (`mem.static.<table>`).
 fn run_metrics(
     report: &RunReport,
     base: &phylo_obs::Baseline,
-    tier: phylo_kernel::KernelTier,
+    ctx: &ReferenceContext,
     warm: &WarmStore,
 ) -> phylo_obs::Snapshot {
     let pool = warm.store.sitepar_stats();
     let mut m = base.elapsed();
-    m.set_gauge(&format!("kernel.tier.{}", tier.name()), 1);
+    m.set_gauge(&format!("kernel.tier.{}", ctx.layout().tier().name()), 1);
+    let tracked = warm.tracked();
+    for cat in phylo_amc::MemCategory::all() {
+        let name = cat.to_string().replace('-', "_");
+        m.set_gauge(&format!("mem.tracked.{name}"), tracked.current(cat) as i64);
+    }
+    m.set_gauge("mem.tracked.total", tracked.total() as i64);
+    m.set_gauge("mem.tracked.peak", tracked.peak() as i64);
+    for (table, bytes) in ctx.static_split() {
+        m.set_gauge(&format!("mem.static.{table}"), bytes as i64);
+    }
     m.set_gauge("sitepar.pool.workers", pool.workers as i64);
     m.set_gauge("sitepar.pool.parked", pool.parked as i64);
     m.set_gauge("sitepar.pool.queue_depth", pool.queue_depth as i64);

@@ -128,11 +128,10 @@ pub struct ScoreScratch {
     pmatrix: Vec<f64>,
     /// Kernel working buffers (only touched by the generic fallback).
     kernel: KernelScratch,
-    /// Per-code state masks of the context's alphabet, computed once.
-    masks: Vec<u32>,
     /// [`rate_state_weights`] of the context, computed once.
     weights: Vec<f64>,
-    /// Reusable per-edge tip lookup (rebuilt, never reallocated).
+    /// Reusable tip rows of a pendant branch's leaf (rebuilt, never
+    /// reallocated).
     tip_table: TipTable,
     /// The partials at the attachment position [`score_thorough`] holds.
     partials: AttachmentPartials,
@@ -157,9 +156,7 @@ impl ScoreScratch {
     /// [`score_thorough`]'s attachment-position search uses.
     pub(crate) fn for_tables(ctx: &ReferenceContext) -> Self {
         let layout = ctx.layout();
-        let a = ctx.alphabet();
         let pmatrix = vec![0.0; layout.pmatrix_len()];
-        let masks: Vec<u32> = (0..a.n_codes()).map(|c| a.state_mask(c as u8)).collect();
         ScoreScratch {
             prox: vec![0.0; layout.clv_len()],
             prox_scale: vec![0; layout.patterns],
@@ -167,9 +164,8 @@ impl ScoreScratch {
             dist_scale: vec![0; layout.patterns],
             kernel: KernelScratch::for_layout(layout),
             // Built once at its final size: every rebuild reuses it.
-            tip_table: TipTable::build(layout, &pmatrix, &masks),
+            tip_table: TipTable::build(layout, &pmatrix, ctx.alphabet().state_masks()),
             pmatrix,
-            masks,
             weights: rate_state_weights(ctx),
             partials: AttachmentPartials::sized(ctx),
             search: Default::default(),
@@ -203,7 +199,8 @@ impl ScoreScratch {
 }
 
 /// Propagates one side of `edge` (the orientation `d`) through the
-/// per-rate transition matrices `pm` of a branch segment into `out`. All
+/// per-rate transition matrices `pm` of a branch segment into `out`; a
+/// leaf's side builds the tip rows of its own codes from `pm`. All
 /// working storage (`tip_table`, `kernel`) is caller-owned and reused.
 #[allow(clippy::too_many_arguments)]
 fn propagate_partial(
@@ -212,7 +209,6 @@ fn propagate_partial(
     d: phylo_tree::DirEdgeId,
     pm: &[f64],
     tip_table: &mut TipTable,
-    masks: &[u32],
     kernel: &mut KernelScratch,
     out: &mut [f64],
     out_scale: &mut [u32],
@@ -220,7 +216,8 @@ fn propagate_partial(
     let layout = ctx.layout();
     match store.side(ctx, d) {
         phylo_engine::EdgeSide::Tip(node) => {
-            tip_table.rebuild(layout, pm, masks);
+            let masks = ctx.alphabet().state_masks();
+            tip_table.rebuild(layout, pm, masks, ctx.tip_code_set(node));
             let side = Side::Tip { table: tip_table, codes: ctx.tip_codes(node) };
             propagate_scratch(layout, side, out, out_scale, 0..layout.patterns, kernel);
         }
@@ -257,21 +254,20 @@ pub fn attachment_partials_into(
         dist_scale,
         pmatrix,
         kernel,
-        masks,
         weights,
         tip_table,
         ..
     } = scratch;
     pmatrix.resize(layout.pmatrix_len(), 0.0);
     ctx.model().transition_matrices(t_prox, pmatrix);
-    propagate_partial(ctx, store, d_prox, pmatrix, tip_table, masks, kernel, prox, prox_scale);
+    propagate_partial(ctx, store, d_prox, pmatrix, tip_table, kernel, prox, prox_scale);
     // At the midpoint — every lookup-table row, every prescore-sweep
     // branch, the first evaluation of every thorough pair — both halves
     // have the same length, hence the same matrices.
     if t_dist != t_prox {
         ctx.model().transition_matrices(t_dist, pmatrix);
     }
-    propagate_partial(ctx, store, d_dist, pmatrix, tip_table, masks, kernel, dist, dist_scale);
+    propagate_partial(ctx, store, d_dist, pmatrix, tip_table, kernel, dist, dist_scale);
     out.assign(weights, prox, prox_scale, dist, dist_scale);
 }
 
@@ -290,11 +286,14 @@ pub fn attachment_partials(
 
 /// A per-branch prescore table: for each pattern, the linear likelihood of
 /// attaching a query residue of each concrete state (columns `0..states`),
-/// plus the fully-ambiguous column (`states`). This is one row of the
-/// paper's preplacement lookup table.
+/// plus the fully-ambiguous column (`states`), which holds its site term
+/// (`log_term` of the columns' sum) because a gap or unknown residue is
+/// only ever read through the logarithm. This is one row of the paper's
+/// preplacement lookup table.
 #[derive(Debug, Clone)]
 pub struct BranchScoreTable {
-    /// `[pattern][state+1]` linear likelihoods.
+    /// `[pattern][state+1]`: linear likelihoods, then the fully-ambiguous
+    /// site term.
     pub table: Vec<f64>,
     /// Per-pattern scaler counts.
     pub scale: Vec<u32>,
@@ -392,7 +391,12 @@ impl BranchScoreTable {
         self.scale.extend_from_slice(&partials.scale);
         // Every fill writes every entry: no clear.
         self.table.resize(layout.patterns * (layout.states + 1), 0.0);
-        TableFill { wab: &partials.wab, pm: &eval.pm, table: &mut self.table }
+        TableFill {
+            wab: &partials.wab,
+            scale: &partials.scale,
+            pm: &eval.pm,
+            table: &mut self.table,
+        }
     }
 
     /// Bytes this table occupies.
@@ -402,8 +406,8 @@ impl BranchScoreTable {
 
     /// Prescoring: the log-likelihood of this query at this branch, walking
     /// the per-site table. Ambiguity codes sum the matching concrete
-    /// columns; the fully-ambiguous (gap/unknown) code uses the
-    /// precomputed sum column.
+    /// columns; the fully-ambiguous (gap/unknown) code reads its
+    /// precomputed site term.
     pub fn prescore(&self, ctx: &ReferenceContext, site_to_pattern: &[u32], codes: &[u8]) -> f64 {
         self.walk(ctx, site_to_pattern, codes, |idx, p| self.log_entry(self.table[idx], p))
     }
@@ -412,10 +416,11 @@ impl BranchScoreTable {
     /// `out(query index, score)`. A query reads `sites` table entries and
     /// takes the logarithm of each, and the table has only
     /// `patterns × (states + 1)` distinct ones: when the queries together
-    /// read more entries than the table holds, every entry's logarithm is
-    /// taken once into `log_row` (a scratch row the caller reuses across
-    /// branches) and the queries add from it — the same terms in the same
-    /// order, so the same bits.
+    /// read more entries than the table holds, every concrete entry's
+    /// logarithm is taken once into `log_row` (a scratch row the caller
+    /// reuses across branches; the fully-ambiguous column is copied, being
+    /// a site term already) and the queries add from it — the same terms
+    /// in the same order, so the same bits.
     ///
     /// [`prescore`]: BranchScoreTable::prescore
     pub fn prescore_chunk<'q>(
@@ -435,7 +440,9 @@ impl BranchScoreTable {
         let width = self.states + 1;
         log_row.clear();
         for (p, row) in self.table.chunks_exact(width).enumerate() {
-            log_row.extend(row.iter().map(|&lik| self.log_entry(lik, p)));
+            let (concrete, unknown) = row.split_at(self.states);
+            log_row.extend(concrete.iter().map(|&lik| self.log_entry(lik, p)));
+            log_row.extend_from_slice(unknown);
         }
         for (q, codes) in queries.enumerate() {
             out(q, self.walk(ctx, site_to_pattern, codes, |idx, _| log_row[idx]));
@@ -449,8 +456,9 @@ impl BranchScoreTable {
     }
 
     /// The site walk behind every prescore: `log_of(index into the table,
-    /// pattern)` supplies the term of a site that reads a single entry; a
-    /// partial-ambiguity code sums its columns linearly first.
+    /// pattern)` supplies the term of a concrete residue, the fully-ambiguous
+    /// column holds its own, and a partial-ambiguity code sums its columns
+    /// linearly first.
     #[inline(always)]
     fn walk(
         &self,
@@ -469,7 +477,7 @@ impl BranchScoreTable {
             total += if (code as usize) < states {
                 log_of(base + code as usize, p)
             } else if code == unknown {
-                log_of(base + states, p)
+                self.table[base + states]
             } else {
                 let mask = alphabet.state_mask(code);
                 let mut sum = 0.0;
@@ -494,13 +502,15 @@ fn log_term(lik: f64, scalers: u32) -> f64 {
 }
 
 /// One table fill: `table[p][j] = Σ_r Σ_i WAB[p][r][i]·P_r[i][j]` for
-/// `j < states`, and their sum in column `states`, with
-/// `WAB = (w_r·π_i)·AB[i]` as the partials hold it. Rates outer, states
-/// inner, exact-zero weights skipped — the order [`QueryEvaluator::score`]
-/// reproduces.
+/// `j < states`, and the [`log_term`] of their sum in column `states`,
+/// with `WAB = (w_r·π_i)·AB[i]` as the partials hold it. Rates outer,
+/// states inner, exact-zero weights skipped — the order
+/// [`QueryEvaluator::score`] reproduces.
 struct TableFill<'a> {
     /// `[pattern][rate][state]` weighted attachment partials.
     wab: &'a [f64],
+    /// Per-pattern scaler counts of the partials.
+    scale: &'a [u32],
     /// `[rate][i][j]`: the pendant branch's transition matrices.
     pm: &'a [f64],
     /// `[pattern][state + 1]`, fully overwritten.
@@ -513,7 +523,8 @@ impl TableFill<'_> {
     #[inline(always)]
     fn fixed<const S: usize>(self) {
         let stride = self.pm.len() / S;
-        for (out, wab) in self.table.chunks_exact_mut(S + 1).zip(self.wab.chunks_exact(stride)) {
+        let rows = self.table.chunks_exact_mut(S + 1).zip(self.wab.chunks_exact(stride));
+        for ((out, wab), &scalers) in rows.zip(self.scale) {
             let mut row = [0.0f64; S];
             for (wab, pmr) in wab.chunks_exact(S).zip(self.pm.chunks_exact(S * S)) {
                 for i in 0..S {
@@ -528,7 +539,7 @@ impl TableFill<'_> {
                 }
             }
             out[..S].copy_from_slice(&row);
-            out[S] = row.iter().sum();
+            out[S] = log_term(row.iter().sum(), scalers);
         }
     }
 
@@ -579,7 +590,7 @@ impl TableFill<'_> {
                     }
                 }
             }
-            row[states] = row[..states].iter().sum();
+            row[states] = log_term(row[..states].iter().sum(), self.scale[p]);
         }
     }
 }
@@ -1181,7 +1192,9 @@ mod tests {
         // Sharper than comparing log-likelihoods (`ln` swallows a last-bit
         // difference): every linear site likelihood, for every code, is
         // the table's entry — through the fixed-size loop and the generic
-        // one alike.
+        // one alike. The fully-ambiguous column holds a site term, so
+        // there the evaluator's likelihood goes through the same
+        // `log_term` before the bits are compared.
         let (ctx, _) = setup_with(9, 50, 5, gtr_gamma());
         let store = ManagedStore::full(&ctx);
         let alphabet = ctx.alphabet();
@@ -1199,12 +1212,15 @@ mod tests {
             for p in 0..ctx.layout().patterns {
                 let row = &table.table[p * (states + 1)..(p + 1) * (states + 1)];
                 for code in 0..alphabet.n_codes() as u8 {
-                    let want = if code == alphabet.unknown_code() {
+                    let unknown = code == alphabet.unknown_code();
+                    let want = if unknown {
                         row[states]
                     } else {
                         let mask = alphabet.state_mask(code);
                         (0..states).filter(|j| (mask >> j) & 1 == 1).fold(0.0, |s, j| s + row[j])
                     };
+                    let as_stored =
+                        |lik: f64| if unknown { log_term(lik, table.scale[p]) } else { lik };
                     let fixed = evaluator.site_likelihood(4, &mut [0.0; 4], &sites, p, code);
                     let generic = evaluator.site_likelihood(
                         std::hint::black_box(states),
@@ -1213,6 +1229,7 @@ mod tests {
                         p,
                         code,
                     );
+                    let (fixed, generic) = (as_stored(fixed), as_stored(generic));
                     assert_eq!(fixed.to_bits(), want.to_bits(), "{e:?} p={p} code={code}");
                     assert_eq!(generic.to_bits(), want.to_bits(), "{e:?} p={p} code={code}");
                 }

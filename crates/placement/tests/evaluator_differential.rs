@@ -208,7 +208,9 @@ proptest! {
                     }
                 }
             }
-            row[states] = row[..states].iter().sum();
+            // The fully-ambiguous column holds the sum's site term.
+            let sum: f64 = row[..states].iter().sum();
+            row[states] = sum.ln() - scale[p] as f64 * LN_SCALE;
         }
         prop_assert_eq!(fast.table.len(), layout.patterns * width);
         prop_assert_eq!(fast.table.len(), oracle.table.len());
@@ -253,12 +255,18 @@ proptest! {
             prop_assert_eq!(got[q].to_bits(), want.to_bits(), "query {} of {}", q, n_queries);
         }
         // Both sides of the cost rule come up; past it, the row holds
-        // every entry's term of the sum.
+        // every entry's term of the sum: a concrete column's logarithm,
+        // and the fully-ambiguous column's term as the table stores it.
         if n_queries * sites > table.table.len() {
-            let width = ctx.layout().states + 1;
+            let states = ctx.layout().states;
+            let width = states + 1;
             prop_assert_eq!(log_row.len(), table.table.len());
-            for (i, (&log, &lik)) in log_row.iter().zip(&table.table).enumerate() {
-                let want = lik.ln() - table.scale[i / width] as f64 * LN_SCALE;
+            for (i, (&log, &entry)) in log_row.iter().zip(&table.table).enumerate() {
+                let want = if i % width == states {
+                    entry
+                } else {
+                    entry.ln() - table.scale[i / width] as f64 * LN_SCALE
+                };
                 prop_assert_eq!(log.to_bits(), want.to_bits(), "entry {}", i);
             }
         }

@@ -154,9 +154,7 @@ impl PplacerLike {
         let mut tip_table = TipTable::empty();
         let mut partials = AttachmentPartials::empty();
         let weights = rate_state_weights(&self.ctx);
-        let masks: Vec<u32> = (0..self.ctx.alphabet().n_codes())
-            .map(|c| self.ctx.alphabet().state_mask(c as u8))
-            .collect();
+        let masks = self.ctx.alphabet().state_masks();
 
         let scratch_bytes =
             4 * layout.clv_len() * 8 + 4 * layout.patterns * 4 + layout.pmatrix_len() * 8;
@@ -202,7 +200,7 @@ impl PplacerLike {
                     let d = DirEdgeId::new(e, side_idx as u8);
                     let node = self.ctx.tree().src(d);
                     if self.ctx.tree().is_leaf(node) {
-                        tip_table.rebuild(&layout, &pm, &masks);
+                        tip_table.rebuild(&layout, &pm, masks, self.ctx.tip_code_set(node));
                         let side = Side::Tip { table: &tip_table, codes: self.ctx.tip_codes(node) };
                         propagate_scratch(
                             &layout,

@@ -144,6 +144,12 @@ impl Alphabet {
         self.masks[code as usize]
     }
 
+    /// Every code's [`state_mask`](Alphabet::state_mask), indexed by code.
+    #[inline]
+    pub fn state_masks(&self) -> &[u32] {
+        &self.masks
+    }
+
     /// True if the code is a concrete (unambiguous) state.
     #[inline]
     pub fn is_concrete(&self, code: u8) -> bool {

@@ -52,9 +52,8 @@ impl Adjacency {
 /// * all branch lengths are finite and non-negative;
 /// * taxon names are unique.
 ///
-/// The tree is immutable after construction except for branch lengths
-/// ([`Tree::set_edge_length`]); likelihood-based placement never changes the
-/// reference topology.
+/// The tree is immutable after construction; likelihood-based placement
+/// never changes the reference topology or its branch lengths.
 #[derive(Debug, Clone)]
 pub struct Tree {
     n_leaves: usize,
@@ -151,16 +150,6 @@ impl Tree {
     #[inline]
     pub fn edge_length(&self, e: EdgeId) -> f64 {
         self.edges[e.idx()].length
-    }
-
-    /// Overwrites the branch length of `e` (used by branch-length
-    /// optimization during thorough placement).
-    pub fn set_edge_length(&mut self, e: EdgeId, length: f64) -> Result<(), TreeError> {
-        if !length.is_finite() || length < 0.0 {
-            return Err(TreeError::BadBranchLength { edge: e.0, value: length });
-        }
-        self.edges[e.idx()].length = length;
-        Ok(())
     }
 
     /// Source node of a directed edge `x → y` (that is, `x`).
@@ -507,15 +496,6 @@ mod tests {
         b.add_leaf("A");
         b.add_leaf("B");
         assert!(matches!(b.build(), Err(TreeError::TooFewLeaves(2))));
-    }
-
-    #[test]
-    fn set_edge_length_validates() {
-        let mut t = tripod(["A", "B", "C"], [0.1, 0.2, 0.3]).unwrap();
-        t.set_edge_length(EdgeId(0), 0.5).unwrap();
-        assert_eq!(t.edge_length(EdgeId(0)), 0.5);
-        assert!(t.set_edge_length(EdgeId(0), -1.0).is_err());
-        assert!(t.set_edge_length(EdgeId(0), f64::NAN).is_err());
     }
 
     #[test]

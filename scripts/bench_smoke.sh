@@ -14,7 +14,9 @@ out_dir="${1:-.}"
 
 # Observability smoke: an end-to-end CLI run under a tight --maxmem must
 # emit a metrics JSON that parses and shows real slot traffic (non-zero
-# slot.misses — CLVs were recomputed under the budget).
+# slot.misses — CLVs were recomputed under the budget), and says where
+# the tracked memory went: one gauge per tracked category, summing to
+# the tracked total, and the static data split by table.
 echo "==> observability smoke (--metrics-json under tight --maxmem)"
 cargo build --release --bin phyloplace
 obsdir="$(mktemp -d -t obs_smoke.XXXXXX)"
@@ -59,10 +61,19 @@ assert hits > 0, "expected non-zero slot.hits under a tight --maxmem"
 # The release binary is the instrumented one: kernel time is recorded.
 op_ns = metrics["histograms"]["engine.op_ns"]
 assert op_ns["count"] == metrics["counters"]["engine.ops"] > 0, op_ns
+gauges = metrics["gauges"]
+categories = ["clv_slots", "lookup_table", "chunk_buffers", "static_data", "disk_tier"]
+tracked = {c: gauges[f"mem.tracked.{c}"] for c in categories}
+total = gauges["mem.tracked.total"]
+assert sum(tracked.values()) == total > 0, f"categories {tracked} do not sum to {total}"
+assert total <= gauges["mem.tracked.peak"], (total, gauges["mem.tracked.peak"])
+static = {k: v for k, v in gauges.items() if k.startswith("mem.static.")}
+assert sum(static.values()) == tracked["static_data"] > 0, f"{static} vs {tracked}"
 trace = json.load(open(sys.argv[2]))
 names = {e["name"] for e in trace["traceEvents"]}
 assert "prescore" in names and "thorough" in names, f"missing phase spans: {sorted(names)}"
 print(f"metrics OK: hits={hits} misses={misses} acquires={acquires}; "
+      f"tracked {total} B = {tracked}; static {static}; "
       f"trace OK: {len(trace['traceEvents'])} events")
 EOF
 

@@ -165,3 +165,38 @@ fn amc_store_stays_consistent_across_many_sweeps() {
     }
     assert!(store.stats().evictions > 0, "min slots must evict on this tree");
 }
+
+#[test]
+fn static_data_has_no_leaves_by_codes_term() {
+    // The reference's static footprint is what the floor budget charges
+    // before a single CLV slot. Tip rows are built per operation, so it
+    // holds the transition matrices, the leaves' codes, the pattern
+    // weights, the traversal costs and one 8-byte code set per leaf —
+    // nothing that grows with leaves × alphabet codes.
+    let (ds, _, _) = setup();
+    let ctx = ctx_of(&ds);
+    let tree = ctx.tree();
+    let n_leaves = tree.n_leaves();
+    let pmatrices = tree.n_edges() * ctx.layout().pmatrix_len() * 8;
+    let tip_codes: usize =
+        (0..n_leaves).map(|l| ctx.tip_codes(phyloplace::tree::NodeId(l as u32)).len()).sum();
+    let weights = ctx.pattern_weights().len() * 4;
+    let costs = (ctx.cost_table().len() + ctx.register_need().len()) * 4;
+    let bound = pmatrices + tip_codes + weights + costs + 8 * n_leaves;
+    assert!(
+        ctx.approx_bytes() <= bound,
+        "static data {} B exceeds {} B: pmatrices {}, tip codes {}, weights {}, costs {}, \
+         {} leaves × 8 B",
+        ctx.approx_bytes(),
+        bound,
+        pmatrices,
+        tip_codes,
+        weights,
+        costs,
+        n_leaves
+    );
+    // A table of every code per leaf would be far outside the bound.
+    let per_leaf_table =
+        ctx.alphabet().n_codes() * ctx.layout().pmatrix_len() / ctx.layout().states;
+    assert!(n_leaves * per_leaf_table * 8 > bound - ctx.approx_bytes());
+}
