@@ -21,9 +21,9 @@ pub enum MemCategory {
     /// Per-chunk buffers: each query's sequence and its kept candidate
     /// list (∝ chunk size × (sites + k · 16 B)), nothing per branch.
     ChunkBuffers,
-    /// The reference context's static tables: per-edge transition
-    /// matrices, tip codes and per-leaf code sets, pattern weights and
-    /// traversal costs (`ReferenceContext::approx_bytes`).
+    /// The reference context's static tables: tip codes and per-leaf
+    /// code sets, pattern weights and traversal costs
+    /// (`ReferenceContext::approx_bytes`).
     StaticData,
     /// The per-key index of the CLV spill file (the records themselves
     /// live on disk, outside the RAM budget).

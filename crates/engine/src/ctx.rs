@@ -8,12 +8,14 @@ use phylo_seq::alphabet::Alphabet;
 use phylo_seq::PatternMsa;
 use phylo_tree::stats::{min_slots_bound, register_need, subtree_leaf_counts};
 use phylo_tree::{EdgeId, NodeId, Tree};
+use std::sync::OnceLock;
 
 /// Everything immutable a likelihood computation over the reference tree
-/// needs: the tree, the compiled model, per-leaf encoded patterns, and the
-/// per-edge transition matrices. It holds no tip rows: an operation with
-/// a tip child builds that leaf's rows from the edge's matrices
-/// ([`phylo_kernel::tips`]), for the codes in [`tip_code_set`].
+/// needs: the tree, the compiled model and per-leaf encoded patterns. It
+/// holds no transition matrices and no tip rows: an operation builds its
+/// child edges' matrices from their lengths
+/// ([`SubstModel::transition_matrices`]), and a tip child's rows from
+/// those ([`phylo_kernel::tips`]) for the codes in [`tip_code_set`].
 ///
 /// [`tip_code_set`]: ReferenceContext::tip_code_set
 pub struct ReferenceContext {
@@ -26,8 +28,11 @@ pub struct ReferenceContext {
     tip_codes: Vec<Vec<u8>>,
     /// Per leaf: the set of codes its row uses ([`code_set`]).
     tip_code_sets: Vec<u64>,
-    /// Per edge: per-rate transition matrices, `pmatrix_len` each.
-    pmatrices: Vec<f64>,
+    /// Per edge: its transition matrices once [`pmatrix`] has been asked
+    /// for them, `pmatrix_len` each; empty otherwise.
+    ///
+    /// [`pmatrix`]: ReferenceContext::pmatrix
+    pmatrix_cells: Vec<OnceLock<Box<[f64]>>>,
     /// Per directed edge: subtree leaf count (recomputation-cost proxy).
     costs: Vec<u32>,
     /// Per directed edge: Sethi–Ullman register need.
@@ -74,15 +79,11 @@ impl ReferenceContext {
             tip_codes.push(patterns.row(row).to_vec());
         }
         let tip_code_sets = tip_codes.iter().map(|codes| code_set(codes)).collect();
-        let pm_len = layout.pmatrix_len();
-        let mut pmatrices = vec![0.0; tree.n_edges() * pm_len];
-        for (e, block) in pmatrices.chunks_exact_mut(pm_len).enumerate() {
-            model.transition_matrices(tree.edge_length(EdgeId(e as u32)), block);
-        }
+        let pmatrix_cells = (0..tree.n_edges()).map(|_| OnceLock::new()).collect();
         let costs = subtree_leaf_counts(&tree);
         let need = register_need(&tree);
         let mean_branch_length = mean_branch_length(&tree);
-        Ok(ReferenceContext {
+        let mut ctx = ReferenceContext {
             tree,
             model,
             alphabet,
@@ -90,11 +91,23 @@ impl ReferenceContext {
             pattern_weights: patterns.weights().to_vec(),
             tip_codes,
             tip_code_sets,
-            pmatrices,
+            pmatrix_cells,
             costs,
             register_need: need,
             mean_branch_length,
-        })
+        };
+        ctx.select_model_fill();
+        Ok(ctx)
+    }
+
+    /// Lets the model's `P(t)` build run its AVX2 instance exactly when the
+    /// kernels dispatched for this context's layout do
+    /// ([`phylo_kernel::simd::runs_avx2`]). Bits do not depend on it.
+    fn select_model_fill(&mut self) {
+        let on = phylo_kernel::simd::runs_avx2(&self.layout);
+        // SAFETY: `runs_avx2` holds only if the SIMD backend verified AVX2
+        // at runtime.
+        unsafe { self.model.set_avx2_fill(on) };
     }
 
     /// Overrides the kernel tier every computation over this context
@@ -103,6 +116,7 @@ impl ReferenceContext {
     /// store is built from this context so the whole run uses one tier.
     pub fn set_kernel_tier(&mut self, choice: phylo_kernel::TierChoice) {
         self.layout = self.layout.with_tier(choice);
+        self.select_model_fill();
     }
 
     /// The reference tree.
@@ -165,11 +179,21 @@ impl ReferenceContext {
         self.tip_code_sets[leaf.idx()]
     }
 
-    /// The per-rate transition matrices of an edge.
-    #[inline]
+    /// The per-rate transition matrices of an edge, built on the first
+    /// call for that edge and kept (and counted in [`static_split`]) from
+    /// then on. The bits of the per-operation build: the same
+    /// [`SubstModel::transition_matrices`] call on the same length.
+    ///
+    /// Kept for the benchmark harness's kernel probe only; the engine and
+    /// placement build matrices per use and never call it.
+    ///
+    /// [`static_split`]: ReferenceContext::static_split
     pub fn pmatrix(&self, e: EdgeId) -> &[f64] {
-        let len = self.layout.pmatrix_len();
-        &self.pmatrices[e.idx() * len..(e.idx() + 1) * len]
+        self.pmatrix_cells[e.idx()].get_or_init(|| {
+            let mut pm = vec![0.0; self.layout.pmatrix_len()];
+            self.model.transition_matrices(self.tree.edge_length(e), &mut pm);
+            pm.into_boxed_slice()
+        })
     }
 
     /// Per-directed-edge recomputation-cost proxies (subtree leaf counts),
@@ -196,9 +220,15 @@ impl ReferenceContext {
 
     /// Bytes of the static tables this context holds, by table: the
     /// `StaticData` term of a memory plan, split for reporting.
+    /// `pmatrices` is the [`pmatrix`] cells: one empty cell per edge, and
+    /// the matrices of the edges asked for.
+    ///
+    /// [`pmatrix`]: ReferenceContext::pmatrix
     pub fn static_split(&self) -> [(&'static str, usize); 5] {
+        let built = self.pmatrix_cells.iter().filter(|c| c.get().is_some()).count();
+        let cells = self.pmatrix_cells.len() * std::mem::size_of::<OnceLock<Box<[f64]>>>();
         [
-            ("pmatrices", self.pmatrices.len() * 8),
+            ("pmatrices", cells + built * self.layout.pmatrix_len() * 8),
             ("tip_codes", self.tip_codes.iter().map(|c| c.len()).sum()),
             ("tip_code_sets", self.tip_code_sets.len() * 8),
             ("pattern_weights", self.pattern_weights.len() * 4),

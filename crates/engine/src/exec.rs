@@ -20,12 +20,12 @@ use phylo_kernel::KernelScratch;
 /// with `par = Some((pool, n_chunks))` the step's pattern range is split
 /// into `n_chunks` ranges run on the store's persistent [`SiteParPool`]
 /// (the paper's across-site experimental parallelization, Fig. 7 — the
-/// pool outlives the run, so no threads are spawned per op). A tip
-/// child's rows are built per op from its edge's transition matrices into
-/// `scratch`'s [`KernelScratch::tips`], for the leaf's codes only;
-/// otherwise `scratch` is only touched by the generic kernel fallback.
-/// The store owns a pool of them, so once a scratch is warm an op
-/// allocates nothing.
+/// pool outlives the run, so no threads are spawned per op). Each step
+/// builds its two child edges' transition matrices from their lengths
+/// into `scratch`'s [`KernelScratch::pmatrices`], and a tip child's rows
+/// from them into [`KernelScratch::tips`], for the leaf's codes only;
+/// the reference holds neither. The store owns a pool of scratches, so
+/// once a scratch is warm an op allocates nothing.
 ///
 /// The caller must hold the plan's execution pins (see
 /// `phylo_amc::ensure_resident`), which make the ops' slot assignments
@@ -91,20 +91,24 @@ fn execute_op(
         }
     }
     let view = arena.compute_view(op.slot, child_slots);
-    // The tip rows leave the scratch for the op, so that the sides can
-    // borrow them while the kernel borrows the rest of it; moving a table
-    // moves its allocation, it does not copy it.
+    // The child edges' matrices and the tip rows leave the scratch for the
+    // op, so that the sides can borrow them while the kernel borrows the
+    // rest of it; moving a buffer moves its allocation, it does not copy
+    // it. Each child's matrices are built from its edge's length, and a
+    // tip child's rows from those matrices.
+    let mut pmatrices = std::mem::take(&mut scratch.pmatrices);
     let mut tips = std::mem::take(&mut scratch.tips);
-    for (k, tip) in tips.iter_mut().enumerate() {
+    for (k, (pm, tip)) in pmatrices.iter_mut().zip(&mut tips).enumerate() {
+        pm.resize(layout.pmatrix_len(), 0.0);
+        ctx.model().transition_matrices(ctx.tree().edge_length(op.dep_edges[k].edge()), pm);
         if let DepSource::Tip(node) = op.deps[k] {
-            let pm = ctx.pmatrix(op.dep_edges[k].edge());
             tip.rebuild(&layout, pm, ctx.alphabet().state_masks(), ctx.tip_code_set(node));
         }
     }
     let side = |k: usize| match (op.deps[k], view.children[k]) {
         (DepSource::Tip(node), _) => Side::Tip { table: &tips[k], codes: ctx.tip_codes(node) },
         (DepSource::Slot(_), Some((clv, scale))) => {
-            Side::Clv { clv, scale: Some(scale), pmatrix: ctx.pmatrix(op.dep_edges[k].edge()) }
+            Side::Clv { clv, scale: Some(scale), pmatrix: &pmatrices[k] }
         }
         (DepSource::Slot(_), None) => unreachable!("every slot dependency is in the view"),
     };
@@ -126,6 +130,7 @@ fn execute_op(
             pool.update_partials(&layout, left, right, view.target_clv, view.target_scale, n_chunks)
         }
     }
+    scratch.pmatrices = pmatrices;
     scratch.tips = tips;
     if let (Some(tiers), Some(t0)) = (arena.tiers(), tier_t0) {
         let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);

@@ -4,8 +4,8 @@
 //!
 //! * [`ctx::ReferenceContext`] — everything static about a reference
 //!   analysis: the tree, the compiled substitution model, compressed site
-//!   patterns, per-leaf tip encodings and code sets, per-edge transition
-//!   matrices, subtree-cost and register-need tables (tip rows are built
+//!   patterns, per-leaf tip encodings and code sets, subtree-cost and
+//!   register-need tables (transition matrices and tip rows are built
 //!   per operation, not stored);
 //! * [`store`] — the two CLV storage policies behind one interface:
 //!   [`store::FullStore`] materializes all `3(n−2)` directional CLVs

@@ -25,18 +25,21 @@ pub fn tree_log_likelihood(
     let d0 = DirEdgeId::new(edge, 0);
     let d1 = DirEdgeId::new(edge, 1);
     let block = store.prepare(ctx, &[d0, d1])?;
-    let ll = evaluate_prepared_edge(ctx, store, edge, &mut TipTable::empty());
+    let mut pmatrix = vec![0.0; ctx.layout().pmatrix_len()];
+    let ll = evaluate_prepared_edge(ctx, store, edge, &mut pmatrix, &mut TipTable::empty());
     store.release(block);
     Ok(ll)
 }
 
 /// Evaluates the likelihood at `edge` assuming both orientations are
-/// already prepared (inside a `prepare`/`release` window). A pendant
-/// edge's tip rows are built into `tip`.
+/// already prepared (inside a `prepare`/`release` window). The edge's
+/// transition matrices are built into `pmatrix` (`rates × states²`), and
+/// a pendant edge's tip rows into `tip`.
 pub fn evaluate_prepared_edge(
     ctx: &ReferenceContext,
     store: &ManagedStore,
     edge: EdgeId,
+    pmatrix: &mut [f64],
     tip: &mut TipTable,
 ) -> f64 {
     let mut d_u = DirEdgeId::new(edge, 0);
@@ -48,7 +51,7 @@ pub fn evaluate_prepared_edge(
     }
     let (u_clv, u_scale) =
         store.clv_of(ctx, d_u).expect("at least one side of a branch is an inner node");
-    let v_side = store.kernel_side(ctx, d_v, tip);
+    let v_side = store.kernel_side(ctx, d_v, pmatrix, tip);
     let layout = ctx.layout();
     edge_log_likelihood(
         layout,

@@ -346,27 +346,30 @@ impl ManagedStore {
     }
 
     /// A kernel-ready [`Side`] view of a directed edge `d = x → y`,
-    /// propagated across its own branch (the transition matrices of
-    /// `d.edge()`; for a leaf, its tip rows, built into the caller's
-    /// `tip`). This is the "everything beyond the branch" term of an edge
+    /// propagated across its own branch: the transition matrices of
+    /// `d.edge()`, built into the caller's `pmatrix` (`rates × states²`),
+    /// and for a leaf its tip rows, built from them into the caller's
+    /// `tip`. This is the "everything beyond the branch" term of an edge
     /// likelihood. Lock-free: the caller must hold the edge in a prepared
     /// (hence pinned and published) block.
     pub fn kernel_side<'a>(
         &'a self,
         ctx: &'a ReferenceContext,
         d: DirEdgeId,
+        pmatrix: &'a mut [f64],
         tip: &'a mut TipTable,
     ) -> Side<'a> {
+        ctx.model().transition_matrices(ctx.tree().edge_length(d.edge()), pmatrix);
         match self.side(ctx, d) {
             EdgeSide::Tip(node) => {
                 let (masks, codes) = (ctx.alphabet().state_masks(), ctx.tip_code_set(node));
-                tip.rebuild(ctx.layout(), ctx.pmatrix(d.edge()), masks, codes);
+                tip.rebuild(ctx.layout(), pmatrix, masks, codes);
                 Side::Tip { table: tip, codes: ctx.tip_codes(node) }
             }
             EdgeSide::Resident(slot) => Side::Clv {
                 clv: self.arena.clv(slot),
                 scale: Some(self.arena.scale(slot)),
-                pmatrix: ctx.pmatrix(d.edge()),
+                pmatrix,
             },
         }
     }

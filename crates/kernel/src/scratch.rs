@@ -12,10 +12,11 @@
 //! [`KernelScratch::new`] (which allocates nothing) is free on those
 //! paths.
 //!
-//! A CLV update with tip children also needs those leaves' tip rows. The
-//! reference keeps none ([`crate::tips`]); the caller builds them per
-//! operation into [`KernelScratch::tips`], which a warm scratch holds at
-//! full size, so that costs no allocation either.
+//! A CLV update also needs its two child edges' transition matrices, and
+//! for tip children those leaves' tip rows. The reference keeps neither
+//! ([`crate::tips`]); the caller builds them per operation into
+//! [`KernelScratch::pmatrices`] and [`KernelScratch::tips`], which a warm
+//! scratch holds at full size, so that costs no allocation either.
 
 use crate::layout::Layout;
 use crate::tips::TipTable;
@@ -30,6 +31,10 @@ pub struct KernelScratch {
     pub(crate) rbuf: Vec<f64>,
     /// Accumulator for multi-side products ([`crate::likelihood::point_log_likelihood`]).
     pub(crate) acc: Vec<f64>,
+    /// Transition matrices of an operation's two child edges, by child
+    /// position, `rates × states²` each: built by the caller before the
+    /// kernel call, never touched by kernels.
+    pub pmatrices: [Vec<f64>; 2],
     /// Tip rows of an operation's two children, by child position: built
     /// by the caller before the kernel call, never touched by kernels.
     pub tips: [TipTable; 2],
@@ -42,15 +47,17 @@ impl KernelScratch {
             lbuf: Vec::new(),
             rbuf: Vec::new(),
             acc: Vec::new(),
+            pmatrices: [Vec::new(), Vec::new()],
             tips: [TipTable::empty(), TipTable::empty()],
         }
     }
 
     /// A scratch pre-sized for a layout, so even the first kernel call
-    /// does not allocate.
+    /// does not allocate, nor the first transition-matrix build.
     pub fn for_layout(layout: &Layout) -> Self {
         let mut s = Self::new();
         s.ensure(layout.states);
+        s.pmatrices = [vec![0.0; layout.pmatrix_len()], vec![0.0; layout.pmatrix_len()]];
         s
     }
 
@@ -87,5 +94,6 @@ mod tests {
         assert_eq!(s.lbuf.len(), 7);
         assert_eq!(s.rbuf.len(), 7);
         assert_eq!(s.acc.len(), 7);
+        assert_eq!(s.pmatrices.each_ref().map(Vec::len), [2 * 7 * 7; 2]);
     }
 }

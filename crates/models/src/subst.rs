@@ -110,6 +110,9 @@ pub struct SubstModel {
     /// `W = Uᵀ D`, row-major.
     w: SquareMatrix,
     gamma: DiscreteGamma,
+    /// The protein `P(t)` build runs its AVX2 instance
+    /// ([`SubstModel::set_avx2_fill`]). Never set on a host without AVX2.
+    avx2_fill: bool,
 }
 
 impl SubstModel {
@@ -143,7 +146,22 @@ impl SubstModel {
                 w[(k, i)] = eig.vectors[(i, k)] * sqrt[i];
             }
         }
-        Ok(SubstModel { n, freqs, eigenvalues: eig.values, v, w, gamma })
+        Ok(SubstModel { n, freqs, eigenvalues: eig.values, v, w, gamma, avx2_fill: false })
+    }
+
+    /// Selects the code generation of the protein `P(t)` build: with `on`,
+    /// its `n = 20` loop runs a second instance compiled for AVX2 — the
+    /// same operations in the same order, four entries abreast and never
+    /// contracted, so the same bits. Off by default. This crate does not
+    /// probe the CPU: the caller passes the decision of the one detection
+    /// site, the kernel crate's SIMD backend.
+    ///
+    /// # Safety
+    ///
+    /// With `on`, the caller must have verified at runtime that the CPU
+    /// supports AVX2.
+    pub unsafe fn set_avx2_fill(&mut self, on: bool) {
+        self.avx2_fill = on;
     }
 
     /// Number of states.
@@ -215,19 +233,40 @@ impl SubstModel {
             &heap
         };
         match n {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `avx2_fill` is set only through `set_avx2_fill`, whose
+            // caller verified AVX2 at runtime.
+            20 if self.avx2_fill => unsafe { self.fill_rows_of_20_avx2(expl, out) },
             20 => self.fill_rows_of_20(expl, out),
             _ => self.fill_by_rows_of_w(n, expl, out),
         }
     }
 
-    /// Protein: [`fill_by_rows_of_w`] with every trip count a constant. A
-    /// function of its own, or the optimizer folds the `n == 20` arm back
-    /// into the runtime-`n` one.
+    /// Protein: [`fill_row_pairs`] with `N = 20`. A function of its own,
+    /// or the optimizer folds the `n == 20` arm back into the runtime-`n`
+    /// one.
     ///
-    /// [`fill_by_rows_of_w`]: SubstModel::fill_by_rows_of_w
+    /// [`fill_row_pairs`]: SubstModel::fill_row_pairs
     #[inline(never)]
     fn fill_rows_of_20(&self, expl: &[f64], out: &mut [f64]) {
-        self.fill_by_rows_of_w(20, expl, out)
+        self.fill_row_pairs::<20>(expl, out)
+    }
+
+    /// [`fill_rows_of_20`]'s body instantiated a second time for AVX2: the
+    /// row updates widen to four lanes. Without the `fma` feature and
+    /// without intrinsics nothing contracts or reassociates, so the bits
+    /// are [`fill_rows_of_20`]'s.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    ///
+    /// [`fill_rows_of_20`]: SubstModel::fill_rows_of_20
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline(never)]
+    unsafe fn fill_rows_of_20_avx2(&self, expl: &[f64], out: &mut [f64]) {
+        self.fill_row_pairs::<20>(expl, out)
     }
 
     /// `P(t)` one entry at a time: a dot product down a column of `W`.
@@ -242,6 +281,36 @@ impl SubstModel {
                     p += vrow[k] * expl[k] * self.w[(k, j)];
                 }
                 out[i * n + j] = p.max(0.0);
+            }
+        }
+    }
+
+    /// [`fill_by_rows_of_w`] two rows at a time, with the row length `N` a
+    /// constant (even): each entry is still summed from `0.0` over
+    /// ascending `k`, but in two local rows, which stay in registers, and
+    /// each row of `W` is read once per pair. A protein Γ4 build (four
+    /// blocks and their exponentials) took 11.1 → 8.0 µs, and 7.7 → 4.7 µs
+    /// in the AVX2 instance (2-vCPU host).
+    ///
+    /// [`fill_by_rows_of_w`]: SubstModel::fill_by_rows_of_w
+    #[inline(always)]
+    fn fill_row_pairs<const N: usize>(&self, expl: &[f64], out: &mut [f64]) {
+        debug_assert!(N == self.n && N.is_multiple_of(2));
+        for (pair, rows) in out.chunks_exact_mut(2 * N).enumerate() {
+            let v0 = &self.v.row(2 * pair)[..N];
+            let v1 = &self.v.row(2 * pair + 1)[..N];
+            let (mut p0, mut p1) = ([0.0f64; N], [0.0f64; N]);
+            for k in 0..N {
+                let (ve0, ve1) = (v0[k] * expl[k], v1[k] * expl[k]);
+                let w = &self.w.row(k)[..N];
+                for j in 0..N {
+                    p0[j] += ve0 * w[j];
+                    p1[j] += ve1 * w[j];
+                }
+            }
+            let (r0, r1) = rows.split_at_mut(N);
+            for (r, p) in r0.iter_mut().zip(p0).chain(r1.iter_mut().zip(p1)) {
+                *r = p.max(0.0);
             }
         }
     }

@@ -23,8 +23,8 @@ fn main() {
     );
 
     // 2. Compress the alignment to site patterns and build the engine
-    //    context: per-edge transition matrices, tip encodings, cost
-    //    tables.
+    //    context: tip encodings and code sets, cost tables (transition
+    //    matrices are built per operation).
     let patterns = phyloplace::seq::compress(&ds.reference).expect("non-empty alignment");
     let ctx = ReferenceContext::new(
         ds.tree.clone(),

@@ -82,10 +82,16 @@ cargo test -q --features faults --test crash_resume
 echo "==> shell-level interrupt + resume smoke (deadline -> exit 3 -> --resume -> byte-compare)"
 smoke_dir=$(mktemp -d -t crash_smoke.XXXXXX)
 trap 'rm -rf "$smoke_dir"' EXIT
-cargo run --release -q --example export_dataset -- "$smoke_dir"
+chunk=7
+cargo run --release -q --example export_dataset -- "$smoke_dir" neotrop "$chunk"
 bin=target/release/phyloplace
 place_args=(place --tree "$smoke_dir/ref.nwk" --ref-msa "$smoke_dir/ref.fasta"
-            --queries "$smoke_dir/query.fasta" --chunk 7)
+            --queries "$smoke_dir/query.fasta" --chunk "$chunk")
+# The budget of the passes below that must run under pressure: the
+# floor budget at this chunk size plus a fixed number of CLV slots
+# (`examples/export_dataset.rs`), so that the pressure does not thin
+# whenever the reference's static data shrinks.
+pressure=$(cat "$smoke_dir/pressure.maxmem")
 "$bin" "${place_args[@]}" --out "$smoke_dir/full.jplace"
 # A zero deadline cancels at the first chunk boundary: the run must
 # exit 3, leave a valid partial jplace, and a replayable journal.
@@ -111,7 +117,7 @@ echo "==> replay differential (capture -> replay -> exact counter compare, per p
 for policy in cost lru mru fifo random cost-lru; do
     for threads in 1 2 4; do
         run="$smoke_dir/$policy.t$threads"
-        "$bin" "${place_args[@]}" --maxmem 300K --no-lookup --strategy "$policy" \
+        "$bin" "${place_args[@]}" --maxmem "$pressure" --no-lookup --strategy "$policy" \
             --threads "$threads" --slot-trace "$run.trace" --metrics-json "$run.metrics.json" \
             --out "$run.jplace" >/dev/null 2>&1
         grep -q '"slot.evictions": 0' "$run.metrics.json" \
@@ -137,7 +143,7 @@ echo "==> CLV spill pass (tight --maxmem + --tier-dir -> byte-compare)"
 # byte-for-byte, and the metrics must show real spill traffic.
 tier_dir="$smoke_dir/tiers"
 mkdir -p "$tier_dir"
-"$bin" "${place_args[@]}" --maxmem 300K --no-lookup --tier-dir "$tier_dir" \
+"$bin" "${place_args[@]}" --maxmem "$pressure" --no-lookup --tier-dir "$tier_dir" \
     --metrics-json "$smoke_dir/tiered.metrics.json" \
     --out "$smoke_dir/tiered.jplace" >/dev/null 2>&1
 cmp "$smoke_dir/full.jplace" "$smoke_dir/tiered.jplace" \
@@ -149,7 +155,7 @@ grep -q '"tier.demotions"' "$smoke_dir/tiered.metrics.json" \
 # Same run under a tiny byte budget: spills become drops, output still
 # byte-identical (drops degrade to recomputation, not to wrong
 # likelihoods).
-"$bin" "${place_args[@]}" --maxmem 300K --no-lookup --tier-dir "$tier_dir" --tier-budget 1K \
+"$bin" "${place_args[@]}" --maxmem "$pressure" --no-lookup --tier-dir "$tier_dir" --tier-budget 1K \
     --metrics-json "$smoke_dir/tiercap.metrics.json" \
     --out "$smoke_dir/tiercap.jplace" >/dev/null 2>&1
 cmp "$smoke_dir/full.jplace" "$smoke_dir/tiercap.jplace" \

@@ -169,15 +169,16 @@ fn amc_store_stays_consistent_across_many_sweeps() {
 #[test]
 fn static_data_has_no_leaves_by_codes_term() {
     // The reference's static footprint is what the floor budget charges
-    // before a single CLV slot. Tip rows are built per operation, so it
-    // holds the transition matrices, the leaves' codes, the pattern
-    // weights, the traversal costs and one 8-byte code set per leaf —
-    // nothing that grows with leaves × alphabet codes.
+    // before a single CLV slot. Transition matrices and tip rows are
+    // built per operation, so it holds the leaves' codes, the pattern
+    // weights, the traversal costs, one 8-byte code set per leaf and one
+    // empty 24-byte matrix cell per edge — nothing that grows with
+    // leaves × alphabet codes.
     let (ds, _, _) = setup();
     let ctx = ctx_of(&ds);
     let tree = ctx.tree();
     let n_leaves = tree.n_leaves();
-    let pmatrices = tree.n_edges() * ctx.layout().pmatrix_len() * 8;
+    let pmatrices = tree.n_edges() * 24;
     let tip_codes: usize =
         (0..n_leaves).map(|l| ctx.tip_codes(phyloplace::tree::NodeId(l as u32)).len()).sum();
     let weights = ctx.pattern_weights().len() * 4;
@@ -185,7 +186,7 @@ fn static_data_has_no_leaves_by_codes_term() {
     let bound = pmatrices + tip_codes + weights + costs + 8 * n_leaves;
     assert!(
         ctx.approx_bytes() <= bound,
-        "static data {} B exceeds {} B: pmatrices {}, tip codes {}, weights {}, costs {}, \
+        "static data {} B exceeds {} B: matrix cells {}, tip codes {}, weights {}, costs {}, \
          {} leaves × 8 B",
         ctx.approx_bytes(),
         bound,
