@@ -32,7 +32,6 @@ pub mod budget;
 pub mod cancel;
 pub mod error;
 pub mod fpa;
-pub mod retry;
 pub mod slots;
 pub mod strategy;
 pub mod tier;
@@ -42,7 +41,6 @@ pub use budget::{MemCategory, MemoryTracker};
 pub use cancel::CancelToken;
 pub use error::AmcError;
 pub use fpa::{ensure_resident, DepSource, FpaOp, ResidentSet};
-pub use retry::Backoff;
 pub use slots::{Acquire, ClvKey, SlotId, SlotManager, SlotStats};
 pub use strategy::{
     CostBased, Fifo, Lru, Mru, RandomEvict, ReplacementStrategy, StrategyKind, VictimView,

@@ -12,16 +12,11 @@ use crate::ctx::ReferenceContext;
 use crate::error::EngineError;
 use phylo_amc::{DepSource, FpaOp, SlotArena};
 use phylo_kernel::kernels::{update_partials_scratch, Side};
-use phylo_kernel::sitepar::SiteParPool;
 use phylo_kernel::KernelScratch;
 
 /// Executes a whole schedule in order. Each step reads the dependency
-/// slots / tip encodings named by its op and writes the target slot;
-/// with `par = Some((pool, n_chunks))` the step's pattern range is split
-/// into `n_chunks` ranges run on the store's persistent [`SiteParPool`]
-/// (the paper's across-site experimental parallelization, Fig. 7 — the
-/// pool outlives the run, so no threads are spawned per op). Each step
-/// builds its two child edges' transition matrices from their lengths
+/// slots / tip encodings named by its op and writes the target slot. Each
+/// step builds its two child edges' transition matrices from their lengths
 /// into `scratch`'s [`KernelScratch::pmatrices`], and a tip child's rows
 /// from them into [`KernelScratch::tips`], for the leaf's codes only;
 /// the reference holds neither. The store owns a pool of scratches, so
@@ -34,11 +29,10 @@ pub fn execute_ops(
     ctx: &ReferenceContext,
     arena: &SlotArena,
     ops: &[FpaOp],
-    par: Option<(&SiteParPool, usize)>,
     scratch: &mut KernelScratch,
 ) -> Result<(), EngineError> {
     for op in ops {
-        execute_op(ctx, arena, op, par, scratch)?;
+        execute_op(ctx, arena, op, scratch)?;
     }
     Ok(())
 }
@@ -47,7 +41,6 @@ fn execute_op(
     ctx: &ReferenceContext,
     arena: &SlotArena,
     op: &FpaOp,
-    par: Option<(&SiteParPool, usize)>,
     scratch: &mut KernelScratch,
 ) -> Result<(), EngineError> {
     // Cooperative shutdown: a cancelled run stops between Felsenstein
@@ -116,20 +109,15 @@ fn execute_op(
     // Kernel wall time feeds the spill file's spill-vs-drop cost model
     // (ns per unit of recompute cost) — only measured when one exists.
     let tier_t0 = arena.tiers().map(|_| std::time::Instant::now());
-    match par {
-        None | Some((_, 0..=1)) => update_partials_scratch(
-            &layout,
-            left,
-            right,
-            view.target_clv,
-            view.target_scale,
-            0..layout.patterns,
-            scratch,
-        ),
-        Some((pool, n_chunks)) => {
-            pool.update_partials(&layout, left, right, view.target_clv, view.target_scale, n_chunks)
-        }
-    }
+    update_partials_scratch(
+        &layout,
+        left,
+        right,
+        view.target_clv,
+        view.target_scale,
+        0..layout.patterns,
+        scratch,
+    );
     scratch.pmatrices = pmatrices;
     scratch.tips = tips;
     if let (Some(tiers), Some(t0)) = (arena.tiers(), tier_t0) {

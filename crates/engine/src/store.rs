@@ -29,7 +29,6 @@ use crate::error::EngineError;
 use crate::exec;
 use phylo_amc::{ensure_resident, ClvKey, ResidentSet, SlotArena, SlotId, SlotStats, StrategyKind};
 use phylo_kernel::kernels::Side;
-use phylo_kernel::sitepar::{PoolStats, SiteParPool};
 use phylo_kernel::{KernelScratch, TipTable};
 use phylo_tree::{DirEdgeId, NodeId};
 
@@ -85,12 +84,6 @@ impl ScratchPool {
 /// Slot-managed directional CLV store for a reference tree.
 pub struct ManagedStore {
     arena: SlotArena,
-    /// Across-site chunks used when recomputing CLVs (1 = serial).
-    compute_threads: usize,
-    /// Persistent site-parallel worker pool: created (once) by
-    /// [`ManagedStore::set_compute_threads`], parked between kernel
-    /// calls, so per-op parallelism never spawns threads.
-    sitepar: Option<SiteParPool>,
     /// Kernel working buffers, reused across every recomputation this
     /// store performs (only the generic kernel fallback touches them).
     scratch: ScratchPool,
@@ -120,10 +113,7 @@ pub type FullStore = ManagedStore;
 
 impl std::fmt::Debug for ManagedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ManagedStore")
-            .field("arena", &self.arena)
-            .field("compute_threads", &self.compute_threads)
-            .finish()
+        f.debug_struct("ManagedStore").field("arena", &self.arena).finish()
     }
 }
 
@@ -150,7 +140,7 @@ impl ManagedStore {
             ctx.layout().patterns,
             strategy.build(costs),
         )?;
-        Ok(ManagedStore { arena, compute_threads: 1, sitepar: None, scratch: ScratchPool::new() })
+        Ok(ManagedStore { arena, scratch: ScratchPool::new() })
     }
 
     /// A store with a caller-supplied replacement strategy — the paper's
@@ -176,32 +166,13 @@ impl ManagedStore {
             ctx.layout().patterns,
             strategy,
         )?;
-        Ok(ManagedStore { arena, compute_threads: 1, sitepar: None, scratch: ScratchPool::new() })
+        Ok(ManagedStore { arena, scratch: ScratchPool::new() })
     }
 
     /// The full-memory store (`3(n−2)` slots, EPA-NG default mode).
     pub fn full(ctx: &ReferenceContext) -> Self {
         Self::with_slots(ctx, ctx.max_slots().max(ctx.min_slots()), StrategyKind::CostBased)
             .expect("full slot count is always above the minimum")
-    }
-
-    /// Sets the number of chunks used for across-site parallel CLV
-    /// recomputation (the paper's Fig. 7 mode). 1 = serial. For `n > 1`
-    /// this creates the store's persistent [`SiteParPool`] once; workers
-    /// park between kernel calls, so changing the count mid-run is the
-    /// only operation that (re)spawns threads.
-    pub fn set_compute_threads(&mut self, n: usize) {
-        let n = n.max(1);
-        if n != self.compute_threads || (n > 1) != self.sitepar.is_some() {
-            self.sitepar = (n > 1).then(|| SiteParPool::new(n));
-        }
-        self.compute_threads = n;
-    }
-
-    /// Counters of the store's site-parallel pool (zeros when the store
-    /// computes serially and owns no pool).
-    pub fn sitepar_stats(&self) -> PoolStats {
-        self.sitepar.as_ref().map(|p| p.stats()).unwrap_or_default()
     }
 
     /// Number of physical slots.
@@ -262,8 +233,7 @@ impl ManagedStore {
         let mut rs = ensure_resident(ctx.tree(), dirs, self.arena.manager(), ctx.register_need())?;
         self.demote_evicted(&mut rs);
         let mut scratch = self.scratch.checkout();
-        let par = self.sitepar.as_ref().map(|pool| (pool, self.compute_threads));
-        let run = exec::execute_ops(ctx, &self.arena, &rs.ops, par, &mut scratch);
+        let run = exec::execute_ops(ctx, &self.arena, &rs.ops, &mut scratch);
         self.scratch.checkin(scratch);
         if let Err(e) = run {
             self.abort_schedule(rs);
@@ -508,29 +478,6 @@ mod tests {
             let block = store.prepare(&ctx, &[DirEdgeId::new(e, 0), DirEdgeId::new(e, 1)]).unwrap();
             assert_eq!(block.ops(), 0);
             store.release(block);
-        }
-    }
-
-    #[test]
-    fn sitepar_compute_matches_serial() {
-        let ctx = random_ctx(14, 64, 5);
-        let serial =
-            ManagedStore::with_slots(&ctx, ctx.min_slots(), StrategyKind::CostBased).unwrap();
-        let mut par =
-            ManagedStore::with_slots(&ctx, ctx.min_slots(), StrategyKind::CostBased).unwrap();
-        par.set_compute_threads(4);
-        for e in ctx.tree().all_edges().take(6) {
-            let dirs = [DirEdgeId::new(e, 0), DirEdgeId::new(e, 1)];
-            let bs = serial.prepare(&ctx, &dirs).unwrap();
-            let bp = par.prepare(&ctx, &dirs).unwrap();
-            for d in dirs {
-                if ctx.tree().is_leaf(ctx.tree().src(d)) {
-                    continue;
-                }
-                assert_eq!(serial.clv_of(&ctx, d).unwrap().0, par.clv_of(&ctx, d).unwrap().0);
-            }
-            serial.release(bs);
-            par.release(bp);
         }
     }
 

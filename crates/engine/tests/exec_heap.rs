@@ -83,7 +83,7 @@ fn sweep(
             .filter(|op| op.deps.iter().any(|d| matches!(d, phylo_amc::DepSource::Tip(_))))
             .count();
         let before = ALLOCS.load(Ordering::SeqCst);
-        exec::execute_ops(ctx, store.arena(), &rs.ops, None, scratch).unwrap();
+        exec::execute_ops(ctx, store.arena(), &rs.ops, scratch).unwrap();
         allocs += ALLOCS.load(Ordering::SeqCst) - before;
         rs.release_exec(mgr);
         rs.release(mgr);

@@ -96,8 +96,7 @@ impl<'a> Side<'a> {
 /// propagation and rescaling.
 ///
 /// `out`/`out_scale` are full-length buffers; only the entries covered by
-/// `range` are written, so disjoint ranges may be filled concurrently (see
-/// [`crate::sitepar`]).
+/// `range` are written.
 #[inline]
 pub fn update_partials(
     layout: &Layout,

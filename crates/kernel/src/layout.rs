@@ -221,27 +221,6 @@ impl Layout {
     pub fn scaler_bytes(&self) -> usize {
         self.patterns * std::mem::size_of::<u32>()
     }
-
-    /// The sub-layout covering `range` of the patterns (for across-site
-    /// work splitting).
-    #[inline]
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Layout {
-        debug_assert!(range.end <= self.patterns);
-        Layout {
-            patterns: range.len(),
-            rates: self.rates,
-            states: self.states,
-            kind: self.kind,
-            tier: self.tier,
-        }
-    }
-
-    /// The f64 index range covering the given pattern range of a CLV.
-    #[inline]
-    pub fn clv_range(&self, range: &std::ops::Range<usize>) -> std::ops::Range<usize> {
-        let s = self.pattern_stride();
-        range.start * s..range.end * s
-    }
 }
 
 #[cfg(test)]
@@ -263,15 +242,6 @@ mod tests {
         let l = Layout::new(10, 4, 20);
         assert_eq!(l.clv_len(), 800);
         assert_eq!(l.pmatrix_block(), 400);
-    }
-
-    #[test]
-    fn slicing() {
-        let l = Layout::new(100, 2, 4);
-        let sub = l.slice(10..30);
-        assert_eq!(sub.patterns, 20);
-        assert_eq!(l.clv_range(&(10..30)), 80..240);
-        assert_eq!(sub.kind(), l.kind());
     }
 
     #[test]
@@ -304,16 +274,15 @@ mod tests {
         let l = Layout::new(8, 2, 4);
         assert_eq!(l.with_tier(TierChoice::Reference).tier(), KernelTier::Reference);
         assert_eq!(l.with_tier(TierChoice::Simd).tier(), KernelTier::Simd);
-        // Auto lands on a concrete tier and slicing preserves it. Which
-        // tier depends on the environment: PHYLO_KERNEL_TIER pins it
-        // (ci.sh runs this suite once per value); unpinned, auto picks
-        // the SIMD tier on every host.
+        // Auto lands on a concrete tier. Which tier depends on the
+        // environment: PHYLO_KERNEL_TIER pins it (ci.sh runs this suite
+        // once per value); unpinned, auto picks the SIMD tier on every
+        // host.
         let auto = l.with_tier(TierChoice::Auto);
         match std::env::var(TIER_ENV).ok().as_deref().and_then(TierChoice::parse) {
             Some(TierChoice::Reference) => assert_eq!(auto.tier(), KernelTier::Reference),
             _ => assert_eq!(auto.tier(), KernelTier::Simd),
         }
-        assert_eq!(auto.slice(1..5).tier(), auto.tier());
     }
 
     #[test]

@@ -15,9 +15,7 @@
 //!   that scores a query-sequence insertion into a branch;
 //! * [`tips::TipTable`] — per-character tip rows, built per operation for
 //!   the codes a leaf uses, that make tip children (and ambiguity codes)
-//!   free in the inner loop;
-//! * [`sitepar`] — across-site parallel CLV updates (the paper's Fig. 7
-//!   "experimental" mode) that split the pattern range over a worker pool.
+//!   free in the inner loop.
 //!
 //! CLV memory itself is owned by callers (the engine's stores or the AMC
 //! slot arena); kernels only ever see slices, which is what lets one kernel
@@ -48,7 +46,6 @@ pub mod reference;
 pub mod scaling;
 pub mod scratch;
 pub mod simd;
-pub mod sitepar;
 pub mod tips;
 
 pub use layout::{KernelKind, KernelTier, Layout, TierChoice};

@@ -347,11 +347,6 @@ impl SubstModel {
             self.transition_matrix(branch_len * rate, &mut out[c * n2..(c + 1) * n2]);
         }
     }
-
-    /// Bytes needed for the per-edge probability matrix block.
-    pub fn pmatrix_bytes(&self) -> usize {
-        self.n_rates() * self.n * self.n * std::mem::size_of::<f64>()
-    }
 }
 
 #[cfg(test)]

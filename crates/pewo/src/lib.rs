@@ -15,7 +15,6 @@
 //! | `fig4_chunk_sweep` | Fig. 4 (the same with chunk 500-equivalent) |
 //! | `fig5_pplacer` | Fig. 5 (EPA-NG vs pplacer, memory saving on/off) |
 //! | `fig6_parallel_efficiency` | Fig. 6 (PE vs threads; off/full/maxmem) |
-//! | `fig7_sitepar_efficiency` | Fig. 7 (PE with across-site precompute) |
 //! | `ablation_strategies` | replacement-strategy ablation (paper §VI outlook) |
 //! | `ablation_lookup` | lookup-table on/off ablation (the ≈23× effect) |
 //!

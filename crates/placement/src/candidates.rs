@@ -3,6 +3,13 @@
 use phylo_tree::EdgeId;
 use std::cmp::Ordering;
 
+/// Fraction of a reference's branches each query is thoroughly re-scored
+/// on (EPA-NG's best-candidate re-scoring at 1 %).
+pub const THOROUGH_FRACTION: f64 = 0.01;
+
+/// Fewest branches each query is thoroughly re-scored on.
+pub const THOROUGH_MIN: usize = 2;
+
 /// How many branches each query is thoroughly re-scored on:
 /// `max(min_candidates, ⌈fraction · branches⌉)`, at most `branches`.
 pub fn candidate_count(branches: usize, fraction: f64, min_candidates: usize) -> usize {

@@ -15,8 +15,11 @@ pub enum PreplacementMode {
 }
 
 /// Tunables of a placement run. `Default` mirrors EPA-NG's defaults as
-/// described in the paper (chunk size 5 000, automatic memory limit off,
-/// best-candidate re-scoring at 1%).
+/// described in the paper (chunk size 5 000, automatic memory limit off).
+/// The thorough phase's settings are constants, not tunables:
+/// [`crate::candidates::THOROUGH_FRACTION`] and
+/// [`crate::candidates::THOROUGH_MIN`] size each query's candidate list,
+/// and [`crate::score::BLO_ITERATIONS`] caps a pair's refinement rounds.
 #[derive(Debug, Clone)]
 pub struct EpaConfig {
     /// Memory budget in bytes (`--maxmem`); `None` disables AMC entirely
@@ -35,21 +38,10 @@ pub struct EpaConfig {
     pub strategy: StrategyKind,
     /// Preplacement lookup-table mode.
     pub preplacement: PreplacementMode,
-    /// Fraction of branches re-scored thoroughly per query.
-    pub thorough_fraction: f64,
-    /// Minimum number of thoroughly scored branches per query.
-    pub thorough_min: usize,
     /// Overlap next-block CLV precomputation with current-block placement
     /// (the paper's adapted parallelization): two blocks are pinned at
     /// once, and any free sweep thread prepares the next or scores either.
     pub async_prefetch: bool,
-    /// Across-site threads for CLV recomputation (the paper's Fig. 7
-    /// experimental mode); `1` = serial kernels.
-    pub sitepar_threads: usize,
-    /// Most rounds of pendant/position refinement in thorough scoring
-    /// (at least 1). A pair's rounds end earlier at the fixpoint: once
-    /// neither search has an input it has not already searched.
-    pub blo_iterations: usize,
     /// Kernel tier request (`--kernel-tier`): `Auto` resolves from
     /// `PHYLO_KERNEL_TIER`, else to the SIMD tier; explicit choices pin
     /// the reference or SIMD implementations.
@@ -73,11 +65,7 @@ impl Default for EpaConfig {
             block_size: 64,
             strategy: StrategyKind::CostBased,
             preplacement: PreplacementMode::Auto,
-            thorough_fraction: 0.01,
-            thorough_min: 2,
             async_prefetch: true,
-            sitepar_threads: 1,
-            blo_iterations: 2,
             kernel_tier: phylo_kernel::TierChoice::Auto,
             slot_wait_timeout: None,
             tiers: None,
@@ -97,18 +85,6 @@ impl EpaConfig {
         }
         if self.threads == 0 {
             return Err(BadConfig("threads must be at least 1".into()));
-        }
-        if !(0.0..=1.0).contains(&self.thorough_fraction) {
-            return Err(BadConfig(format!(
-                "thorough_fraction must be in [0, 1], got {}",
-                self.thorough_fraction
-            )));
-        }
-        if self.thorough_min == 0 {
-            return Err(BadConfig("thorough_min must be at least 1".into()));
-        }
-        if self.blo_iterations == 0 {
-            return Err(BadConfig("blo_iterations must be at least 1".into()));
         }
         if self.slot_wait_timeout.is_some_and(|d| d.is_zero()) {
             return Err(BadConfig("slot_wait_timeout must be non-zero".into()));
@@ -147,16 +123,7 @@ mod tests {
         c.chunk_size = 0;
         assert!(c.validate().is_err());
         let mut c = EpaConfig::default();
-        c.thorough_fraction = 1.5;
-        assert!(c.validate().is_err());
-        let mut c = EpaConfig::default();
         c.threads = 0;
-        assert!(c.validate().is_err());
-        let mut c = EpaConfig::default();
-        c.thorough_min = 0;
-        assert!(c.validate().is_err());
-        let mut c = EpaConfig::default();
-        c.blo_iterations = 0;
         assert!(c.validate().is_err());
     }
 

@@ -13,7 +13,7 @@
 //! 3. every remaining byte goes to CLV slots, clamped to
 //!    `[⌈log₂ n⌉ + 2 + pin headroom, 3(n−2)]`.
 
-use crate::candidates::{candidate_count, TopCandidates};
+use crate::candidates::{candidate_count, TopCandidates, THOROUGH_FRACTION, THOROUGH_MIN};
 use crate::config::{EpaConfig, PreplacementMode};
 use crate::error::PlaceError;
 use phylo_amc::budget::{slots_for_budget, MemCategory, MemoryTracker};
@@ -53,13 +53,6 @@ pub struct MemoryPlan {
     pub tracker: MemoryTracker,
 }
 
-impl MemoryPlan {
-    /// Total planned bytes.
-    pub fn planned_bytes(&self) -> usize {
-        self.tracker.total()
-    }
-}
-
 /// Bytes of the lookup table for this reference: per branch, per pattern,
 /// `states` linear-likelihood columns, the fully-ambiguous site term and a
 /// scaler count.
@@ -72,13 +65,8 @@ pub fn lookup_bytes(ctx: &ReferenceContext) -> usize {
 
 /// Bytes a chunk of `chunk_size` queries holds: each query's sequence
 /// and its [`TopCandidates`] list of `k` ([`candidate_count`]) entries.
-pub fn chunk_bytes(
-    ctx: &ReferenceContext,
-    cfg: &EpaConfig,
-    chunk_size: usize,
-    n_sites: usize,
-) -> usize {
-    let k = candidate_count(ctx.tree().n_edges(), cfg.thorough_fraction, cfg.thorough_min);
+pub fn chunk_bytes(ctx: &ReferenceContext, chunk_size: usize, n_sites: usize) -> usize {
+    let k = candidate_count(ctx.tree().n_edges(), THOROUGH_FRACTION, THOROUGH_MIN);
     chunk_size * (n_sites + k * TopCandidates::ENTRY_BYTES)
 }
 
@@ -94,7 +82,7 @@ pub fn plan(
     let slot_bytes = SlotArena::bytes_per_slot(layout.clv_len(), layout.patterns);
     let chunk_size = cfg.chunk_size.min(n_queries.max(1));
     let static_bytes = ctx.approx_bytes();
-    let chunk_buf = chunk_bytes(ctx, cfg, chunk_size, n_sites);
+    let chunk_buf = chunk_bytes(ctx, chunk_size, n_sites);
     let lookup = lookup_bytes(ctx);
     let min_slots = ctx.min_slots() + pin_headroom(ctx);
     let max_slots = ctx.max_slots().max(ctx.min_slots());
@@ -217,8 +205,8 @@ pub fn effective_block_size(
 }
 
 /// Parses the `MemAvailable` line of `/proc/meminfo`-formatted text into
-/// bytes. Exposed for testing; use [`detect_available_memory`] at runtime.
-pub fn parse_meminfo_available(text: &str) -> Option<usize> {
+/// bytes.
+fn parse_meminfo_available(text: &str) -> Option<usize> {
     for line in text.lines() {
         if let Some(rest) = line.strip_prefix("MemAvailable:") {
             let mut parts = rest.split_whitespace();
@@ -257,7 +245,7 @@ pub fn floor_budget(
     let slot_bytes = SlotArena::bytes_per_slot(layout.clv_len(), layout.patterns);
     let chunk_size = cfg.chunk_size.min(n_queries.max(1));
     ctx.approx_bytes()
-        + chunk_bytes(ctx, cfg, chunk_size, n_sites)
+        + chunk_bytes(ctx, chunk_size, n_sites)
         + (ctx.min_slots() + pin_headroom(ctx)) * slot_bytes
 }
 
@@ -334,7 +322,7 @@ mod tests {
     fn tight_budget_drops_lookup_then_slots() {
         let c = ctx(64, 200);
         let slot_bytes = SlotArena::bytes_per_slot(c.layout().clv_len(), c.layout().patterns);
-        let fixed = c.approx_bytes() + chunk_bytes(&c, &EpaConfig::default(), 10, 200);
+        let fixed = c.approx_bytes() + chunk_bytes(&c, 10, 200);
         // Budget: fixed + min slots + lookup - 1 → lookup cannot fit.
         let min_slots = c.min_slots() + 4;
         let budget = fixed + min_slots * slot_bytes + lookup_bytes(&c) - 1;
@@ -361,23 +349,19 @@ mod tests {
     #[test]
     fn smaller_chunk_lowers_floor() {
         let c = ctx(64, 200);
-        let cfg = EpaConfig::default();
         // The chunk term is the queries' bytes plus their kept candidate
         // lists (16 B an entry), and nothing proportional to the branches.
         let k = |c: &ReferenceContext| candidate_count(c.tree().n_edges(), 0.01, 2);
         assert_eq!(k(&c), 2);
-        assert_eq!(chunk_bytes(&c, &cfg, 500, 200), 500 * (200 + 2 * 16));
+        assert_eq!(chunk_bytes(&c, 500, 200), 500 * (200 + 2 * 16));
         // A 4× larger tree at the same chunk moves the term only through k.
         let big = ctx(256, 200);
         assert_eq!(k(&big), 6);
-        assert_eq!(
-            chunk_bytes(&big, &cfg, 500, 200) - chunk_bytes(&c, &cfg, 500, 200),
-            500 * (6 - 2) * 16
-        );
+        assert_eq!(chunk_bytes(&big, 500, 200) - chunk_bytes(&c, 500, 200), 500 * (6 - 2) * 16);
         // Find the minimal feasible budget for two chunk sizes.
         let floor = |chunk: usize| {
             let slot_bytes = SlotArena::bytes_per_slot(c.layout().clv_len(), c.layout().patterns);
-            c.approx_bytes() + chunk_bytes(&c, &cfg, chunk, 200) + (c.min_slots() + 4) * slot_bytes
+            c.approx_bytes() + chunk_bytes(&c, chunk, 200) + (c.min_slots() + 4) * slot_bytes
         };
         assert_eq!(floor(5000) - floor(500), 4500 * (200 + 2 * 16));
         // And the planner agrees: the chunk-500 floor budget fails at 5000.

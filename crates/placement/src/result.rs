@@ -107,7 +107,7 @@ pub struct RunReport {
 /// Counters for the graceful-degradation ladder the orchestrator walks
 /// under slot pressure instead of aborting (see DESIGN.md §7): disable
 /// async prefetch, shrink the branch block, flush the CLV cache and
-/// retry with backoff. All zeros on an unpressured run.
+/// retry. All zeros on an unpressured run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegradationStats {
     /// Times async prefetch was disabled because the spare slots could

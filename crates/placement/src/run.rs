@@ -1,6 +1,8 @@
 //! The placement orchestrator: chunks × branch sweeps × worker threads.
 
-use crate::candidates::{candidate_count, group_by_branch, TopCandidates};
+use crate::candidates::{
+    candidate_count, group_by_branch, TopCandidates, THOROUGH_FRACTION, THOROUGH_MIN,
+};
 use crate::config::EpaConfig;
 use crate::error::PlaceError;
 use crate::lookup::LookupTable;
@@ -309,8 +311,7 @@ impl Placer {
         let ctx = &self.ctx;
         let cfg = &self.cfg;
         let plan = memplan::plan(ctx, cfg, n_queries, self.site_to_pattern.len())?;
-        let mut store = ManagedStore::with_slots(ctx, plan.slots, cfg.strategy)?;
-        store.set_compute_threads(cfg.sitepar_threads.max(1));
+        let store = ManagedStore::with_slots(ctx, plan.slots, cfg.strategy)?;
         if let Some(timeout) = cfg.slot_wait_timeout {
             store.set_wait_timeout(timeout);
         }
@@ -428,7 +429,7 @@ impl Placer {
             .collect();
         // One candidate selector per query of a chunk, reused chunk after
         // chunk: the prescores stream into them and are never stored.
-        let k = candidate_count(branches, self.cfg.thorough_fraction, self.cfg.thorough_min);
+        let k = candidate_count(branches, THOROUGH_FRACTION, THOROUGH_MIN);
         let mut selectors: Vec<TopCandidates> =
             (0..chunk_size).map(|_| TopCandidates::new(k)).collect();
         let mut completed = true;
@@ -651,7 +652,6 @@ impl Placer {
         deg: &DegradationCounters,
         scoring: &mut ScoringStats,
     ) -> Result<(), PlaceError> {
-        let cfg = &self.cfg;
         let s2p = &self.site_to_pattern;
         let plan = self.plan_block(store.n_slots(), deg)?;
         let steps = sweep.steps(|e| !grouped[e.idx()].is_empty());
@@ -671,15 +671,7 @@ impl Placer {
                 if phylo_faults::fire("place::worker_panic") {
                     panic!("injected thorough-worker panic");
                 }
-                let sp = score_thorough(
-                    ctx,
-                    store,
-                    e,
-                    s2p,
-                    &chunk[q].codes,
-                    cfg.blo_iterations,
-                    scratch,
-                )?;
+                let sp = score_thorough(ctx, store, e, s2p, &chunk[q].codes, scratch)?;
                 if !sp.log_likelihood.is_finite() {
                     return Err(PlaceError::NonFiniteLikelihood {
                         query: chunk[q].name.clone(),
@@ -892,7 +884,6 @@ fn run_metrics(
     ctx: &ReferenceContext,
     warm: &WarmStore,
 ) -> phylo_obs::Snapshot {
-    let pool = warm.store.sitepar_stats();
     let mut m = base.elapsed();
     m.set_gauge(&format!("kernel.tier.{}", ctx.layout().tier().name()), 1);
     let tracked = warm.tracked();
@@ -905,11 +896,6 @@ fn run_metrics(
     for (table, bytes) in ctx.static_split() {
         m.set_gauge(&format!("mem.static.{table}"), bytes as i64);
     }
-    m.set_gauge("sitepar.pool.workers", pool.workers as i64);
-    m.set_gauge("sitepar.pool.parked", pool.parked as i64);
-    m.set_gauge("sitepar.pool.queue_depth", pool.queue_depth as i64);
-    m.set_counter("sitepar.pool.jobs", pool.jobs);
-    m.set_counter("sitepar.pool.tasks", pool.tasks);
     let s = &report.slot_stats;
     m.set_counter("slot.hits", s.hits);
     m.set_counter("slot.misses", s.misses);
@@ -1333,10 +1319,10 @@ mod tests {
             ..Default::default()
         };
         // Per query of the chunk: its 60 sites and two kept candidates
-        // (45 branches, so k = thorough_min).
-        assert_eq!(memplan::chunk_bytes(&ctx2, &probe, 2, batch.n_sites()), 2 * (60 + 2 * 16));
+        // (45 branches, so k = THOROUGH_MIN).
+        assert_eq!(memplan::chunk_bytes(&ctx2, 2, batch.n_sites()), 2 * (60 + 2 * 16));
         let floor = ctx2.approx_bytes()
-            + memplan::chunk_bytes(&ctx2, &probe, 2, batch.n_sites())
+            + memplan::chunk_bytes(&ctx2, 2, batch.n_sites())
             + (ctx2.min_slots() + 4) * slot_bytes;
         let cfg = EpaConfig { max_memory: Some(floor), ..probe };
         let tight = Placer::new(ctx2, s2p, cfg).unwrap();

@@ -960,10 +960,15 @@ pub struct ScoredPlacement {
     pub proximal_fraction: f64,
 }
 
+/// Most rounds of pendant/position refinement a thorough pair runs. A
+/// pair's rounds end earlier at the fixpoint: once neither search has an
+/// input it has not already searched.
+pub const BLO_ITERATIONS: usize = 2;
+
 /// Thoroughly scores one query at one branch: three-way likelihood with
 /// golden-section refinement of the pendant length and attachment
 /// position, alternated until neither search has anything new to look at
-/// or `blo_iterations` rounds have run. Both orientations of the branch
+/// or [`BLO_ITERATIONS`] rounds have run. Both orientations of the branch
 /// must be prepared.
 ///
 /// A pendant search is a pure function of the partials at `x` (its
@@ -971,18 +976,16 @@ pub struct ScoredPlacement {
 /// whose input is what it was the last time would return what is already
 /// absorbed in `best`, so it is skipped, and a round that skips both ends
 /// the alternation — coordinate ascent to its fixpoint, not to a count.
-#[allow(clippy::too_many_arguments)]
 pub fn score_thorough(
     ctx: &ReferenceContext,
     store: &ManagedStore,
     edge: phylo_tree::EdgeId,
     site_to_pattern: &[u32],
     codes: &[u8],
-    blo_iterations: usize,
     scratch: &mut ScoreScratch,
 ) -> Result<ScoredPlacement, PlaceError> {
     let (placement, searches) =
-        thorough_search(ctx, site_to_pattern, codes, blo_iterations, scratch, |x, scratch, out| {
+        thorough_search(ctx, site_to_pattern, codes, BLO_ITERATIONS, scratch, |x, scratch, out| {
             attachment_partials_into(ctx, store, edge, x, scratch, out)
         });
     scratch.searches.run += searches.run;
@@ -1338,7 +1341,7 @@ mod tests {
         let mut best_ll = f64::NEG_INFINITY;
         for e in ctx.tree().all_edges() {
             let block = store.prepare(&ctx, &[DirEdgeId::new(e, 0), DirEdgeId::new(e, 1)]).unwrap();
-            let sp = score_thorough(&ctx, &store, e, &s2p, &codes, 1, &mut scratch).unwrap();
+            let sp = score_thorough(&ctx, &store, e, &s2p, &codes, &mut scratch).unwrap();
             if sp.log_likelihood > best_ll {
                 best_ll = sp.log_likelihood;
                 best_edge = e;
@@ -1362,7 +1365,7 @@ mod tests {
         let mean_len = ctx.mean_branch_length();
         let fixed = BranchScoreTable::build(&ctx, &partials, mean_len, &mut scratch)
             .prescore(&ctx, &s2p, &codes);
-        let opt = score_thorough(&ctx, &store, e, &s2p, &codes, 2, &mut scratch).unwrap();
+        let opt = score_thorough(&ctx, &store, e, &s2p, &codes, &mut scratch).unwrap();
         assert!(
             opt.log_likelihood >= fixed - 1e-9,
             "optimization regressed: {} < {fixed}",

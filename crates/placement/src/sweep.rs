@@ -38,7 +38,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Atomic tallies for the degradation ladder; the sweep (on whichever
 /// thread prepares a batch) bumps them, the orchestrator snapshots them
@@ -200,8 +200,6 @@ impl<'a> Walker<'a> {
         let (ctx, store) = (self.ctx, self.store);
         let mut limit = self.block_size;
         let mut retries = 0;
-        let mut backoff =
-            phylo_amc::Backoff::new(Duration::from_millis(1), Duration::from_millis(8));
         let (end, edges, prepared) = loop {
             let (end, edges) = self.batch_from(self.next, limit);
             if end == self.next {
@@ -216,14 +214,12 @@ impl<'a> Walker<'a> {
                 // Even a single branch can exhaust the pins: the plan
                 // pins every *cached* dependency it reads for the whole
                 // pass, on top of the holds. Drop both and retry over a
-                // clean slate. Concurrent planners can race us to the
-                // freed slots, so back off (capped, jittered so racing
-                // threads desynchronize) between a few attempts before
-                // giving up.
+                // clean slate, a few times before giving up. The walker
+                // is its store's only planner (a walk's prepares run one
+                // at a time, and walks on a capped store never overlap),
+                // so nothing races it to the freed slots and a retry
+                // need not wait.
                 Err(e) if is_pin_exhaustion(&e) && retries < 4 => {
-                    if retries > 0 {
-                        std::thread::sleep(backoff.next_delay());
-                    }
                     retries += 1;
                     self.deg.flush_retries.fetch_add(1, Ordering::Relaxed);
                     self.release_holds();
@@ -681,6 +677,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     fn ctx(n: usize, sites: usize, seed: u64) -> ReferenceContext {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -129,7 +129,7 @@ fn steady_state(kind: AlphabetKind) {
         table.rebuild(&ctx, &partials, &pendant_eval);
         table.prescore(&ctx, &s2p, &codes);
         table.prescore_chunk(&ctx, &s2p, chunk.iter().copied(), &mut log_row, |_, _| ());
-        score_thorough(&ctx, &store, e, &s2p, &codes, 2, &mut scratch).unwrap();
+        score_thorough(&ctx, &store, e, &s2p, &codes, &mut scratch).unwrap();
     }
     assert!(!log_row.is_empty(), "{kind:?}: the chunk prescore took the direct walk");
 
@@ -149,7 +149,7 @@ fn steady_state(kind: AlphabetKind) {
             chunk_scores[q] = v
         });
         lls.push(chunk_scores[chunk.len() - 1]);
-        let sp = score_thorough(&ctx, &store, e, &s2p, &codes, 2, &mut scratch).unwrap();
+        let sp = score_thorough(&ctx, &store, e, &s2p, &codes, &mut scratch).unwrap();
         lls.push(sp.log_likelihood);
     }
     let after = ALLOCS.load(Ordering::SeqCst);

@@ -121,12 +121,6 @@ impl Tree {
         &self.taxa
     }
 
-    /// Looks up a leaf by taxon name (linear scan; intended for tests and
-    /// small trees — placement pipelines map names once up front).
-    pub fn leaf_by_name(&self, name: &str) -> Option<NodeId> {
-        self.taxa.iter().position(|t| t == name).map(|i| NodeId(i as u32))
-    }
-
     /// The (neighbor, edge) pairs adjacent to `node`: one entry for a leaf,
     /// three for an inner node.
     #[inline]

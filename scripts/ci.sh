@@ -10,8 +10,8 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release (warnings are errors)"
-RUSTFLAGS="-D warnings" cargo build --release
+echo "==> cargo build --release, every binary and example (warnings are errors)"
+RUSTFLAGS="-D warnings" cargo build --release --workspace --bins --examples
 
 # The paper's Table II at ci scale (≈ 0.3 s): every dataset must plan
 # and place at `floor_budget` and `lookup_floor_budget` — the binary

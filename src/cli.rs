@@ -5,8 +5,10 @@
 //! sequences (FASTA), producing placements in the `jplace` interchange
 //! format — here with the paper's `--maxmem` memory management surface.
 
+use crate::place::candidates::{THOROUGH_FRACTION, THOROUGH_MIN};
 use crate::place::result::to_jplace_with;
 use crate::place::run::RunControl;
+use crate::place::score::BLO_ITERATIONS;
 use crate::place::{build_reference, memplan, EpaConfig, QueryBatch, Reference, ReferenceError};
 use phylo_amc::CancelToken;
 use phylo_journal::{fnv1a64, JournalError, Manifest, RunJournal, MANIFEST_FORMAT};
@@ -338,7 +340,6 @@ pub fn run_placement_with(opts: &CliOptions, cancel: CancelToken) -> Result<RunO
             let plan = placer
                 .memory_plan(&batch)
                 .map_err(|e| CliError::Runtime(format!("memory planning: {e}")))?;
-            let epa = placer.config();
             let manifest = Manifest {
                 format: MANIFEST_FORMAT,
                 tree_hash: fnv1a64(opts.tree_text.as_bytes()),
@@ -351,9 +352,9 @@ pub fn run_placement_with(opts: &CliOptions, cancel: CancelToken) -> Result<RunO
                 gamma_alpha_bits: opts.gamma_alpha.map(f64::to_bits),
                 chunk_size: plan.chunk_size,
                 n_queries: batch.len(),
-                thorough_fraction_bits: epa.thorough_fraction.to_bits(),
-                thorough_min: epa.thorough_min,
-                blo_iterations: epa.blo_iterations,
+                thorough_fraction_bits: THOROUGH_FRACTION.to_bits(),
+                thorough_min: THOROUGH_MIN,
+                blo_iterations: BLO_ITERATIONS,
             };
             Some(match (ckpt, res) {
                 (Some(dir), _) => RunJournal::create(std::path::Path::new(dir), &manifest)

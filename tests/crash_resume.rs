@@ -12,7 +12,9 @@
 
 use phylo_faults::Trigger;
 use phyloplace::journal::{JournalError, Manifest, RunJournal, MANIFEST_FORMAT};
+use phyloplace::place::candidates::{THOROUGH_FRACTION, THOROUGH_MIN};
 use phyloplace::place::result::{to_jplace, to_jplace_with};
+use phyloplace::place::score::BLO_ITERATIONS;
 use phyloplace::place::{EpaConfig, PlaceError, Placer, QueryBatch};
 use phyloplace::prelude::*;
 use std::path::PathBuf;
@@ -49,7 +51,6 @@ fn make_placer(ds: &phyloplace::datasets::Dataset, s2p: &[u32]) -> Placer {
 /// per test process; what matters here is the chunk geometry).
 fn manifest_of(placer: &Placer, batch: &QueryBatch) -> Manifest {
     let plan = placer.memory_plan(batch).unwrap();
-    let epa = placer.config();
     Manifest {
         format: MANIFEST_FORMAT,
         tree_hash: 1,
@@ -59,9 +60,9 @@ fn manifest_of(placer: &Placer, batch: &QueryBatch) -> Manifest {
         gamma_alpha_bits: None,
         chunk_size: plan.chunk_size,
         n_queries: batch.len(),
-        thorough_fraction_bits: epa.thorough_fraction.to_bits(),
-        thorough_min: epa.thorough_min,
-        blo_iterations: epa.blo_iterations,
+        thorough_fraction_bits: THOROUGH_FRACTION.to_bits(),
+        thorough_min: THOROUGH_MIN,
+        blo_iterations: BLO_ITERATIONS,
     }
 }
 

@@ -120,8 +120,7 @@ fn smaller_chunks_lower_the_floor_but_cost_time() {
     assert_eq!(k, 13, "pro_ref at ci scale has 1 247 branches");
     let per_query = batch.n_sites() + k * 16;
     assert_eq!(floor_big - floor_small, (batch.len() - 1) * per_query);
-    let cfg = EpaConfig::default();
-    assert_eq!(memplan::chunk_bytes(&ctx, &cfg, 7, batch.n_sites()), 7 * per_query);
+    assert_eq!(memplan::chunk_bytes(&ctx, 7, batch.n_sites()), 7 * per_query);
 }
 
 #[test]

@@ -7,6 +7,7 @@
 //! (`cargo test -q`) against the same library code the release binary
 //! ships.
 
+use phyloplace::place::score::BLO_ITERATIONS;
 use phyloplace::place::{memplan, EpaConfig, Placer, PreplacementMode, QueryBatch};
 use phyloplace::prelude::*;
 use std::sync::Mutex;
@@ -71,12 +72,12 @@ fn metrics_account_for_every_clv_acquisition() {
     assert!(m.counter("engine.ops") > 0, "kernel op counter never fired: {m:?}");
     // Thorough scoring's searches: every pair runs its first round's two,
     // and rounds are whole, so run + skipped is even and bounded by
-    // `2 · blo_iterations` a pair.
+    // `2 · BLO_ITERATIONS` a pair.
     let (run, skipped) =
         (m.counter("place.thorough.searches_run"), m.counter("place.thorough.searches_skipped"));
     assert!(run >= 2 * report.n_thorough, "{run} searches for {} pairs", report.n_thorough);
     assert_eq!((run + skipped) % 2, 0);
-    assert!(run + skipped <= 2 * placer.config().blo_iterations as u64 * report.n_thorough);
+    assert!(run + skipped <= 2 * BLO_ITERATIONS as u64 * report.n_thorough);
 
     // The snapshot exports as JSON with the counters present and the
     // braces balanced (the file must load in any JSON reader).
