@@ -11,8 +11,11 @@
 //! corrupt merge.
 //!
 //! The file is hand-rolled JSON (this workspace takes no external
-//! dependencies): one `"key": value` pair per line, hashes as 16-hex-char
-//! strings so 64-bit values never pass through f64.
+//! dependencies): one `"key": value` pair per line, read back through
+//! [`phylo_obs::Fields`], hashes as 16-hex-char strings so 64-bit values
+//! never pass through f64.
+
+use phylo_obs::Fields;
 
 use crate::JournalError;
 
@@ -178,45 +181,6 @@ impl Manifest {
             blo_iterations: f.uint("blo_iterations")?,
         })
     }
-}
-
-/// A manifest's JSON text, read one field at a time. Every error string
-/// names the missing or malformed field.
-struct Fields<'a>(&'a str);
-
-impl<'a> Fields<'a> {
-    /// The value text of `key`: the rest of its line, trimmed, without
-    /// the separating comma.
-    fn raw(&self, key: &str) -> Result<&'a str, String> {
-        let needle = format!("\"{key}\":");
-        let start =
-            self.0.find(&needle).ok_or_else(|| format!("missing field `{key}`"))? + needle.len();
-        let rest = &self.0[start..];
-        let end = rest.find('\n').unwrap_or(rest.len());
-        Ok(rest[..end].trim().trim_end_matches(','))
-    }
-
-    /// An unquoted number.
-    fn uint<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
-        self.raw(key)?.parse().map_err(|_| malformed(key))
-    }
-
-    /// A quoted string, without its quotes.
-    fn string(&self, key: &str) -> Result<&'a str, String> {
-        let v = self.raw(key)?;
-        v.strip_prefix('"').and_then(|v| v.strip_suffix('"')).ok_or_else(|| malformed(key))
-    }
-
-    /// A 64-bit value written as a quoted hex string, so it never passes
-    /// through f64.
-    fn hex(&self, key: &str) -> Result<u64, String> {
-        u64::from_str_radix(self.string(key)?, 16).map_err(|_| malformed(key))
-    }
-}
-
-/// The parse error for a field that is present but unreadable.
-fn malformed(key: &str) -> String {
-    format!("malformed field `{key}`")
 }
 
 /// A `ManifestMismatch` naming `field`; `expected` is the on-disk value.

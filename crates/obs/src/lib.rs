@@ -20,8 +20,8 @@
 //! figures are what [`Baseline::elapsed`] reports against a
 //! [`Baseline::now`] taken before the run.
 //!
-//! Beside them sit the two byte-level helpers every crate of the
-//! workspace shares: [`json_escape`] and [`crc32`].
+//! Beside them sit the byte-level helpers every crate of the workspace
+//! shares: [`json_escape`], its reading half [`Fields`], and [`crc32`].
 
 pub mod slottrace;
 pub mod trace;
@@ -61,6 +61,47 @@ pub fn json_escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// A JSON document written one `"key": value` pair per line — the run
+/// manifest, the `--metrics-json` file — read one field at a time: the
+/// reading half of [`json_escape`]. Every error string names the missing
+/// or malformed field.
+pub struct Fields<'a>(pub &'a str);
+
+impl<'a> Fields<'a> {
+    /// The value text of `key`: the rest of its line, trimmed, without
+    /// the separating comma.
+    pub fn raw(&self, key: &str) -> Result<&'a str, String> {
+        let needle = format!("\"{key}\":");
+        let start =
+            self.0.find(&needle).ok_or_else(|| format!("missing field `{key}`"))? + needle.len();
+        let rest = &self.0[start..];
+        let end = rest.find('\n').unwrap_or(rest.len());
+        Ok(rest[..end].trim().trim_end_matches(','))
+    }
+
+    /// An unquoted number.
+    pub fn uint<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
+        self.raw(key)?.parse().map_err(|_| malformed(key))
+    }
+
+    /// A quoted string, without its quotes.
+    pub fn string(&self, key: &str) -> Result<&'a str, String> {
+        let v = self.raw(key)?;
+        v.strip_prefix('"').and_then(|v| v.strip_suffix('"')).ok_or_else(|| malformed(key))
+    }
+
+    /// A 64-bit value written as a quoted hex string, so it never passes
+    /// through f64.
+    pub fn hex(&self, key: &str) -> Result<u64, String> {
+        u64::from_str_radix(self.string(key)?, 16).map_err(|_| malformed(key))
+    }
+}
+
+/// The error for a field that is present but unreadable.
+fn malformed(key: &str) -> String {
+    format!("malformed field `{key}`")
 }
 
 /// Slicing-by-8 tables for [`crc32`]: `CRC_TABLES[0]` is the classic
@@ -457,6 +498,22 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fields_read_one_value_per_line() {
+        let doc = concat!(
+            "{\n  \"counters\": {\n    \"slot.misses\": 42,\n    \"slot.hits\": 7\n  },\n",
+            "  \"name\": \"dna\",\n  \"hash\": \"00000000000000ff\"\n}",
+        );
+        let f = Fields(doc);
+        assert_eq!(f.uint::<u64>("slot.misses"), Ok(42));
+        assert_eq!(f.uint::<u64>("slot.hits"), Ok(7));
+        assert_eq!(f.string("name"), Ok("dna"));
+        assert_eq!(f.hex("hash"), Ok(255));
+        assert_eq!(f.uint::<u64>("slot.evictions").unwrap_err(), "missing field `slot.evictions`");
+        assert_eq!(f.uint::<u64>("name").unwrap_err(), "malformed field `name`");
+        assert_eq!(f.string("slot.hits").unwrap_err(), "malformed field `slot.hits`");
+    }
 
     #[test]
     fn bucket_boundaries() {

@@ -5,9 +5,9 @@
 //! operation, *inside* the table-lock critical section — so the captured
 //! order is the true serialization order of the run, even under
 //! concurrent planners. Events name logical CLV keys, never physical
-//! slots, which is what lets the offline simulator (`phylo-replay`)
-//! replay the same demand stream against *any* policy and *any* slot
-//! count: physical placement is derived, not recorded.
+//! slots, which is what lets `phylo-replay` feed the same demand stream
+//! to a slot manager of *any* policy and *any* slot count: physical
+//! placement is derived, not recorded.
 //!
 //! Like the span tracer ([`crate::trace`]), capture is runtime-armed:
 //! the manager holds an `Arc<SlotTrace>` only when a run asked for one
@@ -86,7 +86,7 @@ pub enum SlotEvent {
 pub type ScheduleTable = Vec<(u32, u32)>;
 
 /// Run-level context captured alongside the event stream — everything
-/// the offline simulator needs to reconstruct the live configuration.
+/// a replay needs to reconstruct the live configuration.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceMeta {
     /// Logical CLV key space (`n_dir_edges` in the placement engine).

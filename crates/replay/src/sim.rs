@@ -1,53 +1,27 @@
-//! The trace simulator: a faithful in-memory model of the slot
-//! manager's eviction table, replaying one [`SlotEvent`] at a time.
+//! The trace replayer: drives a fresh [`SlotManager`] — the one the
+//! placement engine runs, with no arena and no kernels behind it — one
+//! [`SlotEvent`] at a time.
 //!
-//! The model mirrors `phylo_amc::slots::TableInner` exactly where it
-//! matters for replacement decisions: the `slot↔clv` maps, per-slot pin
-//! counts, the free list in its initial `(0..n).rev()` order (so fresh
-//! slots are handed out 0, 1, 2, … just like the live manager), and the
-//! strategy callbacks in the live call order (`choose_victim` →
-//! `on_evict` → unmap → map → `on_insert`). Live policies are the
-//! *same* trait objects the manager runs ([`StrategyKind::build`]), so
-//! same-policy replay cannot drift from the live implementation.
+//! Replay is the live manager plus three rules for configurations other
+//! than the captured one, where a CLV the trace names may not be
+//! resident: pins on a non-resident CLV are counted per CLV and balanced
+//! by its later unpins first; a `Touch` of a non-resident CLV counts
+//! nothing; an `Invalidate` of a pinned CLV is skipped. Events naming
+//! [`NO_CLV`] never reach the manager. Live policies are the *same*
+//! trait objects the manager runs ([`StrategyKind::build`]); the oracle
+//! is one more [`ReplacementStrategy`] that reads the trace's future.
 
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::fmt;
-
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use phylo_amc::{ClvKey, NextUse, ReplacementStrategy, SlotId, StrategyKind, VictimView};
+use phylo_amc::{
+    AmcError, ClvKey, NextUse, ReplacementStrategy, SlotId, SlotManager, SlotStats, StrategyKind,
+    VictimView,
+};
 use phylo_obs::slottrace::{SlotEvent, Trace, NO_CLV, NO_TABLE};
-
-/// Sentinel in the simulator's `slot_to_clv` column (mirrors the live
-/// manager's `FREE`).
-const FREE: u32 = u32::MAX;
-
-/// The simulated traffic counters; field-for-field comparable with the
-/// live manager's `SlotStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimStats {
-    /// Demand accesses that found the CLV resident.
-    pub hits: u64,
-    /// Demand accesses that had to (re)assign a slot.
-    pub misses: u64,
-    /// Victims discarded to make room.
-    pub evictions: u64,
-    /// Slot (re)assignments; invariant `installs == misses`.
-    pub installs: u64,
-    /// All demand accesses; invariant `acquires == hits + misses`.
-    pub acquires: u64,
-}
-
-impl SimStats {
-    /// Miss rate over all demand accesses (0 when the trace is empty).
-    pub fn miss_rate(&self) -> f64 {
-        if self.acquires == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.acquires as f64
-        }
-    }
-}
 
 /// A replayable policy: any live [`StrategyKind`], or the clairvoyant
 /// Belady oracle (not implementable live — it reads the future).
@@ -129,147 +103,59 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// The victim chooser: a live strategy or the oracle's future index.
-enum PolicyState {
-    Live(Box<dyn ReplacementStrategy>),
-    Belady {
-        /// Per-CLV queue of *future* use positions (indices into the
-        /// event stream): demand accesses and planner reuses alike — a
-        /// CLV the live planner is about to reuse is not dead. The front
-        /// is the next use; a CLV's own position is popped when its
-        /// event is replayed.
-        next_use: Vec<VecDeque<usize>>,
-    },
+/// The oracle as a replacement strategy. The driver publishes the index
+/// of the event being replayed in `now`; every use at or before it is
+/// past.
+struct Belady {
+    /// Per CLV, the event positions of its demand accesses and planner
+    /// reuses, ascending — a CLV the planner is about to reuse is not
+    /// dead. Past positions are dropped lazily.
+    uses: Vec<VecDeque<usize>>,
+    now: Arc<AtomicUsize>,
 }
 
-struct Sim {
-    slot_to_clv: Vec<u32>,
-    clv_to_slot: Vec<u32>,
-    pin_counts: Vec<u32>,
-    free: Vec<u32>,
-    /// Pins recorded for CLVs that are not resident *in this replay
-    /// configuration* (cross-policy replay evicts differently than the
-    /// captured run). Balanced by later Unpin events so the pinned set
-    /// never leaks.
-    skipped_pins: Vec<u64>,
-    policy: PolicyState,
-    stats: SimStats,
-}
-
-impl Sim {
-    fn resident(&self, clv: u32) -> Option<usize> {
-        let s = self.clv_to_slot[clv as usize];
-        (s != FREE).then_some(s as usize)
+impl Belady {
+    fn new(trace: &Trace, n_clvs: usize, now: Arc<AtomicUsize>) -> Self {
+        let mut uses = vec![VecDeque::new(); n_clvs];
+        for (i, ev) in trace.events.iter().enumerate() {
+            if let SlotEvent::Acquire { clv } | SlotEvent::Touch { clv } = *ev {
+                if clv != NO_CLV {
+                    uses[clv as usize].push_back(i);
+                }
+            }
+        }
+        Belady { uses, now }
     }
+}
 
-    /// The oracle consumes the position being replayed, leaving the
-    /// queue front pointing at the *next* future use.
-    fn consume_use(&mut self, clv: u32, index: usize) {
-        if let PolicyState::Belady { next_use } = &mut self.policy {
-            let q = &mut next_use[clv as usize];
-            while q.front().is_some_and(|&p| p <= index) {
+impl ReplacementStrategy for Belady {
+    fn name(&self) -> &'static str {
+        "belady"
+    }
+    fn on_insert(&mut self, _clv: ClvKey, _slot: SlotId) {}
+    fn on_access(&mut self, _clv: ClvKey, _slot: SlotId) {}
+    fn on_evict(&mut self, _clv: ClvKey, _slot: SlotId) {}
+    fn choose_victim(&mut self, view: &VictimView<'_>) -> Option<SlotId> {
+        let now = self.now.load(Ordering::Relaxed);
+        // Furthest next use wins; "never used again" sorts above every
+        // position; ties fall to the lower CLV key.
+        let mut next_use = |clv: ClvKey| {
+            let q = &mut self.uses[clv.idx()];
+            while q.front().is_some_and(|&p| p <= now) {
                 q.pop_front();
             }
-        }
-    }
-
-    fn on_access(&mut self, clv: u32, slot: usize) {
-        if let PolicyState::Live(s) = &mut self.policy {
-            s.on_access(ClvKey(clv), SlotId(slot as u32));
-        }
-    }
-
-    fn on_evict(&mut self, clv: u32, slot: usize) {
-        if let PolicyState::Live(s) = &mut self.policy {
-            s.on_evict(ClvKey(clv), SlotId(slot as u32));
-        }
-    }
-
-    fn on_insert(&mut self, clv: u32, slot: usize) {
-        if let PolicyState::Live(s) = &mut self.policy {
-            s.on_insert(ClvKey(clv), SlotId(slot as u32));
-        }
-    }
-
-    fn choose_victim(&mut self) -> Option<usize> {
-        match &mut self.policy {
-            PolicyState::Live(s) => {
-                let view = VictimView::new(&self.slot_to_clv, &self.pin_counts);
-                s.choose_victim(&view).map(|s| s.idx())
-            }
-            PolicyState::Belady { next_use } => {
-                // Furthest next use wins; "never used again" sorts above
-                // every finite position; ties fall to the lower CLV key.
-                let mut best: Option<(usize, u64, u32)> = None; // (slot, key, clv)
-                for (slot, &clv) in self.slot_to_clv.iter().enumerate() {
-                    if clv == FREE || self.pin_counts[slot] > 0 {
-                        continue;
-                    }
-                    let key = next_use[clv as usize].front().map(|&p| p as u64).unwrap_or(u64::MAX);
-                    let better = match best {
-                        None => true,
-                        Some((_, bk, bc)) => key > bk || (key == bk && clv < bc),
-                    };
-                    if better {
-                        best = Some((slot, key, clv));
-                    }
-                }
-                best.map(|(slot, _, _)| slot)
-            }
-        }
-    }
-
-    fn unmap(&mut self, clv: u32, slot: usize) {
-        self.clv_to_slot[clv as usize] = FREE;
-        self.slot_to_clv[slot] = FREE;
-    }
-
-    fn map(&mut self, clv: u32, slot: usize) {
-        self.clv_to_slot[clv as usize] = slot as u32;
-        self.slot_to_clv[slot] = clv;
+            q.front().copied().unwrap_or(usize::MAX)
+        };
+        view.candidates()
+            .max_by_key(|&(_, clv)| (next_use(clv), Reverse(clv.0)))
+            .map(|(slot, _)| slot)
     }
 }
 
-/// A replacement decision surfaced to [`simulate_observed`] observers.
-/// The tier simulator ([`crate::tiersim`]) builds on these: an `Evict`
-/// is the moment a live tiered store would be offered the payload, a
-/// `Miss` the moment it would be probed for a reload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimEvent {
-    /// A demand access missed; a (re)computation — or a tier reload —
-    /// follows.
-    Miss { clv: u32 },
-    /// A resident CLV was discarded to make room. Invalidations are not
-    /// evictions and are not reported: they never reach the live spill
-    /// file either.
-    Evict { clv: u32 },
-}
-
-/// Replays `trace` against `policy` with `n_slots` physical slots and
-/// returns the resulting traffic counters.
-///
-/// For the captured policy and slot count this reproduces the live
-/// run's counters bit-exactly (see the crate docs for the argument);
-/// for any other configuration it answers "what would the traffic have
-/// been". [`SimError::Stuck`] means `n_slots` cannot serve the trace's
-/// pinned set — use [`crate::min_feasible_slots`] for the floor.
-pub fn simulate(trace: &Trace, n_slots: usize, policy: Policy) -> Result<SimStats, SimError> {
-    simulate_observed(trace, n_slots, policy, &mut |_| {})
-}
-
-/// As [`simulate`], additionally reporting each miss and demand-path
-/// eviction to `obs` in trace order.
-pub fn simulate_observed(
-    trace: &Trace,
-    n_slots: usize,
-    policy: Policy,
-    obs: &mut dyn FnMut(SimEvent),
-) -> Result<SimStats, SimError> {
-    if n_slots == 0 {
-        return Err(SimError::BadTrace("n_slots must be positive".into()));
-    }
-    // Size the CLV key space from the meta, stretched to cover every key
-    // the event stream actually names (synthetic traces may omit meta).
+/// The CLV key space a replay needs: the meta's, stretched to cover
+/// every key the events and schedule tables name (synthetic traces may
+/// omit the meta, and a trace file is outside input).
+fn key_space(trace: &Trace) -> usize {
     let mut n_clvs = trace.meta.n_clvs as usize;
     for ev in &trace.events {
         let clv = match *ev {
@@ -287,125 +173,91 @@ pub fn simulate_observed(
     for &(clv, _) in trace.schedules.iter().flatten() {
         n_clvs = n_clvs.max(clv as usize + 1);
     }
+    n_clvs
+}
 
-    let policy_state = match policy {
+/// Replays `trace` against `policy` with `n_slots` physical slots and
+/// returns the resulting traffic counters.
+///
+/// Each call builds its own [`SlotManager`]. For the captured policy and
+/// slot count the manager is told exactly what the live one was, in the
+/// same order, so the counters are the live run's (DESIGN.md §10); for
+/// any other configuration they answer "what would the traffic have
+/// been". [`SimError::Stuck`] means `n_slots` cannot serve the trace's
+/// pinned set — use [`crate::min_feasible_slots`] for the floor.
+pub fn simulate(trace: &Trace, n_slots: usize, policy: Policy) -> Result<SlotStats, SimError> {
+    if n_slots == 0 {
+        return Err(SimError::BadTrace("n_slots must be positive".into()));
+    }
+    let n_clvs = key_space(trace);
+    let now = Arc::new(AtomicUsize::new(0));
+    let strategy = match policy {
         Policy::Kind(kind) => {
             let costs = if kind.needs_costs() {
-                if trace.meta.costs.is_empty() {
+                let costs = &trace.meta.costs;
+                if costs.is_empty() {
                     return Err(SimError::MissingCosts(kind));
                 }
-                Some(trace.meta.costs.clone())
+                if costs.iter().any(|c| c.is_nan()) {
+                    return Err(SimError::BadTrace("a #costs entry is NaN".into()));
+                }
+                Some(costs.clone())
             } else {
                 None
             };
-            PolicyState::Live(kind.build(costs))
+            kind.build(costs)
         }
-        Policy::Belady => {
-            let mut next_use = vec![VecDeque::new(); n_clvs];
-            for (i, ev) in trace.events.iter().enumerate() {
-                if let SlotEvent::Acquire { clv } | SlotEvent::Touch { clv } = *ev {
-                    if clv != NO_CLV {
-                        next_use[clv as usize].push_back(i);
-                    }
-                }
-            }
-            PolicyState::Belady { next_use }
-        }
+        Policy::Belady => Box::new(Belady::new(trace, n_clvs, Arc::clone(&now))),
     };
-
-    let mut sim = Sim {
-        slot_to_clv: vec![FREE; n_slots],
-        clv_to_slot: vec![FREE; n_clvs],
-        pin_counts: vec![0; n_slots],
-        free: (0..n_slots as u32).rev().collect(),
-        skipped_pins: vec![0; n_clvs],
-        policy: policy_state,
-        stats: SimStats::default(),
-    };
+    let live = policy != Policy::Belady;
+    let slots = SlotManager::new(n_clvs, n_slots, strategy);
+    // Pins the trace records on a CLV that is not resident in *this*
+    // configuration; the CLV's next unpins balance them first, so the
+    // pinned set never leaks onto a stranger's slot.
+    let mut skipped_pins = vec![0u64; n_clvs];
 
     for (index, ev) in trace.events.iter().enumerate() {
+        now.store(index, Ordering::Relaxed);
         match *ev {
+            SlotEvent::Acquire { clv: NO_CLV } => {
+                return Err(SimError::BadTrace(format!(
+                    "event {index}: demand access on the NO_CLV sentinel"
+                )));
+            }
             SlotEvent::Acquire { clv } => {
-                if clv == NO_CLV {
-                    return Err(SimError::BadTrace(format!(
-                        "event {index}: demand access on the NO_CLV sentinel"
-                    )));
-                }
-                sim.consume_use(clv, index);
-                sim.stats.acquires += 1;
-                if let Some(slot) = sim.resident(clv) {
-                    sim.stats.hits += 1;
-                    sim.on_access(clv, slot);
-                    continue;
-                }
-                sim.stats.misses += 1;
-                obs(SimEvent::Miss { clv });
-                let slot = if let Some(raw) = sim.free.pop() {
-                    raw as usize
-                } else {
-                    let Some(victim_slot) = sim.choose_victim() else {
-                        return Err(SimError::Stuck { index, clv });
-                    };
-                    let victim = sim.slot_to_clv[victim_slot];
-                    sim.stats.evictions += 1;
-                    obs(SimEvent::Evict { clv: victim });
-                    sim.on_evict(victim, victim_slot);
-                    sim.unmap(victim, victim_slot);
-                    victim_slot
-                };
-                sim.stats.installs += 1;
-                sim.map(clv, slot);
-                sim.on_insert(clv, slot);
+                slots.acquire(ClvKey(clv)).map_err(|e| match e {
+                    AmcError::AllSlotsPinned { .. } => SimError::Stuck { index, clv },
+                    e => SimError::BadTrace(format!("event {index}: {e}")),
+                })?;
             }
-            SlotEvent::Touch { clv } => {
-                // A planner reuse: a hit where the CLV is resident, as in
-                // the live accounting. Where this configuration evicted
-                // it, the live planner would have recomputed it instead;
-                // the trace cannot say at what cost, so it counts nothing.
-                if clv == NO_CLV {
-                    continue;
+            // A planner reuse is a hit where the CLV is resident. Where
+            // this configuration evicted it the live planner would have
+            // recomputed instead, at a cost no trace records: the
+            // manager counts nothing.
+            SlotEvent::Touch { clv } if clv != NO_CLV => slots.touch(ClvKey(clv)),
+            SlotEvent::Pin { clv, n } if clv != NO_CLV => match slots.lookup(ClvKey(clv)) {
+                Some(slot) => {
+                    if slots.pin_count(slot).checked_add(n).is_none() {
+                        return Err(SimError::BadTrace(format!(
+                            "event {index}: pin count of clv {clv} overflows"
+                        )));
+                    }
+                    slots.pin_n(slot, n);
                 }
-                sim.consume_use(clv, index);
-                if let Some(slot) = sim.resident(clv) {
-                    sim.stats.hits += 1;
-                    sim.stats.acquires += 1;
-                    sim.on_access(clv, slot);
+                None => skipped_pins[clv as usize] += u64::from(n),
+            },
+            SlotEvent::Unpin { clv } if clv != NO_CLV => {
+                if skipped_pins[clv as usize] > 0 {
+                    skipped_pins[clv as usize] -= 1;
+                } else if let Some(slot) = slots.lookup(ClvKey(clv)) {
+                    // An unpin with no pin to remove changes nothing.
+                    let _ = slots.unpin(slot);
                 }
             }
-            SlotEvent::Pin { clv, n } => {
-                if clv == NO_CLV {
-                    // A pin on an empty slot constrains no CLV.
-                    continue;
-                }
-                if let Some(slot) = sim.resident(clv) {
-                    sim.pin_counts[slot] += n;
-                } else {
-                    // Not resident under *this* replay configuration:
-                    // remember the pins so the matching unpins balance.
-                    sim.skipped_pins[clv as usize] += n as u64;
-                }
-            }
-            SlotEvent::Unpin { clv } => {
-                if clv == NO_CLV {
-                    continue;
-                }
-                if sim.skipped_pins[clv as usize] > 0 {
-                    sim.skipped_pins[clv as usize] -= 1;
-                } else if let Some(slot) = sim.resident(clv) {
-                    let c = &mut sim.pin_counts[slot];
-                    *c = c.saturating_sub(1);
-                }
-            }
-            SlotEvent::Invalidate { clv } => {
-                if clv == NO_CLV {
-                    continue;
-                }
-                if let Some(slot) = sim.resident(clv) {
-                    if sim.pin_counts[slot] == 0 {
-                        // Not an eviction in the live accounting either.
-                        sim.on_evict(clv, slot);
-                        sim.unmap(clv, slot);
-                        sim.free.push(slot as u32);
+            SlotEvent::Invalidate { clv } if clv != NO_CLV => {
+                if let Some(slot) = slots.lookup(ClvKey(clv)) {
+                    if slots.pin_count(slot) == 0 {
+                        slots.invalidate(ClvKey(clv));
                     }
                 }
             }
@@ -419,20 +271,17 @@ pub fn simulate_observed(
                         SimError::BadTrace(format!("event {index}: no schedule table {table}"))
                     })?),
                 };
-                if let PolicyState::Live(s) = &mut sim.policy {
-                    s.on_schedule(uses.map(|u| Arc::new(NextUse::from_uses(n_clvs, u))));
+                if live {
+                    slots.announce_schedule(uses.map(|u| Arc::new(NextUse::from_uses(n_clvs, u))));
                 }
             }
-            SlotEvent::Cursor { pos } => {
-                if let PolicyState::Live(s) = &mut sim.policy {
-                    s.on_cursor(pos);
-                }
-            }
+            SlotEvent::Cursor { pos } if live => slots.advance_cursor(pos),
+            // A touch, pin, unpin or invalidate of an empty slot
+            // constrains no CLV; the oracle ignores the cursor.
+            _ => {}
         }
     }
-    debug_assert_eq!(sim.stats.installs, sim.stats.misses);
-    debug_assert_eq!(sim.stats.acquires, sim.stats.hits + sim.stats.misses);
-    Ok(sim.stats)
+    Ok(slots.stats())
 }
 
 #[cfg(test)]
@@ -462,7 +311,7 @@ mod tests {
         // 0 1 2 fill; 3 evicts 0; 0 evicts 1; 1 evicts 2 (FIFO order).
         let t = trace(vec![acq(0), acq(1), acq(2), acq(3), acq(0), acq(1)]);
         let s = simulate(&t, 3, Policy::Kind(StrategyKind::Fifo)).unwrap();
-        assert_eq!(s, SimStats { hits: 0, misses: 6, evictions: 3, installs: 6, acquires: 6 });
+        assert_eq!(s, SlotStats { hits: 0, misses: 6, evictions: 3, installs: 6, acquires: 6 });
     }
 
     #[test]

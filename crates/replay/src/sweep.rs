@@ -10,9 +10,10 @@
 
 use std::collections::BTreeSet;
 
+use phylo_amc::SlotStats;
 use phylo_obs::slottrace::{SlotEvent, Trace, NO_CLV};
 
-use crate::sim::{simulate, Policy, SimError, SimStats};
+use crate::sim::{simulate, Policy, SimError};
 
 /// The smallest slot count that can serve `trace` under any policy: the
 /// peak number of concurrently pinned CLVs, plus one slot to evict
@@ -39,9 +40,9 @@ pub fn min_feasible_slots(trace: &Trace) -> usize {
                 }
                 pins[clv as usize] += n as u64;
             }
-            SlotEvent::Unpin { clv } if clv != NO_CLV => {
-                let c = &mut pins[clv as usize];
-                if *c > 0 {
+            // An unpin with no pin before it (any key) releases nothing.
+            SlotEvent::Unpin { clv } => {
+                if let Some(c) = pins.get_mut(clv as usize).filter(|c| **c > 0) {
                     *c -= 1;
                     if *c == 0 {
                         pinned_now -= 1;
@@ -82,7 +83,7 @@ pub struct SweepRow {
     /// The simulated slot count.
     pub n_slots: usize,
     /// Counters, or why the replay could not complete.
-    pub outcome: Result<SimStats, SimError>,
+    pub outcome: Result<SlotStats, SimError>,
 }
 
 /// Replays every `(slot count, policy)` combination.

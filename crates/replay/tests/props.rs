@@ -1,4 +1,4 @@
-//! Property-based tests over the replay simulator: the classical
+//! Property-based tests over the trace replay: the classical
 //! paging-theory facts the Belady oracle and the stack policies must
 //! satisfy on *every* trace, not just hand-picked ones.
 //!

@@ -135,18 +135,23 @@ for r in rows:
           f"crossover@cost={r['crossover_cost']:.0f}")
 EOF
 
-# Replacement-policy smoke: one tight-budget traced run per policy, then
-# the offline replay reports that policy's miss rate next to the Belady
-# oracle's floor at the same slot count — the paper's eviction ablation
-# in one screenful, with each line backed by a bit-exact differential
-# (`replay --verify` fails unless simulator and live counters agree).
+# Replacement-policy smoke: one traced run per policy under the
+# export's pressure budget (`pressure.maxmem`: the floor plus a few CLV
+# slots), then the replay reports that policy's miss rate next to the
+# Belady oracle's floor at the same slot count — the paper's eviction
+# ablation in one screenful, with each line backed by a bit-exact
+# differential (`replay --verify` fails unless the replayed slot manager
+# and the live counters agree).
 echo "==> replacement-policy miss rates (live vs clairvoyant oracle)"
+pressure=$(cat "$jdir/pressure.maxmem")
 for policy in cost lru mru fifo random cost-lru; do
     "$bin" place --tree "$jdir/ref.nwk" --ref-msa "$jdir/ref.fasta" \
-        --queries "$jdir/query.fasta" --chunk 7 --maxmem 300K --no-lookup \
+        --queries "$jdir/query.fasta" --chunk 7 --maxmem "$pressure" --no-lookup \
         --strategy "$policy" --slot-trace "$jdir/$policy.trace" \
         --metrics-json "$jdir/$policy.metrics.json" \
         --out "$jdir/$policy.jplace" >/dev/null 2>&1
+    grep -q '"slot.evictions": 0' "$jdir/$policy.metrics.json" \
+        && { echo "$policy: no evictions — the policy smoke is not under pressure"; exit 1; }
     "$bin" replay --trace "$jdir/$policy.trace" \
         --verify "$jdir/$policy.metrics.json" \
         | grep -E "^  ($policy|belady) " \

@@ -108,11 +108,12 @@ echo "    interrupt/resume smoke OK (resumed output byte-identical)"
 
 echo "==> replay differential (capture -> replay -> exact counter compare, per policy and thread count)"
 # A tight budget with the lookup table disabled forces real eviction
-# traffic; the offline simulator must then reproduce the live slot.*
-# counters bit-exactly from the captured trace (DESIGN.md §10). The
-# default thread count is the runner's core count, so the contract is
-# pinned at three explicit ones: one thread that prepares and scores,
-# two, and four sharing the sweeps' work board. All must replay exactly,
+# traffic; a slot manager fed the captured trace must then reproduce the
+# live slot.* counters bit-exactly (DESIGN.md §10) — a mismatch means the
+# trace missed a table mutation. The default thread count is the
+# runner's core count, so the contract is pinned at three explicit ones:
+# one thread that prepares and scores, two, and four sharing the sweeps'
+# work board. All must replay exactly,
 # and agree with each other on the jplace and on every slot counter.
 for policy in cost lru mru fifo random cost-lru; do
     for threads in 1 2 4; do

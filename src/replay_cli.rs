@@ -14,9 +14,9 @@
 //!   oracle bound — the differential contract every eviction change is
 //!   tested against (`scripts/ci.sh`).
 
+use phylo_obs::Fields;
 use phylo_replay::{
-    crossover_cost, min_feasible_slots, recommend, simulate, simulate_tiers, slot_count_ladder,
-    sweep, Policy, SimStats, TierModel, Trace,
+    min_feasible_slots, recommend, simulate, slot_count_ladder, sweep, Policy, SlotStats, Trace,
 };
 
 /// Parsed `phyloplace replay` options.
@@ -32,14 +32,11 @@ pub struct ReplayOptions {
     pub threshold_pct: f64,
     /// Metrics JSON of the captured run: switches to verify mode.
     pub verify_metrics: Option<String>,
-    /// Tier what-if model (`--tier-reload` enables it).
-    pub tier: Option<TierModel>,
 }
 
 const USAGE: &str = "usage: phyloplace replay --trace TRACE.txt \
   [--slots N[,M,...]] [--policies cost,lru,...,belady|all] \
-  [--threshold PCT] [--verify METRICS.json] \
-  [--tier-reload NS [--tier-rate NS_PER_COST] [--tier-cap BYTES]]";
+  [--threshold PCT] [--verify METRICS.json]";
 
 /// Parses `phyloplace replay` arguments (the leading `replay` token
 /// included). Returns `Err(usage)` on any problem.
@@ -56,11 +53,7 @@ pub fn parse_replay(args: &[String]) -> Result<ReplayOptions, String> {
         policies: None,
         threshold_pct: 10.0,
         verify_metrics: None,
-        tier: None,
     };
-    let mut tier_reload: Option<f64> = None;
-    let mut tier_rate: f64 = 0.0;
-    let mut tier_cap: Option<u64> = None;
     while let Some(flag) = it.next() {
         let mut value =
             || it.next().cloned().ok_or_else(|| format!("{flag} needs a value\n{USAGE}"));
@@ -108,64 +101,18 @@ pub fn parse_replay(args: &[String]) -> Result<ReplayOptions, String> {
                 opts.threshold_pct = pct;
             }
             "--verify" => opts.verify_metrics = Some(value()?),
-            "--tier-reload" | "--tier-rate" => {
-                let v = value()?;
-                let ns: f64 = v.parse().map_err(|_| format!("bad {flag} {v:?}\n{USAGE}"))?;
-                if !ns.is_finite() || ns < 0.0 {
-                    return Err(format!("bad {flag} {v:?}: must be >= 0\n{USAGE}"));
-                }
-                if flag == "--tier-reload" {
-                    tier_reload = Some(ns);
-                } else {
-                    tier_rate = ns;
-                }
-            }
-            "--tier-cap" => {
-                let v = value()?;
-                let cap: u64 = v.parse().map_err(|_| format!("bad --tier-cap {v:?}\n{USAGE}"))?;
-                if cap == 0 {
-                    return Err(format!("bad --tier-cap {v:?}: must be positive\n{USAGE}"));
-                }
-                tier_cap = Some(cap);
-            }
             other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
         }
     }
     opts.trace_path = trace_path.ok_or_else(|| format!("--trace is required\n{USAGE}"))?;
-    match tier_reload {
-        Some(reload_ns) => {
-            opts.tier = Some(TierModel {
-                reload_ns,
-                recompute_ns_per_cost: tier_rate,
-                capacity_bytes: tier_cap,
-                entry_bytes: None,
-            });
-        }
-        None if tier_rate != 0.0 || tier_cap.is_some() => {
-            return Err(format!("--tier-rate/--tier-cap need --tier-reload\n{USAGE}"));
-        }
-        None => {}
-    }
     Ok(opts)
 }
 
-/// Pulls one integer counter out of a `--metrics-json` document without
-/// a JSON parser: finds the quoted key, then `: <digits>`.
-fn json_counter(doc: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\"");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start();
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
 /// The live counters a verify pass compares against.
-fn live_stats(doc: &str) -> Result<SimStats, String> {
-    let get = |key: &str| {
-        json_counter(doc, key).ok_or_else(|| format!("metrics JSON has no {key:?} counter"))
-    };
-    Ok(SimStats {
+fn live_stats(doc: &str) -> Result<SlotStats, String> {
+    let f = Fields(doc);
+    let get = |key: &str| f.uint(key).map_err(|e| format!("metrics JSON: {e}"));
+    Ok(SlotStats {
         hits: get("slot.hits")?,
         misses: get("slot.misses")?,
         evictions: get("slot.evictions")?,
@@ -174,7 +121,7 @@ fn live_stats(doc: &str) -> Result<SimStats, String> {
     })
 }
 
-fn fmt_stats(s: &SimStats) -> String {
+fn fmt_stats(s: &SlotStats) -> String {
     format!(
         "hits={} misses={} evictions={} installs={} acquires={}",
         s.hits, s.misses, s.evictions, s.installs, s.acquires
@@ -198,10 +145,6 @@ pub fn run_replay(opts: &ReplayOptions) -> Result<String, String> {
         if meta.strategy.is_empty() { "?" } else { &meta.strategy },
         meta.n_slots,
     ));
-
-    if let Some(model) = &opts.tier {
-        out.push_str(&tier_what_if(&trace, opts, model)?);
-    }
 
     if let Some(metrics_path) = &opts.verify_metrics {
         return verify(&trace, opts, metrics_path, out);
@@ -280,44 +223,13 @@ pub fn run_replay(opts: &ReplayOptions) -> Result<String, String> {
     Ok(out)
 }
 
-/// The tier what-if block: model a tiered store against the captured
-/// (or first requested) policy and slot count, and report how the
-/// misses would have split into reloads vs recomputations.
-fn tier_what_if(trace: &Trace, opts: &ReplayOptions, model: &TierModel) -> Result<String, String> {
-    let meta = &trace.meta;
-    let policy = Policy::parse(&meta.strategy)
-        .or_else(|| {
-            opts.policies.as_ref().and_then(|ps| ps.iter().find(|p| **p != Policy::Belady).copied())
-        })
-        .ok_or_else(|| "tier what-if needs a live policy (trace meta or --policies)".to_string())?;
-    let n_slots =
-        match meta.n_slots as usize {
-            0 => *opts.slots.as_ref().and_then(|s| s.first()).ok_or_else(|| {
-                "tier what-if needs a slot count (trace meta or --slots)".to_string()
-            })?,
-            n => n,
-        };
-    let s = simulate_tiers(trace, n_slots, policy, model).map_err(|e| e.to_string())?;
-    let mut out = format!(
-        "tier what-if ({policy}, {n_slots} slots, reload={:.0}ns):\n  \
-         demotions={} drops_cost={} drops_budget={} reloads={} recomputes={}\n",
-        model.reload_ns, s.demotions, s.drops_cost, s.drops_budget, s.reloads, s.recomputes,
-    );
-    if model.recompute_ns_per_cost > 0.0 {
-        out.push_str(&format!(
-            "  modeled miss time: {:.3}ms tiered vs {:.3}ms untiered (saved {:.3}ms)\n",
-            (s.reload_ns_total + s.recompute_ns_total) as f64 / 1e6,
-            s.untiered_ns_total as f64 / 1e6,
-            s.saved_ns() as f64 / 1e6,
-        ));
+/// Misses over all demand accesses (0 when there were none).
+fn miss_rate(s: &SlotStats) -> f64 {
+    if s.acquires == 0 {
+        0.0
+    } else {
+        s.misses as f64 / s.acquires as f64
     }
-    if let Some(c) = crossover_cost(model) {
-        out.push_str(&format!(
-            "  crossover: demotion pays above recompute cost {c:.2} (trace cost units)\n"
-        ));
-    }
-    out.push('\n');
-    Ok(out)
 }
 
 /// The differential pass: exact counter equality at the captured
@@ -361,7 +273,7 @@ fn verify(
                     "  {:<10} misses={:<8} miss-rate={:.4}{tag}\n",
                     p.to_string(),
                     s.misses,
-                    s.miss_rate()
+                    miss_rate(&s)
                 ));
                 if *p == Policy::Belady {
                     oracle_misses = Some(s.misses);
@@ -433,64 +345,8 @@ mod tests {
         assert!(parse_replay(&base(&["--policies", "optimal-ish"])).is_err());
         assert!(parse_replay(&base(&["--threshold", "-1"])).is_err());
         assert!(parse_replay(&base(&["--bogus"])).is_err());
-    }
-
-    #[test]
-    fn parse_tier_flags_build_a_model() {
-        let base = |extra: &[&str]| -> Vec<String> {
-            ["replay", "--trace", "t.txt"].iter().chain(extra).map(|s| s.to_string()).collect()
-        };
-        let o = parse_replay(&base(&[
-            "--tier-reload",
-            "5000",
-            "--tier-rate",
-            "12.5",
-            "--tier-cap",
-            "1000000",
-        ]))
-        .unwrap();
-        let m = o.tier.unwrap();
-        assert_eq!(m.reload_ns, 5000.0);
-        assert_eq!(m.recompute_ns_per_cost, 12.5);
-        assert_eq!(m.capacity_bytes, Some(1_000_000));
-        // Dependent flags without the enabler must be rejected.
-        assert!(parse_replay(&base(&["--tier-rate", "1"])).is_err());
-        assert!(parse_replay(&base(&["--tier-cap", "0", "--tier-reload", "1"])).is_err());
-        assert!(parse_replay(&base(&["--tier-reload", "-3"])).is_err());
-    }
-
-    #[test]
-    fn tier_what_if_renders_in_sweep_mode() {
-        let dir = std::env::temp_dir().join(format!("phyloplace-tiersim-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.txt");
-        let mut text = String::from(
-            "#phylo-slot-trace v1\n#meta n_clvs=6 n_slots=2 strategy=lru bytes_per_slot=1000\n#costs 4.0 4.0 4.0 4.0 4.0 4.0\n",
-        );
-        for _ in 0..5 {
-            for clv in 0..6 {
-                text.push_str(&format!("a {clv}\n"));
-            }
-        }
-        std::fs::write(&path, &text).unwrap();
-        let opts = ReplayOptions {
-            trace_path: path.to_str().unwrap().into(),
-            slots: None,
-            policies: Some(vec![Policy::parse("lru").unwrap(), Policy::Belady]),
-            threshold_pct: 10.0,
-            verify_metrics: None,
-            tier: Some(TierModel {
-                reload_ns: 100.0,
-                recompute_ns_per_cost: 1000.0,
-                capacity_bytes: None,
-                entry_bytes: None,
-            }),
-        };
-        let out = run_replay(&opts).unwrap();
-        assert!(out.contains("tier what-if"), "{out}");
-        assert!(out.contains("crossover"), "{out}");
-        assert!(out.contains("saved"), "{out}");
-        std::fs::remove_dir_all(&dir).unwrap();
+        // The retired tier what-if flags are unknown flags now.
+        assert!(parse_replay(&base(&["--tier-reload", "5000"])).is_err());
     }
 
     #[test]
@@ -505,7 +361,6 @@ mod tests {
             policies: None,
             threshold_pct: 10.0,
             verify_metrics: None,
-            tier: None,
         };
         let err = run_replay(&opts).unwrap_err();
         assert!(err.ends_with("line 3: unknown event kind \"x\""), "{err}");
@@ -513,11 +368,15 @@ mod tests {
     }
 
     #[test]
-    fn json_counter_handles_the_metrics_format() {
-        let doc = "{\n  \"counters\": {\n    \"slot.misses\": 42,\n    \"slot.hits\": 7\n  }\n}";
-        assert_eq!(json_counter(doc, "slot.misses"), Some(42));
-        assert_eq!(json_counter(doc, "slot.hits"), Some(7));
-        assert_eq!(json_counter(doc, "slot.evictions"), None);
+    fn live_stats_reads_the_metrics_format() {
+        let doc = concat!(
+            "{\n  \"counters\": {\n    \"slot.acquires\": 49,\n    \"slot.evictions\": 3,\n",
+            "    \"slot.hits\": 7,\n    \"slot.installs\": 42,\n    \"slot.misses\": 42\n  }\n}",
+        );
+        let s = live_stats(doc).unwrap();
+        assert_eq!((s.hits, s.misses, s.evictions, s.installs, s.acquires), (7, 42, 3, 42, 49));
+        let err = live_stats(&doc.replace("slot.evictions", "slot.evicted")).unwrap_err();
+        assert_eq!(err, "metrics JSON: missing field `slot.evictions`");
     }
 
     #[test]
@@ -540,7 +399,6 @@ mod tests {
             policies: Some(vec![Policy::parse("lru").unwrap(), Policy::Belady]),
             threshold_pct: 10.0,
             verify_metrics: None,
-            tier: None,
         };
         let out = run_replay(&opts).unwrap();
         assert!(out.contains("belady"), "{out}");
@@ -572,7 +430,6 @@ mod tests {
             policies: None,
             threshold_pct: 10.0,
             verify_metrics: Some(mpath.to_str().unwrap().into()),
-            tier: None,
         };
         let out = run_replay(&opts).unwrap();
         assert!(out.contains("verified"), "{out}");

@@ -204,7 +204,7 @@ fn metrics_and_trace_are_live_in_the_default_build() {
         assert!(trace.contains(span), "no {span} span in the trace");
     }
 
-    // The simulator reproduces that file's slot counters exactly.
+    // The replay reproduces that file's slot counters exactly.
     let out = bin().args(["replay", "--trace", &s, "--verify", &m]).output().unwrap();
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     std::fs::remove_dir_all(&dir).unwrap();

@@ -1,20 +1,23 @@
 //! The replay lab's differential contract, end to end: a placement run
 //! under a tight memory budget, captured with `--slot-trace`, must be
-//! reproduced **bit-exactly** by the offline simulator — same policy,
-//! same slot count, identical hit/miss/eviction/install/acquire
-//! counters. One run per replacement policy, plus the Belady oracle
-//! bound: the clairvoyant replay never misses more than any live
-//! policy on the trace it captured.
+//! reproduced **bit-exactly** by a slot manager fed the trace — same
+//! policy, same slot count, identical hit/miss/eviction/install/acquire
+//! counters. Both sides run the same manager, so a mismatch means the
+//! trace missed a table mutation. One run per replacement policy, plus
+//! the Belady oracle bound: the clairvoyant replay never misses more
+//! than any live policy on the trace it captured.
 //!
 //! This is the guarantee that makes offline `phyloplace replay` sweeps
-//! trustworthy for `--maxmem` planning: if the simulator agrees with
-//! the live slot manager at the captured configuration, its miss
-//! curves at *other* slot counts are the real machine's, not a model's.
+//! trustworthy for `--maxmem` planning: if the replay agrees with the
+//! live run at the captured configuration, its miss curves at *other*
+//! slot counts are the real manager's, not a model's.
 
 use phylo_obs::slottrace::{SlotEvent, NO_TABLE};
 use phyloplace::place::{memplan, EpaConfig, Placer, PreplacementMode, QueryBatch, RunControl};
 use phyloplace::prelude::*;
-use phyloplace::replay::{simulate, Policy, SimStats, Trace};
+use phyloplace::replay::{
+    min_feasible_slots, simulate, slot_count_ladder, Policy, SlotStats, Trace,
+};
 use std::sync::Arc;
 
 fn setup() -> (phyloplace::datasets::Dataset, Vec<u32>, QueryBatch) {
@@ -57,7 +60,7 @@ fn tight_config(
 }
 
 /// Captures one traced run and returns `(trace, live counters, slots)`.
-fn traced_run(strategy: StrategyKind) -> (Trace, SimStats, usize) {
+fn traced_run(strategy: StrategyKind) -> (Trace, SlotStats, usize) {
     let (ds, s2p, batch) = setup();
     let cfg = tight_config(&ds, &batch, strategy);
     let placer = Placer::new(ctx_of(&ds), s2p, cfg).unwrap();
@@ -70,7 +73,7 @@ fn traced_run(strategy: StrategyKind) -> (Trace, SimStats, usize) {
         .unwrap();
     assert!(outcome.completed);
     let s = &outcome.report.slot_stats;
-    let live = SimStats {
+    let live = SlotStats {
         hits: s.hits,
         misses: s.misses,
         evictions: s.evictions,
@@ -84,7 +87,7 @@ fn traced_run(strategy: StrategyKind) -> (Trace, SimStats, usize) {
 /// planner's reuses (`Touch`, a hit in the live run) count only where the
 /// replayed configuration still holds the CLV — where it does not, the
 /// live planner would have recomputed instead, at a cost no trace records.
-fn assert_demand_replayed(trace: &Trace, sim: &SimStats, live: &SimStats, what: &str) {
+fn assert_demand_replayed(trace: &Trace, sim: &SlotStats, live: &SlotStats, what: &str) {
     let demand =
         trace.events.iter().filter(|e| matches!(e, SlotEvent::Acquire { .. })).count() as u64;
     assert!(demand < live.acquires, "{what}: the live planner reused cached CLVs");
@@ -146,26 +149,37 @@ fn simulator_matches_every_live_policy_bit_exactly() {
 #[test]
 fn cross_policy_replay_stays_feasible_on_a_real_trace() {
     // A trace captured under one policy replays under every other (and
-    // the oracle) without jamming: the skipped-pin bookkeeping absorbs
-    // residency divergence, and the sweep announcements the default
-    // policy acted on mean nothing to the rest.
-    let (trace, live, slots) = traced_run(StrategyKind::CostBased);
+    // the oracle) at every slot count of the sweep ladder without
+    // jamming: the skipped-pin bookkeeping absorbs residency divergence,
+    // and the sweep announcements the default policy acted on mean
+    // nothing to the rest.
+    let (trace, live, _) = traced_run(StrategyKind::CostBased);
     assert!(trace.events.iter().any(|e| matches!(e, SlotEvent::Schedule { .. })));
-    let mut best_live = u64::MAX;
-    for policy in Policy::all() {
-        let s = simulate(&trace, slots, policy)
-            .unwrap_or_else(|e| panic!("{policy}: cross-policy replay failed: {e}"));
-        assert_demand_replayed(&trace, &s, &live, &policy.to_string());
-        assert_eq!(s.hits + s.misses, s.acquires, "{policy}: traffic balance");
-        assert_eq!(s.installs, s.misses, "{policy}: installs == misses");
-        if policy != Policy::Belady {
-            best_live = best_live.min(s.misses);
+    let ladder = slot_count_ladder(&trace);
+    // The ladder starts at the feasibility floor, so no rung may jam.
+    assert_eq!(ladder[0], min_feasible_slots(&trace));
+    let working_set = *ladder.last().unwrap();
+    for &slots in &ladder {
+        let (mut best_live, mut oracle) = (u64::MAX, u64::MAX);
+        for policy in Policy::all() {
+            let s = simulate(&trace, slots, policy).unwrap_or_else(|e| {
+                panic!("{policy} at {slots} slots: cross-policy replay failed: {e}")
+            });
+            let what = format!("{policy} at {slots} slots");
+            assert_demand_replayed(&trace, &s, &live, &what);
+            assert_eq!(s.hits + s.misses, s.acquires, "{what}: traffic balance");
+            assert_eq!(s.installs, s.misses, "{what}: installs == misses");
+            if slots == working_set {
+                assert_eq!(s.misses, trace.distinct_acquired() as u64, "{what}: compulsory only");
+            }
+            match policy {
+                Policy::Belady => oracle = s.misses,
+                _ => best_live = best_live.min(s.misses),
+            }
         }
+        assert!(
+            oracle <= best_live,
+            "belady ({oracle}) must lower-bound every live policy (best {best_live}) at {slots} slots"
+        );
     }
-    let oracle = simulate(&trace, slots, Policy::Belady).unwrap();
-    assert!(
-        oracle.misses <= best_live,
-        "belady ({}) must lower-bound every live policy (best {best_live})",
-        oracle.misses
-    );
 }
