@@ -11,21 +11,21 @@
 //!
 //! The buffers live in `UnsafeCell`s so the arena can be shared across
 //! threads (`&SlotArena` is `Sync`); slot disjointness plus the manager's
-//! pin/publish discipline replace the borrow checker:
+//! plan lock and pins replace the borrow checker:
 //!
-//! * a slot's data may be **read** ([`SlotArena::clv`]/[`SlotArena::
-//!   scale`]) only while the reader holds a pin on the slot *and* the
-//!   slot is published ([`SlotManager::wait_ready`]) or its version has
-//!   moved past the reader's snapshot ([`SlotManager::wait_ready_at`]);
 //! * a slot's data may be **written** ([`SlotArena::compute_view`]) only
-//!   by the schedule op that installed the mapping, before it publishes
-//!   ([`SlotManager::mark_ready_at`]).
+//!   by the executing plan whose schedule installed the mapping, under
+//!   [`SlotManager::plan_guard`] — so there is one writer per store at a
+//!   time;
+//! * a slot's data may be **read** ([`SlotArena::clv`]/[`SlotArena::
+//!   scale`]) by the executing plan, or by anyone holding a pin on a
+//!   slot whose plan has finished.
 //!
 //! Pins are taken only while planning, under the plan guard, and a
-//! pinned slot is never remapped, so writers are exclusive and readers
-//! race only with other readers. `phylo_engine`'s `ManagedStore` is the
-//! one user: `ensure_resident` plans and pins, `exec::execute_ops`
-//! writes and publishes, `release` unpins (DESIGN.md §6).
+//! pinned slot is never remapped, so a pinned reader never meets a
+//! writer. `phylo_engine`'s `ManagedStore` is the one user: under the
+//! plan guard `ensure_resident` plans and pins and `exec::execute_ops`
+//! writes; `release` unpins (DESIGN.md §6).
 
 use std::cell::UnsafeCell;
 use std::sync::{Arc, OnceLock};
@@ -40,8 +40,7 @@ use crate::tier::TieredStore;
 struct SyncBuf<T>(UnsafeCell<Vec<T>>);
 
 // SAFETY: `SyncBuf` is a plain buffer; synchronization of access is the
-// arena protocol's responsibility (pins + publish latches), not the
-// type's. `T` is `Send + Sync` plain-old-data here (f64/u32).
+// arena protocol's responsibility (plan lock + pins), not the type's. `T` is `Send + Sync` plain-old-data here (f64/u32).
 unsafe impl<T: Send + Sync> Sync for SyncBuf<T> {}
 
 impl<T> SyncBuf<T> {
@@ -137,7 +136,7 @@ impl SlotArena {
 
     /// Attaches a CLV spill file (at most once; later calls are
     /// ignored). The arena only carries it: the engine offers a plan's
-    /// published victims to it and tries [`TieredStore::fetch_into`]
+    /// complete victims to it and tries [`TieredStore::fetch_into`]
     /// before recomputing a target.
     pub fn set_tiers(&self, tiers: Arc<TieredStore>) {
         let _ = self.tiers.set(tiers);
@@ -202,13 +201,13 @@ impl SlotArena {
 
     /// Raw mutable slices for one slot.
     ///
-    /// SAFETY: the caller must be the slot's exclusive writer (own its
-    /// unpublished Computing phase).
+    /// SAFETY: the caller must be the slot's exclusive writer (the
+    /// executing plan that installed it).
     // `&self -> &mut` is the point, not an oversight: slots are disjoint
     // ranges behind raw pointers, the arena is shared between the threads
-    // that prepare blocks and those that score them, and exclusivity per slot comes from the phase
-    // protocol above (which is why this is an `unsafe fn`), not from a
-    // borrow of the whole arena.
+    // that prepare blocks and those that score them, and exclusivity per
+    // slot comes from the protocol above (which is why this is an
+    // `unsafe fn`), not from a borrow of the whole arena.
     #[allow(clippy::mut_from_ref)]
     #[inline]
     unsafe fn slot_raw_mut(&self, slot: SlotId) -> (&mut [f64], &mut [u32]) {
@@ -227,9 +226,9 @@ impl SlotArena {
     /// `children`, without allocating. Panics if `target` appears among
     /// `children` (a compute step never reads its own output).
     ///
-    /// Protocol: the caller must be `target`'s exclusive writer (its
-    /// unpublished Computing phase) and must hold pins on every child,
-    /// each published — the shape an executing FPA plan guarantees.
+    /// Protocol: the caller must be `target`'s exclusive writer and every
+    /// child must hold its complete CLV — the shape an FPA plan executing
+    /// its ops in order guarantees.
     pub fn compute_view(&self, target: SlotId, children: [Option<SlotId>; 2]) -> ComputeView<'_> {
         assert!(
             children.iter().all(|&c| c != Some(target)),

@@ -7,11 +7,9 @@
 //! interrupts a thread; instead every layer that can block or loop for a
 //! long time polls it at its natural safe points —
 //!
-//! * the slot manager's publish-latch waits ([`crate::SlotManager`])
-//!   slice their condvar sleeps and re-check the token, so cancellation
-//!   cannot hang behind a latch whose publisher has itself been
-//!   cancelled;
-//! * the engine's schedule executor checks before every Felsenstein step,
+//! * the engine's schedule executor, which reads the token from the
+//!   slot manager ([`crate::SlotManager::cancel_token`]) once per
+//!   schedule, checks it before every Felsenstein step,
 //!   turning a multi-second CLV recomputation into a bounded-latency
 //!   exit;
 //! * the placement orchestrator checks at chunk and phase boundaries,

@@ -32,16 +32,6 @@ pub enum AmcError {
         /// The smallest feasible budget.
         required_bytes: usize,
     },
-    /// A publish-latch wait exceeded the watchdog deadline. Every publish
-    /// is supposed to arrive promptly (execution is lock-free); a timeout
-    /// means the computing thread died or its publish was lost, and the
-    /// bounded wait turns that hang into a typed, surfaceable error.
-    SlotWaitTimeout {
-        /// The slot whose publish never came.
-        slot: u32,
-        /// How long the waiter waited.
-        waited_ms: u64,
-    },
     /// The slot arena's backing buffers could not be allocated.
     AllocationFailed {
         /// Bytes requested.
@@ -87,11 +77,6 @@ impl fmt::Display for AmcError {
             AmcError::BudgetTooSmall { budget_bytes, required_bytes } => write!(
                 f,
                 "memory budget of {budget_bytes} bytes cannot fit mandatory structures ({required_bytes} bytes)"
-            ),
-            AmcError::SlotWaitTimeout { slot, waited_ms } => write!(
-                f,
-                "slot {slot} was not published within {waited_ms} ms; the computing thread \
-                 died or its publish was lost"
             ),
             AmcError::AllocationFailed { bytes } => {
                 write!(f, "could not allocate {bytes} bytes of CLV slot storage")

@@ -16,17 +16,14 @@
 //! assignments recorded in the ops are exactly the slots that hold the
 //! right data at execution time.
 //!
-//! Under concurrency (DESIGN.md §6) the whole planning pass runs inside
-//! the manager's plan lock, so planners are serialized and each one sees
-//! the sequential algorithm's exact pin dance — the `⌈log₂ n⌉ + 2`
-//! unpinned-slot guarantee holds per planning thread. Before the lock is
-//! released, every slot the schedule will read or write gains one
-//! **execution pin** (recorded in [`ResidentSet::release_exec`]'s list),
-//! so a later planner cannot evict the working set out from under the
-//! still-running execution; the executor drops these pins once the ops
-//! have run. A concurrent planner that finds too few unpinned slots gets
-//! [`AmcError::AllSlotsPinned`] and can simply retry — the earlier plan's
-//! execution never blocks on a lock, so it always completes and releases.
+//! A manager shared between threads (DESIGN.md §6) is planned and
+//! executed under its plan lock, held by the caller across both, so a
+//! store has one computing plan at a time and each plan sees the
+//! sequential algorithm's exact pin dance — the `⌈log₂ n⌉ + 2`
+//! unpinned-slot guarantee holds per plan. Every slot the schedule will
+//! read or write also gains one **execution pin** (recorded in
+//! [`ResidentSet::release_exec`]'s list), which the executor drops once
+//! the ops have run.
 
 use crate::error::AmcError;
 use crate::slots::{Acquire, ClvKey, SlotId, SlotManager};
@@ -56,18 +53,6 @@ pub struct FpaOp {
     /// The directed edges corresponding to `deps` (the engine needs them to
     /// select branch lengths / transition matrices).
     pub dep_edges: [DirEdgeId; 2],
-    /// Slot version snapshot per dependency, taken when the dep was
-    /// recorded ([`DepSource::Tip`] entries hold 0). The executor waits on
-    /// a dep's publish latch only while the slot still carries this
-    /// version ([`SlotManager::wait_ready_at`]): a bumped version means a
-    /// *later* op of this very schedule remapped the slot, whose data
-    /// stays valid until that op — which runs after the reader — executes.
-    pub dep_versions: [u64; 2],
-    /// Version `slot` carried when this op's install claimed it. The
-    /// executor publishes through [`SlotManager::mark_ready_at`], so an
-    /// op whose slot was remapped by a later op of the same schedule does
-    /// not falsely publish the new mapping over its own old bytes.
-    pub slot_version: u64,
 }
 
 /// Result of [`ensure_resident`]: the schedule plus where each requested
@@ -96,8 +81,7 @@ impl ResidentSet {
     }
 
     /// Releases the execution pins (call once the ops have been executed;
-    /// idempotent). Until then, no concurrent planner can evict any slot
-    /// this schedule reads or writes.
+    /// idempotent).
     pub fn release_exec(&mut self, mgr: &SlotManager) {
         for slot in self.exec_pins.drain(..) {
             let _ = mgr.unpin(slot);
@@ -144,21 +128,19 @@ impl PlanRefs {
 ///
 /// Fails with [`AmcError::AllSlotsPinned`] when the slot budget (minus
 /// prior pins) is genuinely insufficient for this tree.
+///
+/// A caller that shares `mgr` between threads must hold
+/// [`SlotManager::plan_guard`] from this call until the returned ops
+/// have run; this function does not take it.
 pub fn ensure_resident(
     tree: &Tree,
     targets: &[DirEdgeId],
     mgr: &SlotManager,
     register_need: &[u32],
 ) -> Result<ResidentSet, AmcError> {
-    // Planning is serialized: residency and pin counts cannot change
-    // under our feet (execution pins are the one exception — they only
-    // ever *decrease* foreign pin counts, which cannot invalidate a
-    // plan). The guard drops before this function returns, so execution
-    // of the returned schedule runs lock-free.
-    let _plan = mgr.plan_guard();
     // Pins this call has added (+) or consumed (−), for precise rollback
-    // on error: under concurrency other threads' execution pins on the
-    // same slots must survive it.
+    // on error: pins other prepared blocks hold on the same slots must
+    // survive it.
     let mut pin_log: Vec<(SlotId, i64)> = Vec::new();
     // Per CLV the schedule touches — plan entries, their dependencies,
     // the targets — how often it is read or returned. Ordered, so the
@@ -226,30 +208,19 @@ pub fn ensure_resident(
                 evicted.push((victim, slot));
             }
             let slot = acq.slot();
-            let slot_version = mgr.version(slot);
             installed.push(ClvKey(d.0));
-            let mut sources = [DepSource::Tip(NodeId(0)); 2];
-            let mut versions = [0u64; 2];
-            for (k, &dep) in deps.iter().enumerate() {
+            let sources = deps.map(|dep| {
                 let src_node = tree.src(dep);
-                sources[k] = if tree.is_leaf(src_node) {
+                if tree.is_leaf(src_node) {
                     DepSource::Tip(src_node)
                 } else {
                     let dep_slot = mgr
                         .lookup(ClvKey(dep.0))
                         .expect("dependency must be resident when scheduled");
-                    versions[k] = mgr.version(dep_slot);
                     DepSource::Slot(dep_slot)
-                };
-            }
-            ops.push(FpaOp {
-                target: d,
-                slot,
-                deps: sources,
-                dep_edges: deps,
-                dep_versions: versions,
-                slot_version,
+                }
             });
+            ops.push(FpaOp { target: d, slot, deps: sources, dep_edges: deps });
             // Pin the fresh CLV for its future reads and target pins.
             let pins = refs[&d].pins();
             mgr.pin_n(slot, pins);
@@ -269,9 +240,9 @@ pub fn ensure_resident(
     if let Err(e) = result {
         // The schedule will never execute, so the CLVs installed during
         // this call hold uncomputed garbage. Roll back exactly the pins
-        // this call added (other threads' pins stay intact), then drop
+        // this call added (other blocks' pins stay intact), then drop
         // the installed mappings. No foreign pins can exist on those
-        // slots: every pin is taken while planning, and planners are
+        // slots: every pin is taken while planning, and plans are
         // serialized by the plan lock, so the invalidate's pin-free
         // precondition holds.
         let mut net: BTreeMap<SlotId, i64> = BTreeMap::new();
@@ -292,10 +263,8 @@ pub fn ensure_resident(
 
     // ---- Phase 4: execution pins + collect target slots. ----
     // Every slot the schedule writes (op slots) or reads (resident dep
-    // slots) stays pinned until the executor finishes; without this, a
-    // concurrent planner could evict an intermediate CLV between our
-    // planning and its read, since the sequential pin dance above has
-    // already consumed those read pins.
+    // slots) stays pinned until the executor finishes: the sequential
+    // pin dance above has already consumed those read pins.
     let mut exec_pins = Vec::with_capacity(ops.len() * 3);
     for op in &ops {
         mgr.pin(op.slot);

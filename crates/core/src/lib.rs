@@ -17,10 +17,9 @@
 //! * [`arena::SlotArena`] — slot-backed CLV + scaler storage with safe
 //!   disjoint target/children access for the kernels. The manager and
 //!   arena are internally synchronized (`&self` API, lock-free residency
-//!   lookups, per-slot publish latches), so distinct CLVs can be
-//!   recomputed concurrently while readers of other slots never block —
-//!   see the module docs and DESIGN.md §6 for the lock order and
-//!   deadlock-freedom argument;
+//!   lookups, one computing plan at a time under the plan lock), so
+//!   readers of pinned slots never block while a plan recomputes other
+//!   CLVs — see the module docs and DESIGN.md §6 for the lock order;
 //! * [`fpa`] — the slot-constrained Felsenstein traversal planner: given a
 //!   set of target CLVs it emits a pin-correct compute schedule,
 //!   guaranteed to succeed whenever `⌈log₂ n⌉ + 2` slots are unpinned;

@@ -8,43 +8,37 @@
 //! # Concurrency model
 //!
 //! The manager is internally synchronized and its whole API takes
-//! `&self`. Three layers of state, with a strict lock order (DESIGN.md
-//! §6):
+//! `&self`. Two locks, always taken in this order (DESIGN.md §6):
 //!
-//! 1. **`plan_lock`** — serializes *planning*: every code path that may
-//!    remap slots (FPA planning, which calls [`SlotManager::acquire`],
-//!    and cache flushes) runs under this mutex. Planning is short —
-//!    table surgery only, never kernel work — so planners queue briefly
-//!    while *execution* (CLV recomputation) proceeds concurrently.
+//! 1. **`plan_lock`** — serializes *computing plans*: every code path
+//!    that may remap slots (FPA planning, which calls
+//!    [`SlotManager::acquire`], the execution of the schedule it
+//!    returns, and cache flushes) runs under this mutex, so a store has
+//!    at most one plan computing CLVs at any time.
 //! 2. **the eviction table** (`inner`) — one mutex over the
 //!    `slot↔clv` maps, pin counts, free list and replacement strategy.
 //!    Held for O(1)/O(slots) table operations only.
-//! 3. **per-slot publish latches** (`phases`) — a tiny mutex + condvar
-//!    per slot flagging whether the slot's *data* is ready to read.
-//!    A freshly (re)assigned slot is `Computing` until the schedule op
-//!    that computes it publishes with [`SlotManager::mark_ready_at`];
-//!    readers of *other* slots never touch this latch and never block.
 //!
-//! Locks are always taken in that order (`plan_lock` → table → latch)
-//! and a thread never *blocks* on a latch while holding the table lock,
-//! which makes the design deadlock-free; the full argument lives in
-//! DESIGN.md §6.
+//! Each slot also carries a *complete* bit ([`SlotManager::mark_ready`]):
+//! set once the slot's bytes hold the CLV it was installed for, cleared
+//! by every install and invalidate. Nothing waits on it; `acquire` reads
+//! it to tell whether an eviction victim is worth demoting to a storage
+//! tier.
 //!
 //! `clv → slot` lookups are lock-free (`AtomicU32` loads): the
-//! steady-state scoring path resolves residency and reads CLV data
-//! without acquiring any lock. Traffic counters are atomics, so stats
-//! from concurrent planners aggregate without lost updates.
+//! steady-state scoring path resolves residency and reads the CLV data
+//! of slots it holds pinned without acquiring any lock. Traffic counters
+//! are atomics, so stats from concurrent users aggregate without lost
+//! updates.
 //!
-//! Single-owner users (benches, the model-based test harness) drive
-//! `acquire`/`pin`/`unpin` directly. The one concurrent user is
-//! `phylo_engine`'s `ManagedStore`: it plans and pins with
-//! [`crate::fpa::ensure_resident`] under `plan_lock`, executes the
-//! schedule lock-free (`wait_ready_at` / `mark_ready_at`), waits for its
-//! targets (`wait_ready`) and unpins on release.
+//! Single-owner users (benches, the model-based test harness, the
+//! replay lab) drive `acquire`/`pin`/`unpin` directly. The one
+//! concurrent user is `phylo_engine`'s `ManagedStore`: under `plan_lock`
+//! it plans and pins with [`crate::fpa::ensure_resident`] and executes
+//! the schedule; readers unpin on release.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use phylo_obs::slottrace::{SlotEvent, SlotTrace, NO_CLV};
 use phylo_tree::traversal::NextUse;
@@ -52,17 +46,6 @@ use phylo_tree::traversal::NextUse;
 use crate::cancel::CancelToken;
 use crate::error::AmcError;
 use crate::strategy::{ReplacementStrategy, VictimView};
-
-/// Default publish-latch watchdog (see [`SlotManager::set_wait_timeout`]).
-/// Generous: legitimate waits are bounded by one CLV recomputation, which
-/// is milliseconds; the deadline only trips when the computing thread died
-/// or its publish was lost, turning a deadlock into a typed error.
-pub const DEFAULT_WAIT_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// How finely publish-latch waits are sliced so a blocked waiter notices
-/// cancellation ([`SlotManager::set_cancel_token`]) promptly even when
-/// the publish it waits for will never arrive.
-const CANCEL_POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Index of a physical CLV slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -107,12 +90,13 @@ pub enum Acquire {
         slot: SlotId,
         /// The CLV whose data was discarded.
         victim: ClvKey,
-        /// Whether the victim's publish latch was up at eviction time.
-        /// Only a ready victim holds a complete CLV worth demoting to a
-        /// storage tier; an in-flight one never published. Probed
-        /// *before* the latch resets for the new occupant. The bytes
-        /// stay intact in the slot until the caller overwrites them, so
-        /// a `true` here licenses a synchronous demotion copy.
+        /// Whether the victim's slot held a complete CLV at eviction time
+        /// ([`SlotManager::mark_ready`]). Only such a victim is worth
+        /// demoting to a storage tier; one installed earlier in the same
+        /// plan was never computed. Read *before* the bit clears for the
+        /// new occupant. The bytes stay intact in the slot until the
+        /// caller overwrites them, so a `true` here licenses a
+        /// synchronous demotion copy.
         victim_ready: bool,
     },
 }
@@ -179,15 +163,6 @@ struct TableInner {
     strategy: Box<dyn ReplacementStrategy>,
 }
 
-/// Per-slot publish latch (lock level 3): `ready == false` while the
-/// schedule that (re)assigned the slot is still computing its CLV.
-/// Version counts reassignments ([`SlotManager::version`]).
-struct SlotPhase {
-    ready: Mutex<bool>,
-    cv: Condvar,
-    version: AtomicU64,
-}
-
 /// Maps a large logical CLV index space onto a small set of physical slots.
 ///
 /// Internally synchronized; see the module docs for the lock order.
@@ -197,19 +172,17 @@ pub struct SlotManager {
     /// trusting the mapping for anything but a hint.
     clv_to_slot: Vec<AtomicU32>,
     inner: Mutex<TableInner>,
-    phases: Vec<SlotPhase>,
+    /// Per slot: holds a complete CLV ([`SlotManager::mark_ready`]).
+    complete: Vec<AtomicBool>,
     plan_lock: Mutex<()>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     installs: AtomicU64,
     acquires: AtomicU64,
-    /// Publish-latch watchdog deadline in milliseconds.
-    wait_timeout_ms: AtomicU64,
     /// Cooperative shutdown flag threaded in from the run owner (see
-    /// [`SlotManager::set_cancel_token`]). Latch waits poll it so
-    /// cancellation can never hang behind a publish that got cancelled
-    /// itself; the engine polls it per compute step.
+    /// [`SlotManager::set_cancel_token`]); the engine polls it between
+    /// compute steps.
     cancel: Mutex<CancelToken>,
     /// Fast guard for the trace recorder: one relaxed load on every hot
     /// path when tracing is off ([`SlotManager::set_slot_trace`]).
@@ -222,19 +195,11 @@ pub struct SlotManager {
     trace: Mutex<Option<Arc<SlotTrace>>>,
 }
 
-/// Latch-wait latency histogram, shared by both wait paths.
-fn wait_hist() -> &'static phylo_obs::Histogram {
-    phylo_obs::histogram!("slot.wait_ns")
-}
-
 impl SlotManager {
     /// Creates a manager for `n_clvs` logical CLVs over `n_slots` physical
     /// slots with the given replacement strategy.
     pub fn new(n_clvs: usize, n_slots: usize, strategy: Box<dyn ReplacementStrategy>) -> Self {
         assert!(n_slots > 0, "at least one slot required");
-        // Registered up front, so every metrics file carries the
-        // histogram, empty when no latch wait happened.
-        wait_hist();
         SlotManager {
             clv_to_slot: (0..n_clvs).map(|_| AtomicU32::new(UNSLOTTED)).collect(),
             inner: Mutex::new(TableInner {
@@ -244,20 +209,13 @@ impl SlotManager {
                 n_pinned_slots: 0,
                 strategy,
             }),
-            phases: (0..n_slots)
-                .map(|_| SlotPhase {
-                    ready: Mutex::new(false),
-                    cv: Condvar::new(),
-                    version: AtomicU64::new(0),
-                })
-                .collect(),
+            complete: (0..n_slots).map(|_| AtomicBool::new(false)).collect(),
             plan_lock: Mutex::new(()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             installs: AtomicU64::new(0),
             acquires: AtomicU64::new(0),
-            wait_timeout_ms: AtomicU64::new(DEFAULT_WAIT_TIMEOUT.as_millis() as u64),
             cancel: Mutex::new(CancelToken::new()),
             trace_on: AtomicBool::new(false),
             trace: Mutex::new(None),
@@ -287,11 +245,10 @@ impl SlotManager {
         }
     }
 
-    /// Installs the run's shutdown token. Every publish-latch wait and
-    /// (via [`SlotManager::cancel_token`]) every engine compute step
-    /// polls it; once cancelled they return [`AmcError::Cancelled`]
-    /// instead of blocking or computing further. The default token is
-    /// never cancelled.
+    /// Installs the run's shutdown token. The engine reads it (via
+    /// [`SlotManager::cancel_token`]) once per schedule and polls it
+    /// before every compute step; once cancelled the schedule stops with
+    /// [`AmcError::Cancelled`]. The default token is never cancelled.
     pub fn set_cancel_token(&self, token: &CancelToken) {
         *self.cancel.lock().unwrap_or_else(|e| e.into_inner()) = token.clone();
     }
@@ -302,19 +259,6 @@ impl SlotManager {
         self.cancel.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Sets the publish-latch watchdog: [`SlotManager::wait_ready`] and
-    /// [`SlotManager::wait_ready_at`] give up with
-    /// [`AmcError::SlotWaitTimeout`] after this long. Tests exercising
-    /// lost-publish faults lower it to keep the suite fast.
-    pub fn set_wait_timeout(&self, timeout: Duration) {
-        self.wait_timeout_ms.store(timeout.as_millis().max(1) as u64, Ordering::Relaxed);
-    }
-
-    /// The current watchdog deadline.
-    pub fn wait_timeout(&self) -> Duration {
-        Duration::from_millis(self.wait_timeout_ms.load(Ordering::Relaxed))
-    }
-
     fn table(&self) -> MutexGuard<'_, TableInner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -322,7 +266,7 @@ impl SlotManager {
     /// Number of physical slots.
     #[inline]
     pub fn n_slots(&self) -> usize {
-        self.phases.len()
+        self.complete.len()
     }
 
     /// Number of logical CLVs.
@@ -424,9 +368,9 @@ impl SlotManager {
 
     /// Assigns a slot to `clv`: a hit if resident, otherwise a free slot,
     /// otherwise the strategy's victim among unpinned slots. On a miss the
-    /// slot's previous contents are forgotten, the slot's publish latch
-    /// drops to *Computing*, and the caller must recompute the CLV into it
-    /// and [`SlotManager::mark_ready`] it.
+    /// slot's previous contents are forgotten, its complete bit clears,
+    /// and the caller must recompute the CLV into it and
+    /// [`SlotManager::mark_ready`] it.
     ///
     /// This is a *planning* operation: concurrent callers must hold
     /// [`SlotManager::plan_guard`] (single-owner callers may skip it).
@@ -460,12 +404,12 @@ impl SlotManager {
             self.install(&mut t, clv, slot);
             return Ok(Acquire::Fresh(slot));
         }
-        let view = VictimView { slot_to_clv: &t.slot_to_clv, pin_counts: &t.pin_counts };
+        let view = VictimView::new(&t.slot_to_clv, &t.pin_counts);
         let Some(victim_slot) = t.strategy.choose_victim(&view) else {
             // A failed acquire is not a miss: `misses` counts installs
             // (i.e. recomputations), and nothing was installed — and it
-            // is not traced: the replay simulator only sees acquires
-            // that went through.
+            // is not traced: the replay only sees acquires that went
+            // through.
             return Err(AmcError::AllSlotsPinned {
                 slots: self.n_slots(),
                 pinned: t.n_pinned_slots,
@@ -478,33 +422,20 @@ impl SlotManager {
         let victim = ClvKey(t.slot_to_clv[victim_slot.idx()]);
         self.evictions.fetch_add(1, Ordering::Relaxed);
         t.strategy.on_evict(victim, victim_slot);
-        // Probe the victim's latch before `install` resets it: only a
-        // published victim carries a demotable payload. `try_lock`
-        // because a held latch means a publish is mid-flight — treat
-        // that as not ready rather than block the planning path.
-        let victim_ready = match self.phases[victim_slot.idx()].ready.try_lock() {
-            Ok(r) => *r,
-            Err(_) => false,
-        };
+        // Read the victim's complete bit before `install` clears it:
+        // only a computed victim carries a demotable payload.
+        let victim_ready = self.complete[victim_slot.idx()].load(Ordering::Acquire);
         self.clv_to_slot[victim.idx()].store(UNSLOTTED, Ordering::Release);
         self.install(&mut t, clv, victim_slot);
         Ok(Acquire::Evicted { slot: victim_slot, victim, victim_ready })
     }
 
     /// Installs a mapping; the table lock is held by the caller. The
-    /// latch drops to Computing *before* the new mapping is published so
-    /// no reader can pin the slot and read stale data.
+    /// slot's complete bit clears: its bytes belong to the old occupant
+    /// until the new CLV is computed into them.
     fn install(&self, t: &mut TableInner, clv: ClvKey, slot: SlotId) {
         self.installs.fetch_add(1, Ordering::Relaxed);
-        let ph = &self.phases[slot.idx()];
-        {
-            let mut r = ph.ready.lock().unwrap_or_else(|e| e.into_inner());
-            *r = false;
-            ph.version.fetch_add(1, Ordering::AcqRel);
-        }
-        // Wake version-snapshot waiters (`wait_ready_at`): a bumped
-        // version releases them even though the latch stays down.
-        ph.cv.notify_all();
+        self.complete[slot.idx()].store(false, Ordering::Relaxed);
         self.clv_to_slot[clv.idx()].store(slot.0, Ordering::Release);
         t.slot_to_clv[slot.idx()] = clv.0;
         t.strategy.on_insert(clv, slot);
@@ -522,10 +453,9 @@ impl SlotManager {
             return;
         }
         let mut t = self.table();
-        // Trace the pin in CLV terms (the slot numbering is an
-        // implementation detail the simulator re-derives). A pin on an
-        // unmapped slot — the engine never takes one — is traced with
-        // `NO_CLV` and skipped by the replay.
+        // Trace the pin in CLV terms: the replay's manager assigns its
+        // own slot numbers. A pin on an unmapped slot — the engine never
+        // takes one — is traced with `NO_CLV` and skipped by the replay.
         let occ = t.slot_to_clv[slot.idx()];
         self.record(SlotEvent::Pin { clv: if occ == FREE { NO_CLV } else { occ }, n: count });
         t.pin_n(slot, count);
@@ -560,13 +490,7 @@ impl SlotManager {
             assert_eq!(t.pin_counts[slot.idx()], 0, "cannot invalidate a pinned slot");
             self.record(SlotEvent::Invalidate { clv: clv.0 });
             t.strategy.on_evict(clv, slot);
-            let ph = &self.phases[slot.idx()];
-            {
-                let mut r = ph.ready.lock().unwrap_or_else(|e| e.into_inner());
-                *r = false;
-                ph.version.fetch_add(1, Ordering::AcqRel);
-            }
-            ph.cv.notify_all();
+            self.complete[slot.idx()].store(false, Ordering::Relaxed);
             self.clv_to_slot[clv.idx()].store(UNSLOTTED, Ordering::Release);
             t.slot_to_clv[slot.idx()] = FREE;
             t.free.push(slot.0);
@@ -584,154 +508,19 @@ impl SlotManager {
             .collect()
     }
 
-    // ---- concurrency primitives -------------------------------------
-
-    /// Serializes planning phases. Everything that may remap a slot runs
-    /// under this guard; execution (kernel work, CLV reads) does not.
-    /// Lock level 1 — acquired before the table lock, never after.
+    /// Serializes computing plans. Everything that may remap a slot, and
+    /// the execution of the schedule a plan returns, runs under this
+    /// guard; readers of pinned slots do not take it. Lock level 1 —
+    /// acquired before the table lock, never after, and never twice by
+    /// one thread (`std::sync::Mutex` is not reentrant).
     pub fn plan_guard(&self) -> MutexGuard<'_, ()> {
         self.plan_lock.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Publishes a slot's data: wakes every thread blocked in
-    /// [`SlotManager::wait_ready`] on it.
+    /// Records that `slot` now holds the complete CLV it was installed
+    /// for. The next install or invalidate of the slot clears the bit.
     pub fn mark_ready(&self, slot: SlotId) {
-        if phylo_faults::fire("amc::lost_publish") {
-            return; // the watchdog in the waiters turns this into an error
-        }
-        if phylo_faults::fire("amc::delayed_publish") {
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        let ph = &self.phases[slot.idx()];
-        *ph.ready.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        ph.cv.notify_all();
-    }
-
-    /// Publishes a slot's data **only if** the slot still carries
-    /// `version` — i.e. the caller's install is the slot's latest
-    /// generation. The schedule executor must use this rather than
-    /// [`SlotManager::mark_ready`]: when a later op of the same schedule
-    /// has already remapped the slot (see [`SlotManager::wait_ready_at`]),
-    /// an unconditional publish would announce the *new* mapping as ready
-    /// while the slot still holds the old generation's bytes, and a
-    /// concurrent plan would read the wrong CLV. The superseded op stays
-    /// silent; the final-generation op (whose version matches) publishes.
-    pub fn mark_ready_at(&self, slot: SlotId, version: u64) {
-        if phylo_faults::fire("amc::lost_publish") {
-            return;
-        }
-        if phylo_faults::fire("amc::delayed_publish") {
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        let ph = &self.phases[slot.idx()];
-        let mut r = ph.ready.lock().unwrap_or_else(|e| e.into_inner());
-        if ph.version.load(Ordering::Acquire) == version {
-            *r = true;
-            drop(r);
-            ph.cv.notify_all();
-        }
-    }
-
-    /// Blocks until `slot`'s data is published, up to the watchdog
-    /// deadline ([`SlotManager::set_wait_timeout`]). Callers must hold a
-    /// pin on the slot (so it cannot be remapped underneath the wait) and
-    /// must not hold the table lock (lock order: latches are innermost).
-    ///
-    /// `Err(SlotWaitTimeout)` means the publish never came — the
-    /// computing thread died or its publish was dropped. The slot's data
-    /// must then be treated as garbage.
-    pub fn wait_ready(&self, slot: SlotId) -> Result<(), AmcError> {
-        let ph = &self.phases[slot.idx()];
-        let deadline = self.wait_timeout();
-        let cancel = self.cancel_token();
-        let start = Instant::now();
-        let mut waited_any = false;
-        let mut r = ph.ready.lock().unwrap_or_else(|e| e.into_inner());
-        while !*r {
-            waited_any = true;
-            // A cancelled run must not sit out the full watchdog window:
-            // the thread that would publish this latch may itself have
-            // exited on the same token, so the wait is sliced and the
-            // token re-checked at every wake.
-            if cancel.is_cancelled() {
-                wait_hist().record_ns(start.elapsed().as_nanos() as u64);
-                return Err(AmcError::Cancelled);
-            }
-            let waited = start.elapsed();
-            let Some(left) = deadline.checked_sub(waited) else {
-                wait_hist().record_ns(waited.as_nanos() as u64);
-                return Err(AmcError::SlotWaitTimeout {
-                    slot: slot.0,
-                    waited_ms: waited.as_millis() as u64,
-                });
-            };
-            let slice = left.min(CANCEL_POLL_INTERVAL);
-            (r, _) = ph.cv.wait_timeout(r, slice).unwrap_or_else(|e| e.into_inner());
-        }
-        if waited_any {
-            wait_hist().record_ns(start.elapsed().as_nanos() as u64);
-        }
-        Ok(())
-    }
-
-    /// Blocks until `slot`'s data is published **or** the slot has been
-    /// reassigned since `version` was snapshotted (its version counter no
-    /// longer matches).
-    ///
-    /// This is the dependency wait for schedule execution. A schedule may
-    /// reuse a slot: a later op can evict a CLV that an earlier op reads
-    /// as a dependency, and the eviction's `install` drops the latch at
-    /// *planning* time. The earlier op must not wait for that latch — it
-    /// would be published only by the later op — and does not need to:
-    /// installs never touch slot data, so the dependency bytes remain
-    /// valid until the remapping op (which executes after the reader)
-    /// overwrites them. A version mismatch is therefore proof that the
-    /// recorded dependency is readable right now. While the version still
-    /// matches, an unpublished slot means the CLV is being computed by
-    /// the plan that installed it, whose lock-free execution always
-    /// publishes — so the wait terminates, unless that plan's thread died
-    /// or its publish was lost, in which case the watchdog deadline trips
-    /// with [`AmcError::SlotWaitTimeout`].
-    pub fn wait_ready_at(&self, slot: SlotId, version: u64) -> Result<(), AmcError> {
-        let ph = &self.phases[slot.idx()];
-        let deadline = self.wait_timeout();
-        let cancel = self.cancel_token();
-        let start = Instant::now();
-        let mut waited_any = false;
-        let mut r = ph.ready.lock().unwrap_or_else(|e| e.into_inner());
-        while !*r && ph.version.load(Ordering::Acquire) == version {
-            waited_any = true;
-            if cancel.is_cancelled() {
-                wait_hist().record_ns(start.elapsed().as_nanos() as u64);
-                return Err(AmcError::Cancelled);
-            }
-            let waited = start.elapsed();
-            let Some(left) = deadline.checked_sub(waited) else {
-                wait_hist().record_ns(waited.as_nanos() as u64);
-                return Err(AmcError::SlotWaitTimeout {
-                    slot: slot.0,
-                    waited_ms: waited.as_millis() as u64,
-                });
-            };
-            let slice = left.min(CANCEL_POLL_INTERVAL);
-            (r, _) = ph.cv.wait_timeout(r, slice).unwrap_or_else(|e| e.into_inner());
-        }
-        if waited_any {
-            wait_hist().record_ns(start.elapsed().as_nanos() as u64);
-        }
-        Ok(())
-    }
-
-    /// Whether `slot`'s data is published (non-blocking).
-    pub fn is_ready(&self, slot: SlotId) -> bool {
-        *self.phases[slot.idx()].ready.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Reassignment counter for `slot` (bumps on every install and
-    /// invalidate). The planner snapshots it per op for
-    /// [`SlotManager::wait_ready_at`] and [`SlotManager::mark_ready_at`].
-    pub fn version(&self, slot: SlotId) -> u64 {
-        self.phases[slot.idx()].version.load(Ordering::Acquire)
+        self.complete[slot.idx()].store(true, Ordering::Release);
     }
 
     /// Checks the bijection invariant between the two maps (tests/debug).
@@ -957,84 +746,23 @@ mod tests {
     }
 
     #[test]
-    fn install_drops_publish_latch() {
+    fn only_a_complete_victim_is_reported_ready() {
         let m = mgr(8, 2);
-        let s = m.acquire(ClvKey(0)).unwrap().slot();
-        assert!(!m.is_ready(s), "fresh slot must be Computing");
-        let v0 = m.version(s);
-        m.mark_ready(s);
-        assert!(m.is_ready(s));
-        // Re-acquiring the same CLV is a hit: no latch drop, no version bump.
+        let s0 = m.acquire(ClvKey(0)).unwrap().slot();
+        m.mark_ready(s0);
+        m.acquire(ClvKey(1)).unwrap(); // installed, never computed
+                                       // Re-acquiring a resident CLV is a hit and leaves its bit alone.
         m.acquire(ClvKey(0)).unwrap();
-        assert!(m.is_ready(s));
-        assert_eq!(m.version(s), v0);
-        // Evicting it for another CLV drops the latch and bumps the version.
-        m.acquire(ClvKey(1)).unwrap();
-        let a = m.acquire(ClvKey(2)).unwrap();
-        assert_eq!(a.slot(), s, "FIFO evicts the oldest");
-        assert!(!m.is_ready(s));
-        assert!(m.version(s) > v0);
-    }
-
-    #[test]
-    fn wait_ready_blocks_until_publish() {
-        use std::sync::Arc;
-        let m = Arc::new(mgr(4, 2));
-        let s = m.acquire(ClvKey(0)).unwrap().slot();
-        m.pin(s);
-        let m2 = Arc::clone(&m);
-        let waiter = std::thread::spawn(move || {
-            m2.wait_ready(s).unwrap();
-            m2.version(s)
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let v = m.version(s);
-        m.mark_ready(s);
-        assert_eq!(waiter.join().unwrap(), v);
-    }
-
-    #[test]
-    fn wait_ready_times_out_on_lost_publish() {
-        let m = mgr(4, 2);
-        m.set_wait_timeout(Duration::from_millis(30));
-        let s = m.acquire(ClvKey(0)).unwrap().slot();
-        m.pin(s);
-        let waits_before = wait_hist().snapshot();
-        let err = m.wait_ready(s).unwrap_err();
-        assert!(matches!(err, AmcError::SlotWaitTimeout { .. }), "{err:?}");
-        // A snapshot wait on the live version also times out rather than
-        // spinning forever.
-        let err = m.wait_ready_at(s, m.version(s)).unwrap_err();
-        assert!(matches!(err, AmcError::SlotWaitTimeout { .. }), "{err:?}");
-        m.unpin(s).unwrap();
-        // Both waits are in `slot.wait_ns`, at their full length (the
-        // histogram is process-global: other tests may add, never take).
-        let waits = wait_hist().snapshot().delta(&waits_before);
-        assert!(waits.count >= 2 && waits.sum_ns >= 60_000_000, "{waits:?}");
-    }
-
-    #[test]
-    fn cancellation_breaks_latch_waits_promptly() {
-        use std::sync::Arc;
-        let m = Arc::new(mgr(4, 2));
-        // Long watchdog: only the cancel token may break the wait.
-        m.set_wait_timeout(Duration::from_secs(30));
-        let token = CancelToken::new();
-        m.set_cancel_token(&token);
-        let s = m.acquire(ClvKey(0)).unwrap().slot();
-        m.pin(s);
-        let m2 = Arc::clone(&m);
-        let waiter = std::thread::spawn(move || m2.wait_ready(s));
-        std::thread::sleep(Duration::from_millis(10));
-        let t = Instant::now();
-        token.cancel();
-        let err = waiter.join().unwrap().unwrap_err();
-        assert!(matches!(err, AmcError::Cancelled), "{err:?}");
-        assert!(t.elapsed() < Duration::from_secs(5), "cancel took {:?}", t.elapsed());
-        // The snapshot wait honors the token too.
-        let err = m.wait_ready_at(s, m.version(s)).unwrap_err();
-        assert!(matches!(err, AmcError::Cancelled), "{err:?}");
-        m.unpin(s).unwrap();
+        let a = m.acquire(ClvKey(2)).unwrap(); // FIFO evicts clv 0
+        assert_eq!(a, Acquire::Evicted { slot: s0, victim: ClvKey(0), victim_ready: true });
+        // Clv 1 never held a complete CLV, and the install of clv 2 cleared
+        // the bit clv 0 had set, so neither is worth a demotion: a slot
+        // installed earlier in the same plan is never offered to a tier.
+        let a = m.acquire(ClvKey(3)).unwrap();
+        assert!(matches!(a, Acquire::Evicted { victim: ClvKey(1), victim_ready: false, .. }));
+        let a = m.acquire(ClvKey(4)).unwrap();
+        assert!(matches!(a, Acquire::Evicted { victim: ClvKey(2), victim_ready: false, .. }));
+        m.check_invariants().unwrap();
     }
 
     #[test]
@@ -1103,31 +831,6 @@ mod tests {
         m.set_slot_trace(None);
         m.acquire(ClvKey(3)).unwrap();
         assert_eq!(trace.len(), 8);
-        m.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn remapped_slot_wakes_snapshot_waiters() {
-        // A schedule op waiting on a dependency slot that a later op of
-        // the same schedule remaps (DESIGN.md §6) is released by the
-        // eviction's install — the version bump plus its wake-up — not by
-        // the watchdog, and not by a publish that will never come.
-        use std::sync::Arc;
-        let m = Arc::new(mgr(4, 2));
-        m.set_wait_timeout(Duration::from_secs(30));
-        let s = m.acquire(ClvKey(0)).unwrap().slot(); // unpublished
-        m.acquire(ClvKey(1)).unwrap();
-        let v = m.version(s);
-        let m2 = Arc::clone(&m);
-        let waiter = std::thread::spawn(move || m2.wait_ready_at(s, v));
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!waiter.is_finished(), "an unpublished, unmoved slot must block the waiter");
-        let t = Instant::now();
-        let a = m.acquire(ClvKey(2)).unwrap(); // evicts clv 0 (FIFO)
-        assert_eq!(a, Acquire::Evicted { slot: s, victim: ClvKey(0), victim_ready: false });
-        waiter.join().unwrap().unwrap();
-        assert!(t.elapsed() < Duration::from_secs(5), "wake took {:?}", t.elapsed());
-        assert!(!m.is_ready(s), "the waiter was released by the remap, not a publish");
         m.check_invariants().unwrap();
     }
 }

@@ -33,10 +33,9 @@ pub struct VictimView<'a> {
 impl<'a> VictimView<'a> {
     /// Builds a view over raw table state: `slot_to_clv[s]` is the CLV
     /// key resident in slot `s` (`u32::MAX` = free) and `pin_counts[s]`
-    /// its pin count. Public so out-of-process simulators (the
-    /// `phylo-replay` trace replayer) can drive the exact same strategy
-    /// objects the live slot manager uses.
-    pub fn new(slot_to_clv: &'a [u32], pin_counts: &'a [u32]) -> Self {
+    /// its pin count. Only the slot manager builds one for a strategy
+    /// (the trace replayer drives a real manager).
+    pub(crate) fn new(slot_to_clv: &'a [u32], pin_counts: &'a [u32]) -> Self {
         assert_eq!(slot_to_clv.len(), pin_counts.len(), "mismatched table columns");
         VictimView { slot_to_clv, pin_counts }
     }

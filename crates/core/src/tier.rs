@@ -2,7 +2,7 @@
 //!
 //! The paper's AMC answers every slot miss with recomputation; pplacer
 //! instead keeps CLVs in a memory-mapped file. This module makes the
-//! second answer a configuration of the first: a published victim the
+//! second answer a configuration of the first: a computed victim the
 //! slot manager evicts can be **spilled** to a fixed-record file, and a
 //! later miss on the same CLV answered by one read instead of a kernel
 //! traversal.
@@ -267,7 +267,7 @@ impl TieredStore {
         self.bytes.fetch_sub(self.record_len(), Ordering::Relaxed);
     }
 
-    /// Offers an evicted, *published* CLV for spilling, and writes it
+    /// Offers an evicted, *complete* CLV for spilling, and writes it
     /// when the cost model and byte budget allow. Returns `true` when a
     /// record for `key` is stored afterwards; `false` when it was
     /// dropped or its write failed (both leave no record).

@@ -111,7 +111,7 @@ proptest! {
         let mut pinned: Vec<u32> = Vec::new();
         for (op, key) in ops {
             match op {
-                // slot: acquire, publish immediately (the model's
+                // slot: acquire, mark complete immediately (the model's
                 // "computation" is instantaneous).
                 0 => match mgr.acquire(ClvKey(key)) {
                     Ok(acq) => {

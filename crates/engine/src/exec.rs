@@ -1,18 +1,25 @@
 //! Executing AMC compute schedules with the likelihood kernels.
 //!
-//! Execution is lock-free with respect to the slot tables: the plan that
-//! produced the ops holds execution pins on every slot touched, so the
-//! mappings cannot change. The only synchronization is the per-slot
-//! publish latch — each step waits until its dependency slots' data is
-//! published (instant unless a concurrent plan is still computing that
-//! very CLV) and publishes its own target when done, which is what lets
-//! distinct CLVs be recomputed concurrently by different threads.
+//! The caller holds the slot manager's plan lock across planning and
+//! execution (`ManagedStore::prepare`), so the schedule is the store's
+//! only computing plan: its ops run in order, each reading dependency
+//! slots that an earlier op of the schedule (or an earlier plan) filled,
+//! and writing its own target slot.
 
 use crate::ctx::ReferenceContext;
 use crate::error::EngineError;
-use phylo_amc::{DepSource, FpaOp, SlotArena};
+use phylo_amc::{CancelToken, DepSource, FpaOp, SlotArena};
 use phylo_kernel::kernels::{update_partials_scratch, Side};
 use phylo_kernel::KernelScratch;
+
+/// A schedule that stopped before its end.
+#[derive(Debug)]
+pub struct ScheduleError {
+    /// Position of the first op that did not run; the ops before it did.
+    pub at: usize,
+    /// Why the op at `at` did not run.
+    pub error: EngineError,
+}
 
 /// Executes a whole schedule in order. Each step reads the dependency
 /// slots / tip encodings named by its op and writes the target slot. Each
@@ -22,17 +29,21 @@ use phylo_kernel::KernelScratch;
 /// the reference holds neither. The store owns a pool of scratches, so
 /// once a scratch is warm an op allocates nothing.
 ///
-/// The caller must hold the plan's execution pins (see
-/// `phylo_amc::ensure_resident`), which make the ops' slot assignments
-/// stable; each target slot is published when its step completes.
+/// The caller must hold the plan guard the ops were planned under and
+/// their execution pins (see `phylo_amc::ensure_resident`); each target
+/// slot is marked complete when its step finishes. The run's cancel
+/// token is read once and polled before every op, so a cancel stops the
+/// schedule before its next op.
 pub fn execute_ops(
     ctx: &ReferenceContext,
     arena: &SlotArena,
     ops: &[FpaOp],
     scratch: &mut KernelScratch,
-) -> Result<(), EngineError> {
-    for op in ops {
-        execute_op(ctx, arena, op, scratch)?;
+) -> Result<(), ScheduleError> {
+    let cancel = arena.manager().cancel_token();
+    for (at, op) in ops.iter().enumerate() {
+        execute_op(ctx, arena, op, scratch, &cancel)
+            .map_err(|error| ScheduleError { at, error })?;
     }
     Ok(())
 }
@@ -42,24 +53,24 @@ fn execute_op(
     arena: &SlotArena,
     op: &FpaOp,
     scratch: &mut KernelScratch,
+    cancel: &CancelToken,
 ) -> Result<(), EngineError> {
     // Cooperative shutdown: a cancelled run stops between Felsenstein
     // steps, so even a deep recomputation schedule exits with bounded
     // latency. The caller (`ManagedStore`) aborts the schedule, which
-    // releases pins and invalidates unpublished targets — the store
-    // stays consistent for the partial-result flush.
-    if arena.manager().cancel_token().is_cancelled() {
+    // releases pins and drops the targets of the ops that did not run —
+    // the store stays consistent for the partial-result flush.
+    if cancel.is_cancelled() {
         return Err(EngineError::Amc(phylo_amc::AmcError::Cancelled));
     }
     if let Some(tiers) = arena.tiers() {
         // A spilled copy of this exact CLV answers the step without the
-        // kernels or the dependency slots: the op owns its unpublished
-        // target exclusively (execution pins + latch down), so the
-        // single-slot view is the same exclusive write access the
-        // kernel path uses below.
+        // kernels or the dependency slots: the op is its target's only
+        // writer, so the single-slot view is the same exclusive write
+        // access the kernel path uses below.
         let view = arena.compute_view(op.slot, [None, None]);
         if tiers.fetch_into(phylo_amc::ClvKey(op.target.0), view.target_clv, view.target_scale) {
-            arena.manager().mark_ready_at(op.slot, op.slot_version);
+            arena.manager().mark_ready(op.slot);
             return Ok(());
         }
     }
@@ -69,20 +80,6 @@ fn execute_op(
         DepSource::Slot(s) => Some(s),
         DepSource::Tip(_) => None,
     });
-    // Dependencies computed earlier in this schedule are already
-    // published by their own step; a wait only ever blocks on a CLV a
-    // *concurrent* plan is still computing, and that plan's execution is
-    // lock-free and infallible, so the wait terminates. The wait is
-    // version-snapshotted: if a *later* op of this same schedule remapped
-    // the dep's slot (dropping its latch at planning time), the recorded
-    // bytes are still valid until that op executes, so the reader must
-    // not — and does not — block on a latch only the later op would
-    // publish.
-    for (k, d) in op.deps.iter().enumerate() {
-        if let DepSource::Slot(s) = d {
-            arena.manager().wait_ready_at(*s, op.dep_versions[k])?;
-        }
-    }
     let view = arena.compute_view(op.slot, child_slots);
     // The child edges' matrices and the tip rows leave the scratch for the
     // op, so that the sides can borrow them while the kernel borrows the
@@ -126,15 +123,15 @@ fn execute_op(
     }
     if phylo_faults::fire("engine::kernel_nan") {
         // Simulates a kernel numeric failure (underflow past the scaler
-        // thresholds). The op is still this slot's exclusive writer: the
-        // slot is unpublished, so a fresh single-slot view is safe.
+        // thresholds). The op is still this slot's only writer, so a
+        // fresh single-slot view is safe.
         arena.compute_view(op.slot, [None, None]).target_clv[0] = f64::NAN;
     }
-    // Generation-aware publish: if a later op of this same schedule
-    // already remapped the target slot, this op's bytes are a superseded
-    // generation — announcing them as the new mapping's data would hand
-    // concurrent plans the wrong CLV. The final-generation op publishes.
-    arena.manager().mark_ready_at(op.slot, op.slot_version);
+    // When a later op of this schedule reuses the slot, its mapping
+    // already names that op's target and this bit is premature; the
+    // later op overwrites the bytes, and a schedule stopped before it is
+    // cleaned up by op position, not by this bit (`abort_schedule`).
+    arena.manager().mark_ready(op.slot);
     phylo_obs::counter!("engine.ops").inc();
     sw.record(phylo_obs::histogram!("engine.op_ns"));
     Ok(())

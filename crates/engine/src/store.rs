@@ -14,14 +14,14 @@
 //! directed edges resident and pins them, `side` hands out kernel-ready
 //! views, `release` unpins.
 //!
-//! The store is internally synchronized (`&self` API, `Sync`): planning
-//! is serialized by the slot manager's plan lock, execution runs
-//! lock-free under execution pins, and readers of a prepared block's
-//! pinned CLVs touch no lock at all (residency lookups are atomic
-//! loads). Distinct blocks can therefore be prepared and read by
-//! different threads concurrently; kernel scratch buffers come from an
-//! internal pool so concurrent recomputations do not contend on them.
+//! The store is internally synchronized (`&self` API, `Sync`): a
+//! `prepare` plans and executes its schedule under the slot manager's
+//! plan lock, so the store has at most one computing plan at a time,
+//! while readers of a prepared block's pinned CLVs touch no lock at all
+//! (residency lookups are atomic loads). One thread can therefore
+//! prepare a block while others read the blocks already prepared.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 use crate::ctx::ReferenceContext;
@@ -42,10 +42,9 @@ pub enum EdgeSide {
     Resident(SlotId),
 }
 
-/// Reusable kernel working buffers, checked out per preparation so
-/// concurrent recomputations each get their own set. Steady state
-/// allocates nothing: buffers return to the pool and their capacity is
-/// retained.
+/// Reusable kernel working buffers, checked out per preparation. Steady
+/// state allocates nothing: buffers return to the pool and their
+/// capacity is retained.
 struct ScratchPool {
     pool: Mutex<Vec<KernelScratch>>,
 }
@@ -60,8 +59,7 @@ impl ScratchPool {
         match self.pool.lock().unwrap_or_else(|e| e.into_inner()).pop() {
             Some(s) => s,
             None => {
-                // Pool churn: a fresh allocation means a buffer was lost
-                // or more preparations run concurrently than ever before.
+                // Pool churn: a fresh allocation means a buffer was lost.
                 phylo_obs::counter!("engine.scratch.allocs").inc();
                 KernelScratch::new()
             }
@@ -180,16 +178,10 @@ impl ManagedStore {
         self.arena.n_slots()
     }
 
-    /// Sets the watchdog deadline for publish-latch waits (see
-    /// [`phylo_amc::SlotManager::set_wait_timeout`]).
-    pub fn set_wait_timeout(&self, timeout: std::time::Duration) {
-        self.arena.manager().set_wait_timeout(timeout);
-    }
-
     /// Installs the run's cooperative shutdown token (see
-    /// [`phylo_amc::CancelToken`]): once cancelled, publish-latch waits
-    /// unblock and schedule execution stops between Felsenstein steps
-    /// with [`phylo_amc::AmcError::Cancelled`]. In-flight schedules are
+    /// [`phylo_amc::CancelToken`]): once cancelled, schedule execution
+    /// stops between Felsenstein steps with
+    /// [`phylo_amc::AmcError::Cancelled`]. In-flight schedules are
     /// aborted through the normal failure path, so the store remains
     /// consistent and reusable.
     pub fn set_cancel_token(&self, token: &phylo_amc::CancelToken) {
@@ -220,60 +212,61 @@ impl ManagedStore {
     /// Multiple blocks may be outstanding (e.g. current + prefetched),
     /// provided enough slots stay unpinned for further traversals.
     ///
-    /// Safe to call from several threads at once: planners serialize on
-    /// the slot manager's plan lock, executions overlap. Under a tight
-    /// slot budget a concurrent caller may get `AllSlotsPinned` while
-    /// another plan's working set is pinned — that is a retryable
-    /// condition, not a deadlock (the other plan always completes).
+    /// Safe to call from several threads at once: each call holds the
+    /// slot manager's plan lock from planning through execution, so
+    /// prepares of one store run one at a time, and a block's CLVs are
+    /// complete when it is returned. A prepare whose schedule fails or
+    /// panics is rolled back before the error or the panic leaves.
     pub fn prepare(
         &self,
         ctx: &ReferenceContext,
         dirs: &[DirEdgeId],
     ) -> Result<PreparedBlock, EngineError> {
-        let mut rs = ensure_resident(ctx.tree(), dirs, self.arena.manager(), ctx.register_need())?;
+        let mgr = self.arena.manager();
+        let _plan = mgr.plan_guard();
+        let mut rs = ensure_resident(ctx.tree(), dirs, mgr, ctx.register_need())?;
+        if rs.ops.is_empty() {
+            // Every target was resident: the plan only pinned them.
+            return Ok(PreparedBlock { rs });
+        }
         self.demote_evicted(&mut rs);
         let mut scratch = self.scratch.checkout();
-        let run = exec::execute_ops(ctx, &self.arena, &rs.ops, &mut scratch);
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            exec::execute_ops(ctx, &self.arena, &rs.ops, &mut scratch)
+        }));
         self.scratch.checkin(scratch);
-        if let Err(e) = run {
-            self.abort_schedule(rs);
-            return Err(e);
+        match run {
+            Ok(Ok(())) => {}
+            Ok(Err(stopped)) => {
+                self.abort_schedule(rs, stopped.at);
+                return Err(stopped.error);
+            }
+            Err(panic) => {
+                // Which op panicked is unknown: drop every target.
+                self.abort_schedule(rs, 0);
+                resume_unwind(panic);
+            }
         }
-        rs.release_exec(self.arena.manager());
-        self.sync_targets(&rs)?;
+        rs.release_exec(mgr);
         Ok(PreparedBlock { rs })
     }
 
-    /// Tears down a schedule that will never finish executing: releases
-    /// every pin it holds and, under the plan guard, invalidates its
-    /// installed-but-unpublished targets so a later plan does not treat
-    /// them as resident and wait on a publish that will never come.
-    /// Slots another plan has meanwhile pinned are left alone — that
-    /// plan's own bounded wait surfaces the failure.
-    fn abort_schedule(&self, mut rs: phylo_amc::ResidentSet) {
+    /// Tears down a schedule whose ops from position `ran` on never ran:
+    /// releases every pin it holds and invalidates each of those ops'
+    /// targets whose mapping still points at the op's slot, so that no
+    /// later plan takes the slot's bytes for that CLV. The caller holds
+    /// the plan guard. Not the slots' complete bits, but positions decide:
+    /// an op whose slot a later op of the schedule reuses has set the bit
+    /// for the later op's mapping before that op ran.
+    fn abort_schedule(&self, mut rs: ResidentSet, ran: usize) {
         let mgr = self.arena.manager();
         rs.release(mgr);
-        let _plan = mgr.plan_guard();
-        for op in &rs.ops {
+        for op in &rs.ops[ran..] {
             let clv = ClvKey(op.target.0);
-            if mgr.lookup(clv) == Some(op.slot)
-                && !mgr.is_ready(op.slot)
-                && mgr.pin_count(op.slot) == 0
-            {
+            if mgr.lookup(clv) == Some(op.slot) && mgr.pin_count(op.slot) == 0 {
                 mgr.invalidate(clv);
             }
         }
-    }
-
-    /// Blocks until every target of `rs` is published. Targets this plan
-    /// computed itself already are; a hit target still being computed by
-    /// an earlier, concurrent plan is pinned (so it cannot be remapped)
-    /// and that plan's lock-free execution always publishes it.
-    fn sync_targets(&self, rs: &ResidentSet) -> Result<(), EngineError> {
-        for &(_, slot) in &rs.targets {
-            self.arena.manager().wait_ready(slot)?;
-        }
-        Ok(())
     }
 
     /// Releases the pins held by a prepared block.
@@ -281,11 +274,10 @@ impl ManagedStore {
         block.rs.release(self.arena.manager());
     }
 
-    /// Offers the published CLVs a freshly planned schedule evicted to
-    /// the spill file, outside the plan lock. Must run before any of the
-    /// plan's ops execute: the victims' bytes sit untouched in their
-    /// (execution-pinned, unpublished) slots exactly until the ops
-    /// overwrite them.
+    /// Offers the complete CLVs a freshly planned schedule evicted to the
+    /// spill file. Must run before any of the plan's ops execute: the
+    /// victims' bytes sit untouched in their (execution-pinned) slots
+    /// exactly until the ops overwrite them.
     fn demote_evicted(&self, rs: &mut phylo_amc::ResidentSet) {
         if rs.evicted.is_empty() {
             return;
@@ -321,7 +313,7 @@ impl ManagedStore {
     /// and for a leaf its tip rows, built from them into the caller's
     /// `tip`. This is the "everything beyond the branch" term of an edge
     /// likelihood. Lock-free: the caller must hold the edge in a prepared
-    /// (hence pinned and published) block.
+    /// (hence pinned and complete) block.
     pub fn kernel_side<'a>(
         &'a self,
         ctx: &'a ReferenceContext,
@@ -360,9 +352,9 @@ impl ManagedStore {
     /// `⌈log₂ n⌉ + 2` floor covers.
     pub fn flush_cache(&self) {
         let mgr = self.arena.manager();
-        // A planning operation: the flush must not race another planner's
-        // table surgery. In-flight plans' slots are execution-pinned, so
-        // they survive the flush.
+        // A planning operation: the flush must not race a computing
+        // plan's table surgery or its writes. Prepared blocks' slots are
+        // pinned, so they survive the flush.
         let _plan = mgr.plan_guard();
         let keys: Vec<ClvKey> = mgr
             .resident()
@@ -479,6 +471,91 @@ mod tests {
             assert_eq!(block.ops(), 0);
             store.release(block);
         }
+    }
+
+    /// The bits of a directed edge's CLV and scalers in `store`.
+    fn bits(store: &ManagedStore, ctx: &ReferenceContext, d: DirEdgeId) -> (Vec<u64>, Vec<u32>) {
+        let (clv, scale) = store.clv_of(ctx, d).unwrap();
+        (clv.iter().map(|v| v.to_bits()).collect(), scale.to_vec())
+    }
+
+    #[test]
+    fn a_schedule_stopped_after_its_first_op_leaves_no_stale_mapping() {
+        let ctx = random_ctx(32, 30, 11);
+        let uncapped = ManagedStore::full(&ctx);
+        // A cold store at the floor whose first schedule writes op 0's
+        // slot again in a later op: op 0 marks the slot complete although
+        // its mapping already names the later op's target.
+        let (store, dirs) = ctx
+            .tree()
+            .all_edges()
+            .find_map(|e| {
+                let store =
+                    ManagedStore::with_slots(&ctx, ctx.min_slots(), StrategyKind::CostBased)
+                        .unwrap();
+                let dirs = [DirEdgeId::new(e, 0), DirEdgeId::new(e, 1)];
+                let mgr = store.arena().manager();
+                let mut rs = ensure_resident(ctx.tree(), &dirs, mgr, ctx.register_need()).unwrap();
+                let reused = rs.ops.iter().skip(1).any(|op| op.slot == rs.ops[0].slot);
+                rs.release(mgr);
+                for op in &rs.ops {
+                    mgr.invalidate(ClvKey(op.target.0));
+                }
+                reused.then_some((store, dirs))
+            })
+            .expect("some floor schedule reuses its first op's slot");
+        let mgr = store.arena().manager();
+        {
+            // What `prepare` does when `execute_ops` reports a stop at 1.
+            let _plan = mgr.plan_guard();
+            let rs = ensure_resident(ctx.tree(), &dirs, mgr, ctx.register_need()).unwrap();
+            let mut scratch = KernelScratch::new();
+            exec::execute_ops(&ctx, store.arena(), &rs.ops[..1], &mut scratch).unwrap();
+            let unexecuted: Vec<_> = rs.ops[1..].iter().map(|op| op.target).collect();
+            store.abort_schedule(rs, 1);
+            for d in unexecuted {
+                assert_eq!(mgr.lookup(ClvKey(d.0)), None, "{d:?} never ran but is mapped");
+            }
+        }
+        assert_eq!(mgr.n_pinned(), 0);
+        mgr.check_invariants().unwrap();
+        let block = store.prepare(&ctx, &dirs).unwrap();
+        let expected = uncapped.prepare(&ctx, &dirs).unwrap();
+        for d in dirs {
+            if !ctx.tree().is_leaf(ctx.tree().src(d)) {
+                assert_eq!(bits(&store, &ctx, d), bits(&uncapped, &ctx, d), "{d:?}");
+            }
+        }
+        store.release(block);
+        uncapped.release(expected);
+    }
+
+    #[test]
+    fn a_cancelled_prepare_leaves_the_store_reusable() {
+        let ctx = random_ctx(16, 20, 12);
+        let uncapped = ManagedStore::full(&ctx);
+        let store =
+            ManagedStore::with_slots(&ctx, ctx.min_slots(), StrategyKind::CostBased).unwrap();
+        let token = phylo_amc::CancelToken::new();
+        store.set_cancel_token(&token);
+        token.cancel();
+        let e = phylo_tree::EdgeId(5);
+        let dirs = [DirEdgeId::new(e, 0), DirEdgeId::new(e, 1)];
+        let err = store.prepare(&ctx, &dirs).unwrap_err();
+        assert!(matches!(err, EngineError::Amc(phylo_amc::AmcError::Cancelled)), "{err:?}");
+        let mgr = store.arena().manager();
+        assert!(mgr.resident().is_empty(), "no op ran, so nothing stays mapped");
+        assert_eq!(mgr.n_pinned(), 0);
+        store.set_cancel_token(&phylo_amc::CancelToken::new());
+        let block = store.prepare(&ctx, &dirs).unwrap();
+        let expected = uncapped.prepare(&ctx, &dirs).unwrap();
+        for d in dirs {
+            if !ctx.tree().is_leaf(ctx.tree().src(d)) {
+                assert_eq!(bits(&store, &ctx, d), bits(&uncapped, &ctx, d), "{d:?}");
+            }
+        }
+        store.release(block);
+        uncapped.release(expected);
     }
 
     #[test]

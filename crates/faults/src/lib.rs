@@ -1,7 +1,7 @@
 //! Deterministic fault injection.
 //!
 //! Production code threads named **probe sites** through its failure-prone
-//! paths — `if phylo_faults::fire("amc::lost_publish") { return; }` — and
+//! paths — `if phylo_faults::fire("amc::arena_alloc") { return Err(…); }` — and
 //! the robustness test suite **arms** those sites with a trigger to force
 //! the failure at a precise, reproducible point. The subsystem has two
 //! compilation modes:

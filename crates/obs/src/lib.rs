@@ -553,7 +553,7 @@ mod tests {
         s.set_counter("slot.misses", 7);
         s.gauges.insert("place.chunk".into(), 3);
         s.histograms.insert(
-            "slot.wait_ns".into(),
+            "engine.op_ns".into(),
             HistogramSnapshot { count: 2, sum_ns: 300, buckets: vec![(7, 2)] },
         );
         let json = s.to_json();

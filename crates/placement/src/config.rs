@@ -46,12 +46,8 @@ pub struct EpaConfig {
     /// `PHYLO_KERNEL_TIER`, else to the SIMD tier; explicit choices pin
     /// the reference or SIMD implementations.
     pub kernel_tier: phylo_kernel::TierChoice,
-    /// Watchdog deadline for publish-latch waits; `None` keeps the
-    /// manager's default (60 s). A lost or stalled publish then surfaces
-    /// as [`phylo_amc::AmcError::SlotWaitTimeout`] instead of hanging.
-    pub slot_wait_timeout: Option<std::time::Duration>,
     /// CLV spill file for evicted CLVs (`--tier-dir`): eviction writes
-    /// published victims to it and misses try a reload before
+    /// complete victims to it and misses try a reload before
     /// recomputing. `None` keeps the paper's pure recompute-on-miss AMC.
     pub tiers: Option<phylo_amc::tier::TierConfig>,
 }
@@ -67,7 +63,6 @@ impl Default for EpaConfig {
             preplacement: PreplacementMode::Auto,
             async_prefetch: true,
             kernel_tier: phylo_kernel::TierChoice::Auto,
-            slot_wait_timeout: None,
             tiers: None,
         }
     }
@@ -85,9 +80,6 @@ impl EpaConfig {
         }
         if self.threads == 0 {
             return Err(BadConfig("threads must be at least 1".into()));
-        }
-        if self.slot_wait_timeout.is_some_and(|d| d.is_zero()) {
-            return Err(BadConfig("slot_wait_timeout must be non-zero".into()));
         }
         if let Some(tiers) = &self.tiers {
             tiers.validate().map_err(|e| BadConfig(e.to_string()))?;

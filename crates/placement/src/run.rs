@@ -298,8 +298,7 @@ impl Placer {
     }
 
     /// Opens the reference-side state for runs of up to `n_queries`
-    /// queries: memory plan → slot arena → threads / wait timeout /
-    /// cancel token → spill file → slot trace → lookup build.
+    /// queries: memory plan → slot arena → cancel token → spill file → slot trace → lookup build.
     /// `replayed_chunks` is how many leading chunks a resumed journal
     /// already holds.
     fn open_store(
@@ -312,12 +311,9 @@ impl Placer {
         let cfg = &self.cfg;
         let plan = memplan::plan(ctx, cfg, n_queries, self.site_to_pattern.len())?;
         let store = ManagedStore::with_slots(ctx, plan.slots, cfg.strategy)?;
-        if let Some(timeout) = cfg.slot_wait_timeout {
-            store.set_wait_timeout(timeout);
-        }
         // Cancellation reaches every layer from here on: the engine
-        // polls per Felsenstein op, slot waits poll while blocked, and
-        // the chunk loop polls at chunk boundaries.
+        // polls per Felsenstein op and the chunk loop at chunk
+        // boundaries.
         store.set_cancel_token(&control.cancel);
         // CLV spill file: evicted slot payloads are written to it
         // instead of being dropped, and slot misses read it before
@@ -625,7 +621,7 @@ impl Placer {
             &mut scoring.sweep,
             <[EdgeId]>::to_vec,
             |e, s| {
-                // The branch's CLVs are pinned and published, so reads need
+                // The branch's CLVs are pinned and complete, so reads need
                 // no lock.
                 let PrescoreScratch { scratch, table, row } = s;
                 table.rebuild(ctx, scratch.midpoint_partials(ctx, store, e), &pendant_eval);
@@ -1267,7 +1263,7 @@ mod tests {
             );
             // So a hand-driven request evicts in cost order again, not by
             // what the dead walk would have wanted next. (A cancelled
-            // prepare drops its unpublished targets: no full store.)
+            // prepare drops the targets of its unrun ops: no full store.)
             if in_prepare {
                 continue;
             }

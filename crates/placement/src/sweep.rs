@@ -273,7 +273,7 @@ pub(crate) struct Walk<'a> {
 /// visited branches, both orientations of each pinned, is split into
 /// `units_of(batch)`, and `work` runs each unit while the batch is
 /// pinned. Scoring reads take no lock: the batch's slots are pinned and
-/// published, and planners serialize on the store's own plan lock (see
+/// complete, and prepares serialize on the store's own plan lock (see
 /// DESIGN.md §6).
 ///
 /// The board holds two kinds of job: preparing the next batch, and the

@@ -303,6 +303,31 @@ assert sorted(codes) == ['Internal', 'Ok', 'Ok'], codes
 PY
 echo "    daemon chaos OK (one Internal, siblings served)"
 
+# Fault sites and the fault matrix move together: a site that no test
+# arms is failure handling nothing exercises, and a name a test arms
+# that no code fires tests nothing. A site is a `phylo_faults::fire`
+# call, or a `*_probed` helper given the site's name, outside the faults
+# crate; a test arms one with `phylo_faults::arm`, a `(site, Trigger::…)`
+# row or a `PHYLO_FAULTS=site=…` spec.
+echo "==> every fault site is armed by a test, every armed name is fired"
+fault_names() { # PATTERN PATH...: site names on the matching non-comment lines
+    local pattern=$1; shift
+    grep -rhE --include='*.rs' --include='*.sh' --exclude-dir=faults "$pattern" "$@" \
+        | grep -vE '^[[:space:]]*//' | grep -oE "$pattern" \
+        | grep -oE '"[a-z_]+::[a-z_]+' | tr -d '"' | sort -u || true
+}
+site='"[a-z_]+::[a-z_]+'
+fired=$(fault_names "(phylo_faults::fire|_probed)\([^\"]*$site\"" crates src)
+armed=$( { fault_names "phylo_faults::arm\($site\"" crates src tests
+           fault_names "\($site\", Trigger::" crates src tests
+           fault_names "PHYLO_FAULTS\"?(=|, )$site=" scripts tests; } | sort -u)
+[ -n "$fired" ] || { echo "found no fault site: the guard's pattern is stale"; exit 1; }
+unarmed=$(comm -23 <(echo "$fired") <(echo "$armed"))
+unfired=$(comm -13 <(echo "$fired") <(echo "$armed"))
+[ -z "$unarmed" ] || { echo "fault sites no test arms:"; echo "$unarmed"; exit 1; }
+[ -z "$unfired" ] || { echo "armed fault names no code fires:"; echo "$unfired"; exit 1; }
+echo "    $(echo "$fired" | wc -l) fault sites, each armed by a test"
+
 # Probes are always live: there is one build, and a gate that creeps back
 # in would halve what every step above covers.
 echo "==> no observability feature gate (probes are the only build)"

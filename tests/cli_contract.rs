@@ -196,9 +196,6 @@ fn metrics_and_trace_are_live_in_the_default_build() {
         "{metrics}"
     );
     assert_eq!(metrics.matches("\"kernel.tier.").count(), 1, "{metrics}");
-    // Registered with the slot manager, so present even when no latch
-    // wait happened (a one-thread run may well have none).
-    assert!(metrics.contains("\"slot.wait_ns\""), "{metrics}");
     let trace = std::fs::read_to_string(&t).unwrap();
     for span in ["\"name\":\"prescore\"", "\"name\":\"thorough\""] {
         assert!(trace.contains(span), "no {span} span in the trace");

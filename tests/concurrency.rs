@@ -1,16 +1,20 @@
-//! Concurrency stress for the fine-grained slot protocol: eight worker
-//! threads hammer `ensure_resident` on overlapping directed-edge sets with
-//! the slot count at exactly the `⌈log₂ n⌉ + 2` floor, then "execute"
-//! their schedules through the publish latches. The run must terminate
-//! (no deadlock), pinned slots must never be remapped, and the final
-//! tables must be mutually consistent.
+//! Concurrency stress for the slot protocol: eight threads prepare
+//! overlapping blocks of one CLV store whose slot count is the memory
+//! plan's floor (`⌈log₂ n⌉ + 2` plus the pin headroom), each reading
+//! its pinned CLVs while the others plan and compute. The run must
+//! terminate (no deadlock), every CLV a prepare returns must equal, bit
+//! for bit, the one an uncapped store computes, and the final tables
+//! must be mutually consistent.
 
-use phyloplace::amc::{ensure_resident, AmcError, ClvKey, DepSource, SlotManager, StrategyKind};
-use phyloplace::tree::stats::{min_slots_bound, register_need, subtree_leaf_counts};
-use phyloplace::tree::{generate, DirEdgeId};
+use phyloplace::amc::{AmcError, StrategyKind};
+use phyloplace::engine::{EngineError, ManagedStore, ReferenceContext};
+use phyloplace::models::{dna, DiscreteGamma, SubstModel};
+use phyloplace::place::memplan::pin_headroom;
+use phyloplace::seq::alphabet::AlphabetKind;
+use phyloplace::seq::{compress, Msa, Sequence};
+use phyloplace::tree::{generate, DirEdgeId, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -19,101 +23,115 @@ const ROUNDS: usize = 40;
 
 #[test]
 fn workers_at_the_slot_floor_never_deadlock() {
-    // A hang here *is* the failure mode under test, so run the stress on a
-    // watchdog: if it does not finish in time, fail loudly instead of
+    // A hang here *is* one failure mode under test, so run the stress on
+    // a watchdog: if it does not finish in time, fail loudly instead of
     // letting the harness sit on a deadlock forever.
     let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
+    let stress = std::thread::spawn(move || {
         stress();
         let _ = tx.send(());
     });
-    rx.recv_timeout(Duration::from_secs(300))
-        .expect("stress run did not finish: deadlock or livelock suspected");
+    match rx.recv_timeout(Duration::from_secs(300)) {
+        Ok(()) => stress.join().unwrap(),
+        // The stress thread panicked: re-raise its assertion.
+        Err(mpsc::RecvTimeoutError::Disconnected) => std::panic::resume_unwind(
+            stress.join().expect_err("the stress thread ended without reporting"),
+        ),
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("stress run did not finish: deadlock or livelock suspected")
+        }
+    }
 }
 
-fn stress() {
+/// A 48-leaf Yule tree with a random DNA alignment under JC69 + Γ4.
+fn context() -> ReferenceContext {
     let n = 48usize;
     let mut rng = StdRng::seed_from_u64(2021);
     let tree = generate::yule(n, 0.1, &mut rng).unwrap();
-    let need = register_need(&tree);
-    let costs: Vec<f64> = subtree_leaf_counts(&tree).iter().map(|&c| c as f64).collect();
-    // Exactly the paper's floor: every single plan is guaranteed to fit,
-    // but only barely — concurrent planners constantly collide with each
-    // other's execution pins and must retry.
-    let mgr = SlotManager::new(
-        tree.n_dir_edges(),
-        min_slots_bound(n),
-        StrategyKind::CostBased.build(Some(costs)),
-    );
+    let rows: Vec<Sequence> = (0..n)
+        .map(|i| {
+            let text: String = (0..60).map(|_| b"ACGT"[rng.gen_range(0..4usize)] as char).collect();
+            Sequence::from_text(tree.taxon(NodeId(i as u32)), AlphabetKind::Dna, &text).unwrap()
+        })
+        .collect();
+    let patterns = compress(&Msa::new(rows).unwrap()).unwrap();
+    let gamma = DiscreteGamma::new(0.5, 4, Default::default()).unwrap();
+    let model = SubstModel::new(&dna::jc69(), gamma).unwrap();
+    ReferenceContext::new(tree, model, AlphabetKind::Dna.alphabet(), &patterns).unwrap()
+}
+
+/// A CLV and its scalers, as bits.
+type Bits = (Vec<u64>, Vec<u32>);
+
+fn bits_of(store: &ManagedStore, ctx: &ReferenceContext, d: DirEdgeId) -> Option<Bits> {
+    store
+        .clv_of(ctx, d)
+        .map(|(clv, scale)| (clv.iter().map(|v| v.to_bits()).collect(), scale.to_vec()))
+}
+
+fn stress() {
+    let ctx = context();
+    let tree = ctx.tree();
     let edges: Vec<_> = tree.all_edges().collect();
-    let retries = AtomicU64::new(0);
+    let dirs = |e| [DirEdgeId::new(e, 0), DirEdgeId::new(e, 1)];
+    // What every prepare must return: each directed edge's CLV from a
+    // store that holds them all.
+    let uncapped = ManagedStore::full(&ctx);
+    let mut expected: Vec<Option<Bits>> = vec![None; tree.n_dir_edges()];
+    for &e in &edges {
+        let block = uncapped.prepare(&ctx, &dirs(e)).unwrap();
+        for d in dirs(e) {
+            expected[d.idx()] = bits_of(&uncapped, &ctx, d);
+        }
+        uncapped.release(block);
+    }
+    // The floor the memory plan grants: every single plan fits, but
+    // eight threads' pinned blocks together can exceed the headroom, so
+    // a prepare may meet the other threads' pins and retry.
+    let store = ManagedStore::with_slots(
+        &ctx,
+        ctx.min_slots() + pin_headroom(&ctx),
+        StrategyKind::CostBased,
+    )
+    .unwrap();
     std::thread::scope(|s| {
         for w in 0..WORKERS {
-            let (mgr, tree, need, edges, retries) = (&mgr, &tree, &need, &edges, &retries);
+            let (ctx, store, edges, expected) = (&ctx, &store, &edges, &expected);
             s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(7 + w as u64);
                 for _ in 0..ROUNDS {
                     // Overlapping work: every worker draws from the same
                     // tree, biased toward a shared hot region so hits,
-                    // misses, and evictions all interleave.
+                    // misses and evictions all interleave.
                     let e = if rng.gen_bool(0.5) {
                         edges[rng.gen_range(0..edges.len() / 4 + 1)]
                     } else {
                         edges[rng.gen_range(0..edges.len())]
                     };
-                    let targets = [DirEdgeId::new(e, 0), DirEdgeId::new(e, 1)];
-                    let mut rs = loop {
-                        match ensure_resident(tree, &targets, mgr, need) {
-                            Ok(rs) => break rs,
-                            // Another plan's execution pins may transiently
-                            // occupy every slot; that is a retry, never a
-                            // deadlock — the pin holder's execution is
-                            // lock-free and always completes.
-                            Err(AmcError::AllSlotsPinned { .. }) => {
-                                retries.fetch_add(1, Ordering::Relaxed);
-                                std::thread::yield_now();
+                    let block = loop {
+                        match store.prepare(ctx, &dirs(e)) {
+                            Ok(block) => break block,
+                            // Other threads' blocks may hold too many
+                            // slots for this plan; they are released
+                            // after a read, so this is a retry.
+                            Err(EngineError::Amc(AmcError::AllSlotsPinned { .. })) => {
+                                std::thread::yield_now()
                             }
-                            Err(e) => panic!("planning failed: {e:?}"),
+                            Err(e) => panic!("prepare failed: {e}"),
                         }
                     };
-                    // Pinned slots must never be remapped underneath us:
-                    // snapshot each target slot's reassignment version.
-                    let versions: Vec<u64> =
-                        rs.targets.iter().map(|&(_, slot)| mgr.version(slot)).collect();
-                    // "Execute" the schedule: wait on foreign dependencies
-                    // (version-snapshotted, exactly as the real executor
-                    // does — a later op of this very schedule may have
-                    // remapped a dep's slot at planning time), publish our
-                    // own writes, in schedule order.
-                    for op in &rs.ops {
-                        for (k, d) in op.deps.iter().enumerate() {
-                            if let DepSource::Slot(slot) = d {
-                                mgr.wait_ready_at(*slot, op.dep_versions[k]).unwrap();
-                            }
-                        }
-                        mgr.mark_ready_at(op.slot, op.slot_version);
-                    }
-                    rs.release_exec(mgr);
-                    // A hit target may still be computing under an earlier
-                    // concurrent plan; readers wait on the publish latch.
-                    for (&(d, slot), v0) in rs.targets.iter().zip(&versions) {
-                        mgr.wait_ready(slot).unwrap();
-                        assert_eq!(
-                            mgr.version(slot),
-                            *v0,
-                            "pinned slot {slot:?} (target {d:?}) was remapped mid-plan"
-                        );
-                        assert_eq!(
-                            mgr.occupant(slot),
-                            Some(ClvKey(d.0)),
-                            "pinned target evicted: slot {slot:?} no longer holds {d:?}"
+                    for d in dirs(e) {
+                        assert!(
+                            bits_of(store, ctx, d) == expected[d.idx()],
+                            "{d:?}: the prepared CLV differs from the uncapped store's"
                         );
                     }
-                    rs.release(mgr);
+                    store.release(block);
                 }
             });
         }
     });
+    let mgr = store.arena().manager();
     assert_eq!(mgr.n_pinned(), 0, "every pin must be released after the stress");
     mgr.check_invariants().expect("slot tables consistent after the stress");
     // The final resident set agrees with both index maps.
@@ -121,8 +139,8 @@ fn stress() {
         assert_eq!(mgr.lookup(clv), Some(slot));
         assert_eq!(mgr.occupant(slot), Some(clv));
     }
-    let stats = mgr.stats();
-    assert!(stats.misses > 0, "the floor budget must force recomputation");
+    let stats = store.stats();
+    assert!(stats.evictions > 0, "the floor budget must force recomputation");
     assert!(
         stats.hits + stats.misses >= (WORKERS * ROUNDS) as u64,
         "every round touches at least one CLV"
