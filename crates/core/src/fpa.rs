@@ -20,10 +20,9 @@
 //! executed under its plan lock, held by the caller across both, so a
 //! store has one computing plan at a time and each plan sees the
 //! sequential algorithm's exact pin dance — the `⌈log₂ n⌉ + 2`
-//! unpinned-slot guarantee holds per plan. Every slot the schedule will
-//! read or write also gains one **execution pin** (recorded in
-//! [`ResidentSet::release_exec`]'s list), which the executor drops once
-//! the ops have run.
+//! unpinned-slot guarantee holds per plan. The slots a schedule reads or
+//! writes need no pins while its ops run: nothing else plans, evicts or
+//! installs on the manager until the caller drops the lock.
 
 use crate::error::AmcError;
 use crate::slots::{Acquire, ClvKey, SlotId, SlotManager};
@@ -64,9 +63,6 @@ pub struct ResidentSet {
     /// Slot of every *inner-origin* requested target (tip-origin targets
     /// need no slot and are omitted), in request order.
     pub targets: Vec<(DirEdgeId, SlotId)>,
-    /// One pin per slot reference the schedule reads or writes, held from
-    /// planning until the executor calls [`ResidentSet::release_exec`].
-    exec_pins: Vec<SlotId>,
     /// Published CLVs this plan evicted, with the slot still holding
     /// their bytes. The executor may demote these to a storage tier
     /// *before* running the ops (which overwrite the slots); the list
@@ -80,19 +76,9 @@ impl ResidentSet {
         self.targets.iter().find(|&&(t, _)| t == d).map(|&(_, s)| s)
     }
 
-    /// Releases the execution pins (call once the ops have been executed;
-    /// idempotent).
-    pub fn release_exec(&mut self, mgr: &SlotManager) {
-        for slot in self.exec_pins.drain(..) {
-            let _ = mgr.unpin(slot);
-        }
-    }
-
-    /// Releases the per-target pins taken by `ensure_resident`, plus any
-    /// execution pins not yet dropped (call when done reading the
-    /// targets).
+    /// Releases the per-target pins taken by `ensure_resident` (call
+    /// when done reading the targets).
     pub fn release(&mut self, mgr: &SlotManager) {
-        self.release_exec(mgr);
         for &(_, slot) in &self.targets {
             // A slot may appear for several targets; each got its own pin.
             let _ = mgr.unpin(slot);
@@ -261,21 +247,6 @@ pub fn ensure_resident(
         return Err(e);
     }
 
-    // ---- Phase 4: execution pins + collect target slots. ----
-    // Every slot the schedule writes (op slots) or reads (resident dep
-    // slots) stays pinned until the executor finishes: the sequential
-    // pin dance above has already consumed those read pins.
-    let mut exec_pins = Vec::with_capacity(ops.len() * 3);
-    for op in &ops {
-        mgr.pin(op.slot);
-        exec_pins.push(op.slot);
-        for dep in op.deps {
-            if let DepSource::Slot(s) = dep {
-                mgr.pin(s);
-                exec_pins.push(s);
-            }
-        }
-    }
     let mut out_targets = Vec::with_capacity(targets.len());
     for &t in targets {
         if tree.is_leaf(tree.src(t)) {
@@ -284,7 +255,7 @@ pub fn ensure_resident(
         let slot = mgr.lookup(ClvKey(t.0)).expect("target resident after planning");
         out_targets.push((t, slot));
     }
-    Ok(ResidentSet { ops, targets: out_targets, exec_pins, evicted })
+    Ok(ResidentSet { ops, targets: out_targets, evicted })
 }
 
 #[cfg(test)]
@@ -532,7 +503,7 @@ mod tests {
                 let end = i + 1 + rest.iter().position(|s| s.visit).unwrap_or(rest.len());
                 mgr.advance_cursor(end as u32);
                 let targets = [DirEdgeId::new(step.edge, 0), DirEdgeId::new(step.edge, 1)];
-                let mut rs = match ensure_resident(tree, &targets, &mgr, &need) {
+                let rs = match ensure_resident(tree, &targets, &mgr, &need) {
                     Ok(rs) => rs,
                     Err(AmcError::AllSlotsPinned { .. }) => {
                         // The executor's last rung: holds are optional.
@@ -549,7 +520,6 @@ mod tests {
                 for &(d, slot) in &rs.targets {
                     assert_eq!(slots[slot.idx()], reference[d.idx()], "{d:?}");
                 }
-                rs.release_exec(&mgr);
                 walk.visited.push(step.edge);
                 if let Some(mut p) = previous.replace(rs) {
                     p.release(&mgr);
@@ -563,11 +533,10 @@ mod tests {
             }
             if let Some(h) = step.hold {
                 match ensure_resident(tree, &[h], &mgr, &need) {
-                    Ok(mut rs) => {
+                    Ok(rs) => {
                         execute(&rs.ops, tree, &mut slots);
                         walk.ops += rs.ops.len();
                         assert_eq!(slots[rs.targets[0].1.idx()], reference[h.idx()]);
-                        rs.release_exec(&mgr);
                         held.push((h, rs));
                         walk.max_holds = walk.max_holds.max(held.len());
                     }

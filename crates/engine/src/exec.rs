@@ -29,11 +29,11 @@ pub struct ScheduleError {
 /// the reference holds neither. The store owns a pool of scratches, so
 /// once a scratch is warm an op allocates nothing.
 ///
-/// The caller must hold the plan guard the ops were planned under and
-/// their execution pins (see `phylo_amc::ensure_resident`); each target
-/// slot is marked complete when its step finishes. The run's cancel
-/// token is read once and polled before every op, so a cancel stops the
-/// schedule before its next op.
+/// The caller must hold the plan guard the ops were planned under (see
+/// `phylo_amc::ensure_resident`); each target slot is marked complete
+/// when its step finishes. The run's cancel token is read once and
+/// polled before every op, so a cancel stops the schedule before its
+/// next op.
 pub fn execute_ops(
     ctx: &ReferenceContext,
     arena: &SlotArena,

@@ -247,7 +247,6 @@ impl ManagedStore {
                 resume_unwind(panic);
             }
         }
-        rs.release_exec(mgr);
         Ok(PreparedBlock { rs })
     }
 
@@ -275,8 +274,8 @@ impl ManagedStore {
     }
 
     /// Offers the complete CLVs a freshly planned schedule evicted to the
-    /// spill file. Must run before any of the plan's ops execute: the
-    /// victims' bytes sit untouched in their (execution-pinned) slots
+    /// spill file. Must run before any of the plan's ops execute: under
+    /// the plan lock the victims' bytes sit untouched in their slots
     /// exactly until the ops overwrite them.
     fn demote_evicted(&self, rs: &mut phylo_amc::ResidentSet) {
         if rs.evicted.is_empty() {

@@ -85,7 +85,6 @@ fn sweep(
         let before = ALLOCS.load(Ordering::SeqCst);
         exec::execute_ops(ctx, store.arena(), &rs.ops, scratch).unwrap();
         allocs += ALLOCS.load(Ordering::SeqCst) - before;
-        rs.release_exec(mgr);
         rs.release(mgr);
     }
     (allocs, tip_ops)

@@ -14,6 +14,16 @@
 //! the units of both are scored by whichever thread is free (see
 //! [`run_sweep`]).
 //!
+//! A board thread that finds nothing to claim while another job still
+//! runs first spins on the board's generation counter, for at most
+//! [`SPIN`] (50 µs), and only then parks on the board's condvar. Every
+//! change a waiter could act on bumps the counter under the board lock
+//! and wakes the parked threads, if any; a waiter parks only if the
+//! counter has not moved once it holds the lock again, so no wake-up is
+//! lost (see [`Board::wait`]). At the floor a hand-off is a ≈ 15 µs
+//! prepare against ≈ 13 µs of scoring, and most hand-offs then cost
+//! neither a park nor a wake-up.
+//!
 //! Because the step list exists before the first CLV is touched, the
 //! executor also tells the store's replacement policy when the walk will
 //! want which CLV ([`NextUse`], announced once per walk that can evict at
@@ -38,7 +48,16 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// The longest a board thread with nothing to claim watches the board's
+/// generation counter before it parks on the condvar (the spin window's
+/// bound, see [`Board::wait`]). At the floor a one-branch block is
+/// prepared in ≈ 15 µs and scored in ≈ 13 µs, so most hand-offs between
+/// the preparing and the scoring thread land inside it and cost neither
+/// a park nor a wake-up; a longer wait (a walk's first prepare, the
+/// tail of a fan-out) parks after spinning no longer than this.
+const SPIN: Duration = Duration::from_micros(50);
 
 /// Atomic tallies for the degradation ladder; the sweep (on whichever
 /// thread prepares a batch) bumps them, the orchestrator snapshots them
@@ -278,7 +297,8 @@ pub(crate) struct Walk<'a> {
 ///
 /// The board holds two kinds of job: preparing the next batch, and the
 /// units of every pinned batch. A free thread claims the prepare if it
-/// is allowed, else the oldest unclaimed unit, else waits. Prepares and
+/// is allowed, else the oldest unclaimed unit, else waits (spinning
+/// briefly before it parks, see [`Board::wait`]). Prepares and
 /// releases keep one global order, whatever the threads' timing, so
 /// every plan meets the same pins and the eviction decisions, and with
 /// them the recompute counts, are reproducible:
@@ -391,6 +411,11 @@ struct BoardState<'a, U, R> {
     /// The lowest failing position and its error.
     failed: Option<(Pos, PlaceError)>,
     panicked: Option<PlaceError>,
+    /// Threads parked on the board's condvar.
+    parked: usize,
+    /// How long the next thread with nothing to claim spins before it
+    /// parks (see [`Board::wait`]).
+    spin: Duration,
 }
 
 impl<'a, U, R> BoardState<'a, U, R> {
@@ -458,11 +483,17 @@ impl<'a, U, R> BoardState<'a, U, R> {
     }
 }
 
-/// The work board: the state every thread claims from, and the condvar
-/// a thread with nothing to claim waits on.
+/// The work board: the state every thread claims from, and what a
+/// thread with nothing to claim waits on — the generation counter it
+/// spins on first, then the condvar it parks on (see [`Board::wait`]).
 struct Board<'a, U, R> {
     store: Option<&'a ManagedStore>,
     state: Mutex<BoardState<'a, U, R>>,
+    /// Bumped by every notifier, always under the lock; read without it
+    /// by spinning threads. It publishes no data — a thread that sees it
+    /// move takes the lock before it reads the board — so its accesses
+    /// are `Relaxed`.
+    generation: AtomicU64,
     wake: Condvar,
 }
 
@@ -485,8 +516,15 @@ impl<'a, U: Send, R: Send> Board<'a, U, R> {
             outputs: Vec::new(),
             failed: None,
             panicked: None,
+            parked: 0,
+            spin: SPIN,
         };
-        Board { store, state: Mutex::new(state), wake: Condvar::new() }
+        Board {
+            store,
+            state: Mutex::new(state),
+            generation: AtomicU64::new(0),
+            wake: Condvar::new(),
+        }
     }
 
     /// The board's own code holds the lock only for bookkeeping that does
@@ -495,6 +533,58 @@ impl<'a, U: Send, R: Send> Board<'a, U, R> {
     /// so a poisoned lock is taken as it is.
     fn lock(&self) -> MutexGuard<'_, BoardState<'a, U, R>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Tells the waiting threads that the board changed (something to
+    /// claim, or nothing left running): bumps the generation the
+    /// spinning ones watch, and wakes the parked ones if there are any.
+    /// The caller holds the lock, so the bump cannot fall between a
+    /// waiter's last look at the counter and its park.
+    fn notify(&self, state: &BoardState<'a, U, R>) {
+        self.generation.fetch_add(1, Ordering::Relaxed);
+        if state.parked > 0 {
+            self.wake.notify_all();
+        }
+    }
+
+    /// Waits for the next [`Board::notify`] after the caller's failed
+    /// claim, and hands the lock back. The thread spins on the
+    /// generation counter without the lock for up to the board's spin
+    /// window, then, if the counter has not moved by the time it holds
+    /// the lock again, parks on the condvar. Every notifier bumps the
+    /// counter under the lock and wakes whoever is parked then, so a
+    /// notify either comes before the re-check (the thread sees the new
+    /// generation and does not park) or after the park (the thread is
+    /// counted and woken): no wake-up is lost. A spurious wake-up only
+    /// sends the thread back to claiming.
+    ///
+    /// The window starts at [`SPIN`]. A spin that runs out halves it for
+    /// the next wait, down to `SPIN / 32`; one that ends in a notify
+    /// doubles it, up to `SPIN`. When the two threads of a hand-off do
+    /// not run at once (a host that time-slices the two vCPUs on one
+    /// core), every spin runs out and only delays the thread that would
+    /// notify, so the board stops spinning there within a few waits.
+    fn wait<'g>(
+        &'g self,
+        state: MutexGuard<'g, BoardState<'a, U, R>>,
+    ) -> MutexGuard<'g, BoardState<'a, U, R>> {
+        let seen = self.generation.load(Ordering::Relaxed);
+        let window = state.spin;
+        drop(state);
+        let spun = Instant::now();
+        while self.generation.load(Ordering::Relaxed) == seen && spun.elapsed() < window {
+            std::hint::spin_loop();
+        }
+        let mut state = self.lock();
+        if self.generation.load(Ordering::Relaxed) == seen {
+            state.spin = (state.spin / 2).max(SPIN / 32);
+            state.parked += 1;
+            state = self.wake.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state.parked -= 1;
+        } else {
+            state.spin = (state.spin * 2).min(SPIN);
+        }
+        state
     }
 
     /// Runs the board on one thread per `scratch` element (the caller
@@ -558,10 +648,11 @@ impl<'a, U: Send, R: Send> Board<'a, U, R> {
         let looped =
             catch_unwind(AssertUnwindSafe(|| self.work_loop(what, scratch, units_of, work)));
         looped.unwrap_or_else(|payload| {
-            self.lock().panicked.get_or_insert(PlaceError::WorkerPanicked {
+            let mut state = self.lock();
+            state.panicked.get_or_insert(PlaceError::WorkerPanicked {
                 context: format!("{what}: {}", panic_message(payload.as_ref())),
             });
-            self.wake.notify_all();
+            self.notify(&state);
             SweepStats::default()
         })
     }
@@ -581,7 +672,7 @@ impl<'a, U: Send, R: Send> Board<'a, U, R> {
                 None if state.panicked.is_some() || state.quiet() => break,
                 None => {
                     let t = Instant::now();
-                    state = self.wake.wait(state).unwrap_or_else(PoisonError::into_inner);
+                    state = self.wait(state);
                     tally.idle_ns += t.elapsed().as_nanos() as u64;
                     continue;
                 }
@@ -657,7 +748,7 @@ impl<'a, U: Send, R: Send> Board<'a, U, R> {
                 }
             };
             if wake {
-                self.wake.notify_all();
+                self.notify(&state);
             }
         }
         tally
@@ -677,7 +768,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::atomic::AtomicUsize;
-    use std::time::Duration;
+    use std::sync::mpsc::RecvTimeoutError;
 
     fn ctx(n: usize, sites: usize, seed: u64) -> ReferenceContext {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -793,6 +884,73 @@ mod tests {
                     ),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn thousands_of_one_branch_hand_offs_lose_no_wake_up() {
+        // One-branch blocks of near-empty units make nearly every claim a
+        // hand-off between a preparing and a scoring thread. A lost
+        // wake-up leaves a thread parked for good and the board never
+        // returns, so the walks run on a thread of their own and the
+        // watchdog below fails the test instead of hanging it.
+        let (done, watchdog) = std::sync::mpsc::channel();
+        let walks = std::thread::spawn(move || {
+            let ctx = ctx(1024, 4, 3);
+            let steps = SweepSchedule::new(ctx.tree()).steps(|_| true);
+            let mut runs = Vec::new();
+            for async_prefetch in [true, false] {
+                for threads in [1, 4, 4] {
+                    let store = floor_store(&ctx);
+                    let deg = DegradationCounters::default();
+                    let plan = one_branch(async_prefetch);
+                    let walk = Walk { ctx: &ctx, store: &store, steps: &steps, plan, deg: &deg };
+                    let blocks = AtomicUsize::new(0);
+                    let mut stats = SweepStats::default();
+                    let scored = run_sweep(
+                        walk,
+                        "test",
+                        &mut vec![(); threads],
+                        &mut stats,
+                        |batch| {
+                            let block = blocks.fetch_add(1, Ordering::Relaxed);
+                            (0..3).map(|unit| (block, batch[0], unit)).collect()
+                        },
+                        |unit, _| Ok(unit),
+                    )
+                    .unwrap();
+                    assert_eq!(store.arena().manager().n_pinned(), 0);
+                    runs.push((async_prefetch, threads, scored));
+                }
+            }
+            let visited: Vec<EdgeId> = steps.iter().filter(|s| s.visit).map(|s| s.edge).collect();
+            done.send((visited, runs)).unwrap();
+        });
+        // Every run, the 1-thread ones included, must come back in the
+        // walk's (batch, unit) order, so each equals the 1-thread run.
+        let (visited, runs) = match watchdog.recv_timeout(Duration::from_secs(120)) {
+            Ok(outcome) => {
+                walks.join().unwrap();
+                outcome
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("the board did not return in 120 s: a parked thread missed its wake-up")
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(walks.join().unwrap_err())
+            }
+        };
+        assert!(visited.len() > 2000, "{} blocks", visited.len());
+        let in_order: Vec<(usize, EdgeId, usize)> = visited
+            .iter()
+            .enumerate()
+            .flat_map(|(block, &edge)| (0..3).map(move |unit| (block, edge, unit)))
+            .collect();
+        for (async_prefetch, threads, scored) in &runs {
+            assert!(
+                scored == &in_order,
+                "prefetch {async_prefetch}, {threads} threads: outputs out of (batch, unit) order"
+            );
         }
     }
 

@@ -115,6 +115,20 @@ echo "==> replay differential (capture -> replay -> exact counter compare, per p
 # one thread that prepares and scores, two, and four sharing the sweeps'
 # work board. All must replay exactly,
 # and agree with each other on the jplace and on every slot counter.
+#
+# The replay's feasibility floor is a trace's peak pinned set plus one.
+# Above the slots the run had, it says the run did not fit where it ran:
+# every slot was pinned at once, as when each schedule pinned every slot
+# it touched until its ops had run — pins that changed no decision. They
+# must not come back.
+floor_within_slots() {
+    local live floor
+    live=$(sed -n 's/^#meta .*n_slots=\([0-9]*\).*/\1/p' "$1")
+    floor=$("$bin" replay --trace "$1" --policies belady --slots "$live" \
+        | sed -n 's/^feasibility floor: \([0-9]*\) slots.*/\1/p')
+    [ -n "$live" ] && [ -n "$floor" ] && [ "$floor" -le "$live" ] \
+        || { echo "$2: replay feasibility floor ${floor:-?} above the run's ${live:-?} slots"; exit 1; }
+}
 for policy in cost lru mru fifo random cost-lru; do
     for threads in 1 2 4; do
         run="$smoke_dir/$policy.t$threads"
@@ -127,6 +141,7 @@ for policy in cost lru mru fifo random cost-lru; do
             | grep -E 'verified|oracle bound holds' \
             || { echo "$policy at $threads threads: replay differential failed"; exit 1; }
         grep -E '"slot\.(hits|misses|evictions)"' "$run.metrics.json" > "$run.slots"
+        floor_within_slots "$run.trace" "$policy at $threads threads"
     done
     for threads in 2 4; do
         cmp "$smoke_dir/$policy.t1.jplace" "$smoke_dir/$policy.t$threads.jplace" \
@@ -135,7 +150,16 @@ for policy in cost lru mru fifo random cost-lru; do
             || { echo "$policy: slot counters differ between 1 and $threads threads"; exit 1; }
     done
 done
-echo "    replay differential OK (all policies bit-exact at 1, 2 and 4 threads, oracle bound holds)"
+# With such pins the neotrop runs above still keep their floor within
+# their 18 slots; the pro_ref export (625 taxa, 24 slots at its
+# pressure) does not (25).
+pro_dir="$smoke_dir/pro_ref"
+cargo run --release -q --example export_dataset -- "$pro_dir" pro_ref
+"$bin" place --tree "$pro_dir/ref.nwk" --ref-msa "$pro_dir/ref.fasta" --queries "$pro_dir/query.fasta" \
+    --maxmem "$(cat "$pro_dir/pressure.maxmem")" --no-lookup --threads 2 \
+    --slot-trace "$pro_dir/run.trace" --out "$pro_dir/run.jplace" >/dev/null 2>&1
+floor_within_slots "$pro_dir/run.trace" "pro_ref at 2 threads"
+echo "    replay differential OK (all policies bit-exact at 1, 2 and 4 threads, oracle bound holds, feasibility floor within the live slots)"
 
 echo "==> CLV spill pass (tight --maxmem + --tier-dir -> byte-compare)"
 # A slot budget below the working set with evicted CLVs spilled to a

@@ -5,7 +5,9 @@
 //!
 //! * **Sweep** (default): replay the trace for every requested policy ×
 //!   slot count, print the miss-curve table with the Belady oracle
-//!   floor, and recommend the smallest slot count (and the arena bytes
+//!   floor (and a note that the columns of the policies that did not
+//!   capture the trace replay a foreign demand stream and do not rank
+//!   policies), and recommend the smallest slot count (and the arena bytes
 //!   it costs) where the captured policy is within `--threshold` of the
 //!   oracle.
 //! * **Verify** (`--verify METRICS.json`): replay the trace at the
@@ -179,6 +181,15 @@ pub fn run_replay(opts: &ReplayOptions) -> Result<String, String> {
         }
         out.push('\n');
     }
+    // Which CLVs the planner asks for depends on what the capturing
+    // policy kept resident, so the other columns replay a foreign
+    // demand stream: on it the policy that did not produce it tends to
+    // win, whichever that is.
+    let capturer = if meta.strategy.is_empty() { "the capturing policy" } else { &meta.strategy };
+    out.push_str(&format!(
+        "note: every column but {capturer}'s replays {capturer}'s demand stream and does not \
+         rank policies; compare policies by one live run (or trace) each\n"
+    ));
 
     // Recommendation for the captured policy (or the first requested
     // live policy when the trace carries no strategy name).
@@ -403,6 +414,13 @@ mod tests {
         let out = run_replay(&opts).unwrap();
         assert!(out.contains("belady"), "{out}");
         assert!(out.contains("recommendation"), "{out}");
+        assert!(
+            out.contains(
+                "\nnote: every column but lru's replays lru's demand stream and does not rank \
+                 policies; compare policies by one live run (or trace) each\n"
+            ),
+            "{out}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
