@@ -122,7 +122,7 @@ pub fn ensure_resident(
     tree: &Tree,
     targets: &[DirEdgeId],
     mgr: &SlotManager,
-    register_need: &[u32],
+    register_need: &[u8],
 ) -> Result<ResidentSet, AmcError> {
     // Pins this call has added (+) or consumed (−), for precise rollback
     // on error: pins other prepared blocks hold on the same slots must

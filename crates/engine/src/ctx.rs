@@ -1,7 +1,6 @@
 //! The static reference context shared by every CLV computation.
 
 use crate::error::EngineError;
-use phylo_kernel::tips::code_set;
 use phylo_kernel::Layout;
 use phylo_models::SubstModel;
 use phylo_seq::alphabet::Alphabet;
@@ -10,35 +9,93 @@ use phylo_tree::stats::{min_slots_bound, register_need, subtree_leaf_counts};
 use phylo_tree::{EdgeId, NodeId, Tree};
 use std::sync::OnceLock;
 
+/// The [`ReferenceContext::pmatrix`] cache: per edge, its transition
+/// matrices once asked for.
+type PmatrixCells = Box<[OnceLock<Box<[f64]>>]>;
+
 /// Everything immutable a likelihood computation over the reference tree
 /// needs: the tree, the compiled model and per-leaf encoded patterns. It
 /// holds no transition matrices and no tip rows: an operation builds its
 /// child edges' matrices from their lengths
 /// ([`SubstModel::transition_matrices`]), and a tip child's rows from
-/// those ([`phylo_kernel::tips`]) for the codes in [`tip_code_set`].
+/// those ([`phylo_kernel::tips`]) for the codes [`tip_codes_into`]
+/// reports.
 ///
-/// [`tip_code_set`]: ReferenceContext::tip_code_set
+/// [`tip_codes_into`]: ReferenceContext::tip_codes_into
 pub struct ReferenceContext {
     tree: Tree,
     model: SubstModel,
     alphabet: &'static Alphabet,
     layout: Layout,
     pattern_weights: Vec<u32>,
-    /// Per leaf: encoded characters over patterns.
-    tip_codes: Vec<Vec<u8>>,
-    /// Per leaf: the set of codes its row uses ([`code_set`]).
-    tip_code_sets: Vec<u64>,
+    /// Per leaf: encoded characters over patterns, bit-packed.
+    tip_codes: PackedCodes,
     /// Per edge: its transition matrices once [`pmatrix`] has been asked
-    /// for them, `pmatrix_len` each; empty otherwise.
+    /// for them. Nothing until the first call.
     ///
     /// [`pmatrix`]: ReferenceContext::pmatrix
-    pmatrix_cells: Vec<OnceLock<Box<[f64]>>>,
-    /// Per directed edge: subtree leaf count (recomputation-cost proxy).
-    costs: Vec<u32>,
-    /// Per directed edge: Sethi–Ullman register need.
-    register_need: Vec<u32>,
+    pmatrix_cells: OnceLock<PmatrixCells>,
+    /// Per directed edge: Sethi–Ullman register need (at most
+    /// `⌈log₂ n⌉ + 2`).
+    register_need: Vec<u8>,
     /// `total_length / n_edges`.
     mean_branch_length: f64,
+}
+
+/// Every leaf's codes at `bits` = `⌈log₂ n_codes⌉` bits each (4 for DNA's
+/// 16 codes, 5 for protein's 24), whole codes per `u64` word from the low
+/// bits up; each leaf's row starts on a word boundary, `row_words` words
+/// long.
+struct PackedCodes {
+    bits: u32,
+    per_word: usize,
+    row_words: usize,
+    words: Vec<u64>,
+}
+
+impl PackedCodes {
+    /// Packs `rows` (one per leaf, `patterns` codes each, every code below
+    /// `n_codes`).
+    fn pack(n_codes: usize, patterns: usize, rows: &[&[u8]]) -> Self {
+        let bits = (usize::BITS - n_codes.saturating_sub(1).leading_zeros()).max(1);
+        let per_word = (u64::BITS / bits) as usize;
+        let row_words = patterns.div_ceil(per_word);
+        let mut words = Vec::with_capacity(rows.len() * row_words);
+        for row in rows {
+            debug_assert_eq!(row.len(), patterns);
+            for chunk in row.chunks(per_word) {
+                let word = chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |w, (k, &c)| w | (c as u64) << (k as u32 * bits));
+                words.push(word);
+            }
+        }
+        PackedCodes { bits, per_word, row_words, words }
+    }
+
+    /// Unpacks `leaf`'s row into `row` (resized to `patterns`) and returns
+    /// its code set: bit `c` set when code `c` occurs.
+    fn unpack(&self, leaf: usize, patterns: usize, row: &mut Vec<u8>) -> u64 {
+        row.resize(patterns, 0);
+        let mask = (1u64 << self.bits) - 1;
+        let words = &self.words[leaf * self.row_words..(leaf + 1) * self.row_words];
+        let mut set = 0u64;
+        for (chunk, &word) in row.chunks_mut(self.per_word).zip(words) {
+            let mut w = word;
+            for c in chunk {
+                *c = (w & mask) as u8;
+                set |= 1u64 << *c;
+                w >>= self.bits;
+            }
+        }
+        set
+    }
+
+    /// Bytes held.
+    fn bytes(&self) -> usize {
+        self.words.capacity() * 8
+    }
 }
 
 impl std::fmt::Debug for ReferenceContext {
@@ -70,17 +127,15 @@ impl ReferenceContext {
         }
         let layout = Layout::new(patterns.n_patterns(), model.n_rates(), model.n_states());
         // Map tree leaves to alignment rows by name.
-        let mut tip_codes = Vec::with_capacity(tree.n_leaves());
+        let mut rows = Vec::with_capacity(tree.n_leaves());
         for leaf in 0..tree.n_leaves() {
             let name = tree.taxon(NodeId(leaf as u32));
             let row = patterns
                 .row_by_name(name)
                 .ok_or_else(|| EngineError::MissingSequence(name.to_string()))?;
-            tip_codes.push(patterns.row(row).to_vec());
+            rows.push(patterns.row(row));
         }
-        let tip_code_sets = tip_codes.iter().map(|codes| code_set(codes)).collect();
-        let pmatrix_cells = (0..tree.n_edges()).map(|_| OnceLock::new()).collect();
-        let costs = subtree_leaf_counts(&tree);
+        let tip_codes = PackedCodes::pack(alphabet.n_codes(), layout.patterns, &rows);
         let need = register_need(&tree);
         let mean_branch_length = mean_branch_length(&tree);
         let mut ctx = ReferenceContext {
@@ -90,9 +145,7 @@ impl ReferenceContext {
             layout,
             pattern_weights: patterns.weights().to_vec(),
             tip_codes,
-            tip_code_sets,
-            pmatrix_cells,
-            costs,
+            pmatrix_cells: OnceLock::new(),
             register_need: need,
             mean_branch_length,
         };
@@ -165,23 +218,20 @@ impl ReferenceContext {
         &self.pattern_weights
     }
 
-    /// Encoded characters of a leaf over patterns.
+    /// Unpacks a leaf's encoded characters over patterns into the
+    /// caller's `row` (resized to the pattern count; no allocation once it
+    /// has that capacity) and returns the set of codes the row uses: bit
+    /// `c` set when code `c` occurs. The set names the codes whose tip
+    /// rows an operation over the leaf's pendant edge builds.
     #[inline]
-    pub fn tip_codes(&self, leaf: NodeId) -> &[u8] {
-        &self.tip_codes[leaf.idx()]
-    }
-
-    /// The set of codes a leaf's row uses: bit `c` set when code `c`
-    /// occurs in [`tip_codes`](ReferenceContext::tip_codes). The codes
-    /// whose tip rows an operation over the leaf's pendant edge builds.
-    #[inline]
-    pub fn tip_code_set(&self, leaf: NodeId) -> u64 {
-        self.tip_code_sets[leaf.idx()]
+    pub fn tip_codes_into(&self, leaf: NodeId, row: &mut Vec<u8>) -> u64 {
+        self.tip_codes.unpack(leaf.idx(), self.layout.patterns, row)
     }
 
     /// The per-rate transition matrices of an edge, built on the first
     /// call for that edge and kept (and counted in [`static_split`]) from
-    /// then on. The bits of the per-operation build: the same
+    /// then on; the per-edge cells are allocated on the first call for
+    /// any edge. The bits of the per-operation build: the same
     /// [`SubstModel::transition_matrices`] call on the same length.
     ///
     /// Kept for the benchmark harness's kernel probe only; the engine and
@@ -189,7 +239,10 @@ impl ReferenceContext {
     ///
     /// [`static_split`]: ReferenceContext::static_split
     pub fn pmatrix(&self, e: EdgeId) -> &[f64] {
-        self.pmatrix_cells[e.idx()].get_or_init(|| {
+        let cells = self
+            .pmatrix_cells
+            .get_or_init(|| (0..self.tree.n_edges()).map(|_| OnceLock::new()).collect());
+        cells[e.idx()].get_or_init(|| {
             let mut pm = vec![0.0; self.layout.pmatrix_len()];
             self.model.transition_matrices(self.tree.edge_length(e), &mut pm);
             pm.into_boxed_slice()
@@ -197,14 +250,15 @@ impl ReferenceContext {
     }
 
     /// Per-directed-edge recomputation-cost proxies (subtree leaf counts),
-    /// as `f64` for the cost-based strategy.
+    /// as `f64` for the cost-based strategy. Computed from the tree on
+    /// each call (once per store open), not stored.
     pub fn cost_table(&self) -> Vec<f64> {
-        self.costs.iter().map(|&c| c as f64).collect()
+        subtree_leaf_counts(&self.tree).into_iter().map(f64::from).collect()
     }
 
     /// Per-directed-edge register need (for the constrained FPA).
     #[inline]
-    pub fn register_need(&self) -> &[u32] {
+    pub fn register_need(&self) -> &[u8] {
         &self.register_need
     }
 
@@ -220,19 +274,20 @@ impl ReferenceContext {
 
     /// Bytes of the static tables this context holds, by table: the
     /// `StaticData` term of a memory plan, split for reporting.
-    /// `pmatrices` is the [`pmatrix`] cells: one empty cell per edge, and
-    /// the matrices of the edges asked for.
+    /// `pmatrices` is the [`pmatrix`] cache: 0 until its first call, then
+    /// one cell per edge and the matrices of the edges asked for.
     ///
     /// [`pmatrix`]: ReferenceContext::pmatrix
-    pub fn static_split(&self) -> [(&'static str, usize); 5] {
-        let built = self.pmatrix_cells.iter().filter(|c| c.get().is_some()).count();
-        let cells = self.pmatrix_cells.len() * std::mem::size_of::<OnceLock<Box<[f64]>>>();
+    pub fn static_split(&self) -> [(&'static str, usize); 4] {
+        let pmatrices = self.pmatrix_cells.get().map_or(0, |cells| {
+            let built = cells.iter().filter(|c| c.get().is_some()).count();
+            std::mem::size_of_val(&cells[..]) + built * self.layout.pmatrix_len() * 8
+        });
         [
-            ("pmatrices", cells + built * self.layout.pmatrix_len() * 8),
-            ("tip_codes", self.tip_codes.iter().map(|c| c.len()).sum()),
-            ("tip_code_sets", self.tip_code_sets.len() * 8),
-            ("pattern_weights", self.pattern_weights.len() * 4),
-            ("costs", (self.costs.len() + self.register_need.len()) * 4),
+            ("pmatrices", pmatrices),
+            ("tip_codes", self.tip_codes.bytes()),
+            ("pattern_weights", self.pattern_weights.capacity() * 4),
+            ("register_need", self.register_need.capacity()),
         ]
     }
 
@@ -284,18 +339,19 @@ mod tests {
         let ctx = small_ctx();
         let split = ctx.static_split();
         assert_eq!(split.iter().map(|&(_, b)| b).sum::<usize>(), ctx.approx_bytes());
-        assert_eq!(split[2], ("tip_code_sets", 3 * 8));
+        // Three leaves, four 4-bit codes each: one word per leaf.
+        assert_eq!(split[1], ("tip_codes", 3 * 8));
         // Leaf C reads ACTT: codes 0, 1 and 3.
-        assert_eq!(ctx.tip_code_set(NodeId(2)), 0b1011);
+        assert_eq!(ctx.tip_codes_into(NodeId(2), &mut Vec::new()), 0b1011);
     }
 
     #[test]
     fn tip_codes_match_alignment() {
         let ctx = small_ctx();
-        let a = ctx.tip_codes(NodeId(0));
-        assert_eq!(a.len(), 4);
+        let mut a = vec![9; 7];
+        ctx.tip_codes_into(NodeId(0), &mut a);
         // Leaf A's sequence is ACGT.
-        assert_eq!(a, &[0, 1, 2, 3]);
+        assert_eq!(a, [0, 1, 2, 3]);
     }
 
     #[test]

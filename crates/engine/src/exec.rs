@@ -24,10 +24,12 @@ pub struct ScheduleError {
 /// Executes a whole schedule in order. Each step reads the dependency
 /// slots / tip encodings named by its op and writes the target slot. Each
 /// step builds its two child edges' transition matrices from their lengths
-/// into `scratch`'s [`KernelScratch::pmatrices`], and a tip child's rows
-/// from them into [`KernelScratch::tips`], for the leaf's codes only;
-/// the reference holds neither. The store owns a pool of scratches, so
-/// once a scratch is warm an op allocates nothing.
+/// into `scratch`'s [`KernelScratch::pmatrices`], a tip child's codes
+/// into [`KernelScratch::codes`] (the reference holds them bit-packed) and
+/// its rows from the matrices into [`KernelScratch::tips`], for the
+/// leaf's codes only; the reference holds no matrices and no rows. The
+/// store owns a pool of scratches, so once a scratch is warm an op
+/// allocates nothing.
 ///
 /// The caller must hold the plan guard the ops were planned under (see
 /// `phylo_amc::ensure_resident`); each target slot is marked complete
@@ -81,22 +83,27 @@ fn execute_op(
         DepSource::Tip(_) => None,
     });
     let view = arena.compute_view(op.slot, child_slots);
-    // The child edges' matrices and the tip rows leave the scratch for the
-    // op, so that the sides can borrow them while the kernel borrows the
-    // rest of it; moving a buffer moves its allocation, it does not copy
-    // it. Each child's matrices are built from its edge's length, and a
-    // tip child's rows from those matrices.
+    // The child edges' matrices, the tip codes and the tip rows leave the
+    // scratch for the op, so that the sides can borrow them while the
+    // kernel borrows the rest of it; moving a buffer moves its
+    // allocation, it does not copy it. Each child's matrices are built
+    // from its edge's length; a tip child's codes are unpacked from the
+    // reference, and its rows built from those matrices for the codes it
+    // uses.
     let mut pmatrices = std::mem::take(&mut scratch.pmatrices);
     let mut tips = std::mem::take(&mut scratch.tips);
-    for (k, (pm, tip)) in pmatrices.iter_mut().zip(&mut tips).enumerate() {
+    let mut codes = std::mem::take(&mut scratch.codes);
+    for k in 0..2 {
+        let pm = &mut pmatrices[k];
         pm.resize(layout.pmatrix_len(), 0.0);
         ctx.model().transition_matrices(ctx.tree().edge_length(op.dep_edges[k].edge()), pm);
         if let DepSource::Tip(node) = op.deps[k] {
-            tip.rebuild(&layout, pm, ctx.alphabet().state_masks(), ctx.tip_code_set(node));
+            let set = ctx.tip_codes_into(node, &mut codes[k]);
+            tips[k].rebuild(&layout, pm, ctx.alphabet().state_masks(), set);
         }
     }
     let side = |k: usize| match (op.deps[k], view.children[k]) {
-        (DepSource::Tip(node), _) => Side::Tip { table: &tips[k], codes: ctx.tip_codes(node) },
+        (DepSource::Tip(_), _) => Side::Tip { table: &tips[k], codes: &codes[k] },
         (DepSource::Slot(_), Some((clv, scale))) => {
             Side::Clv { clv, scale: Some(scale), pmatrix: &pmatrices[k] }
         }
@@ -117,6 +124,7 @@ fn execute_op(
     );
     scratch.pmatrices = pmatrices;
     scratch.tips = tips;
+    scratch.codes = codes;
     if let (Some(tiers), Some(t0)) = (arena.tiers(), tier_t0) {
         let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         tiers.note_recompute(phylo_amc::ClvKey(op.target.0), ns);

@@ -26,7 +26,8 @@ pub fn tree_log_likelihood(
     let d1 = DirEdgeId::new(edge, 1);
     let block = store.prepare(ctx, &[d0, d1])?;
     let mut pmatrix = vec![0.0; ctx.layout().pmatrix_len()];
-    let ll = evaluate_prepared_edge(ctx, store, edge, &mut pmatrix, &mut TipTable::empty());
+    let (mut tip, mut codes) = (TipTable::empty(), Vec::new());
+    let ll = evaluate_prepared_edge(ctx, store, edge, &mut pmatrix, &mut tip, &mut codes);
     store.release(block);
     Ok(ll)
 }
@@ -34,13 +35,14 @@ pub fn tree_log_likelihood(
 /// Evaluates the likelihood at `edge` assuming both orientations are
 /// already prepared (inside a `prepare`/`release` window). The edge's
 /// transition matrices are built into `pmatrix` (`rates × states²`), and
-/// a pendant edge's tip rows into `tip`.
+/// a pendant edge's leaf codes into `codes` and its tip rows into `tip`.
 pub fn evaluate_prepared_edge(
     ctx: &ReferenceContext,
     store: &ManagedStore,
     edge: EdgeId,
     pmatrix: &mut [f64],
     tip: &mut TipTable,
+    codes: &mut Vec<u8>,
 ) -> f64 {
     let mut d_u = DirEdgeId::new(edge, 0);
     let mut d_v = DirEdgeId::new(edge, 1);
@@ -51,7 +53,7 @@ pub fn evaluate_prepared_edge(
     }
     let (u_clv, u_scale) =
         store.clv_of(ctx, d_u).expect("at least one side of a branch is an inner node");
-    let v_side = store.kernel_side(ctx, d_v, pmatrix, tip);
+    let v_side = store.kernel_side(ctx, d_v, pmatrix, tip, codes);
     let layout = ctx.layout();
     edge_log_likelihood(
         layout,

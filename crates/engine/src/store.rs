@@ -309,23 +309,25 @@ impl ManagedStore {
     /// A kernel-ready [`Side`] view of a directed edge `d = x → y`,
     /// propagated across its own branch: the transition matrices of
     /// `d.edge()`, built into the caller's `pmatrix` (`rates × states²`),
-    /// and for a leaf its tip rows, built from them into the caller's
-    /// `tip`. This is the "everything beyond the branch" term of an edge
-    /// likelihood. Lock-free: the caller must hold the edge in a prepared
-    /// (hence pinned and complete) block.
+    /// and for a leaf its codes, unpacked into the caller's `codes`, and
+    /// its tip rows, built from the matrices into the caller's `tip`. This
+    /// is the "everything beyond the branch" term of an edge likelihood.
+    /// Lock-free: the caller must hold the edge in a prepared (hence
+    /// pinned and complete) block.
     pub fn kernel_side<'a>(
         &'a self,
         ctx: &'a ReferenceContext,
         d: DirEdgeId,
         pmatrix: &'a mut [f64],
         tip: &'a mut TipTable,
+        codes: &'a mut Vec<u8>,
     ) -> Side<'a> {
         ctx.model().transition_matrices(ctx.tree().edge_length(d.edge()), pmatrix);
         match self.side(ctx, d) {
             EdgeSide::Tip(node) => {
-                let (masks, codes) = (ctx.alphabet().state_masks(), ctx.tip_code_set(node));
-                tip.rebuild(ctx.layout(), pmatrix, masks, codes);
-                Side::Tip { table: tip, codes: ctx.tip_codes(node) }
+                let set = ctx.tip_codes_into(node, codes);
+                tip.rebuild(ctx.layout(), pmatrix, ctx.alphabet().state_masks(), set);
+                Side::Tip { table: tip, codes }
             }
             EdgeSide::Resident(slot) => Side::Clv {
                 clv: self.arena.clv(slot),

@@ -14,7 +14,7 @@
 //!   them in one pass per `(pattern, rate)` through `[f64; S]` stack
 //!   arrays instead of filling `states`-long heap buffers side by side.
 //! * **Pattern blocking.** Patterns are processed in blocks of
-//!   [`PATTERN_BLOCK`], with the rate loop outside the in-block pattern
+//!   16 (`PATTERN_BLOCK`), with the rate loop outside the in-block pattern
 //!   loop. Each per-rate transition matrix (3.2 KiB for protein × one
 //!   rate) is therefore reused across the whole block while hot in L1 —
 //!   the cache-blocked pmatrix access that matters for `S = 20`, where

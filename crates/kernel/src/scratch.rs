@@ -13,10 +13,12 @@
 //! paths.
 //!
 //! A CLV update also needs its two child edges' transition matrices, and
-//! for tip children those leaves' tip rows. The reference keeps neither
-//! ([`crate::tips`]); the caller builds them per operation into
-//! [`KernelScratch::pmatrices`] and [`KernelScratch::tips`], which a warm
-//! scratch holds at full size, so that costs no allocation either.
+//! for tip children those leaves' codes and tip rows. The reference keeps
+//! no matrices and no rows ([`crate::tips`]), and its codes only
+//! bit-packed; the caller builds them per operation into
+//! [`KernelScratch::pmatrices`], [`KernelScratch::codes`] and
+//! [`KernelScratch::tips`], which a warm scratch holds at full size, so
+//! that costs no allocation either.
 
 use crate::layout::Layout;
 use crate::tips::TipTable;
@@ -31,6 +33,9 @@ pub struct KernelScratch {
     pub(crate) rbuf: Vec<f64>,
     /// Accumulator for multi-side products ([`crate::likelihood::point_log_likelihood`]).
     pub(crate) acc: Vec<f64>,
+    /// The AVX2 `S = 4` update's column-form matrices, both children's
+    /// (`2 × rates × 16` once used).
+    pub(crate) columns: Vec<f64>,
     /// Transition matrices of an operation's two child edges, by child
     /// position, `rates × states²` each: built by the caller before the
     /// kernel call, never touched by kernels.
@@ -38,6 +43,10 @@ pub struct KernelScratch {
     /// Tip rows of an operation's two children, by child position: built
     /// by the caller before the kernel call, never touched by kernels.
     pub tips: [TipTable; 2],
+    /// Per-pattern codes of an operation's tip children, by child
+    /// position: unpacked by the caller before the kernel call, never
+    /// touched by kernels.
+    pub codes: [Vec<u8>; 2],
 }
 
 impl KernelScratch {
@@ -47,17 +56,34 @@ impl KernelScratch {
             lbuf: Vec::new(),
             rbuf: Vec::new(),
             acc: Vec::new(),
+            columns: Vec::new(),
             pmatrices: [Vec::new(), Vec::new()],
             tips: [TipTable::empty(), TipTable::empty()],
+            codes: [Vec::new(), Vec::new()],
         }
     }
 
     /// A scratch pre-sized for a layout, so even the first kernel call
-    /// does not allocate, nor the first transition-matrix build.
+    /// does not allocate, nor the first transition-matrix build or code
+    /// unpack.
     pub fn for_layout(layout: &Layout) -> Self {
         let mut s = Self::new();
         s.ensure(layout.states);
         s.pmatrices = [vec![0.0; layout.pmatrix_len()], vec![0.0; layout.pmatrix_len()]];
+        s.codes = [vec![0; layout.patterns], vec![0; layout.patterns]];
+        if layout.states == 4 {
+            s.columns = vec![0.0; 2 * layout.rates * 16];
+        }
+        s
+    }
+
+    /// A scratch pre-sized for [`crate::kernels::propagate_scratch`] (and
+    /// the likelihood kernels) over a layout: the generic kernels' state
+    /// buffers, without the buffers only a CLV update's caller fills
+    /// (matrices, codes, tip rows) or the AVX2 DNA update reads.
+    pub fn for_propagate(layout: &Layout) -> Self {
+        let mut s = Self::new();
+        s.ensure(layout.states);
         s
     }
 
@@ -95,5 +121,11 @@ mod tests {
         assert_eq!(s.rbuf.len(), 7);
         assert_eq!(s.acc.len(), 7);
         assert_eq!(s.pmatrices.each_ref().map(Vec::len), [2 * 7 * 7; 2]);
+        assert_eq!(s.codes.each_ref().map(Vec::len), [10; 2]);
+        let p = KernelScratch::for_propagate(&Layout::new(10, 2, 7));
+        assert_eq!((p.lbuf.len(), p.rbuf.len(), p.acc.len()), (7, 7, 7));
+        assert_eq!(p.pmatrices.each_ref().map(Vec::capacity), [0; 2]);
+        assert_eq!(p.codes.each_ref().map(Vec::capacity), [0; 2]);
+        assert_eq!(p.columns.capacity(), 0);
     }
 }

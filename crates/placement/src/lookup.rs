@@ -205,7 +205,8 @@ mod tests {
         let (ctx, s2p) = setup(12, 50, 4);
         let store = ManagedStore::full(&ctx);
         let table = LookupTable::build(&ctx, &store, &EpaConfig::default()).unwrap();
-        let per_pattern = ctx.tip_codes(NodeId(0)).to_vec();
+        let mut per_pattern = Vec::new();
+        ctx.tip_codes_into(NodeId(0), &mut per_pattern);
         let codes: Vec<u8> = s2p.iter().map(|&p| per_pattern[p as usize]).collect();
         let mut scored: Vec<(EdgeId, f64)> =
             ctx.tree().all_edges().map(|e| (e, table.prescore(&ctx, e, &s2p, &codes))).collect();

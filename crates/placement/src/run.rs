@@ -1407,7 +1407,8 @@ mod tests {
         // Build queries identical to the first three taxa.
         let queries: Vec<Sequence> = (0..3)
             .map(|i| {
-                let per_pattern = ctx.tip_codes(NodeId(i as u32)).to_vec();
+                let mut per_pattern = Vec::new();
+                ctx.tip_codes_into(NodeId(i as u32), &mut per_pattern);
                 let codes: Vec<u8> = s2p.iter().map(|&p| per_pattern[p as usize]).collect();
                 Sequence::from_codes(format!("taxon-copy-{i}"), AlphabetKind::Dna, codes).unwrap()
             })

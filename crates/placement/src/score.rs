@@ -133,6 +133,8 @@ pub struct ScoreScratch {
     /// Reusable tip rows of a pendant branch's leaf (rebuilt, never
     /// reallocated).
     tip_table: TipTable,
+    /// The codes of the last leaf a pendant side read.
+    leaf_codes: LeafCodes,
     /// The partials at the attachment position [`score_thorough`] holds.
     partials: AttachmentPartials,
     /// The two live points of its attachment-position search.
@@ -162,9 +164,10 @@ impl ScoreScratch {
             prox_scale: vec![0; layout.patterns],
             dist: vec![0.0; layout.clv_len()],
             dist_scale: vec![0; layout.patterns],
-            kernel: KernelScratch::for_layout(layout),
+            kernel: KernelScratch::for_propagate(layout),
             // Built once at its final size: every rebuild reuses it.
             tip_table: TipTable::build(layout, &pmatrix, ctx.alphabet().state_masks()),
+            leaf_codes: LeafCodes { leaf: None, set: 0, row: vec![0; layout.patterns] },
             pmatrix,
             weights: rate_state_weights(ctx),
             partials: AttachmentPartials::sized(ctx),
@@ -198,10 +201,34 @@ impl ScoreScratch {
     }
 }
 
+/// A leaf's codes unpacked from the reference, kept until another leaf
+/// is asked for: the ≈ 16 partials builds of one thorough pair read the
+/// same pendant leaf, and unpack it once. A scratch serves one context.
+#[derive(Debug, Default)]
+struct LeafCodes {
+    /// The leaf `row` holds, if any.
+    leaf: Option<phylo_tree::NodeId>,
+    /// Its code set ([`ReferenceContext::tip_codes_into`]).
+    set: u64,
+    row: Vec<u8>,
+}
+
+impl LeafCodes {
+    /// `leaf`'s codes over patterns and its code set.
+    fn of(&mut self, ctx: &ReferenceContext, leaf: phylo_tree::NodeId) -> (&[u8], u64) {
+        if self.leaf != Some(leaf) {
+            self.set = ctx.tip_codes_into(leaf, &mut self.row);
+            self.leaf = Some(leaf);
+        }
+        (&self.row, self.set)
+    }
+}
+
 /// Propagates one side of `edge` (the orientation `d`) through the
 /// per-rate transition matrices `pm` of a branch segment into `out`; a
 /// leaf's side builds the tip rows of its own codes from `pm`. All
-/// working storage (`tip_table`, `kernel`) is caller-owned and reused.
+/// working storage (`tip_table`, `leaf_codes`, `kernel`) is caller-owned
+/// and reused.
 #[allow(clippy::too_many_arguments)]
 fn propagate_partial(
     ctx: &ReferenceContext,
@@ -209,6 +236,7 @@ fn propagate_partial(
     d: phylo_tree::DirEdgeId,
     pm: &[f64],
     tip_table: &mut TipTable,
+    leaf_codes: &mut LeafCodes,
     kernel: &mut KernelScratch,
     out: &mut [f64],
     out_scale: &mut [u32],
@@ -216,9 +244,9 @@ fn propagate_partial(
     let layout = ctx.layout();
     match store.side(ctx, d) {
         phylo_engine::EdgeSide::Tip(node) => {
-            let masks = ctx.alphabet().state_masks();
-            tip_table.rebuild(layout, pm, masks, ctx.tip_code_set(node));
-            let side = Side::Tip { table: tip_table, codes: ctx.tip_codes(node) };
+            let (codes, set) = leaf_codes.of(ctx, node);
+            tip_table.rebuild(layout, pm, ctx.alphabet().state_masks(), set);
+            let side = Side::Tip { table: tip_table, codes };
             propagate_scratch(layout, side, out, out_scale, 0..layout.patterns, kernel);
         }
         phylo_engine::EdgeSide::Resident(_) => {
@@ -256,18 +284,19 @@ pub fn attachment_partials_into(
         kernel,
         weights,
         tip_table,
+        leaf_codes,
         ..
     } = scratch;
     pmatrix.resize(layout.pmatrix_len(), 0.0);
     ctx.model().transition_matrices(t_prox, pmatrix);
-    propagate_partial(ctx, store, d_prox, pmatrix, tip_table, kernel, prox, prox_scale);
+    propagate_partial(ctx, store, d_prox, pmatrix, tip_table, leaf_codes, kernel, prox, prox_scale);
     // At the midpoint — every lookup-table row, every prescore-sweep
     // branch, the first evaluation of every thorough pair — both halves
     // have the same length, hence the same matrices.
     if t_dist != t_prox {
         ctx.model().transition_matrices(t_dist, pmatrix);
     }
-    propagate_partial(ctx, store, d_dist, pmatrix, tip_table, kernel, dist, dist_scale);
+    propagate_partial(ctx, store, d_dist, pmatrix, tip_table, leaf_codes, kernel, dist, dist_scale);
     out.assign(weights, prox, prox_scale, dist, dist_scale);
 }
 
@@ -1333,7 +1362,8 @@ mod tests {
         // to) that taxon's pendant branch.
         let (ctx, s2p) = setup(12, 60, 3);
         let store = ManagedStore::full(&ctx);
-        let query: Vec<u8> = ctx.tip_codes(NodeId(0)).to_vec();
+        let mut query = Vec::new();
+        ctx.tip_codes_into(NodeId(0), &mut query);
         // tip_codes are per-pattern; expand to per-site.
         let codes: Vec<u8> = s2p.iter().map(|&p| query[p as usize]).collect();
         let mut scratch = ScoreScratch::new(&ctx);

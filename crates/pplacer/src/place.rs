@@ -150,8 +150,9 @@ impl PplacerLike {
         let mut dist_scale = vec![0u32; layout.patterns];
         let mut pm = vec![0.0; layout.pmatrix_len()];
         let mut evaluator = QueryEvaluator::new(&self.ctx);
-        let mut kernel = KernelScratch::for_layout(&layout);
+        let mut kernel = KernelScratch::for_propagate(&layout);
         let mut tip_table = TipTable::empty();
+        let mut tip_codes = Vec::with_capacity(layout.patterns);
         let mut partials = AttachmentPartials::empty();
         let weights = rate_state_weights(&self.ctx);
         let masks = self.ctx.alphabet().state_masks();
@@ -200,8 +201,9 @@ impl PplacerLike {
                     let d = DirEdgeId::new(e, side_idx as u8);
                     let node = self.ctx.tree().src(d);
                     if self.ctx.tree().is_leaf(node) {
-                        tip_table.rebuild(&layout, &pm, masks, self.ctx.tip_code_set(node));
-                        let side = Side::Tip { table: &tip_table, codes: self.ctx.tip_codes(node) };
+                        let set = self.ctx.tip_codes_into(node, &mut tip_codes);
+                        tip_table.rebuild(&layout, &pm, masks, set);
+                        let side = Side::Tip { table: &tip_table, codes: &tip_codes };
                         propagate_scratch(
                             &layout,
                             side,

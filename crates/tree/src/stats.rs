@@ -29,8 +29,9 @@ pub fn subtree_leaf_counts(tree: &Tree) -> Vec<u32> {
 /// held to compute the CLV of `d` when no intermediate result is cached and
 /// the more demanding dependency is always evaluated first. Tip orientations
 /// need 0 slots (tip states are stored compactly, not in CLV slots); an
-/// inner CLV over two tips needs 1 (its own slot).
-pub fn register_need(tree: &Tree) -> Vec<u32> {
+/// inner CLV over two tips needs 1 (its own slot). A need is at most
+/// `⌈log₂ n⌉ + 2`, so a byte holds it.
+pub fn register_need(tree: &Tree) -> Vec<u8> {
     dp_over_dir_edges(
         tree,
         |_| 0,
@@ -104,7 +105,7 @@ pub fn min_slots_bound(n_leaves: usize) -> usize {
 /// The maximum register need over all directed edges — the true minimum slot
 /// count for a single-CLV evaluation on this specific topology.
 pub fn max_register_need(tree: &Tree) -> u32 {
-    register_need(tree).into_iter().max().unwrap_or(0)
+    register_need(tree).into_iter().max().map_or(0, u32::from)
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ pub fn plan_for(
     tree: &Tree,
     target: DirEdgeId,
     policy: OrderPolicy,
-    register_need: Option<&[u32]>,
+    register_need: Option<&[u8]>,
     cached: impl Fn(DirEdgeId) -> bool,
 ) -> Vec<DirEdgeId> {
     let mut plan = Vec::new();
@@ -47,7 +47,7 @@ pub fn extend_plan_for(
     tree: &Tree,
     target: DirEdgeId,
     policy: OrderPolicy,
-    register_need: Option<&[u32]>,
+    register_need: Option<&[u8]>,
     cached: &impl Fn(DirEdgeId) -> bool,
     plan: &mut Vec<DirEdgeId>,
 ) {
@@ -92,7 +92,7 @@ pub fn plan_for_edge(
     tree: &Tree,
     edge: EdgeId,
     policy: OrderPolicy,
-    register_need: Option<&[u32]>,
+    register_need: Option<&[u8]>,
     cached: impl Fn(DirEdgeId) -> bool,
 ) -> Vec<DirEdgeId> {
     let fwd = DirEdgeId::new(edge, 0);
@@ -109,7 +109,7 @@ pub fn plan_for_edge(
 /// The sweep is organized as `plan_for_edge` over every branch with a
 /// shared "already planned" set, so each CLV appears exactly once and in a
 /// valid order.
-pub fn plan_all(tree: &Tree, policy: OrderPolicy, register_need: Option<&[u32]>) -> Vec<DirEdgeId> {
+pub fn plan_all(tree: &Tree, policy: OrderPolicy, register_need: Option<&[u8]>) -> Vec<DirEdgeId> {
     let mut planned = vec![false; tree.n_dir_edges()];
     let mut plan = Vec::with_capacity(tree.n_inner_dir_edges());
     for edge in tree.all_edges() {

@@ -157,8 +157,22 @@ pro_dir="$smoke_dir/pro_ref"
 cargo run --release -q --example export_dataset -- "$pro_dir" pro_ref
 "$bin" place --tree "$pro_dir/ref.nwk" --ref-msa "$pro_dir/ref.fasta" --queries "$pro_dir/query.fasta" \
     --maxmem "$(cat "$pro_dir/pressure.maxmem")" --no-lookup --threads 2 \
-    --slot-trace "$pro_dir/run.trace" --out "$pro_dir/run.jplace" >/dev/null 2>&1
+    --slot-trace "$pro_dir/run.trace" --metrics-json "$pro_dir/run.metrics.json" \
+    --out "$pro_dir/run.jplace" >/dev/null 2>&1
 floor_within_slots "$pro_dir/run.trace" "pro_ref at 2 threads"
+# The floor's static term: a placement run asks for no per-edge matrix
+# cells, and every static table is counted in one `mem.static.*` gauge.
+# A table that comes back, or grows outside the split, fails here instead
+# of only raising the floor.
+python3 - "$pro_dir/run.metrics.json" <<'PY'
+import json, sys
+gauges = json.load(open(sys.argv[1]))["gauges"]
+split = {k: v for k, v in gauges.items() if k.startswith("mem.static.")}
+total = gauges["mem.tracked.static_data"]
+assert split.get("mem.static.pmatrices") == 0, f"per-edge matrix cells in a placement run: {split}"
+assert sum(split.values()) == total > 0, f"mem.static.* {split} do not sum to static_data {total}"
+print(f"    static term OK: {total} B = {split}")
+PY
 echo "    replay differential OK (all policies bit-exact at 1, 2 and 4 threads, oracle bound holds, feasibility floor within the live slots)"
 
 echo "==> CLV spill pass (tight --maxmem + --tier-dir -> byte-compare)"
@@ -368,11 +382,12 @@ echo "==> cargo clippy --workspace --offline -q (deny-level lints fail)"
 cargo clippy --workspace --offline -q
 
 # A doc link that names a deleted or ambiguous item fails here, so docs
-# cannot keep pointing at code that is gone. The vendored stand-ins for
-# external crates are not ours to document.
-echo "==> cargo doc (broken intra-doc links are errors)"
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --offline --no-deps -q \
-    --workspace --exclude proptest --exclude rand
+# cannot keep pointing at code that is gone; so does public documentation
+# that links a private item, which the rendered docs cannot show. The
+# vendored stand-ins for external crates are not ours to document.
+echo "==> cargo doc (broken and private intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --offline --no-deps -q --workspace --exclude proptest --exclude rand
 
 echo "==> bench smoke"
 bench_out=$(mktemp -d -t bench_smoke.XXXXXX)

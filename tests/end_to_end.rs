@@ -358,7 +358,8 @@ fn fragments_place_like_their_full_queries() {
     let sites = ds.reference.n_sites();
     let unknown = spec.alphabet.alphabet().unknown_code();
     let taxon = phyloplace::tree::NodeId(3);
-    let per_pattern = ctx.tip_codes(taxon).to_vec();
+    let mut per_pattern = Vec::new();
+    ctx.tip_codes_into(taxon, &mut per_pattern);
     let full: Vec<u8> = s2p.iter().map(|&p| per_pattern[p as usize]).collect();
     let mut fragment = full.clone();
     for c in fragment.iter_mut().take(sites / 2) {

@@ -169,34 +169,35 @@ fn amc_store_stays_consistent_across_many_sweeps() {
 fn static_data_has_no_leaves_by_codes_term() {
     // The reference's static footprint is what the floor budget charges
     // before a single CLV slot. Transition matrices and tip rows are
-    // built per operation, so it holds the leaves' codes, the pattern
-    // weights, the traversal costs, one 8-byte code set per leaf and one
-    // empty 24-byte matrix cell per edge — nothing that grows with
-    // leaves × alphabet codes.
+    // built per operation and the traversal costs per store open, so it
+    // holds the leaves' codes at the alphabet's width (`⌈log₂ n_codes⌉`
+    // bits, whole codes per 64-bit word, one word-aligned row per leaf),
+    // the pattern weights and one register-need byte per directed edge —
+    // nothing that grows with leaves × alphabet codes, and no matrix
+    // cells while nothing asked for a matrix.
     let (ds, _, _) = setup();
     let ctx = ctx_of(&ds);
     let tree = ctx.tree();
     let n_leaves = tree.n_leaves();
-    let pmatrices = tree.n_edges() * 24;
-    let tip_codes: usize =
-        (0..n_leaves).map(|l| ctx.tip_codes(phyloplace::tree::NodeId(l as u32)).len()).sum();
-    let weights = ctx.pattern_weights().len() * 4;
-    let costs = (ctx.cost_table().len() + ctx.register_need().len()) * 4;
-    let bound = pmatrices + tip_codes + weights + costs + 8 * n_leaves;
-    assert!(
-        ctx.approx_bytes() <= bound,
-        "static data {} B exceeds {} B: matrix cells {}, tip codes {}, weights {}, costs {}, \
-         {} leaves × 8 B",
-        ctx.approx_bytes(),
-        bound,
-        pmatrices,
-        tip_codes,
-        weights,
-        costs,
-        n_leaves
+    let patterns = ctx.layout().patterns;
+    let bits = (usize::BITS - (ctx.alphabet().n_codes() - 1).leading_zeros()) as usize;
+    let tip_codes = n_leaves * patterns.div_ceil(64 / bits) * 8;
+    let weights = patterns * 4;
+    let register_need = tree.n_dir_edges();
+    let expected = tip_codes + weights + register_need;
+    assert_eq!(
+        ctx.static_split(),
+        [
+            ("pmatrices", 0),
+            ("tip_codes", tip_codes),
+            ("pattern_weights", weights),
+            ("register_need", register_need)
+        ],
+        "{n_leaves} leaves × {patterns} patterns at {bits} bits"
     );
+    assert_eq!(ctx.approx_bytes(), expected);
     // A table of every code per leaf would be far outside the bound.
     let per_leaf_table =
         ctx.alphabet().n_codes() * ctx.layout().pmatrix_len() / ctx.layout().states;
-    assert!(n_leaves * per_leaf_table * 8 > bound - ctx.approx_bytes());
+    assert!(n_leaves * per_leaf_table * 8 > expected);
 }
