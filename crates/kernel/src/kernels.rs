@@ -16,8 +16,7 @@
 //!
 //! Every entry point has a `_scratch` variant taking a caller-owned
 //! [`KernelScratch`]; the plain variants construct a transient empty
-//! scratch, which allocates only when the generic path or the AVX2 DNA
-//! update's column-form matrices actually need it.
+//! scratch, which allocates only when the generic path actually runs.
 
 use crate::layout::{KernelKind, KernelTier, Layout};
 use crate::scratch::KernelScratch;
@@ -126,10 +125,10 @@ pub fn update_partials_scratch(
             reference::update_partials(layout, left, right, out, out_scale, range, scratch)
         }
         (KernelKind::Dna4, KernelTier::Simd) => {
-            simd::update_partials::<4>(layout, left, right, out, out_scale, range, scratch)
+            simd::update_partials::<4>(layout, left, right, out, out_scale, range)
         }
         (KernelKind::Protein20, KernelTier::Simd) => {
-            simd::update_partials::<20>(layout, left, right, out, out_scale, range, scratch)
+            simd::update_partials::<20>(layout, left, right, out, out_scale, range)
         }
     }
 }

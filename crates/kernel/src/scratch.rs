@@ -33,9 +33,6 @@ pub struct KernelScratch {
     pub(crate) rbuf: Vec<f64>,
     /// Accumulator for multi-side products ([`crate::likelihood::point_log_likelihood`]).
     pub(crate) acc: Vec<f64>,
-    /// The AVX2 `S = 4` update's column-form matrices, both children's
-    /// (`2 × rates × 16` once used).
-    pub(crate) columns: Vec<f64>,
     /// Transition matrices of an operation's two child edges, by child
     /// position, `rates × states²` each: built by the caller before the
     /// kernel call, never touched by kernels.
@@ -56,7 +53,6 @@ impl KernelScratch {
             lbuf: Vec::new(),
             rbuf: Vec::new(),
             acc: Vec::new(),
-            columns: Vec::new(),
             pmatrices: [Vec::new(), Vec::new()],
             tips: [TipTable::empty(), TipTable::empty()],
             codes: [Vec::new(), Vec::new()],
@@ -64,26 +60,11 @@ impl KernelScratch {
     }
 
     /// A scratch pre-sized for a layout, so even the first kernel call
-    /// does not allocate, nor the first transition-matrix build or code
-    /// unpack.
+    /// does not allocate, nor the first transition-matrix build.
     pub fn for_layout(layout: &Layout) -> Self {
         let mut s = Self::new();
         s.ensure(layout.states);
         s.pmatrices = [vec![0.0; layout.pmatrix_len()], vec![0.0; layout.pmatrix_len()]];
-        s.codes = [vec![0; layout.patterns], vec![0; layout.patterns]];
-        if layout.states == 4 {
-            s.columns = vec![0.0; 2 * layout.rates * 16];
-        }
-        s
-    }
-
-    /// A scratch pre-sized for [`crate::kernels::propagate_scratch`] (and
-    /// the likelihood kernels) over a layout: the generic kernels' state
-    /// buffers, without the buffers only a CLV update's caller fills
-    /// (matrices, codes, tip rows) or the AVX2 DNA update reads.
-    pub fn for_propagate(layout: &Layout) -> Self {
-        let mut s = Self::new();
-        s.ensure(layout.states);
         s
     }
 
@@ -121,11 +102,5 @@ mod tests {
         assert_eq!(s.rbuf.len(), 7);
         assert_eq!(s.acc.len(), 7);
         assert_eq!(s.pmatrices.each_ref().map(Vec::len), [2 * 7 * 7; 2]);
-        assert_eq!(s.codes.each_ref().map(Vec::len), [10; 2]);
-        let p = KernelScratch::for_propagate(&Layout::new(10, 2, 7));
-        assert_eq!((p.lbuf.len(), p.rbuf.len(), p.acc.len()), (7, 7, 7));
-        assert_eq!(p.pmatrices.each_ref().map(Vec::capacity), [0; 2]);
-        assert_eq!(p.codes.each_ref().map(Vec::capacity), [0; 2]);
-        assert_eq!(p.columns.capacity(), 0);
     }
 }

@@ -5,12 +5,10 @@
 //!
 //! * **AVX2** — requires both `avx2` and `fma` at runtime
 //!   (`is_x86_feature_detected!`). `update_partials`, the one kernel a
-//!   workload is bound by, has explicit intrinsics: for `S = 20` the
-//!   `S×S` matrix–vector propagation runs four output states per step
-//!   with FMA-accumulated dot products, for `S = 4` it runs in column
-//!   form over matrices transposed once per call (the same bits), and
-//!   the fused multiply + running-maximum pass is vectorized four lanes
-//!   wide. FMA contracts `a*b+c` and the dot
+//!   workload is bound by, has explicit intrinsics: the `S×S`
+//!   matrix–vector propagation runs four output states per step with
+//!   FMA-accumulated dot products, and the fused multiply + running-maximum
+//!   pass is vectorized four lanes wide. FMA contracts `a*b+c` and the dot
 //!   products reduce in tree order, so its results are **not**
 //!   bit-identical to the [`crate::reference`] oracle — the differential
 //!   suite checks it under the log-domain tolerance contract documented
@@ -38,7 +36,6 @@ use crate::fixed;
 use crate::kernels::Side;
 use crate::layout::{KernelKind, KernelTier, Layout};
 use crate::scaling::SCALE_THRESHOLD;
-use crate::scratch::KernelScratch;
 
 /// Which implementation the SIMD tier runs on this process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,9 +88,7 @@ pub fn runs_avx2(layout: &Layout) -> bool {
 }
 
 /// Fused parent-CLV computation, SIMD tier. Same contract as
-/// [`crate::fixed::update_partials`]. The AVX2 `S = 4` kernel keeps its
-/// column-form matrices in `scratch` (no allocation once
-/// [`KernelScratch::for_layout`] sized it); nothing else touches it.
+/// [`crate::fixed::update_partials`].
 pub fn update_partials<const S: usize>(
     layout: &Layout,
     left: Side<'_>,
@@ -101,16 +96,14 @@ pub fn update_partials<const S: usize>(
     out: &mut [f64],
     out_scale: &mut [u32],
     range: std::ops::Range<usize>,
-    scratch: &mut KernelScratch,
 ) {
     #[cfg(target_arch = "x86_64")]
     if runs_avx2(layout) {
         // SAFETY: `runs_avx2` holds only if backend() verified avx2+fma
         // at runtime.
-        unsafe { avx2::update_partials::<S>(layout, left, right, out, out_scale, range, scratch) };
+        unsafe { avx2::update_partials::<S>(layout, left, right, out, out_scale, range) };
         return;
     }
-    let _ = scratch;
     fixed::update_partials::<S>(layout, left, right, out, out_scale, range)
 }
 
@@ -238,37 +231,13 @@ mod avx2 {
         _mm_cvtsd_f64(s)
     }
 
-    /// AVX2 fused parent-CLV computation: [`update_columns`] for `S = 4`,
-    /// [`update_rows`] otherwise.
+    /// AVX2 fused parent-CLV computation. Structure mirrors
+    /// `fixed::update_partials` (four monomorphized side combinations,
+    /// rate-outer blocks of 16 patterns, block-level scaling check).
     ///
     /// SAFETY: caller guarantees avx2+fma are available.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn update_partials<const S: usize>(
-        layout: &Layout,
-        left: Side<'_>,
-        right: Side<'_>,
-        out: &mut [f64],
-        out_scale: &mut [u32],
-        range: std::ops::Range<usize>,
-        scratch: &mut KernelScratch,
-    ) {
-        if S == 4 {
-            update_columns(layout, left, right, out, out_scale, range, &mut scratch.columns)
-        } else {
-            update_rows::<S>(layout, left, right, out, out_scale, range)
-        }
-    }
-
-    /// The row-form update: each CLV side a [`matvec`] per
-    /// `(pattern, rate)`, staged through stack arrays. Structure mirrors
-    /// `fixed::update_partials` (four monomorphized side combinations,
-    /// rate-outer blocks of 16 patterns, block-level scaling check). The
-    /// `S = 20` kernel; at `S = 4` only the tests run it, as the oracle of
-    /// [`update_columns`].
-    ///
-    /// SAFETY: caller guarantees avx2+fma are available.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn update_rows<const S: usize>(
         layout: &Layout,
         left: Side<'_>,
         right: Side<'_>,
@@ -393,187 +362,6 @@ mod avx2 {
         }
     }
 
-    /// One side of the `S = 4` column-form update: its four propagated
-    /// likelihoods for a `(pattern, rate)` pair as one vector. `Rate` is
-    /// what the side hoists out of the pattern loop.
-    trait Side4: Copy {
-        type Rate: Copy;
-        /// SAFETY: caller guarantees avx2+fma.
-        unsafe fn rate(&self, rate: usize) -> Self::Rate;
-        /// SAFETY: caller guarantees avx2+fma.
-        unsafe fn prop(&self, rate: Self::Rate, pattern: usize) -> __m256d;
-    }
-
-    #[derive(Clone, Copy)]
-    struct Tip4<'a> {
-        table: &'a crate::tips::TipTable,
-        codes: &'a [u8],
-    }
-
-    impl Side4 for Tip4<'_> {
-        type Rate = usize;
-
-        #[inline(always)]
-        unsafe fn rate(&self, rate: usize) -> usize {
-            rate
-        }
-
-        #[inline(always)]
-        unsafe fn prop(&self, rate: usize, pattern: usize) -> __m256d {
-            _mm256_loadu_pd(self.table.code_rate(self.codes[pattern], rate).as_ptr())
-        }
-    }
-
-    /// A CLV side over column-form matrices: `columns[r·16 + j·4 + i]` is
-    /// `P_r[i][j]` ([`transpose4`]).
-    #[derive(Clone, Copy)]
-    struct Clv4<'a> {
-        clv: &'a [f64],
-        columns: &'a [f64],
-        stride: usize,
-    }
-
-    impl Side4 for Clv4<'_> {
-        /// The rate's four columns and its offset within a pattern.
-        type Rate = ([__m256d; 4], usize);
-
-        #[inline(always)]
-        unsafe fn rate(&self, rate: usize) -> Self::Rate {
-            debug_assert!((rate + 1) * 16 <= self.columns.len());
-            let col = self.columns.as_ptr().add(rate * 16);
-            let cols = [0, 4, 8, 12].map(|j| _mm256_loadu_pd(col.add(j)));
-            (cols, rate * 4)
-        }
-
-        /// `Σ_j P[i][j]·c[j]` for the four `i` at once, as the column sum
-        /// `(t0 + t1) + (t2 + t3)` with `t_j = fma(col_j, c[j], +0.0)`:
-        /// lane `i` of `t_j` is the `j`-th lane of [`matvec`]'s row `i`
-        /// accumulator, and its `hadd` / `permute2f128` butterfly adds
-        /// them in that tree, so the bits are [`matvec::<4>`]'s, signed
-        /// zeros included.
-        #[inline(always)]
-        unsafe fn prop(&self, (cols, offset): Self::Rate, pattern: usize) -> __m256d {
-            let base = pattern * self.stride + offset;
-            debug_assert!(base + 4 <= self.clv.len());
-            let c = self.clv.as_ptr().add(base);
-            let zero = _mm256_setzero_pd();
-            let t0 = _mm256_fmadd_pd(cols[0], _mm256_broadcast_sd(&*c), zero);
-            let t1 = _mm256_fmadd_pd(cols[1], _mm256_broadcast_sd(&*c.add(1)), zero);
-            let t2 = _mm256_fmadd_pd(cols[2], _mm256_broadcast_sd(&*c.add(2)), zero);
-            let t3 = _mm256_fmadd_pd(cols[3], _mm256_broadcast_sd(&*c.add(3)), zero);
-            _mm256_add_pd(_mm256_add_pd(t0, t1), _mm256_add_pd(t2, t3))
-        }
-    }
-
-    /// Writes each rate's `4×4` matrix of `pmatrix` transposed into
-    /// `columns` (`rates × 16`): `columns[r·16 + j·4 + i] = P_r[i][j]`.
-    fn transpose4(pmatrix: &[f64], columns: &mut [f64]) {
-        for (cols, pm) in columns.chunks_exact_mut(16).zip(pmatrix.chunks_exact(16)) {
-            for (j, col) in cols.chunks_exact_mut(4).enumerate() {
-                for (i, c) in col.iter_mut().enumerate() {
-                    *c = pm[i * 4 + j];
-                }
-            }
-        }
-    }
-
-    /// The `S = 4` update in column form. Each CLV side's per-rate
-    /// matrices are transposed once per call into `columns` (grown to
-    /// `2 × rates × 16` if smaller); every `(pattern, rate)` then costs
-    /// four broadcast FMAs and three adds per side, with both sides and
-    /// the product in registers. The per-pattern maximum runs as a vector
-    /// across the rates, with one horizontal max per pattern: on finite
-    /// input the same maximum as [`update_rows`]' per-`(pattern, rate)`
-    /// one, so the rescale decisions — and with [`Clv4::prop`]'s bits,
-    /// the output and scalers — are [`update_rows::<4>`]'s.
-    ///
-    /// SAFETY: caller guarantees avx2+fma are available.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn update_columns(
-        layout: &Layout,
-        left: Side<'_>,
-        right: Side<'_>,
-        out: &mut [f64],
-        out_scale: &mut [u32],
-        range: std::ops::Range<usize>,
-        columns: &mut Vec<f64>,
-    ) {
-        debug_assert_eq!(layout.states, 4);
-        debug_assert_eq!(out.len(), layout.clv_len());
-        debug_assert_eq!(out_scale.len(), layout.patterns);
-        debug_assert!(range.end <= layout.patterns);
-        let (rates, stride) = (layout.rates, layout.pattern_stride());
-        let (lscale, rscale) = (side_scale(&left), side_scale(&right));
-        if columns.len() < 2 * rates * 16 {
-            columns.resize(2 * rates * 16, 0.0);
-        }
-        let (lcols, rcols) = columns.split_at_mut(rates * 16);
-        for (side, cols) in [(&left, &mut *lcols), (&right, &mut rcols[..rates * 16])] {
-            if let Side::Clv { pmatrix, .. } = side {
-                transpose4(pmatrix, cols);
-            }
-        }
-        let clv4 = |clv, columns| Clv4 { clv, columns, stride };
-        match (left, right) {
-            (Side::Tip { table: lt, codes: lc }, Side::Tip { table: rt, codes: rc }) => {
-                let (l, r) = (Tip4 { table: lt, codes: lc }, Tip4 { table: rt, codes: rc });
-                fused4(rates, stride, l, r, lscale, rscale, out, out_scale, range)
-            }
-            (Side::Tip { table, codes }, Side::Clv { clv, .. }) => {
-                let (l, r) = (Tip4 { table, codes }, clv4(clv, rcols));
-                fused4(rates, stride, l, r, lscale, rscale, out, out_scale, range)
-            }
-            (Side::Clv { clv, .. }, Side::Tip { table, codes }) => {
-                let (l, r) = (clv4(clv, lcols), Tip4 { table, codes });
-                fused4(rates, stride, l, r, lscale, rscale, out, out_scale, range)
-            }
-            (Side::Clv { clv: lclv, .. }, Side::Clv { clv: rclv, .. }) => {
-                let (l, r) = (clv4(lclv, lcols), clv4(rclv, rcols));
-                fused4(rates, stride, l, r, lscale, rscale, out, out_scale, range)
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn fused4<L: Side4, R: Side4>(
-        rates: usize,
-        stride: usize,
-        left: L,
-        right: R,
-        lscale: Option<&[u32]>,
-        rscale: Option<&[u32]>,
-        out: &mut [f64],
-        out_scale: &mut [u32],
-        range: std::ops::Range<usize>,
-    ) {
-        let mut p = range.start;
-        while p < range.end {
-            let block_end = (p + PATTERN_BLOCK).min(range.end);
-            let mut maxs = [_mm256_setzero_pd(); PATTERN_BLOCK];
-            for r in 0..rates {
-                let (lr, rr) = (left.rate(r), right.rate(r));
-                for (k, pp) in (p..block_end).enumerate() {
-                    let v = _mm256_mul_pd(left.prop(lr, pp), right.prop(rr, pp));
-                    _mm256_storeu_pd(out.as_mut_ptr().add(pp * stride + r * 4), v);
-                    maxs[k] = _mm256_max_pd(maxs[k], v);
-                }
-            }
-            for (k, pp) in (p..block_end).enumerate() {
-                let mut scale = lscale.map_or(0, |s| s[pp]) + rscale.map_or(0, |s| s[pp]);
-                let max = hmax(maxs[k]);
-                if max > 0.0 && max < SCALE_THRESHOLD {
-                    scale += crate::fixed::rescale_pattern(
-                        &mut out[pp * stride..(pp + 1) * stride],
-                        max,
-                    );
-                }
-                out_scale[pp] = scale;
-            }
-            p = block_end;
-        }
-    }
-
     /// [`crate::fixed::propagate`] compiled for AVX2: the shim only changes
     /// which instructions the (inlined) portable body is lowered to. `fma`
     /// is deliberately not enabled here.
@@ -673,110 +461,6 @@ mod tests {
         run::<20>();
     }
 
-    /// The AVX2 `S = 4` update in column form has the bits of the
-    /// row-form `matvec::<4>` update it replaced — output, signed zeros
-    /// and scalers — over tip/CLV side mixes, 1–8 rates, pattern counts
-    /// and ranges that end inside a pattern block, and inputs with exact
-    /// zeros, `−0.0` and `−1e-17` matrix entries and `1e-300` values that
-    /// rescale.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn dna_column_form_has_the_row_form_bits() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        if !host_has_avx2_fma() {
-            eprintln!("skipped: this host has no AVX2 + FMA");
-            return;
-        }
-        let mut rng = StdRng::seed_from_u64(44);
-        let value = |rng: &mut StdRng, matrix: bool| match rng.gen_range(0..10) {
-            0 => 0.0,
-            1 => -0.0,
-            2 if matrix => -1e-17,
-            2 => 1e-300 * rng.gen_range(0.5..2.0),
-            _ => rng.gen_range(0.0..1.0) * 10f64.powi(rng.gen_range(-6..1)),
-        };
-        // Every non-empty DNA state set, as the alphabet's codes map.
-        let masks: Vec<u32> = (1..16).collect();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let mut rescaled = 0;
-        for case in 0..400 {
-            let rates = 1 + case % 8;
-            let patterns = [1, 5, 15, 17, 31, 33, 47, 96][case / 8 % 8];
-            let layout = Layout::new(patterns, rates, 4).with_tier(crate::TierChoice::Simd);
-            // Some matrix rows wholly negative, some child vectors wholly
-            // zero: where every product of a row is a zero of either
-            // sign, only the accumulation from `+0.0` fixes the sign.
-            let fill = |rng: &mut StdRng, len: usize, matrix: bool, whole: [f64; 2]| {
-                let mut v: Vec<f64> = (0..len).map(|_| value(rng, matrix)).collect();
-                for group in v.chunks_exact_mut(4) {
-                    if rng.gen_bool(0.2) {
-                        group.iter_mut().for_each(|x| *x = whole[rng.gen_range(0..2usize)]);
-                    }
-                }
-                v
-            };
-            let pm = |rng: &mut StdRng| fill(rng, layout.pmatrix_len(), true, [-0.0, -1e-17]);
-            let clv = |rng: &mut StdRng| fill(rng, layout.clv_len(), false, [0.0, -0.0]);
-            let (lpm, rpm, lclv, rclv) = (pm(&mut rng), pm(&mut rng), clv(&mut rng), clv(&mut rng));
-            let (lt, rt) = (
-                crate::TipTable::build(&layout, &lpm, &masks),
-                crate::TipTable::build(&layout, &rpm, &masks),
-            );
-            let codes = |rng: &mut StdRng| {
-                (0..patterns).map(|_| rng.gen_range(0..masks.len()) as u8).collect::<Vec<_>>()
-            };
-            let (lc, rc) = (codes(&mut rng), codes(&mut rng));
-            let scale: Vec<u32> = (0..patterns).map(|_| rng.gen_range(0..3)).collect();
-            let lclv_side = Side::Clv { clv: &lclv, scale: Some(&scale), pmatrix: &lpm };
-            let rclv_side = Side::Clv { clv: &rclv, scale: None, pmatrix: &rpm };
-            let (ltip, rtip) =
-                (Side::Tip { table: &lt, codes: &lc }, Side::Tip { table: &rt, codes: &rc });
-            let start = rng.gen_range(0..patterns);
-            let range = start..rng.gen_range(start + 1..=patterns);
-            // A scratch warm from another layout, as a pooled one is.
-            let mut scratch = KernelScratch::for_layout(&Layout::new(3, 1 + case % 3, 4));
-            for (left, right) in
-                [(ltip, rtip), (ltip, rclv_side), (lclv_side, rtip), (lclv_side, rclv_side)]
-            {
-                let run = |columns: bool, scratch: &mut KernelScratch| {
-                    let mut out = vec![7.0; layout.clv_len()];
-                    let mut out_scale = vec![99u32; patterns];
-                    // SAFETY: avx2 and fma were detected on this host above.
-                    unsafe {
-                        if columns {
-                            avx2::update_partials::<4>(
-                                &layout,
-                                left,
-                                right,
-                                &mut out,
-                                &mut out_scale,
-                                range.clone(),
-                                scratch,
-                            )
-                        } else {
-                            avx2::update_rows::<4>(
-                                &layout,
-                                left,
-                                right,
-                                &mut out,
-                                &mut out_scale,
-                                range.clone(),
-                            )
-                        }
-                    }
-                    (bits(&out), out_scale)
-                };
-                let (want, got) = (run(false, &mut scratch), run(true, &mut scratch));
-                assert_eq!(got.0, want.0, "case {case}: rates {rates}, {patterns} patterns");
-                assert_eq!(got.1, want.1, "case {case}: scalers");
-                let inherited = |p: usize| left.scale_at(p) + right.scale_at(p);
-                rescaled += range.clone().filter(|&p| got.1[p] > inherited(p)).count();
-            }
-        }
-        assert!(rescaled > 0, "no pattern rescaled");
-    }
-
     /// `update_partials` must run (and produce finite values) on whatever
     /// backend this host selects — the cross-tier numerical comparison
     /// lives in `tests/differential.rs`.
@@ -798,14 +482,9 @@ mod tests {
             let mut out = vec![0.0; layout.clv_len()];
             let mut scale = vec![0u32; layout.patterns];
             let side = Side::Clv { clv: &clv, scale: None, pmatrix: &pm };
-            let scratch = &mut KernelScratch::new();
             match states {
-                4 => {
-                    update_partials::<4>(&layout, side, side, &mut out, &mut scale, 0..17, scratch)
-                }
-                _ => {
-                    update_partials::<20>(&layout, side, side, &mut out, &mut scale, 0..17, scratch)
-                }
+                4 => update_partials::<4>(&layout, side, side, &mut out, &mut scale, 0..17),
+                _ => update_partials::<20>(&layout, side, side, &mut out, &mut scale, 0..17),
             }
             assert!(out.iter().all(|v| v.is_finite() && *v > 0.0));
         }

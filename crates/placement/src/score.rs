@@ -133,8 +133,9 @@ pub struct ScoreScratch {
     /// Reusable tip rows of a pendant branch's leaf (rebuilt, never
     /// reallocated).
     tip_table: TipTable,
-    /// The codes of the last leaf a pendant side read.
-    leaf_codes: LeafCodes,
+    /// Reusable codes of a pendant branch's leaf, unpacked from the
+    /// reference per side.
+    leaf_codes: Vec<u8>,
     /// The partials at the attachment position [`score_thorough`] holds.
     partials: AttachmentPartials,
     /// The two live points of its attachment-position search.
@@ -164,10 +165,10 @@ impl ScoreScratch {
             prox_scale: vec![0; layout.patterns],
             dist: vec![0.0; layout.clv_len()],
             dist_scale: vec![0; layout.patterns],
-            kernel: KernelScratch::for_propagate(layout),
+            kernel: KernelScratch::for_layout(layout),
             // Built once at its final size: every rebuild reuses it.
             tip_table: TipTable::build(layout, &pmatrix, ctx.alphabet().state_masks()),
-            leaf_codes: LeafCodes { leaf: None, set: 0, row: vec![0; layout.patterns] },
+            leaf_codes: Vec::with_capacity(layout.patterns),
             pmatrix,
             weights: rate_state_weights(ctx),
             partials: AttachmentPartials::sized(ctx),
@@ -201,29 +202,6 @@ impl ScoreScratch {
     }
 }
 
-/// A leaf's codes unpacked from the reference, kept until another leaf
-/// is asked for: the ≈ 16 partials builds of one thorough pair read the
-/// same pendant leaf, and unpack it once. A scratch serves one context.
-#[derive(Debug, Default)]
-struct LeafCodes {
-    /// The leaf `row` holds, if any.
-    leaf: Option<phylo_tree::NodeId>,
-    /// Its code set ([`ReferenceContext::tip_codes_into`]).
-    set: u64,
-    row: Vec<u8>,
-}
-
-impl LeafCodes {
-    /// `leaf`'s codes over patterns and its code set.
-    fn of(&mut self, ctx: &ReferenceContext, leaf: phylo_tree::NodeId) -> (&[u8], u64) {
-        if self.leaf != Some(leaf) {
-            self.set = ctx.tip_codes_into(leaf, &mut self.row);
-            self.leaf = Some(leaf);
-        }
-        (&self.row, self.set)
-    }
-}
-
 /// Propagates one side of `edge` (the orientation `d`) through the
 /// per-rate transition matrices `pm` of a branch segment into `out`; a
 /// leaf's side builds the tip rows of its own codes from `pm`. All
@@ -236,7 +214,7 @@ fn propagate_partial(
     d: phylo_tree::DirEdgeId,
     pm: &[f64],
     tip_table: &mut TipTable,
-    leaf_codes: &mut LeafCodes,
+    leaf_codes: &mut Vec<u8>,
     kernel: &mut KernelScratch,
     out: &mut [f64],
     out_scale: &mut [u32],
@@ -244,9 +222,9 @@ fn propagate_partial(
     let layout = ctx.layout();
     match store.side(ctx, d) {
         phylo_engine::EdgeSide::Tip(node) => {
-            let (codes, set) = leaf_codes.of(ctx, node);
+            let set = ctx.tip_codes_into(node, leaf_codes);
             tip_table.rebuild(layout, pm, ctx.alphabet().state_masks(), set);
-            let side = Side::Tip { table: tip_table, codes };
+            let side = Side::Tip { table: tip_table, codes: leaf_codes };
             propagate_scratch(layout, side, out, out_scale, 0..layout.patterns, kernel);
         }
         phylo_engine::EdgeSide::Resident(_) => {

@@ -150,7 +150,7 @@ impl PplacerLike {
         let mut dist_scale = vec![0u32; layout.patterns];
         let mut pm = vec![0.0; layout.pmatrix_len()];
         let mut evaluator = QueryEvaluator::new(&self.ctx);
-        let mut kernel = KernelScratch::for_propagate(&layout);
+        let mut kernel = KernelScratch::for_layout(&layout);
         let mut tip_table = TipTable::empty();
         let mut tip_codes = Vec::with_capacity(layout.patterns);
         let mut partials = AttachmentPartials::empty();
